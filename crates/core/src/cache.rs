@@ -1,11 +1,11 @@
-//! The annealing fast path: plant-scoped relay/footprint caches and
-//! run-scoped energy memoization.
+//! The annealing fast path: plant-scoped relay caches and run-scoped
+//! energy memoization.
 //!
 //! Every annealing iteration evaluates `ComputeEnergy` (Algorithm 3) on a
 //! candidate topology, and the naive evaluation rebuilds a [`RegenGraph`]
 //! (Dijkstra + Yen) for *every* desired link — even though the plant is
 //! fixed for the whole slot and the Metropolis walk revisits states. The
-//! [`EnergyCache`] removes that redundancy in three layers:
+//! [`EnergyCache`] removes that redundancy in two layers:
 //!
 //! 1. **Relay-candidate cache** — candidate relay paths for a link
 //!    `(u, v)` depend only on the plant, the fiber-distance matrix, and
@@ -13,41 +13,43 @@
 //!    the sites in the pair's **relay domain** (regenerator-equipped and
 //!    reachable from both endpoints through equipped interiors, see
 //!    [`PlantCache`]) can influence the Yen output. Entries are therefore
-//!    keyed on `(u, v)` plus the **constraint class** of the vector — an
-//!    FNV hash of the domain projection — and a class hit is verified by
+//!    keyed on `(u, v)` plus the **constraint class** of the vector — a
+//!    hash of the domain projection — and a class hit is verified by
 //!    comparing the projections site-for-site (a hash collision falls
 //!    through). When no class matches, the *relaxed match*
-//!    ([`relaxed_entry_match`]) may still prove an existing entry's
+//!    ([`relaxed_entry_reject`]) may still prove an existing entry's
 //!    differences irrelevant: every site whose free count moved is
 //!    screened against a static lower bound on any relay path through it,
 //!    adjusted candidate costs provably preserve their order (exact ties
 //!    are only accepted where Yen's own tie-breaks are forced), and the
 //!    stored `(k+1)`-th cost bounds every path outside the candidate set.
-//!    Since most circuits consume regenerators only near their own
-//!    endpoints, one class per pair serves essentially every iteration.
-//! 2. **Footprint sets** — per pair, the union of fibers any relay
-//!    candidate's shortest routes can touch. The delta rebuild uses these
-//!    to prove two links cannot contend for wavelengths.
-//! 3. **Outcome/rate memos** — full [`EnergyOutcome`]s keyed by the
+//!    The relaxed scan looks at the `RELAXED_SCAN_WINDOW` newest entries
+//!    only: whichever entry it accepts, and whatever is computed after it
+//!    refuses, the candidates served are a fresh Yen run's, so the window
+//!    moves hit counts and nothing else. A miss runs the dense kernel
+//!    [`relay_k_shortest`] over the plant's reach rows — no graph is
+//!    built — and reads probe fibers off the plant's route table.
+//! 2. **Outcome/rate memos** — full [`EnergyOutcome`]s keyed by the
 //!    canonical topology hash (revisited states cost a lookup + clone),
 //!    plus a rate memo keyed by the *achieved* topology (distinct desired
 //!    topologies frequently collapse to the same achieved one).
 //!
-//! Invalidation: layers 1–2 are valid as long as the plant content is
+//! Invalidation: layer 1 and the [`PlantCache`] under it (relay domains,
+//! reach rows, route table) are valid as long as the plant content is
 //! unchanged; [`EnergyCache::begin_run`] fingerprints the plant (sites,
 //! ports, regenerators, fibers, lengths, usable wavelengths) and flushes
 //! them when the fingerprint moves — e.g. when a chaos fault degrades an
-//! amplifier and shrinks a fiber's usable band. Layer 3 is only valid for
+//! amplifier and shrinks a fiber's usable band. Layer 2 is only valid for
 //! one evaluation context (one transfer set, one slot length) and is
 //! cleared on every `begin_run`.
 
 use crate::circuits::CircuitBuildConfig;
 use crate::energy::EnergyOutcome;
 use crate::rates::RateOutcome;
-use crate::regen::RegenGraph;
+use crate::regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
-use owan_optical::{FiberPlant, SiteId};
+use owan_optical::{FiberPlant, RouteTable, SiteId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -70,7 +72,16 @@ const OVERFLOW_CAP: usize = 4 * OUTCOME_CAP;
 /// (deterministic: insertion order is the search order).
 const RELAY_STATES_PER_PAIR: usize = 64;
 
-/// A small fiber-id bitset used for footprint disjointness tests.
+/// Entries the relaxed scan examines per lookup, newest first. The entry
+/// that matches sits a few positions from the newest (the walk's vectors
+/// drift), so a short window keeps nearly every relaxed hit at a fraction
+/// of a full scan's cost; older entries still serve exact class hits
+/// through the alias index. Chosen by measurement on the three Owan
+/// benchmark workloads (EXPERIMENTS.md, fast-path section).
+const RELAXED_SCAN_WINDOW: usize = 8;
+
+/// A small fiber-id bitset: the probe sets of relay entries and the dirty
+/// sets of delta rebuilds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FiberSet {
     words: Vec<u64>,
@@ -202,7 +213,7 @@ pub struct EnergyCacheStats {
     pub outcome_misses: u64,
     /// Rate-memo hits (circuits rebuilt, rates answered from the memo).
     pub rate_hits: u64,
-    /// Relay-candidate cache hits (a `RegenGraph` build + Yen avoided).
+    /// Relay-candidate cache hits (a k-shortest relay search avoided).
     pub relay_hits: u64,
     /// Relay-candidate hits through the relaxed vector match: the queried
     /// vector differs from the stored one only at sites provably
@@ -227,7 +238,7 @@ pub struct EnergyCacheStats {
     pub delta_pairs_screened: u64,
     /// Full circuit rebuilds (initial evaluations and fallbacks).
     pub full_builds: u64,
-    /// Plant-fingerprint flushes of the relay/footprint layers.
+    /// Plant-fingerprint flushes of the relay layer.
     pub flushes: u64,
     /// Relay misses by cause, indexed by position in
     /// [`MissReason::RELAY`]; the six entries sum to `relay_misses`.
@@ -435,7 +446,13 @@ pub fn plant_fingerprint(plant: &FiberPlant) -> u64 {
 ///   every dynamic one). A site outside the domain is never a node the
 ///   pair's Dijkstra/Yen run can pop or relax through on a returned path,
 ///   so its free count cannot influence the output: two vectors with
-///   equal domain projections yield bit-identical candidate lists.
+///   equal domain projections yield bit-identical candidate lists;
+/// - the **reach rows** ([`ReachRows`]): which site pairs lie within
+///   optical reach, the adjacency [`relay_k_shortest`] searches on a miss;
+/// - the **route table** ([`RouteTable`]): the shortest fiber route of
+///   every ordered site pair, which the cached and delta builders hand to
+///   provisioning (no Dijkstra per segment) and misses read probe fibers
+///   from.
 ///
 /// Invalidation piggybacks on the plant fingerprint: a degradation that
 /// moves the fingerprint (e.g. an amp fault shrinking a fiber's usable
@@ -448,13 +465,16 @@ pub struct PlantCache {
     /// Relay domain per unordered pair, indexed `min * n + max` (the
     /// domain is symmetric in `u`, `v` because `sd` is).
     domains: Vec<Vec<SiteId>>,
+    reach: ReachRows,
+    routes: RouteTable,
 }
 
 impl PlantCache {
     /// Builds the precompute: one node-weighted Floyd–Warshall (`O(V^3)`)
     /// pivoting on regenerator-equipped sites with weight `1/total`, edges
     /// wherever the fiber distance is within optical reach, then the
-    /// per-pair domains read off the matrix.
+    /// per-pair domains read off the matrix; plus the reach rows and one
+    /// fiber-graph Dijkstra per site for the route table.
     pub fn build(plant: &FiberPlant, fiber_dist: &[Vec<f64>]) -> Self {
         let n = plant.site_count();
         let reach = plant.params().optical_reach_km;
@@ -505,6 +525,8 @@ impl PlantCache {
             n,
             static_interior: d,
             domains,
+            reach: ReachRows::build(plant, fiber_dist),
+            routes: RouteTable::build(plant),
         }
     }
 
@@ -523,24 +545,25 @@ impl PlantCache {
     pub fn static_interior(&self) -> &[Vec<f64>] {
         &self.static_interior
     }
+
+    /// The plant's all-pairs shortest fiber routes.
+    pub(crate) fn routes(&self) -> &RouteTable {
+        &self.routes
+    }
 }
 
-/// Constraint-class hash of a free-regenerator vector for one pair: FNV-1a
-/// over the counts at the pair's relay-domain sites, in domain order. Two
-/// vectors hash equal whenever their domain projections are equal; the
-/// converse is only probabilistic, so class hits verify the projection
-/// site-for-site before being trusted.
+/// Constraint-class hash of a free-regenerator vector for one pair: an
+/// FNV-style multiply-xor over the counts at the pair's relay-domain
+/// sites, one step per site, in domain order. Two vectors hash equal
+/// whenever their domain projections are equal; the converse is only
+/// probabilistic, so class hits verify the projection site-for-site
+/// before being trusted.
 fn class_hash(domain: &[SiteId], regens_free: &[u32]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &s in domain {
-        for byte in (regens_free[s] as u64).to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    domain.iter().fold(FNV_OFFSET, |h, &s| {
+        (h ^ regens_free[s] as u64).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// One cached relay-candidate computation: the exact regenerator vector it
@@ -631,6 +654,21 @@ impl PairEntries {
 /// makes the match *more* conservative.
 const RELAX_EPS: f64 = 1e-9;
 
+/// Reusable buffers of [`relaxed_entry_reject`], so a scan over a pair's
+/// entries allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct RelaxScratch {
+    /// Member in both vectors, weight moved.
+    changed: Vec<SiteId>,
+    /// 0 regens → free (node appears).
+    entered: Vec<SiteId>,
+    /// free → 0 regens (node vanishes).
+    left: Vec<SiteId>,
+    adjusted: Vec<f64>,
+    moved: Vec<bool>,
+    exact: Vec<bool>,
+}
+
 /// Decides whether the entry, computed under its stored `relay_k` and
 /// vector `v1`, provably yields the same Yen output (same paths, same
 /// order) under the queried vector `v2`. A path's cost is the sum of its
@@ -661,20 +699,10 @@ const RELAX_EPS: f64 = 1e-9;
 /// Under these conditions every path cheaper than some candidate is
 /// itself a candidate, strictly separated from the outside, so Yen
 /// selects exactly the stored list in the stored order.
-fn relaxed_entry_match(
-    e: &RelayEntry,
-    relay_k: usize,
-    regens_free: &[u32],
-    u: SiteId,
-    v: SiteId,
-    sd: &[Vec<f64>],
-) -> bool {
-    relaxed_entry_reject(e, relay_k, regens_free, u, v, sd).is_none()
-}
-
-/// [`relaxed_entry_match`] with attribution: `None` accepts the entry,
-/// `Some(reason)` names which screen refused it — the per-reason miss
-/// counters of the taxonomy are built from these reject points.
+///
+/// `None` accepts the entry; `Some(reason)` names which screen refused it
+/// — the per-reason miss counters of the taxonomy are built from these
+/// reject points.
 fn relaxed_entry_reject(
     e: &RelayEntry,
     relay_k: usize,
@@ -682,10 +710,19 @@ fn relaxed_entry_reject(
     u: SiteId,
     v: SiteId,
     sd: &[Vec<f64>],
+    scratch: &mut RelaxScratch,
 ) -> Option<MissReason> {
-    let mut changed: Vec<SiteId> = Vec::new(); // member in both, weight moved
-    let mut entered: Vec<SiteId> = Vec::new(); // 0 regens → free (node appears)
-    let mut left: Vec<SiteId> = Vec::new(); // free → 0 regens (node vanishes)
+    let RelaxScratch {
+        changed,
+        entered,
+        left,
+        adjusted,
+        moved,
+        exact,
+    } = scratch;
+    changed.clear();
+    entered.clear();
+    left.clear();
     for (s, (&r1, &r2)) in e.regens.iter().zip(regens_free).enumerate() {
         if r1 == r2 || s == u || s == v {
             continue;
@@ -721,7 +758,7 @@ fn relaxed_entry_reject(
     // matters even for *removed* paths: Yen's tie selection is
     // pool-dependent, and a removed boundary-tied path can unhide an
     // equal-cost path behind its spur point.)
-    for &s in &left {
+    for &s in left.iter() {
         if e.candidates.iter().any(|c| c[1..c.len() - 1].contains(&s)) {
             // A candidate path just became invalid.
             return Some(MissReason::MembershipCrossing);
@@ -737,9 +774,12 @@ fn relaxed_entry_reject(
     // adjustment carries rounding error and is only trusted to
     // `RELAX_EPS`.
     let k = e.candidates.len();
-    let mut adjusted = e.costs.clone();
-    let mut moved = vec![false; k];
-    let mut exact = vec![false; k];
+    adjusted.clear();
+    adjusted.extend_from_slice(&e.costs);
+    moved.clear();
+    moved.resize(k, false);
+    exact.clear();
+    exact.resize(k, false);
     for i in 0..k {
         let interior = &e.candidates[i][1..e.candidates[i].len() - 1];
         let mut d = 0.0;
@@ -807,12 +847,12 @@ fn relaxed_entry_reject(
     // Membership crossings must clear the boundary statically (the site
     // already relays no candidate: checked above for vanished nodes,
     // impossible for appearing ones).
-    for &s in &entered {
+    for &s in entered.iter() {
         if sd[u][s] + 1.0 / regens_free[s] as f64 + sd[s][v] <= last + RELAX_EPS {
             return Some(MissReason::MembershipCrossing);
         }
     }
-    for &s in &left {
+    for &s in left.iter() {
         if sd[u][s] + 1.0 / e.regens[s] as f64 + sd[s][v] <= last + RELAX_EPS {
             return Some(MissReason::MembershipCrossing);
         }
@@ -851,7 +891,7 @@ fn relaxed_entry_reject(
         false
     };
     let mut unscreened_drop = 0.0f64;
-    for &s in &changed {
+    for &s in changed.iter() {
         let (r1, r2) = (e.regens[s], regens_free[s]);
         if r2 <= r1 {
             // Weight rose: through-`s` paths only got heavier, and strict
@@ -883,18 +923,15 @@ pub struct EnergyCache {
     plant_sig: Option<u64>,
     /// `relay_candidates` count the entries were computed with.
     relay_k: usize,
-    /// Free regenerators per site of the *pristine* plant (the regen state
-    /// footprints are defined under).
-    initial_regens: Vec<u32>,
     /// Relay-candidate entries per endpoint pair, class-indexed.
     relay: HashMap<(SiteId, SiteId), PairEntries>,
-    /// Fiber footprints per endpoint pair (valid under `initial_regens`).
-    footprints: HashMap<(SiteId, SiteId), FiberSet>,
-    /// Directional shortest-route fiber sets (plant-only, used to build
-    /// footprints).
-    routes: HashMap<(SiteId, SiteId), Vec<usize>>,
-    /// Plant-scoped precompute (static-interior screens + relay domains),
-    /// `Arc`-shared across chains when a parallel run installs one.
+    /// Buffers of the miss path's k-shortest relay search.
+    relay_scratch: RelayScratch,
+    /// Buffers of the relaxed scan.
+    relax_scratch: RelaxScratch,
+    /// Plant-scoped precompute (static-interior screens, relay domains,
+    /// reach rows, route table), `Arc`-shared across chains when a
+    /// parallel run installs one.
     plant: Option<Arc<PlantCache>>,
     /// A shared precompute offered by the enclosing parallel run via
     /// [`Self::install_plant_cache`]; adopted by [`Self::begin_run`] when
@@ -945,10 +982,7 @@ impl EnergyCache {
         self.plant_sig = Some(sig);
         self.relay_k = config.relay_candidates;
         self.relay.clear();
-        self.footprints.clear();
-        self.routes.clear();
         self.plant = None;
-        self.initial_regens = plant.sites().iter().map(|s| s.regenerators).collect();
     }
 
     /// Offers a shared [`PlantCache`] built by the enclosing run. The
@@ -990,22 +1024,17 @@ impl EnergyCache {
         pc
     }
 
-    /// Free regenerators per site of the pristine plant the cache was
-    /// prepared for (set by [`Self::begin_run`]).
-    pub fn initial_regens(&self) -> &[u32] {
-        &self.initial_regens
-    }
-
     /// Finds or computes the relay entry for `(u, v)` under the given
     /// free-regenerator vector, returning its index in the pair's entry
     /// list. The lookup goes constraint class first: the vector's domain
     /// projection is hashed and the class index consulted, with the
     /// projection verified site-for-site (see [`PlantCache`] for why
     /// projection equality implies identical Yen output). On a class miss
-    /// the entries are scanned with the relaxed match, which may prove an
-    /// entry built under a *different* projection still yields the same
-    /// output — either way the returned entry's candidate list is exactly
-    /// what a fresh Yen run would produce.
+    /// the [`RELAXED_SCAN_WINDOW`] newest entries are scanned with the
+    /// relaxed match, which may prove an entry built under a *different*
+    /// projection still yields the same output; failing that the dense
+    /// kernel computes a fresh entry — either way the returned entry's
+    /// candidate list is exactly what a fresh Yen run would produce.
     fn relay_entry_index(
         &mut self,
         plant: &FiberPlant,
@@ -1021,6 +1050,8 @@ impl EnergyCache {
         let relay_k = self.relay_k;
         let sd = pc.static_interior();
         let mut collision = false;
+        // Why the newest entry refused the query, if the scan got that far.
+        let mut newest_reject = None;
         {
             let pair = self.relay.entry((u, v)).or_default();
             if let Some(alias) = pair.by_class.get(&class) {
@@ -1039,7 +1070,7 @@ impl EnergyCache {
                         self.stats.relay_hits += 1;
                         return off;
                     }
-                    // Same hash, different projection: a genuine FNV
+                    // Same hash, different projection: a genuine hash
                     // collision. Fall through to the relaxed scan.
                     collision = true;
                 } else {
@@ -1047,18 +1078,36 @@ impl EnergyCache {
                     pair.by_class.remove(&class);
                 }
             }
-            if let Some(off) = pair
+            for (back, e) in pair
                 .entries
                 .iter()
-                .position(|e| relaxed_entry_match(e, relay_k, regens_free, u, v, sd))
+                .rev()
+                .take(RELAXED_SCAN_WINDOW)
+                .enumerate()
             {
-                self.stats.relay_relaxed_hits += 1;
-                // Alias this class to the proven entry so the next query
-                // under the same projection hits on the fast path.
-                let proj: Vec<u32> = domain.iter().map(|&s| regens_free[s]).collect();
-                let seq = pair.base + off as u64;
-                pair.alias(class, seq, proj);
-                return off;
+                let reject = relaxed_entry_reject(
+                    e,
+                    relay_k,
+                    regens_free,
+                    u,
+                    v,
+                    sd,
+                    &mut self.relax_scratch,
+                );
+                let Some(reason) = reject else {
+                    self.stats.relay_relaxed_hits += 1;
+                    // Alias this class to the proven entry so the next
+                    // query under the same projection hits on the fast
+                    // path.
+                    let off = pair.entries.len() - 1 - back;
+                    let proj: Vec<u32> = domain.iter().map(|&s| regens_free[s]).collect();
+                    let seq = pair.base + off as u64;
+                    pair.alias(class, seq, proj);
+                    return off;
+                };
+                if back == 0 {
+                    newest_reject = Some(reason);
+                }
             }
         }
         self.stats.relay_misses += 1;
@@ -1070,22 +1119,39 @@ impl EnergyCache {
         let reason = if collision {
             MissReason::ClassCollision
         } else {
-            match self.relay.get(&(u, v)).and_then(|p| p.entries.back()) {
-                Some(e) => relaxed_entry_reject(e, relay_k, regens_free, u, v, sd)
-                    .unwrap_or(MissReason::Cold),
-                None if self.flushed_pairs.contains(&(u, v)) => MissReason::Flush,
-                None => MissReason::Cold,
-            }
+            newest_reject.unwrap_or(if self.flushed_pairs.contains(&(u, v)) {
+                MissReason::Flush
+            } else {
+                MissReason::Cold
+            })
         };
         self.stats.count_relay_miss(reason);
         telemetry.shortest_path_calls.incr();
-        let rg = RegenGraph::build_with_free_regens(plant, regens_free, fiber_dist, u, v);
         // Compute one path beyond the candidate count: Yen grows its found
         // list incrementally, so the first `relay_k` paths are exactly what
         // a `relay_k`-run would return, and the extra path's cost bounds
         // every path outside the candidate list for the relaxed match.
-        let mut with_costs = rg.relay_candidates_with_costs(self.relay_k + 1);
-        let next_cost = if with_costs.len() > self.relay_k {
+        let mut with_costs = relay_k_shortest(
+            &pc.reach,
+            regens_free,
+            u,
+            v,
+            relay_k + 1,
+            &mut self.relay_scratch,
+        );
+        debug_assert!(
+            {
+                let want = RegenGraph::build_with_free_regens(plant, regens_free, fiber_dist, u, v)
+                    .relay_candidates_with_costs(relay_k + 1);
+                want.len() == with_costs.len()
+                    && want
+                        .iter()
+                        .zip(&with_costs)
+                        .all(|(w, g)| w.0 == g.0 && w.1.to_bits() == g.1.to_bits())
+            },
+            "dense relay kernel must equal RegenGraph + Yen for ({u}, {v})"
+        );
+        let next_cost = if with_costs.len() > relay_k {
             with_costs.pop().expect("k+1 paths").1
         } else {
             f64::INFINITY
@@ -1095,14 +1161,10 @@ impl EnergyCache {
         let mut probe = FiberSet::new(plant.fiber_count());
         for cand in &candidates {
             for w in cand.windows(2) {
-                let fibers = self.routes.entry((w[0], w[1])).or_insert_with(|| {
-                    plant
-                        .shortest_fiber_route(w[0], w[1])
-                        .map(|(fibers, _, _)| fibers)
-                        .unwrap_or_default()
-                });
-                for &f in fibers.iter() {
-                    probe.insert(f);
+                if let Some(route) = pc.routes().route(w[0], w[1]) {
+                    for &f in &route.fibers {
+                        probe.insert(f);
+                    }
                 }
             }
         }
@@ -1195,9 +1257,9 @@ impl EnergyCache {
         (e.candidates.clone(), e.probe.clone())
     }
 
-    /// The plant-scoped precompute (relay domains + static screens),
-    /// adopting or building it on first use — the delta rebuild reads pair
-    /// domains from it for the dirty-site screen.
+    /// The plant-scoped precompute, adopting or building it on first use —
+    /// the builders read the route table from it, the delta rebuild also
+    /// pair domains for the dirty-site screen.
     pub(crate) fn plant_precompute(
         &mut self,
         plant: &FiberPlant,
@@ -1206,60 +1268,15 @@ impl EnergyCache {
         self.ensure_plant_cache(plant, fiber_dist)
     }
 
-    /// The probe set of `(u, v)` under the given free-regenerator vector:
-    /// every fiber a provisioning attempt iterating the pair's candidate
-    /// list (under exactly that vector) can read or write. Served from the
-    /// same entries as [`Self::relay_candidates`].
-    pub fn probe_set(
-        &mut self,
-        plant: &FiberPlant,
-        fiber_dist: &[Vec<f64>],
-        regens_free: &[u32],
-        u: SiteId,
-        v: SiteId,
-        telemetry: &CoreTelemetry,
-    ) -> FiberSet {
-        let idx = self.relay_entry_index(plant, fiber_dist, regens_free, u, v, telemetry);
-        self.relay[&(u, v)].entries[idx].probe.clone()
-    }
-
-    /// Ensures the footprint of pair `(u, v)` is computed and cached. The
-    /// footprint is the union of fibers over the shortest routes of every
-    /// relay-candidate window, computed under the pristine regenerator
-    /// vector — i.e. every fiber provisioning for `(u, v)` can read or
-    /// write while no regenerator anywhere has been consumed.
-    pub fn ensure_footprint(
-        &mut self,
-        plant: &FiberPlant,
-        fiber_dist: &[Vec<f64>],
-        u: SiteId,
-        v: SiteId,
-        telemetry: &CoreTelemetry,
-    ) {
-        if self.footprints.contains_key(&(u, v)) {
-            return;
-        }
-        let initial = self.initial_regens.clone();
-        let fp = self.probe_set(plant, fiber_dist, &initial, u, v, telemetry);
-        self.footprints.insert((u, v), fp);
-    }
-
-    /// The cached footprint of `(u, v)`; call [`Self::ensure_footprint`]
-    /// first.
-    pub fn footprint(&self, u: SiteId, v: SiteId) -> Option<&FiberSet> {
-        self.footprints.get(&(u, v))
-    }
-
     /// Looks up a memoized full outcome for a desired topology. Returns a
     /// shared handle: a hit costs one `Arc` clone, not a deep copy.
     pub fn lookup_outcome(&mut self, desired: &Topology) -> Option<Arc<EnergyOutcome>> {
-        // Stats bookkeeping first to appease the borrow checker.
-        if self.outcomes.contains_key(desired) {
-            self.stats.outcome_hits += 1;
-        } else {
-            self.stats.outcome_misses += 1;
+        let hit = self.outcomes.get(desired).cloned();
+        match hit {
+            Some(_) => self.stats.outcome_hits += 1,
+            None => self.stats.outcome_misses += 1,
         }
-        self.outcomes.get(desired).cloned()
+        hit
     }
 
     /// Memoizes a full outcome. Beyond the cap the outcome is dropped and
@@ -1300,6 +1317,18 @@ impl EnergyCache {
 mod tests {
     use super::*;
     use owan_optical::OpticalParams;
+
+    fn relaxed_entry_match(
+        e: &RelayEntry,
+        relay_k: usize,
+        regens_free: &[u32],
+        u: SiteId,
+        v: SiteId,
+        sd: &[Vec<f64>],
+    ) -> bool {
+        let mut scratch = RelaxScratch::default();
+        relaxed_entry_reject(e, relay_k, regens_free, u, v, sd, &mut scratch).is_none()
+    }
 
     fn plant() -> FiberPlant {
         let mut p = FiberPlant::new(OpticalParams {
@@ -1469,18 +1498,147 @@ mod tests {
         assert_eq!(c, fresh1);
     }
 
+    /// Endpoints 0 and 1, out of each other's reach, and `hubs` relay
+    /// sites each within reach of both and of nothing else: every relay
+    /// path is `[0, h, 1]` at cost `1/free[h]`.
+    fn hub_plant(hubs: usize) -> FiberPlant {
+        let mut p = FiberPlant::new(OpticalParams {
+            optical_reach_km: 500.0,
+            ..Default::default()
+        });
+        p.add_site("U", 4, 0);
+        p.add_site("V", 4, 0);
+        for h in 0..hubs {
+            let s = p.add_site(&format!("H{h}"), 0, 9);
+            p.add_fiber(0, s, 400.0);
+            p.add_fiber(s, 1, 400.0);
+        }
+        p
+    }
+
     #[test]
-    fn footprints_cover_candidate_routes() {
-        let p = plant();
+    fn scan_window_and_eviction_never_change_the_candidates_served() {
+        let p = hub_plant(16);
         let fd = p.fiber_distance_matrix();
         let t = CoreTelemetry::disabled();
+        let k = CircuitBuildConfig::default().relay_candidates;
         let mut cache = EnergyCache::new();
         cache.begin_run(&p, &CircuitBuildConfig::default());
-        cache.ensure_footprint(&p, &fd, 0, 1, &t);
-        let fp = cache.footprint(0, 1).unwrap().clone();
-        // The direct fiber 0-1 (id 0) must be in the footprint.
-        let mut direct = FiberSet::new(p.fiber_count());
-        direct.insert(0);
-        assert!(fp.intersects(&direct));
+        // Vector `i`: four hubs picked by `i` hold 9, 8, 7, 6 free
+        // regenerators, every other hub 1 — a different top-4 each time,
+        // which the relaxed match cannot bridge.
+        let vector = |i: usize| -> Vec<u32> {
+            let mut v = vec![1u32; p.site_count()];
+            (v[0], v[1]) = (0, 0);
+            let mut h = i * 7;
+            for free in [9, 8, 7, 6] {
+                while v[2 + h % 16] != 1 {
+                    h += 1;
+                }
+                v[2 + h % 16] = free;
+                h += 5 + i / 16;
+            }
+            v
+        };
+        let fresh =
+            |v: &[u32]| RegenGraph::build_with_free_regens(&p, v, &fd, 0, 1).relay_candidates(k);
+        let v0 = vector(0);
+        let class0 = class_hash(cache.plant_precompute(&p, &fd).domain(0, 1), &v0);
+
+        // Enough distinct classes to push the first entry out of the scan
+        // window, but not out of the FIFO.
+        for i in 0..=RELAXED_SCAN_WINDOW + 2 {
+            let v = vector(i);
+            assert_eq!(cache.relay_candidates(&p, &fd, &v, 0, 1, &t), fresh(&v));
+        }
+        let pair = &cache.relay[&(0, 1)];
+        assert_eq!(pair.base, 0);
+        assert_eq!(pair.by_class[&class0].seq, 0);
+        assert!(pair.entries.len() > RELAXED_SCAN_WINDOW + 1);
+        // The alias index reaches the first entry where the scan no
+        // longer looks: a plain class hit, no recompute.
+        let before = cache.stats;
+        assert_eq!(cache.relay_candidates(&p, &fd, &v0, 0, 1, &t), fresh(&v0));
+        assert_eq!(cache.stats.relay_hits, before.relay_hits + 1);
+        assert_eq!(cache.stats.relay_misses, before.relay_misses);
+
+        // Now overflow the FIFO so the first entry is evicted while its
+        // alias still names it.
+        for i in 0..4 * RELAY_STATES_PER_PAIR {
+            let v = vector(i);
+            assert_eq!(cache.relay_candidates(&p, &fd, &v, 0, 1, &t), fresh(&v));
+        }
+        let pair = &cache.relay[&(0, 1)];
+        assert_eq!(pair.entries.len(), RELAY_STATES_PER_PAIR);
+        assert!(pair.base > 0, "the FIFO evicted");
+        if let Some(alias) = pair.by_class.get(&class0) {
+            assert!(alias.seq < pair.base, "vector 0 was not re-proven since");
+        }
+        // The stale alias is purged and the class re-resolved (scan or
+        // recompute) to a live entry serving the same candidates.
+        assert_eq!(cache.relay_candidates(&p, &fd, &v0, 0, 1, &t), fresh(&v0));
+        let pair = &cache.relay[&(0, 1)];
+        let alias = &pair.by_class[&class0];
+        assert!(alias.seq >= pair.base);
+        let e = &pair.entries[(alias.seq - pair.base) as usize];
+        assert_eq!(e.candidates, fresh(&v0));
+    }
+
+    #[test]
+    fn route_table_follows_the_plant_fingerprint() {
+        // Parallel fibers 0-1 and a fiberless site: the table the cache
+        // hands to provisioning must equal the plant's own routes pair
+        // for pair, and be rebuilt when the fingerprint moves.
+        let mut p = plant();
+        p.add_fiber(0, 1, 250.0);
+        p.add_site("LONE", 4, 0);
+        let same_routes = |pc: &PlantCache, p: &FiberPlant| {
+            for a in 0..p.site_count() {
+                for b in 0..p.site_count() {
+                    let want = p.shortest_fiber_route(a, b);
+                    let got = pc
+                        .routes()
+                        .route(a, b)
+                        .map(|r| (r.fibers.clone(), r.sites.clone(), r.length_km));
+                    assert_eq!(got, want, "{a}->{b}");
+                }
+            }
+        };
+        let cfg = CircuitBuildConfig::default();
+        let mut cache = EnergyCache::new();
+        cache.begin_run(&p, &cfg);
+        let first = cache.plant_precompute(&p, &p.fiber_distance_matrix());
+        same_routes(&first, &p);
+        assert_eq!(first.routes().route(0, 1).unwrap().fibers, vec![4]);
+        assert!(first.routes().route(0, 4).is_none());
+
+        cache.begin_run(&p, &cfg);
+        let again = cache.plant_precompute(&p, &p.fiber_distance_matrix());
+        assert!(Arc::ptr_eq(&first, &again), "same plant keeps the table");
+
+        // Amp degradation moves the fingerprint: flushed and rebuilt.
+        p.set_fiber_wavelength_cap(4, Some(1));
+        cache.begin_run(&p, &cfg);
+        let degraded = cache.plant_precompute(&p, &p.fiber_distance_matrix());
+        assert!(!Arc::ptr_eq(&first, &degraded));
+        same_routes(&degraded, &p);
+
+        // Repair restores the fingerprint; the precompute is rebuilt for
+        // it (the flush dropped the old one) with the original routes.
+        p.set_fiber_wavelength_cap(4, None);
+        cache.begin_run(&p, &cfg);
+        let repaired = cache.plant_precompute(&p, &p.fiber_distance_matrix());
+        assert_eq!(repaired.fingerprint(), first.fingerprint());
+        assert!(!Arc::ptr_eq(&degraded, &repaired));
+        same_routes(&repaired, &p);
+
+        // A cut (the plant loses the short parallel fiber) changes routes,
+        // and the table with them.
+        let mut cut = plant();
+        cut.add_site("LONE", 4, 0);
+        cache.begin_run(&cut, &cfg);
+        let after_cut = cache.plant_precompute(&cut, &cut.fiber_distance_matrix());
+        same_routes(&after_cut, &cut);
+        assert_eq!(after_cut.routes().route(0, 1).unwrap().fibers, vec![0]);
     }
 }

@@ -17,7 +17,7 @@ use crate::topology::Topology;
 use owan_optical::{Circuit, CircuitId, FiberPlant, OccupancyShadow, OpticalState};
 
 /// Per-pair unions of the probe sets a build consulted: for each desired
-/// pair, every fiber any provisioning attempt's candidate list (under that
+/// pair, in canonical pair order, every fiber any provisioning attempt's candidate list (under that
 /// attempt's free-regenerator vector) could read or write. Recorded by the
 /// cached and delta builders; the naive builder leaves it empty.
 ///
@@ -30,13 +30,6 @@ use owan_optical::{Circuit, CircuitId, FiberPlant, OccupancyShadow, OpticalState
 pub struct ProbeLog(Vec<((usize, usize), FiberSet)>);
 
 impl ProbeLog {
-    fn get(&self, u: usize, v: usize) -> Option<&FiberSet> {
-        self.0
-            .iter()
-            .find(|&&((a, b), _)| (a, b) == (u, v))
-            .map(|(_, p)| p)
-    }
-
     fn push(&mut self, u: usize, v: usize, probe: FiberSet) {
         self.0.push(((u, v), probe));
     }
@@ -178,6 +171,7 @@ pub fn build_topology_cached(
     telemetry: &CoreTelemetry,
 ) -> BuiltTopology {
     cache.stats.full_builds += 1;
+    let pc = cache.plant_precompute(plant, fiber_dist);
     let mut optical = OpticalState::new(plant);
     let mut achieved = Topology::empty(desired.site_count());
     let mut circuits = Vec::new();
@@ -198,7 +192,7 @@ pub fn build_topology_cached(
             pair_probe.union_with(&probe);
             let mut provisioned = false;
             for relay in &candidates {
-                match optical.provision(plant, relay) {
+                match optical.provision_routed(plant, pc.routes(), relay) {
                     Ok(id) => {
                         telemetry.circuits_built.incr();
                         telemetry
@@ -243,6 +237,33 @@ pub fn build_topology_cached(
         "cached build must equal the naive build"
     );
     built
+}
+
+/// A forward-only cursor over a per-pair list sorted in canonical pair
+/// order (`u < v`, lexicographic), for callers that visit pairs in that
+/// same order.
+struct PairCursor<'a, T> {
+    rest: &'a [((usize, usize), T)],
+}
+
+impl<'a, T> PairCursor<'a, T> {
+    fn new(list: &'a [((usize, usize), T)]) -> Self {
+        debug_assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
+        PairCursor { rest: list }
+    }
+
+    /// The entry of `(u, v)`, if the list has one. Pairs must be sought
+    /// in increasing order.
+    fn seek(&mut self, u: usize, v: usize) -> Option<&'a T> {
+        while let Some((first, tail)) = self.rest.split_first() {
+            match first.0.cmp(&(u, v)) {
+                std::cmp::Ordering::Less => self.rest = tail,
+                std::cmp::Ordering::Equal => return Some(&first.1),
+                std::cmp::Ordering::Greater => break,
+            }
+        }
+        None
+    }
 }
 
 /// Maximum link-unit distance the delta rebuild accepts (Algorithm 2's
@@ -316,14 +337,10 @@ pub fn try_build_topology_delta(
         return Some(prev_built.clone());
     }
 
-    let prev_ids = |u: usize, v: usize| -> &[CircuitId] {
-        prev_built
-            .circuits
-            .iter()
-            .find(|&&((a, b), _)| (a, b) == (u, v))
-            .map(|(_, ids)| ids.as_slice())
-            .unwrap_or(&[])
-    };
+    // The previous build's per-pair lists are in the canonical pair order
+    // this rebuild walks, so one cursor each replaces a search per pair.
+    let mut prev_circuits = PairCursor::new(&prev_built.circuits);
+    let mut prev_probes = PairCursor::new(&prev_built.pair_probes.0);
 
     let pc = cache.plant_precompute(plant, fiber_dist);
     let mut optical = OpticalState::new(plant);
@@ -359,7 +376,8 @@ pub fn try_build_topology_delta(
             if m_prev == 0 && m_new == 0 {
                 continue;
             }
-            let ids = prev_ids(u, v);
+            let ids = prev_circuits.seek(u, v).map_or(&[][..], Vec::as_slice);
+            let recorded = prev_probes.seek(u, v);
 
             // Skip test (unchanged pairs only): would a fresh build, given
             // the state built so far, reproduce the previous circuits?
@@ -403,7 +421,6 @@ pub fn try_build_topology_delta(
                     let rv = replay.free_regen_vec();
                     pc.domain(u, v).iter().all(|&s| lv[s] == rv[s])
                 };
-                let recorded = prev_built.pair_probes.get(u, v);
                 if let (true, Some(prev_probe)) = (proj_equal, recorded) {
                     if prev_probe
                         .iter_common(&dirty_fibers)
@@ -498,7 +515,7 @@ pub fn try_build_topology_delta(
                 rebuild_probe.union_with(&probe);
                 let mut provisioned = false;
                 for relay in &candidates {
-                    match optical.provision(plant, relay) {
+                    match optical.provision_routed(plant, pc.routes(), relay) {
                         Ok(id) => {
                             telemetry.circuits_built.incr();
                             telemetry

@@ -80,7 +80,7 @@ pub use rates::{
     assign_rates, assign_rates_delta_observed, assign_rates_observed, assign_rates_ordered,
     assign_rates_ordered_observed, RateAssignConfig, RateOutcome,
 };
-pub use regen::RegenGraph;
+pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch};
 pub use telemetry::CoreTelemetry;
 // Re-exported so downstream crates (oracle, sim, bench) can attach or stub
 // the tier-3 profiler without depending on `owan-prof` directly.

@@ -10,6 +10,13 @@
 //! relay path of minimum total *node* weight is transformed into a standard
 //! shortest-path problem on a directed graph whose edge weights equal the
 //! weight of the head node.
+//!
+//! Two implementations of that search live here. [`RegenGraph`] builds the
+//! transformed graph and runs the generic `owan-graph` Dijkstra/Yen on it:
+//! the reference, used by the naive circuit builder and by tests.
+//! [`relay_k_shortest`] is the evaluation path's kernel: the same search,
+//! bit for bit, over plant-scoped bitset rows ([`ReachRows`]) with no
+//! graph built and no allocation beyond its output.
 
 use owan_graph::{dijkstra, k_shortest_paths, Graph};
 use owan_optical::{FiberPlant, OpticalState, SiteId};
@@ -123,6 +130,333 @@ impl RegenGraph {
             })
             .collect()
     }
+}
+
+/// The reach adjacency of a plant as bitset rows: which site pairs lie
+/// within optical reach of each other, the vector-independent half of
+/// every regenerator graph. Built once per plant (see
+/// [`PlantCache`](crate::cache::PlantCache)) for [`relay_k_shortest`].
+///
+/// [`RegenGraph::build_with_free_regens`] tests the pair of nodes `i < j`
+/// with `fiber_dist[sites[i]][sites[j]]` — oriented by *node* order — and
+/// the distance matrix is only symmetric up to summation order, so both
+/// orientations are kept: `fwd` row `x` holds `y` when `fiber_dist[x][y]
+/// <= reach`, `rev` is its transpose, and [`Self::neighbor_word`] picks
+/// per neighbor the orientation the reference would have used.
+#[derive(Debug, Clone)]
+pub struct ReachRows {
+    n: usize,
+    /// `u64` words per row.
+    words: usize,
+    fwd: Vec<u64>,
+    rev: Vec<u64>,
+}
+
+impl ReachRows {
+    /// Builds the rows from the plant's all-pairs fiber distance matrix.
+    pub fn build(plant: &FiberPlant, fiber_dist: &[Vec<f64>]) -> Self {
+        let n = plant.site_count();
+        let reach = plant.params().optical_reach_km;
+        let words = n.div_ceil(64).max(1);
+        let mut fwd = vec![0u64; n * words];
+        let mut rev = vec![0u64; n * words];
+        for x in 0..n {
+            for y in 0..n {
+                if x != y && fiber_dist[x][y] <= reach {
+                    fwd[x * words + y / 64] |= 1 << (y % 64);
+                    rev[y * words + x / 64] |= 1 << (x % 64);
+                }
+            }
+        }
+        ReachRows { n, words, fwd, rev }
+    }
+
+    /// Word `i` of the set of sites adjacent to `x` in the regenerator
+    /// graph of `(src, dst)` (before restricting to its node set). Node
+    /// order is `src, dst, then sites ascending`; the edge between two
+    /// nodes is tested from the earlier one.
+    fn neighbor_word(&self, x: SiteId, src: SiteId, dst: SiteId, i: usize) -> u64 {
+        let fwd = self.fwd[x * self.words + i];
+        if x == src {
+            return fwd;
+        }
+        // `earlier`: the nodes ordered before `x` — `src`, and unless `x`
+        // is `dst` itself, `dst` and every site below `x`.
+        let mut earlier = 0u64;
+        if x != dst {
+            earlier = match (x / 64).cmp(&i) {
+                std::cmp::Ordering::Greater => !0,
+                std::cmp::Ordering::Equal => (1u64 << (x % 64)) - 1,
+                std::cmp::Ordering::Less => 0,
+            };
+            if dst / 64 == i {
+                earlier |= 1 << (dst % 64);
+            }
+        }
+        if src / 64 == i {
+            earlier |= 1 << (src % 64);
+        }
+        (self.rev[x * self.words + i] & earlier) | (fwd & !earlier)
+    }
+}
+
+/// One path held in [`RelayScratch`]'s arena.
+#[derive(Debug, Clone, Copy)]
+struct PathRec {
+    start: usize,
+    len: usize,
+    cost: f64,
+}
+
+/// Reusable buffers for [`relay_k_shortest`]: after the first call on a
+/// plant the search allocates nothing but its output.
+#[derive(Debug, Clone, Default)]
+pub struct RelayScratch {
+    /// Relay weight per site (`0` at the endpoints, `1/free` elsewhere).
+    weight: Vec<f64>,
+    dist: Vec<f64>,
+    pred: Vec<SiteId>,
+    /// Bitsets over sites, one row each of `ReachRows::words` words.
+    member: Vec<u64>,
+    done: Vec<u64>,
+    frontier: Vec<u64>,
+    banned_nodes: Vec<u64>,
+    banned_heads: Vec<u64>,
+    /// Site sequences of every found and pooled path, back to back.
+    arena: Vec<SiteId>,
+    found: Vec<PathRec>,
+    pool: Vec<PathRec>,
+    root_costs: Vec<f64>,
+}
+
+#[inline]
+fn set_bit(set: &mut [u64], s: SiteId) {
+    set[s / 64] |= 1 << (s % 64);
+}
+
+/// Node index of site `s` in the regenerator graph of `(src, dst)`, up to
+/// an order-preserving map: every tie-break of the reference compares
+/// these.
+#[inline]
+fn rank(s: SiteId, src: SiteId, dst: SiteId) -> usize {
+    if s == src {
+        0
+    } else if s == dst {
+        1
+    } else {
+        s + 2
+    }
+}
+
+impl RelayScratch {
+    fn path(&self, r: PathRec) -> &[SiteId] {
+        &self.arena[r.start..r.start + r.len]
+    }
+
+    /// Dense Dijkstra from `from` to `dst` over the member sites, skipping
+    /// `banned_nodes` as heads and `banned_heads` as heads of edges out of
+    /// `from`; stops when `dst` is settled. Extract-min scans the frontier
+    /// for the least `(dist, rank)` — the order a binary heap keyed the
+    /// same way pops first sights in — and relaxations update on strict
+    /// improvement only, so distances and predecessors are those of
+    /// `owan_graph::dijkstra::shortest_path_filtered_to`. On success the
+    /// path is appended to the arena (behind whatever root the caller put
+    /// there) and its cost, the settled distance, returned.
+    fn shortest(
+        &mut self,
+        reach: &ReachRows,
+        from: SiteId,
+        src: SiteId,
+        dst: SiteId,
+    ) -> Option<f64> {
+        self.dist.fill(f64::INFINITY);
+        self.done.fill(0);
+        self.frontier.fill(0);
+        self.dist[from] = 0.0;
+        set_bit(&mut self.frontier, from);
+        loop {
+            let mut best: Option<(f64, usize, SiteId)> = None;
+            for (i, &word) in self.frontier.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let s = i * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let key = (self.dist[s], rank(s, src, dst));
+                    if best.is_none_or(|(d, r, _)| key.0 < d || (key.0 == d && key.1 < r)) {
+                        best = Some((key.0, key.1, s));
+                    }
+                }
+            }
+            let (d, _, u) = best?;
+            self.frontier[u / 64] &= !(1 << (u % 64));
+            set_bit(&mut self.done, u);
+            if u == dst {
+                break;
+            }
+            for i in 0..reach.words {
+                let mut bits = reach.neighbor_word(u, src, dst, i)
+                    & self.member[i]
+                    & !self.done[i]
+                    & !self.banned_nodes[i];
+                if u == from {
+                    bits &= !self.banned_heads[i];
+                }
+                while bits != 0 {
+                    let v = i * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let nd = d + self.weight[v];
+                    if nd < self.dist[v] {
+                        self.dist[v] = nd;
+                        self.pred[v] = u;
+                        set_bit(&mut self.frontier, v);
+                    }
+                }
+            }
+        }
+        let start = self.arena.len();
+        let mut cur = dst;
+        self.arena.push(cur);
+        while cur != from {
+            cur = self.pred[cur];
+            self.arena.push(cur);
+        }
+        self.arena[start..].reverse();
+        Some(self.dist[dst])
+    }
+}
+
+/// Up to `k` relay paths from `src` to `dst` in increasing weight order
+/// under the free-regenerator vector `regens_free`, each with its cost:
+/// exactly `RegenGraph::build_with_free_regens(..)
+/// .relay_candidates_with_costs(k)` — same paths, same order, costs equal
+/// bit for bit — without building a graph. The node set is `src`, `dst`
+/// and every other site with a free regenerator; adjacency comes from the
+/// plant-scoped [`ReachRows`]; Yen's spur bans are bitmasks; every
+/// tie-break follows the reference's node order (see [`rank`]): Dijkstra
+/// settles by `(dist, node)`, the candidate pool yields by `(cost, node
+/// sequence)`, a stitched path costs `root_costs[i] + spur cost`, and
+/// pool/found de-duplication compares nodes *and* cost bits as
+/// `owan_graph::Path` does.
+pub fn relay_k_shortest(
+    reach: &ReachRows,
+    regens_free: &[u32],
+    src: SiteId,
+    dst: SiteId,
+    k: usize,
+    scratch: &mut RelayScratch,
+) -> Vec<(Vec<SiteId>, f64)> {
+    if k == 0 || src == dst {
+        return Vec::new();
+    }
+    let (n, w) = (reach.n, reach.words);
+    let sc = scratch;
+    sc.weight.clear();
+    sc.weight.resize(n, 0.0);
+    sc.dist.resize(n, f64::INFINITY);
+    sc.pred.resize(n, 0);
+    for set in [
+        &mut sc.member,
+        &mut sc.done,
+        &mut sc.frontier,
+        &mut sc.banned_nodes,
+        &mut sc.banned_heads,
+    ] {
+        set.clear();
+        set.resize(w, 0);
+    }
+    for (s, &free) in regens_free.iter().enumerate().take(n) {
+        if s == src || s == dst {
+            set_bit(&mut sc.member, s);
+        } else if free > 0 {
+            set_bit(&mut sc.member, s);
+            sc.weight[s] = 1.0 / free as f64;
+        }
+    }
+    sc.arena.clear();
+    sc.found.clear();
+    sc.pool.clear();
+
+    let Some(cost) = sc.shortest(reach, src, src, dst) else {
+        return Vec::new();
+    };
+    sc.found.push(PathRec {
+        start: 0,
+        len: sc.arena.len(),
+        cost,
+    });
+
+    while sc.found.len() < k {
+        let last = *sc.found.last().expect("at least one found path");
+        // Prefix costs of the last path's roots, summed left to right.
+        sc.root_costs.clear();
+        sc.root_costs.push(0.0);
+        for i in 1..last.len {
+            let hop = sc.weight[sc.arena[last.start + i]];
+            sc.root_costs.push(sc.root_costs[i - 1] + hop);
+        }
+        // Spur from every node of the last found path except `dst`. The
+        // root `last[..i]` is banned node by node as `i` grows.
+        sc.banned_nodes.fill(0);
+        for i in 0..last.len - 1 {
+            let spur_node = sc.arena[last.start + i];
+            // Hide the edge every found path sharing this root takes out
+            // of the spur node.
+            sc.banned_heads.fill(0);
+            for f in 0..sc.found.len() {
+                let p = sc.found[f];
+                if p.len > i
+                    && sc.arena[p.start..=p.start + i] == sc.arena[last.start..=last.start + i]
+                {
+                    let head = sc.arena[p.start + i + 1];
+                    set_bit(&mut sc.banned_heads, head);
+                }
+            }
+            // Stitch root + spur path in place: the root first, the spur
+            // appended behind it by `shortest`.
+            let start = sc.arena.len();
+            sc.arena.extend_from_within(last.start..last.start + i);
+            match sc.shortest(reach, spur_node, src, dst) {
+                Some(spur_cost) => {
+                    let total = PathRec {
+                        start,
+                        len: sc.arena.len() - start,
+                        cost: sc.root_costs[i] + spur_cost,
+                    };
+                    let dup = sc.found.iter().chain(&sc.pool).any(|&q| {
+                        q.cost.to_bits() == total.cost.to_bits() && sc.path(q) == sc.path(total)
+                    });
+                    if dup {
+                        sc.arena.truncate(start);
+                    } else {
+                        sc.pool.push(total);
+                    }
+                }
+                None => sc.arena.truncate(start),
+            }
+            set_bit(&mut sc.banned_nodes, spur_node);
+        }
+
+        // Extract the cheapest pooled path, ties by node-order sequence.
+        let Some(best) = (0..sc.pool.len()).min_by(|&a, &b| {
+            let (pa, pb) = (sc.pool[a], sc.pool[b]);
+            pa.cost
+                .partial_cmp(&pb.cost)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| {
+                    let ranks = |p: PathRec| sc.path(p).iter().map(|&s| rank(s, src, dst));
+                    ranks(pa).cmp(ranks(pb))
+                })
+        }) else {
+            break;
+        };
+        let next = sc.pool.swap_remove(best);
+        sc.found.push(next);
+    }
+
+    sc.found
+        .iter()
+        .map(|&p| (sc.path(p).to_vec(), p.cost))
+        .collect()
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //! convert the signal to a different wavelength, so continuity is only
 //! required per segment — exactly the model of §3.2 constraint 2–4.
 
-use crate::plant::{FiberId, FiberPlant, SiteId};
+use crate::plant::{FiberId, FiberPlant, FiberRoute, RouteTable, SiteId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Identifier of a provisioned circuit. Ids are never reused within one
 /// [`OpticalState`].
@@ -238,6 +239,33 @@ impl OpticalState {
         plant: &FiberPlant,
         relay_sites: &[SiteId],
     ) -> Result<CircuitId, ProvisionError> {
+        self.provision_with(plant, relay_sites, |from, to| {
+            plant.shortest_route(from, to).map(Cow::Owned)
+        })
+    }
+
+    /// [`Self::provision`] with every segment's route read from `routes`
+    /// instead of a per-segment Dijkstra. `routes` must have been built
+    /// from `plant`; results, state changes and error order are then
+    /// identical to [`Self::provision`].
+    pub fn provision_routed(
+        &mut self,
+        plant: &FiberPlant,
+        routes: &RouteTable,
+        relay_sites: &[SiteId],
+    ) -> Result<CircuitId, ProvisionError> {
+        debug_assert_eq!(routes.site_count(), plant.site_count());
+        self.provision_with(plant, relay_sites, |from, to| {
+            routes.route(from, to).map(Cow::Borrowed)
+        })
+    }
+
+    fn provision_with<'r>(
+        &mut self,
+        plant: &FiberPlant,
+        relay_sites: &[SiteId],
+        route_of: impl Fn(SiteId, SiteId) -> Option<Cow<'r, FiberRoute>>,
+    ) -> Result<CircuitId, ProvisionError> {
         if relay_sites.len() < 2 {
             return Err(ProvisionError::InvalidRelayPath);
         }
@@ -259,27 +287,30 @@ impl OpticalState {
         let mut segments = Vec::with_capacity(relay_sites.len() - 1);
         for w in relay_sites.windows(2) {
             let (from, to) = (w[0], w[1]);
-            let (fibers, sites, length_km) = plant
-                .shortest_fiber_route(from, to)
-                .ok_or(ProvisionError::Disconnected { from, to })?;
-            if length_km > reach {
+            let route = route_of(from, to).ok_or(ProvisionError::Disconnected { from, to })?;
+            if route.length_km > reach {
                 return Err(ProvisionError::ExceedsReach {
                     from,
                     to,
-                    length_km: length_km as u64,
+                    length_km: route.length_km as u64,
                     reach_km: reach as u64,
                 });
             }
             let channel = self
-                .first_fit_channel(&tentative, &fibers)
+                .first_fit_channel(&tentative, &route.fibers)
                 .ok_or(ProvisionError::NoWavelength { from, to })?;
-            for &fid in &fibers {
+            for &fid in &route.fibers {
                 let (word, bit) = self.word_bit(fid, channel);
                 match tentative.iter_mut().find(|(w, _)| *w == word) {
                     Some(entry) => entry.1 |= bit,
                     None => tentative.push((word, bit)),
                 }
             }
+            let FiberRoute {
+                fibers,
+                sites,
+                length_km,
+            } = route.into_owned();
             segments.push(Segment {
                 fibers,
                 sites,
@@ -721,6 +752,23 @@ mod tests {
         assert_eq!(p.usable_wavelengths(0), 4);
         let s = OpticalState::new(&p);
         assert_eq!(s.channels_free(0), 4);
+    }
+
+    #[test]
+    fn routed_provisioning_matches_per_segment_dijkstra() {
+        // Same relay paths through both entry points, successes and every
+        // error kind: ids, circuits, occupancy and errors must coincide.
+        let mut p = line_plant(500.0, 1);
+        let d = p.add_site("D", 2, 0);
+        let routes = RouteTable::build(&p);
+        let mut a = OpticalState::new(&p);
+        let mut b = OpticalState::new(&p);
+        let paths: [&[SiteId]; 6] = [&[0, 1, 2], &[0, 2], &[0, 1, 2], &[0, d], &[0], &[1, 0]];
+        for path in paths {
+            assert_eq!(a.provision(&p, path), b.provision_routed(&p, &routes, path));
+            assert_eq!(a, b);
+        }
+        a.check_invariants(&p).unwrap();
     }
 
     #[test]

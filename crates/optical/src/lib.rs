@@ -54,6 +54,6 @@ pub mod power;
 pub mod roadm;
 
 pub use circuit::{Circuit, CircuitId, OccupancyShadow, OpticalState, ProvisionError, Segment};
-pub use plant::{Fiber, FiberId, FiberPlant, OpticalParams, Site, SiteId};
+pub use plant::{Fiber, FiberId, FiberPlant, FiberRoute, OpticalParams, RouteTable, Site, SiteId};
 pub use power::{PowerBudget, SegmentPower};
 pub use roadm::{Roadm, RoadmConfig};

@@ -1,6 +1,6 @@
 //! The static physical infrastructure: sites and fibers.
 
-use owan_graph::{dijkstra, Graph};
+use owan_graph::{dijkstra, Graph, ShortestPaths};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a site (dense index).
@@ -234,10 +234,23 @@ impl FiberPlant {
         src: SiteId,
         dst: SiteId,
     ) -> Option<(Vec<FiberId>, Vec<SiteId>, f64)> {
+        self.shortest_route(src, dst)
+            .map(|r| (r.fibers, r.sites, r.length_km))
+    }
+
+    /// [`Self::shortest_fiber_route`] as a [`FiberRoute`] record.
+    pub(crate) fn shortest_route(&self, src: SiteId, dst: SiteId) -> Option<FiberRoute> {
         if src == dst {
-            return Some((Vec::new(), vec![src], 0.0));
+            return Some(FiberRoute::trivial(src));
         }
-        let sp = dijkstra::shortest_paths(&self.graph, src);
+        self.route_on(&dijkstra::shortest_paths(&self.graph, src), dst)
+    }
+
+    /// Reads the route to `dst` off a shortest-path tree of the fiber
+    /// graph: one tree serves every destination, which is what lets
+    /// [`RouteTable::build`] run one Dijkstra per source instead of one
+    /// per ordered pair.
+    fn route_on(&self, sp: &ShortestPaths, dst: SiteId) -> Option<FiberRoute> {
         let sites = sp.path_to(dst)?;
         let mut fibers = Vec::with_capacity(sites.len() - 1);
         for w in sites.windows(2) {
@@ -256,8 +269,12 @@ impl FiberPlant {
                 .expect("consecutive path nodes are adjacent");
             fibers.push(fid);
         }
-        let len = sp.distance(dst).expect("path exists");
-        Some((fibers, sites, len))
+        let length_km = sp.distance(dst).expect("path exists");
+        Some(FiberRoute {
+            fibers,
+            sites,
+            length_km,
+        })
     }
 
     /// Shortest fiber distance between two sites in km (`f64::INFINITY` if
@@ -286,6 +303,74 @@ impl FiberPlant {
     /// Total router ports at a site (fp_v).
     pub fn router_ports(&self, s: SiteId) -> u32 {
         self.sites[s].router_ports
+    }
+}
+
+/// One shortest fiber route: what [`FiberPlant::shortest_fiber_route`]
+/// returns, as a record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FiberRoute {
+    /// Fiber ids traversed, in order.
+    pub fibers: Vec<FiberId>,
+    /// Site sequence (one longer than `fibers`).
+    pub sites: Vec<SiteId>,
+    /// Total physical length, km.
+    pub length_km: f64,
+}
+
+impl FiberRoute {
+    /// The empty route from a site to itself.
+    fn trivial(s: SiteId) -> Self {
+        FiberRoute {
+            fibers: Vec::new(),
+            sites: vec![s],
+            length_km: 0.0,
+        }
+    }
+}
+
+/// The shortest fiber route of every ordered site pair of one plant,
+/// bit-equal to [`FiberPlant::shortest_fiber_route`] pair by pair (both
+/// read the same shortest-path trees). Routes depend on fiber endpoints
+/// and lengths only, so a table stays valid until the plant's fibers
+/// change; callers that provision many circuits against one plant build it
+/// once and hand it to [`OpticalState::provision_routed`](crate::OpticalState::provision_routed),
+/// which then runs no Dijkstra per segment.
+#[derive(Debug, Clone)]
+pub struct RouteTable {
+    n: usize,
+    /// Route per ordered pair, indexed `src * n + dst`; `None` when the
+    /// pair is disconnected.
+    routes: Vec<Option<FiberRoute>>,
+}
+
+impl RouteTable {
+    /// Builds the table: one Dijkstra per source site.
+    pub fn build(plant: &FiberPlant) -> Self {
+        let n = plant.site_count();
+        let mut routes = Vec::with_capacity(n * n);
+        for src in 0..n {
+            let sp = dijkstra::shortest_paths(&plant.graph, src);
+            for dst in 0..n {
+                routes.push(if src == dst {
+                    Some(FiberRoute::trivial(src))
+                } else {
+                    plant.route_on(&sp, dst)
+                });
+            }
+        }
+        RouteTable { n, routes }
+    }
+
+    /// Number of sites of the plant the table was built for.
+    pub fn site_count(&self) -> usize {
+        self.n
+    }
+
+    /// The shortest fiber route from `src` to `dst`, or `None` if the two
+    /// are disconnected.
+    pub fn route(&self, src: SiteId, dst: SiteId) -> Option<&FiberRoute> {
+        self.routes[src * self.n + dst].as_ref()
     }
 }
 
@@ -395,6 +480,39 @@ mod tests {
         p.set_fiber_wavelength_cap(0, None);
         assert_eq!(p.usable_wavelengths(0), 80);
         assert_eq!(p.usable_wavelengths(1), 80);
+    }
+
+    #[test]
+    fn route_table_equals_pointwise_routes() {
+        // Parallel fibers (the lighter must win in both directions), a
+        // tie between two equal-length detours, and a disconnected site.
+        let mut p = line_plant();
+        let d = p.add_site("D", 2, 0);
+        let e = p.add_site("E", 2, 0);
+        p.add_fiber(0, 1, 40.0);
+        p.add_fiber(0, d, 150.0);
+        p.add_fiber(d, 2, 90.0);
+        let table = RouteTable::build(&p);
+        assert_eq!(table.site_count(), p.site_count());
+        for src in 0..p.site_count() {
+            for dst in 0..p.site_count() {
+                let want = p.shortest_fiber_route(src, dst);
+                let got = table
+                    .route(src, dst)
+                    .map(|r| (r.fibers.clone(), r.sites.clone(), r.length_km));
+                assert_eq!(got.is_some(), want.is_some(), "{src}->{dst}");
+                if let (Some(g), Some(w)) = (got, want) {
+                    assert_eq!((&g.0, &g.1), (&w.0, &w.1), "{src}->{dst}");
+                    assert_eq!(g.2.to_bits(), w.2.to_bits(), "{src}->{dst}");
+                }
+            }
+        }
+        assert!(table.route(0, e).is_none() && table.route(e, 0).is_none());
+        assert_eq!(
+            table.route(0, 1).unwrap().fibers,
+            vec![2],
+            "lighter parallel"
+        );
     }
 
     #[test]

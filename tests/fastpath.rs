@@ -282,7 +282,7 @@ fn plant_degradation_flushes_and_stays_equivalent() {
     assert_eq!(fast.energy_caches()[0].stats.flushes, 0);
 
     // Degrade one fiber's amplifier: usable wavelengths shrink, the plant
-    // fingerprint moves, and stale relay/footprint entries must go.
+    // fingerprint moves, and stale relay entries and plant tables must go.
     let cap = plant.usable_wavelengths(0).saturating_sub(2).max(1);
     plant.set_fiber_wavelength_cap(0, Some(cap));
     let input2 = SlotInput {
