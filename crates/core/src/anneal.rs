@@ -21,6 +21,7 @@
 use crate::cache::{plant_fingerprint, EnergyCache, PlantCache};
 use crate::energy::{EnergyContext, EnergyEvaluator, EnergyOutcome};
 use crate::pool::EvalPool;
+use crate::rates::RateInputs;
 use crate::telemetry::{names, CoreTelemetry};
 use crate::topology::Topology;
 use owan_obs::Value;
@@ -186,18 +187,21 @@ pub fn anneal_with_cache(
     cache: Option<&mut EnergyCache>,
     telemetry: &CoreTelemetry,
 ) -> AnnealResult {
-    anneal_chain(ctx, initial, config, cache, telemetry, 0)
+    let rate_inputs = ctx.rate_inputs(telemetry);
+    anneal_chain(ctx, initial, config, cache, &rate_inputs, telemetry, 0)
 }
 
 /// [`anneal_with_cache`] tagged with a chain index: every sampled
 /// trajectory event carries a `chain` field so per-slot traces from
 /// concurrent chains stay attributable after they interleave in the
-/// recorder ring. Sequential entry points are chain 0.
+/// recorder ring. Sequential entry points are chain 0. `rate_inputs` are
+/// the run's, shared by its chains.
 fn anneal_chain(
     ctx: &EnergyContext<'_>,
     initial: &Topology,
     config: &AnnealConfig,
     cache: Option<&mut EnergyCache>,
+    rate_inputs: &RateInputs<'_>,
     telemetry: &CoreTelemetry,
     chain: u64,
 ) -> AnnealResult {
@@ -205,7 +209,7 @@ fn anneal_chain(
     let _region = ctx.prof.region("anneal");
     let start = Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut eval = EnergyEvaluator::new(ctx, cache, telemetry);
+    let mut eval = EnergyEvaluator::new(ctx, cache, rate_inputs, telemetry);
 
     let mut current = initial.clone();
     let mut current_outcome = eval.eval(&current, None);
@@ -411,6 +415,7 @@ pub fn anneal_parallel_pooled(
         Some(w) => EvalPool::with_workers(w),
         None => EvalPool::auto(chains),
     };
+    let rate_inputs = &ctx.rate_inputs(telemetry);
     let parallel_region = ctx.prof.region("anneal.parallel");
     let parallel_id = parallel_region.id();
     let spawn_ns = telemetry.recorder.now_ns();
@@ -433,7 +438,7 @@ pub fn anneal_parallel_pooled(
                 // `anneal.parallel` region explicitly.
                 let _chain_region = ctx.prof.region_under(parallel_id, "chain");
                 let start_ns = telemetry.recorder.now_ns();
-                let r = anneal_chain(ctx, initial, &cfg, cache, telemetry, i as u64);
+                let r = anneal_chain(ctx, initial, &cfg, cache, rate_inputs, telemetry, i as u64);
                 (r, start_ns, telemetry.recorder.now_ns())
             }
         })
@@ -609,6 +614,46 @@ mod tests {
         let b = anneal(&ctx, &ring, &cfg);
         assert_eq!(a.topology, b.topology);
         assert_eq!(a.energy_gbps(), b.energy_gbps());
+    }
+
+    #[test]
+    fn starvation_promotions_count_once_per_run_not_per_evaluation() {
+        let plant = ring_plant(5, 2);
+        let fd = plant.fiber_distance_matrix();
+        let mut starved = transfer(1, 1, 3, 50.0);
+        starved.starved_slots = RateAssignConfig::default().starvation_threshold;
+        let transfers = vec![transfer(0, 0, 2, 50.0), starved];
+        let ctx = EnergyContext {
+            plant: &plant,
+            fiber_dist: &fd,
+            transfers: &transfers,
+            policy: SchedulingPolicy::ShortestJobFirst,
+            slot_len_s: 1.0,
+            circuit_config: CircuitBuildConfig::default(),
+            rate_config: RateAssignConfig::default(),
+            prof: owan_prof::Profiler::disabled(),
+        };
+        let mut ring = Topology::empty(5);
+        for i in 0..5 {
+            ring.add_links(i, (i + 1) % 5, 1);
+        }
+        let cfg = AnnealConfig {
+            max_iterations: 20,
+            ..Default::default()
+        };
+        // One chain, cached and naive, and four chains sharing one order.
+        for (chains, use_cache) in [(1, true), (1, false), (4, true)] {
+            let recorder = owan_obs::Recorder::enabled();
+            let telemetry = CoreTelemetry::new(&recorder);
+            let cfg = AnnealConfig { use_cache, ..cfg };
+            anneal_parallel(&ctx, &ring, &cfg, chains, &telemetry);
+            assert!(recorder.counter("rates.full_evals").get() > chains as u64);
+            assert_eq!(
+                recorder.counter("rates.starvation_promotions").get(),
+                1,
+                "{chains} chains, cache {use_cache}"
+            );
+        }
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //!    moves hit counts and nothing else. A miss runs the dense kernel
 //!    [`relay_k_shortest`] over the plant's reach rows — no graph is
 //!    built — and reads probe fibers off the plant's route table.
-//! 2. **Outcome/rate memos** — full [`EnergyOutcome`]s keyed by the
-//!    canonical topology hash (revisited states cost a lookup + clone),
-//!    plus a rate memo keyed by the *achieved* topology (distinct desired
-//!    topologies frequently collapse to the same achieved one).
+//! 2. **Outcome memo** — full [`EnergyOutcome`]s keyed by the canonical
+//!    topology hash (revisited states cost a lookup + clone).
+//!
+//! It also holds the scratch buffers of the two allocation-free kernels an
+//! evaluation runs: the relay search's and the rate pass's.
 //!
 //! Invalidation: layer 1 and the [`PlantCache`] under it (relay domains,
 //! reach rows, route table) are valid as long as the plant content is
@@ -45,7 +46,7 @@
 
 use crate::circuits::CircuitBuildConfig;
 use crate::energy::EnergyOutcome;
-use crate::rates::RateOutcome;
+use crate::rates::RateScratch;
 use crate::regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
@@ -57,9 +58,6 @@ use std::sync::Arc;
 /// state; the cap bounds memory on long runs). Inserts stop at the cap —
 /// deterministically, since the insert order is the search order.
 const OUTCOME_CAP: usize = 4096;
-
-/// Cap on memoized rate outcomes per run.
-const RATE_CAP: usize = 8192;
 
 /// Cap on the capacity-miss overflow key set (topology hashes remembered
 /// after the outcome memo fills, so repeats attribute to `capacity`).
@@ -211,8 +209,6 @@ pub struct EnergyCacheStats {
     pub outcome_hits: u64,
     /// Full-outcome memo misses.
     pub outcome_misses: u64,
-    /// Rate-memo hits (circuits rebuilt, rates answered from the memo).
-    pub rate_hits: u64,
     /// Relay-candidate cache hits (a k-shortest relay search avoided).
     pub relay_hits: u64,
     /// Relay-candidate hits through the relaxed vector match: the queried
@@ -254,7 +250,6 @@ impl EnergyCacheStats {
     pub fn merge(&mut self, other: &EnergyCacheStats) {
         self.outcome_hits += other.outcome_hits;
         self.outcome_misses += other.outcome_misses;
-        self.rate_hits += other.rate_hits;
         self.relay_hits += other.relay_hits;
         self.relay_relaxed_hits += other.relay_relaxed_hits;
         self.relay_misses += other.relay_misses;
@@ -356,8 +351,8 @@ impl EnergyCacheStats {
         );
         let _ = writeln!(
             out,
-            "rate memo      {:>10} hits; builds: {} delta / {} full ({} fallbacks)",
-            self.rate_hits, self.delta_builds, self.full_builds, self.delta_fallbacks
+            "circuit builds {:>10} delta {:>10} full ({} fallbacks)",
+            self.delta_builds, self.full_builds, self.delta_fallbacks
         );
         let _ = writeln!(out, "eval misses by cause (sum = outcome misses):");
         for (slug, n) in self.miss_reasons() {
@@ -929,6 +924,8 @@ pub struct EnergyCache {
     relay_scratch: RelayScratch,
     /// Buffers of the relaxed scan.
     relax_scratch: RelaxScratch,
+    /// Buffers of the rate pass.
+    pub(crate) rate_scratch: RateScratch,
     /// Plant-scoped precompute (static-interior screens, relay domains,
     /// reach rows, route table), `Arc`-shared across chains when a
     /// parallel run installs one.
@@ -941,8 +938,6 @@ pub struct EnergyCache {
     /// with the annealing loop's current/best snapshots, so a hit (and a
     /// store) is a pointer clone, not a deep outcome copy.
     outcomes: HashMap<Topology, Arc<EnergyOutcome>>,
-    /// Run-scoped: rate outcomes keyed by achieved topology.
-    rate_memo: HashMap<Topology, RateOutcome>,
     /// Run-scoped: desired topologies whose outcome the memo *refused* at
     /// [`OUTCOME_CAP`] — a re-evaluation of one of these is a capacity
     /// miss, not a cold one. Itself capped (see [`OVERFLOW_CAP`]); beyond
@@ -969,7 +964,6 @@ impl EnergyCache {
     /// other methods must always be `plant.fiber_distance_matrix()`.
     pub fn begin_run(&mut self, plant: &FiberPlant, config: &CircuitBuildConfig) {
         self.outcomes.clear();
-        self.rate_memo.clear();
         self.overflow.clear();
         let sig = plant_fingerprint(plant);
         if self.plant_sig == Some(sig) && self.relay_k == config.relay_candidates {
@@ -1242,6 +1236,7 @@ impl EnergyCache {
     /// [`Self::relay_candidates`] plus the entry's probe set, from a single
     /// lookup — the builders record the probes so a later delta rebuild can
     /// clear its dirty-set screen without consulting the cache at all.
+    /// Both are borrows of the entry, good until the next cache call.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn relay_candidates_and_probe(
         &mut self,
@@ -1251,10 +1246,10 @@ impl EnergyCache {
         u: SiteId,
         v: SiteId,
         telemetry: &CoreTelemetry,
-    ) -> (Vec<Vec<SiteId>>, FiberSet) {
+    ) -> (&[Vec<SiteId>], &FiberSet) {
         let idx = self.relay_entry_index(plant, fiber_dist, regens_free, u, v, telemetry);
         let e = &self.relay[&(u, v)].entries[idx];
-        (e.candidates.clone(), e.probe.clone())
+        (&e.candidates, &e.probe)
     }
 
     /// The plant-scoped precompute, adopting or building it on first use —
@@ -1294,22 +1289,6 @@ impl EnergyCache {
     /// refused to store it (capacity cap).
     pub(crate) fn outcome_overflowed(&self, desired: &Topology) -> bool {
         self.overflow.contains(desired)
-    }
-
-    /// Looks up a memoized rate assignment for an achieved topology.
-    pub fn lookup_rates(&mut self, achieved: &Topology) -> Option<&RateOutcome> {
-        let hit = self.rate_memo.get(achieved);
-        if hit.is_some() {
-            self.stats.rate_hits += 1;
-        }
-        hit
-    }
-
-    /// Memoizes a rate assignment (no-op beyond the cap).
-    pub fn store_rates(&mut self, achieved: Topology, rates: RateOutcome) {
-        if self.rate_memo.len() < RATE_CAP {
-            self.rate_memo.insert(achieved, rates);
-        }
     }
 }
 

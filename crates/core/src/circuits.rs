@@ -189,9 +189,9 @@ pub fn build_topology_cached(
                 v,
                 telemetry,
             );
-            pair_probe.union_with(&probe);
+            pair_probe.union_with(probe);
             let mut provisioned = false;
-            for relay in &candidates {
+            for relay in candidates {
                 match optical.provision_routed(plant, pc.routes(), relay) {
                     Ok(id) => {
                         telemetry.circuits_built.incr();
@@ -512,9 +512,9 @@ pub fn try_build_topology_delta(
                     v,
                     telemetry,
                 );
-                rebuild_probe.union_with(&probe);
+                rebuild_probe.union_with(probe);
                 let mut provisioned = false;
-                for relay in &candidates {
+                for relay in candidates {
                     match optical.provision_routed(plant, pc.routes(), relay) {
                         Ok(id) => {
                             telemetry.circuits_built.incr();

@@ -11,9 +11,7 @@ use crate::circuits::{
     build_topology_cached, build_topology_observed, try_build_topology_delta, BuiltTopology,
     CircuitBuildConfig,
 };
-use crate::rates::{
-    assign_rates_delta_observed, assign_rates_observed, RateAssignConfig, RateOutcome,
-};
+use crate::rates::{assign_rates_with, RateAssignConfig, RateInputs, RateOutcome, RateScratch};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
 use crate::types::{SchedulingPolicy, Transfer};
@@ -62,6 +60,20 @@ pub struct EnergyContext<'a> {
     pub prof: Profiler,
 }
 
+impl<'a> EnergyContext<'a> {
+    /// The rate step's per-slot inputs: the policy order and the demand
+    /// rates, the same for every topology evaluated under this context.
+    pub fn rate_inputs(&self, telemetry: &CoreTelemetry) -> RateInputs<'a> {
+        RateInputs::new(
+            self.transfers,
+            self.policy,
+            self.slot_len_s,
+            &self.rate_config,
+            telemetry,
+        )
+    }
+}
+
 /// Computes the energy of `topology` (Algorithm 3).
 pub fn compute_energy(ctx: &EnergyContext<'_>, topology: &Topology) -> EnergyOutcome {
     compute_energy_observed(ctx, topology, &CoreTelemetry::disabled())
@@ -74,6 +86,16 @@ pub fn compute_energy(ctx: &EnergyContext<'_>, topology: &Topology) -> EnergyOut
 pub fn compute_energy_observed(
     ctx: &EnergyContext<'_>,
     topology: &Topology,
+    telemetry: &CoreTelemetry,
+) -> EnergyOutcome {
+    compute_energy_with(ctx, topology, &ctx.rate_inputs(telemetry), telemetry)
+}
+
+/// The naive evaluation over rate inputs built by the caller.
+fn compute_energy_with(
+    ctx: &EnergyContext<'_>,
+    topology: &Topology,
+    rate_inputs: &RateInputs<'_>,
     telemetry: &CoreTelemetry,
 ) -> EnergyOutcome {
     let built = {
@@ -91,13 +113,12 @@ pub fn compute_energy_observed(
     let rates = {
         let _span = telemetry.rates.enter();
         let _region = ctx.prof.region("rates");
-        assign_rates_observed(
+        assign_rates_with(
             &built.achieved,
             theta,
-            ctx.transfers,
-            ctx.policy,
-            ctx.slot_len_s,
+            rate_inputs,
             &ctx.rate_config,
+            &mut RateScratch::default(),
             telemetry,
         )
     };
@@ -111,9 +132,9 @@ pub fn compute_energy_observed(
 /// (revisited topologies cost a hash lookup + clone), then rebuilds
 /// circuits — incrementally against a `basis` outcome when the contention
 /// detector allows, via the relay-candidate cache otherwise — and finally
-/// consults the rate memo keyed on the *achieved* topology before running
-/// rate assignment. Without a cache it is a plain pass-through, so callers
-/// can toggle the fast path with an `Option` and nothing else.
+/// runs the rate pass in the cache's scratch buffers. Without a cache it is
+/// a plain pass-through, so callers can toggle the fast path with an
+/// `Option` and nothing else.
 ///
 /// Every path produces a bit-identical [`EnergyOutcome`] (debug builds
 /// assert the circuit-layer equality on every cached/delta build); only
@@ -121,16 +142,19 @@ pub fn compute_energy_observed(
 pub struct EnergyEvaluator<'a, 'c> {
     ctx: &'a EnergyContext<'a>,
     cache: Option<&'c mut EnergyCache>,
+    rate_inputs: &'a RateInputs<'a>,
     telemetry: &'a CoreTelemetry,
 }
 
 impl<'a, 'c> EnergyEvaluator<'a, 'c> {
     /// Creates an evaluator; a `Some` cache is prepared with
     /// [`EnergyCache::begin_run`] (plant-fingerprint invalidation happens
-    /// here).
+    /// here). `rate_inputs` are [`EnergyContext::rate_inputs`] of `ctx`,
+    /// built once per annealing run and shared by its chains.
     pub fn new(
         ctx: &'a EnergyContext<'a>,
         cache: Option<&'c mut EnergyCache>,
+        rate_inputs: &'a RateInputs<'a>,
         telemetry: &'a CoreTelemetry,
     ) -> Self {
         let mut cache = cache;
@@ -140,16 +164,17 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
         EnergyEvaluator {
             ctx,
             cache,
+            rate_inputs,
             telemetry,
         }
     }
 
     /// Evaluates `desired`. `basis` is an already-evaluated nearby state
     /// (the annealer passes the current state when evaluating a neighbor);
-    /// it seeds the delta rebuild and the delta rate pass, and is ignored
-    /// on the naive path. Outcomes are shared behind an [`Arc`] so the
-    /// memo, the annealer's current/best snapshots, and the caller never
-    /// deep-clone the circuit set.
+    /// it seeds the delta rebuild, and is ignored on the naive path.
+    /// Outcomes are shared behind an [`Arc`] so the memo, the annealer's
+    /// current/best snapshots, and the caller never deep-clone the circuit
+    /// set.
     pub fn eval(
         &mut self,
         desired: &Topology,
@@ -160,7 +185,12 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
         let Some(cache) = self.cache.as_deref_mut() else {
             self.telemetry.anneal_cache_miss.incr();
             self.telemetry.cache_miss_uncached.incr();
-            return Arc::new(compute_energy_observed(ctx, desired, self.telemetry));
+            return Arc::new(compute_energy_with(
+                ctx,
+                desired,
+                self.rate_inputs,
+                self.telemetry,
+            ));
         };
 
         if let Some(hit) = cache.lookup_outcome(desired) {
@@ -222,39 +252,17 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
         cache.stats.count_eval_miss(reason);
         self.telemetry.cache_miss_reason(reason).incr();
 
-        let rates = match cache.lookup_rates(&built.achieved) {
-            Some(r) => r.clone(),
-            None => {
-                let theta = ctx.plant.params().wavelength_capacity_gbps;
-                let rates = {
-                    let _span = self.telemetry.rates.enter();
-                    let _region = ctx.prof.region("rates");
-                    match basis {
-                        Some((_, prev)) => assign_rates_delta_observed(
-                            &built.achieved,
-                            &prev.built.achieved,
-                            &prev.rates,
-                            theta,
-                            ctx.transfers,
-                            ctx.policy,
-                            ctx.slot_len_s,
-                            &ctx.rate_config,
-                            self.telemetry,
-                        ),
-                        None => assign_rates_observed(
-                            &built.achieved,
-                            theta,
-                            ctx.transfers,
-                            ctx.policy,
-                            ctx.slot_len_s,
-                            &ctx.rate_config,
-                            self.telemetry,
-                        ),
-                    }
-                };
-                cache.store_rates(built.achieved.clone(), rates.clone());
-                rates
-            }
+        let rates = {
+            let _span = self.telemetry.rates.enter();
+            let _region = ctx.prof.region("rates");
+            assign_rates_with(
+                &built.achieved,
+                ctx.plant.params().wavelength_capacity_gbps,
+                self.rate_inputs,
+                &ctx.rate_config,
+                &mut cache.rate_scratch,
+                self.telemetry,
+            )
         };
 
         let outcome = Arc::new(EnergyOutcome { built, rates });

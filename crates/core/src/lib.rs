@@ -77,8 +77,9 @@ pub use engine::{
 pub use groups::{effective_bottleneck_s, group_completion_s, sebf_order, TransferGroup};
 pub use pool::EvalPool;
 pub use rates::{
-    assign_rates, assign_rates_delta_observed, assign_rates_observed, assign_rates_ordered,
-    assign_rates_ordered_observed, RateAssignConfig, RateOutcome,
+    assign_rates, assign_rates_observed, assign_rates_ordered, assign_rates_ordered_observed,
+    assign_rates_reference, assign_rates_with, RateAssignConfig, RateInputs, RateOutcome,
+    RateScratch,
 };
 pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch};
 pub use telemetry::CoreTelemetry;

@@ -7,12 +7,19 @@
 //! grabs as much rate as its demand and the residual capacities allow on
 //! its length-`l` paths. This "prioritizes transfers to use shorter paths
 //! first" (§3.2), approximating the NP-hard optimal rate allocation.
+//!
+//! One pass, [`assign_rates_with`], serves every caller. Its cost follows
+//! the work that exists: a transfer is visited only in rounds where its
+//! destination can be `l` hops away, and a path search runs only then,
+//! over bitset rows, without allocating. The straightforward pass it
+//! replaced stays as [`assign_rates_reference`] for the differential tests.
 
+use crate::regen::set_bit;
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
 use crate::types::{Allocation, SchedulingPolicy, Transfer};
 use owan_optical::SiteId;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 const EPS: f64 = 1e-9;
 
@@ -56,7 +63,499 @@ impl RateOutcome {
     }
 }
 
-/// Residual link capacities over an achieved topology.
+/// What a rate pass reads of the slot and not of the topology: the
+/// transfers, the order they are served in, and each one's demand rate.
+/// An annealing run builds it once and shares it among its evaluations.
+#[derive(Debug, Clone)]
+pub struct RateInputs<'a> {
+    transfers: &'a [Transfer],
+    order: Cow<'a, [usize]>,
+    demand: Vec<f64>,
+}
+
+impl<'a> RateInputs<'a> {
+    /// Orders `transfers` by `policy` under the starvation guard.
+    /// `rates.starvation_promotions` is counted here — once per order
+    /// built, however many passes then run on it.
+    pub fn new(
+        transfers: &'a [Transfer],
+        policy: SchedulingPolicy,
+        slot_len_s: f64,
+        config: &RateAssignConfig,
+        telemetry: &CoreTelemetry,
+    ) -> Self {
+        telemetry.starvation_promotions.add(
+            transfers
+                .iter()
+                .filter(|t| t.starved_slots >= config.starvation_threshold)
+                .count() as u64,
+        );
+        let order = policy.order(transfers, config.starvation_threshold);
+        Self::ordered(transfers, order, slot_len_s)
+    }
+
+    /// Inputs with an explicit transfer order.
+    pub fn ordered(
+        transfers: &'a [Transfer],
+        order: impl Into<Cow<'a, [usize]>>,
+        slot_len_s: f64,
+    ) -> Self {
+        let order = order.into();
+        debug_assert_eq!(order.len(), transfers.len());
+        RateInputs {
+            transfers,
+            order,
+            demand: transfers
+                .iter()
+                .map(|t| t.demand_rate_gbps(slot_len_s))
+                .collect(),
+        }
+    }
+}
+
+#[inline]
+fn clear_bit(set: &mut [u64], s: SiteId) {
+    set[s / 64] &= !(1 << (s % 64));
+}
+
+#[inline]
+fn has_bit(set: &[u64], s: SiteId) -> bool {
+    set[s / 64] & (1 << (s % 64)) != 0
+}
+
+/// One grabbed path held in [`RateScratch`]'s log.
+#[derive(Debug, Clone, Copy)]
+struct Grab {
+    transfer: usize,
+    start: usize,
+    len: usize,
+    rate: f64,
+}
+
+/// Reusable buffers of [`assign_rates_with`]: once sized for a plant and a
+/// transfer set, a pass allocates nothing but its output.
+///
+/// The residual keeps, beside the capacities, a *support* bitset row per
+/// site (bit `v` of row `u` iff `cap[u][v] > EPS`), so hop distances are a
+/// bitset BFS and the path search walks machine words. All site bitsets
+/// are `words = ceil(n / 64)` words long.
+#[derive(Debug, Clone, Default)]
+pub struct RateScratch {
+    n: usize,
+    words: usize,
+    /// `max_path_hops` of the pass being run.
+    hops: usize,
+    /// Residual capacities, `n × n` row-major.
+    cap: Vec<f64>,
+    support: Vec<u64>,
+    /// Per destination, `max_path_hops + 1` cumulative masks: mask `d`
+    /// holds the sites within `d` hops of it when the BFS ran.
+    within: Vec<u64>,
+    /// Round in which a destination's masks were computed (0 = not in
+    /// this pass).
+    within_round: Vec<usize>,
+    frontier: Vec<u64>,
+    demand: Vec<f64>,
+    /// Transfers still in play, in policy order.
+    active: Vec<usize>,
+    /// First round in which a transfer can have a path.
+    wake: Vec<usize>,
+    path: Vec<SiteId>,
+    on_path: Vec<u64>,
+    /// Unexplored next hops, one mask per search depth.
+    cand: Vec<u64>,
+    /// Site sequences found by one search, back to back.
+    found: Vec<SiteId>,
+    /// Site sequences of the pass's grabs, back to back, and one record
+    /// per grab in grab order.
+    grabbed: Vec<SiteId>,
+    grabs: Vec<Grab>,
+    /// Grabs per transfer, then the transfer's position in the output.
+    slot: Vec<usize>,
+}
+
+impl RateScratch {
+    /// Loads the residual of `topology` and the pass's starting state.
+    fn load(&mut self, topology: &Topology, theta: f64, inputs: &RateInputs<'_>, hops: usize) {
+        let n = topology.site_count();
+        let w = n.div_ceil(64);
+        (self.n, self.words, self.hops) = (n, w, hops);
+        self.cap.clear();
+        self.cap.resize(n * n, 0.0);
+        self.support.clear();
+        self.support.resize(n * w, 0);
+        for u in 0..n {
+            for (v, &m) in topology.row(u).iter().enumerate() {
+                if m > 0 {
+                    let c = m as f64 * theta;
+                    self.cap[u * n + v] = c;
+                    if c > EPS {
+                        set_bit(&mut self.support[u * w..], v);
+                    }
+                }
+            }
+        }
+        // Masks are written before they are read (`within_round` says when).
+        self.within.resize(n * (hops + 1) * w, 0);
+        self.within_round.clear();
+        self.within_round.resize(n, 0);
+        self.frontier.resize(w, 0);
+        self.on_path.resize(w, 0);
+        self.cand.resize(hops * w, 0);
+        self.path.resize(hops + 1, 0);
+
+        let transfers = inputs.transfers;
+        self.demand.clear();
+        self.demand.extend_from_slice(&inputs.demand);
+        self.wake.clear();
+        self.wake.resize(transfers.len(), 0);
+        self.slot.clear();
+        self.slot.resize(transfers.len(), 0);
+        self.active.clear();
+        for &i in inputs.order.iter() {
+            let t = &transfers[i];
+            if self.demand[i] > EPS && t.src != t.dst {
+                assert!(
+                    t.src < n && t.dst < n,
+                    "transfer {} runs between sites {} and {} of a {n}-site topology",
+                    t.id,
+                    t.src,
+                    t.dst
+                );
+                self.active.push(i);
+            }
+        }
+        self.grabbed.clear();
+        self.grabs.clear();
+    }
+
+    /// Where mask `d` of `dst` starts in `within`.
+    #[inline]
+    fn mask_at(&self, dst: SiteId, d: usize) -> usize {
+        (dst * (self.hops + 1) + d) * self.words
+    }
+
+    /// True if `s` was within `d` hops of `dst` when its masks were
+    /// computed.
+    #[inline]
+    fn is_within(&self, dst: SiteId, d: usize, s: SiteId) -> bool {
+        has_bit(&self.within[self.mask_at(dst, d)..], s)
+    }
+
+    /// Recomputes `dst`'s masks over the support rows as they stand: a
+    /// bitset BFS, expanded from `dst` as the reference's is.
+    fn levels(&mut self, dst: SiteId) {
+        let (w, hops) = (self.words, self.hops);
+        let masks = &mut self.within[dst * (hops + 1) * w..(dst + 1) * (hops + 1) * w];
+        masks[..w].fill(0);
+        set_bit(masks, dst);
+        self.frontier.copy_from_slice(&masks[..w]);
+        for d in 1..=hops {
+            let (prev, level) = masks[(d - 1) * w..(d + 1) * w].split_at_mut(w);
+            level.copy_from_slice(prev);
+            for (j, &word) in self.frontier.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let u = j * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    for (x, r) in level.iter_mut().zip(&self.support[u * w..(u + 1) * w]) {
+                        *x |= r;
+                    }
+                }
+            }
+            for ((f, x), p) in self.frontier.iter_mut().zip(level.iter()).zip(prev.iter()) {
+                *f = x & !p;
+            }
+        }
+    }
+
+    /// Fills `cand[depth]` with the sites a path of `l` hops may step to
+    /// from `path[depth]`: supported, off the path, close enough to `dst`
+    /// to arrive on the last hop, and not `dst` itself (a path through
+    /// `dst` cannot end there).
+    fn open(&mut self, depth: usize, dst: SiteId, l: usize) {
+        let w = self.words;
+        let cur = self.path[depth];
+        let near = self.mask_at(dst, l - depth - 1);
+        for j in 0..w {
+            self.cand[depth * w + j] =
+                self.support[cur * w + j] & !self.on_path[j] & self.within[near + j];
+        }
+        clear_bit(&mut self.cand[depth * w..], dst);
+    }
+
+    /// Enumerates into `found` up to `limit` simple paths from `src` to
+    /// `dst` with exactly `l` hops, each hop supported — the reference's
+    /// DFS in ascending neighbor order, made iterative. The masks prune
+    /// only subtrees that hold no completion (they are lower bounds on the
+    /// hop distance, however stale), so the sequence found is a function
+    /// of the residual alone. Returns the number of paths.
+    fn search(&mut self, src: SiteId, dst: SiteId, l: usize, limit: usize) -> usize {
+        let w = self.words;
+        self.found.clear();
+        if l == 1 {
+            if !has_bit(&self.support[src * w..], dst) {
+                return 0;
+            }
+            self.found.extend([src, dst]);
+            return 1;
+        }
+        self.on_path.fill(0);
+        set_bit(&mut self.on_path, src);
+        self.path[0] = src;
+        self.open(0, dst, l);
+        let (mut depth, mut count) = (0, 0);
+        loop {
+            let rest = &mut self.cand[depth * w..(depth + 1) * w];
+            let Some(j) = rest.iter().position(|&x| x != 0) else {
+                if depth == 0 {
+                    break;
+                }
+                clear_bit(&mut self.on_path, self.path[depth]);
+                depth -= 1;
+                continue;
+            };
+            let v = j * 64 + rest[j].trailing_zeros() as usize;
+            rest[j] &= rest[j] - 1;
+            if depth + 2 < l {
+                depth += 1;
+                self.path[depth] = v;
+                set_bit(&mut self.on_path, v);
+                self.open(depth, dst, l);
+            } else if has_bit(&self.support[v * w..], dst) {
+                // `v` is the last interior site: the path ends `v → dst`.
+                self.found.extend_from_slice(&self.path[..=depth]);
+                self.found.extend([v, dst]);
+                count += 1;
+                if count == limit {
+                    break;
+                }
+            }
+        }
+        count
+    }
+
+    /// Transfer `i` grabs what it can on the `found` paths of `l` hops,
+    /// in the order they were found.
+    fn grab(&mut self, i: usize, l: usize, throughput: &mut f64) {
+        let (n, w) = (self.n, self.words);
+        for nodes in self.found.chunks_exact(l + 1) {
+            if self.demand[i] <= EPS {
+                break;
+            }
+            let min_c = nodes
+                .windows(2)
+                .map(|h| self.cap[h[0] * n + h[1]])
+                .fold(f64::INFINITY, f64::min);
+            let rate = self.demand[i].min(min_c);
+            if rate > EPS {
+                for h in nodes.windows(2) {
+                    for (a, b) in [(h[0], h[1]), (h[1], h[0])] {
+                        let c = &mut self.cap[a * n + b];
+                        *c = (*c - rate).max(0.0);
+                        if *c <= EPS {
+                            clear_bit(&mut self.support[a * w..], b);
+                        }
+                    }
+                }
+                self.demand[i] -= rate;
+                *throughput += rate;
+                self.grabs.push(Grab {
+                    transfer: i,
+                    start: self.grabbed.len(),
+                    len: l + 1,
+                    rate,
+                });
+                self.grabbed.extend_from_slice(nodes);
+                self.slot[i] += 1;
+            }
+        }
+    }
+
+    /// The pass's allocations, in transfer order, each transfer's paths in
+    /// grab order.
+    fn allocations(&mut self, transfers: &[Transfer]) -> Vec<Allocation> {
+        let served = self.slot.iter().filter(|&&grabs| grabs > 0).count();
+        let mut allocations = Vec::with_capacity(served);
+        for (slot, t) in self.slot.iter_mut().zip(transfers) {
+            if *slot > 0 {
+                let paths = Vec::with_capacity(*slot);
+                *slot = allocations.len();
+                allocations.push(Allocation {
+                    transfer: t.id,
+                    paths,
+                });
+            }
+        }
+        for g in &self.grabs {
+            let nodes = self.grabbed[g.start..g.start + g.len].to_vec();
+            allocations[self.slot[g.transfer]]
+                .paths
+                .push((nodes, g.rate));
+        }
+        allocations
+    }
+}
+
+/// The rate pass: assigns multi-path routes and rates to the transfers of
+/// `inputs` on `topology`, whose circuits carry `theta` Gbps each.
+///
+/// A transfer leaves the active list for good once it is satisfied or its
+/// destination is more than `max_path_hops` away (capacity only shrinks,
+/// so distances only grow), and one whose destination is `d > l` hops away
+/// sleeps until round `d`. Hop levels to a destination are computed at
+/// most once per round, when a due transfer asks. Paths are enumerated on
+/// the residual as it stood before the transfer's own grabs of the round,
+/// then grabbed in that order. Bit-identical to
+/// [`assign_rates_reference`]; debug builds assert it on every pass.
+pub fn assign_rates_with(
+    topology: &Topology,
+    theta: f64,
+    inputs: &RateInputs<'_>,
+    config: &RateAssignConfig,
+    scratch: &mut RateScratch,
+    telemetry: &CoreTelemetry,
+) -> RateOutcome {
+    telemetry.rates_full_evals.incr();
+    let hops = config.max_path_hops;
+    let limit = config.max_paths_per_round;
+    let s = scratch;
+    s.load(topology, theta, inputs, hops);
+    let mut throughput = 0.0;
+    let mut examined = 0;
+
+    for l in 1..=hops {
+        if s.active.is_empty() || limit == 0 {
+            break;
+        }
+        let mut kept = 0;
+        for k in 0..s.active.len() {
+            let i = s.active[k];
+            let t = &inputs.transfers[i];
+            if s.wake[i] <= l {
+                // Only an order that names a transfer twice gets here
+                // with the demand already met.
+                if s.demand[i] <= EPS {
+                    continue;
+                }
+                if s.within_round[t.dst] != l {
+                    s.levels(t.dst);
+                    s.within_round[t.dst] = l;
+                }
+                let Some(d) = (l..=hops).find(|&d| s.is_within(t.dst, d, t.src)) else {
+                    continue;
+                };
+                if d == l {
+                    examined += s.search(t.src, t.dst, l, limit);
+                    s.grab(i, l, &mut throughput);
+                    if s.demand[i] <= EPS {
+                        continue;
+                    }
+                } else {
+                    s.wake[i] = d;
+                }
+            }
+            s.active[kept] = i;
+            kept += 1;
+        }
+        s.active.truncate(kept);
+    }
+    telemetry.paths_examined.add(examined as u64);
+    telemetry.allocations_made.add(s.grabs.len() as u64);
+
+    let outcome = RateOutcome {
+        allocations: s.allocations(inputs.transfers),
+        throughput_gbps: throughput,
+    };
+    debug_assert_eq!(
+        outcome,
+        assign_rates_reference(topology, theta, inputs, config),
+        "the rate kernel must equal the reference pass"
+    );
+    outcome
+}
+
+/// Assigns multi-path routes and rates to `transfers` on `topology`.
+///
+/// `theta` is the per-circuit capacity (Gbps); `slot_len_s` converts each
+/// transfer's remaining volume into its per-slot demand rate.
+pub fn assign_rates(
+    topology: &Topology,
+    theta: f64,
+    transfers: &[Transfer],
+    policy: SchedulingPolicy,
+    slot_len_s: f64,
+    config: &RateAssignConfig,
+) -> RateOutcome {
+    assign_rates_observed(
+        topology,
+        theta,
+        transfers,
+        policy,
+        slot_len_s,
+        config,
+        &CoreTelemetry::disabled(),
+    )
+}
+
+/// [`assign_rates`] with telemetry: counts candidate paths examined,
+/// allocations made, and transfers promoted by the starvation guard. The
+/// outcome is identical to the unobserved call.
+pub fn assign_rates_observed(
+    topology: &Topology,
+    theta: f64,
+    transfers: &[Transfer],
+    policy: SchedulingPolicy,
+    slot_len_s: f64,
+    config: &RateAssignConfig,
+    telemetry: &CoreTelemetry,
+) -> RateOutcome {
+    let inputs = RateInputs::new(transfers, policy, slot_len_s, config, telemetry);
+    let mut scratch = RateScratch::default();
+    assign_rates_with(topology, theta, &inputs, config, &mut scratch, telemetry)
+}
+
+/// Like [`assign_rates`] but with an explicit transfer order — used by the
+/// coflow extension ([`crate::groups::sebf_order`]) and by experiments that
+/// want custom scheduling disciplines.
+pub fn assign_rates_ordered(
+    topology: &Topology,
+    theta: f64,
+    transfers: &[Transfer],
+    order: &[usize],
+    slot_len_s: f64,
+    config: &RateAssignConfig,
+) -> RateOutcome {
+    assign_rates_ordered_observed(
+        topology,
+        theta,
+        transfers,
+        order,
+        slot_len_s,
+        config,
+        &CoreTelemetry::disabled(),
+    )
+}
+
+/// [`assign_rates_ordered`] with telemetry; see
+/// [`assign_rates_observed`].
+#[allow(clippy::too_many_arguments)]
+pub fn assign_rates_ordered_observed(
+    topology: &Topology,
+    theta: f64,
+    transfers: &[Transfer],
+    order: &[usize],
+    slot_len_s: f64,
+    config: &RateAssignConfig,
+    telemetry: &CoreTelemetry,
+) -> RateOutcome {
+    let inputs = RateInputs::ordered(transfers, order, slot_len_s);
+    let mut scratch = RateScratch::default();
+    assign_rates_with(topology, theta, &inputs, config, &mut scratch, telemetry)
+}
+
+/// Residual link capacities over an achieved topology — the reference
+/// pass's, kept as it was.
 struct Residual {
     n: usize,
     cap: Vec<f64>,
@@ -177,95 +676,21 @@ impl Residual {
     }
 }
 
-/// Assigns multi-path routes and rates to `transfers` on `topology`.
-///
-/// `theta` is the per-circuit capacity (Gbps); `slot_len_s` converts each
-/// transfer's remaining volume into its per-slot demand rate.
-pub fn assign_rates(
+/// The straightforward pass [`assign_rates_with`] must equal bit for bit:
+/// every transfer with demand is visited in every round, hop distances
+/// come from a queue BFS per destination and round, and the path search is
+/// a recursive DFS. The differential tests and the kernel's debug
+/// assertion compare against it; nothing else calls it.
+#[doc(hidden)]
+pub fn assign_rates_reference(
     topology: &Topology,
     theta: f64,
-    transfers: &[Transfer],
-    policy: SchedulingPolicy,
-    slot_len_s: f64,
+    inputs: &RateInputs<'_>,
     config: &RateAssignConfig,
 ) -> RateOutcome {
-    assign_rates_observed(
-        topology,
-        theta,
-        transfers,
-        policy,
-        slot_len_s,
-        config,
-        &CoreTelemetry::disabled(),
-    )
-}
-
-/// [`assign_rates`] with telemetry: counts candidate paths examined,
-/// allocations made, and transfers promoted by the starvation guard. The
-/// outcome is identical to the unobserved call.
-pub fn assign_rates_observed(
-    topology: &Topology,
-    theta: f64,
-    transfers: &[Transfer],
-    policy: SchedulingPolicy,
-    slot_len_s: f64,
-    config: &RateAssignConfig,
-    telemetry: &CoreTelemetry,
-) -> RateOutcome {
-    let order = policy.order(transfers, config.starvation_threshold);
-    telemetry.starvation_promotions.add(
-        transfers
-            .iter()
-            .filter(|t| t.starved_slots >= config.starvation_threshold)
-            .count() as u64,
-    );
-    assign_rates_ordered_observed(
-        topology, theta, transfers, &order, slot_len_s, config, telemetry,
-    )
-}
-
-/// Like [`assign_rates`] but with an explicit transfer order — used by the
-/// coflow extension ([`crate::groups::sebf_order`]) and by experiments that
-/// want custom scheduling disciplines.
-pub fn assign_rates_ordered(
-    topology: &Topology,
-    theta: f64,
-    transfers: &[Transfer],
-    order: &[usize],
-    slot_len_s: f64,
-    config: &RateAssignConfig,
-) -> RateOutcome {
-    assign_rates_ordered_observed(
-        topology,
-        theta,
-        transfers,
-        order,
-        slot_len_s,
-        config,
-        &CoreTelemetry::disabled(),
-    )
-}
-
-/// [`assign_rates_ordered`] with telemetry; see
-/// [`assign_rates_observed`].
-#[allow(clippy::too_many_arguments)]
-pub fn assign_rates_ordered_observed(
-    topology: &Topology,
-    theta: f64,
-    transfers: &[Transfer],
-    order: &[usize],
-    slot_len_s: f64,
-    config: &RateAssignConfig,
-    telemetry: &CoreTelemetry,
-) -> RateOutcome {
-    debug_assert_eq!(order.len(), transfers.len());
-    telemetry.rates_full_evals.incr();
+    let transfers = inputs.transfers;
     let mut residual = Residual::new(topology, theta);
-
-    let mut demand: Vec<f64> = transfers
-        .iter()
-        .map(|t| t.demand_rate_gbps(slot_len_s))
-        .collect();
+    let mut demand = inputs.demand.clone();
     let mut allocations: Vec<Allocation> = transfers
         .iter()
         .map(|t| Allocation {
@@ -287,7 +712,7 @@ pub fn assign_rates_ordered_observed(
         // is still enforced edge-by-edge inside the DFS.
         let mut dist_cache: std::collections::HashMap<SiteId, Vec<usize>> =
             std::collections::HashMap::new();
-        for &i in order {
+        for &i in inputs.order.iter() {
             if demand[i] <= EPS {
                 continue;
             }
@@ -301,7 +726,6 @@ pub fn assign_rates_ordered_observed(
                 .or_insert_with(|| residual.hop_distances_to(t.dst));
             let paths =
                 residual.paths_of_length(t.src, t.dst, l, config.max_paths_per_round, dist_to_dst);
-            telemetry.paths_examined.add(paths.len() as u64);
             for path in paths {
                 if demand[i] <= EPS {
                     break;
@@ -315,7 +739,6 @@ pub fn assign_rates_ordered_observed(
                     residual.consume(&path, rate);
                     demand[i] -= rate;
                     throughput += rate;
-                    telemetry.allocations_made.incr();
                     allocations[i].paths.push((path, rate));
                 }
             }
@@ -327,302 +750,6 @@ pub fn assign_rates_ordered_observed(
         allocations,
         throughput_gbps: throughput,
     }
-}
-
-/// Symmetric edge set over which the live and basis residuals may differ.
-///
-/// Seeded with every pair whose initial capacity changed between the two
-/// topologies; grows as recomputed transfers allocate differently from the
-/// basis (both the live and the basis grab edges join, since both residuals
-/// moved where the other did not).
-struct DirtyEdges {
-    n: usize,
-    mat: Vec<bool>,
-    pairs: Vec<(SiteId, SiteId)>,
-}
-
-impl DirtyEdges {
-    fn new(n: usize) -> Self {
-        DirtyEdges {
-            n,
-            mat: vec![false; n * n],
-            pairs: Vec::new(),
-        }
-    }
-
-    fn mark(&mut self, u: SiteId, v: SiteId) {
-        let (a, b) = (u.min(v), u.max(v));
-        if !self.mat[a * self.n + b] {
-            self.mat[a * self.n + b] = true;
-            self.mat[b * self.n + a] = true;
-            self.pairs.push((a, b));
-        }
-    }
-
-    fn mark_path(&mut self, path: &[SiteId]) {
-        for w in path.windows(2) {
-            self.mark(w[0], w[1]);
-        }
-    }
-}
-
-/// Hop distances from `from` over the static union graph (edges with
-/// positive *initial* capacity in either topology). Capacities only shrink
-/// as rounds consume them, so these are lower bounds on the hop distance in
-/// any residual state of either run — the basis run and the live one.
-fn union_bfs(adj: &[Vec<SiteId>], from: SiteId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; adj.len()];
-    dist[from] = 0;
-    let mut queue = std::collections::VecDeque::from([from]);
-    while let Some(u) = queue.pop_front() {
-        for &v in &adj[u] {
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// True when no dirty edge can be touched by a length-`l` path search from
-/// `src` to `dst`: every simple path of ≤ `l` hops traversing dirty edge
-/// `(a, b)`, and every DFS probe of it, implies
-/// `min(dU(src,a)+1+dU(b,dst), dU(src,b)+1+dU(a,dst)) ≤ l` over the union
-/// graph, so a strict `> l` for every dirty pair guarantees the search
-/// reads only edges where live and basis residuals agree.
-fn screen_clear(
-    src: SiteId,
-    dst: SiteId,
-    l: usize,
-    dirty: &DirtyEdges,
-    union_adj: &[Vec<SiteId>],
-    union_dist: &mut HashMap<SiteId, Vec<usize>>,
-) -> bool {
-    if dirty.pairs.is_empty() {
-        return true;
-    }
-    union_dist
-        .entry(src)
-        .or_insert_with(|| union_bfs(union_adj, src));
-    union_dist
-        .entry(dst)
-        .or_insert_with(|| union_bfs(union_adj, dst));
-    let ds = &union_dist[&src];
-    let dd = &union_dist[&dst];
-    let corridor = |x: usize, y: usize| {
-        if x == usize::MAX || y == usize::MAX {
-            usize::MAX
-        } else {
-            x + 1 + y
-        }
-    };
-    dirty
-        .pairs
-        .iter()
-        .all(|&(a, b)| corridor(ds[a], dd[b]) > l && corridor(ds[b], dd[a]) > l)
-}
-
-/// [`assign_rates_observed`] seeded by the outcome of a *nearby* basis
-/// topology: the delta path replays the basis allocation wherever the
-/// round's path search provably cannot observe any capacity that differs
-/// from the basis run, and falls back to the real DFS (on the live
-/// residual, so the result is exact by construction) everywhere else.
-///
-/// Soundness: the expensive part of a round — [`Residual::paths_of_length`]
-/// — reads only residual entries inside the `l`-hop corridor between the
-/// transfer's endpoints, and its completed-path sequence is independent of
-/// the `dist_to_dst` pruning hints (they are lower bounds; pruning can
-/// only skip completion-free subtrees). So if a transfer has never
-/// diverged from its basis trajectory and no dirty edge intersects the
-/// corridor ([`screen_clear`]), the DFS would return exactly the basis
-/// grabs — we apply them without searching. Replayed grabs perform the
-/// same floating-point operations in the same order as a from-scratch
-/// run, so the outcome is **bit-identical**; debug builds assert this
-/// against a full recompute on every call.
-#[allow(clippy::too_many_arguments)]
-pub fn assign_rates_delta_observed(
-    topology: &Topology,
-    basis_topology: &Topology,
-    basis: &RateOutcome,
-    theta: f64,
-    transfers: &[Transfer],
-    policy: SchedulingPolicy,
-    slot_len_s: f64,
-    config: &RateAssignConfig,
-    telemetry: &CoreTelemetry,
-) -> RateOutcome {
-    telemetry.rates_delta_evals.incr();
-    let order = policy.order(transfers, config.starvation_threshold);
-    telemetry.starvation_promotions.add(
-        transfers
-            .iter()
-            .filter(|t| t.starved_slots >= config.starvation_threshold)
-            .count() as u64,
-    );
-
-    let n = topology.site_count();
-    debug_assert_eq!(basis_topology.site_count(), n);
-    let mut residual = Residual::new(topology, theta);
-    let basis_init = Residual::new(basis_topology, theta);
-
-    let mut dirty = DirtyEdges::new(n);
-    let mut union_adj: Vec<Vec<SiteId>> = vec![Vec::new(); n];
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if residual.get(u, v).to_bits() != basis_init.get(u, v).to_bits() {
-                dirty.mark(u, v);
-            }
-            if residual.get(u, v) > EPS || basis_init.get(u, v) > EPS {
-                union_adj[u].push(v);
-                union_adj[v].push(u);
-            }
-        }
-    }
-    let mut union_dist: HashMap<SiteId, Vec<usize>> = HashMap::new();
-
-    // The basis grabs for transfer `i` at round `l` are exactly its stored
-    // paths of `l` hops, in stored order (a round-`l` grab always has `l`
-    // hops, and per-transfer path order is grab order).
-    type HopBuckets<'a> = Vec<(&'a Vec<SiteId>, f64)>;
-    let mut buckets: Vec<Vec<HopBuckets>> =
-        vec![vec![Vec::new(); config.max_path_hops + 1]; transfers.len()];
-    {
-        let by_id: HashMap<usize, &Allocation> =
-            basis.allocations.iter().map(|a| (a.transfer, a)).collect();
-        for (i, t) in transfers.iter().enumerate() {
-            if let Some(a) = by_id.get(&t.id) {
-                for (path, rate) in &a.paths {
-                    let l = path.len() - 1;
-                    if l <= config.max_path_hops {
-                        buckets[i][l].push((path, *rate));
-                    }
-                }
-            }
-        }
-    }
-
-    let mut diverged = vec![false; transfers.len()];
-    let mut demand: Vec<f64> = transfers
-        .iter()
-        .map(|t| t.demand_rate_gbps(slot_len_s))
-        .collect();
-    let mut allocations: Vec<Allocation> = transfers
-        .iter()
-        .map(|t| Allocation {
-            transfer: t.id,
-            paths: Vec::new(),
-        })
-        .collect();
-    let mut throughput = 0.0;
-
-    // `l` is a hop count indexing the second level of `buckets`, not a
-    // position in any single vector — enumerate() doesn't apply.
-    #[allow(clippy::needless_range_loop)]
-    'outer: for l in 1..=config.max_path_hops {
-        let any_demand = demand.iter().any(|&d| d > EPS);
-        if !any_demand || !residual.any_free() {
-            break 'outer;
-        }
-        let mut dist_cache: HashMap<SiteId, Vec<usize>> = HashMap::new();
-        for &i in &order {
-            let bucket = &buckets[i][l];
-            if demand[i] <= EPS {
-                // The basis run may still have grabbed here (its demand
-                // trajectory diverged from ours), moving the basis residual
-                // where the live one stays put.
-                if diverged[i] {
-                    for (p, _) in bucket {
-                        dirty.mark_path(p);
-                    }
-                }
-                continue;
-            }
-            let t = &transfers[i];
-            if t.src == t.dst {
-                demand[i] = 0.0;
-                continue;
-            }
-            if !diverged[i] && screen_clear(t.src, t.dst, l, &dirty, &union_adj, &mut union_dist) {
-                // Replay: same grabs, same float ops, same order.
-                for (path, rate) in bucket {
-                    residual.consume(path, *rate);
-                    demand[i] -= *rate;
-                    throughput += *rate;
-                    telemetry.allocations_made.incr();
-                    allocations[i].paths.push(((*path).clone(), *rate));
-                }
-                continue;
-            }
-            // Recompute on the live residual — exact by construction.
-            let dist_to_dst = dist_cache
-                .entry(t.dst)
-                .or_insert_with(|| residual.hop_distances_to(t.dst));
-            let paths =
-                residual.paths_of_length(t.src, t.dst, l, config.max_paths_per_round, dist_to_dst);
-            telemetry.paths_examined.add(paths.len() as u64);
-            let grab_start = allocations[i].paths.len();
-            for path in paths {
-                if demand[i] <= EPS {
-                    break;
-                }
-                let min_c = path
-                    .windows(2)
-                    .map(|w| residual.get(w[0], w[1]))
-                    .fold(f64::INFINITY, f64::min);
-                let rate = demand[i].min(min_c);
-                if rate > EPS {
-                    residual.consume(&path, rate);
-                    demand[i] -= rate;
-                    throughput += rate;
-                    telemetry.allocations_made.incr();
-                    allocations[i].paths.push((path, rate));
-                }
-            }
-            let grabs = &allocations[i].paths[grab_start..];
-            let equal = !diverged[i]
-                && grabs.len() == bucket.len()
-                && grabs
-                    .iter()
-                    .zip(bucket)
-                    .all(|((p, r), (bp, br))| p == *bp && r.to_bits() == br.to_bits());
-            if !equal {
-                // Recomputed-but-equal grabs keep the transfer clean; a
-                // difference taints both runs' touched edges for good.
-                diverged[i] = true;
-                let touched: Vec<Vec<SiteId>> = grabs.iter().map(|(p, _)| p.clone()).collect();
-                for p in &touched {
-                    dirty.mark_path(p);
-                }
-                for (p, _) in bucket {
-                    dirty.mark_path(p);
-                }
-            }
-        }
-    }
-
-    allocations.retain(|a| !a.paths.is_empty());
-    let outcome = RateOutcome {
-        allocations,
-        throughput_gbps: throughput,
-    };
-    #[cfg(debug_assertions)]
-    {
-        let fresh = assign_rates_ordered_observed(
-            topology,
-            theta,
-            transfers,
-            &order,
-            slot_len_s,
-            config,
-            &CoreTelemetry::disabled(),
-        );
-        debug_assert_eq!(
-            outcome, fresh,
-            "delta rate pass must be bit-identical to a from-scratch run"
-        );
-    }
-    outcome
 }
 
 #[cfg(test)]
@@ -829,63 +956,6 @@ mod tests {
             &RateAssignConfig::default(),
         );
         assert_eq!(out.throughput_gbps, 0.0);
-    }
-
-    #[test]
-    fn delta_rates_match_full_recompute() {
-        // Basis = the Figure-3 square; currents perturb it the way ≤4-link
-        // neighbor moves do (multiplicity bumps, removals, new links).
-        let basis_topo = square();
-        let ts = vec![
-            transfer(0, 0, 1, 20.0),
-            transfer(1, 2, 3, 12.0),
-            transfer(2, 0, 3, 7.0),
-            transfer(3, 1, 2, 35.0),
-        ];
-        let cfg = RateAssignConfig::default();
-        let basis_out = assign_rates(
-            &basis_topo,
-            10.0,
-            &ts,
-            SchedulingPolicy::ShortestJobFirst,
-            1.0,
-            &cfg,
-        );
-
-        let mut variants = Vec::new();
-        variants.push(basis_topo.clone()); // identity: pure replay
-        let mut v = basis_topo.clone();
-        v.add_links(0, 1, 1); // bump one multiplicity
-        variants.push(v);
-        let mut v = Topology::empty(4); // drop a link, add a chord
-        v.add_links(0, 1, 1);
-        v.add_links(0, 2, 1);
-        v.add_links(1, 3, 1);
-        v.add_links(0, 3, 2);
-        variants.push(v);
-
-        for current in &variants {
-            let full = assign_rates(
-                current,
-                10.0,
-                &ts,
-                SchedulingPolicy::ShortestJobFirst,
-                1.0,
-                &cfg,
-            );
-            let delta = assign_rates_delta_observed(
-                current,
-                &basis_topo,
-                &basis_out,
-                10.0,
-                &ts,
-                SchedulingPolicy::ShortestJobFirst,
-                1.0,
-                &cfg,
-                &CoreTelemetry::disabled(),
-            );
-            assert_eq!(delta, full, "delta diverged on {current:?}");
-        }
     }
 
     #[test]

@@ -230,7 +230,7 @@ pub struct RelayScratch {
 }
 
 #[inline]
-fn set_bit(set: &mut [u64], s: SiteId) {
+pub(crate) fn set_bit(set: &mut [u64], s: SiteId) {
     set[s / 64] |= 1 << (s % 64);
 }
 

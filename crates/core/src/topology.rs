@@ -41,6 +41,12 @@ impl Topology {
         self.links[u * self.n + v]
     }
 
+    /// Row `u` of the multiplicity matrix: entry `v` is the multiplicity
+    /// of the link between `u` and `v`.
+    pub(crate) fn row(&self, u: SiteId) -> &[u32] {
+        &self.links[u * self.n..(u + 1) * self.n]
+    }
+
     /// Adds `count` parallel links between `u` and `v`.
     ///
     /// # Panics

@@ -60,15 +60,15 @@ pub fn render_top(snapshot: &Snapshot, elapsed_s: f64) -> String {
         }
     }
 
-    // Rate-assignment recomputation split: how many energy evaluations the
-    // incremental (delta) path carried vs full shortest-paths-first passes.
-    let delta = counter(snapshot, "rates.delta_evals");
-    let full = counter(snapshot, "rates.full_evals");
-    if delta + full > 0 {
+    // Rate assignment: shortest-paths-first passes run, and what they did.
+    let passes = counter(snapshot, "rates.full_evals");
+    if passes > 0 {
         let _ = writeln!(
             out,
-            "rates: {:.1}% delta ({delta} delta / {full} full)",
-            100.0 * delta as f64 / (delta + full) as f64,
+            "rates: {passes} passes, {} paths examined, {} allocations, {} starvation promotions",
+            counter(snapshot, "rates.paths_examined"),
+            counter(snapshot, "rates.allocations_made"),
+            counter(snapshot, "rates.starvation_promotions"),
         );
     }
 
@@ -195,13 +195,17 @@ mod tests {
     }
 
     #[test]
-    fn rates_split_appears_with_counters() {
+    fn rates_row_appears_with_counters() {
         let rec = Recorder::enabled();
-        rec.counter("rates.delta_evals").add(30);
-        rec.counter("rates.full_evals").add(10);
+        rec.counter("rates.full_evals").add(40);
+        rec.counter("rates.paths_examined").add(900);
+        rec.counter("rates.allocations_made").add(700);
+        rec.counter("rates.starvation_promotions").add(2);
         let text = render_top(&rec.snapshot(), 0.0);
         assert!(
-            text.contains("rates: 75.0% delta (30 delta / 10 full)"),
+            text.contains(
+                "rates: 40 passes, 900 paths examined, 700 allocations, 2 starvation promotions"
+            ),
             "{text}"
         );
         let none = render_top(&Recorder::enabled().snapshot(), 0.0);

@@ -2081,8 +2081,8 @@ fn main() {
         if table.lines().count() > 1 {
             print!("{table}");
         }
-        // Delta vs full rate recomputation split — how often the
-        // incremental path carried an evaluation.
+        // What the rate passes did: passes run, paths examined,
+        // allocations made, starvation promotions.
         let rates = format_counter_table(&snapshot, "rates.");
         if rates.lines().count() > 1 {
             print!("{rates}");

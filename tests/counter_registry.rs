@@ -172,7 +172,7 @@ fn scan_sees_the_known_families() {
     for name in [
         "anneal.cache_miss.cold",
         "circuits.built",
-        "rates.delta_evals",
+        "rates.full_evals",
         "chaos.faults_detected",
         "chaos.attack.waves",
         "oracle.invariant_checked",

@@ -1,22 +1,27 @@
 //! Fast-path equivalence suite: the relay/outcome caches, the delta
-//! circuit rebuilds, and parallel multi-chain annealing are pure
-//! accelerations — every test here pins the accelerated paths bit-for-bit
-//! to the naive reference, across benchmark networks, seeds, an exact
-//! enumeration oracle, and plant-mutating invalidations.
+//! circuit rebuilds, the rate kernel, and parallel multi-chain annealing
+//! are pure accelerations — every test here pins the accelerated paths
+//! bit-for-bit to the naive reference, across benchmark networks, seeds,
+//! an exact enumeration oracle, and plant-mutating invalidations.
 //!
 //! Debug builds additionally cross-check every cached circuit build
 //! against a from-scratch rebuild inside `owan-core` (`debug_assert_eq!`),
 //! so running this suite under `cargo test` exercises far more equality
 //! checks than the explicit asserts below.
 
+use owan::core::anneal::compute_neighbor;
 use owan::core::{
-    anneal_observed, anneal_parallel, anneal_parallel_pooled, anneal_with_cache, default_topology,
-    AnnealConfig, CircuitBuildConfig, CoreTelemetry, EnergyCache, EnergyContext, OwanConfig,
-    OwanEngine, RateAssignConfig, SchedulingPolicy, SlotInput, Topology, TrafficEngineer, Transfer,
+    anneal_observed, anneal_parallel, anneal_parallel_pooled, anneal_with_cache,
+    assign_rates_reference, assign_rates_with, build_topology, default_topology, AnnealConfig,
+    CircuitBuildConfig, CoreTelemetry, EnergyCache, EnergyContext, OwanConfig, OwanEngine,
+    RateAssignConfig, RateInputs, RateOutcome, RateScratch, SchedulingPolicy, SlotInput, Topology,
+    TrafficEngineer, Transfer,
 };
 use owan::oracle::anneal_gap;
 use owan::topo::Network;
 use owan_bench::{net_by_name, workload_for, Scale};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A small fixed-size fixture: network, transfers, and initial topology.
 fn fixture(net_name: &str, seed: u64) -> (Network, Vec<Transfer>, Topology) {
@@ -303,5 +308,101 @@ fn plant_degradation_flushes_and_stays_equivalent() {
     assert!(
         fast.energy_caches()[0].stats.flushes >= 1,
         "degradation did not flush the plant-scoped cache layers"
+    );
+}
+
+/// The rate kernel against the pass it replaced, on every achieved
+/// topology a seeded ISP slot loop evaluates: each slot walks 30 neighbor
+/// moves from its topology, builds the circuits of each and runs both
+/// passes on what was achieved, in one scratch for the whole loop; the
+/// best plan then runs for a slot, so later slots see drained volumes,
+/// starved transfers and fewer of them. Paths, rates and throughput must
+/// be equal bit for bit (`crates/core/tests/rate_kernel.rs` has the
+/// synthetic sweep; this is the controller's own input distribution).
+#[test]
+fn rate_kernel_equals_reference_on_every_topology_of_an_isp_slot_loop() {
+    const SLOT_S: f64 = 300.0;
+    let scale = Scale {
+        duration_s: 1800.0,
+        max_requests: 60,
+        seed: 11,
+        ..Scale::quick()
+    };
+    let net = net_by_name("isp");
+    let mut transfers: Vec<Transfer> = workload_for(&net, 1.5, Some(2.0), &scale)
+        .iter()
+        .enumerate()
+        .map(|(i, r)| Transfer::from_request(i, r))
+        .collect();
+    assert!(transfers.len() >= 50, "{} transfers", transfers.len());
+    let fiber_dist = net.plant.fiber_distance_matrix();
+    let theta = net.plant.params().wavelength_capacity_gbps;
+    let config = RateAssignConfig::default();
+    let telemetry = CoreTelemetry::disabled();
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut scratch = RateScratch::default();
+    let mut current = net.static_topology.clone();
+    let (mut replayed, mut multi_hop) = (0, 0);
+
+    for slot in 0..6 {
+        let policy = [
+            SchedulingPolicy::ShortestJobFirst,
+            SchedulingPolicy::EarliestDeadlineFirst,
+        ][slot % 2];
+        let inputs = RateInputs::new(&transfers, policy, SLOT_S, &config, &telemetry);
+        let mut best: Option<(Topology, RateOutcome)> = None;
+        for _ in 0..30 {
+            let Some(candidate) = compute_neighbor(&current, &mut rng) else {
+                break;
+            };
+            let achieved = build_topology(
+                &net.plant,
+                &candidate,
+                &fiber_dist,
+                &CircuitBuildConfig::default(),
+            )
+            .achieved;
+            let want = assign_rates_reference(&achieved, theta, &inputs, &config);
+            let got =
+                assign_rates_with(&achieved, theta, &inputs, &config, &mut scratch, &telemetry);
+            // Rates are positive and finite, so `==` on them is equality
+            // of bits; the throughput is compared as bits outright.
+            assert_eq!(got, want, "slot {slot}");
+            assert_eq!(
+                got.throughput_gbps.to_bits(),
+                want.throughput_gbps.to_bits(),
+                "slot {slot}: throughput"
+            );
+            multi_hop += want
+                .allocations
+                .iter()
+                .flat_map(|a| &a.paths)
+                .filter(|(path, _)| path.len() > 3)
+                .count();
+            replayed += 1;
+            if best
+                .as_ref()
+                .is_none_or(|(_, b)| want.throughput_gbps >= b.throughput_gbps)
+            {
+                current = candidate;
+                best = Some((achieved, want));
+            }
+        }
+        let (_, plan) = best.expect("the ISP topology has neighbors");
+        for t in &mut transfers {
+            match plan.allocation_for(t.id) {
+                Some(a) => {
+                    t.remaining_gbits = (t.remaining_gbits - a.total_rate() * SLOT_S).max(0.0);
+                    t.starved_slots = 0;
+                }
+                None => t.starved_slots += 1,
+            }
+        }
+        transfers.retain(|t| !t.is_complete());
+    }
+    assert_eq!(replayed, 180);
+    assert!(
+        multi_hop > replayed,
+        "the loop must load the plant past its direct links: {multi_hop} paths of 3+ hops"
     );
 }
