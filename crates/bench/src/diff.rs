@@ -259,7 +259,6 @@ pub fn history_record(report: &AnnealBenchReport, unix_ts: u64) -> String {
             "{{\"ts\": {}, \"commit\": \"{}\", \"scale\": \"{}\", ",
             "\"cores\": {}, \"chains\": {}, \"iterations\": {}, ",
             "\"fast_evals_per_s\": {:.2}, \"eval_speedup\": {:.2}, ",
-            "\"cache_hit_rate\": {:.4}, ",
             "\"pipeline_fast_wall_s\": {:.6}, \"pipeline_speedup\": {:.2}, ",
             "\"scope_overhead\": {:.4}, \"prof_overhead\": {:.4}, ",
             "\"chains_speedup\": {:.2}, \"chains_utilization\": {:.2}, ",
@@ -273,7 +272,6 @@ pub fn history_record(report: &AnnealBenchReport, unix_ts: u64) -> String {
         report.iterations,
         report.fast_evals_per_s,
         report.eval_speedup,
-        report.cache_hit_rate,
         report.pipeline_fast_wall_s,
         report.pipeline_speedup,
         report.scope_overhead,
@@ -435,7 +433,6 @@ mod tests {
             fast_shortest_path_calls: 100,
             shortest_path_reduction: 10.0,
             eval_speedup: 4.0,
-            cache_hit_rate: 0.5,
             outcome_hit_rate: 0.05,
             pipeline_naive_wall_s: 2.0,
             pipeline_fast_wall_s: 1.0,
@@ -453,15 +450,7 @@ mod tests {
             chains_busy_s: 0.9,
             chains_concurrency: 1.8,
             chains_utilization: 2.0,
-            miss_by_reason: [
-                ("cold", 40),
-                ("flush", 0),
-                ("class_collision", 0),
-                ("partial_candidate_list", 0),
-                ("boundary_guard", 0),
-                ("membership_crossing", 0),
-                ("capacity", 0),
-            ],
+            miss_by_reason: [("cold", 40), ("capacity", 0)],
             miss_dominant: ("cold".into(), 40),
             warnings: Vec::new(),
         };
@@ -471,7 +460,6 @@ mod tests {
         assert_eq!(json_number(&line, "ts"), Some(1_700_000_000.0));
         assert_eq!(json_string(&line, "commit").as_deref(), Some("abc1234"));
         assert_eq!(json_number(&line, "fast_evals_per_s"), Some(400.0));
-        assert_eq!(json_number(&line, "cache_hit_rate"), Some(0.5));
         assert_eq!(json_string(&line, "miss_dominant").as_deref(), Some("cold"));
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! 1. **Energy-evaluation rate** — one annealing run on the ISP backbone,
 //!    naive vs cached, reporting energy-evals/sec, the
-//!    `circuits.shortest_path_calls` counts (the ≥5× reduction target),
-//!    the relay-layer hit rate (`cache_hit_rate`), and the outcome-memo
-//!    hit rate (`outcome_hit_rate`).
+//!    `circuits.shortest_path_calls` counts (relay searches started: the
+//!    delta rebuild's reused pairs start none), and the outcome-memo hit
+//!    rate (`outcome_hit_rate`).
 //! 2. **Pipeline wall clock** — the Fig 10(d)-style inter-DC simulation at
 //!    a fixed iteration budget, cache off vs on (the ≥2× speedup target),
 //!    plus slots/sec.
@@ -64,13 +64,6 @@ pub struct AnnealBenchReport {
     pub shortest_path_reduction: f64,
     /// `naive_wall_s / fast_wall_s` for the single run.
     pub eval_speedup: f64,
-    /// Relay-layer hit rate over the cached run:
-    /// `(relay_hits + relay_relaxed_hits) / relay lookups`. This is the
-    /// rate of the cache layer that actually amortizes the expensive work
-    /// (`RegenGraph` + Yen per desired link) — an annealing walk rarely
-    /// revisits whole topologies, so the outcome memo alone cannot carry
-    /// the fast path.
-    pub cache_hit_rate: f64,
     /// Outcome-memo hit rate over the cached run's evaluations (whole
     /// revisited topologies answered without Algorithm 3).
     pub outcome_hit_rate: f64,
@@ -123,7 +116,7 @@ pub struct AnnealBenchReport {
     /// Cache-miss attribution from the cached single run, one count per
     /// [`owan_core::MissReason`] slug (evaluation-level; sums to the
     /// outcome-miss total).
-    pub miss_by_reason: [(&'static str, u64); 7],
+    pub miss_by_reason: [(&'static str, u64); 2],
     /// The dominant attributed miss cause (slug) and its count.
     pub miss_dominant: (String, u64),
     /// Comparability caveats baked into the report itself (e.g. a
@@ -336,15 +329,6 @@ pub fn bench_anneal(
     }
     let (naive_res, naive_wall, naive_evals, naive_sp) = naive.expect("reps >= 1");
     let (fast_res, fast_wall, fast_evals, fast_sp, outcome_hit_rate) = fast.expect("reps >= 1");
-    // The headline hit rate is the relay layer's — the layer that
-    // amortizes the RegenGraph/Yen work the fast path exists to avoid.
-    let relay_lookups =
-        fast_stats.relay_hits + fast_stats.relay_relaxed_hits + fast_stats.relay_misses;
-    let cache_hit_rate = if relay_lookups > 0 {
-        (fast_stats.relay_hits + fast_stats.relay_relaxed_hits) as f64 / relay_lookups as f64
-    } else {
-        0.0
-    };
     let attributed: u64 = fast_stats.miss_by_reason.iter().sum();
     assert_eq!(
         attributed, fast_stats.outcome_misses,
@@ -488,7 +472,6 @@ pub fn bench_anneal(
         fast_shortest_path_calls: fast_sp,
         shortest_path_reduction: naive_sp as f64 / (fast_sp as f64).max(1.0),
         eval_speedup: naive_wall / fast_wall.max(1e-9),
-        cache_hit_rate,
         outcome_hit_rate,
         pipeline_naive_wall_s,
         pipeline_fast_wall_s,
@@ -546,7 +529,6 @@ impl AnnealBenchReport {
             format!("{:.2}", self.shortest_path_reduction),
         );
         kv("eval_speedup", format!("{:.2}", self.eval_speedup));
-        kv("cache_hit_rate", format!("{:.4}", self.cache_hit_rate));
         kv("outcome_hit_rate", format!("{:.4}", self.outcome_hit_rate));
         kv(
             "pipeline_naive_wall_s",
@@ -701,7 +683,6 @@ mod tests {
             fast_shortest_path_calls: 100,
             shortest_path_reduction: 10.0,
             eval_speedup: 4.0,
-            cache_hit_rate: 0.75,
             outcome_hit_rate: 0.05,
             pipeline_naive_wall_s: 2.0,
             pipeline_fast_wall_s: 1.0,
@@ -719,15 +700,7 @@ mod tests {
             chains_busy_s: 0.9,
             chains_concurrency: 1.8,
             chains_utilization: 2.0,
-            miss_by_reason: [
-                ("cold", 40),
-                ("flush", 2),
-                ("class_collision", 1),
-                ("partial_candidate_list", 0),
-                ("boundary_guard", 3),
-                ("membership_crossing", 0),
-                ("capacity", 0),
-            ],
+            miss_by_reason: [("cold", 40), ("capacity", 3)],
             miss_dominant: ("cold".into(), 40),
             warnings: vec!["multi-chain scaling measured with 2 chains on 1 core".into()],
         };
@@ -739,11 +712,9 @@ mod tests {
         assert_eq!(json_string(&json, "commit").as_deref(), Some("abc1234"));
         assert_eq!(json_number(&json, "prof_overhead"), Some(0.02));
         assert_eq!(json_number(&json, "chains_concurrency"), Some(1.8));
-        assert_eq!(json_number(&json, "cache_hit_rate"), Some(0.75));
         assert_eq!(json_number(&json, "outcome_hit_rate"), Some(0.05));
         assert_eq!(json_number(&json, "cache_miss_cold"), Some(40.0));
-        assert_eq!(json_number(&json, "cache_miss_class_collision"), Some(1.0));
-        assert_eq!(json_number(&json, "cache_miss_boundary_guard"), Some(3.0));
+        assert_eq!(json_number(&json, "cache_miss_capacity"), Some(3.0));
         assert!(
             json.contains("\"warnings\": [\"multi-chain scaling"),
             "warnings must serialize as a row:\n{json}"
@@ -789,11 +760,6 @@ mod tests {
                 "a 1-core multi-chain report must carry a warning row"
             );
         }
-        assert!(
-            report.cache_hit_rate >= 0.0 && report.cache_hit_rate <= 1.0,
-            "relay hit rate out of range: {}",
-            report.cache_hit_rate
-        );
         assert!(report.fast_shortest_path_calls > 0);
         let attributed: u64 = report.miss_by_reason.iter().map(|&(_, n)| n).sum();
         assert!(
@@ -808,7 +774,7 @@ mod tests {
         assert!(report.chains_concurrency > 0.0);
         assert!(
             report.shortest_path_reduction >= 1.0,
-            "cache can only remove shortest-path work, got {}",
+            "the fast path can only remove relay searches, got {}",
             report.shortest_path_reduction
         );
         assert!(report.pipeline_slots > 0);

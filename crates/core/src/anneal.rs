@@ -48,10 +48,10 @@ pub struct AnnealConfig {
     /// Optional wall-clock budget in seconds (used by the Fig 10(d)
     /// running-time experiment). `None` = no time limit.
     pub time_budget_s: Option<f64>,
-    /// Use the [`EnergyCache`] fast path (relay caching, delta rebuilds,
-    /// outcome memoization). At a fixed iteration count (`time_budget_s
-    /// == None`) the search result is bit-identical either way — the
-    /// flag only trades memory for speed. Under a wall-clock budget the
+    /// Use the [`EnergyCache`] fast path (plant tables, lazy relay search,
+    /// delta rebuilds, outcome memoization). At a fixed iteration count
+    /// (`time_budget_s == None`) the search result is bit-identical either
+    /// way — the flag only trades memory for speed. Under a wall-clock budget the
     /// cheaper evaluations fit *more* iterations inside the budget, so
     /// the resulting plan legitimately differs (that is the point of the
     /// Fig 10(d) experiment: quality per second, not per iteration). Off
@@ -296,11 +296,18 @@ fn anneal_chain(
     telemetry.anneal_iterations.add(iterations as u64);
 
     let (topology, outcome) = match best {
-        Some(snapshot) => snapshot,
+        Some(snapshot) => {
+            // A walk that came back to the best state holds its outcome
+            // a second time.
+            drop(current_outcome);
+            snapshot
+        }
         None => (current, current_outcome),
     };
-    // Outcomes are shared with the cache's memo behind an `Arc`; the
-    // result owns its copy (cheap unwrap when the memo already evicted it).
+    // Outcomes were shared with the cache's memo behind an `Arc`; with the
+    // run's memo released the result takes its outcome without a copy.
+    eval.finish();
+    debug_assert_eq!(Arc::strong_count(&outcome), 1, "winner uniquely owned");
     let outcome = Arc::try_unwrap(outcome).unwrap_or_else(|a| (*a).clone());
     AnnealResult {
         topology,
@@ -371,10 +378,10 @@ pub fn anneal_parallel_with_caches(
 /// The chain → result mapping and the winner are identical for every
 /// worker count; only wall-clock changes.
 ///
-/// Before any chain runs, the per-plant precompute (the Floyd–Warshall
-/// static-interior matrix and relay domains, see
-/// [`PlantCache`]) is resolved **once** — recycled from
-/// whichever cache already holds it for this plant, built fresh otherwise
+/// Before any chain runs, the per-plant precompute (relay domains, reach
+/// rows and route table, see [`PlantCache`]) is resolved **once** —
+/// recycled from whichever cache already holds it for this plant, built
+/// fresh otherwise
 /// — and offered to every chain's cache, so N chains never redo the
 /// all-pairs work N times.
 #[allow(clippy::too_many_arguments)]

@@ -10,22 +10,23 @@
 //! possible optical circuits to satisfy all the desired capacity, we have
 //! to decrease the link capacity" (lines 13–14).
 
-use crate::cache::{EnergyCache, FiberSet};
-use crate::regen::RegenGraph;
+use crate::cache::{EnergyCache, FiberSet, PlantCache};
+use crate::regen::{RegenGraph, RelayScratch, RelaySearch};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
 use owan_optical::{Circuit, CircuitId, FiberPlant, OccupancyShadow, OpticalState};
 
-/// Per-pair unions of the probe sets a build consulted: for each desired
-/// pair, in canonical pair order, every fiber any provisioning attempt's candidate list (under that
-/// attempt's free-regenerator vector) could read or write. Recorded by the
-/// cached and delta builders; the naive builder leaves it empty.
+/// Per-pair probe sets of a build: for each desired pair, in canonical
+/// pair order, the route fibers of every relay candidate the pair's
+/// provisioning attempts actually tried — exactly the fibers whose channel
+/// occupancy those attempts read or wrote. Recorded by the cached and
+/// delta builders; the naive builder leaves it empty.
 ///
 /// A later delta rebuild resuming from this build uses the log as the
-/// fiber half of its **dirty-set screen**: a pair whose recorded probe
-/// union avoids every diverged fiber (and whose relay domain avoids every
+/// fiber half of its **dirty-set screen**: a pair whose recorded probe set
+/// avoids every diverged fiber (and whose relay domain avoids every
 /// diverged regenerator site) provably reproduces its previous circuits,
-/// with no relay-cache lookups and no attempt walk.
+/// with no relay search and no provisioning.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeLog(Vec<((usize, usize), FiberSet)>);
 
@@ -36,7 +37,7 @@ impl ProbeLog {
 }
 
 /// The log is derived data — two builds with equal circuits have equal
-/// probe unions wherever both recorded them — so it is excluded from
+/// probe sets wherever both recorded them — so it is excluded from
 /// equality: the naive builder records nothing, and the structural
 /// identity the debug assertions check is over achieved topology, optical
 /// state, and circuits.
@@ -157,11 +158,110 @@ pub fn build_topology_observed(
     }
 }
 
-/// [`build_topology_observed`] with the relay-candidate cache: identical
-/// construction order and identical results, but `RegenGraph::build` + Yen
-/// run only when the cache has no entry for the link's endpoint pair under
-/// the current free-regenerator vector. `telemetry.shortest_path_calls`
-/// therefore counts only the shortest-path work actually performed.
+/// The fast builders' provisioning step, shared by
+/// [`build_topology_cached`] and the delta rebuild: everything an attempt
+/// needs besides the optical state it provisions into.
+struct Attempts<'a> {
+    plant: &'a FiberPlant,
+    fiber_dist: &'a [Vec<f64>],
+    config: &'a CircuitBuildConfig,
+    pc: &'a PlantCache,
+    scratch: &'a mut RelayScratch,
+    telemetry: &'a CoreTelemetry,
+}
+
+impl Attempts<'_> {
+    /// One provisioning attempt for `(u, v)` (Algorithm 3 lines 7–12):
+    /// draws relay candidates from a [`RelaySearch`] under the state's
+    /// free-regenerator vector, cheapest first, and tries to light each —
+    /// the next one is searched for only when the previous could not be
+    /// lit — until one succeeds or `relay_candidates` were tried. The
+    /// route fibers of every candidate tried are added to `probe`.
+    fn light_circuit(
+        &mut self,
+        optical: &mut OpticalState,
+        u: usize,
+        v: usize,
+        probe: &mut FiberSet,
+    ) -> Option<CircuitId> {
+        let telemetry = self.telemetry;
+        // The vector moves when a circuit is lit; the reference check
+        // below needs the one the search started from.
+        let regens_at_start = cfg!(debug_assertions).then(|| optical.free_regen_vec().to_vec());
+        telemetry.shortest_path_calls.incr();
+        let mut search = RelaySearch::start(
+            self.pc.reach(),
+            optical.free_regen_vec(),
+            u,
+            v,
+            self.scratch,
+        );
+        let mut lit = None;
+        for _ in 0..self.config.relay_candidates {
+            let Some((relay, _)) = search.next_path() else {
+                break;
+            };
+            for w in relay.windows(2) {
+                if let Some(route) = self.pc.routes().route(w[0], w[1]) {
+                    for &f in &route.fibers {
+                        probe.insert(f);
+                    }
+                }
+            }
+            match optical.provision_routed(self.plant, self.pc.routes(), relay) {
+                Ok(id) => {
+                    telemetry.circuits_built.incr();
+                    telemetry
+                        .regens_consumed
+                        .add(optical.circuit(id).map_or(0, |c| c.regen_sites.len()) as u64);
+                    lit = Some(id);
+                    break;
+                }
+                Err(_) => telemetry.wavelength_failures.incr(),
+            }
+        }
+        debug_assert!(
+            search.matches_reference(
+                self.plant,
+                regens_at_start.as_deref().unwrap_or_default(),
+                self.fiber_dist
+            ),
+            "relay search must equal RegenGraph + Yen for ({u}, {v})"
+        );
+        lit
+    }
+
+    /// Provisions up to `m` circuits for `(u, v)`, stopping at the first
+    /// attempt that lights nothing (Algorithm 3 lines 13–14: the link's
+    /// capacity is reduced). Returns the circuits and the pair's probe
+    /// set — recorded even when nothing was built: the failed attempt
+    /// still tried candidates, and a later delta's screen vouches for
+    /// exactly that attempt.
+    fn provision_pair(
+        &mut self,
+        optical: &mut OpticalState,
+        u: usize,
+        v: usize,
+        m: u32,
+    ) -> (Vec<CircuitId>, FiberSet) {
+        let mut ids = Vec::new();
+        let mut probe = FiberSet::new(self.plant.fiber_count());
+        for _ in 0..m {
+            match self.light_circuit(optical, u, v, &mut probe) {
+                Some(id) => ids.push(id),
+                None => break,
+            }
+        }
+        (ids, probe)
+    }
+}
+
+/// [`build_topology_observed`] on the fast path: identical construction
+/// order and identical results, but relay candidates are drawn lazily from
+/// a [`RelaySearch`] over the cache's plant-scoped tables (no graph built,
+/// no path searched that is not tried) and segments are routed from the
+/// plant's route table. Records the [`ProbeLog`] a later delta rebuild
+/// resumes from.
 pub fn build_topology_cached(
     plant: &FiberPlant,
     desired: &Topology,
@@ -172,47 +272,22 @@ pub fn build_topology_cached(
 ) -> BuiltTopology {
     cache.stats.full_builds += 1;
     let pc = cache.plant_precompute(plant, fiber_dist);
+    let mut attempts = Attempts {
+        plant,
+        fiber_dist,
+        config,
+        pc: &pc,
+        scratch: &mut cache.relay_scratch,
+        telemetry,
+    };
     let mut optical = OpticalState::new(plant);
     let mut achieved = Topology::empty(desired.site_count());
     let mut circuits = Vec::new();
     let mut pair_probes = ProbeLog::default();
 
     for (u, v, m) in desired.links() {
-        let mut ids = Vec::new();
-        let mut pair_probe = FiberSet::new(plant.fiber_count());
-        for _ in 0..m {
-            let (candidates, probe) = cache.relay_candidates_and_probe(
-                plant,
-                fiber_dist,
-                optical.free_regen_vec(),
-                u,
-                v,
-                telemetry,
-            );
-            pair_probe.union_with(probe);
-            let mut provisioned = false;
-            for relay in candidates {
-                match optical.provision_routed(plant, pc.routes(), relay) {
-                    Ok(id) => {
-                        telemetry.circuits_built.incr();
-                        telemetry
-                            .regens_consumed
-                            .add(optical.circuit(id).map_or(0, |c| c.regen_sites.len()) as u64);
-                        ids.push(id);
-                        provisioned = true;
-                        break;
-                    }
-                    Err(_) => telemetry.wavelength_failures.incr(),
-                }
-            }
-            if !provisioned {
-                break;
-            }
-        }
-        // Recorded even for pairs that built nothing: the failed attempt
-        // still consulted a candidate list, and a future delta's skip test
-        // replays exactly that attempt.
-        pair_probes.push(u, v, pair_probe);
+        let (ids, probe) = attempts.provision_pair(&mut optical, u, v, m);
+        pair_probes.push(u, v, probe);
         if !ids.is_empty() {
             achieved.add_links(u, v, ids.len() as u32);
             circuits.push(((u, v), ids));
@@ -276,30 +351,32 @@ const MAX_DELTA_UNITS: u32 = 4;
 /// The builder walks every active pair in canonical order, maintaining the
 /// build under construction plus a lightweight **occupancy shadow** — the
 /// packed channel words and regenerator vector of a verbatim replay of the
-/// previous build, without circuit storage. It tracks **dirty sets**: the
-/// fibers and regenerator sites on which the live build has provably
-/// diverged from the replay (contributed only by pairs whose circuits
-/// actually changed). An unchanged pair whose relay domain avoids every
-/// dirty site and whose recorded probe union (see [`ProbeLog`]) avoids
-/// every dirty fiber is reused by those two intersections alone. Only
-/// pairs the screen cannot clear run the exact **skip test**:
+/// previous build, without circuit storage. It tracks the **dirty fibers**:
+/// a superset of where the live build's channel occupancy has diverged
+/// from the replay's (contributed only by pairs whose circuits actually
+/// changed). A pair of unchanged multiplicity passes the **dirty-set
+/// screen** — would a fresh build, given the state built so far, reproduce
+/// the previous circuits? — when
 ///
-/// 1. the free-regenerator vectors of the two states are equal — so every
-///    provisioning attempt of a fresh build would query the regenerator
-///    graph under exactly the vectors the retained circuits were chosen
-///    under (replayed attempt by attempt, including the trailing failed
-///    attempt of a partially satisfied pair); and
+/// 1. the free-regenerator vectors of the two states agree on the pair's
+///    relay domain (see [`PlantCache`]) — they then agree there at every
+///    attempt (both sides decrement by the same circuits), so every
+///    attempt's relay search draws exactly the candidates the previous
+///    build's drew; and
 /// 2. channel occupancy is equal between the two states on every fiber of
-///    the pair's *probe sets* — the fibers any attempt's candidate list
-///    (under that attempt's vector) can read or write — so every first-fit
-///    channel choice and every wavelength failure is reproduced exactly.
+///    the pair's recorded probe set (see [`ProbeLog`]) — the fibers of the
+///    candidates the previous build tried, which by (1) are the ones a
+///    fresh build would try — so every first-fit channel choice and every
+///    wavelength failure is reproduced exactly, the trailing failed
+///    attempt of a partially satisfied pair included. Only probe fibers
+///    that are dirty need comparing; clean ones are equal by construction.
 ///
-/// When the test passes, the previous circuits are installed verbatim: no
-/// shortest-path work, no provisioning. When it fails — or the pair's
-/// multiplicity changed — only *that pair* is re-provisioned, through the
-/// relay-candidate cache, exactly as [`build_topology_cached`] would.
-/// There is no all-or-nothing contention fallback: divergence degrades
-/// reuse pair by pair.
+/// When the screen passes, the previous circuits are installed verbatim:
+/// no relay search, no provisioning. When it fails — or the pair's
+/// multiplicity changed — only *that pair* is re-provisioned, exactly as
+/// [`build_topology_cached`] would, and it spreads dirt only if its
+/// circuits come out different. There is no all-or-nothing contention
+/// fallback: divergence degrades reuse pair by pair.
 ///
 /// Returns `None` only when the topologies differ by more than
 /// [`MAX_DELTA_UNITS`] units (beyond the neighbor-move bound, resuming
@@ -343,6 +420,14 @@ pub fn try_build_topology_delta(
     let mut prev_probes = PairCursor::new(&prev_built.pair_probes.0);
 
     let pc = cache.plant_precompute(plant, fiber_dist);
+    let mut attempts = Attempts {
+        plant,
+        fiber_dist,
+        config,
+        pc: &pc,
+        scratch: &mut cache.relay_scratch,
+        telemetry,
+    };
     let mut optical = OpticalState::new(plant);
     let mut replay = OccupancyShadow::new(plant);
     let mut achieved = Topology::empty(n);
@@ -350,15 +435,14 @@ pub fn try_build_topology_delta(
     let mut pair_probes = ProbeLog::default();
     let mut reused = 0u64;
     let mut rebuilt = 0u64;
-    let mut screened = 0u64;
 
-    // Dirty sets: conservative supersets of where the live build has
+    // Dirty fibers: a conservative superset of where the live build has
     // diverged from the replay so far. A rebuilt pair whose new circuits
-    // differ from its previous ones contributes the fibers and regenerator
-    // sites of *both* generations; everything else (reused pairs, and
-    // rebuilds that reproduced their circuits verbatim) contributes
-    // nothing, because identical circuits installed on both sides leave
-    // occupancy words and free-regenerator counts equal.
+    // differ from its previous ones contributes the fibers of *both*
+    // generations; everything else (reused pairs, and rebuilds that
+    // reproduced their circuits verbatim) contributes nothing, because
+    // identical circuits installed on both sides leave occupancy words and
+    // free-regenerator counts equal.
     let mut dirty_fibers = FiberSet::new(plant.fiber_count());
     let mut any_dirty = false;
     let mark_dirty = |c: &Circuit, df: &mut FiberSet| {
@@ -379,96 +463,21 @@ pub fn try_build_topology_delta(
             let ids = prev_circuits.seek(u, v).map_or(&[][..], Vec::as_slice);
             let recorded = prev_probes.seek(u, v);
 
-            // Skip test (unchanged pairs only): would a fresh build, given
-            // the state built so far, reproduce the previous circuits?
-            //
-            // Dirty-set screen first: when the pair's relay domain avoids
-            // every diverged regenerator site, the live and replayed
-            // vectors agree on the domain at every attempt (they start
-            // equal there and decrement identically), so each attempt's
-            // candidate list — and hence its probe set — is exactly the
-            // one the previous build recorded. When that recorded probe
-            // union also avoids every diverged fiber, channel occupancy
-            // matches on all fibers any attempt can read or write. Two
-            // bitset intersections then prove what the attempt walk
-            // proves, with no cache lookups at all.
-            //
-            // Only pairs the screen cannot clear fall through to the
-            // exact walk: attempt by attempt, the candidate lists under
-            // the live and replayed vectors must provably coincide, and
-            // channel occupancy must match on every probe fiber —
-            // including the trailing failed attempt of a partially
-            // satisfied pair.
-            let mut use_prev = false;
-            let mut pair_probe: Option<FiberSet> = None;
-            if m_prev == m_new {
-                // Pairs whose live and replayed vectors agree on the relay
-                // domain are decided without any cache lookup. Equal domain
-                // projections at the pair's start stay equal through every
-                // attempt (both sides decrement by the same circuits), so
-                // candidate-list equality holds attempt by attempt — and
-                // each attempt's probe set is then exactly the one the
-                // previous build recorded, so the occupancy comparison
-                // runs on the recorded union, restricted to its dirty
-                // fibers (clean fibers are equal by the dirty invariant).
-                // Equality there is precisely what the attempt walk would
-                // establish; inequality is precisely where it would fail.
-                // The walk below remains only for pairs whose projections
-                // genuinely diverge — where Yen output equality needs the
-                // cache's relaxed prover.
-                let proj_equal = !any_dirty || {
+            // The dirty-set screen (unchanged pairs only).
+            let screened = recorded.filter(|prev_probe| {
+                let domain_equal = !any_dirty || {
                     let lv = optical.free_regen_vec();
                     let rv = replay.free_regen_vec();
                     pc.domain(u, v).iter().all(|&s| lv[s] == rv[s])
                 };
-                if let (true, Some(prev_probe)) = (proj_equal, recorded) {
-                    if prev_probe
+                m_prev == m_new
+                    && domain_equal
+                    && prev_probe
                         .iter_common(&dirty_fibers)
                         .all(|f| optical.occupancy_words(f) == replay.occupancy_words(f))
-                    {
-                        use_prev = true;
-                        pair_probe = Some(prev_probe.clone());
-                        screened += 1;
-                    }
-                    // else: a probe fiber genuinely diverged — rebuild,
-                    // exactly as a failed walk would.
-                } else {
-                    let mut v_live = optical.free_regen_vec().to_vec();
-                    let mut v_rep = replay.free_regen_vec().to_vec();
-                    let mut walk_probe = FiberSet::new(plant.fiber_count());
-                    let mut ok = true;
-                    let extra_attempt = ids.len() < m_prev as usize;
-                    for i in 0..ids.len() + usize::from(extra_attempt) {
-                        let Some(probe) = cache.attempt_equivalent(
-                            plant, fiber_dist, &v_live, &v_rep, u, v, telemetry,
-                        ) else {
-                            ok = false;
-                            break;
-                        };
-                        if probe
-                            .iter()
-                            .any(|f| optical.occupancy_words(f) != replay.occupancy_words(f))
-                        {
-                            ok = false;
-                            break;
-                        }
-                        walk_probe.union_with(&probe);
-                        if let Some(&id) = ids.get(i) {
-                            let c = prev_built.optical.circuit(id).expect("live circuit");
-                            for &s in &c.regen_sites {
-                                v_live[s] -= 1;
-                                v_rep[s] -= 1;
-                            }
-                        }
-                    }
-                    use_prev = ok;
-                    if ok {
-                        pair_probe = Some(walk_probe);
-                    }
-                }
-            }
+            });
 
-            if use_prev {
+            if let Some(prev_probe) = screened {
                 reused += 1;
                 let mut pair_ids = Vec::new();
                 for &id in ids {
@@ -476,7 +485,7 @@ pub fn try_build_topology_delta(
                     replay.install(c);
                     pair_ids.push(optical.install(c.clone()));
                 }
-                pair_probes.push(u, v, pair_probe.expect("probe recorded on reuse"));
+                pair_probes.push(u, v, prev_probe.clone());
                 if !pair_ids.is_empty() {
                     achieved.add_links(u, v, pair_ids.len() as u32);
                     circuits.push(((u, v), pair_ids));
@@ -489,7 +498,6 @@ pub fn try_build_topology_delta(
                 replay.install(prev_built.optical.circuit(id).expect("live circuit"));
             }
 
-            // Re-provision this pair exactly as a fresh cached build would.
             if m_new == 0 {
                 // The previous circuits vanish from the live build: their
                 // channels and regenerators now differ from the replay.
@@ -500,44 +508,15 @@ pub fn try_build_topology_delta(
                 }
                 continue;
             }
+            // Re-provision this pair exactly as a fresh cached build would.
             rebuilt += 1;
-            let mut pair_ids = Vec::new();
-            let mut rebuild_probe = FiberSet::new(plant.fiber_count());
-            for _ in 0..m_new {
-                let (candidates, probe) = cache.relay_candidates_and_probe(
-                    plant,
-                    fiber_dist,
-                    optical.free_regen_vec(),
-                    u,
-                    v,
-                    telemetry,
-                );
-                rebuild_probe.union_with(probe);
-                let mut provisioned = false;
-                for relay in candidates {
-                    match optical.provision_routed(plant, pc.routes(), relay) {
-                        Ok(id) => {
-                            telemetry.circuits_built.incr();
-                            telemetry
-                                .regens_consumed
-                                .add(optical.circuit(id).map_or(0, |c| c.regen_sites.len()) as u64);
-                            pair_ids.push(id);
-                            provisioned = true;
-                            break;
-                        }
-                        Err(_) => telemetry.wavelength_failures.incr(),
-                    }
-                }
-                if !provisioned {
-                    break;
-                }
-            }
-            pair_probes.push(u, v, rebuild_probe);
+            let (pair_ids, probe) = attempts.provision_pair(&mut optical, u, v, m_new);
+            pair_probes.push(u, v, probe);
 
             // A rebuild that reproduced the previous circuits verbatim
-            // (the walk merely failed to *prove* it would) leaves live and
-            // replay identical on every fiber and site it touched — no
-            // dirt, so the screen stays sharp for the pairs after it.
+            // leaves live and replay identical on every fiber and site it
+            // touched — no dirt, so the screen stays sharp for the pairs
+            // after it.
             let identical = pair_ids.len() == ids.len()
                 && pair_ids
                     .iter()
@@ -565,7 +544,6 @@ pub fn try_build_topology_delta(
     cache.stats.delta_builds += 1;
     cache.stats.delta_pairs_reused += reused;
     cache.stats.delta_pairs_rebuilt += rebuilt;
-    cache.stats.delta_pairs_screened += screened;
 
     let built = BuiltTopology {
         achieved,

@@ -130,11 +130,12 @@ fn compute_energy_with(
 ///
 /// With a cache attached, an evaluation first consults the outcome memo
 /// (revisited topologies cost a hash lookup + clone), then rebuilds
-/// circuits — incrementally against a `basis` outcome when the contention
-/// detector allows, via the relay-candidate cache otherwise — and finally
-/// runs the rate pass in the cache's scratch buffers. Without a cache it is
-/// a plain pass-through, so callers can toggle the fast path with an
-/// `Option` and nothing else.
+/// circuits — incrementally against a `basis` outcome when it is a
+/// neighbor move away, in full otherwise, either way over the cache's
+/// plant tables with relay candidates drawn lazily — and finally runs the
+/// rate pass in the cache's scratch buffers. Without a cache it is a plain
+/// pass-through, so callers can toggle the fast path with an `Option` and
+/// nothing else.
 ///
 /// Every path produces a bit-identical [`EnergyOutcome`] (debug builds
 /// assert the circuit-layer equality on every cached/delta build); only
@@ -159,7 +160,7 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
     ) -> Self {
         let mut cache = cache;
         if let Some(c) = cache.as_deref_mut() {
-            c.begin_run(ctx.plant, &ctx.circuit_config);
+            c.begin_run(ctx.plant);
         }
         EnergyEvaluator {
             ctx,
@@ -198,12 +199,15 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
             return hit;
         }
         self.telemetry.anneal_cache_miss.incr();
-        // Miss attribution: a refused-at-capacity repeat is `capacity`;
-        // otherwise the dominant relay-layer reject observed while
-        // building this evaluation names the cause, and a build that
-        // missed no relay entry at all is a plain cold start.
-        let overflowed = cache.outcome_overflowed(desired);
-        let relay_before = cache.stats.relay_miss_by_reason;
+        // Miss attribution: a repeat the memo refused at its capacity cap
+        // is `capacity`, anything else is first sight.
+        let reason = if cache.outcome_overflowed(desired) {
+            MissReason::Capacity
+        } else {
+            MissReason::Cold
+        };
+        cache.stats.count_eval_miss(reason);
+        self.telemetry.cache_miss_reason(reason).incr();
 
         let built = {
             let _span = self.telemetry.circuits.enter();
@@ -233,25 +237,6 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
             }
         };
 
-        let reason = if overflowed {
-            MissReason::Capacity
-        } else {
-            let relay_after = cache.stats.relay_miss_by_reason;
-            let mut dominant = None::<(usize, u64)>;
-            for (i, (after, before)) in relay_after.iter().zip(&relay_before).enumerate() {
-                let d = after - before;
-                if d > 0 && dominant.is_none_or(|(_, best)| d > best) {
-                    dominant = Some((i, d));
-                }
-            }
-            match dominant {
-                Some((i, _)) => MissReason::RELAY[i],
-                None => MissReason::Cold,
-            }
-        };
-        cache.stats.count_eval_miss(reason);
-        self.telemetry.cache_miss_reason(reason).incr();
-
         let rates = {
             let _span = self.telemetry.rates.enter();
             let _region = ctx.prof.region("rates");
@@ -268,6 +253,16 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
         let outcome = Arc::new(EnergyOutcome { built, rates });
         cache.store_outcome(desired.clone(), Arc::clone(&outcome));
         outcome
+    }
+
+    /// Ends the run: releases the cache's run-scoped outcome memo, so the
+    /// outcomes this evaluator handed out are owned by their holders alone
+    /// (the memo answers for this run's transfer set only and would be
+    /// cleared by the next [`EnergyCache::begin_run`] anyway).
+    pub fn finish(self) {
+        if let Some(cache) = self.cache {
+            cache.end_run();
+        }
     }
 }
 
@@ -369,5 +364,38 @@ mod tests {
         let e = compute_energy(&ctx, &topo);
         assert!(e.energy_gbps() <= 20.0 + 1e-9);
         assert!(e.energy_gbps() > 0.0);
+    }
+
+    #[test]
+    fn finishing_the_run_leaves_outcomes_uniquely_owned() {
+        let plant = ring_plant();
+        let fd = plant.fiber_distance_matrix();
+        let transfers = vec![transfer(0, 0, 1, 40.0), transfer(1, 2, 3, 40.0)];
+        let ctx = EnergyContext {
+            plant: &plant,
+            fiber_dist: &fd,
+            transfers: &transfers,
+            policy: SchedulingPolicy::ShortestJobFirst,
+            slot_len_s: 1.0,
+            circuit_config: CircuitBuildConfig::default(),
+            rate_config: RateAssignConfig::default(),
+            prof: Profiler::disabled(),
+        };
+        let telemetry = CoreTelemetry::disabled();
+        let rate_inputs = ctx.rate_inputs(&telemetry);
+        let mut ring = Topology::empty(4);
+        for i in 0..4 {
+            ring.add_links(i, (i + 1) % 4, 1);
+        }
+        let mut cache = EnergyCache::new();
+        let mut eval = EnergyEvaluator::new(&ctx, Some(&mut cache), &rate_inputs, &telemetry);
+        let outcome = eval.eval(&ring, None);
+        assert!(Arc::ptr_eq(&outcome, &eval.eval(&ring, None)), "memo hit");
+        assert_eq!(Arc::strong_count(&outcome), 2, "the memo holds a handle");
+        eval.finish();
+        assert!(
+            Arc::try_unwrap(outcome).is_ok(),
+            "no deep clone to take the winner out"
+        );
     }
 }

@@ -81,7 +81,7 @@ pub use rates::{
     assign_rates_reference, assign_rates_with, RateAssignConfig, RateInputs, RateOutcome,
     RateScratch,
 };
-pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch};
+pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch, RelaySearch};
 pub use telemetry::CoreTelemetry;
 // Re-exported so downstream crates (oracle, sim, bench) can attach or stub
 // the tier-3 profiler without depending on `owan-prof` directly.

@@ -14,9 +14,11 @@
 //! Two implementations of that search live here. [`RegenGraph`] builds the
 //! transformed graph and runs the generic `owan-graph` Dijkstra/Yen on it:
 //! the reference, used by the naive circuit builder and by tests.
-//! [`relay_k_shortest`] is the evaluation path's kernel: the same search,
-//! bit for bit, over plant-scoped bitset rows ([`ReachRows`]) with no
-//! graph built and no allocation beyond its output.
+//! [`RelaySearch`] is the evaluation path's kernel: the same search, bit
+//! for bit, over plant-scoped bitset rows ([`ReachRows`]) with no graph
+//! built and no allocation, and resumable — it hands out one path per call,
+//! because Algorithm 3 needs the next relay path only when the previous one
+//! could not be lit.
 
 use owan_graph::{dijkstra, k_shortest_paths, Graph};
 use owan_optical::{FiberPlant, OpticalState, SiteId};
@@ -50,9 +52,9 @@ impl RegenGraph {
 
     /// [`RegenGraph::build`] from an explicit free-regenerator vector
     /// instead of an [`OpticalState`]. The graph depends on the state only
-    /// through this vector, which is what makes relay-candidate results
-    /// cacheable: equal vectors (under the same plant and distance matrix)
-    /// produce identical graphs and therefore identical Yen outputs.
+    /// through this vector: equal vectors (under the same plant and
+    /// distance matrix) produce identical graphs and therefore identical
+    /// Yen outputs.
     pub fn build_with_free_regens(
         plant: &FiberPlant,
         regens_free: &[u32],
@@ -119,8 +121,7 @@ impl RegenGraph {
     }
 
     /// [`Self::relay_candidates`] paired with each path's total node weight
-    /// (the Yen cost). The relay-candidate cache stores the last cost as
-    /// the cutoff for its provably-safe relaxed vector matching.
+    /// (the Yen cost) — what [`RelaySearch`] is checked against.
     pub fn relay_candidates_with_costs(&self, k: usize) -> Vec<(Vec<SiteId>, f64)> {
         k_shortest_paths(&self.transformed, 0, 1, k)
             .into_iter()
@@ -135,7 +136,7 @@ impl RegenGraph {
 /// The reach adjacency of a plant as bitset rows: which site pairs lie
 /// within optical reach of each other, the vector-independent half of
 /// every regenerator graph. Built once per plant (see
-/// [`PlantCache`](crate::cache::PlantCache)) for [`relay_k_shortest`].
+/// [`PlantCache`](crate::cache::PlantCache)) for [`RelaySearch`].
 ///
 /// [`RegenGraph::build_with_free_regens`] tests the pair of nodes `i < j`
 /// with `fiber_dist[sites[i]][sites[j]]` — oriented by *node* order — and
@@ -169,6 +170,11 @@ impl ReachRows {
             }
         }
         ReachRows { n, words, fwd, rev }
+    }
+
+    /// The sites `y` with `fiber_dist[x][y]` within reach, as a bitset.
+    pub(crate) fn row(&self, x: SiteId) -> &[u64] {
+        &self.fwd[x * self.words..(x + 1) * self.words]
     }
 
     /// Word `i` of the set of sites adjacent to `x` in the regenerator
@@ -208,8 +214,8 @@ struct PathRec {
     cost: f64,
 }
 
-/// Reusable buffers for [`relay_k_shortest`]: after the first call on a
-/// plant the search allocates nothing but its output.
+/// Buffers and between-draw state of a [`RelaySearch`]: after the first
+/// search on a plant, searching allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RelayScratch {
     /// Relay weight per site (`0` at the endpoints, `1/free` elsewhere).
@@ -325,68 +331,147 @@ impl RelayScratch {
     }
 }
 
-/// Up to `k` relay paths from `src` to `dst` in increasing weight order
-/// under the free-regenerator vector `regens_free`, each with its cost:
-/// exactly `RegenGraph::build_with_free_regens(..)
-/// .relay_candidates_with_costs(k)` — same paths, same order, costs equal
-/// bit for bit — without building a graph. The node set is `src`, `dst`
-/// and every other site with a free regenerator; adjacency comes from the
-/// plant-scoped [`ReachRows`]; Yen's spur bans are bitmasks; every
-/// tie-break follows the reference's node order (see [`rank`]): Dijkstra
-/// settles by `(dist, node)`, the candidate pool yields by `(cost, node
-/// sequence)`, a stitched path costs `root_costs[i] + spur cost`, and
-/// pool/found de-duplication compares nodes *and* cost bits as
-/// `owan_graph::Path` does.
-pub fn relay_k_shortest(
-    reach: &ReachRows,
-    regens_free: &[u32],
+/// A resumable k-shortest relay search from `src` to `dst` under one
+/// free-regenerator vector: Yen's algorithm one path per call, so a caller
+/// that lights the first candidate pays one early-exit Dijkstra and nothing
+/// else. The paths drawn are exactly `RegenGraph::build_with_free_regens(..)
+/// .relay_candidates_with_costs(drawn)` — same paths, same order, costs
+/// equal bit for bit — without building a graph: Yen's i-th path depends
+/// only on the first i−1, so a prefix of a longer run is a shorter run.
+///
+/// The node set is `src`, `dst` and every other site with a free
+/// regenerator; adjacency comes from the plant-scoped [`ReachRows`]; Yen's
+/// spur bans are bitmasks; every tie-break follows the reference's node
+/// order (see [`rank`]): Dijkstra settles by `(dist, node)`, the candidate
+/// pool yields by `(cost, node sequence)`, a stitched path costs
+/// `root_costs[i] + spur cost`, and pool/found de-duplication compares
+/// nodes *and* cost bits as `owan_graph::Path` does.
+///
+/// All state between draws (found paths, candidate pool, weights) lives in
+/// the [`RelayScratch`]; the vector is read once, by [`Self::start`], so
+/// the caller is free to provision against the state it came from between
+/// draws. Starting a new search resets the scratch, whatever the previous
+/// one left behind.
+#[derive(Debug)]
+pub struct RelaySearch<'a> {
+    reach: &'a ReachRows,
+    sc: &'a mut RelayScratch,
     src: SiteId,
     dst: SiteId,
-    k: usize,
-    scratch: &mut RelayScratch,
-) -> Vec<(Vec<SiteId>, f64)> {
-    if k == 0 || src == dst {
-        return Vec::new();
-    }
-    let (n, w) = (reach.n, reach.words);
-    let sc = scratch;
-    sc.weight.clear();
-    sc.weight.resize(n, 0.0);
-    sc.dist.resize(n, f64::INFINITY);
-    sc.pred.resize(n, 0);
-    for set in [
-        &mut sc.member,
-        &mut sc.done,
-        &mut sc.frontier,
-        &mut sc.banned_nodes,
-        &mut sc.banned_heads,
-    ] {
-        set.clear();
-        set.resize(w, 0);
-    }
-    for (s, &free) in regens_free.iter().enumerate().take(n) {
-        if s == src || s == dst {
-            set_bit(&mut sc.member, s);
-        } else if free > 0 {
-            set_bit(&mut sc.member, s);
-            sc.weight[s] = 1.0 / free as f64;
+    /// No further path exists (or `src == dst`: no relay path at all).
+    exhausted: bool,
+}
+
+impl<'a> RelaySearch<'a> {
+    /// Sets up the search: membership and relay weights from
+    /// `regens_free`, nothing searched yet.
+    pub fn start(
+        reach: &'a ReachRows,
+        regens_free: &[u32],
+        src: SiteId,
+        dst: SiteId,
+        scratch: &'a mut RelayScratch,
+    ) -> Self {
+        let (n, w) = (reach.n, reach.words);
+        let sc = scratch;
+        sc.weight.clear();
+        sc.weight.resize(n, 0.0);
+        sc.dist.resize(n, f64::INFINITY);
+        sc.pred.resize(n, 0);
+        for set in [
+            &mut sc.member,
+            &mut sc.done,
+            &mut sc.frontier,
+            &mut sc.banned_nodes,
+            &mut sc.banned_heads,
+        ] {
+            set.clear();
+            set.resize(w, 0);
+        }
+        for (s, &free) in regens_free.iter().enumerate().take(n) {
+            if s == src || s == dst {
+                set_bit(&mut sc.member, s);
+            } else if free > 0 {
+                set_bit(&mut sc.member, s);
+                sc.weight[s] = 1.0 / free as f64;
+            }
+        }
+        sc.arena.clear();
+        sc.found.clear();
+        sc.pool.clear();
+        RelaySearch {
+            reach,
+            sc,
+            src,
+            dst,
+            exhausted: src == dst,
         }
     }
-    sc.arena.clear();
-    sc.found.clear();
-    sc.pool.clear();
 
-    let Some(cost) = sc.shortest(reach, src, src, dst) else {
-        return Vec::new();
-    };
-    sc.found.push(PathRec {
-        start: 0,
-        len: sc.arena.len(),
-        cost,
-    });
+    /// The next relay path in increasing weight order with its cost, or
+    /// `None` once the path set is exhausted. The first call is one
+    /// early-exit Dijkstra; each later call is one Yen round spurring off
+    /// the path drawn before it.
+    pub fn next_path(&mut self) -> Option<(&[SiteId], f64)> {
+        if self.exhausted {
+            return None;
+        }
+        let next = match self.sc.found.last().copied() {
+            None => self.first(),
+            Some(last) => self.spur_round(last),
+        };
+        match next {
+            Some(p) => {
+                self.sc.found.push(p);
+                Some((self.sc.path(p), p.cost))
+            }
+            None => {
+                self.exhausted = true;
+                None
+            }
+        }
+    }
 
-    while sc.found.len() < k {
-        let last = *sc.found.last().expect("at least one found path");
+    /// The paths drawn so far, in draw order.
+    pub fn drawn(&self) -> impl Iterator<Item = (&[SiteId], f64)> + '_ {
+        self.sc.found.iter().map(|&p| (self.sc.path(p), p.cost))
+    }
+
+    /// True when the draws so far are what the reference search returns
+    /// for as many paths under `regens_free` — which must be the vector
+    /// the search was started with. An exhausted search asks the reference
+    /// for one path more, so it must have run dry at the same point.
+    pub fn matches_reference(
+        &self,
+        plant: &FiberPlant,
+        regens_free: &[u32],
+        fiber_dist: &[Vec<f64>],
+    ) -> bool {
+        let k = self.sc.found.len() + usize::from(self.exhausted);
+        let want =
+            RegenGraph::build_with_free_regens(plant, regens_free, fiber_dist, self.src, self.dst)
+                .relay_candidates_with_costs(k);
+        want.len() == self.sc.found.len()
+            && want
+                .iter()
+                .zip(self.drawn())
+                .all(|(w, g)| w.0 == g.0 && w.1.to_bits() == g.1.to_bits())
+    }
+
+    fn first(&mut self) -> Option<PathRec> {
+        let cost = self.sc.shortest(self.reach, self.src, self.src, self.dst)?;
+        Some(PathRec {
+            start: 0,
+            len: self.sc.arena.len(),
+            cost,
+        })
+    }
+
+    /// One Yen round: spur from every node of `last` (the path found
+    /// before) except `dst` into the pool, then take the pool's cheapest.
+    fn spur_round(&mut self, last: PathRec) -> Option<PathRec> {
+        let (reach, src, dst) = (self.reach, self.src, self.dst);
+        let sc = &mut *self.sc;
         // Prefix costs of the last path's roots, summed left to right.
         sc.root_costs.clear();
         sc.root_costs.push(0.0);
@@ -394,8 +479,7 @@ pub fn relay_k_shortest(
             let hop = sc.weight[sc.arena[last.start + i]];
             sc.root_costs.push(sc.root_costs[i - 1] + hop);
         }
-        // Spur from every node of the last found path except `dst`. The
-        // root `last[..i]` is banned node by node as `i` grows.
+        // The root `last[..i]` is banned node by node as `i` grows.
         sc.banned_nodes.fill(0);
         for i in 0..last.len - 1 {
             let spur_node = sc.arena[last.start + i];
@@ -437,7 +521,7 @@ pub fn relay_k_shortest(
         }
 
         // Extract the cheapest pooled path, ties by node-order sequence.
-        let Some(best) = (0..sc.pool.len()).min_by(|&a, &b| {
+        let best = (0..sc.pool.len()).min_by(|&a, &b| {
             let (pa, pb) = (sc.pool[a], sc.pool[b]);
             pa.cost
                 .partial_cmp(&pb.cost)
@@ -446,17 +530,29 @@ pub fn relay_k_shortest(
                     let ranks = |p: PathRec| sc.path(p).iter().map(|&s| rank(s, src, dst));
                     ranks(pa).cmp(ranks(pb))
                 })
-        }) else {
-            break;
-        };
-        let next = sc.pool.swap_remove(best);
-        sc.found.push(next);
+        })?;
+        Some(sc.pool.swap_remove(best))
     }
+}
 
-    sc.found
-        .iter()
-        .map(|&p| (sc.path(p).to_vec(), p.cost))
-        .collect()
+/// Up to `k` relay paths from `src` to `dst` in increasing weight order
+/// under the free-regenerator vector `regens_free`, each with its cost: a
+/// [`RelaySearch`] started, drawn `k` times and collected.
+pub fn relay_k_shortest(
+    reach: &ReachRows,
+    regens_free: &[u32],
+    src: SiteId,
+    dst: SiteId,
+    k: usize,
+    scratch: &mut RelayScratch,
+) -> Vec<(Vec<SiteId>, f64)> {
+    let mut search = RelaySearch::start(reach, regens_free, src, dst, scratch);
+    for _ in 0..k {
+        if search.next_path().is_none() {
+            break;
+        }
+    }
+    search.drawn().map(|(p, c)| (p.to_vec(), c)).collect()
 }
 
 #[cfg(test)]

@@ -188,10 +188,10 @@ mod tests {
         rec.counter("anneal.cache_hit").add(9);
         rec.counter("anneal.cache_miss").add(5);
         rec.counter("anneal.cache_miss.cold").add(4);
-        rec.counter("anneal.cache_miss.flush").add(1);
+        rec.counter("anneal.cache_miss.capacity").add(1);
         let text = render_top(&rec.snapshot(), 0.0);
         assert!(text.contains("anneal.cache_miss.cold"));
-        assert!(text.contains("anneal.cache_miss.flush"));
+        assert!(text.contains("anneal.cache_miss.capacity"));
     }
 
     #[test]

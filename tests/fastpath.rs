@@ -1,5 +1,6 @@
-//! Fast-path equivalence suite: the relay/outcome caches, the delta
-//! circuit rebuilds, the rate kernel, and parallel multi-chain annealing
+//! Fast-path equivalence suite: the lazy relay search, the outcome memo,
+//! the delta circuit rebuilds, the rate kernel, and parallel multi-chain
+//! annealing
 //! are pure accelerations — every test here pins the accelerated paths
 //! bit-for-bit to the naive reference, across benchmark networks, seeds,
 //! an exact enumeration oracle, and plant-mutating invalidations.
@@ -12,11 +13,13 @@
 use owan::core::anneal::compute_neighbor;
 use owan::core::{
     anneal_observed, anneal_parallel, anneal_parallel_pooled, anneal_with_cache,
-    assign_rates_reference, assign_rates_with, build_topology, default_topology, AnnealConfig,
-    CircuitBuildConfig, CoreTelemetry, EnergyCache, EnergyContext, OwanConfig, OwanEngine,
-    RateAssignConfig, RateInputs, RateOutcome, RateScratch, SchedulingPolicy, SlotInput, Topology,
-    TrafficEngineer, Transfer,
+    assign_rates_reference, assign_rates_with, build_topology, build_topology_cached,
+    build_topology_observed, default_topology, AnnealConfig, CircuitBuildConfig, CoreTelemetry,
+    EnergyCache, EnergyContext, OwanConfig, OwanEngine, RateAssignConfig, RateInputs, RateOutcome,
+    RateScratch, SchedulingPolicy, SlotInput, Topology, TrafficEngineer, Transfer,
 };
+use owan::obs::Recorder;
+use owan::optical::{FiberPlant, OpticalParams};
 use owan::oracle::anneal_gap;
 use owan::topo::Network;
 use owan_bench::{net_by_name, workload_for, Scale};
@@ -25,13 +28,17 @@ use rand::SeedableRng;
 
 /// A small fixed-size fixture: network, transfers, and initial topology.
 fn fixture(net_name: &str, seed: u64) -> (Network, Vec<Transfer>, Topology) {
+    fixture_on(net_by_name(net_name), seed)
+}
+
+/// [`fixture`] on a network the caller made.
+fn fixture_on(net: Network, seed: u64) -> (Network, Vec<Transfer>, Topology) {
     let scale = Scale {
         duration_s: 900.0,
         max_requests: 10,
         seed,
         ..Scale::quick()
     };
-    let net = net_by_name(net_name);
     let reqs = workload_for(&net, 1.0, None, &scale);
     let transfers: Vec<Transfer> = reqs
         .iter()
@@ -188,7 +195,6 @@ fn eval_pool_worker_count_never_changes_the_plan() {
 /// make the search faster, never different).
 #[test]
 fn oracle_gap_is_unchanged_by_the_cache() {
-    use owan::optical::{FiberPlant, OpticalParams};
     let params = OpticalParams {
         wavelength_capacity_gbps: 10.0,
         wavelengths_per_fiber: 8,
@@ -287,7 +293,7 @@ fn plant_degradation_flushes_and_stays_equivalent() {
     assert_eq!(fast.energy_caches()[0].stats.flushes, 0);
 
     // Degrade one fiber's amplifier: usable wavelengths shrink, the plant
-    // fingerprint moves, and stale relay entries and plant tables must go.
+    // fingerprint moves, and the stale plant tables must go.
     let cap = plant.usable_wavelengths(0).saturating_sub(2).max(1);
     plant.set_fiber_wavelength_cap(0, Some(cap));
     let input2 = SlotInput {
@@ -405,4 +411,184 @@ fn rate_kernel_equals_reference_on_every_topology_of_an_isp_slot_loop() {
         multi_hop > replayed,
         "the loop must load the plant past its direct links: {multi_hop} paths of 3+ hops"
     );
+}
+
+/// `plant` with `wavelengths` per fiber and `regens(site)` regenerators a
+/// site; everything else (sites, ports, fibers, reach) kept.
+fn scarce(plant: &FiberPlant, wavelengths: u32, regens: impl Fn(usize) -> u32) -> FiberPlant {
+    let mut p = FiberPlant::new(OpticalParams {
+        wavelengths_per_fiber: wavelengths,
+        ..*plant.params()
+    });
+    for (i, site) in plant.sites().iter().enumerate() {
+        p.add_site(&site.name, site.router_ports, regens(i));
+    }
+    for f in plant.fibers() {
+        p.add_fiber(f.a, f.b, f.length_km);
+    }
+    p
+}
+
+/// The stressed plant of `ablations.rs`'s relay-candidate ablation: a line
+/// of eight sites with a sparse express row, two wavelengths a fiber, two
+/// regenerators a site, and long links that all need relays and compete
+/// for the same middle fibers.
+fn stressed_line() -> Network {
+    let mut plant = FiberPlant::new(OpticalParams {
+        wavelength_capacity_gbps: 10.0,
+        wavelengths_per_fiber: 2,
+        optical_reach_km: 1_100.0,
+        ..Default::default()
+    });
+    let n = 8;
+    for i in 0..n {
+        plant.add_site(&format!("L{i}"), 6, 2);
+    }
+    for i in 0..n - 1 {
+        plant.add_fiber(i, i + 1, 500.0);
+    }
+    plant.add_fiber(0, 2, 950.0);
+    plant.add_fiber(2, 5, 1_050.0);
+    plant.add_fiber(5, 7, 980.0);
+    let mut desired = Topology::empty(n);
+    desired.add_links(0, 5, 2);
+    desired.add_links(1, 6, 2);
+    desired.add_links(2, 7, 2);
+    desired.add_links(0, 7, 1);
+    desired.add_links(3, 4, 2);
+    Network {
+        name: "stressed".into(),
+        plant,
+        static_topology: desired,
+    }
+}
+
+/// What one fast-path build of `desired` did, by the circuit counters:
+/// `(circuits.built, circuits.wavelength_failures)` — after checking that
+/// the naive build lit the same circuits and counted the same.
+fn build_census(net: &Network, desired: &Topology, relay_candidates: usize) -> (u64, u64) {
+    let fiber_dist = net.plant.fiber_distance_matrix();
+    let config = CircuitBuildConfig { relay_candidates };
+    let counts = |r: &Recorder| {
+        [
+            "circuits.built",
+            "circuits.wavelength_failures",
+            "circuits.shortest_path_calls",
+        ]
+        .map(|name| r.counter(name).get())
+    };
+    let fast_rec = Recorder::enabled();
+    let mut cache = EnergyCache::new();
+    let fast = build_topology_cached(
+        &net.plant,
+        desired,
+        &fiber_dist,
+        &config,
+        &mut cache,
+        &CoreTelemetry::new(&fast_rec),
+    );
+    let naive_rec = Recorder::enabled();
+    let naive = build_topology_observed(
+        &net.plant,
+        desired,
+        &fiber_dist,
+        &config,
+        &CoreTelemetry::new(&naive_rec),
+    );
+    assert_eq!(fast, naive, "{}: k={relay_candidates}", net.name);
+    let [built, failures, _] = counts(&fast_rec);
+    assert_eq!(
+        counts(&fast_rec),
+        counts(&naive_rec),
+        "{}: the fast path tries the candidates the naive path tries",
+        net.name
+    );
+    (built, failures)
+}
+
+/// The shipped plants are generously provisioned: every provisioning
+/// attempt of the suites above (and of the controller benchmark) lights
+/// its *first* relay candidate, so candidates 2..k — the lazily resumed
+/// part of the relay search — would go untested. Here wavelengths and
+/// regenerators are scarce: the ISP and inter-DC plants cut to 1–3
+/// wavelengths a fiber and 1–2 regenerators a site, plus the stressed line
+/// of the relay-candidate ablation; annealed fast vs naive over 12 seeds
+/// each, bit-identical (debug builds also check every build and every
+/// search against its reference).
+///
+/// The census proves the runs are not vacuous, from the two circuit
+/// counters alone: build a topology with `k` and with `k'` candidates per
+/// attempt. If no attempt at `k = 4` lit a candidate past the first, the
+/// `k = 1` build makes the same decisions and lights as many circuits — so
+/// a different `circuits.built` means a circuit was lit on candidate ≥ 2.
+/// If no attempt at `k = 4` tried and failed all four, a fifth candidate
+/// is never asked for and the `k = 5` build counts the same — so a
+/// different `(built, wavelength_failures)` means an attempt exhausted all
+/// `relay_candidates`.
+#[test]
+fn scarce_wavelengths_exercise_later_candidates() {
+    const SEEDS: u64 = 12;
+    let k = CircuitBuildConfig::default().relay_candidates;
+    for family in ["isp", "interdc", "stressed"] {
+        let (mut lit_later, mut exhausted) = (0, 0);
+        let walk = Recorder::enabled();
+        for seed in 0..SEEDS {
+            let net = match family {
+                "stressed" => stressed_line(),
+                name => {
+                    let net = net_by_name(name);
+                    let plant = scarce(&net.plant, 1 + (seed % 3) as u32, |site| {
+                        1 + ((site as u64 + seed) % 2) as u32
+                    });
+                    Network { plant, ..net }
+                }
+            };
+            let (net, transfers, initial) = fixture_on(net, seed);
+            let fiber_dist = net.plant.fiber_distance_matrix();
+            let ctx = context(&net, &fiber_dist, &transfers);
+            let config = AnnealConfig {
+                max_iterations: 25,
+                seed,
+                ..Default::default()
+            };
+            let mut cache = EnergyCache::new();
+            let fast = anneal_with_cache(
+                &ctx,
+                &initial,
+                &config,
+                Some(&mut cache),
+                &CoreTelemetry::new(&walk),
+            );
+            let naive =
+                anneal_with_cache(&ctx, &initial, &config, None, &CoreTelemetry::disabled());
+            assert_eq!(fast.topology, naive.topology, "{family} seed {seed}");
+            assert_eq!(
+                fast.energy_gbps().to_bits(),
+                naive.energy_gbps().to_bits(),
+                "{family} seed {seed}"
+            );
+            assert_eq!(fast.outcome, naive.outcome, "{family} seed {seed}");
+            assert!(cache.stats.delta_pairs_reused > 0, "{family} seed {seed}");
+            assert!(cache.stats.delta_pairs_rebuilt > 0, "{family} seed {seed}");
+
+            for desired in [&initial, &fast.topology] {
+                let at_k = build_census(&net, desired, k);
+                lit_later += u32::from(build_census(&net, desired, 1).0 != at_k.0);
+                exhausted += u32::from(build_census(&net, desired, k + 1) != at_k);
+            }
+        }
+        // The annealing walks themselves met blocked candidates, and the
+        // topologies they started from and ended on show both cases.
+        let failures = walk.counter("circuits.wavelength_failures").get();
+        let built = walk.counter("circuits.built").get();
+        assert!(failures > 0 && built > 0, "{family}: {failures} / {built}");
+        assert!(
+            lit_later > 0,
+            "{family}: no circuit was lit on a candidate past the first"
+        );
+        assert!(
+            exhausted > 0,
+            "{family}: no attempt tried and failed all {k} candidates"
+        );
+    }
 }
