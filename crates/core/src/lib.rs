@@ -83,6 +83,9 @@ pub use rates::{
 };
 pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch, RelaySearch};
 pub use telemetry::CoreTelemetry;
+// Re-exported so `owan-te`'s engines can override
+// `TrafficEngineer::set_recorder` without depending on `owan-obs` directly.
+pub use owan_obs::Recorder;
 // Re-exported so downstream crates (oracle, sim, bench) can attach or stub
 // the tier-3 profiler without depending on `owan-prof` directly.
 pub use owan_prof::Profiler;

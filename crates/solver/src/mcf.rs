@@ -9,19 +9,11 @@
 //! * [`McfProblem::max_throughput`] — MaxFlow: maximize total served rate,
 //! * [`McfProblem::max_min_fraction`] — MaxMinFract: maximize the minimum
 //!   served fraction,
-//! * [`McfProblem::max_throughput_bounded`] — the inner LP of SWAN's
-//!   approximate max-min iteration (per-commodity fraction floors/ceilings).
+//! * [`McfProblem::bounded`] — the inner LP of SWAN's approximate max-min
+//!   iteration (per-commodity rate floors/ceilings), prepared once and
+//!   solved for each floor/ceiling vector of the iteration.
 
 use crate::simplex::{LinearProgram, LpOutcome};
-
-/// Identifies one rate variable `r_{f,p}`: commodity `f`, path index `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PathVar {
-    /// Commodity index.
-    pub commodity: usize,
-    /// Path index within the commodity.
-    pub path: usize,
-}
 
 #[derive(Debug, Clone)]
 struct Commodity {
@@ -44,6 +36,10 @@ pub struct McfSolution {
     pub rates: Vec<Vec<f64>>,
     /// Sum of all rates.
     pub total_throughput: f64,
+    /// Simplex pivots the LP behind this allocation took.
+    pub pivots: usize,
+    /// Constraint rows of that LP.
+    pub rows: usize,
 }
 
 impl McfSolution {
@@ -106,26 +102,28 @@ impl McfProblem {
         self.commodities[f].demand
     }
 
-    /// Builds the variable layout and the base LP (link capacity and
-    /// per-commodity demand-ceiling constraints). Returns `(lp, var_index)`
-    /// where `var_index[f][p]` is the LP variable of `r_{f,p}`.
-    fn base_lp(&self, demand_ceiling: bool) -> (LinearProgram, Vec<Vec<usize>>) {
+    /// Builds the variable layout and the base LP: one `<=` row per link
+    /// some path crosses and, with `demand_ceiling`, one per routable
+    /// commodity. Returns `(lp, vars)` where `vars[f]` lists `(variable of
+    /// r_{f,p}, 1.0)` over `f`'s paths: the layout, and the coefficients of
+    /// every per-commodity row, at once.
+    fn base_lp(&self, demand_ceiling: bool) -> (LinearProgram, Vec<Vec<(usize, f64)>>) {
         let n_vars: usize = self.commodities.iter().map(|c| c.paths.len()).sum();
         let mut lp = LinearProgram::maximize(n_vars);
-        let mut var_index = Vec::with_capacity(self.commodities.len());
+        let mut vars = Vec::with_capacity(self.commodities.len());
         let mut next = 0;
         for c in &self.commodities {
-            let vars: Vec<usize> = (0..c.paths.len()).map(|p| next + p).collect();
+            let of_f: Vec<(usize, f64)> = (0..c.paths.len()).map(|p| (next + p, 1.0)).collect();
             next += c.paths.len();
-            var_index.push(vars);
+            vars.push(of_f);
         }
 
         // Link capacity rows.
         let mut per_link: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.link_capacity.len()];
-        for (f, c) in self.commodities.iter().enumerate() {
-            for (p, path) in c.paths.iter().enumerate() {
+        for (c, of_f) in self.commodities.iter().zip(&vars) {
+            for (path, &var) in c.paths.iter().zip(of_f) {
                 for &l in path {
-                    per_link[l].push((var_index[f][p], 1.0));
+                    per_link[l].push(var);
                 }
             }
         }
@@ -137,43 +135,27 @@ impl McfProblem {
 
         // Demand ceilings.
         if demand_ceiling {
-            for (f, c) in self.commodities.iter().enumerate() {
-                if !c.paths.is_empty() {
-                    let coeffs: Vec<(usize, f64)> =
-                        var_index[f].iter().map(|&v| (v, 1.0)).collect();
-                    lp.add_le(&coeffs, c.demand);
+            for (c, of_f) in self.commodities.iter().zip(&vars) {
+                if !of_f.is_empty() {
+                    lp.add_le(of_f, c.demand);
                 }
             }
         }
 
-        (lp, var_index)
-    }
-
-    fn extract(&self, var_index: &[Vec<usize>], x: &[f64]) -> McfSolution {
-        let rates: Vec<Vec<f64>> = var_index
-            .iter()
-            .map(|vars| vars.iter().map(|&v| x[v].max(0.0)).collect())
-            .collect();
-        let total_throughput = rates.iter().flatten().sum();
-        McfSolution {
-            rates,
-            total_throughput,
-        }
+        (lp, vars)
     }
 
     /// MaxFlow baseline: maximize total served rate, each commodity capped
     /// at its demand.
     pub fn max_throughput(&self) -> McfSolution {
-        let (mut lp, var_index) = self.base_lp(true);
-        for vars in &var_index {
-            for &v in vars {
-                lp.set_objective(v, 1.0);
-            }
+        let (mut lp, vars) = self.base_lp(true);
+        for v in 0..lp.n_vars() {
+            lp.set_objective(v, 1.0);
         }
         let sol = lp
             .solve()
             .expect_optimal("max_throughput LP is feasible (0 is feasible)");
-        self.extract(&var_index, &sol.x)
+        extract(&vars, &sol.x, sol.iterations, lp.n_constraints())
     }
 
     /// MaxMinFract baseline: maximize the minimum fraction `α` of demand
@@ -181,51 +163,105 @@ impl McfProblem {
     /// demand are excluded from the min), then the allocation is whatever
     /// the LP chose at optimum. Returns `(α, solution)`.
     pub fn max_min_fraction(&self) -> (f64, McfSolution) {
-        let (mut lp, var_index) = self.base_lp(true);
+        let (mut lp, vars) = self.base_lp(true);
         let alpha = lp.add_var();
         lp.set_objective(alpha, 1.0);
         lp.add_le(&[(alpha, 1.0)], 1.0);
         let mut any = false;
-        for (f, c) in self.commodities.iter().enumerate() {
-            if c.paths.is_empty() || c.demand <= 0.0 {
+        for (c, of_f) in self.commodities.iter().zip(&vars) {
+            if of_f.is_empty() || c.demand <= 0.0 {
                 continue;
             }
             any = true;
             // sum_p r_{f,p} - d_f * α >= 0
-            let mut coeffs: Vec<(usize, f64)> = var_index[f].iter().map(|&v| (v, 1.0)).collect();
+            let mut coeffs = of_f.clone();
             coeffs.push((alpha, -c.demand));
             lp.add_ge(&coeffs, 0.0);
         }
         if !any {
-            return (0.0, self.extract(&var_index, &vec![0.0; lp.n_vars()]));
+            // Nothing to be fair to: no LP is solved.
+            return (0.0, extract(&vars, &vec![0.0; lp.n_vars()], 0, 0));
         }
         let sol = lp.solve().expect_optimal("max_min LP is feasible (α=0)");
         let a = sol.x[alpha].clamp(0.0, 1.0);
-        (a, self.extract(&var_index, &sol.x))
+        (
+            a,
+            extract(&vars, &sol.x, sol.iterations, lp.n_constraints()),
+        )
     }
 
-    /// SWAN inner LP: maximize total throughput subject to per-commodity
-    /// served-rate bounds `floor[f] <= rate_f <= ceil[f]` (absolute rates,
-    /// not fractions). Returns `None` if the bounds are infeasible.
-    pub fn max_throughput_bounded(&self, floor: &[f64], ceil: &[f64]) -> Option<McfSolution> {
-        assert_eq!(floor.len(), self.commodities.len());
-        assert_eq!(ceil.len(), self.commodities.len());
-        let (mut lp, var_index) = self.base_lp(false);
-        for (f, c) in self.commodities.iter().enumerate() {
-            if c.paths.is_empty() {
+    /// Prepares SWAN's inner LP over this problem: everything that does
+    /// not depend on the floors and ceilings is built here, once.
+    pub fn bounded(&self) -> BoundedMcf<'_> {
+        let (mut lp, vars) = self.base_lp(false);
+        for v in 0..lp.n_vars() {
+            lp.set_objective(v, 1.0);
+        }
+        BoundedMcf {
+            problem: self,
+            link_rows: lp.n_constraints(),
+            lp,
+            vars,
+        }
+    }
+}
+
+/// Reads the rates out of an LP solution `x` that took `pivots` over `rows`.
+fn extract(vars: &[Vec<(usize, f64)>], x: &[f64], pivots: usize, rows: usize) -> McfSolution {
+    let rates: Vec<Vec<f64>> = vars
+        .iter()
+        .map(|of_f| of_f.iter().map(|&(v, _)| x[v].max(0.0)).collect())
+        .collect();
+    let total_throughput = rates.iter().flatten().sum();
+    McfSolution {
+        rates,
+        total_throughput,
+        pivots,
+        rows,
+    }
+}
+
+/// SWAN's inner LP over one [`McfProblem`]: maximize total throughput
+/// subject to per-commodity served-rate bounds `floor[f] <= rate_f <=
+/// ceil[f]`. The iteration solves it once per fraction ceiling with only
+/// those bounds changing, so the handle owns the program with its link
+/// rows, variable layout and objective in place, and each
+/// [`solve`](Self::solve) swaps the commodity rows behind them.
+#[derive(Debug, Clone)]
+pub struct BoundedMcf<'a> {
+    problem: &'a McfProblem,
+    lp: LinearProgram,
+    /// The link rows lead the program; commodity rows follow.
+    link_rows: usize,
+    vars: Vec<Vec<(usize, f64)>>,
+}
+
+impl BoundedMcf<'_> {
+    /// Solves for one floor/ceiling vector (absolute rates, not
+    /// fractions; a ceiling above the demand is cut to it). Returns `None`
+    /// if the bounds are infeasible.
+    pub fn solve(&mut self, floor: &[f64], ceil: &[f64]) -> Option<McfSolution> {
+        assert_eq!(floor.len(), self.vars.len());
+        assert_eq!(ceil.len(), self.vars.len());
+        // Same rows in the same order as a program built from scratch
+        // (link rows, then per commodity its ceiling and its floor), so
+        // slacks and artificials are numbered alike and the simplex takes
+        // the same pivots.
+        self.lp.truncate_constraints(self.link_rows);
+        for (f, of_f) in self.vars.iter().enumerate() {
+            if of_f.is_empty() {
                 continue;
             }
-            let coeffs: Vec<(usize, f64)> = var_index[f].iter().map(|&v| (v, 1.0)).collect();
-            lp.add_le(&coeffs, ceil[f].min(c.demand));
+            self.lp.add_le(of_f, ceil[f].min(self.problem.demand(f)));
             if floor[f] > 0.0 {
-                lp.add_ge(&coeffs, floor[f]);
-            }
-            for &v in &var_index[f] {
-                lp.set_objective(v, 1.0);
+                self.lp.add_ge(of_f, floor[f]);
             }
         }
-        match lp.solve() {
-            LpOutcome::Optimal(sol) => Some(self.extract(&var_index, &sol.x)),
+        match self.lp.solve() {
+            LpOutcome::Optimal(sol) => {
+                let rows = self.lp.n_constraints();
+                Some(extract(&self.vars, &sol.x, sol.iterations, rows))
+            }
             _ => None,
         }
     }
@@ -310,7 +346,8 @@ mod tests {
         p.add_commodity(10.0, vec![vec![0]]);
         p.add_commodity(10.0, vec![vec![0]]);
         let s = p
-            .max_throughput_bounded(&[7.0, 0.0], &[10.0, 10.0])
+            .bounded()
+            .solve(&[7.0, 0.0], &[10.0, 10.0])
             .expect("feasible");
         assert!(s.commodity_rate(0) >= 7.0 - 1e-7);
         assert!(s.total_throughput <= 10.0 + 1e-7);
@@ -321,9 +358,89 @@ mod tests {
         let mut p = McfProblem::new(vec![10.0]);
         p.add_commodity(10.0, vec![vec![0]]);
         p.add_commodity(10.0, vec![vec![0]]);
-        assert!(p
-            .max_throughput_bounded(&[8.0, 8.0], &[10.0, 10.0])
-            .is_none());
+        assert!(p.bounded().solve(&[8.0, 8.0], &[10.0, 10.0]).is_none());
+    }
+
+    /// An instance the size the ISP benchmark slot solves: 66 links, 60
+    /// commodities with 4 loopless tunnels each.
+    fn census_sized(seed: u64) -> McfProblem {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = McfProblem::new(
+            (0..66)
+                .map(|_| 100.0 * f64::from(rng.random_range(1..=2u32)))
+                .collect(),
+        );
+        for _ in 0..60 {
+            let tunnels = (0..4)
+                .map(|_| {
+                    let mut path: Vec<usize> = Vec::new();
+                    while path.len() < rng.random_range(2..=5usize) {
+                        let l = rng.random_range(0..66usize);
+                        if !path.contains(&l) {
+                            path.push(l);
+                        }
+                    }
+                    path
+                })
+                .collect();
+            p.add_commodity(rng.random_range(1.0..150.0), tunnels);
+        }
+        p
+    }
+
+    /// SWAN's iteration as `SwanTe` runs it: ceilings 1/16, 1/8, … 1 of
+    /// demand, floors the rates of the solve before.
+    fn swan_chain(p: &McfProblem, mut solve: impl FnMut(&[f64], &[f64]) -> Option<McfSolution>) {
+        let n = p.commodity_count();
+        let mut floor = vec![0.0; n];
+        for step in 0..5 {
+            let alpha = 2f64.powi(step - 4);
+            let ceil: Vec<f64> = (0..n).map(|f| alpha * p.demand(f)).collect();
+            let sol = solve(&floor, &ceil).expect("floors are the previous optimum");
+            assert!(sol.pivots > 0 && sol.rows > 66);
+            floor = (0..n).map(|f| sol.commodity_rate(f)).collect();
+        }
+    }
+
+    /// Every `solve` of a unit-test build is checked against the
+    /// all-columns pivot (see `simplex::tests`); this puts benchmark-sized
+    /// programs through it: one phase-2-only throughput LP, the max-min LP
+    /// with its `>=` rows, and SWAN's five floored LPs.
+    #[test]
+    fn dense_reference_agrees_at_census_sizes() {
+        use crate::simplex::tests::compared_with_dense;
+        for seed in [1, 2] {
+            let p = census_sized(seed);
+            let before = compared_with_dense();
+            let s = p.max_throughput();
+            assert!(s.pivots > 20 && s.rows > 100, "{} pivots", s.pivots);
+            let (alpha, _) = p.max_min_fraction();
+            assert!(alpha > 0.0);
+            let mut bounded = p.bounded();
+            swan_chain(&p, |floor, ceil| bounded.solve(floor, ceil));
+            assert_eq!(compared_with_dense() - before, 7);
+        }
+    }
+
+    /// A handle that has already solved for other bounds gives what a
+    /// fresh one gives: the rows it re-adds are the rows a from-scratch
+    /// build adds, in the same order.
+    #[test]
+    fn bounded_handle_reused_equals_rebuilt() {
+        let p = census_sized(9);
+        let mut reused = p.bounded();
+        swan_chain(&p, |floor, ceil| {
+            let a = reused.solve(floor, ceil)?;
+            let b = p.bounded().solve(floor, ceil)?;
+            assert_eq!((a.pivots, a.rows), (b.pivots, b.rows));
+            let bits = |s: &McfSolution| -> Vec<u64> {
+                s.rates.iter().flatten().map(|r| r.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b));
+            Some(a)
+        });
     }
 
     #[test]

@@ -1,10 +1,20 @@
-//! Dense two-phase primal simplex.
+//! Two-phase primal simplex over a tableau that is dense in storage and
+//! sparse in work.
 //!
 //! Supports `<=`, `>=`, and `=` constraints with free sign on the right-hand
 //! side and non-negative structural variables. Phase 1 drives artificial
 //! variables out of the basis; phase 2 optimizes the user objective. Dantzig
 //! pricing with a Bland's-rule fallback guarantees termination on degenerate
 //! instances.
+//!
+//! The tableau is a row-major `m x n` array, but the TE programs it holds
+//! are path-incidence matrices: at a pivot about one pivot-row entry in
+//! twenty is nonzero (DESIGN.md §7.5). A pivot therefore gathers the pivot
+//! row's nonzeros once and updates only those columns of every affected
+//! row and of the reduced costs. Each skipped term is `x - f * 0.0`, i.e.
+//! `x` up to the sign of a zero, which no comparison or division reads, so
+//! outcomes, pivot counts and the bits of every solution are those of the
+//! all-columns update (kept below as the test-only reference).
 
 /// Numerical tolerance used throughout the solver.
 const EPS: f64 = 1e-9;
@@ -135,6 +145,12 @@ impl LinearProgram {
         self.add_row(coeffs, Rel::Eq, rhs);
     }
 
+    /// Drops every constraint past the first `n`, so a caller that solves
+    /// a family of programs sharing their leading rows builds those once.
+    pub(crate) fn truncate_constraints(&mut self, n: usize) {
+        self.rows.truncate(n);
+    }
+
     fn add_row(&mut self, coeffs: &[(usize, f64)], rel: Rel, rhs: f64) {
         for &(v, c) in coeffs {
             assert!(v < self.n_vars, "variable {v} out of range");
@@ -150,11 +166,17 @@ impl LinearProgram {
 
     /// Solves the LP.
     pub fn solve(&self) -> LpOutcome {
-        Tableau::build(self).solve()
+        let mut tableau = Tableau::build(self);
+        let outcome = tableau.solve();
+        // Unit-test builds solve every program a second time with the
+        // all-columns pivot and insist on the same answer, bit for bit.
+        #[cfg(test)]
+        tests::assert_dense_reference_agrees(self, &outcome, tableau.iterations);
+        outcome
     }
 }
 
-/// Dense simplex tableau. Rows are maintained in `B^{-1}A` form.
+/// Simplex tableau, dense row-major. Rows are maintained in `B^{-1}A` form.
 struct Tableau {
     m: usize,
     /// Total columns: structural + slack/surplus + artificial.
@@ -171,6 +193,12 @@ struct Tableau {
     /// The user's objective over structural variables, and its sense.
     user_objective: Vec<f64>,
     user_maximize: bool,
+    /// Nonzeros `(column, value)` of the pivot row as the last pivot left
+    /// it (scaled): the only columns that pivot changed anywhere.
+    pivot_nz: Vec<(usize, f64)>,
+    /// Run the all-columns pivot this one replaced (differential tests).
+    #[cfg(test)]
+    dense_reference: bool,
 }
 
 impl Tableau {
@@ -257,6 +285,9 @@ impl Tableau {
             iterations: 0,
             user_objective: lp.objective.clone(),
             user_maximize: lp.maximize,
+            pivot_nz: Vec::new(),
+            #[cfg(test)]
+            dense_reference: false,
         }
     }
 
@@ -265,14 +296,23 @@ impl Tableau {
         self.a[i * self.n + j]
     }
 
-    /// Pivot on (row, col): row becomes the basic row of `col`.
+    /// Pivot on (row, col): row becomes the basic row of `col`. Leaves the
+    /// scaled pivot row's nonzeros in `pivot_nz`.
     fn pivot(&mut self, row: usize, col: usize) {
+        #[cfg(test)]
+        if self.dense_reference {
+            return self.pivot_dense(row, col);
+        }
         let n = self.n;
         let p = self.a[row * n + col];
         debug_assert!(p.abs() > EPS, "pivot element too small");
         let inv = 1.0 / p;
-        for j in 0..n {
-            self.a[row * n + j] *= inv;
+        self.pivot_nz.clear();
+        for (j, v) in self.a[row * n..(row + 1) * n].iter_mut().enumerate() {
+            *v *= inv;
+            if *v != 0.0 {
+                self.pivot_nz.push((j, *v));
+            }
         }
         self.b[row] *= inv;
         self.a[row * n + col] = 1.0; // fight rounding
@@ -281,15 +321,16 @@ impl Tableau {
             if i == row {
                 continue;
             }
-            let factor = self.a[i * n + col];
+            let r = &mut self.a[i * n..(i + 1) * n];
+            let factor = r[col];
             if factor.abs() <= EPS {
-                self.a[i * n + col] = 0.0;
+                r[col] = 0.0;
                 continue;
             }
-            for j in 0..n {
-                self.a[i * n + j] -= factor * self.a[row * n + j];
+            for &(j, v) in &self.pivot_nz {
+                r[j] -= factor * v;
             }
-            self.a[i * n + col] = 0.0;
+            r[col] = 0.0;
             self.b[i] -= factor * self.b[row];
             if self.b[i].abs() < EPS {
                 self.b[i] = 0.0;
@@ -366,16 +407,20 @@ impl Tableau {
 
             self.pivot(row, col);
             // Update reduced costs incrementally: after the pivot the row is
-            // normalized; r <- r - r[col] * row.
+            // normalized; r <- r - r[col] * row, over the row's nonzeros.
             let rc = reduced[col];
-            for (j, rj) in reduced.iter_mut().enumerate() {
-                *rj -= rc * self.at(row, j);
+            #[cfg(test)]
+            if self.dense_reference {
+                self.reduce_dense(&mut reduced, rc, row);
+            }
+            for &(j, v) in &self.pivot_nz {
+                reduced[j] -= rc * v;
             }
             reduced[col] = 0.0;
         }
     }
 
-    fn solve(mut self) -> LpOutcome {
+    fn solve(&mut self) -> LpOutcome {
         // ----- Phase 1: minimize sum of artificials (maximize the negation).
         if self.art_start < self.n {
             let mut costs = vec![0.0; self.n];
@@ -442,9 +487,242 @@ impl Tableau {
     }
 }
 
+/// The all-columns pivot and reduced-cost update, verbatim as they were
+/// before pivots became nonzero-proportional. Test builds only: the
+/// differential tests below solve every program both ways.
 #[cfg(test)]
-mod tests {
+impl Tableau {
+    fn pivot_dense(&mut self, row: usize, col: usize) {
+        let n = self.n;
+        let p = self.a[row * n + col];
+        debug_assert!(p.abs() > EPS, "pivot element too small");
+        let inv = 1.0 / p;
+        for j in 0..n {
+            self.a[row * n + j] *= inv;
+        }
+        self.b[row] *= inv;
+        self.a[row * n + col] = 1.0; // fight rounding
+
+        for i in 0..self.m {
+            if i == row {
+                continue;
+            }
+            let factor = self.a[i * n + col];
+            if factor.abs() <= EPS {
+                self.a[i * n + col] = 0.0;
+                continue;
+            }
+            for j in 0..n {
+                self.a[i * n + j] -= factor * self.a[row * n + j];
+            }
+            self.a[i * n + col] = 0.0;
+            self.b[i] -= factor * self.b[row];
+            if self.b[i].abs() < EPS {
+                self.b[i] = 0.0;
+            }
+        }
+        self.basis[row] = col;
+        self.iterations += 1;
+        // Nothing for the nonzero-list update in `optimize` to do.
+        self.pivot_nz.clear();
+    }
+
+    fn reduce_dense(&self, reduced: &mut [f64], rc: f64, row: usize) {
+        for (j, rj) in reduced.iter_mut().enumerate() {
+            *rj -= rc * self.at(row, j);
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Programs this test thread has solved both ways.
+        static COMPARED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// How many programs this thread has put through
+    /// [`assert_dense_reference_agrees`].
+    pub(crate) fn compared_with_dense() -> usize {
+        COMPARED.get()
+    }
+
+    /// The differential oracle behind every `solve` of a unit-test build:
+    /// the all-columns pivot must reach the same outcome in the same
+    /// number of pivots with the same bits in `x` and the objective.
+    /// (Tableau cells are not compared: zeros may differ in sign.)
+    pub(super) fn assert_dense_reference_agrees(
+        lp: &LinearProgram,
+        got: &LpOutcome,
+        got_pivots: usize,
+    ) {
+        let mut dense = Tableau::build(lp);
+        dense.dense_reference = true;
+        let want = dense.solve();
+        assert_eq!(got_pivots, dense.iterations, "pivot count");
+        match (got, &want) {
+            (LpOutcome::Optimal(g), LpOutcome::Optimal(w)) => {
+                assert_eq!(g.iterations, w.iterations);
+                assert_eq!(g.objective.to_bits(), w.objective.to_bits(), "objective");
+                assert_eq!(g.x.len(), w.x.len());
+                for (i, (a, b)) in g.x.iter().zip(&w.x).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "x[{i}]: {a:e} vs dense {b:e}");
+                }
+            }
+            (LpOutcome::Infeasible, LpOutcome::Infeasible)
+            | (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
+            _ => panic!("outcome {got:?} vs dense {want:?}"),
+        }
+        COMPARED.set(COMPARED.get() + 1);
+    }
+
+    /// Random programs mixing `<=`, `>=` and `=` rows with signed
+    /// right-hand sides over 1-40 variables: infeasible, unbounded,
+    /// degenerate (zero right-hand sides, ties) and redundant-equality
+    /// instances all occur. `solve` itself runs the differential.
+    #[test]
+    fn dense_reference_agrees_on_random_mixed_programs() {
+        let mut rng = StdRng::seed_from_u64(0x51_3F1E);
+        let (mut optimal, mut infeasible, mut unbounded, mut phase1_pivots) = (0, 0, 0, 0);
+        let before = compared_with_dense();
+        const CASES: usize = 1_500;
+        for case in 0..CASES {
+            let nv = rng.random_range(1..=40usize);
+            let mut lp = if rng.random::<bool>() {
+                LinearProgram::maximize(nv)
+            } else {
+                LinearProgram::minimize(nv)
+            };
+            for v in 0..nv {
+                lp.set_objective(v, f64::from(rng.random_range(-4..=6i32)));
+            }
+            // Most cases box the variables so that an optimum exists.
+            if case % 4 != 0 {
+                for v in 0..nv {
+                    lp.add_le(&[(v, 1.0)], f64::from(rng.random_range(1..=30i32)));
+                }
+            }
+            let mut rows: Vec<(Vec<(usize, f64)>, f64)> = Vec::new();
+            for _ in 0..rng.random_range(1..=12usize) {
+                let (coeffs, rhs) = if !rows.is_empty() && rng.random_range(0..8u32) == 0 {
+                    // A multiple of an earlier row: redundant when both
+                    // are equalities, parallel otherwise.
+                    let (c, r) = rows[rng.random_range(0..rows.len())].clone();
+                    let k = f64::from(rng.random_range(1..=3i32));
+                    (c.iter().map(|&(v, a)| (v, k * a)).collect(), k * r)
+                } else {
+                    let width = rng.random_range(1..=nv.min(6));
+                    let coeffs: Vec<(usize, f64)> = (0..width)
+                        .map(|_| {
+                            let v = rng.random_range(0..nv);
+                            (v, f64::from(rng.random_range(-5..=5i32)))
+                        })
+                        .collect();
+                    // One right-hand side in four is zero: degenerate.
+                    let rhs = if rng.random_range(0..4u32) == 0 {
+                        0.0
+                    } else {
+                        f64::from(rng.random_range(-20..=40i32))
+                    };
+                    (coeffs, rhs)
+                };
+                match rng.random_range(0..4u32) {
+                    0 => lp.add_ge(&coeffs, rhs),
+                    1 => lp.add_eq(&coeffs, rhs),
+                    _ => lp.add_le(&coeffs, rhs),
+                }
+                rows.push((coeffs, rhs));
+            }
+            match lp.solve() {
+                LpOutcome::Optimal(s) => {
+                    optimal += 1;
+                    if s.iterations > 0 && lp.rows.iter().any(|r| r.rel != Rel::Le || r.rhs < 0.0) {
+                        phase1_pivots += s.iterations;
+                    }
+                }
+                LpOutcome::Infeasible => infeasible += 1,
+                LpOutcome::Unbounded => unbounded += 1,
+            }
+        }
+        assert_eq!(compared_with_dense() - before, CASES);
+        assert!(
+            optimal > 200 && infeasible > 200 && unbounded > 20 && phase1_pivots > 1_000,
+            "generator lost coverage: {optimal} optimal, {infeasible} infeasible, \
+             {unbounded} unbounded, {phase1_pivots} pivots in two-phase programs"
+        );
+    }
+
+    /// A Tempus-shaped program: volume variables per (transfer, tunnel,
+    /// bucket), link x bucket capacity rows, per-transfer volume rows, the
+    /// fraction column `α` with `sum - V α >= -already` rows (negative
+    /// right-hand sides, which `Tableau::build` flips), then the second
+    /// program that pins `α` and maximizes volume.
+    #[test]
+    fn dense_reference_agrees_on_a_tempus_shaped_program() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let (links, buckets, transfers, tunnels) = (30usize, 4usize, 40usize, 2usize);
+        let before = compared_with_dense();
+        let mut lp = LinearProgram::maximize(0);
+        let mut link_rows = vec![Vec::new(); links * buckets];
+        let mut transfer_rows = vec![Vec::new(); transfers];
+        for of_f in &mut transfer_rows {
+            let eligible = rng.random_range(1..=buckets);
+            for _ in 0..tunnels {
+                let first = rng.random_range(0..links - 4);
+                let hops = rng.random_range(1..=4usize);
+                for b in 0..eligible {
+                    let var = lp.add_var();
+                    for l in first..first + hops {
+                        link_rows[l * buckets + b].push((var, 1.0));
+                    }
+                    of_f.push((var, 1.0));
+                }
+            }
+        }
+        for (i, coeffs) in link_rows.iter().enumerate() {
+            if !coeffs.is_empty() {
+                lp.add_le(
+                    coeffs,
+                    100.0 * [300.0, 900.0, 2_400.0, 6_000.0][i % buckets],
+                );
+            }
+        }
+        let volumes: Vec<f64> = (0..transfers)
+            .map(|_| rng.random_range(1_000.0..400_000.0))
+            .collect();
+        // Half the transfers are part-delivered already.
+        let already: Vec<f64> = (0..transfers)
+            .map(|f| if f % 2 == 0 { 0.0 } else { volumes[f] * 0.3 })
+            .collect();
+        for (f, coeffs) in transfer_rows.iter().enumerate() {
+            lp.add_le(coeffs, volumes[f] - already[f]);
+        }
+        let alpha = lp.add_var();
+        lp.set_objective(alpha, 1.0);
+        lp.add_le(&[(alpha, 1.0)], 1.0);
+        for (f, mut coeffs) in transfer_rows.into_iter().enumerate() {
+            coeffs.push((alpha, -volumes[f]));
+            lp.add_ge(&coeffs, -already[f]);
+        }
+        let sol1 = lp.solve().expect_optimal("α = 0 is feasible");
+        assert!(sol1.iterations > 20, "{} pivots", sol1.iterations);
+        let alpha_star = sol1.x[alpha].clamp(0.0, 1.0);
+        assert!(alpha_star > 0.0);
+
+        lp.set_objective(alpha, 0.0);
+        lp.add_ge(&[(alpha, 1.0)], (alpha_star - 1e-6).max(0.0));
+        for v in 0..alpha {
+            lp.set_objective(v, 1.0);
+        }
+        let sol2 = lp.solve().expect_optimal("LP 1's optimum is feasible");
+        assert!(sol2.objective > 0.0);
+        assert_eq!(compared_with_dense() - before, 2);
+    }
 
     fn solve_max(n: usize, obj: &[f64], le: &[(&[(usize, f64)], f64)]) -> LpOutcome {
         let mut lp = LinearProgram::maximize(n);

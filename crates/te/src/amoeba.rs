@@ -99,13 +99,12 @@ impl TrafficEngineer for AmoebaTe {
         let mut best_effort: Vec<usize> = Vec::new();
         for &i in &order {
             let t = &input.transfers[i];
-            let mut paths = self.ctx.paths(t.src, t.dst).to_vec();
-            paths.truncate(self.config.paths_per_transfer);
-            if paths.is_empty() {
+            let tunnels = self.ctx.tunnels(t.src, t.dst);
+            let k = tunnels.sites.len().min(self.config.paths_per_transfer);
+            if k == 0 {
                 continue;
             }
-            let link_paths: Vec<Vec<usize>> =
-                paths.iter().map(|p| self.ctx.path_links(p)).collect();
+            let (paths, link_paths) = (&tunnels.sites[..k], &tunnels.links[..k]);
 
             // Slots usable before the deadline (the slot containing the
             // deadline is usable pro rata).
@@ -175,21 +174,24 @@ impl TrafficEngineer for AmoebaTe {
         // Best-effort: fill remaining slot-0 capacity EDF-first.
         for &i in &best_effort {
             let t = &input.transfers[i];
-            let mut paths = self.ctx.paths(t.src, t.dst).to_vec();
-            paths.truncate(self.config.paths_per_transfer);
+            let tunnels = self.ctx.tunnels(t.src, t.dst);
             let mut need = t.remaining_gbits;
-            for p in &paths {
+            for (p, lp) in tunnels
+                .sites
+                .iter()
+                .zip(&tunnels.links)
+                .take(self.config.paths_per_transfer)
+            {
                 if need <= 1e-9 {
                     break;
                 }
-                let lp = self.ctx.path_links(p);
                 let avail = lp
                     .iter()
                     .map(|&l| residual[l])
                     .fold(f64::INFINITY, f64::min);
                 let take = need.min(avail.max(0.0));
                 if take > 1e-9 {
-                    for &l in &lp {
+                    for &l in lp {
                         residual[l] -= take;
                     }
                     need -= take;

@@ -8,13 +8,14 @@
 //!   max-min fairness for each time slot" (the iterated-LP scheme of the
 //!   SWAN paper).
 
-use crate::fixed::FixedContext;
-use owan_core::{SlotInput, SlotPlan, Topology, TrafficEngineer};
+use crate::fixed::{FixedContext, LpTally};
+use owan_core::{Recorder, SlotInput, SlotPlan, Topology, TrafficEngineer};
 use owan_optical::FiberPlant;
 
 /// MaxFlow baseline.
 pub struct MaxFlowTe {
     ctx: FixedContext,
+    lp: LpTally,
 }
 
 impl MaxFlowTe {
@@ -22,6 +23,7 @@ impl MaxFlowTe {
     pub fn new(topology: Topology, theta: f64, k: usize) -> Self {
         MaxFlowTe {
             ctx: FixedContext::new(topology, theta, k),
+            lp: LpTally::default(),
         }
     }
 }
@@ -34,6 +36,8 @@ impl TrafficEngineer for MaxFlowTe {
     fn plan_slot(&mut self, _plant: &FiberPlant, input: &SlotInput<'_>) -> SlotPlan {
         let (mcf, tunnels) = self.ctx.build_mcf(input.transfers, input.slot_len_s);
         let sol = mcf.max_throughput();
+        self.lp.solved(sol.pivots, sol.rows);
+        self.lp.end_slot();
         let allocations = self.ctx.allocations_from(input.transfers, &tunnels, &sol);
         SlotPlan {
             topology: self.ctx.topology().clone(),
@@ -41,11 +45,16 @@ impl TrafficEngineer for MaxFlowTe {
             allocations,
         }
     }
+
+    fn set_recorder(&mut self, recorder: Recorder) {
+        self.lp.recorder = recorder;
+    }
 }
 
 /// MaxMinFract baseline.
 pub struct MaxMinFractTe {
     ctx: FixedContext,
+    lp: LpTally,
 }
 
 impl MaxMinFractTe {
@@ -53,6 +62,7 @@ impl MaxMinFractTe {
     pub fn new(topology: Topology, theta: f64, k: usize) -> Self {
         MaxMinFractTe {
             ctx: FixedContext::new(topology, theta, k),
+            lp: LpTally::default(),
         }
     }
 }
@@ -65,12 +75,21 @@ impl TrafficEngineer for MaxMinFractTe {
     fn plan_slot(&mut self, _plant: &FiberPlant, input: &SlotInput<'_>) -> SlotPlan {
         let (mcf, tunnels) = self.ctx.build_mcf(input.transfers, input.slot_len_s);
         let (_alpha, sol) = mcf.max_min_fraction();
+        // No rows: nothing was routable and no LP was solved.
+        if sol.rows > 0 {
+            self.lp.solved(sol.pivots, sol.rows);
+        }
+        self.lp.end_slot();
         let allocations = self.ctx.allocations_from(input.transfers, &tunnels, &sol);
         SlotPlan {
             topology: self.ctx.topology().clone(),
             throughput_gbps: allocations.iter().map(|a| a.total_rate()).sum(),
             allocations,
         }
+    }
+
+    fn set_recorder(&mut self, recorder: Recorder) {
+        self.lp.recorder = recorder;
     }
 }
 
@@ -81,6 +100,7 @@ pub struct SwanTe {
     /// Geometric growth factor of the fraction ceiling per iteration
     /// (the SWAN paper's `α`; 2 in their evaluation).
     growth: f64,
+    lp: LpTally,
 }
 
 impl SwanTe {
@@ -89,6 +109,7 @@ impl SwanTe {
         SwanTe {
             ctx: FixedContext::new(topology, theta, k),
             growth: 2.0,
+            lp: LpTally::default(),
         }
     }
 }
@@ -107,12 +128,15 @@ impl TrafficEngineer for SwanTe {
         let mut floor = vec![0.0; n];
         let mut last = None;
         if max_demand > 0.0 {
+            // One program for the slot; only the bounds move between solves.
+            let mut bounded = mcf.bounded();
             // Fraction ceilings: alpha, alpha*growth, … up to 1.
             let mut alpha = 1.0 / 16.0;
             loop {
                 let ceil: Vec<f64> = demands.iter().map(|&d| (alpha * d).min(d)).collect();
-                match mcf.max_throughput_bounded(&floor, &ceil) {
+                match bounded.solve(&floor, &ceil) {
                     Some(sol) => {
+                        self.lp.solved(sol.pivots, sol.rows);
                         floor = (0..n).map(|f| sol.commodity_rate(f)).collect();
                         last = Some(sol);
                     }
@@ -124,6 +148,7 @@ impl TrafficEngineer for SwanTe {
                 alpha = (alpha * self.growth).min(1.0);
             }
         }
+        self.lp.end_slot();
 
         match last {
             Some(sol) => {
@@ -140,6 +165,10 @@ impl TrafficEngineer for SwanTe {
                 allocations: Vec::new(),
             },
         }
+    }
+
+    fn set_recorder(&mut self, recorder: Recorder) {
+        self.lp.recorder = recorder;
     }
 }
 

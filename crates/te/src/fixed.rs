@@ -6,7 +6,7 @@
 //! k-shortest-paths tunnel cache per site pair — the standard tunnel-based
 //! TE setup.
 
-use owan_core::{Allocation, Topology, Transfer};
+use owan_core::{Allocation, Recorder, Topology, Transfer};
 use owan_graph::{k_shortest_paths, Graph};
 use owan_optical::SiteId;
 use owan_solver::{McfProblem, McfSolution};
@@ -61,6 +61,47 @@ pub fn enforce_capacity(allocations: &mut Vec<Allocation>, topology: &Topology, 
     allocations.retain(|a| !a.paths.is_empty());
 }
 
+/// LP work of the slot being planned: plain integers the LP engines add
+/// to per solve, emitted as the `lp.*` counters once a slot when a
+/// recorder is attached.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LpTally {
+    solves: u64,
+    pivots: u64,
+    rows: u64,
+    /// Where `end_slot` emits (an engine's `set_recorder` assigns it).
+    pub(crate) recorder: Recorder,
+}
+
+impl LpTally {
+    /// Counts one LP solved to an optimum in `pivots` over `rows` rows.
+    pub(crate) fn solved(&mut self, pivots: usize, rows: usize) {
+        self.solves += 1;
+        self.pivots += pivots as u64;
+        self.rows += rows as u64;
+    }
+
+    /// Ends the slot: emits its counts (if anyone listens) and zeroes them.
+    pub(crate) fn end_slot(&mut self) {
+        if self.recorder.is_enabled() {
+            self.recorder.counter("lp.solves").add(self.solves);
+            self.recorder.counter("lp.pivots").add(self.pivots);
+            self.recorder.counter("lp.rows").add(self.rows);
+        }
+        (self.solves, self.pivots, self.rows) = (0, 0, 0);
+    }
+}
+
+/// The tunnel set of one site pair.
+#[derive(Debug, Clone, Default)]
+pub struct Tunnels {
+    /// Each tunnel as its site path, hop-shortest first.
+    pub sites: Vec<Vec<SiteId>>,
+    /// Each tunnel as the link indices it crosses, aligned with `sites`.
+    /// Tunnels are loopless, so no list repeats a link.
+    pub links: Vec<Vec<usize>>,
+}
+
 /// A fixed network-layer topology prepared for LP-based TE.
 #[derive(Debug, Clone)]
 pub struct FixedContext {
@@ -71,7 +112,7 @@ pub struct FixedContext {
     /// `(u, v)` (either order) → link index.
     link_index: HashMap<(SiteId, SiteId), usize>,
     /// Tunnels per site pair (cached).
-    path_cache: HashMap<(SiteId, SiteId), Vec<Vec<SiteId>>>,
+    path_cache: HashMap<(SiteId, SiteId), Tunnels>,
     /// Tunnels per pair.
     k: usize,
 }
@@ -117,9 +158,22 @@ impl FixedContext {
 
     /// Hop-count tunnel set for a site pair (computed once, then cached).
     pub fn paths(&mut self, src: SiteId, dst: SiteId) -> &[Vec<SiteId>] {
+        &self.tunnels(src, dst).sites
+    }
+
+    /// The pair's tunnels as site paths and as link-index lists, both
+    /// derived the first time the pair is asked for.
+    pub fn tunnels(&mut self, src: SiteId, dst: SiteId) -> &Tunnels {
         if !self.path_cache.contains_key(&(src, dst)) {
-            let computed = self.compute_paths(src, dst);
-            self.path_cache.insert((src, dst), computed);
+            let sites = self.compute_paths(src, dst);
+            let links: Vec<Vec<usize>> = sites.iter().map(|p| self.path_links(p)).collect();
+            debug_assert!(
+                links
+                    .iter()
+                    .all(|p| p.iter().enumerate().all(|(i, l)| !p[..i].contains(l))),
+                "Yen tunnels are loopless"
+            );
+            self.path_cache.insert((src, dst), Tunnels { sites, links });
         }
         &self.path_cache[&(src, dst)]
     }
@@ -163,11 +217,9 @@ impl FixedContext {
         let mut mcf = McfProblem::new(self.capacities());
         let mut tunnels = Vec::with_capacity(transfers.len());
         for t in transfers {
-            let site_paths: Vec<Vec<SiteId>> = self.paths(t.src, t.dst).to_vec();
-            let link_paths: Vec<Vec<usize>> =
-                site_paths.iter().map(|p| self.path_links(p)).collect();
-            mcf.add_commodity(t.demand_rate_gbps(slot_len_s), link_paths);
-            tunnels.push(site_paths);
+            let pair = self.tunnels(t.src, t.dst);
+            mcf.add_commodity(t.demand_rate_gbps(slot_len_s), pair.links.clone());
+            tunnels.push(pair.sites.clone());
         }
         (mcf, tunnels)
     }

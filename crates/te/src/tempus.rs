@@ -15,8 +15,8 @@
 //! * LP 2 pins `α` and maximizes total on-time volume;
 //! * the bucket-0 volumes become the slot's rates.
 
-use crate::fixed::FixedContext;
-use owan_core::{Allocation, SlotInput, SlotPlan, Topology, TrafficEngineer};
+use crate::fixed::{enforce_capacity, FixedContext, LpTally};
+use owan_core::{Allocation, Recorder, SlotInput, SlotPlan, Topology, TrafficEngineer};
 use owan_optical::FiberPlant;
 use owan_solver::{LinearProgram, LpOutcome};
 
@@ -46,6 +46,7 @@ impl Default for TempusConfig {
 pub struct TempusTe {
     ctx: FixedContext,
     config: TempusConfig,
+    lp: LpTally,
 }
 
 impl TempusTe {
@@ -54,6 +55,15 @@ impl TempusTe {
         TempusTe {
             ctx: FixedContext::new(topology, theta, k),
             config,
+            lp: LpTally::default(),
+        }
+    }
+
+    fn empty_plan(&self) -> SlotPlan {
+        SlotPlan {
+            topology: self.ctx.topology().clone(),
+            allocations: Vec::new(),
+            throughput_gbps: 0.0,
         }
     }
 }
@@ -64,14 +74,8 @@ impl TrafficEngineer for TempusTe {
     }
 
     fn plan_slot(&mut self, _plant: &FiberPlant, input: &SlotInput<'_>) -> SlotPlan {
-        let topology = self.ctx.topology().clone();
-        let empty = SlotPlan {
-            topology: topology.clone(),
-            allocations: Vec::new(),
-            throughput_gbps: 0.0,
-        };
         if input.transfers.is_empty() {
-            return empty;
+            return self.empty_plan();
         }
 
         // EDF-ordered planning set.
@@ -110,119 +114,107 @@ impl TrafficEngineer for TempusTe {
         }
         let buckets: Vec<(f64, f64)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
 
-        // Variable layout: var[(f_pos, p, b)] over eligible buckets.
+        // One variable (a volume, Gb) per transfer, tunnel and eligible
+        // bucket. The same pass files each variable under every row it
+        // appears in: the (link, bucket) capacity rows of its tunnel's
+        // links (a tunnel is loopless, so once per row) and its transfer's
+        // volume row. Variables are numbered in creation order, so each
+        // row lists them in increasing order.
         let caps = self.ctx.capacities();
         let mut lp = LinearProgram::maximize(0);
-        struct Var {
-            f_pos: usize,
-            path: usize,
-            bucket: usize,
-            var: usize,
-        }
-        let mut vars: Vec<Var> = Vec::new();
-        let mut tunnels: Vec<Vec<Vec<usize>>> = Vec::new(); // link lists per f_pos
-        let mut site_tunnels: Vec<Vec<Vec<usize>>> = Vec::new();
+        let mut link_rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); caps.len() * buckets.len()];
+        let mut transfer_rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); order.len()];
+        // slot0[f_pos][p]: the bucket-0 variable of tunnel `p`.
+        let mut slot0: Vec<Vec<usize>> = Vec::with_capacity(order.len());
         for (f_pos, &i) in order.iter().enumerate() {
             let t = &input.transfers[i];
-            let mut paths = self.ctx.paths(t.src, t.dst).to_vec();
-            paths.truncate(self.config.paths_per_transfer);
-            let links: Vec<Vec<usize>> = paths.iter().map(|p| self.ctx.path_links(p)).collect();
+            let tunnels = self.ctx.tunnels(t.src, t.dst);
             let deadline = t.deadline_s.unwrap_or(f64::INFINITY);
-            for (p, _) in paths.iter().enumerate() {
-                for (b, &(start, end)) in buckets.iter().enumerate() {
+            let mut first_vars = Vec::new();
+            for links in tunnels.links.iter().take(self.config.paths_per_transfer) {
+                for (b, &(_, end)) in buckets.iter().enumerate() {
                     // A bucket is eligible if it ends by the deadline (the
                     // first bucket is always eligible — partial credit is
                     // resolved by the simulator's mid-slot completion).
                     if b == 0 || end <= deadline + 1e-9 {
-                        let _ = start;
                         let var = lp.add_var();
-                        vars.push(Var {
-                            f_pos,
-                            path: p,
-                            bucket: b,
-                            var,
-                        });
+                        if b == 0 {
+                            first_vars.push(var);
+                        }
+                        for &l in links {
+                            link_rows[l * buckets.len() + b].push((var, 1.0));
+                        }
+                        transfer_rows[f_pos].push((var, 1.0));
                     }
                 }
             }
-            tunnels.push(links);
-            site_tunnels.push(paths.to_vec());
+            slot0.push(first_vars);
         }
-        let site_paths_per_f: Vec<Vec<Vec<usize>>> = site_tunnels;
 
         // Link-capacity rows per bucket (volume units: Gb).
         for (l, &cap) in caps.iter().enumerate() {
             for (b, &(start, end)) in buckets.iter().enumerate() {
-                let coeffs: Vec<(usize, f64)> = vars
-                    .iter()
-                    .filter(|v| v.bucket == b && tunnels[v.f_pos][v.path].contains(&l))
-                    .map(|v| (v.var, 1.0))
-                    .collect();
+                let coeffs = &link_rows[l * buckets.len() + b];
                 if !coeffs.is_empty() {
-                    lp.add_le(&coeffs, cap * (end - start));
+                    lp.add_le(coeffs, cap * (end - start));
                 }
             }
         }
         // Per-transfer volume ceilings.
-        for (f_pos, &i) in order.iter().enumerate() {
-            let coeffs: Vec<(usize, f64)> = vars
-                .iter()
-                .filter(|v| v.f_pos == f_pos)
-                .map(|v| (v.var, 1.0))
-                .collect();
+        for (coeffs, &i) in transfer_rows.iter().zip(&order) {
             if !coeffs.is_empty() {
-                lp.add_le(&coeffs, input.transfers[i].remaining_gbits);
+                lp.add_le(coeffs, input.transfers[i].remaining_gbits);
             }
         }
 
-        // LP 1: maximize the minimum delivered fraction α.
+        // LP 1: maximize the minimum delivered fraction α (the variable
+        // after the last volume).
         let alpha = lp.add_var();
         lp.set_objective(alpha, 1.0);
         lp.add_le(&[(alpha, 1.0)], 1.0);
-        for (f_pos, &i) in order.iter().enumerate() {
+        for (mut coeffs, &i) in transfer_rows.into_iter().zip(&order) {
             let t = &input.transfers[i];
-            if t.volume_gbits <= 0.0 {
+            if t.volume_gbits <= 0.0 || coeffs.is_empty() {
                 continue;
             }
             let already = t.volume_gbits - t.remaining_gbits;
-            let mut coeffs: Vec<(usize, f64)> = vars
-                .iter()
-                .filter(|v| v.f_pos == f_pos)
-                .map(|v| (v.var, 1.0))
-                .collect();
-            if coeffs.is_empty() {
-                continue;
-            }
             coeffs.push((alpha, -t.volume_gbits));
             lp.add_ge(&coeffs, -already);
         }
         let Some(sol1) = lp.solve().optimal() else {
-            return empty;
+            self.lp.end_slot();
+            return self.empty_plan();
         };
+        self.lp.solved(sol1.iterations, lp.n_constraints());
         let alpha_star = sol1.x[alpha].clamp(0.0, 1.0);
 
         // LP 2: pin α, maximize total on-time volume.
-        let mut lp2 = lp.clone();
+        let mut lp2 = lp;
         lp2.set_objective(alpha, 0.0);
         lp2.add_ge(&[(alpha, 1.0)], (alpha_star - 1e-6).max(0.0));
-        for v in &vars {
-            lp2.set_objective(v.var, 1.0);
+        for volume in 0..alpha {
+            lp2.set_objective(volume, 1.0);
         }
         let x = match lp2.solve() {
-            LpOutcome::Optimal(s) => s.x,
+            LpOutcome::Optimal(s) => {
+                self.lp.solved(s.iterations, lp2.n_constraints());
+                s.x
+            }
             _ => sol1.x,
         };
+        self.lp.end_slot();
 
         // Bucket-0 volumes become this slot's rates.
         let mut allocations: Vec<Allocation> = Vec::new();
         let slot = input.slot_len_s;
-        for (f_pos, &i) in order.iter().enumerate() {
+        for (first_vars, &i) in slot0.iter().zip(&order) {
             let t = &input.transfers[i];
+            let tunnels = self.ctx.tunnels(t.src, t.dst);
             let mut paths: Vec<(Vec<usize>, f64)> = Vec::new();
-            for v in vars.iter().filter(|v| v.f_pos == f_pos && v.bucket == 0) {
-                let rate = x[v.var] / slot;
+            for (p, &var) in first_vars.iter().enumerate() {
+                let rate = x[var] / slot;
                 if rate > 1e-9 {
-                    paths.push((site_paths_per_f[f_pos][v.path].clone(), rate));
+                    paths.push((tunnels.sites[p].clone(), rate));
                 }
             }
             if !paths.is_empty() {
@@ -232,13 +224,17 @@ impl TrafficEngineer for TempusTe {
                 });
             }
         }
-        crate::fixed::enforce_capacity(&mut allocations, &topology, self.ctx.theta());
+        enforce_capacity(&mut allocations, self.ctx.topology(), self.ctx.theta());
         let throughput_gbps = allocations.iter().map(|a| a.total_rate()).sum();
         SlotPlan {
-            topology,
+            topology: self.ctx.topology().clone(),
             allocations,
             throughput_gbps,
         }
+    }
+
+    fn set_recorder(&mut self, recorder: Recorder) {
+        self.lp.recorder = recorder;
     }
 }
 

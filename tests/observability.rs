@@ -8,7 +8,7 @@ use owan::core::engine::{OwanConfig, OwanEngine, SlotInput, TrafficEngineer};
 use owan::core::types::Transfer;
 use owan::core::AnnealConfig;
 use owan::obs::{ManualClock, Recorder};
-use owan::sim::runner::{run_engine, run_engine_observed, EngineKind, RunnerConfig};
+use owan::sim::runner::{make_engine, run_engine, run_engine_observed, EngineKind, RunnerConfig};
 use owan::sim::SimConfig;
 use owan::topo::internet2_testbed;
 use owan::workload::{generate, WorkloadConfig};
@@ -66,6 +66,32 @@ fn recording_does_not_change_slot_plans() {
         let a = observed.plan_slot(&net.plant, &input);
         let b = plain.plan_slot(&net.plant, &input);
         assert_eq!(a, b, "slot {slot} diverged under telemetry");
+    }
+
+    // The LP baselines count their LP work per slot and emit it only when
+    // someone listens; listening must not move a rate either.
+    for kind in [EngineKind::Swan, EngineKind::Tempus] {
+        let recorder = Recorder::enabled();
+        let mut observed = make_engine(kind, &net, &fast_runner());
+        observed.set_recorder(recorder.clone());
+        let mut plain = make_engine(kind, &net, &fast_runner());
+        for slot in 0..4 {
+            let input = SlotInput {
+                transfers: &transfers,
+                slot_len_s: 300.0,
+                now_s: slot as f64 * 300.0,
+            };
+            let a = observed.plan_slot(&net.plant, &input);
+            let b = plain.plan_slot(&net.plant, &input);
+            assert_eq!(a, b, "{kind:?} slot {slot} diverged under telemetry");
+        }
+        let counters = recorder.snapshot().counters;
+        // SWAN: five bounded LPs a slot; Tempus: the fraction LP and the
+        // volume LP.
+        let per_slot = if kind == EngineKind::Swan { 5 } else { 2 };
+        assert_eq!(counters["lp.solves"], 4 * per_slot, "{kind:?}");
+        assert!(counters["lp.pivots"] >= counters["lp.solves"], "{kind:?}");
+        assert!(counters["lp.rows"] > counters["lp.solves"], "{kind:?}");
     }
 }
 
