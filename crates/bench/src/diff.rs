@@ -262,7 +262,7 @@ pub fn history_record(report: &AnnealBenchReport, unix_ts: u64) -> String {
             "\"pipeline_fast_wall_s\": {:.6}, \"pipeline_speedup\": {:.2}, ",
             "\"scope_overhead\": {:.4}, \"prof_overhead\": {:.4}, ",
             "\"chains_speedup\": {:.2}, \"chains_utilization\": {:.2}, ",
-            "\"miss_dominant\": \"{}\", \"miss_dominant_count\": {}}}\n"
+            "\"evals\": {}}}\n"
         ),
         unix_ts,
         report.commit,
@@ -278,8 +278,7 @@ pub fn history_record(report: &AnnealBenchReport, unix_ts: u64) -> String {
         report.prof_overhead,
         report.chains_speedup,
         report.chains_utilization,
-        report.miss_dominant.0,
-        report.miss_dominant.1,
+        report.evals,
     )
 }
 
@@ -433,7 +432,7 @@ mod tests {
             fast_shortest_path_calls: 100,
             shortest_path_reduction: 10.0,
             eval_speedup: 4.0,
-            outcome_hit_rate: 0.05,
+            evals: 43,
             pipeline_naive_wall_s: 2.0,
             pipeline_fast_wall_s: 1.0,
             pipeline_speedup: 2.0,
@@ -450,8 +449,6 @@ mod tests {
             chains_busy_s: 0.9,
             chains_concurrency: 1.8,
             chains_utilization: 2.0,
-            miss_by_reason: [("cold", 40), ("capacity", 0)],
-            miss_dominant: ("cold".into(), 40),
             warnings: Vec::new(),
         };
         let line = history_record(&report, 1_700_000_000);
@@ -460,6 +457,6 @@ mod tests {
         assert_eq!(json_number(&line, "ts"), Some(1_700_000_000.0));
         assert_eq!(json_string(&line, "commit").as_deref(), Some("abc1234"));
         assert_eq!(json_number(&line, "fast_evals_per_s"), Some(400.0));
-        assert_eq!(json_string(&line, "miss_dominant").as_deref(), Some("cold"));
+        assert_eq!(json_number(&line, "evals"), Some(43.0));
     }
 }

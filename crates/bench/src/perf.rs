@@ -5,10 +5,9 @@
 //! reference before its timing is reported:
 //!
 //! 1. **Energy-evaluation rate** — one annealing run on the ISP backbone,
-//!    naive vs cached, reporting energy-evals/sec, the
-//!    `circuits.shortest_path_calls` counts (relay searches started: the
-//!    delta rebuild's reused pairs start none), and the outcome-memo hit
-//!    rate (`outcome_hit_rate`).
+//!    naive vs cached, reporting energy-evals/sec, the evaluation count
+//!    and the `circuits.shortest_path_calls` counts (relay searches
+//!    started: the delta rebuild's reused pairs start none).
 //! 2. **Pipeline wall clock** — the Fig 10(d)-style inter-DC simulation at
 //!    a fixed iteration budget, cache off vs on (the ≥2× speedup target),
 //!    plus slots/sec.
@@ -64,9 +63,8 @@ pub struct AnnealBenchReport {
     pub shortest_path_reduction: f64,
     /// `naive_wall_s / fast_wall_s` for the single run.
     pub eval_speedup: f64,
-    /// Outcome-memo hit rate over the cached run's evaluations (whole
-    /// revisited topologies answered without Algorithm 3).
-    pub outcome_hit_rate: f64,
+    /// Energy evaluations of the single run (the same on both paths).
+    pub evals: u64,
     /// Fig 10(d)-style pipeline wall, cache off, seconds (inter-DC).
     pub pipeline_naive_wall_s: f64,
     /// Same pipeline with the cache on.
@@ -113,12 +111,6 @@ pub struct AnnealBenchReport {
     /// this directly reads off the spawn/scheduling tax behind a 0.95×
     /// "speedup"; on real parallel hardware it reads off scaling loss.
     pub chains_utilization: f64,
-    /// Cache-miss attribution from the cached single run, one count per
-    /// [`owan_core::MissReason`] slug (evaluation-level; sums to the
-    /// outcome-miss total).
-    pub miss_by_reason: [(&'static str, u64); 2],
-    /// The dominant attributed miss cause (slug) and its count.
-    pub miss_dominant: (String, u64),
     /// Comparability caveats baked into the report itself (e.g. a
     /// multi-chain scaling measurement taken on a single core, where
     /// `chains_speedup` reads pool overhead rather than parallelism).
@@ -146,14 +138,14 @@ fn anneal_fixture(net_name: &str, scale: &Scale) -> (owan_topo::Network, Vec<Tra
 }
 
 /// One observed annealing run; returns the result, wall seconds, and the
-/// counter snapshot values `(evals, shortest_path_calls, cache_hits)`.
+/// counter snapshot values `(evals, shortest_path_calls)`.
 fn timed_anneal(
     net: &owan_topo::Network,
     transfers: &[Transfer],
     initial: &Topology,
     config: &AnnealConfig,
     cache: Option<&mut EnergyCache>,
-) -> (AnnealResult, f64, u64, u64, u64) {
+) -> (AnnealResult, f64, u64, u64) {
     let fiber_dist = net.plant.fiber_distance_matrix();
     let ctx = EnergyContext {
         plant: &net.plant,
@@ -172,13 +164,11 @@ fn timed_anneal(
     let wall = start.elapsed().as_secs_f64();
     let snap = recorder.snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    let evals = counter("anneal.cache_hit") + counter("anneal.cache_miss");
     (
         result,
         wall,
-        evals,
+        counter("anneal.cache_miss"),
         counter("circuits.shortest_path_calls"),
-        counter("anneal.cache_hit"),
     )
 }
 
@@ -301,38 +291,31 @@ pub fn bench_anneal(
     // --- single-run evaluation rate, naive vs cached (ISP) ---
     let reps = 3;
     let mut naive: Option<(AnnealResult, f64, u64, u64)> = None;
-    let mut fast: Option<(AnnealResult, f64, u64, u64, f64)> = None;
+    let mut fast: Option<(AnnealResult, f64, u64, u64)> = None;
     let mut fast_stats = EnergyCacheStats::default();
     for _ in 0..reps {
-        let (res, wall, evals, sp, _) = timed_anneal(&net, &transfers, &initial, &config, None);
+        let run = timed_anneal(&net, &transfers, &initial, &config, None);
         naive = match naive {
-            Some(prev) if prev.1 <= wall => Some(prev),
-            _ => Some((res, wall, evals, sp)),
+            Some(prev) if prev.1 <= run.1 => Some(prev),
+            _ => Some(run),
         };
     }
     for _ in 0..reps {
         let mut cache = EnergyCache::new();
-        let (res, wall, evals, sp, hits) =
-            timed_anneal(&net, &transfers, &initial, &config, Some(&mut cache));
+        let run = timed_anneal(&net, &transfers, &initial, &config, Some(&mut cache));
         // Counters are identical across reps by determinism, so any rep's
         // stats stand for the kept one.
         fast_stats = cache.stats;
-        let outcome_rate = if evals > 0 {
-            hits as f64 / evals as f64
-        } else {
-            0.0
-        };
         fast = match fast {
-            Some(prev) if prev.1 <= wall => Some(prev),
-            _ => Some((res, wall, evals, sp, outcome_rate)),
+            Some(prev) if prev.1 <= run.1 => Some(prev),
+            _ => Some(run),
         };
     }
     let (naive_res, naive_wall, naive_evals, naive_sp) = naive.expect("reps >= 1");
-    let (fast_res, fast_wall, fast_evals, fast_sp, outcome_hit_rate) = fast.expect("reps >= 1");
-    let attributed: u64 = fast_stats.miss_by_reason.iter().sum();
+    let (fast_res, fast_wall, fast_evals, fast_sp) = fast.expect("reps >= 1");
     assert_eq!(
-        attributed, fast_stats.outcome_misses,
-        "per-reason miss counters must account for every outcome miss"
+        fast_evals, fast_stats.outcome_misses,
+        "every evaluation of the cached run was scored on the fast path"
     );
     assert_eq!(
         naive_res.topology, fast_res.topology,
@@ -472,7 +455,7 @@ pub fn bench_anneal(
         fast_shortest_path_calls: fast_sp,
         shortest_path_reduction: naive_sp as f64 / (fast_sp as f64).max(1.0),
         eval_speedup: naive_wall / fast_wall.max(1e-9),
-        outcome_hit_rate,
+        evals: fast_evals,
         pipeline_naive_wall_s,
         pipeline_fast_wall_s,
         pipeline_speedup: pipeline_naive_wall_s / pipeline_fast_wall_s.max(1e-9),
@@ -489,10 +472,6 @@ pub fn bench_anneal(
         chains_busy_s: chains_busy_ns as f64 / 1e9,
         chains_concurrency: chains_busy_ns as f64 / (chains_wall_ns as f64).max(1.0),
         chains_utilization: chains_speedup / chains.min(cores).max(1) as f64,
-        miss_by_reason: fast_stats.miss_reasons(),
-        miss_dominant: fast_stats
-            .dominant_miss_cause()
-            .map_or(("none".to_string(), 0), |(slug, n)| (slug.to_string(), n)),
         warnings,
     }
 }
@@ -529,7 +508,6 @@ impl AnnealBenchReport {
             format!("{:.2}", self.shortest_path_reduction),
         );
         kv("eval_speedup", format!("{:.2}", self.eval_speedup));
-        kv("outcome_hit_rate", format!("{:.4}", self.outcome_hit_rate));
         kv(
             "pipeline_naive_wall_s",
             format!("{:.6}", self.pipeline_naive_wall_s),
@@ -576,9 +554,6 @@ impl AnnealBenchReport {
             "chains_utilization",
             format!("{:.2}", self.chains_utilization),
         );
-        for (slug, n) in self.miss_by_reason {
-            kv(&format!("cache_miss_{slug}"), n.to_string());
-        }
         // One line per warning; double quotes inside a warning would break
         // the line-oriented readers, so they are normalized away.
         let warnings = self
@@ -588,8 +563,7 @@ impl AnnealBenchReport {
             .collect::<Vec<_>>()
             .join(", ");
         kv("warnings", format!("[{warnings}]"));
-        kv("miss_dominant", format!("\"{}\"", self.miss_dominant.0));
-        let last = format!("  \"miss_dominant_count\": {}\n", self.miss_dominant.1);
+        let last = format!("  \"evals\": {}\n", self.evals);
         s.push_str(&last);
         s.push('}');
         s.push('\n');
@@ -683,7 +657,7 @@ mod tests {
             fast_shortest_path_calls: 100,
             shortest_path_reduction: 10.0,
             eval_speedup: 4.0,
-            outcome_hit_rate: 0.05,
+            evals: 43,
             pipeline_naive_wall_s: 2.0,
             pipeline_fast_wall_s: 1.0,
             pipeline_speedup: 2.0,
@@ -700,8 +674,6 @@ mod tests {
             chains_busy_s: 0.9,
             chains_concurrency: 1.8,
             chains_utilization: 2.0,
-            miss_by_reason: [("cold", 40), ("capacity", 3)],
-            miss_dominant: ("cold".into(), 40),
             warnings: vec!["multi-chain scaling measured with 2 chains on 1 core".into()],
         };
         let json = report.to_json();
@@ -712,15 +684,11 @@ mod tests {
         assert_eq!(json_string(&json, "commit").as_deref(), Some("abc1234"));
         assert_eq!(json_number(&json, "prof_overhead"), Some(0.02));
         assert_eq!(json_number(&json, "chains_concurrency"), Some(1.8));
-        assert_eq!(json_number(&json, "outcome_hit_rate"), Some(0.05));
-        assert_eq!(json_number(&json, "cache_miss_cold"), Some(40.0));
-        assert_eq!(json_number(&json, "cache_miss_capacity"), Some(3.0));
+        assert_eq!(json_number(&json, "evals"), Some(43.0));
         assert!(
             json.contains("\"warnings\": [\"multi-chain scaling"),
             "warnings must serialize as a row:\n{json}"
         );
-        assert_eq!(json_number(&json, "miss_dominant_count"), Some(40.0));
-        assert_eq!(json_string(&json, "miss_dominant").as_deref(), Some("cold"));
 
         assert!(check_against_baseline(&report, &json, 0.3).is_ok());
         let mut slower = report.clone();
@@ -761,15 +729,7 @@ mod tests {
             );
         }
         assert!(report.fast_shortest_path_calls > 0);
-        let attributed: u64 = report.miss_by_reason.iter().map(|&(_, n)| n).sum();
-        assert!(
-            attributed > 0,
-            "a fresh cache must record attributed misses"
-        );
-        assert_eq!(
-            report.miss_dominant.1,
-            report.miss_by_reason.iter().map(|&(_, n)| n).max().unwrap()
-        );
+        assert_eq!(report.evals, 16, "15 iterations and the initial state");
         assert!(report.chains_busy_s > 0.0, "busy counter did not record");
         assert!(report.chains_concurrency > 0.0);
         assert!(

@@ -25,6 +25,7 @@ use crate::rates::RateInputs;
 use crate::telemetry::{names, CoreTelemetry};
 use crate::topology::Topology;
 use owan_obs::Value;
+use owan_optical::SiteId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
@@ -49,9 +50,9 @@ pub struct AnnealConfig {
     /// running-time experiment). `None` = no time limit.
     pub time_budget_s: Option<f64>,
     /// Use the [`EnergyCache`] fast path (plant tables, lazy relay search,
-    /// delta rebuilds, outcome memoization). At a fixed iteration count
+    /// delta rebuilds on flat circuit ledgers). At a fixed iteration count
     /// (`time_budget_s == None`) the search result is bit-identical either
-    /// way — the flag only trades memory for speed. Under a wall-clock budget the
+    /// way — the flag only buys speed. Under a wall-clock budget the
     /// cheaper evaluations fit *more* iterations inside the budget, so
     /// the resulting plan legitimately differs (that is the point of the
     /// Fig 10(d) experiment: quality per second, not per iteration). Off
@@ -98,23 +99,40 @@ impl AnnealResult {
 /// `(v,q)`. Returns `None` if no valid move exists (e.g. fewer than two
 /// links, or every sampled move would create a self-link).
 pub fn compute_neighbor(s: &Topology, rng: &mut StdRng) -> Option<Topology> {
-    let links = s.links();
-    let total = links.iter().map(|&(_, _, m)| m as usize).sum::<usize>();
-    if links.is_empty() || total < 2 {
-        return None;
+    let mut t = Topology::empty(0);
+    neighbor_into(s, rng, &mut t).then_some(t)
+}
+
+/// [`compute_neighbor`] into a topology the caller owns: `out` is
+/// overwritten with the neighbor when one exists (the return value says
+/// so) and left as it was otherwise. Allocates nothing once `out` has held
+/// a topology of this size.
+fn neighbor_into(s: &Topology, rng: &mut StdRng, out: &mut Topology) -> bool {
+    let n = s.site_count();
+    // Links `(u, v, m)` with `u < v`, in canonical order, read off the
+    // rows without listing them.
+    let links = || {
+        (0..n).flat_map(move |u| {
+            let above = s.row(u).iter().enumerate().skip(u + 1);
+            above.filter_map(move |(v, &m)| (m > 0).then_some((u, v, m as usize)))
+        })
+    };
+    let total = s.total_links() as usize;
+    if total < 2 {
+        return false;
     }
     // Sampling is uniform over link *units* (a link of multiplicity m is m
     // units), but without materializing the unit expansion: draw an index
     // into the virtual expanded list and walk the cumulative multiplicities
-    // to the owning link — O(links) per draw, and the index→pair map is
-    // exactly the expanded list's, so the RNG-to-move mapping is unchanged.
-    let unit_at = |idx: usize| -> (usize, usize) {
+    // to the owning link — the index→pair map is exactly the expanded
+    // list's, so the RNG-to-move mapping is that of sampling the list.
+    let unit_at = |idx: usize| -> (SiteId, SiteId) {
         let mut rem = idx;
-        for &(u, v, m) in &links {
-            if rem < m as usize {
+        for (u, v, m) in links() {
+            if rem < m {
                 return (u, v);
             }
-            rem -= m as usize;
+            rem -= m;
         }
         unreachable!("index {idx} beyond {total} link units");
     };
@@ -137,14 +155,14 @@ pub fn compute_neighbor(s: &Topology, rng: &mut StdRng) -> Option<Topology> {
         if u == p || v == q {
             continue;
         }
-        let mut t = s.clone();
-        t.remove_links(u, v, 1);
-        t.remove_links(p, q, 1);
-        t.add_links(u, p, 1);
-        t.add_links(v, q, 1);
-        return Some(t);
+        out.clone_from(s);
+        out.remove_links(u, v, 1);
+        out.remove_links(p, q, 1);
+        out.add_links(u, p, 1);
+        out.add_links(v, q, 1);
+        return true;
     }
-    None
+    false
 }
 
 /// Runs simulated annealing (Algorithm 1) from `initial`, maximizing the
@@ -212,9 +230,11 @@ fn anneal_chain(
     let mut eval = EnergyEvaluator::new(ctx, cache, rate_inputs, telemetry);
 
     let mut current = initial.clone();
-    let mut current_outcome = eval.eval(&current, None);
-    let mut current_e = current_outcome.energy_gbps();
+    let mut current_e = eval.score(&current, None);
+    eval.accept();
     let initial_energy_gbps = current_e;
+    // The neighbor under evaluation; swapped with `current` on accept.
+    let mut neighbor = Topology::empty(0);
 
     // Best-so-far snapshot, held lazily: `None` means the best state *is*
     // the current state, so improvement streaks cost no clones at all; a
@@ -223,7 +243,7 @@ fn anneal_chain(
     // (`neighbor_e > best_e`) always satisfies `neighbor_e >= current_e`
     // (the invariant `best_e >= current_e` holds throughout) and is
     // therefore always accepted.
-    let mut best: Option<(Topology, Arc<EnergyOutcome>)> = None;
+    let mut best: Option<Topology> = None;
     let mut best_e = current_e;
 
     // Initial temperature = current throughput (Alg 1 line 4); keep it
@@ -239,12 +259,11 @@ fn anneal_chain(
             }
         }
         let iter_span = telemetry.anneal_iter.enter();
-        let Some(neighbor) = compute_neighbor(&current, &mut rng) else {
+        if !neighbor_into(&current, &mut rng, &mut neighbor) {
             iter_span.cancel();
             break;
-        };
-        let neighbor_outcome = eval.eval(&neighbor, Some((&current, current_outcome.as_ref())));
-        let neighbor_e = neighbor_outcome.energy_gbps();
+        }
+        let neighbor_e = eval.score(&neighbor, Some(&current));
 
         let improved = neighbor_e > best_e;
         if improved {
@@ -267,10 +286,10 @@ fn anneal_chain(
                 best = None;
             } else if best.is_none() {
                 // Walking away from the best state: snapshot it first.
-                best = Some((current.clone(), Arc::clone(&current_outcome)));
+                best = Some(current.clone());
             }
-            current = neighbor;
-            current_outcome = neighbor_outcome;
+            std::mem::swap(&mut current, &mut neighbor);
+            eval.accept();
             current_e = neighbor_e;
         } else {
             telemetry.anneal_rejected.incr();
@@ -295,20 +314,16 @@ fn anneal_chain(
     }
     telemetry.anneal_iterations.add(iterations as u64);
 
-    let (topology, outcome) = match best {
-        Some(snapshot) => {
-            // A walk that came back to the best state holds its outcome
-            // a second time.
-            drop(current_outcome);
-            snapshot
-        }
-        None => (current, current_outcome),
-    };
-    // Outcomes were shared with the cache's memo behind an `Arc`; with the
-    // run's memo released the result takes its outcome without a copy.
-    eval.finish();
-    debug_assert_eq!(Arc::strong_count(&outcome), 1, "winner uniquely owned");
-    let outcome = Arc::try_unwrap(outcome).unwrap_or_else(|a| (*a).clone());
+    // Circuits and allocations are produced here, once, for the winner:
+    // the evaluations above kept only their scores.
+    let best_is_accepted = best.is_none();
+    let topology = best.unwrap_or(current);
+    let outcome = eval.finish(&topology, best_is_accepted);
+    debug_assert_eq!(
+        outcome.energy_gbps().to_bits(),
+        best_e.to_bits(),
+        "the winner's outcome has the energy it was scored at"
+    );
     AnnealResult {
         topology,
         outcome,

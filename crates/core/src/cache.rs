@@ -1,133 +1,70 @@
-//! The annealing fast path's state: the plant-scoped precompute, the
-//! kernels' scratch buffers and the run-scoped outcome memo.
+//! The annealing fast path's state: the plant-scoped precompute, the two
+//! circuit ledgers and the kernels' scratch buffers.
 //!
 //! Every annealing iteration evaluates `ComputeEnergy` (Algorithm 3) on a
-//! candidate topology, and the naive evaluation rebuilds a
-//! [`RegenGraph`](crate::regen::RegenGraph) (Dijkstra + Yen) for *every*
-//! desired link — even though the plant is fixed for the whole slot and the
-//! Metropolis walk revisits states. The [`EnergyCache`] holds what the fast
-//! evaluation keeps between those calls:
+//! candidate topology and reads one number of the result, the throughput.
+//! The naive evaluation rebuilds a [`RegenGraph`](crate::regen::RegenGraph)
+//! (Dijkstra + Yen) for *every* desired link and materialises every
+//! circuit and allocation — even though the plant is fixed for the whole
+//! slot and the neighbor differs from the accepted state in four links.
+//! The [`EnergyCache`] holds what the fast evaluation keeps between those
+//! calls, none of it per evaluation:
 //!
 //! 1. **[`PlantCache`]** — everything about circuit construction that
 //!    depends on the plant alone: the reach rows the resumable relay search
 //!    ([`RelaySearch`](crate::regen::RelaySearch)) runs on, the route table
-//!    provisioning and the probe sets read fibers from, and the per-pair
+//!    provisioning and the probe rows read fibers from, and the per-pair
 //!    relay domains the delta rebuild's dirty-set screen compares
 //!    free-regenerator vectors on. Relay candidates themselves are *not*
 //!    cached: a search draws them one at a time, and nearly every attempt
 //!    lights the first.
-//! 2. **Scratch buffers** of the two allocation-free kernels an evaluation
-//!    runs: the relay search's and the rate pass's.
-//! 3. **Outcome memo** — full [`EnergyOutcome`]s keyed by the desired
-//!    topology (revisited states cost a lookup + `Arc` clone).
+//! 2. **Two [`TopologyLedger`]s** — `accepted`, the build of the walk's
+//!    current state, and `scored`, the build of the neighbor being
+//!    evaluated, rebuilt incrementally from `accepted`; accepting a move
+//!    swaps them.
+//! 3. **Scratch buffers** of the kernels an evaluation runs: the relay
+//!    search's, the delta rebuild's and the rate pass's.
+//!
+//! There is no memo of evaluated topologies: a walk that returns to a
+//! state re-scores it — a deterministic function of the same inputs, so
+//! the walk is unchanged — which costs less than hashing, storing and
+//! dropping full outcomes for the few evaluations in a hundred that
+//! repeat.
 //!
 //! Invalidation: the [`PlantCache`] is valid as long as the plant content
 //! is unchanged; [`EnergyCache::begin_run`] fingerprints the plant (sites,
 //! ports, regenerators, fibers, lengths, usable wavelengths) and drops it
 //! when the fingerprint moves — e.g. when a chaos fault degrades an
-//! amplifier and shrinks a fiber's usable band. The memo is only valid for
-//! one evaluation context (one transfer set, one slot length):
-//! [`EnergyCache::end_run`] releases it and `begin_run` clears whatever a
-//! run left behind.
+//! amplifier and shrinks a fiber's usable band. The ledgers are buffers: a
+//! run's first evaluation rebuilds `accepted` in full.
 
-use crate::energy::EnergyOutcome;
+use crate::circuits::{DeltaScratch, TopologyLedger};
 use crate::rates::RateScratch;
 use crate::regen::{ReachRows, RelayScratch};
-use crate::topology::Topology;
 use owan_optical::{FiberPlant, RouteTable, SiteId};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// Cap on memoized full outcomes per run (an outcome holds an optical
-/// state; the cap bounds memory on long runs). Inserts stop at the cap —
-/// deterministically, since the insert order is the search order.
-const OUTCOME_CAP: usize = 4096;
-
-/// Cap on the capacity-miss overflow key set (topology hashes remembered
-/// after the outcome memo fills, so repeats attribute to `capacity`).
-const OVERFLOW_CAP: usize = 4 * OUTCOME_CAP;
-
-/// A small fiber-id bitset: the probe sets the circuit builders record and
-/// the dirty sets of delta rebuilds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FiberSet {
-    words: Vec<u64>,
-}
-
-/// The positions of the set bits of `bits`, lowest first, offset by
-/// `64 * word`.
-fn set_bits(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (bits != 0).then(|| {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            word * 64 + b
-        })
-    })
-}
-
-impl FiberSet {
-    /// An empty set over `n_fibers` fiber ids.
-    pub fn new(n_fibers: usize) -> Self {
-        FiberSet {
-            words: vec![0; n_fibers.div_ceil(64)],
-        }
-    }
-
-    /// Inserts fiber `f`.
-    pub fn insert(&mut self, f: usize) {
-        self.words[f / 64] |= 1 << (f % 64);
-    }
-
-    /// True if the sets share any fiber.
-    pub fn intersects(&self, other: &FiberSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    /// Adds every fiber of `other` to `self`.
-    pub fn union_with(&mut self, other: &FiberSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Iterates the fiber ids in the set, in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &bits)| set_bits(w, bits))
-    }
-
-    /// Iterates the fiber ids present in *both* sets, in increasing order.
-    pub fn iter_common<'a>(&'a self, other: &'a FiberSet) -> impl Iterator<Item = usize> + 'a {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .enumerate()
-            .flat_map(|(w, (&a, &b))| set_bits(w, a & b))
-    }
-}
 
 /// Attributed cause of an evaluation that had to run Algorithm 3: the
 /// `anneal.cache_miss.<reason>` counters, which partition
-/// `anneal.cache_miss` exactly.
+/// `anneal.cache_miss` exactly. Every evaluation runs Algorithm 3, so
+/// `anneal.cache_miss` is the evaluation count: `uncached` on the naive
+/// path, `cold` on the fast path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MissReason {
     /// No cache attached at all (the naive reference path).
     Uncached,
-    /// First sight: the topology was never evaluated this run.
+    /// An evaluation on the fast path.
     Cold,
-    /// The outcome was computed before but the memo's capacity cap
-    /// refused to store it.
-    Capacity,
-    // The five variants below named why the relay-candidate cache missed.
-    // That cache is gone and nothing produces them; they, the three
-    // `relay_*` fields of [`EnergyCacheStats`] and their
+    // The variants below named why the outcome memo (`Capacity`) and the
+    // relay-candidate cache (the other five) missed. Both are gone and
+    // nothing produces them; they, the `outcome_hits` and three `relay_*`
+    // fields of [`EnergyCacheStats`] and their
     // [`CoreTelemetry`](crate::telemetry::CoreTelemetry) counters exist
     // only until a benchmark-only PR drops the `benchmark/src/layers.rs`
-    // rows that read them (`core.cache_relay_hit_rate`, five
-    // `core.cache_miss_*`).
+    // rows that read them (`core.cache_outcome_hit_rate`,
+    // `core.cache_relay_hit_rate`, six `core.cache_miss_*`).
+    #[doc(hidden)]
+    Capacity,
     #[doc(hidden)]
     Flush,
     #[doc(hidden)]
@@ -154,18 +91,13 @@ impl MissReason {
             MissReason::MembershipCrossing => "membership_crossing",
         }
     }
-
-    /// The causes an outcome-memo miss attributes to, in the index order
-    /// of [`EnergyCacheStats::miss_by_reason`].
-    pub const MEMO: [MissReason; 2] = [MissReason::Cold, MissReason::Capacity];
 }
 
-/// Cache effectiveness counters, exposed for tests and the bench pipeline.
+/// Fast-path work counters, exposed for tests and the bench pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnergyCacheStats {
-    /// Full-outcome memo hits (an evaluation answered without Algorithm 3).
-    pub outcome_hits: u64,
-    /// Full-outcome memo misses.
+    /// Evaluations scored on the fast path (each ran Algorithm 3; the
+    /// name is the one the outcome memo's miss count had).
     pub outcome_misses: u64,
     /// Incremental (delta) circuit rebuilds performed.
     pub delta_builds: u64,
@@ -179,14 +111,14 @@ pub struct EnergyCacheStats {
     /// Pairs re-provisioned inside delta rebuilds (multiplicity changed,
     /// or the screen found a regenerator or occupancy divergence).
     pub delta_pairs_rebuilt: u64,
-    /// Full circuit rebuilds (initial evaluations and fallbacks).
+    /// Full circuit rebuilds (initial evaluations, fallbacks, and a
+    /// winner that is not the accepted state).
     pub full_builds: u64,
     /// Plant-fingerprint flushes of the plant-scoped precompute.
     pub flushes: u64,
-    /// Outcome-memo misses by attributed cause, indexed as
-    /// [`MissReason::MEMO`]; the entries sum to `outcome_misses`.
-    pub miss_by_reason: [u64; 2],
     /// Always zero: see the note in [`MissReason`].
+    #[doc(hidden)]
+    pub outcome_hits: u64,
     #[doc(hidden)]
     pub relay_hits: u64,
     #[doc(hidden)]
@@ -198,7 +130,6 @@ pub struct EnergyCacheStats {
 impl EnergyCacheStats {
     /// Field-wise sum, for aggregating per-chain caches into one report.
     pub fn merge(&mut self, other: &EnergyCacheStats) {
-        self.outcome_hits += other.outcome_hits;
         self.outcome_misses += other.outcome_misses;
         self.delta_builds += other.delta_builds;
         self.delta_fallbacks += other.delta_fallbacks;
@@ -206,87 +137,6 @@ impl EnergyCacheStats {
         self.delta_pairs_rebuilt += other.delta_pairs_rebuilt;
         self.full_builds += other.full_builds;
         self.flushes += other.flushes;
-        for (a, b) in self.miss_by_reason.iter_mut().zip(&other.miss_by_reason) {
-            *a += b;
-        }
-    }
-
-    pub(crate) fn count_eval_miss(&mut self, reason: MissReason) {
-        let idx = MissReason::MEMO
-            .iter()
-            .position(|&r| r == reason)
-            .expect("an outcome-memo miss is cold or capacity");
-        self.miss_by_reason[idx] += 1;
-    }
-
-    /// Outcome-memo misses by attributed cause as `(slug, count)` pairs.
-    pub fn miss_reasons(&self) -> [(&'static str, u64); 2] {
-        std::array::from_fn(|i| (MissReason::MEMO[i].name(), self.miss_by_reason[i]))
-    }
-
-    /// The largest attributed evaluation-miss cause, if any miss was
-    /// recorded (ties resolve to the later of [`MissReason::MEMO`]).
-    pub fn dominant_miss_cause(&self) -> Option<(&'static str, u64)> {
-        self.miss_reasons()
-            .into_iter()
-            .filter(|&(_, n)| n > 0)
-            .max_by_key(|&(_, n)| n)
-    }
-
-    /// Renders the per-run cache breakdown: memo hit/miss totals, circuit
-    /// builds by kind, misses split by attributed cause, and the dominant
-    /// cause named on the last line.
-    pub fn format_breakdown(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let pct = |part: u64, whole: u64| {
-            if whole == 0 {
-                0.0
-            } else {
-                100.0 * part as f64 / whole as f64
-            }
-        };
-        let evals = self.outcome_hits + self.outcome_misses;
-        let _ = writeln!(
-            out,
-            "outcome memo   {:>10} hits {:>10} misses ({:.1}% hit)",
-            self.outcome_hits,
-            self.outcome_misses,
-            pct(self.outcome_hits, evals)
-        );
-        let _ = writeln!(
-            out,
-            "circuit builds {:>10} delta {:>10} full ({} fallbacks)",
-            self.delta_builds, self.full_builds, self.delta_fallbacks
-        );
-        let _ = writeln!(
-            out,
-            "delta pairs    {:>10} reused {:>8} rebuilt",
-            self.delta_pairs_reused, self.delta_pairs_rebuilt
-        );
-        let _ = writeln!(out, "eval misses by cause (sum = outcome misses):");
-        for (slug, n) in self.miss_reasons() {
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>10} ({:.1}%)",
-                slug,
-                n,
-                pct(n, self.outcome_misses)
-            );
-        }
-        match self.dominant_miss_cause() {
-            Some((slug, n)) => {
-                let _ = writeln!(
-                    out,
-                    "dominant miss cause: {slug} ({n} of {} misses)",
-                    self.outcome_misses
-                );
-            }
-            None => {
-                let _ = writeln!(out, "dominant miss cause: none (no misses recorded)");
-            }
-        }
-        out
     }
 }
 
@@ -341,8 +191,8 @@ pub fn plant_fingerprint(plant: &FiberPlant) -> u64 {
 ///   bit-identical draws from a relay search — the theorem the delta
 ///   rebuild's dirty-set screen rests on;
 /// - the **route table** ([`RouteTable`]): the shortest fiber route of
-///   every ordered site pair, which the cached and delta builders hand to
-///   provisioning (no Dijkstra per segment) and read probe fibers from.
+///   every ordered site pair, which the ledger builds hand to provisioning
+///   (no Dijkstra per segment) and read probe and dirty fibers from.
 ///
 /// Invalidation piggybacks on the plant fingerprint: a degradation that
 /// moves the fingerprint (e.g. an amp fault shrinking a fiber's usable
@@ -432,8 +282,15 @@ impl PlantCache {
 pub struct EnergyCache {
     /// Fingerprint of the plant the current run evaluates.
     plant_sig: Option<u64>,
+    /// The build of the annealing walk's current state: what a neighbor's
+    /// build resumes from.
+    pub(crate) accepted: TopologyLedger,
+    /// The build of the topology evaluated last.
+    pub(crate) scored: TopologyLedger,
     /// Buffers and between-draw state of the relay search.
     pub(crate) relay_scratch: RelayScratch,
+    /// Buffers of the delta rebuild.
+    pub(crate) delta_scratch: DeltaScratch,
     /// Buffers of the rate pass.
     pub(crate) rate_scratch: RateScratch,
     /// Plant-scoped precompute (relay domains, reach rows, route table),
@@ -443,16 +300,7 @@ pub struct EnergyCache {
     /// [`Self::install_plant_cache`]; adopted on first use when its
     /// fingerprint matches, so sibling chains never rebuild it.
     shared_plant: Option<Arc<PlantCache>>,
-    /// Run-scoped: full outcomes keyed by desired topology. `Arc`-shared
-    /// with the annealing loop's current/best snapshots, so a hit (and a
-    /// store) is a pointer clone, not a deep outcome copy.
-    outcomes: HashMap<Topology, Arc<EnergyOutcome>>,
-    /// Run-scoped: desired topologies whose outcome the memo *refused* at
-    /// [`OUTCOME_CAP`] — a re-evaluation of one of these is a capacity
-    /// miss, not a cold one. Itself capped (see [`OVERFLOW_CAP`]); beyond
-    /// that the attribution degrades to `cold`, never miscounts.
-    overflow: HashSet<Topology>,
-    /// Effectiveness counters.
+    /// Work counters.
     pub stats: EnergyCacheStats,
 }
 
@@ -463,12 +311,10 @@ impl EnergyCache {
     }
 
     /// Prepares the cache for one evaluation run (one annealing call):
-    /// clears the run-scoped memo, and drops the plant-scoped precompute
-    /// if the plant content changed since it was built. `fiber_dist`
-    /// passed to the other methods must always be
-    /// `plant.fiber_distance_matrix()`.
+    /// drops the plant-scoped precompute if the plant content changed
+    /// since it was built. `fiber_dist` passed to the other methods must
+    /// always be `plant.fiber_distance_matrix()`.
     pub fn begin_run(&mut self, plant: &FiberPlant) {
-        self.end_run();
         let sig = plant_fingerprint(plant);
         if self.plant_sig == Some(sig) {
             return;
@@ -478,14 +324,6 @@ impl EnergyCache {
         }
         self.plant_sig = Some(sig);
         self.plant = None;
-    }
-
-    /// Releases the run-scoped memo: its outcomes answer for one transfer
-    /// set only, and dropping the memo's handles leaves the run's winner
-    /// uniquely owned by whoever still holds it.
-    pub fn end_run(&mut self) {
-        self.outcomes.clear();
-        self.overflow.clear();
     }
 
     /// Offers a shared [`PlantCache`] built by the enclosing run. The
@@ -526,34 +364,6 @@ impl EnergyCache {
         self.plant = Some(Arc::clone(&pc));
         pc
     }
-
-    /// Looks up a memoized full outcome for a desired topology. Returns a
-    /// shared handle: a hit costs one `Arc` clone, not a deep copy.
-    pub fn lookup_outcome(&mut self, desired: &Topology) -> Option<Arc<EnergyOutcome>> {
-        let hit = self.outcomes.get(desired).cloned();
-        match hit {
-            Some(_) => self.stats.outcome_hits += 1,
-            None => self.stats.outcome_misses += 1,
-        }
-        hit
-    }
-
-    /// Memoizes a full outcome. Beyond the cap the outcome is dropped and
-    /// the key remembered in the overflow set, so re-evaluations attribute
-    /// to `capacity` rather than `cold`.
-    pub fn store_outcome(&mut self, desired: Topology, outcome: Arc<EnergyOutcome>) {
-        if self.outcomes.len() < OUTCOME_CAP {
-            self.outcomes.insert(desired, outcome);
-        } else if self.overflow.len() < OVERFLOW_CAP {
-            self.overflow.insert(desired);
-        }
-    }
-
-    /// True when `desired` was evaluated this run but the outcome memo
-    /// refused to store it (capacity cap).
-    pub(crate) fn outcome_overflowed(&self, desired: &Topology) -> bool {
-        self.overflow.contains(desired)
-    }
 }
 
 #[cfg(test)]
@@ -573,39 +383,6 @@ mod tests {
             p.add_fiber(i, (i + 1) % 4, 400.0);
         }
         p
-    }
-
-    #[test]
-    fn fiberset_basics() {
-        let mut a = FiberSet::new(130);
-        let mut b = FiberSet::new(130);
-        a.insert(0);
-        a.insert(129);
-        b.insert(64);
-        assert!(!a.intersects(&b));
-        b.insert(129);
-        assert!(a.intersects(&b));
-        let mut c = FiberSet::new(130);
-        c.union_with(&a);
-        assert!(c.intersects(&a));
-    }
-
-    #[test]
-    fn fiberset_iterates_set_bits_in_increasing_order() {
-        let ids = [0, 1, 63, 64, 65, 127, 128, 191];
-        let mut a = FiberSet::new(192);
-        for &f in &ids {
-            a.insert(f);
-        }
-        assert_eq!(a.iter().collect::<Vec<_>>(), ids);
-        let mut b = FiberSet::new(192);
-        for f in [1, 2, 63, 65, 66, 128, 190] {
-            b.insert(f);
-        }
-        assert_eq!(a.iter_common(&b).collect::<Vec<_>>(), [1, 63, 65, 128]);
-        assert_eq!(b.iter_common(&a).collect::<Vec<_>>(), [1, 63, 65, 128]);
-        assert_eq!(FiberSet::new(192).iter().count(), 0);
-        assert_eq!(a.iter_common(&FiberSet::new(192)).count(), 0);
     }
 
     #[test]

@@ -5,19 +5,24 @@
 //! (reducing capacities where the optical layer cannot satisfy them), then
 //! run the greedy shortest-paths-first rate assignment over the *achieved*
 //! topology.
+//!
+//! [`compute_energy`] returns everything that produced — circuits and
+//! allocations — as an [`EnergyOutcome`]. Algorithm 1 reads one number of
+//! it per neighbor, so the annealer's [`EnergyEvaluator`] *scores*
+//! candidates and produces the outcome once, for the winner.
 
-use crate::cache::{EnergyCache, MissReason};
+use crate::cache::EnergyCache;
 use crate::circuits::{
-    build_topology_cached, build_topology_observed, try_build_topology_delta, BuiltTopology,
-    CircuitBuildConfig,
+    build_ledger, build_topology_observed, BuiltTopology, CircuitBuildConfig, TopologyLedger,
 };
-use crate::rates::{assign_rates_with, RateAssignConfig, RateInputs, RateOutcome, RateScratch};
+use crate::rates::{
+    assign_rates_with, rate_pass, RateAssignConfig, RateInputs, RateOutcome, RateScratch,
+};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
 use crate::types::{SchedulingPolicy, Transfer};
 use owan_optical::FiberPlant;
 use owan_prof::Profiler;
-use std::sync::Arc;
 
 /// Everything `ComputeEnergy` produced for one candidate topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,7 +97,7 @@ pub fn compute_energy_observed(
 }
 
 /// The naive evaluation over rate inputs built by the caller.
-fn compute_energy_with(
+pub(crate) fn compute_energy_with(
     ctx: &EnergyContext<'_>,
     topology: &Topology,
     rate_inputs: &RateInputs<'_>,
@@ -125,21 +130,22 @@ fn compute_energy_with(
     EnergyOutcome { built, rates }
 }
 
-/// Stateful energy evaluator: [`compute_energy_observed`] plus the layered
-/// [`EnergyCache`] fast path.
+/// The annealer's view of Algorithm 3: [`Self::score`] a candidate,
+/// [`Self::accept`] it as the state later candidates are neighbors of, and
+/// [`Self::finish`] with the full [`EnergyOutcome`] of the run's winner.
 ///
-/// With a cache attached, an evaluation first consults the outcome memo
-/// (revisited topologies cost a hash lookup + clone), then rebuilds
-/// circuits — incrementally against a `basis` outcome when it is a
-/// neighbor move away, in full otherwise, either way over the cache's
-/// plant tables with relay candidates drawn lazily — and finally runs the
-/// rate pass in the cache's scratch buffers. Without a cache it is a plain
-/// pass-through, so callers can toggle the fast path with an `Option` and
-/// nothing else.
+/// With a cache attached, a score is a [`TopologyLedger`] build in the
+/// cache's buffers — incremental from the accepted state's when the
+/// candidate is a neighbor move away, in full otherwise, either way over
+/// the cache's plant tables with relay candidates drawn lazily — and a
+/// rate pass that stops at the throughput; circuits and allocations are
+/// materialised by `finish` alone. Without a cache every score is a
+/// [`compute_energy_observed`] whose outcome is dropped, so callers toggle
+/// the fast path with an `Option` and nothing else.
 ///
-/// Every path produces a bit-identical [`EnergyOutcome`] (debug builds
-/// assert the circuit-layer equality on every cached/delta build); only
-/// the work-performed telemetry differs.
+/// Both backends produce bit-identical scores and outcomes (debug builds
+/// assert every ledger against the naive build); only the work-performed
+/// telemetry differs.
 pub struct EnergyEvaluator<'a, 'c> {
     ctx: &'a EnergyContext<'a>,
     cache: Option<&'c mut EnergyCache>,
@@ -170,99 +176,99 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
         }
     }
 
-    /// Evaluates `desired`. `basis` is an already-evaluated nearby state
-    /// (the annealer passes the current state when evaluating a neighbor);
-    /// it seeds the delta rebuild, and is ignored on the naive path.
-    /// Outcomes are shared behind an [`Arc`] so the memo, the annealer's
-    /// current/best snapshots, and the caller never deep-clone the circuit
-    /// set.
-    pub fn eval(
-        &mut self,
-        desired: &Topology,
-        basis: Option<(&Topology, &EnergyOutcome)>,
-    ) -> Arc<EnergyOutcome> {
+    /// The energy of `desired`, Gbps. `basis` is the topology last
+    /// accepted (the annealer passes its current state when scoring a
+    /// neighbor): it lets the circuit build resume from that state's, and
+    /// is ignored on the naive path. Pass `None` for a topology that is
+    /// not a neighbor of the accepted one, and before anything was
+    /// accepted.
+    pub fn score(&mut self, desired: &Topology, basis: Option<&Topology>) -> f64 {
         let ctx = self.ctx;
         let _region = ctx.prof.region("eval");
-        let Some(cache) = self.cache.as_deref_mut() else {
-            self.telemetry.anneal_cache_miss.incr();
-            self.telemetry.cache_miss_uncached.incr();
-            return Arc::new(compute_energy_with(
-                ctx,
-                desired,
-                self.rate_inputs,
-                self.telemetry,
-            ));
-        };
-
-        if let Some(hit) = cache.lookup_outcome(desired) {
-            self.telemetry.anneal_cache_hit.incr();
-            return hit;
-        }
         self.telemetry.anneal_cache_miss.incr();
-        // Miss attribution: a repeat the memo refused at its capacity cap
-        // is `capacity`, anything else is first sight.
-        let reason = if cache.outcome_overflowed(desired) {
-            MissReason::Capacity
-        } else {
-            MissReason::Cold
+        let Some(cache) = self.cache.as_deref_mut() else {
+            self.telemetry.cache_miss_uncached.incr();
+            return compute_energy_with(ctx, desired, self.rate_inputs, self.telemetry)
+                .energy_gbps();
         };
-        cache.stats.count_eval_miss(reason);
-        self.telemetry.cache_miss_reason(reason).incr();
+        self.telemetry.cache_miss_cold.incr();
+        cache.stats.outcome_misses += 1;
+        {
+            let _span = self.telemetry.circuits.enter();
+            let _region = ctx.prof.region("circuits");
+            build_ledger(
+                ctx.plant,
+                desired,
+                basis,
+                ctx.fiber_dist,
+                &ctx.circuit_config,
+                cache,
+                self.telemetry,
+            );
+        }
+        let _span = self.telemetry.rates.enter();
+        let _region = ctx.prof.region("rates");
+        rate_pass(
+            cache.scored.achieved(),
+            ctx.plant.params().wavelength_capacity_gbps,
+            self.rate_inputs,
+            &ctx.rate_config,
+            &mut cache.rate_scratch,
+            self.telemetry,
+        )
+    }
 
+    /// Makes the topology scored last the accepted one: the basis of the
+    /// scores that follow.
+    pub fn accept(&mut self) {
+        if let Some(cache) = self.cache.as_deref_mut() {
+            std::mem::swap(&mut cache.accepted, &mut cache.scored);
+        }
+    }
+
+    /// The build of the topology scored last (`None` on the naive path).
+    pub fn scored(&self) -> Option<&TopologyLedger> {
+        self.cache.as_deref().map(|cache| &cache.scored)
+    }
+
+    /// Ends the run with the full outcome of its winner, `best` — equal to
+    /// [`compute_energy`] of it. When `best_is_accepted` the accepted
+    /// build is materialised as it stands; otherwise `best` is built once
+    /// more, in full. One rate pass then produces the allocations.
+    pub fn finish(self, best: &Topology, best_is_accepted: bool) -> EnergyOutcome {
+        let ctx = self.ctx;
+        let Some(cache) = self.cache else {
+            return compute_energy_with(ctx, best, self.rate_inputs, self.telemetry);
+        };
         let built = {
             let _span = self.telemetry.circuits.enter();
             let _region = ctx.prof.region("circuits");
-            let delta = basis.and_then(|(prev_desired, prev_outcome)| {
-                try_build_topology_delta(
+            if !best_is_accepted {
+                build_ledger(
                     ctx.plant,
-                    desired,
-                    prev_desired,
-                    &prev_outcome.built,
+                    best,
+                    None,
                     ctx.fiber_dist,
                     &ctx.circuit_config,
                     cache,
                     self.telemetry,
-                )
-            });
-            match delta {
-                Some(b) => b,
-                None => build_topology_cached(
-                    ctx.plant,
-                    desired,
-                    ctx.fiber_dist,
-                    &ctx.circuit_config,
-                    cache,
-                    self.telemetry,
-                ),
+                );
+                std::mem::swap(&mut cache.accepted, &mut cache.scored);
             }
+            let pc = cache.plant_precompute(ctx.plant, ctx.fiber_dist);
+            cache.accepted.materialise(ctx.plant, pc.routes())
         };
-
-        let rates = {
-            let _span = self.telemetry.rates.enter();
-            let _region = ctx.prof.region("rates");
-            assign_rates_with(
-                &built.achieved,
-                ctx.plant.params().wavelength_capacity_gbps,
-                self.rate_inputs,
-                &ctx.rate_config,
-                &mut cache.rate_scratch,
-                self.telemetry,
-            )
-        };
-
-        let outcome = Arc::new(EnergyOutcome { built, rates });
-        cache.store_outcome(desired.clone(), Arc::clone(&outcome));
-        outcome
-    }
-
-    /// Ends the run: releases the cache's run-scoped outcome memo, so the
-    /// outcomes this evaluator handed out are owned by their holders alone
-    /// (the memo answers for this run's transfer set only and would be
-    /// cleared by the next [`EnergyCache::begin_run`] anyway).
-    pub fn finish(self) {
-        if let Some(cache) = self.cache {
-            cache.end_run();
-        }
+        let _span = self.telemetry.rates.enter();
+        let _region = ctx.prof.region("rates");
+        let rates = assign_rates_with(
+            &built.achieved,
+            ctx.plant.params().wavelength_capacity_gbps,
+            self.rate_inputs,
+            &ctx.rate_config,
+            &mut cache.rate_scratch,
+            self.telemetry,
+        );
+        EnergyOutcome { built, rates }
     }
 }
 
@@ -367,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn finishing_the_run_leaves_outcomes_uniquely_owned() {
+    fn scoring_then_finishing_equals_compute_energy_on_both_backends() {
         let plant = ring_plant();
         let fd = plant.fiber_distance_matrix();
         let transfers = vec![transfer(0, 0, 1, 40.0), transfer(1, 2, 3, 40.0)];
@@ -387,15 +393,36 @@ mod tests {
         for i in 0..4 {
             ring.add_links(i, (i + 1) % 4, 1);
         }
+        let mut matched = Topology::empty(4);
+        matched.add_links(0, 1, 2);
+        matched.add_links(2, 3, 2);
+        let (want_ring, want_matched) =
+            (compute_energy(&ctx, &ring), compute_energy(&ctx, &matched));
+
         let mut cache = EnergyCache::new();
-        let mut eval = EnergyEvaluator::new(&ctx, Some(&mut cache), &rate_inputs, &telemetry);
-        let outcome = eval.eval(&ring, None);
-        assert!(Arc::ptr_eq(&outcome, &eval.eval(&ring, None)), "memo hit");
-        assert_eq!(Arc::strong_count(&outcome), 2, "the memo holds a handle");
-        eval.finish();
-        assert!(
-            Arc::try_unwrap(outcome).is_ok(),
-            "no deep clone to take the winner out"
-        );
+        for cached in [true, false] {
+            // Accepted stays the ring; the winner is either of the two.
+            for best_is_accepted in [true, false] {
+                let mut eval = EnergyEvaluator::new(
+                    &ctx,
+                    cached.then_some(&mut cache),
+                    &rate_inputs,
+                    &telemetry,
+                );
+                let e_ring = eval.score(&ring, None);
+                eval.accept();
+                let e_matched = eval.score(&matched, Some(&ring));
+                assert_eq!(e_ring.to_bits(), want_ring.energy_gbps().to_bits());
+                assert_eq!(e_matched.to_bits(), want_matched.energy_gbps().to_bits());
+                assert_eq!(eval.scored().is_some(), cached);
+                let (best, want) = if best_is_accepted {
+                    (&ring, &want_ring)
+                } else {
+                    (&matched, &want_matched)
+                };
+                assert_eq!(&eval.finish(best, best_is_accepted), want);
+            }
+        }
+        assert_eq!(cache.stats.outcome_misses, 4);
     }
 }

@@ -8,7 +8,7 @@
 //! baselines keep a fixed topology and only recompute routing/rates.
 
 use crate::anneal::{anneal_parallel_pooled, AnnealConfig};
-use crate::cache::EnergyCache;
+use crate::cache::{plant_fingerprint, EnergyCache};
 use crate::circuits::CircuitBuildConfig;
 use crate::rates::RateAssignConfig;
 use crate::telemetry::CoreTelemetry;
@@ -116,6 +116,10 @@ pub struct OwanEngine {
     /// layers survive across slots (and are fingerprint-flushed on plant
     /// changes). Empty when the cache fast path is disabled.
     caches: Vec<EnergyCache>,
+    /// The all-pairs fiber distance matrix (one Dijkstra per site) of the
+    /// plant with this fingerprint: recomputed when a fault, a repair or a
+    /// restart moves the fingerprint, not every slot.
+    fiber_dist: Option<(u64, Vec<Vec<f64>>)>,
 }
 
 impl OwanEngine {
@@ -135,6 +139,7 @@ impl OwanEngine {
             telemetry: CoreTelemetry::disabled(),
             prof: Profiler::disabled(),
             caches,
+            fiber_dist: None,
         }
     }
 
@@ -157,7 +162,11 @@ impl TrafficEngineer for OwanEngine {
 
     fn plan_slot(&mut self, plant: &FiberPlant, input: &SlotInput<'_>) -> SlotPlan {
         let _region = self.prof.region("plan_slot");
-        let fiber_dist = plant.fiber_distance_matrix();
+        let sig = plant_fingerprint(plant);
+        let fiber_dist = match self.fiber_dist.take() {
+            Some((at, matrix)) if at == sig => matrix,
+            _ => plant.fiber_distance_matrix(),
+        };
         // Re-spend any ports freed by past circuit-construction failures:
         // the achieved topology may have fewer links than desired (Alg 3
         // lines 13-14), and the degree-preserving neighbor move can never
@@ -194,12 +203,13 @@ impl TrafficEngineer for OwanEngine {
             self.config.eval_workers,
             &self.telemetry,
         );
+        self.fiber_dist = Some((sig, fiber_dist));
         self.current = result.outcome.built.achieved.clone();
 
         SlotPlan {
-            topology: result.outcome.built.achieved.clone(),
+            topology: result.outcome.built.achieved,
             throughput_gbps: result.outcome.rates.throughput_gbps,
-            allocations: result.outcome.rates.allocations.clone(),
+            allocations: result.outcome.rates.allocations,
         }
     }
 

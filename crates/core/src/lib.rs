@@ -60,12 +60,10 @@ pub use anneal::{
     anneal, anneal_observed, anneal_parallel, anneal_parallel_pooled, anneal_parallel_with_caches,
     anneal_with_cache, chain_seed, AnnealConfig, AnnealResult,
 };
-pub use cache::{
-    plant_fingerprint, EnergyCache, EnergyCacheStats, FiberSet, MissReason, PlantCache,
-};
+pub use cache::{plant_fingerprint, EnergyCache, EnergyCacheStats, MissReason, PlantCache};
 pub use circuits::{
-    build_topology, build_topology_cached, build_topology_observed, try_build_topology_delta,
-    BuiltTopology, CircuitBuildConfig,
+    build_topology, build_topology_cached, build_topology_observed, BuiltTopology,
+    CircuitBuildConfig, TopologyLedger, MAX_DELTA_UNITS,
 };
 pub use energy::{
     compute_energy, compute_energy_observed, EnergyContext, EnergyEvaluator, EnergyOutcome,

@@ -8,13 +8,14 @@
 //! its length-`l` paths. This "prioritizes transfers to use shorter paths
 //! first" (§3.2), approximating the NP-hard optimal rate allocation.
 //!
-//! One pass, [`assign_rates_with`], serves every caller. Its cost follows
+//! One pass ([`assign_rates_with`]; an annealing evaluation stops at its
+//! throughput) serves every caller. Its cost follows
 //! the work that exists: a transfer is visited only in rounds where its
 //! destination can be `l` hops away, and a path search runs only then,
 //! over bitset rows, without allocating. The straightforward pass it
 //! replaced stays as [`assign_rates_reference`] for the differential tests.
 
-use crate::regen::set_bit;
+use crate::regen::{has_bit, set_bit};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
 use crate::types::{Allocation, SchedulingPolicy, Transfer};
@@ -118,11 +119,6 @@ fn clear_bit(set: &mut [u64], s: SiteId) {
     set[s / 64] &= !(1 << (s % 64));
 }
 
-#[inline]
-fn has_bit(set: &[u64], s: SiteId) -> bool {
-    set[s / 64] & (1 << (s % 64)) != 0
-}
-
 /// One grabbed path held in [`RateScratch`]'s log.
 #[derive(Debug, Clone, Copy)]
 struct Grab {
@@ -132,8 +128,9 @@ struct Grab {
     rate: f64,
 }
 
-/// Reusable buffers of [`assign_rates_with`]: once sized for a plant and a
-/// transfer set, a pass allocates nothing but its output.
+/// Reusable buffers of the rate pass: once sized for a plant and a
+/// transfer set, a pass allocates nothing; only turning its grabs into
+/// [`Allocation`]s does.
 ///
 /// The residual keeps, beside the capacities, a *support* bitset row per
 /// site (bit `v` of row `u` iff `cap[u][v] > EPS`), so hop distances are a
@@ -170,13 +167,21 @@ pub struct RateScratch {
     /// per grab in grab order.
     grabbed: Vec<SiteId>,
     grabs: Vec<Grab>,
-    /// Grabs per transfer, then the transfer's position in the output.
+    /// Grabs per transfer.
     slot: Vec<usize>,
 }
 
 impl RateScratch {
-    /// Loads the residual of `topology` and the pass's starting state.
-    fn load(&mut self, topology: &Topology, theta: f64, inputs: &RateInputs<'_>, hops: usize) {
+    /// Loads the residual of `topology` and the pass's starting state, and
+    /// sizes the path buffers for the most a pass can put in them.
+    fn load(
+        &mut self,
+        topology: &Topology,
+        theta: f64,
+        inputs: &RateInputs<'_>,
+        hops: usize,
+        limit: usize,
+    ) {
         let n = topology.site_count();
         let w = n.div_ceil(64);
         (self.n, self.words, self.hops) = (n, w, hops);
@@ -225,8 +230,17 @@ impl RateScratch {
                 self.active.push(i);
             }
         }
-        self.grabbed.clear();
+        // A search finds at most `limit` paths. A grab either meets its
+        // transfer's demand or takes all a link had left, so there are at
+        // most as many as transfers and links together.
+        self.found.clear();
+        self.found.reserve(limit * (hops + 1));
+        let grabs =
+            transfers.len() + self.support.iter().map(|w| w.count_ones()).sum::<u32>() as usize / 2;
         self.grabs.clear();
+        self.grabs.reserve(grabs);
+        self.grabbed.clear();
+        self.grabbed.reserve(grabs * (hops + 1));
     }
 
     /// Where mask `d` of `dst` starts in `within`.
@@ -372,24 +386,26 @@ impl RateScratch {
         }
     }
 
-    /// The pass's allocations, in transfer order, each transfer's paths in
+    /// The allocations of the pass last run in this scratch, over the
+    /// `transfers` it ran on: in transfer order, each transfer's paths in
     /// grab order.
-    fn allocations(&mut self, transfers: &[Transfer]) -> Vec<Allocation> {
+    pub(crate) fn allocations(&self, transfers: &[Transfer]) -> Vec<Allocation> {
         let served = self.slot.iter().filter(|&&grabs| grabs > 0).count();
         let mut allocations = Vec::with_capacity(served);
-        for (slot, t) in self.slot.iter_mut().zip(transfers) {
-            if *slot > 0 {
-                let paths = Vec::with_capacity(*slot);
-                *slot = allocations.len();
+        // A served transfer's position in the output.
+        let mut position = vec![0; self.slot.len()];
+        for ((&grabs, t), position) in self.slot.iter().zip(transfers).zip(&mut position) {
+            if grabs > 0 {
+                *position = allocations.len();
                 allocations.push(Allocation {
                     transfer: t.id,
-                    paths,
+                    paths: Vec::with_capacity(grabs),
                 });
             }
         }
         for g in &self.grabs {
             let nodes = self.grabbed[g.start..g.start + g.len].to_vec();
-            allocations[self.slot[g.transfer]]
+            allocations[position[g.transfer]]
                 .paths
                 .push((nodes, g.rate));
         }
@@ -398,7 +414,10 @@ impl RateScratch {
 }
 
 /// The rate pass: assigns multi-path routes and rates to the transfers of
-/// `inputs` on `topology`, whose circuits carry `theta` Gbps each.
+/// `inputs` on `topology`, whose circuits carry `theta` Gbps each, and
+/// returns the total allocated rate — the energy of Algorithm 3, all an
+/// annealing evaluation reads. The grabs stay in `scratch`;
+/// [`assign_rates_with`] turns them into [`Allocation`]s.
 ///
 /// A transfer leaves the active list for good once it is satisfied or its
 /// destination is more than `max_path_hops` away (capacity only shrinks,
@@ -408,19 +427,19 @@ impl RateScratch {
 /// the residual as it stood before the transfer's own grabs of the round,
 /// then grabbed in that order. Bit-identical to
 /// [`assign_rates_reference`]; debug builds assert it on every pass.
-pub fn assign_rates_with(
+pub(crate) fn rate_pass(
     topology: &Topology,
     theta: f64,
     inputs: &RateInputs<'_>,
     config: &RateAssignConfig,
     scratch: &mut RateScratch,
     telemetry: &CoreTelemetry,
-) -> RateOutcome {
+) -> f64 {
     telemetry.rates_full_evals.incr();
     let hops = config.max_path_hops;
     let limit = config.max_paths_per_round;
     let s = scratch;
-    s.load(topology, theta, inputs, hops);
+    s.load(topology, theta, inputs, hops, limit);
     let mut throughput = 0.0;
     let mut examined = 0;
 
@@ -463,16 +482,34 @@ pub fn assign_rates_with(
     telemetry.paths_examined.add(examined as u64);
     telemetry.allocations_made.add(s.grabs.len() as u64);
 
-    let outcome = RateOutcome {
-        allocations: s.allocations(inputs.transfers),
-        throughput_gbps: throughput,
-    };
     debug_assert_eq!(
-        outcome,
+        RateOutcome {
+            allocations: s.allocations(inputs.transfers),
+            throughput_gbps: throughput,
+        },
         assign_rates_reference(topology, theta, inputs, config),
         "the rate kernel must equal the reference pass"
     );
-    outcome
+    throughput
+}
+
+/// The rate pass plus the allocations it made: the pass every caller that
+/// wants a plan, not only a score, runs. `scratch` holds the pass's
+/// buffers; once sized for a plant and a transfer set, only the output is
+/// allocated.
+pub fn assign_rates_with(
+    topology: &Topology,
+    theta: f64,
+    inputs: &RateInputs<'_>,
+    config: &RateAssignConfig,
+    scratch: &mut RateScratch,
+    telemetry: &CoreTelemetry,
+) -> RateOutcome {
+    let throughput_gbps = rate_pass(topology, theta, inputs, config, scratch, telemetry);
+    RateOutcome {
+        allocations: scratch.allocations(inputs.transfers),
+        throughput_gbps,
+    }
 }
 
 /// Assigns multi-path routes and rates to `transfers` on `topology`.

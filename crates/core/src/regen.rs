@@ -240,6 +240,11 @@ pub(crate) fn set_bit(set: &mut [u64], s: SiteId) {
     set[s / 64] |= 1 << (s % 64);
 }
 
+#[inline]
+pub(crate) fn has_bit(set: &[u64], s: SiteId) -> bool {
+    set[s / 64] & (1 << (s % 64)) != 0
+}
+
 /// Node index of site `s` in the regenerator graph of `(src, dst)`, up to
 /// an order-preserving map: every tie-break of the reference compares
 /// these.
@@ -333,7 +338,8 @@ impl RelayScratch {
 
 /// A resumable k-shortest relay search from `src` to `dst` under one
 /// free-regenerator vector: Yen's algorithm one path per call, so a caller
-/// that lights the first candidate pays one early-exit Dijkstra and nothing
+/// that lights the first candidate pays one early-exit Dijkstra — none at
+/// all when the endpoints are within reach of each other — and nothing
 /// else. The paths drawn are exactly `RegenGraph::build_with_free_regens(..)
 /// .relay_candidates_with_costs(drawn)` — same paths, same order, costs
 /// equal bit for bit — without building a graph: Yen's i-th path depends
@@ -409,7 +415,7 @@ impl<'a> RelaySearch<'a> {
     }
 
     /// The next relay path in increasing weight order with its cost, or
-    /// `None` once the path set is exhausted. The first call is one
+    /// `None` once the path set is exhausted. The first call is at most one
     /// early-exit Dijkstra; each later call is one Yen round spurring off
     /// the path drawn before it.
     pub fn next_path(&mut self) -> Option<(&[SiteId], f64)> {
@@ -458,8 +464,25 @@ impl<'a> RelaySearch<'a> {
                 .all(|(w, g)| w.0 == g.0 && w.1.to_bits() == g.1.to_bits())
     }
 
+    /// The cheapest path. When `dst` is within reach of `src` that is
+    /// `[src, dst]` at cost `0.0`, and no Dijkstra runs: the endpoints
+    /// weigh 0 and every other member `1/free > 0`, and the reference
+    /// settles by `(dist, rank)` with `rank(src) = 0`, `rank(dst) = 1` —
+    /// so once `src` is settled the frontier's least key is `(0.0, 1)`,
+    /// which is `dst` with predecessor `src`. Later draws spur off it from
+    /// the weights and membership [`Self::start`] filled, as off any other
+    /// first path.
     fn first(&mut self) -> Option<PathRec> {
-        let cost = self.sc.shortest(self.reach, self.src, self.src, self.dst)?;
+        let (src, dst) = (self.src, self.dst);
+        if has_bit(self.reach.row(src), dst) {
+            self.sc.arena.extend([src, dst]);
+            return Some(PathRec {
+                start: 0,
+                len: 2,
+                cost: 0.0,
+            });
+        }
+        let cost = self.sc.shortest(self.reach, src, src, dst)?;
         Some(PathRec {
             start: 0,
             len: self.sc.arena.len(),

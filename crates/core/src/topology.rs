@@ -12,10 +12,9 @@ use serde::{Deserialize, Serialize};
 
 /// An integer multigraph over the sites of a plant.
 ///
-/// `Hash` hashes the full multiplicity matrix, so a topology is its own
-/// canonical cache key (the matrix is a normal form: symmetric, dense,
-/// no ordering freedom) — this is what the energy memoization keys on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The matrix is a normal form (symmetric, dense, no ordering freedom), so
+/// equality and `Hash` are those of the multigraph.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Topology {
     n: usize,
     /// Row-major full symmetric matrix of multiplicities; diagonal unused.
@@ -29,6 +28,14 @@ impl Topology {
             n,
             links: vec![0; n * n],
         }
+    }
+
+    /// Back to [`Self::empty`]`(n)` in place: no allocation once the
+    /// matrix has held `n` sites.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.links.clear();
+        self.links.resize(n * n, 0);
     }
 
     /// Number of sites.
@@ -94,7 +101,8 @@ impl Topology {
 
     /// Total number of links (with multiplicity).
     pub fn total_links(&self) -> u32 {
-        self.links().iter().map(|&(_, _, m)| m).sum()
+        // The matrix is symmetric with an empty diagonal.
+        self.links.iter().sum::<u32>() / 2
     }
 
     /// Neighbors of `u` (sites with at least one link).

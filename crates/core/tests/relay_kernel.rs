@@ -415,3 +415,63 @@ fn a_within_reach_pair_draws_the_direct_path_first() {
     }
     assert!(within >= 6, "the ring's neighbors are within reach");
 }
+
+/// The direct-pair shortcut on the plants the benchmark runs: for every
+/// within-reach ordered pair of the ISP and inter-DC backbones, the first
+/// draw — which runs no Dijkstra — and the Yen rounds after it are the
+/// reference's, under random free-regenerator vectors below the plant's
+/// counts, the plant's own vector and the all-zero one.
+#[test]
+fn within_reach_pairs_of_the_benchmark_plants_equal_the_reference() {
+    for net in [owan_topo::isp_backbone(7), owan_topo::inter_dc(7)] {
+        let total: Vec<u32> = net.plant.sites().iter().map(|s| s.regenerators).collect();
+        let n = total.len();
+        let fd = net.plant.fiber_distance_matrix();
+        let reach_km = net.plant.params().optical_reach_km;
+        let mut fx = Fixture::new(net.plant.clone(), fd);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut vectors = vec![total.clone(), vec![0; n]];
+        for _ in 0..3 {
+            vectors.push(
+                total
+                    .iter()
+                    .map(|&t| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        (x % (u64::from(t) + 1)) as u32
+                    })
+                    .collect(),
+            );
+        }
+        let mut within = 0;
+        for free in &vectors {
+            for src in 0..n {
+                for dst in 0..n {
+                    if src == dst || fx.fiber_dist[src][dst] > reach_km {
+                        continue;
+                    }
+                    within += 1;
+                    let draws = fx.draw_all(free, src, dst, 3);
+                    assert_eq!(
+                        draws[0],
+                        (vec![src, dst], 0f64.to_bits()),
+                        "{}: {src}->{dst}",
+                        net.name
+                    );
+                    assert_eq!(
+                        draws,
+                        fx.reference(free, src, dst, 3),
+                        "{}: {src}->{dst} under {free:?}",
+                        net.name
+                    );
+                }
+            }
+        }
+        assert!(
+            within >= 5 * n,
+            "{}: {within} within-reach queries",
+            net.name
+        );
+    }
+}

@@ -12,7 +12,6 @@
 
 use crate::plant::{FiberId, FiberPlant, FiberRoute, RouteTable, SiteId};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// Identifier of a provisioned circuit. Ids are never reused within one
 /// [`OpticalState`].
@@ -112,17 +111,39 @@ fn words_for(channels: &[u32]) -> usize {
     max.div_ceil(64).max(1)
 }
 
-/// Dynamic optical-layer state over a [`FiberPlant`].
-///
-/// Tracks per-fiber channel occupancy, per-site free regenerators, and live
-/// circuits. Provisioning is all-or-nothing: on error, no state changes.
+/// A relay path must name at least two sites and none twice (a repeat
+/// would waste regenerators / loop).
+fn check_relay(relay_sites: &[SiteId]) -> Result<(), ProvisionError> {
+    if relay_sites.len() < 2 {
+        return Err(ProvisionError::InvalidRelayPath);
+    }
+    for (i, &s) in relay_sites.iter().enumerate() {
+        if relay_sites[i + 1..].contains(&s) {
+            return Err(ProvisionError::InvalidRelayPath);
+        }
+    }
+    Ok(())
+}
+
+/// The tentative channel marks of a circuit being planned: `(word index,
+/// bits)` pairs — only the circuit's own marks, so that two segments of
+/// the same circuit cannot take the same channel on a shared fiber,
+/// without a clone of the full occupancy matrix.
+type Tentative = Vec<(usize, u64)>;
+
+/// What provisioning reads and writes of an optical state: per-fiber
+/// channel occupancy and per-site free regenerators, without the circuits.
+/// [`OpticalState`] is an `Occupancy` plus circuit storage; a
+/// [`CircuitLedger`] is one plus flat circuit records; the incremental
+/// rebuild replays a previous build's consumption into a bare one.
 ///
 /// Occupancy is bitset-packed: fiber `f`'s channels live in the
 /// `words_per_fiber` u64 words starting at `f * words_per_fiber`, bit
 /// `c % 64` of word `c / 64` set when channel `c` is in use. First-fit
-/// wavelength selection and occupancy comparisons are word operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OpticalState {
+/// wavelength selection and occupancy comparisons are word operations, and
+/// every `Occupancy` of one plant shares one word layout.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Occupancy {
     /// Packed occupancy words, `words_per_fiber` per fiber.
     channel_words: Vec<u64>,
     /// Word stride per fiber (sized for the widest fiber in the plant).
@@ -132,26 +153,31 @@ pub struct OpticalState {
     channels: Vec<u32>,
     /// Free regenerators per site.
     regens_free: Vec<u32>,
-    /// Live circuits (`None` = torn down).
-    circuits: Vec<Option<Circuit>>,
 }
 
-impl OpticalState {
-    /// Fresh state: all channels free, all regenerators available. Each
-    /// fiber gets its own channel count ([`FiberPlant::usable_wavelengths`]),
-    /// so degraded fibers expose fewer slots.
+impl Occupancy {
+    /// All channels free, all regenerators available. Each fiber gets its
+    /// own channel count ([`FiberPlant::usable_wavelengths`]), so degraded
+    /// fibers expose fewer slots.
     pub fn new(plant: &FiberPlant) -> Self {
-        let channels: Vec<u32> = (0..plant.fiber_count())
-            .map(|f| plant.usable_wavelengths(f))
-            .collect();
-        let words_per_fiber = words_for(&channels);
-        OpticalState {
-            channel_words: vec![0; words_per_fiber * plant.fiber_count()],
-            words_per_fiber,
-            channels,
-            regens_free: plant.sites().iter().map(|s| s.regenerators).collect(),
-            circuits: Vec::new(),
-        }
+        let mut occupancy = Occupancy::default();
+        occupancy.reset(plant);
+        occupancy
+    }
+
+    /// Back to [`Self::new`]`(plant)` in place: no allocation once the
+    /// buffers have held a plant this size.
+    pub fn reset(&mut self, plant: &FiberPlant) {
+        self.channels.clear();
+        self.channels
+            .extend((0..plant.fiber_count()).map(|f| plant.usable_wavelengths(f)));
+        self.words_per_fiber = words_for(&self.channels);
+        self.channel_words.clear();
+        self.channel_words
+            .resize(self.words_per_fiber * plant.fiber_count(), 0);
+        self.regens_free.clear();
+        self.regens_free
+            .extend(plant.sites().iter().map(|s| s.regenerators));
     }
 
     /// Flat word index and bit mask addressing `channel` on `fiber`.
@@ -163,294 +189,113 @@ impl OpticalState {
         )
     }
 
-    /// Free regenerators at `site`.
-    pub fn free_regenerators(&self, site: SiteId) -> u32 {
-        self.regens_free[site]
-    }
-
-    /// Free regenerators at every site, as a dense vector. Used as a cache
-    /// key: relay-candidate computations depend on the plant and on exactly
-    /// this vector, so equal vectors yield equal candidate lists.
+    /// Free regenerators at every site, as a dense vector. Relay searches
+    /// depend on the plant and on exactly this vector, so equal vectors
+    /// yield equal candidate lists.
     pub fn free_regen_vec(&self) -> &[u32] {
         &self.regens_free
     }
 
     /// Packed occupancy words of `fiber`. First-fit wavelength selection
-    /// reads exactly these bits, so two states with equal words on every
-    /// fiber a provisioning attempt can touch make identical channel
+    /// reads exactly these bits, so two occupancies with equal words on
+    /// every fiber a provisioning attempt can touch make identical channel
     /// choices — occupancy-probe skip tests compare these slices.
     pub fn occupancy_words(&self, fiber: FiberId) -> &[u64] {
         let start = fiber * self.words_per_fiber;
         &self.channel_words[start..start + self.words_per_fiber]
     }
 
-    /// Whether `channel` is in use on `fiber`.
-    pub fn channel_in_use(&self, fiber: FiberId, channel: u32) -> bool {
-        let (word, bit) = self.word_bit(fiber, channel);
-        self.channel_words[word] & bit != 0
-    }
-
-    /// Number of channels in use on `fiber`.
-    pub fn channels_used(&self, fiber: FiberId) -> u32 {
-        self.occupancy_words(fiber)
-            .iter()
-            .map(|w| w.count_ones())
-            .sum()
-    }
-
-    /// Number of free channels on `fiber`.
-    pub fn channels_free(&self, fiber: FiberId) -> u32 {
-        self.channels[fiber] - self.channels_used(fiber)
-    }
-
-    /// The circuit with id `id`, if still provisioned.
-    pub fn circuit(&self, id: CircuitId) -> Option<&Circuit> {
-        self.circuits.get(id).and_then(|c| c.as_ref())
-    }
-
-    /// Iterator over `(id, circuit)` for all live circuits.
-    pub fn circuits(&self) -> impl Iterator<Item = (CircuitId, &Circuit)> {
-        self.circuits
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|c| (i, c)))
-    }
-
-    /// Number of live circuits.
-    pub fn circuit_count(&self) -> usize {
-        self.circuits.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// Number of live circuits between `u` and `v` (either direction).
-    pub fn circuits_between(&self, u: SiteId, v: SiteId) -> usize {
-        self.circuits()
-            .filter(|(_, c)| (c.src == u && c.dst == v) || (c.src == v && c.dst == u))
-            .count()
-    }
-
-    /// Provisions a circuit along the given relay path
-    /// `[src, relay…, dst]`. Each consecutive pair becomes one all-optical
-    /// segment routed over the shortest fiber route; every interior site
-    /// consumes one regenerator. Returns the new circuit id.
-    ///
-    /// All-or-nothing: on `Err`, the state is unchanged.
-    pub fn provision(
-        &mut self,
-        plant: &FiberPlant,
-        relay_sites: &[SiteId],
-    ) -> Result<CircuitId, ProvisionError> {
-        self.provision_with(plant, relay_sites, |from, to| {
-            plant.shortest_route(from, to).map(Cow::Owned)
-        })
-    }
-
-    /// [`Self::provision`] with every segment's route read from `routes`
-    /// instead of a per-segment Dijkstra. `routes` must have been built
-    /// from `plant`; results, state changes and error order are then
-    /// identical to [`Self::provision`].
-    pub fn provision_routed(
-        &mut self,
-        plant: &FiberPlant,
-        routes: &RouteTable,
-        relay_sites: &[SiteId],
-    ) -> Result<CircuitId, ProvisionError> {
-        debug_assert_eq!(routes.site_count(), plant.site_count());
-        self.provision_with(plant, relay_sites, |from, to| {
-            routes.route(from, to).map(Cow::Borrowed)
-        })
-    }
-
-    fn provision_with<'r>(
-        &mut self,
-        plant: &FiberPlant,
-        relay_sites: &[SiteId],
-        route_of: impl Fn(SiteId, SiteId) -> Option<Cow<'r, FiberRoute>>,
-    ) -> Result<CircuitId, ProvisionError> {
-        if relay_sites.len() < 2 {
-            return Err(ProvisionError::InvalidRelayPath);
-        }
-        // A site may not appear twice (would waste regenerators / loop).
-        for (i, &s) in relay_sites.iter().enumerate() {
-            if relay_sites[i + 1..].contains(&s) {
-                return Err(ProvisionError::InvalidRelayPath);
-            }
-        }
-
-        let reach = plant.params().optical_reach_km;
-
-        // Plan phase: compute all segments against a tentative occupancy
-        // overlay so that two segments of the same circuit cannot take the
-        // same channel on a shared fiber. The overlay is a short list of
-        // (word index, bits) pairs — only the circuit's own marks — instead
-        // of a clone of the full occupancy matrix.
-        let mut tentative: Vec<(usize, u64)> = Vec::new();
-        let mut segments = Vec::with_capacity(relay_sites.len() - 1);
-        for w in relay_sites.windows(2) {
-            let (from, to) = (w[0], w[1]);
-            let route = route_of(from, to).ok_or(ProvisionError::Disconnected { from, to })?;
-            if route.length_km > reach {
-                return Err(ProvisionError::ExceedsReach {
-                    from,
-                    to,
-                    length_km: route.length_km as u64,
-                    reach_km: reach as u64,
-                });
-            }
-            let channel = self
-                .first_fit_channel(&tentative, &route.fibers)
-                .ok_or(ProvisionError::NoWavelength { from, to })?;
-            for &fid in &route.fibers {
-                let (word, bit) = self.word_bit(fid, channel);
-                match tentative.iter_mut().find(|(w, _)| *w == word) {
-                    Some(entry) => entry.1 |= bit,
-                    None => tentative.push((word, bit)),
-                }
-            }
-            let FiberRoute {
-                fibers,
-                sites,
-                length_km,
-            } = route.into_owned();
-            segments.push(Segment {
-                fibers,
-                sites,
-                channel,
-                length_km,
+    /// Plans one all-optical segment `from → to` over `route` (`None` when
+    /// the two are disconnected): the route must be within `reach_km`, and
+    /// the lowest channel free on all its fibers — under the committed
+    /// occupancy plus the marks earlier segments of the circuit left in
+    /// `tentative` — is marked there and returned. Nothing is committed.
+    fn plan_segment(
+        &self,
+        reach_km: f64,
+        (from, to): (SiteId, SiteId),
+        route: Option<&FiberRoute>,
+        tentative: &mut Tentative,
+    ) -> Result<u32, ProvisionError> {
+        let route = route.ok_or(ProvisionError::Disconnected { from, to })?;
+        if route.length_km > reach_km {
+            return Err(ProvisionError::ExceedsReach {
+                from,
+                to,
+                length_km: route.length_km as u64,
+                reach_km: reach_km as u64,
             });
         }
+        let channel = self
+            .first_fit_channel(tentative, &route.fibers)
+            .ok_or(ProvisionError::NoWavelength { from, to })?;
+        for &fid in &route.fibers {
+            let (word, bit) = self.word_bit(fid, channel);
+            match tentative.iter_mut().find(|(w, _)| *w == word) {
+                Some(entry) => entry.1 |= bit,
+                None => tentative.push((word, bit)),
+            }
+        }
+        Ok(channel)
+    }
 
-        // Regenerators at interior relay sites.
-        let regen_sites: Vec<SiteId> = relay_sites[1..relay_sites.len() - 1].to_vec();
-        for &s in &regen_sites {
+    /// Commits a fully planned circuit: every interior relay site must
+    /// have a free regenerator (a site cannot appear twice, so one
+    /// decrement per site suffices); then the tentative marks become
+    /// occupancy. On `Err` nothing has changed.
+    fn commit(
+        &mut self,
+        tentative: &[(usize, u64)],
+        regen_sites: &[SiteId],
+    ) -> Result<(), ProvisionError> {
+        for &s in regen_sites {
             if self.regens_free[s] == 0 {
                 return Err(ProvisionError::NoRegenerator { site: s });
             }
         }
-        // Note: the same site cannot appear twice (checked above), so one
-        // decrement per site suffices.
-
-        // Commit.
-        for &(word, bits) in &tentative {
+        for &(word, bits) in tentative {
             debug_assert_eq!(self.channel_words[word] & bits, 0);
             self.channel_words[word] |= bits;
         }
-        for &s in &regen_sites {
+        for &s in regen_sites {
             self.regens_free[s] -= 1;
         }
-        let circuit = Circuit {
-            src: *relay_sites.first().expect("non-empty"),
-            dst: *relay_sites.last().expect("non-empty"),
-            segments,
-            regen_sites,
-        };
-        self.circuits.push(Some(circuit));
-        Ok(self.circuits.len() - 1)
+        Ok(())
     }
 
-    /// Provisions a direct (regeneration-free if possible) circuit between
-    /// two sites — shorthand for `provision(plant, &[src, dst])`.
-    pub fn provision_direct(
-        &mut self,
-        plant: &FiberPlant,
-        src: SiteId,
-        dst: SiteId,
-    ) -> Result<CircuitId, ProvisionError> {
-        self.provision(plant, &[src, dst])
-    }
-
-    /// Installs a pre-computed circuit verbatim: marks its segments'
-    /// channels and consumes its regenerators without re-running route or
-    /// wavelength selection. The caller guarantees the circuit fits the
-    /// current occupancy (debug-checked); this is used to re-assemble a
-    /// known-good circuit set in canonical provisioning order after an
-    /// incremental rebuild, so the resulting state is structurally
-    /// identical to one built from scratch.
-    pub fn install(&mut self, circuit: Circuit) -> CircuitId {
-        for seg in &circuit.segments {
-            for &fid in &seg.fibers {
-                let (word, bit) = self.word_bit(fid, seg.channel);
-                debug_assert_eq!(
-                    self.channel_words[word] & bit,
-                    0,
-                    "install: channel {} already used on fiber {fid}",
-                    seg.channel
-                );
-                self.channel_words[word] |= bit;
-            }
+    /// Marks `channel` used on every fiber of a known-good segment.
+    fn mark(&mut self, fibers: &[FiberId], channel: u32) {
+        for &fid in fibers {
+            let (word, bit) = self.word_bit(fid, channel);
+            debug_assert_eq!(
+                self.channel_words[word] & bit,
+                0,
+                "install: channel {channel} already used on fiber {fid}"
+            );
+            self.channel_words[word] |= bit;
         }
-        for &s in &circuit.regen_sites {
+    }
+
+    /// Consumes one regenerator at each of a known-good circuit's interior
+    /// relay sites.
+    fn consume_regens(&mut self, regen_sites: &[SiteId]) {
+        for &s in regen_sites {
             debug_assert!(self.regens_free[s] > 0, "install: no regenerator at {s}");
             self.regens_free[s] -= 1;
         }
-        self.circuits.push(Some(circuit));
-        self.circuits.len() - 1
     }
 
-    /// Tears down a circuit, freeing its channels and regenerators.
-    /// Returns the removed circuit, or `None` if the id was already free.
-    pub fn teardown(&mut self, id: CircuitId) -> Option<Circuit> {
-        let circuit = self.circuits.get_mut(id)?.take()?;
-        for seg in &circuit.segments {
-            for &fid in &seg.fibers {
-                let (word, bit) = self.word_bit(fid, seg.channel);
-                debug_assert_ne!(self.channel_words[word] & bit, 0);
-                self.channel_words[word] &= !bit;
-            }
+    /// Replays a known-good circuit's resource consumption — its relay
+    /// path and the channel of each segment, routed over `routes` as when
+    /// it was lit — without re-running route or wavelength selection. The
+    /// caller guarantees the circuit fits (debug-checked).
+    pub fn install(&mut self, routes: &RouteTable, relay_sites: &[SiteId], channels: &[u32]) {
+        debug_assert_eq!(relay_sites.len(), channels.len() + 1);
+        for (w, &channel) in relay_sites.windows(2).zip(channels) {
+            let route = routes.route(w[0], w[1]).expect("a lit segment has a route");
+            self.mark(&route.fibers, channel);
         }
-        for &s in &circuit.regen_sites {
-            self.regens_free[s] += 1;
-        }
-        Some(circuit)
-    }
-
-    /// Internal consistency check (used in tests and debug assertions):
-    /// channel occupancy must equal the union of live circuits' segments.
-    pub fn check_invariants(&self, plant: &FiberPlant) -> Result<(), String> {
-        let channels: Vec<u32> = (0..plant.fiber_count())
-            .map(|f| plant.usable_wavelengths(f))
-            .collect();
-        if channels != self.channels || words_for(&channels) != self.words_per_fiber {
-            return Err("channel occupancy out of sync with circuits".into());
-        }
-        let mut expected = vec![0u64; self.channel_words.len()];
-        let mut regen_used = vec![0u32; plant.site_count()];
-        for (id, c) in self.circuits() {
-            for seg in &c.segments {
-                for &fid in &seg.fibers {
-                    if seg.channel >= channels[fid] {
-                        return Err(format!(
-                            "circuit {id}: channel {} beyond fiber {fid}'s {} usable wavelengths",
-                            seg.channel,
-                            plant.usable_wavelengths(fid)
-                        ));
-                    }
-                    let (word, bit) = self.word_bit(fid, seg.channel);
-                    if expected[word] & bit != 0 {
-                        return Err(format!(
-                            "circuit {id}: channel {} double-booked on fiber {fid}",
-                            seg.channel
-                        ));
-                    }
-                    expected[word] |= bit;
-                }
-            }
-            for &s in &c.regen_sites {
-                regen_used[s] += 1;
-            }
-        }
-        if expected != self.channel_words {
-            return Err("channel occupancy out of sync with circuits".into());
-        }
-        for (s, &used) in regen_used.iter().enumerate() {
-            let declared = plant.site(s).regenerators;
-            if used + self.regens_free[s] != declared {
-                return Err(format!(
-                    "site {s}: {used} used + {} free != {declared} regenerators",
-                    self.regens_free[s]
-                ));
-            }
-        }
-        Ok(())
+        self.consume_regens(&relay_sites[1..relay_sites.len() - 1]);
     }
 
     /// Lowest channel index free on every fiber of `fibers`, given the
@@ -496,61 +341,388 @@ impl OpticalState {
     }
 }
 
-/// Occupancy-only replay of an [`OpticalState`]: the packed channel words
-/// and free-regenerator vector, without circuit storage or route/wavelength
-/// validation. Incremental rebuilds replay a previous build's resource
-/// consumption against this instead of cloning a full state — installing a
-/// circuit is a handful of word ORs and regenerator decrements, and
-/// occupancy-probe comparisons against a live [`OpticalState`] are word
-/// compares (the two share one word layout per plant).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OccupancyShadow {
-    words: Vec<u64>,
-    words_per_fiber: usize,
-    regens_free: Vec<u32>,
+/// Dynamic optical-layer state over a [`FiberPlant`].
+///
+/// Tracks per-fiber channel occupancy and per-site free regenerators (an
+/// [`Occupancy`]) and live circuits. Provisioning is all-or-nothing: on
+/// error, no state changes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OpticalState {
+    occupancy: Occupancy,
+    /// Live circuits (`None` = torn down).
+    circuits: Vec<Option<Circuit>>,
 }
 
-impl OccupancyShadow {
-    /// Fresh shadow with the same word layout as `OpticalState::new(plant)`.
+impl OpticalState {
+    /// Fresh state: all channels free, all regenerators available.
     pub fn new(plant: &FiberPlant) -> Self {
-        let channels: Vec<u32> = (0..plant.fiber_count())
-            .map(|f| plant.usable_wavelengths(f))
-            .collect();
-        let words_per_fiber = words_for(&channels);
-        OccupancyShadow {
-            words: vec![0; words_per_fiber * plant.fiber_count()],
-            words_per_fiber,
-            regens_free: plant.sites().iter().map(|s| s.regenerators).collect(),
+        OpticalState {
+            occupancy: Occupancy::new(plant),
+            circuits: Vec::new(),
         }
     }
 
-    /// Replays a known-good circuit's resource consumption: marks its
-    /// segments' channels and consumes its regenerators.
-    pub fn install(&mut self, circuit: &Circuit) {
+    /// Free regenerators at `site`.
+    pub fn free_regenerators(&self, site: SiteId) -> u32 {
+        self.occupancy.regens_free[site]
+    }
+
+    /// Free regenerators at every site; see [`Occupancy::free_regen_vec`].
+    pub fn free_regen_vec(&self) -> &[u32] {
+        self.occupancy.free_regen_vec()
+    }
+
+    /// Packed occupancy words of `fiber`; see
+    /// [`Occupancy::occupancy_words`].
+    pub fn occupancy_words(&self, fiber: FiberId) -> &[u64] {
+        self.occupancy.occupancy_words(fiber)
+    }
+
+    /// Whether `channel` is in use on `fiber`.
+    pub fn channel_in_use(&self, fiber: FiberId, channel: u32) -> bool {
+        let (word, bit) = self.occupancy.word_bit(fiber, channel);
+        self.occupancy.channel_words[word] & bit != 0
+    }
+
+    /// Number of channels in use on `fiber`.
+    pub fn channels_used(&self, fiber: FiberId) -> u32 {
+        self.occupancy_words(fiber)
+            .iter()
+            .map(|w| w.count_ones())
+            .sum()
+    }
+
+    /// Number of free channels on `fiber`.
+    pub fn channels_free(&self, fiber: FiberId) -> u32 {
+        self.occupancy.channels[fiber] - self.channels_used(fiber)
+    }
+
+    /// The circuit with id `id`, if still provisioned.
+    pub fn circuit(&self, id: CircuitId) -> Option<&Circuit> {
+        self.circuits.get(id).and_then(|c| c.as_ref())
+    }
+
+    /// Iterator over `(id, circuit)` for all live circuits.
+    pub fn circuits(&self) -> impl Iterator<Item = (CircuitId, &Circuit)> {
+        self.circuits
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.as_ref().map(|c| (i, c)))
+    }
+
+    /// Number of live circuits.
+    pub fn circuit_count(&self) -> usize {
+        self.circuits.iter().filter(|c| c.is_some()).count()
+    }
+
+    /// Number of live circuits between `u` and `v` (either direction).
+    pub fn circuits_between(&self, u: SiteId, v: SiteId) -> usize {
+        self.circuits()
+            .filter(|(_, c)| (c.src == u && c.dst == v) || (c.src == v && c.dst == u))
+            .count()
+    }
+
+    /// Provisions a circuit along the given relay path
+    /// `[src, relay…, dst]`. Each consecutive pair becomes one all-optical
+    /// segment routed over the shortest fiber route; every interior site
+    /// consumes one regenerator. Returns the new circuit id.
+    ///
+    /// All-or-nothing: on `Err`, the state is unchanged.
+    pub fn provision(
+        &mut self,
+        plant: &FiberPlant,
+        relay_sites: &[SiteId],
+    ) -> Result<CircuitId, ProvisionError> {
+        check_relay(relay_sites)?;
+        let reach = plant.params().optical_reach_km;
+
+        // Plan phase: all segments against a tentative occupancy overlay.
+        let mut tentative = Tentative::new();
+        let mut segments = Vec::with_capacity(relay_sites.len() - 1);
+        for w in relay_sites.windows(2) {
+            let route = plant.shortest_route(w[0], w[1]);
+            let channel =
+                self.occupancy
+                    .plan_segment(reach, (w[0], w[1]), route.as_ref(), &mut tentative)?;
+            let FiberRoute {
+                fibers,
+                sites,
+                length_km,
+            } = route.expect("a planned segment has a route");
+            segments.push(Segment {
+                fibers,
+                sites,
+                channel,
+                length_km,
+            });
+        }
+
+        // Regenerators at interior relay sites, then commit.
+        let regen_sites: Vec<SiteId> = relay_sites[1..relay_sites.len() - 1].to_vec();
+        self.occupancy.commit(&tentative, &regen_sites)?;
+        let circuit = Circuit {
+            src: *relay_sites.first().expect("non-empty"),
+            dst: *relay_sites.last().expect("non-empty"),
+            segments,
+            regen_sites,
+        };
+        self.circuits.push(Some(circuit));
+        Ok(self.circuits.len() - 1)
+    }
+
+    /// Provisions a direct (regeneration-free if possible) circuit between
+    /// two sites — shorthand for `provision(plant, &[src, dst])`.
+    pub fn provision_direct(
+        &mut self,
+        plant: &FiberPlant,
+        src: SiteId,
+        dst: SiteId,
+    ) -> Result<CircuitId, ProvisionError> {
+        self.provision(plant, &[src, dst])
+    }
+
+    /// Installs a pre-computed circuit verbatim: marks its segments'
+    /// channels and consumes its regenerators without re-running route or
+    /// wavelength selection. The caller guarantees the circuit fits the
+    /// current occupancy (debug-checked); this is how a
+    /// [`CircuitLedger`]'s circuits become a state, in provisioning order,
+    /// so the result is structurally identical to one provisioned from
+    /// scratch.
+    pub fn install(&mut self, circuit: Circuit) -> CircuitId {
+        for seg in &circuit.segments {
+            self.occupancy.mark(&seg.fibers, seg.channel);
+        }
+        self.occupancy.consume_regens(&circuit.regen_sites);
+        self.circuits.push(Some(circuit));
+        self.circuits.len() - 1
+    }
+
+    /// Tears down a circuit, freeing its channels and regenerators.
+    /// Returns the removed circuit, or `None` if the id was already free.
+    pub fn teardown(&mut self, id: CircuitId) -> Option<Circuit> {
+        let circuit = self.circuits.get_mut(id)?.take()?;
+        let occ = &mut self.occupancy;
         for seg in &circuit.segments {
             for &fid in &seg.fibers {
-                let word = fid * self.words_per_fiber + (seg.channel as usize) / 64;
-                let bit = 1u64 << (seg.channel % 64);
-                debug_assert_eq!(self.words[word] & bit, 0);
-                self.words[word] |= bit;
+                let (word, bit) = occ.word_bit(fid, seg.channel);
+                debug_assert_ne!(occ.channel_words[word] & bit, 0);
+                occ.channel_words[word] &= !bit;
             }
         }
         for &s in &circuit.regen_sites {
-            debug_assert!(self.regens_free[s] > 0);
-            self.regens_free[s] -= 1;
+            occ.regens_free[s] += 1;
         }
+        Some(circuit)
     }
 
-    /// Packed occupancy words of `fiber`, layout-compatible with
-    /// [`OpticalState::occupancy_words`].
-    pub fn occupancy_words(&self, fiber: FiberId) -> &[u64] {
-        let start = fiber * self.words_per_fiber;
-        &self.words[start..start + self.words_per_fiber]
+    /// Internal consistency check (used in tests and debug assertions):
+    /// channel occupancy must equal the union of live circuits' segments.
+    pub fn check_invariants(&self, plant: &FiberPlant) -> Result<(), String> {
+        let occ = &self.occupancy;
+        let channels: Vec<u32> = (0..plant.fiber_count())
+            .map(|f| plant.usable_wavelengths(f))
+            .collect();
+        if channels != occ.channels || words_for(&channels) != occ.words_per_fiber {
+            return Err("channel occupancy out of sync with circuits".into());
+        }
+        let mut expected = vec![0u64; occ.channel_words.len()];
+        let mut regen_used = vec![0u32; plant.site_count()];
+        for (id, c) in self.circuits() {
+            for seg in &c.segments {
+                for &fid in &seg.fibers {
+                    if seg.channel >= channels[fid] {
+                        return Err(format!(
+                            "circuit {id}: channel {} beyond fiber {fid}'s {} usable wavelengths",
+                            seg.channel,
+                            plant.usable_wavelengths(fid)
+                        ));
+                    }
+                    let (word, bit) = occ.word_bit(fid, seg.channel);
+                    if expected[word] & bit != 0 {
+                        return Err(format!(
+                            "circuit {id}: channel {} double-booked on fiber {fid}",
+                            seg.channel
+                        ));
+                    }
+                    expected[word] |= bit;
+                }
+            }
+            for &s in &c.regen_sites {
+                regen_used[s] += 1;
+            }
+        }
+        if expected != occ.channel_words {
+            return Err("channel occupancy out of sync with circuits".into());
+        }
+        for (s, &used) in regen_used.iter().enumerate() {
+            let declared = plant.site(s).regenerators;
+            if used + occ.regens_free[s] != declared {
+                return Err(format!(
+                    "site {s}: {used} used + {} free != {declared} regenerators",
+                    occ.regens_free[s]
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One circuit of a [`CircuitLedger`]: where its relay sites and its
+/// per-segment channels (one fewer) start in the two arenas.
+#[derive(Debug, Clone, Copy)]
+struct Lit {
+    relay: usize,
+    sites: usize,
+    channels: usize,
+}
+
+/// A set of lit circuits held flat: an [`Occupancy`] plus, per circuit in
+/// provisioning order, its relay path and the channel of each segment as
+/// slices of two arenas. A circuit's segments are the [`RouteTable`]
+/// routes between consecutive relay sites, so relay path and channels say
+/// everything a [`Circuit`] does, and lighting, copying and comparing
+/// circuits allocate nothing once the arenas have grown.
+///
+/// [`Self::light`] is the routed provisioner: the checks and state changes
+/// of [`OpticalState::provision`], in its order, with each segment's route
+/// read from the table instead of a per-segment Dijkstra.
+#[derive(Debug, Clone, Default)]
+pub struct CircuitLedger {
+    occupancy: Occupancy,
+    relay_arena: Vec<SiteId>,
+    channel_arena: Vec<u32>,
+    lit: Vec<Lit>,
+    /// Overlay of the circuit being planned; empty between calls' uses.
+    tentative: Tentative,
+}
+
+impl CircuitLedger {
+    /// An empty ledger over `plant`, in place, with room for `circuits`
+    /// circuits: lighting that many allocates nothing. Every interior
+    /// relay site of a circuit consumes a regenerator, so beyond two
+    /// endpoints and one segment a circuit the arenas hold at most as many
+    /// entries as the plant has regenerators; one circuit's overlay marks
+    /// at most every occupancy word.
+    pub fn reset(&mut self, plant: &FiberPlant, circuits: usize) {
+        self.occupancy.reset(plant);
+        let regens: usize = plant.sites().iter().map(|s| s.regenerators as usize).sum();
+        self.relay_arena.clear();
+        self.relay_arena.reserve(2 * circuits + regens);
+        self.channel_arena.clear();
+        self.channel_arena.reserve(circuits + regens);
+        self.lit.clear();
+        self.lit.reserve(circuits);
+        self.tentative.clear();
+        self.tentative.reserve(self.occupancy.channel_words.len());
     }
 
-    /// Free regenerators at every site.
-    pub fn free_regen_vec(&self) -> &[u32] {
-        &self.regens_free
+    /// Channel occupancy and free regenerators under the circuits lit.
+    pub fn occupancy(&self) -> &Occupancy {
+        &self.occupancy
+    }
+
+    /// Number of circuits lit.
+    pub fn len(&self) -> usize {
+        self.lit.len()
+    }
+
+    /// True when no circuit is lit.
+    pub fn is_empty(&self) -> bool {
+        self.lit.is_empty()
+    }
+
+    /// Relay path `[src, relay…, dst]` of circuit `i`.
+    pub fn relay(&self, i: usize) -> &[SiteId] {
+        let c = self.lit[i];
+        &self.relay_arena[c.relay..c.relay + c.sites]
+    }
+
+    /// Channel of each segment of circuit `i`.
+    pub fn channels(&self, i: usize) -> &[u32] {
+        let c = self.lit[i];
+        &self.channel_arena[c.channels..c.channels + c.sites - 1]
+    }
+
+    /// Lights a circuit along `relay_sites` with every segment's route
+    /// read from `routes`, which must have been built from `plant`:
+    /// `Ok`/`Err`, channels chosen and occupancy afterwards are those of
+    /// [`OpticalState::provision`]. All-or-nothing: on `Err` the ledger is
+    /// unchanged.
+    pub fn light(
+        &mut self,
+        plant: &FiberPlant,
+        routes: &RouteTable,
+        relay_sites: &[SiteId],
+    ) -> Result<(), ProvisionError> {
+        debug_assert_eq!(routes.site_count(), plant.site_count());
+        check_relay(relay_sites)?;
+        let reach = plant.params().optical_reach_km;
+        let channels = self.channel_arena.len();
+        self.tentative.clear();
+        let planned = relay_sites
+            .windows(2)
+            .try_for_each(|w| {
+                let route = routes.route(w[0], w[1]);
+                let channel =
+                    self.occupancy
+                        .plan_segment(reach, (w[0], w[1]), route, &mut self.tentative)?;
+                self.channel_arena.push(channel);
+                Ok(())
+            })
+            .and_then(|()| {
+                self.occupancy
+                    .commit(&self.tentative, &relay_sites[1..relay_sites.len() - 1])
+            });
+        match planned {
+            Ok(()) => {
+                self.lit.push(Lit {
+                    relay: self.relay_arena.len(),
+                    sites: relay_sites.len(),
+                    channels,
+                });
+                self.relay_arena.extend_from_slice(relay_sites);
+            }
+            Err(_) => self.channel_arena.truncate(channels),
+        }
+        planned
+    }
+
+    /// Lights circuit `i` of `other` verbatim: the caller guarantees it
+    /// fits (debug-checked), as [`OpticalState::install`]'s does.
+    pub fn copy_circuit(&mut self, routes: &RouteTable, other: &CircuitLedger, i: usize) {
+        let (relay_sites, channels) = (other.relay(i), other.channels(i));
+        self.occupancy.install(routes, relay_sites, channels);
+        self.lit.push(Lit {
+            relay: self.relay_arena.len(),
+            sites: relay_sites.len(),
+            channels: self.channel_arena.len(),
+        });
+        self.relay_arena.extend_from_slice(relay_sites);
+        self.channel_arena.extend_from_slice(channels);
+    }
+
+    /// Circuit `i` as a [`Circuit`], its segments cloned out of `routes`.
+    pub fn circuit(&self, routes: &RouteTable, i: usize) -> Circuit {
+        let relay_sites = self.relay(i);
+        let segments = relay_sites
+            .windows(2)
+            .zip(self.channels(i))
+            .map(|(w, &channel)| {
+                let route = routes.route(w[0], w[1]).expect("a lit segment has a route");
+                Segment {
+                    fibers: route.fibers.clone(),
+                    sites: route.sites.clone(),
+                    channel,
+                    length_km: route.length_km,
+                }
+            })
+            .collect();
+        Circuit {
+            src: relay_sites[0],
+            dst: relay_sites[relay_sites.len() - 1],
+            segments,
+            regen_sites: relay_sites[1..relay_sites.len() - 1].to_vec(),
+        }
     }
 }
 
@@ -754,21 +926,130 @@ mod tests {
         assert_eq!(s.channels_free(0), 4);
     }
 
+    /// The same relay paths through [`OpticalState::provision`] and
+    /// [`CircuitLedger::light`]: same `Ok`/`Err`, same channels, same
+    /// occupancy words and regenerator vector after every attempt, and the
+    /// ledger's circuits installed in order are the state.
+    fn assert_light_equals_provision(p: &FiberPlant, paths: &[&[SiteId]]) -> usize {
+        let routes = RouteTable::build(p);
+        let mut state = OpticalState::new(p);
+        let mut ledger = CircuitLedger::default();
+        ledger.reset(p, 0);
+        for &path in paths {
+            let want = state.provision(p, path);
+            let got = ledger.light(p, &routes, path);
+            assert_eq!(got, want.clone().map(|_| ()), "{path:?}");
+            if let Ok(id) = want {
+                let c = state.circuit(id).unwrap();
+                let channels: Vec<u32> = c.segments.iter().map(|s| s.channel).collect();
+                assert_eq!(ledger.channels(ledger.len() - 1), channels, "{path:?}");
+                assert_eq!(ledger.relay(ledger.len() - 1), path);
+                assert_eq!(&ledger.circuit(&routes, ledger.len() - 1), c);
+            }
+            for f in 0..p.fiber_count() {
+                assert_eq!(
+                    ledger.occupancy().occupancy_words(f),
+                    state.occupancy_words(f),
+                    "{path:?}: fiber {f}"
+                );
+            }
+            assert_eq!(ledger.occupancy().free_regen_vec(), state.free_regen_vec());
+        }
+        assert_eq!(ledger.len(), state.circuit_count());
+        let mut installed = OpticalState::new(p);
+        let mut replayed = Occupancy::new(p);
+        for i in 0..ledger.len() {
+            installed.install(ledger.circuit(&routes, i));
+            replayed.install(&routes, ledger.relay(i), ledger.channels(i));
+        }
+        assert_eq!(installed, state);
+        assert_eq!(&replayed, ledger.occupancy());
+        state.check_invariants(p).unwrap();
+        ledger.len()
+    }
+
     #[test]
-    fn routed_provisioning_matches_per_segment_dijkstra() {
-        // Same relay paths through both entry points, successes and every
-        // error kind: ids, circuits, occupancy and errors must coincide.
+    fn ledger_light_matches_provision_on_the_line() {
+        // Successes and every error kind, one wavelength a fiber.
         let mut p = line_plant(500.0, 1);
         let d = p.add_site("D", 2, 0);
-        let routes = RouteTable::build(&p);
-        let mut a = OpticalState::new(&p);
-        let mut b = OpticalState::new(&p);
-        let paths: [&[SiteId]; 6] = [&[0, 1, 2], &[0, 2], &[0, 1, 2], &[0, d], &[0], &[1, 0]];
-        for path in paths {
-            assert_eq!(a.provision(&p, path), b.provision_routed(&p, &routes, path));
-            assert_eq!(a, b);
+        let paths: [&[SiteId]; 7] = [
+            &[0, 1, 2],
+            &[0, 2],
+            &[0, 1, 2],
+            &[0, d],
+            &[0],
+            &[1, 0, 1],
+            &[1, 0],
+        ];
+        assert_eq!(assert_light_equals_provision(&p, &paths), 1);
+        // Regenerators run out before wavelengths do.
+        let p = line_plant(500.0, 8);
+        let paths: [&[SiteId]; 4] = [&[0, 1, 2], &[2, 1, 0], &[0, 1, 2], &[0, 1]];
+        assert_eq!(assert_light_equals_provision(&p, &paths), 3);
+    }
+
+    #[test]
+    fn ledger_light_matches_provision_on_a_ring() {
+        // Six sites, 300 km hops, reach 700 km: two-hop segments, relays
+        // at every site, three wavelengths shared by crossing circuits.
+        let mut p = FiberPlant::new(OpticalParams {
+            optical_reach_km: 700.0,
+            wavelengths_per_fiber: 3,
+            ..Default::default()
+        });
+        for i in 0..6 {
+            p.add_site(&format!("R{i}"), 4, 1 + (i as u32 % 2));
         }
-        a.check_invariants(&p).unwrap();
+        for i in 0..6 {
+            p.add_fiber(i, (i + 1) % 6, 300.0);
+        }
+        let paths: [&[SiteId]; 12] = [
+            &[0, 2, 4],
+            &[0, 1],
+            &[1, 3, 5],
+            &[0, 2],
+            &[0, 3],
+            &[5, 1, 3],
+            &[4, 2, 0],
+            &[0, 2, 4, 0],
+            &[2, 4],
+            &[1, 2],
+            &[1, 2],
+            &[3, 1],
+        ];
+        assert_eq!(assert_light_equals_provision(&p, &paths), 5);
+    }
+
+    #[test]
+    fn ledger_light_matches_provision_over_degraded_fibers() {
+        // Per-fiber usable wavelengths differ along one route, so first
+        // fit's `min` over the route's fibers decides.
+        let mut p = FiberPlant::new(OpticalParams {
+            optical_reach_km: 1_000.0,
+            wavelengths_per_fiber: 4,
+            ..Default::default()
+        });
+        for i in 0..4 {
+            p.add_site(&format!("G{i}"), 4, 2);
+        }
+        for i in 0..3 {
+            p.add_fiber(i, i + 1, 400.0);
+        }
+        p.set_fiber_wavelength_cap(1, Some(2));
+        p.set_fiber_wavelength_cap(2, Some(3));
+        let paths: [&[SiteId]; 9] = [
+            &[2, 3],
+            &[0, 2],
+            &[0, 2],
+            &[0, 2],
+            &[0, 1, 3],
+            &[1, 3],
+            &[0, 1],
+            &[0, 1],
+            &[0, 1, 2, 3],
+        ];
+        assert!(assert_light_equals_provision(&p, &paths) >= 5);
     }
 
     #[test]

@@ -53,7 +53,9 @@ pub mod plant;
 pub mod power;
 pub mod roadm;
 
-pub use circuit::{Circuit, CircuitId, OccupancyShadow, OpticalState, ProvisionError, Segment};
+pub use circuit::{
+    Circuit, CircuitId, CircuitLedger, Occupancy, OpticalState, ProvisionError, Segment,
+};
 pub use plant::{Fiber, FiberId, FiberPlant, FiberRoute, OpticalParams, RouteTable, Site, SiteId};
 pub use power::{PowerBudget, SegmentPower};
 pub use roadm::{Roadm, RoadmConfig};

@@ -334,7 +334,7 @@ impl FiberRoute {
 /// read the same shortest-path trees). Routes depend on fiber endpoints
 /// and lengths only, so a table stays valid until the plant's fibers
 /// change; callers that provision many circuits against one plant build it
-/// once and hand it to [`OpticalState::provision_routed`](crate::OpticalState::provision_routed),
+/// once and hand it to [`CircuitLedger::light`](crate::CircuitLedger::light),
 /// which then runs no Dijkstra per segment.
 #[derive(Debug, Clone)]
 pub struct RouteTable {

@@ -11,7 +11,7 @@
 use owan_obs::Snapshot;
 use std::fmt::Write as _;
 
-/// `anneal.cache_hit` → `owan_anneal_cache_hit`.
+/// `anneal.cache_miss` → `owan_anneal_cache_miss`.
 fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 5);
     out.push_str("owan_");
@@ -97,15 +97,15 @@ mod tests {
     #[test]
     fn counters_gauges_and_histograms_render() {
         let rec = Recorder::enabled();
-        rec.counter("anneal.cache_hit").add(41);
+        rec.counter("anneal.cache_miss").add(41);
         rec.gauge("slot.throughput_gbps").set(12.5);
         let h = rec.histogram("stage.slot.ms", &[1.0, 10.0]);
         h.observe(0.5);
         h.observe(5.0);
         h.observe(100.0);
         let text = render_prometheus(&rec.snapshot());
-        assert!(text.contains("# TYPE owan_anneal_cache_hit counter"));
-        assert!(text.contains("owan_anneal_cache_hit 41"));
+        assert!(text.contains("# TYPE owan_anneal_cache_miss counter"));
+        assert!(text.contains("owan_anneal_cache_miss 41"));
         assert!(text.contains("owan_slot_throughput_gbps 12.5"));
         // Cumulative buckets: 1, 2, then +Inf = 3.
         assert!(text.contains("owan_stage_slot_ms_bucket{le=\"1\"} 1"));

@@ -38,17 +38,16 @@ pub fn render_top(snapshot: &Snapshot, elapsed_s: f64) -> String {
         gauge(snapshot, "slot.at_risk") as u64,
     );
 
-    let hits = counter(snapshot, "anneal.cache_hit");
-    let misses = counter(snapshot, "anneal.cache_miss");
-    if hits + misses > 0 {
+    // Every energy evaluation counts under `anneal.cache_miss`.
+    let evals = counter(snapshot, "anneal.cache_miss");
+    if evals > 0 {
         let _ = writeln!(
             out,
-            "anneal: {} iters, cache hit rate {:.1}% ({hits} hit / {misses} miss)",
+            "anneal: {} iters, {evals} evaluations",
             counter(snapshot, "anneal.iterations"),
-            100.0 * hits as f64 / (hits + misses) as f64,
         );
-        // Miss attribution, when the run recorded any: the
-        // `anneal.cache_miss.<reason>` counters partition the miss total.
+        // By path, when the run recorded any: the
+        // `anneal.cache_miss.<reason>` counters partition the total.
         let reason_rows: Vec<(&str, u64)> = snapshot
             .counters
             .iter()
@@ -138,20 +137,19 @@ mod tests {
     use owan_obs::Recorder;
 
     #[test]
-    fn dashboard_shows_gauges_cache_rate_and_stages() {
+    fn dashboard_shows_gauges_evaluations_and_stages() {
         let rec = Recorder::enabled();
         rec.gauge("slot.throughput_gbps").set(42.5);
         rec.gauge("slot.active_transfers").set(7.0);
         rec.gauge("slot.at_risk").set(2.0);
-        rec.counter("anneal.cache_hit").add(75);
-        rec.counter("anneal.cache_miss").add(25);
+        rec.counter("anneal.cache_miss").add(101);
         rec.counter("anneal.iterations").add(100);
         rec.stage("stage.slot").record_ns(5_000_000);
         let text = render_top(&rec.snapshot(), 3.25);
         assert!(text.contains("3.2s elapsed"));
         assert!(text.contains("throughput 42.50 Gbps"));
         assert!(text.contains("at-risk 2"));
-        assert!(text.contains("cache hit rate 75.0%"));
+        assert!(text.contains("anneal: 100 iters, 101 evaluations"));
         assert!(text.contains("slot"));
         assert!(!text.contains("chaos"), "no chaos section without counters");
     }
@@ -185,13 +183,12 @@ mod tests {
     #[test]
     fn miss_attribution_table_appears_with_reason_counters() {
         let rec = Recorder::enabled();
-        rec.counter("anneal.cache_hit").add(9);
         rec.counter("anneal.cache_miss").add(5);
         rec.counter("anneal.cache_miss.cold").add(4);
-        rec.counter("anneal.cache_miss.capacity").add(1);
+        rec.counter("anneal.cache_miss.uncached").add(1);
         let text = render_top(&rec.snapshot(), 0.0);
         assert!(text.contains("anneal.cache_miss.cold"));
-        assert!(text.contains("anneal.cache_miss.capacity"));
+        assert!(text.contains("anneal.cache_miss.uncached"));
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! Fast-path equivalence suite: the lazy relay search, the outcome memo,
-//! the delta circuit rebuilds, the rate kernel, and parallel multi-chain
-//! annealing
-//! are pure accelerations — every test here pins the accelerated paths
+//! Fast-path equivalence suite: the lazy relay search, the circuit ledger
+//! and its delta rebuilds, the rate kernel, and parallel multi-chain
+//! annealing are pure accelerations (`ledger.rs` checks the ledger
+//! evaluation by evaluation) — every test here pins the accelerated paths
 //! bit-for-bit to the naive reference, across benchmark networks, seeds,
 //! an exact enumeration oracle, and plant-mutating invalidations.
 //!
-//! Debug builds additionally cross-check every cached circuit build
-//! against a from-scratch rebuild inside `owan-core` (`debug_assert_eq!`),
+//! Debug builds additionally cross-check every ledger build against a
+//! from-scratch naive build inside `owan-core` (`debug_assert_eq!`),
 //! so running this suite under `cargo test` exercises far more equality
 //! checks than the explicit asserts below.
 
+mod common;
+
+use common::{context, fixture, fixture_on, scarce_network};
 use owan::core::anneal::compute_neighbor;
 use owan::core::{
     anneal_observed, anneal_parallel, anneal_parallel_pooled, anneal_with_cache,
@@ -24,51 +27,7 @@ use owan::oracle::anneal_gap;
 use owan::topo::Network;
 use owan_bench::{net_by_name, workload_for, Scale};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// A small fixed-size fixture: network, transfers, and initial topology.
-fn fixture(net_name: &str, seed: u64) -> (Network, Vec<Transfer>, Topology) {
-    fixture_on(net_by_name(net_name), seed)
-}
-
-/// [`fixture`] on a network the caller made.
-fn fixture_on(net: Network, seed: u64) -> (Network, Vec<Transfer>, Topology) {
-    let scale = Scale {
-        duration_s: 900.0,
-        max_requests: 10,
-        seed,
-        ..Scale::quick()
-    };
-    let reqs = workload_for(&net, 1.0, None, &scale);
-    let transfers: Vec<Transfer> = reqs
-        .iter()
-        .enumerate()
-        .map(|(i, r)| Transfer::from_request(i, r))
-        .collect();
-    let initial = if net.static_topology.total_links() > 0 {
-        net.static_topology.clone()
-    } else {
-        default_topology(&net.plant)
-    };
-    (net, transfers, initial)
-}
-
-fn context<'a>(
-    net: &'a Network,
-    fiber_dist: &'a [Vec<f64>],
-    transfers: &'a [Transfer],
-) -> EnergyContext<'a> {
-    EnergyContext {
-        plant: &net.plant,
-        fiber_dist,
-        transfers,
-        policy: SchedulingPolicy::ShortestJobFirst,
-        slot_len_s: 300.0,
-        circuit_config: CircuitBuildConfig::default(),
-        rate_config: RateAssignConfig::default(),
-        prof: owan::prof::Profiler::disabled(),
-    }
-}
+use rand::{RngExt, SeedableRng};
 
 /// The cached fast path must be bit-identical to the naive reference on
 /// every benchmark network, across 20 seeds each (seeds vary both the
@@ -103,6 +62,73 @@ fn cached_anneal_is_bit_identical_to_naive() {
                 fast.initial_energy_gbps.to_bits(),
                 naive.initial_energy_gbps.to_bits()
             );
+        }
+    }
+}
+
+/// Algorithm 2 as it was first written: list the links, expand nothing,
+/// walk the cumulative multiplicities of the list to the unit drawn. The
+/// annealer's `compute_neighbor` walks the matrix rows instead; the
+/// RNG-to-move mapping must be this one.
+fn neighbor_by_link_list(s: &Topology, rng: &mut StdRng) -> Option<Topology> {
+    let links = s.links();
+    let total = links.iter().map(|&(_, _, m)| m as usize).sum::<usize>();
+    if total < 2 {
+        return None;
+    }
+    let unit_at = |idx: usize| -> (usize, usize) {
+        let mut rem = idx;
+        for &(u, v, m) in &links {
+            if rem < m as usize {
+                return (u, v);
+            }
+            rem -= m as usize;
+        }
+        unreachable!("index {idx} beyond {total} link units");
+    };
+    for _attempt in 0..64 {
+        let i = rng.random_range(0..total);
+        let j = rng.random_range(0..total);
+        if i == j {
+            continue;
+        }
+        let (mut u, mut v) = unit_at(i);
+        let (mut p, mut q) = unit_at(j);
+        if rng.random::<bool>() {
+            std::mem::swap(&mut u, &mut v);
+        }
+        if rng.random::<bool>() {
+            std::mem::swap(&mut p, &mut q);
+        }
+        if u == p || v == q {
+            continue;
+        }
+        let mut t = s.clone();
+        t.remove_links(u, v, 1);
+        t.remove_links(p, q, 1);
+        t.add_links(u, p, 1);
+        t.add_links(v, q, 1);
+        return Some(t);
+    }
+    None
+}
+
+/// 10 000 draws a network from two generators in lockstep: the same moves,
+/// and the same number of draws consumed (or the next move would differ).
+/// Every tenth move is taken, so the walk leaves the default topology.
+#[test]
+fn neighbor_moves_keep_the_rng_to_move_mapping() {
+    for net_name in ["internet2", "isp", "interdc"] {
+        let (_, _, mut current) = fixture(net_name, 0);
+        let mut by_rows = StdRng::seed_from_u64(17);
+        let mut by_list = StdRng::seed_from_u64(17);
+        for draw in 0..10_000 {
+            let got = compute_neighbor(&current, &mut by_rows);
+            let want = neighbor_by_link_list(&current, &mut by_list);
+            assert_eq!(got, want, "{net_name} draw {draw}");
+            if let (0, Some(next)) = (draw % 10, got) {
+                current = next;
+            }
         }
     }
 }
@@ -413,56 +439,6 @@ fn rate_kernel_equals_reference_on_every_topology_of_an_isp_slot_loop() {
     );
 }
 
-/// `plant` with `wavelengths` per fiber and `regens(site)` regenerators a
-/// site; everything else (sites, ports, fibers, reach) kept.
-fn scarce(plant: &FiberPlant, wavelengths: u32, regens: impl Fn(usize) -> u32) -> FiberPlant {
-    let mut p = FiberPlant::new(OpticalParams {
-        wavelengths_per_fiber: wavelengths,
-        ..*plant.params()
-    });
-    for (i, site) in plant.sites().iter().enumerate() {
-        p.add_site(&site.name, site.router_ports, regens(i));
-    }
-    for f in plant.fibers() {
-        p.add_fiber(f.a, f.b, f.length_km);
-    }
-    p
-}
-
-/// The stressed plant of `ablations.rs`'s relay-candidate ablation: a line
-/// of eight sites with a sparse express row, two wavelengths a fiber, two
-/// regenerators a site, and long links that all need relays and compete
-/// for the same middle fibers.
-fn stressed_line() -> Network {
-    let mut plant = FiberPlant::new(OpticalParams {
-        wavelength_capacity_gbps: 10.0,
-        wavelengths_per_fiber: 2,
-        optical_reach_km: 1_100.0,
-        ..Default::default()
-    });
-    let n = 8;
-    for i in 0..n {
-        plant.add_site(&format!("L{i}"), 6, 2);
-    }
-    for i in 0..n - 1 {
-        plant.add_fiber(i, i + 1, 500.0);
-    }
-    plant.add_fiber(0, 2, 950.0);
-    plant.add_fiber(2, 5, 1_050.0);
-    plant.add_fiber(5, 7, 980.0);
-    let mut desired = Topology::empty(n);
-    desired.add_links(0, 5, 2);
-    desired.add_links(1, 6, 2);
-    desired.add_links(2, 7, 2);
-    desired.add_links(0, 7, 1);
-    desired.add_links(3, 4, 2);
-    Network {
-        name: "stressed".into(),
-        plant,
-        static_topology: desired,
-    }
-}
-
 /// What one fast-path build of `desired` did, by the circuit counters:
 /// `(circuits.built, circuits.wavelength_failures)` — after checking that
 /// the naive build lit the same circuits and counted the same.
@@ -533,17 +509,7 @@ fn scarce_wavelengths_exercise_later_candidates() {
         let (mut lit_later, mut exhausted) = (0, 0);
         let walk = Recorder::enabled();
         for seed in 0..SEEDS {
-            let net = match family {
-                "stressed" => stressed_line(),
-                name => {
-                    let net = net_by_name(name);
-                    let plant = scarce(&net.plant, 1 + (seed % 3) as u32, |site| {
-                        1 + ((site as u64 + seed) % 2) as u32
-                    });
-                    Network { plant, ..net }
-                }
-            };
-            let (net, transfers, initial) = fixture_on(net, seed);
+            let (net, transfers, initial) = fixture_on(scarce_network(family, seed), seed);
             let fiber_dist = net.plant.fiber_distance_matrix();
             let ctx = context(&net, &fiber_dist, &transfers);
             let config = AnnealConfig {
