@@ -27,16 +27,16 @@
 use crate::fault::{FaultEvent, FaultKind, FaultState};
 use crate::inject::OpFaultModel;
 use crate::telemetry::ChaosTelemetry;
-use owan_core::{build_topology, CircuitBuildConfig};
 use owan_core::{
-    Allocation, SlotInput, SlotPlan, Topology, TrafficEngineer, Transfer, TransferRequest,
+    build_topology_cached, Allocation, BuiltTopology, CircuitBuildConfig, CoreTelemetry,
+    EnergyCache, SlotInput, SlotPlan, Topology, TrafficEngineer, Transfer, TransferRequest,
 };
 use owan_obs::Recorder;
 use owan_optical::{FiberId, FiberPlant, SiteId};
 use owan_scope::{ScopeRecorder, SlotObservation};
 use owan_sim::{build_scope_rows, plan_is_feasible, CompletionRecord, Failure};
 use owan_update::{
-    execute_plan, plan_consistent, throughput_timeline, NetworkDelta, OpKind, RetryPolicy,
+    execute_plan, plan_consistent, transition_scale, NetworkDelta, OpKind, RetryPolicy,
     UpdateParams, UpdatePlan,
 };
 use owan_why::{TransferSample, WhyRecorder, WhySlotObservation};
@@ -280,6 +280,9 @@ pub fn run_chaos_explained(
         path_time_s: config.path_time_s,
     };
     let circuit_cfg = CircuitBuildConfig::default();
+    // Re-realises topologies on the believed plant (fallback plans, the
+    // blackhole check); the engine's own cache dies with it at a crash.
+    let mut realise_cache = EnergyCache::new();
 
     // Split the timeline: plant faults detect with delay; crashes take
     // effect at the slot boundary after they strike.
@@ -426,6 +429,7 @@ pub fn run_chaos_explained(
                 theta,
                 config.slot_len_s,
                 &circuit_cfg,
+                &mut realise_cache,
             );
             used_fallback = true;
             telem.fallback_slots.incr();
@@ -468,7 +472,9 @@ pub fn run_chaos_explained(
                 }
                 let achieved = achieved_state(prev, &delta, &report, theta);
                 let executed = report.as_executed_plan();
-                let (scale, loss) = transition_factor(
+                // The timeline of the *executed* plan: actual post-retry
+                // op times, aborted ops absent.
+                let (scale, loss) = transition_scale(
                     &delta,
                     &executed,
                     &params,
@@ -511,6 +517,7 @@ pub fn run_chaos_explained(
             now,
             slot_end,
             &circuit_cfg,
+            &mut realise_cache,
         );
         let dark_paths = path_live_frac.values().filter(|f| **f < 1.0 - EPS).count() as u64;
         telem.blackhole_paths.add(dark_paths);
@@ -814,6 +821,7 @@ fn fault_label(k: &FaultKind) -> String {
 /// Graceful degradation (§3.4): the previous topology filtered to links
 /// whose endpoints and fiber routes survive, re-realized on the believed
 /// plant, carrying the previous allocations clamped to what still fits.
+#[allow(clippy::too_many_arguments)]
 fn fallback_plan(
     believed: &FiberPlant,
     prev: Option<&SlotPlan>,
@@ -822,6 +830,7 @@ fn fallback_plan(
     theta: f64,
     slot_len_s: f64,
     circuit_cfg: &CircuitBuildConfig,
+    cache: &mut EnergyCache,
 ) -> SlotPlan {
     let n = believed.site_count();
     let empty = SlotPlan {
@@ -838,8 +847,7 @@ fn fallback_plan(
             desired.add_links(u, v, m);
         }
     }
-    let built = build_topology(believed, &desired, &fd, circuit_cfg);
-    let topo = built.achieved;
+    let topo = realise(believed, &desired, &fd, circuit_cfg, cache).achieved;
 
     let active_ids: HashSet<usize> = active.iter().map(|t| t.id).collect();
     let mut allocations: Vec<Allocation> = Vec::new();
@@ -1015,44 +1023,140 @@ fn achieved_state(
     }
 }
 
-/// How much of a slot each transition actually carried: the timeline of
-/// the *executed* plan (actual post-retry op times, aborted ops absent)
-/// integrated over the transition window, then steady at the achieved
-/// rate. Returns `(scale, loss_gbits)` like the fault-free controller.
-fn transition_factor(
-    delta: &NetworkDelta,
-    executed: &UpdatePlan,
-    params: &UpdateParams,
-    slot_len_s: f64,
-    achieved_total_gbps: f64,
-) -> (f64, f64) {
-    if executed.ops.is_empty() || achieved_total_gbps <= EPS {
-        return (1.0, 0.0);
+/// Re-realises `desired` on the believed plant through the run's one
+/// [`EnergyCache`]: the same [`BuiltTopology`] as the naive
+/// `build_topology`, without a regenerator graph and a Yen run per circuit.
+/// The cache keeps its plant precompute until `begin_run` sees another
+/// fingerprint, and the believed plant moves at every detection and
+/// repair, so every build announces its plant first.
+fn realise(
+    believed: &FiberPlant,
+    desired: &Topology,
+    fiber_dist: &[Vec<f64>],
+    circuit_cfg: &CircuitBuildConfig,
+    cache: &mut EnergyCache,
+) -> BuiltTopology {
+    cache.begin_run(believed);
+    build_topology_cached(
+        believed,
+        desired,
+        fiber_dist,
+        circuit_cfg,
+        cache,
+        &CoreTelemetry::disabled(),
+    )
+}
+
+/// When the fibers (in *believed* ids) and sites hit by a still-undetected
+/// cut or site failure go dark, for those that do before `slot_end`.
+#[derive(Default)]
+struct DarkInstants {
+    fibers: HashMap<FiberId, f64>,
+    sites: HashMap<SiteId, f64>,
+}
+
+impl DarkInstants {
+    fn of(
+        believed: &FiberPlant,
+        fiber_map: &[Option<FiberId>],
+        undetected: &[FaultEvent],
+        slot_end: f64,
+    ) -> Self {
+        let mut dark = DarkInstants::default();
+        for e in undetected {
+            if e.time_s >= slot_end - EPS {
+                continue;
+            }
+            match e.kind {
+                FaultKind::FiberCut(orig) => {
+                    if let Some(&Some(bid)) = fiber_map.get(orig) {
+                        let t = dark.fibers.entry(bid).or_insert(f64::INFINITY);
+                        *t = t.min(e.time_s);
+                    }
+                }
+                FaultKind::SiteDown(s) => {
+                    let t = dark.sites.entry(s).or_insert(f64::INFINITY);
+                    *t = t.min(e.time_s);
+                    for (bid, f) in believed.fibers().iter().enumerate() {
+                        if f.a == s || f.b == s {
+                            let t = dark.fibers.entry(bid).or_insert(f64::INFINITY);
+                            *t = t.min(e.time_s);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        dark
     }
-    let window = executed.makespan_s.min(slot_len_s);
-    if window <= EPS {
-        return (1.0, 0.0);
+
+    fn is_empty(&self) -> bool {
+        self.fibers.is_empty() && self.sites.is_empty()
     }
-    let dt = (window / 64.0).max(0.05);
-    let tl = throughput_timeline(delta, executed, params, dt, window);
-    let mut carried_gbits = 0.0;
-    for w in tl.windows(2) {
-        carried_gbits +=
-            0.5 * (w[0].throughput_gbps + w[1].throughput_gbps) * (w[1].time_s - w[0].time_s);
+
+    /// The fraction of `[now, slot_end]` each path of `achieved` carries
+    /// traffic, `built` being the achieved topology realised on the
+    /// believed plant (the link → fiber mapping the data plane is using).
+    /// Conservative: a link is dark when *any* of its circuits traverses a
+    /// dark fiber.
+    fn live_fractions(
+        &self,
+        built: &BuiltTopology,
+        achieved: &SlotPlan,
+        now: f64,
+        slot_end: f64,
+    ) -> HashMap<(usize, usize), f64> {
+        let mut dark_links: HashMap<(SiteId, SiteId), f64> = HashMap::new();
+        for ((u, v), ids) in &built.circuits {
+            let mut dark_at = f64::INFINITY;
+            for &cid in ids {
+                if let Some(c) = built.optical.circuit(cid) {
+                    for seg in &c.segments {
+                        for &f in &seg.fibers {
+                            if let Some(&t) = self.fibers.get(&f) {
+                                dark_at = dark_at.min(t);
+                            }
+                        }
+                    }
+                }
+            }
+            if dark_at.is_finite() {
+                dark_links.insert((*u.min(v), *u.max(v)), dark_at);
+            }
+        }
+
+        let mut out = HashMap::new();
+        for (ai, alloc) in achieved.allocations.iter().enumerate() {
+            for (pi, (nodes, rate)) in alloc.paths.iter().enumerate() {
+                if *rate <= EPS {
+                    continue;
+                }
+                let mut dark_at = f64::INFINITY;
+                for n in nodes {
+                    if let Some(&t) = self.sites.get(n) {
+                        dark_at = dark_at.min(t);
+                    }
+                }
+                for w in nodes.windows(2) {
+                    let key = (w[0].min(w[1]), w[0].max(w[1]));
+                    if let Some(&t) = dark_links.get(&key) {
+                        dark_at = dark_at.min(t);
+                    }
+                }
+                if dark_at.is_finite() {
+                    let frac = ((dark_at.max(now) - now) / (slot_end - now)).clamp(0.0, 1.0);
+                    out.insert((ai, pi), frac);
+                }
+            }
+        }
+        out
     }
-    let ideal_gbits = achieved_total_gbps * window;
-    let steady_gbits = achieved_total_gbps * (slot_len_s - window);
-    let slot_ideal = achieved_total_gbps * slot_len_s;
-    let delivered = carried_gbits + steady_gbits;
-    let scale = (delivered / slot_ideal).clamp(0.0, 1.0);
-    (scale, (ideal_gbits - carried_gbits).max(0.0))
 }
 
 /// For every path in `achieved`, the fraction of the slot it actually
 /// carries traffic, given the cuts that struck but are still undetected.
 /// Keys are `(allocation index, path index)`; absent keys mean 1.0.
-/// Conservative: a link is dark when *any* of its circuits traverses a
-/// dark fiber.
+#[allow(clippy::too_many_arguments)]
 fn blackhole_fractions(
     believed: &FiberPlant,
     fiber_map: &[Option<FiberId>],
@@ -1061,84 +1165,117 @@ fn blackhole_fractions(
     now: f64,
     slot_end: f64,
     circuit_cfg: &CircuitBuildConfig,
+    cache: &mut EnergyCache,
 ) -> HashMap<(usize, usize), f64> {
-    let mut out = HashMap::new();
-    // Dark fibers in *believed* ids, with the instant they go dark.
-    let mut dark_fibers: HashMap<FiberId, f64> = HashMap::new();
-    let mut dark_sites: HashMap<SiteId, f64> = HashMap::new();
-    for e in undetected {
-        if e.time_s >= slot_end - EPS {
-            continue;
-        }
-        match e.kind {
-            FaultKind::FiberCut(orig) => {
-                if let Some(&Some(bid)) = fiber_map.get(orig) {
-                    let t = dark_fibers.entry(bid).or_insert(f64::INFINITY);
-                    *t = t.min(e.time_s);
-                }
-            }
-            FaultKind::SiteDown(s) => {
-                let t = dark_sites.entry(s).or_insert(f64::INFINITY);
-                *t = t.min(e.time_s);
-                for (bid, f) in believed.fibers().iter().enumerate() {
-                    if f.a == s || f.b == s {
-                        let t = dark_fibers.entry(bid).or_insert(f64::INFINITY);
-                        *t = t.min(e.time_s);
-                    }
-                }
-            }
-            _ => {}
-        }
+    let dark = DarkInstants::of(believed, fiber_map, undetected, slot_end);
+    if dark.is_empty() {
+        return HashMap::new();
     }
-    if dark_fibers.is_empty() && dark_sites.is_empty() {
-        return out;
-    }
-
-    // Re-realize the achieved topology on the believed plant to recover
-    // the link → fiber mapping the data plane is using.
     let fd = believed.fiber_distance_matrix();
-    let built = build_topology(believed, &achieved.topology, &fd, circuit_cfg);
-    let mut dark_links: HashMap<(SiteId, SiteId), f64> = HashMap::new();
-    for ((u, v), ids) in &built.circuits {
-        let mut dark_at = f64::INFINITY;
-        for &cid in ids {
-            if let Some(c) = built.optical.circuit(cid) {
-                for seg in &c.segments {
-                    for &f in &seg.fibers {
-                        if let Some(&t) = dark_fibers.get(&f) {
-                            dark_at = dark_at.min(t);
-                        }
-                    }
-                }
-            }
-        }
-        if dark_at.is_finite() {
-            dark_links.insert((*u.min(v), *u.max(v)), dark_at);
+    let built = realise(believed, &achieved.topology, &fd, circuit_cfg, cache);
+    dark.live_fractions(&built, achieved, now, slot_end)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use owan_core::{build_topology, default_topology};
+    use owan_topo::isp_backbone;
+
+    /// One-hop paths over every link of `topo`, one allocation a link.
+    fn plan_over(topo: Topology) -> SlotPlan {
+        let allocations: Vec<Allocation> = topo
+            .links()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (u, v, _))| Allocation {
+                transfer: i,
+                paths: vec![(vec![u, v], 5.0 + i as f64), (vec![v, u], 1.0)],
+            })
+            .collect();
+        let throughput_gbps = allocations.iter().map(Allocation::total_rate).sum();
+        SlotPlan {
+            topology: topo,
+            allocations,
+            throughput_gbps,
         }
     }
 
-    for (ai, alloc) in achieved.allocations.iter().enumerate() {
-        for (pi, (nodes, rate)) in alloc.paths.iter().enumerate() {
-            if *rate <= EPS {
-                continue;
-            }
-            let mut dark_at = f64::INFINITY;
-            for n in nodes {
-                if let Some(&t) = dark_sites.get(n) {
-                    dark_at = dark_at.min(t);
+    /// `blackhole_fractions` realises the achieved topology through the
+    /// run's one cache; the believed plant under it changes at every
+    /// detection and repair. Two believed plants taken in turns through one
+    /// cache must give what the naive build gives on each — the same keys,
+    /// the same bits.
+    #[test]
+    fn blackhole_fractions_through_one_cache_match_the_naive_build() {
+        let net = isp_backbone(7);
+        let cfg = CircuitBuildConfig::default();
+        let intact = FaultState::default().degraded_view(&net.plant);
+        let mut state = FaultState::default();
+        state.apply(&FaultKind::FiberCut(3));
+        state.apply(&FaultKind::AmpDegraded {
+            fiber: 10,
+            usable: 2,
+        });
+        let degraded = state.degraded_view(&net.plant);
+        assert_ne!(intact.0.fiber_count(), degraded.0.fiber_count());
+
+        // Still undetected: cuts of fibers both views have (original ids),
+        // one striking mid-slot, and a site going down.
+        let undetected = [
+            FaultEvent::at(100.0, FaultKind::FiberCut(0)),
+            FaultEvent::at(450.0, FaultKind::FiberCut(7)),
+            FaultEvent::at(500.0, FaultKind::SiteDown(5)),
+            FaultEvent::at(990.0, FaultKind::FiberCut(12)),
+        ];
+        let (now, slot_end) = (300.0, 600.0);
+
+        let mut cache = EnergyCache::new();
+        let mut dark_paths = 0;
+        for round in 0..3 {
+            for (believed, fiber_map) in [&intact, &degraded] {
+                let mut topo = default_topology(believed);
+                if round == 1 {
+                    // Another topology on the same plant.
+                    let (u, v, _) = topo.links()[0];
+                    topo.remove_links(u, v, 1);
                 }
-            }
-            for w in nodes.windows(2) {
-                let key = (w[0].min(w[1]), w[0].max(w[1]));
-                if let Some(&t) = dark_links.get(&key) {
-                    dark_at = dark_at.min(t);
-                }
-            }
-            if dark_at.is_finite() {
-                let frac = ((dark_at.max(now) - now) / (slot_end - now)).clamp(0.0, 1.0);
-                out.insert((ai, pi), frac);
+                let achieved = plan_over(topo);
+                let got = blackhole_fractions(
+                    believed,
+                    fiber_map,
+                    &achieved,
+                    &undetected,
+                    now,
+                    slot_end,
+                    &cfg,
+                    &mut cache,
+                );
+
+                let dark = DarkInstants::of(believed, fiber_map, &undetected, slot_end);
+                let fd = believed.fiber_distance_matrix();
+                let naive = build_topology(believed, &achieved.topology, &fd, &cfg);
+                let want = dark.live_fractions(&naive, &achieved, now, slot_end);
+
+                let sorted = |m: &HashMap<(usize, usize), f64>| {
+                    let mut rows: Vec<((usize, usize), u64)> =
+                        m.iter().map(|(&k, &f)| (k, f.to_bits())).collect();
+                    rows.sort_unstable();
+                    rows
+                };
+                assert_eq!(sorted(&got), sorted(&want), "round {round}");
+                dark_paths += got.len();
+                assert!(
+                    got.values().any(|&f| f > 0.0 && f < 1.0),
+                    "a mid-slot cut leaves a path live for part of the slot"
+                );
             }
         }
+        assert!(dark_paths > 0);
+        assert!(
+            cache.stats.flushes >= 5,
+            "every turn hands the cache the other plant: {:?}",
+            cache.stats
+        );
     }
-    out
 }

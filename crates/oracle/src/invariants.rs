@@ -371,9 +371,9 @@ pub fn check_timeline(
     for &t in &samples {
         // Lit circuit multiplicity per link at time t.
         let mut lit: HashMap<(usize, usize), i64> = delta
-            .initial_circuits
+            .initial_links()
             .iter()
-            .map(|(&k, &m)| (k, m as i64))
+            .map(|&(k, m)| (k, m as i64))
             .collect();
         for (i, c) in delta.removed_circuits.iter().enumerate() {
             let start = teardown_start.get(&i).copied().unwrap_or(f64::INFINITY);

@@ -19,8 +19,8 @@ use owan_core::{SlotInput, SlotPlan, TrafficEngineer, Transfer, TransferRequest}
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
 use owan_update::{
-    plan_consistent_observed, plan_one_shot_observed, throughput_timeline, NetworkDelta,
-    UpdateParams, UpdatePlan, UpdateTelemetry,
+    plan_consistent_observed, plan_one_shot_observed, transition_scale, NetworkDelta, UpdateParams,
+    UpdateTelemetry,
 };
 
 const EPS: f64 = 1e-9;
@@ -89,43 +89,6 @@ impl ControllerResult {
     pub fn all_completed(&self) -> bool {
         self.completions.iter().all(|c| c.completion_s.is_some())
     }
-}
-
-/// Per-transfer delivered volume during one slot, accounting for the
-/// update transition: during `[0, makespan]` of the update plan the
-/// carried rate of each path follows the update timeline; afterwards the
-/// full new allocation applies. To keep the accounting per-transfer we
-/// scale each transfer's allocated volume by the ratio of carried to
-/// allocated network volume during the transition window (the timeline is
-/// a network-level quantity).
-fn transition_scale(
-    delta: &NetworkDelta,
-    plan: &UpdatePlan,
-    params: &UpdateParams,
-    slot_len_s: f64,
-    new_total_gbps: f64,
-) -> (f64, f64) {
-    if plan.ops.is_empty() || new_total_gbps <= EPS {
-        return (1.0, 0.0);
-    }
-    let window = plan.makespan_s.min(slot_len_s);
-    if window <= EPS {
-        return (1.0, 0.0);
-    }
-    let dt = (window / 64.0).max(0.05);
-    let tl = throughput_timeline(delta, plan, params, dt, window);
-    // Trapezoidal integral of carried Gbps over the window.
-    let mut carried_gbits = 0.0;
-    for w in tl.windows(2) {
-        carried_gbits +=
-            0.5 * (w[0].throughput_gbps + w[1].throughput_gbps) * (w[1].time_s - w[0].time_s);
-    }
-    let ideal_gbits = new_total_gbps * window;
-    let steady_gbits = new_total_gbps * (slot_len_s - window);
-    let slot_ideal = new_total_gbps * slot_len_s;
-    let delivered = carried_gbits + steady_gbits;
-    let scale = (delivered / slot_ideal).clamp(0.0, 1.0);
-    (scale, (ideal_gbits - carried_gbits).max(0.0))
 }
 
 /// Runs the controller loop: admit → plan → schedule update → deliver.

@@ -15,7 +15,6 @@
 //! slot.
 
 use crate::plan::{dependency_edges, NetworkDelta, OpKind, ScheduledOp, UpdatePlan};
-use std::collections::HashMap;
 
 const EPS: f64 = 1e-9;
 
@@ -172,16 +171,25 @@ pub fn execute_plan(
     inject: &mut dyn FnMut(usize, u32) -> OpFault,
 ) -> ExecReport {
     let n = plan.ops.len();
-    // Dependency edges among the ops actually present in the plan.
-    let index_of: HashMap<OpKind, usize> = plan
-        .ops
-        .iter()
-        .enumerate()
-        .map(|(i, o)| (o.kind, i))
-        .collect();
+    // Dependency edges among the ops actually present in the plan: where
+    // each of the delta's ops sits in `plan.ops` (the later entry when the
+    // plan names one twice).
+    const ABSENT: usize = usize::MAX;
+    let mut index_of = vec![ABSENT; delta.op_count()];
+    for (i, o) in plan.ops.iter().enumerate() {
+        if let Some(slot) = delta.op_slot(o.kind) {
+            index_of[slot] = i;
+        }
+    }
+    let planned = |kind: OpKind| {
+        delta
+            .op_slot(kind)
+            .map(|slot| index_of[slot])
+            .filter(|&i| i != ABSENT)
+    };
     let mut prereqs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (pre, dep) in dependency_edges(delta) {
-        if let (Some(&p), Some(&d)) = (index_of.get(&pre), index_of.get(&dep)) {
+        if let (Some(p), Some(d)) = (planned(pre), planned(dep)) {
             prereqs[d].push(p);
         }
     }
@@ -303,8 +311,8 @@ mod tests {
     /// link… kept minimal: setup → add-path chain plus an independent op.
     fn chain_delta() -> NetworkDelta {
         let mut d = NetworkDelta::default();
-        d.initial_circuits.insert((0, 1), 1);
-        d.fiber_free.insert(9, 0);
+        d.set_initial_circuits(0, 1, 1);
+        d.set_fiber_free(9, 0);
         d.removed_circuits.push(CircuitDesc {
             u: 0,
             v: 1,
@@ -436,6 +444,40 @@ mod tests {
             .position(|o| matches!(o.kind, OpKind::TeardownCircuit(_)))
             .unwrap();
         assert!(report.ops[teardown_idx].completed());
+    }
+
+    #[test]
+    fn edges_follow_the_later_entry_and_skip_ops_outside_the_delta() {
+        let d = chain_delta();
+        let mut plan = plan_consistent(&d, &UpdateParams::default());
+        // The setup named a second time, much later: the path install's
+        // prerequisite is that entry. An op the delta does not have has no
+        // edges and simply runs.
+        plan.ops.push(ScheduledOp {
+            kind: OpKind::SetupCircuit(0),
+            start_s: 20.0,
+            end_s: 24.0,
+            forced: false,
+        });
+        plan.ops.push(ScheduledOp {
+            kind: OpKind::AddPath(7),
+            start_s: 1.0,
+            end_s: 1.1,
+            forced: false,
+        });
+        let report = execute_plan(&d, &plan, &RetryPolicy::default(), &mut no_faults);
+        assert!(report.clean());
+        let end_of = |i: usize| match report.ops[i].status {
+            OpStatus::Completed { start_s, end_s } => (start_s, end_s),
+            OpStatus::Aborted => panic!("op {i} aborted"),
+        };
+        let add_idx = plan
+            .ops
+            .iter()
+            .position(|o| o.kind == OpKind::AddPath(0))
+            .unwrap();
+        assert!(end_of(add_idx).0 >= 24.0 - 1e-9, "{:?}", end_of(add_idx));
+        assert_eq!(end_of(plan.ops.len() - 1), (1.0, 1.1));
     }
 
     #[test]

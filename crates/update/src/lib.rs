@@ -17,7 +17,15 @@
 //! as its resource dependencies are met. [`plan_consistent`] produces a
 //! hitless schedule; [`plan_one_shot`] fires everything at `t = 0` for
 //! comparison (Figure 10(b)). [`throughput_timeline`] replays either
-//! schedule and reports carried traffic over time.
+//! schedule and reports carried traffic over time; [`transition_scale`]
+//! integrates that timeline into what a controller slot delivers, and is
+//! the one place the workspace does so. [`execute_plan`] runs a schedule
+//! against a data plane that times out and refuses.
+//!
+//! The whole step — delta, schedule, timeline — runs on dense link and
+//! fiber indices ([`plan`]) and the timeline is evaluated per schedule
+//! event, not per sample ([`timeline`]); DESIGN.md §7.6 has the argument
+//! for why that is exact.
 
 pub mod exec;
 pub mod plan;
@@ -31,4 +39,4 @@ pub use plan::{
     ScheduledOp, UpdateParams, UpdatePlan,
 };
 pub use telemetry::UpdateTelemetry;
-pub use timeline::{throughput_timeline, TimelinePoint};
+pub use timeline::{throughput_timeline, transition_scale, TimelinePoint};

@@ -1,11 +1,20 @@
 //! Building and scheduling the cross-layer update dependency structure.
+//!
+//! A [`NetworkDelta`] names its operations by position in four vectors and
+//! its resources by site pair and fiber id. The scheduler never hashes
+//! either: links live in a flat `n × n` table at `min·n + max` (`n` the
+//! delta's site bound: the site count `from_plans` diffed, or one past the
+//! largest site id a hand-built delta mentions), fibers in a table by id,
+//! and operation `k` of the fixed enumeration — path removals, circuit
+//! teardowns, circuit setups, path installs, each in delta order — is
+//! found by adding the lengths of the vectors before it (`op_slot`). A
+//! link or fiber nobody set reads zero.
 
 use crate::telemetry::UpdateTelemetry;
 use owan_core::{Allocation, Topology, TransferId};
 use owan_optical::{FiberId, SiteId};
-use std::collections::HashMap;
 
-const EPS: f64 = 1e-9;
+pub(crate) const EPS: f64 = 1e-9;
 
 /// One optical circuit being torn down or set up.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +40,11 @@ pub struct PathDesc {
 
 /// The difference between two network states, as update operations plus the
 /// initial resource levels the scheduler starts from.
+///
+/// The resource levels are read and written through accessors
+/// ([`Self::initial_circuits`], [`Self::fiber_free`] and their setters):
+/// they are kept sorted by key so that the scheduler and the timeline can
+/// lay them out densely without hashing.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkDelta {
     /// Circuits to remove.
@@ -43,10 +57,14 @@ pub struct NetworkDelta {
     pub added_paths: Vec<PathDesc>,
     /// Paths present in both states (carry traffic throughout).
     pub unchanged_paths: Vec<PathDesc>,
-    /// Initial circuit multiplicity per unordered link `(min, max)`.
-    pub initial_circuits: HashMap<(SiteId, SiteId), u32>,
-    /// Initially free wavelengths per fiber.
-    pub fiber_free: HashMap<FiberId, u32>,
+    /// Site count of the topologies [`Self::from_plans`] diffed; zero for a
+    /// hand-built delta, whose bound is found by a scan.
+    sites: usize,
+    /// Initial circuit multiplicity per unordered link `(min, max)`, sorted
+    /// by link.
+    initial_circuits: Vec<((SiteId, SiteId), u32)>,
+    /// Initially free wavelengths per fiber, sorted by fiber id.
+    fiber_free: Vec<(FiberId, u32)>,
 }
 
 impl NetworkDelta {
@@ -69,21 +87,26 @@ impl NetworkDelta {
             a * n + b
         };
 
-        let mut delta = NetworkDelta::default();
+        let mut delta = NetworkDelta {
+            sites: n,
+            ..Default::default()
+        };
 
-        // Circuit diff per pair.
+        // Circuit diff per pair. Pairs are visited in `(u, v)` order and
+        // `pair_fiber` grows with it, so both resource lists come out
+        // sorted.
         for u in 0..n {
             for v in u + 1..n {
                 let old_m = old_topology.multiplicity(u, v);
                 let new_m = new_topology.multiplicity(u, v);
                 if old_m > 0 {
-                    delta.initial_circuits.insert((u, v), old_m);
+                    delta.initial_circuits.push(((u, v), old_m));
                 }
                 let fiber = pair_fiber(u, v);
                 if old_m > 0 || new_m > 0 {
                     delta
                         .fiber_free
-                        .insert(fiber, wavelengths_per_fiber.saturating_sub(old_m));
+                        .push((fiber, wavelengths_per_fiber.saturating_sub(old_m)));
                 }
                 for _ in new_m..old_m {
                     delta.removed_circuits.push(CircuitDesc {
@@ -158,6 +181,143 @@ impl NetworkDelta {
             + self.added_circuits.len()
             + self.removed_paths.len()
             + self.added_paths.len()
+    }
+
+    /// Circuits lit on the unordered link `(u, v)` before the update; zero
+    /// for a link never set.
+    pub fn initial_circuits(&self, u: SiteId, v: SiteId) -> u32 {
+        let key = (u.min(v), u.max(v));
+        self.initial_circuits
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .map_or(0, |at| self.initial_circuits[at].1)
+    }
+
+    /// Sets the circuits lit on the unordered link `(u, v)` before the
+    /// update (for hand-built deltas).
+    pub fn set_initial_circuits(&mut self, u: SiteId, v: SiteId, multiplicity: u32) {
+        let key = (u.min(v), u.max(v));
+        match self
+            .initial_circuits
+            .binary_search_by_key(&key, |&(k, _)| k)
+        {
+            Ok(at) => self.initial_circuits[at].1 = multiplicity,
+            Err(at) => self.initial_circuits.insert(at, (key, multiplicity)),
+        }
+    }
+
+    /// Every link with an initial multiplicity on record, as
+    /// `((min, max), circuits)` in link order.
+    pub fn initial_links(&self) -> &[((SiteId, SiteId), u32)] {
+        &self.initial_circuits
+    }
+
+    /// Wavelengths free on `fiber` before the update; zero for a fiber
+    /// never set.
+    pub fn fiber_free(&self, fiber: FiberId) -> u32 {
+        self.fiber_free
+            .binary_search_by_key(&fiber, |&(f, _)| f)
+            .map_or(0, |at| self.fiber_free[at].1)
+    }
+
+    /// Sets the wavelengths free on `fiber` before the update (for
+    /// hand-built deltas).
+    pub fn set_fiber_free(&mut self, fiber: FiberId, free: u32) {
+        match self.fiber_free.binary_search_by_key(&fiber, |&(f, _)| f) {
+            Ok(at) => self.fiber_free[at].1 = free,
+            Err(at) => self.fiber_free.insert(at, (fiber, free)),
+        }
+    }
+
+    /// Every fiber with a free-wavelength count on record, as
+    /// `(fiber, free)` in id order.
+    pub fn free_fibers(&self) -> &[(FiberId, u32)] {
+        &self.fiber_free
+    }
+
+    /// A bound on the site ids the delta names: every one is below it. The
+    /// site count of the diffed topologies when [`Self::from_plans`] built
+    /// the delta, otherwise one past the largest id a circuit, a path or an
+    /// initial link mentions.
+    pub(crate) fn site_bound(&self) -> usize {
+        if self.sites > 0 {
+            return self.sites;
+        }
+        let circuits = self.removed_circuits.iter().chain(&self.added_circuits);
+        let paths = self
+            .unchanged_paths
+            .iter()
+            .chain(&self.removed_paths)
+            .chain(&self.added_paths);
+        circuits
+            .map(|c| c.u.max(c.v))
+            .chain(paths.flat_map(|p| p.nodes.iter().copied()))
+            .chain(self.initial_circuits.iter().map(|&((_, v), _)| v))
+            .max()
+            .map_or(0, |top| top + 1)
+    }
+
+    /// Position of `kind` in the fixed enumeration of the delta's
+    /// operations — path removals, circuit teardowns, circuit setups, path
+    /// installs, each in delta order — or `None` when its index lies
+    /// outside the delta.
+    pub(crate) fn op_slot(&self, kind: OpKind) -> Option<usize> {
+        let (rp, rc, ac) = (
+            self.removed_paths.len(),
+            self.removed_circuits.len(),
+            self.added_circuits.len(),
+        );
+        match kind {
+            OpKind::RemovePath(i) => (i < rp).then_some(i),
+            OpKind::TeardownCircuit(i) => (i < rc).then(|| rp + i),
+            OpKind::SetupCircuit(i) => (i < ac).then(|| rp + rc + i),
+            OpKind::AddPath(i) => (i < self.added_paths.len()).then(|| rp + rc + ac + i),
+        }
+    }
+
+    /// The operations in the order [`Self::op_slot`] numbers them.
+    pub(crate) fn all_ops(&self) -> Vec<OpKind> {
+        let removals = (0..self.removed_paths.len()).map(OpKind::RemovePath);
+        let teardowns = (0..self.removed_circuits.len()).map(OpKind::TeardownCircuit);
+        let setups = (0..self.added_circuits.len()).map(OpKind::SetupCircuit);
+        let installs = (0..self.added_paths.len()).map(OpKind::AddPath);
+        removals
+            .chain(teardowns)
+            .chain(setups)
+            .chain(installs)
+            .collect()
+    }
+}
+
+/// Index of the unordered link `(u, v)` in a flat `n × n` table.
+pub(crate) fn link_index(n: usize, u: SiteId, v: SiteId) -> usize {
+    assert!(u < n && v < n, "site outside the delta's site bound");
+    u.min(v) * n + u.max(v)
+}
+
+/// The hops of a list of paths as [`link_index`] values, computed once:
+/// path `i` crosses `hops.of(i)`, in path order.
+pub(crate) struct PathHops {
+    links: Vec<usize>,
+    /// Path `i`'s hops are `links[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl PathHops {
+    pub(crate) fn new<'a>(n: usize, paths: impl IntoIterator<Item = &'a PathDesc>) -> Self {
+        let mut hops = PathHops {
+            links: Vec::new(),
+            starts: vec![0],
+        };
+        for p in paths {
+            hops.links
+                .extend(p.nodes.windows(2).map(|w| link_index(n, w[0], w[1])));
+            hops.starts.push(hops.links.len());
+        }
+        hops
+    }
+
+    pub(crate) fn of(&self, path: usize) -> &[usize] {
+        &self.links[self.starts[path]..self.starts[path + 1]]
     }
 }
 
@@ -303,8 +463,9 @@ impl UpdatePlan {
     }
 }
 
-/// Mutable resource state the scheduler tracks. Link load is kept in two
-/// views that bracket the true instantaneous load:
+/// Mutable resource state the scheduler tracks, on dense indices (see the
+/// module docs). Link load is kept in two views that bracket the true
+/// instantaneous load:
 ///
 /// * **reserved** — a path's rate is claimed when its install *starts*
 ///   and released when its removal *starts*. This is the admission view:
@@ -313,45 +474,178 @@ impl UpdatePlan {
 /// * **carried** — a path's rate counts while traffic actually flows:
 ///   from install *end* until removal *end*. This is what the wire sees;
 ///   a teardown must not go dark under it.
-struct SchedState {
-    link_circuits: HashMap<(SiteId, SiteId), u32>,
-    reserved_load: HashMap<(SiteId, SiteId), f64>,
-    carried_load: HashMap<(SiteId, SiteId), f64>,
-    fiber_free: HashMap<FiberId, u32>,
+struct SchedState<'a> {
+    delta: &'a NetworkDelta,
+    theta: f64,
+    link_circuits: Vec<u32>,
+    reserved_load: Vec<f64>,
+    carried_load: Vec<f64>,
+    fiber_free: Vec<u32>,
+    removed_hops: PathHops,
+    added_hops: PathHops,
+    /// Link of each removed and each added circuit.
+    removed_links: Vec<usize>,
+    added_links: Vec<usize>,
+    /// Added paths by `(transfer, index)`, sorted: the installs a removal's
+    /// make-before-break waits for are one contiguous run.
+    installs_by_transfer: Vec<(TransferId, usize)>,
+    /// Slot of `AddPath(0)` in the op enumeration.
+    first_install: usize,
 }
 
-impl SchedState {
-    fn key(u: SiteId, v: SiteId) -> (SiteId, SiteId) {
-        (u.min(v), u.max(v))
-    }
+#[derive(Clone, Copy, PartialEq)]
+enum Status {
+    Pending,
+    Running,
+    Done,
+}
 
-    fn circuits(&self, u: SiteId, v: SiteId) -> u32 {
-        *self.link_circuits.get(&Self::key(u, v)).unwrap_or(&0)
-    }
-
-    fn reserved(&self, u: SiteId, v: SiteId) -> f64 {
-        *self.reserved_load.get(&Self::key(u, v)).unwrap_or(&0.0)
-    }
-
-    fn carried(&self, u: SiteId, v: SiteId) -> f64 {
-        *self.carried_load.get(&Self::key(u, v)).unwrap_or(&0.0)
-    }
-
-    fn add_reserved(&mut self, nodes: &[SiteId], rate: f64) {
-        for w in nodes.windows(2) {
-            *self
-                .reserved_load
-                .entry(Self::key(w[0], w[1]))
-                .or_insert(0.0) += rate;
+impl<'a> SchedState<'a> {
+    fn new(delta: &'a NetworkDelta, theta: f64) -> Self {
+        let n = delta.site_bound();
+        let mut link_circuits = vec![0u32; n * n];
+        for &((u, v), m) in delta.initial_links() {
+            link_circuits[link_index(n, u, v)] = m;
+        }
+        let fiber_bound = (delta.removed_circuits.iter())
+            .chain(&delta.added_circuits)
+            .flat_map(|c| c.fibers.iter())
+            .max()
+            .map_or(0, |&top| top + 1);
+        let mut fiber_free = vec![0u32; fiber_bound];
+        for &(f, free) in delta.free_fibers() {
+            // A fiber no circuit names is never read.
+            if let Some(slot) = fiber_free.get_mut(f) {
+                *slot = free;
+            }
+        }
+        // Initial load: unchanged + to-be-removed paths carry traffic now,
+        // and what a path carries it has reserved.
+        let mut carried_load = vec![0.0f64; n * n];
+        for p in delta.unchanged_paths.iter().chain(&delta.removed_paths) {
+            for w in p.nodes.windows(2) {
+                carried_load[link_index(n, w[0], w[1])] += p.rate_gbps;
+            }
+        }
+        let link_of = |c: &CircuitDesc| link_index(n, c.u, c.v);
+        let mut installs_by_transfer: Vec<(TransferId, usize)> = (delta.added_paths.iter())
+            .enumerate()
+            .map(|(j, p)| (p.transfer, j))
+            .collect();
+        installs_by_transfer.sort_unstable();
+        SchedState {
+            delta,
+            theta,
+            link_circuits,
+            reserved_load: carried_load.clone(),
+            carried_load,
+            fiber_free,
+            removed_hops: PathHops::new(n, &delta.removed_paths),
+            added_hops: PathHops::new(n, &delta.added_paths),
+            removed_links: delta.removed_circuits.iter().map(link_of).collect(),
+            added_links: delta.added_circuits.iter().map(link_of).collect(),
+            installs_by_transfer,
+            first_install: delta.op_count() - delta.added_paths.len(),
         }
     }
 
-    fn add_carried(&mut self, nodes: &[SiteId], rate: f64) {
-        for w in nodes.windows(2) {
-            *self
-                .carried_load
-                .entry(Self::key(w[0], w[1]))
-                .or_insert(0.0) += rate;
+    /// Readiness of `k` against the current resource state; `status` tells
+    /// which installs have completed.
+    fn ready(&self, k: OpKind, status: &[Status]) -> bool {
+        match k {
+            OpKind::RemovePath(i) => {
+                // Make-before-break: do not take a transfer's traffic off
+                // its old path until all of its new paths are installed.
+                let t = self.delta.removed_paths[i].transfer;
+                let from = self.installs_by_transfer.partition_point(|&(u, _)| u < t);
+                self.installs_by_transfer[from..]
+                    .iter()
+                    .take_while(|&&(u, _)| u == t)
+                    .all(|&(_, j)| status[self.first_install + j] == Status::Done)
+            }
+            OpKind::TeardownCircuit(i) => {
+                // Removing one circuit must not strand live traffic: the
+                // remaining capacity must cover both the wire-visible load
+                // (in-flight removals still carry until they complete) and
+                // the reserved load (in-flight installs land later).
+                let l = self.removed_links[i];
+                let cap = (self.link_circuits[l].saturating_sub(1)) as f64 * self.theta + EPS;
+                self.carried_load[l] <= cap && self.reserved_load[l] <= cap
+            }
+            OpKind::SetupCircuit(i) => self.delta.added_circuits[i]
+                .fibers
+                .iter()
+                .all(|&f| self.fiber_free[f] > 0),
+            OpKind::AddPath(i) => {
+                // Admission is against the reserved view, so concurrent
+                // installs cannot jointly oversubscribe a link. (An install
+                // that starts while a removal is in flight is safe: both
+                // take `path_time_s`, so the new traffic cannot land before
+                // the old traffic is gone.)
+                let rate = self.delta.added_paths[i].rate_gbps;
+                self.added_hops.of(i).iter().all(|&l| {
+                    self.reserved_load[l] + rate <= self.link_circuits[l] as f64 * self.theta + EPS
+                })
+            }
+        }
+    }
+
+    /// Effects applied at op start (resource reservation / traffic off).
+    fn apply_start(&mut self, k: OpKind) {
+        match k {
+            OpKind::RemovePath(i) => {
+                // Sending stops as soon as the removal begins; the
+                // reservation is released now, the carried view at
+                // completion.
+                let rate = self.delta.removed_paths[i].rate_gbps;
+                for &l in self.removed_hops.of(i) {
+                    self.reserved_load[l] -= rate;
+                }
+            }
+            OpKind::TeardownCircuit(i) => {
+                // The circuit goes dark at start.
+                let e = &mut self.link_circuits[self.removed_links[i]];
+                *e = e.saturating_sub(1);
+            }
+            OpKind::SetupCircuit(i) => {
+                // Reserve the wavelengths.
+                for &f in &self.delta.added_circuits[i].fibers {
+                    self.fiber_free[f] = self.fiber_free[f].saturating_sub(1);
+                }
+            }
+            OpKind::AddPath(i) => {
+                // Reserve the capacity the moment the install starts.
+                let rate = self.delta.added_paths[i].rate_gbps;
+                for &l in self.added_hops.of(i) {
+                    self.reserved_load[l] += rate;
+                }
+            }
+        }
+    }
+
+    /// Effects applied at op end.
+    fn apply_end(&mut self, k: OpKind) {
+        match k {
+            OpKind::RemovePath(i) => {
+                // The old traffic is off the wire once the removal completes.
+                let rate = self.delta.removed_paths[i].rate_gbps;
+                for &l in self.removed_hops.of(i) {
+                    self.carried_load[l] -= rate;
+                }
+            }
+            OpKind::TeardownCircuit(i) => {
+                // Wavelengths are free once the teardown completes.
+                for &f in &self.delta.removed_circuits[i].fibers {
+                    self.fiber_free[f] += 1;
+                }
+            }
+            OpKind::SetupCircuit(i) => self.link_circuits[self.added_links[i]] += 1,
+            OpKind::AddPath(i) => {
+                let rate = self.delta.added_paths[i].rate_gbps;
+                for &l in self.added_hops.of(i) {
+                    self.carried_load[l] += rate;
+                }
+            }
         }
     }
 }
@@ -394,38 +688,8 @@ pub fn plan_consistent_observed(
 }
 
 fn plan_consistent_inner(delta: &NetworkDelta, params: &UpdateParams) -> UpdatePlan {
-    let theta = params.theta_gbps;
-    let mut state = SchedState {
-        link_circuits: delta.initial_circuits.clone(),
-        reserved_load: HashMap::new(),
-        carried_load: HashMap::new(),
-        fiber_free: delta.fiber_free.clone(),
-    };
-    // Initial load: unchanged + to-be-removed paths carry traffic now.
-    for p in delta.unchanged_paths.iter().chain(&delta.removed_paths) {
-        state.add_reserved(&p.nodes, p.rate_gbps);
-        state.add_carried(&p.nodes, p.rate_gbps);
-    }
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Status {
-        Pending,
-        Running,
-        Done,
-    }
-    let mut all_ops: Vec<OpKind> = Vec::new();
-    for i in 0..delta.removed_paths.len() {
-        all_ops.push(OpKind::RemovePath(i));
-    }
-    for i in 0..delta.removed_circuits.len() {
-        all_ops.push(OpKind::TeardownCircuit(i));
-    }
-    for i in 0..delta.added_circuits.len() {
-        all_ops.push(OpKind::SetupCircuit(i));
-    }
-    for i in 0..delta.added_paths.len() {
-        all_ops.push(OpKind::AddPath(i));
-    }
+    let mut state = SchedState::new(delta, params.theta_gbps);
+    let all_ops = delta.all_ops();
 
     let duration = |k: OpKind| match k {
         OpKind::RemovePath(_) | OpKind::AddPath(_) => params.path_time_s,
@@ -434,110 +698,9 @@ fn plan_consistent_inner(delta: &NetworkDelta, params: &UpdateParams) -> UpdateP
 
     let mut status = vec![Status::Pending; all_ops.len()];
     let mut scheduled: Vec<ScheduledOp> = Vec::with_capacity(all_ops.len());
-    let mut start_times = vec![0.0f64; all_ops.len()];
     let mut end_times = vec![0.0f64; all_ops.len()];
+    let mut ready_now = vec![false; all_ops.len()];
     let mut now = 0.0f64;
-
-    // Readiness check against the current resource state. `path_added`
-    // reports whether an AddPath op has completed (by added_paths index).
-    let ready = |k: OpKind, state: &SchedState, path_added: &dyn Fn(usize) -> bool| -> bool {
-        match k {
-            OpKind::RemovePath(i) => {
-                // Make-before-break: do not take a transfer's traffic off
-                // its old path until all of its new paths are installed.
-                let t = delta.removed_paths[i].transfer;
-                delta
-                    .added_paths
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.transfer == t)
-                    .all(|(j, _)| path_added(j))
-            }
-            OpKind::TeardownCircuit(i) => {
-                let c = &delta.removed_circuits[i];
-                // Removing one circuit must not strand live traffic: the
-                // remaining capacity must cover both the wire-visible load
-                // (in-flight removals still carry until they complete) and
-                // the reserved load (in-flight installs land later).
-                let cap = (state.circuits(c.u, c.v).saturating_sub(1)) as f64 * theta + EPS;
-                state.carried(c.u, c.v) <= cap && state.reserved(c.u, c.v) <= cap
-            }
-            OpKind::SetupCircuit(i) => {
-                let c = &delta.added_circuits[i];
-                c.fibers
-                    .iter()
-                    .all(|f| *state.fiber_free.get(f).unwrap_or(&0) > 0)
-            }
-            OpKind::AddPath(i) => {
-                // Admission is against the reserved view, so concurrent
-                // installs cannot jointly oversubscribe a link. (An install
-                // that starts while a removal is in flight is safe: both
-                // take `path_time_s`, so the new traffic cannot land before
-                // the old traffic is gone.)
-                let p = &delta.added_paths[i];
-                p.nodes.windows(2).all(|w| {
-                    state.reserved(w[0], w[1]) + p.rate_gbps
-                        <= state.circuits(w[0], w[1]) as f64 * theta + EPS
-                })
-            }
-        }
-    };
-
-    // Effects applied at op start (resource reservation / traffic off).
-    let apply_start = |k: OpKind, state: &mut SchedState| match k {
-        OpKind::RemovePath(i) => {
-            // Sending stops as soon as the removal begins; the reservation
-            // is released now, the carried view at completion.
-            let p = &delta.removed_paths[i];
-            state.add_reserved(&p.nodes, -p.rate_gbps);
-        }
-        OpKind::TeardownCircuit(i) => {
-            // The circuit goes dark at start.
-            let c = &delta.removed_circuits[i];
-            let key = SchedState::key(c.u, c.v);
-            let e = state.link_circuits.entry(key).or_insert(0);
-            *e = e.saturating_sub(1);
-        }
-        OpKind::SetupCircuit(i) => {
-            // Reserve the wavelengths.
-            let c = &delta.added_circuits[i];
-            for f in &c.fibers {
-                let e = state.fiber_free.entry(*f).or_insert(0);
-                *e = e.saturating_sub(1);
-            }
-        }
-        OpKind::AddPath(i) => {
-            // Reserve the capacity the moment the install starts.
-            let p = &delta.added_paths[i];
-            state.add_reserved(&p.nodes, p.rate_gbps);
-        }
-    };
-    // Effects applied at op end.
-    let apply_end = |k: OpKind, state: &mut SchedState| match k {
-        OpKind::RemovePath(i) => {
-            // The old traffic is off the wire once the removal completes.
-            let p = &delta.removed_paths[i];
-            state.add_carried(&p.nodes, -p.rate_gbps);
-        }
-        OpKind::TeardownCircuit(i) => {
-            // Wavelengths are free once the teardown completes.
-            let c = &delta.removed_circuits[i];
-            for f in &c.fibers {
-                *state.fiber_free.entry(*f).or_insert(0) += 1;
-            }
-        }
-        OpKind::SetupCircuit(i) => {
-            let c = &delta.added_circuits[i];
-            *state
-                .link_circuits
-                .entry(SchedState::key(c.u, c.v))
-                .or_insert(0) += 1;
-        }
-        OpKind::AddPath(i) => {
-            let p = &delta.added_paths[i];
-            state.add_carried(&p.nodes, p.rate_gbps);
-        }
-    };
 
     loop {
         // Complete everything ending at or before `now`.
@@ -545,37 +708,26 @@ fn plan_consistent_inner(delta: &NetworkDelta, params: &UpdateParams) -> UpdateP
         for (idx, st) in status.iter_mut().enumerate() {
             if *st == Status::Running && end_times[idx] <= now + EPS {
                 *st = Status::Done;
-                apply_end(all_ops[idx], &mut state);
+                state.apply_end(all_ops[idx]);
             }
         }
 
-        // Start every ready op. Readiness is evaluated against a snapshot
-        // of completion state so this round's starts don't feed back.
-        let add_op_index: Vec<usize> = (0..delta.added_paths.len())
-            .map(|j| {
-                all_ops
-                    .iter()
-                    .position(|&k| k == OpKind::AddPath(j))
-                    .expect("every added path has an op")
-            })
-            .collect();
-        let done_snapshot: Vec<bool> = status.iter().map(|&s| s == Status::Done).collect();
-        let path_added = move |j: usize| done_snapshot[add_op_index[j]];
-        let ready_now: Vec<bool> = (0..all_ops.len())
-            .map(|idx| status[idx] == Status::Pending && ready(all_ops[idx], &state, &path_added))
-            .collect();
+        // Start every ready op. Readiness is first evaluated for all ops
+        // against the state the completions left, so that this round's
+        // starts do not make further ops ready. (No op completes while
+        // ops are being started, so `status` says which installs are done
+        // throughout.)
+        for (idx, slot) in ready_now.iter_mut().enumerate() {
+            *slot = status[idx] == Status::Pending && state.ready(all_ops[idx], &status);
+        }
         let mut started_any = false;
         for idx in 0..all_ops.len() {
             // Re-check against the live state: ops started earlier in this
             // round may have consumed the resources this op needed.
-            if ready_now[idx]
-                && status[idx] == Status::Pending
-                && ready(all_ops[idx], &state, &path_added)
-            {
+            if ready_now[idx] && state.ready(all_ops[idx], &status) {
                 status[idx] = Status::Running;
-                start_times[idx] = now;
                 end_times[idx] = now + duration(all_ops[idx]);
-                apply_start(all_ops[idx], &mut state);
+                state.apply_start(all_ops[idx]);
                 scheduled.push(ScheduledOp {
                     kind: all_ops[idx],
                     start_s: now,
@@ -617,9 +769,8 @@ fn plan_consistent_inner(delta: &NetworkDelta, params: &UpdateParams) -> UpdateP
                 .map(|(i, _)| i)
                 .expect("pending op exists");
             status[idx] = Status::Running;
-            start_times[idx] = now;
             end_times[idx] = now + duration(all_ops[idx]);
-            apply_start(all_ops[idx], &mut state);
+            state.apply_start(all_ops[idx]);
             scheduled.push(ScheduledOp {
                 kind: all_ops[idx],
                 start_s: now,
@@ -739,6 +890,52 @@ mod tests {
     }
 
     #[test]
+    fn resource_levels_read_back_through_the_accessors() {
+        let d = fig2_delta();
+        assert_eq!(d.site_bound(), 4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 3)] {
+            assert_eq!(d.initial_circuits(u, v), 1, "({u},{v})");
+            assert_eq!(d.initial_circuits(v, u), 1, "({v},{u})");
+        }
+        assert_eq!(d.initial_circuits(0, 2), 0, "never lit");
+        // Fiber of pair (a, b) is `a·n + b`; φ = 4, one channel in use.
+        assert_eq!(d.fiber_free(1), 3);
+        assert_eq!(d.fiber_free(2), 0, "pair (0,2) is in neither topology");
+
+        // By hand, in any order; a bound found by scanning what is named.
+        let mut h = NetworkDelta::default();
+        assert_eq!(h.site_bound(), 0);
+        h.set_fiber_free(9, 2);
+        h.set_fiber_free(3, 1);
+        h.set_fiber_free(9, 0);
+        h.set_initial_circuits(5, 2, 3);
+        h.set_initial_circuits(1, 0, 1);
+        assert_eq!(h.free_fibers(), [(3, 1), (9, 0)]);
+        assert_eq!(h.initial_links(), [((0, 1), 1), ((2, 5), 3)]);
+        assert_eq!((h.initial_circuits(2, 5), h.fiber_free(4)), (3, 0));
+        assert_eq!(h.site_bound(), 6);
+        h.added_paths.push(PathDesc {
+            transfer: 0,
+            nodes: vec![1, 8],
+            rate_gbps: 1.0,
+        });
+        assert_eq!(h.site_bound(), 9);
+    }
+
+    #[test]
+    fn op_slots_follow_the_scheduler_enumeration() {
+        let d = fig2_delta();
+        let all = d.all_ops();
+        assert_eq!(all.len(), d.op_count());
+        for (slot, &kind) in all.iter().enumerate() {
+            assert_eq!(d.op_slot(kind), Some(slot), "{kind:?}");
+        }
+        assert_eq!(d.op_slot(OpKind::RemovePath(0)), None, "no removed path");
+        assert_eq!(d.op_slot(OpKind::AddPath(1)), None);
+        assert_eq!(d.op_slot(OpKind::SetupCircuit(usize::MAX)), None);
+    }
+
+    #[test]
     fn identical_paths_are_unchanged() {
         let mut t = Topology::empty(2);
         t.add_links(0, 1, 1);
@@ -819,8 +1016,8 @@ mod tests {
         // only be set up after the old (0,1) circuit is torn down... use two
         // pairs sharing no fibers here, so craft manually:
         let mut d = NetworkDelta::default();
-        d.initial_circuits.insert((0, 1), 1);
-        d.fiber_free.insert(9, 0); // shared fiber, no free wavelength
+        d.set_initial_circuits(0, 1, 1);
+        d.set_fiber_free(9, 0); // shared fiber, no free wavelength
         d.removed_circuits.push(CircuitDesc {
             u: 0,
             v: 1,

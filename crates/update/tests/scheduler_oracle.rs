@@ -34,8 +34,8 @@ fn op_of(plan: &UpdatePlan, pred: impl Fn(OpKind) -> bool) -> owan_update::Sched
 /// reduction, which this scheduler surfaces as a `forced` start instead.
 fn cyclic_delta() -> NetworkDelta {
     let mut d = NetworkDelta::default();
-    d.initial_circuits.insert((0, 1), 1);
-    d.fiber_free.insert(9, 0);
+    d.set_initial_circuits(0, 1, 1);
+    d.set_fiber_free(9, 0);
     d.removed_circuits.push(CircuitDesc {
         u: 0,
         v: 1,
@@ -79,7 +79,7 @@ fn breaking_the_cycle_removes_the_forced_flag() {
     // Same delta, but the shared fiber has a spare wavelength: the setup
     // no longer waits on the teardown and the cycle dissolves.
     let mut d = cyclic_delta();
-    d.fiber_free.insert(9, 1);
+    d.set_fiber_free(9, 1);
     let plan = plan_consistent(&d, &params());
     assert_eq!(plan.ops.len(), d.op_count());
     assert!(
@@ -115,8 +115,8 @@ fn deadlock_scan_over_crafted_wavelength_chains() {
     for chain in 1..6 {
         let mut d = NetworkDelta::default();
         for i in 0..chain {
-            d.initial_circuits.insert((0, i + 1), 1);
-            d.fiber_free.insert(i, 0);
+            d.set_initial_circuits(0, i + 1, 1);
+            d.set_fiber_free(i, 0);
             d.removed_circuits.push(CircuitDesc {
                 u: 0,
                 v: i + 1,
@@ -150,7 +150,7 @@ fn deadlock_scan_over_crafted_wavelength_chains() {
 #[test]
 fn install_side_orders_circuit_before_ip() {
     let mut d = NetworkDelta::default();
-    d.fiber_free.insert(3, 2);
+    d.set_fiber_free(3, 2);
     d.added_circuits.push(CircuitDesc {
         u: 0,
         v: 2,
@@ -179,8 +179,8 @@ fn install_side_orders_circuit_before_ip() {
 #[test]
 fn removal_side_orders_ip_before_circuit() {
     let mut d = NetworkDelta::default();
-    d.initial_circuits.insert((0, 1), 1);
-    d.fiber_free.insert(0, 0);
+    d.set_initial_circuits(0, 1, 1);
+    d.set_fiber_free(0, 0);
     d.removed_circuits.push(CircuitDesc {
         u: 0,
         v: 1,

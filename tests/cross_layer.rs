@@ -148,11 +148,7 @@ fn consecutive_owan_states_update_consistently() {
                     .collect();
                 // If this link needed new circuits AND had none before, the
                 // path cannot start before the first setup completes.
-                let had_before = delta
-                    .initial_circuits
-                    .get(&(w[0].min(w[1]), w[0].max(w[1])))
-                    .copied()
-                    .unwrap_or(0);
+                let had_before = delta.initial_circuits(w[0], w[1]);
                 if had_before == 0 && !needed_setups.is_empty() {
                     let earliest_setup_end = needed_setups
                         .iter()
