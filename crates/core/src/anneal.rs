@@ -16,7 +16,10 @@
 //! a worse neighbor as `e^{(e_current − e_neighbor)/T}`, which exceeds 1
 //! under maximization — a typo. We use the standard Metropolis rule
 //! `e^{(e_neighbor − e_current)/T}` from the cited Kirkpatrick et al.
-//! formulation (see DESIGN.md §4).
+//! formulation (see DESIGN.md §4). A move whose two units share the pivot
+//! site gives back the current topology; it is accepted at the current
+//! energy, as the rule accepts any move that is no worse, without being
+//! evaluated.
 
 use crate::cache::{plant_fingerprint, EnergyCache, PlantCache};
 use crate::energy::{EnergyContext, EnergyEvaluator, EnergyOutcome};
@@ -263,14 +266,23 @@ fn anneal_chain(
             iter_span.cancel();
             break;
         }
-        let neighbor_e = eval.score(&neighbor, Some(&current));
+        // Algorithm 2 gives back `current` itself when the two units it
+        // picks share the pivot site; that energy is known.
+        let identity = neighbor == current;
+        let neighbor_e = if identity {
+            telemetry.anneal_identity_moves.incr();
+            current_e
+        } else {
+            eval.score(&neighbor, Some(&current))
+        };
 
         let improved = neighbor_e > best_e;
         if improved {
             best_e = neighbor_e;
         }
 
-        // Metropolis acceptance.
+        // Metropolis acceptance (an identity move is accepted without a
+        // draw, as any move that is no worse).
         let accept = if neighbor_e >= current_e {
             true
         } else {
@@ -280,17 +292,20 @@ fn anneal_chain(
         debug_assert!(!improved || accept, "an improving move is always accepted");
         if accept {
             telemetry.anneal_accepted.incr();
-            if improved {
-                // The new current state becomes the best; drop any older
-                // snapshot.
-                best = None;
-            } else if best.is_none() {
-                // Walking away from the best state: snapshot it first.
-                best = Some(current.clone());
+            // Accepting `current` itself changes nothing.
+            if !identity {
+                if improved {
+                    // The new current state becomes the best; drop any
+                    // older snapshot.
+                    best = None;
+                } else if best.is_none() {
+                    // Walking away from the best state: snapshot it first.
+                    best = Some(current.clone());
+                }
+                std::mem::swap(&mut current, &mut neighbor);
+                eval.accept();
+                current_e = neighbor_e;
             }
-            std::mem::swap(&mut current, &mut neighbor);
-            eval.accept();
-            current_e = neighbor_e;
         } else {
             telemetry.anneal_rejected.incr();
         }

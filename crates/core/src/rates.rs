@@ -10,10 +10,12 @@
 //!
 //! One pass ([`assign_rates_with`]; an annealing evaluation stops at its
 //! throughput) serves every caller. Its cost follows
-//! the work that exists: a transfer is visited only in rounds where its
-//! destination can be `l` hops away, and a path search runs only then,
-//! over bitset rows, without allocating. The straightforward pass it
-//! replaced stays as [`assign_rates_reference`] for the differential tests.
+//! the work that exists: rounds 1 and 2 read their paths straight off the
+//! support rows (a link, a common neighbor); from round 3 a transfer is
+//! visited only in rounds where its destination can be `l` hops away, and
+//! a path search runs only then, over bitset rows, without allocating. The
+//! straightforward pass it replaced stays as [`assign_rates_reference`]
+//! for the differential tests.
 
 use crate::regen::{has_bit, set_bit};
 use crate::telemetry::CoreTelemetry;
@@ -23,6 +25,10 @@ use owan_optical::SiteId;
 use std::borrow::Cow;
 
 const EPS: f64 = 1e-9;
+
+/// The first round whose paths need hop levels: a one-hop path is a
+/// support bit, a two-hop path a common neighbor of the endpoints.
+const FIRST_LEVELED_ROUND: usize = 3;
 
 /// Tunables of the rate-assignment step.
 #[derive(Debug, Clone, Copy)]
@@ -151,6 +157,9 @@ pub struct RateScratch {
     /// Round in which a destination's masks were computed (0 = not in
     /// this pass).
     within_round: Vec<usize>,
+    /// Per destination, the last mask its BFS wrote: the BFS stops when
+    /// its frontier empties, and the masks past it equal it.
+    deepest: Vec<usize>,
     frontier: Vec<u64>,
     demand: Vec<f64>,
     /// Transfers still in play, in policy order.
@@ -200,10 +209,12 @@ impl RateScratch {
                 }
             }
         }
-        // Masks are written before they are read (`within_round` says when).
+        // Masks are written before they are read (`within_round` says when,
+        // `deepest` how far).
         self.within.resize(n * (hops + 1) * w, 0);
         self.within_round.clear();
         self.within_round.resize(n, 0);
+        self.deepest.resize(n, 0);
         self.frontier.resize(w, 0);
         self.on_path.resize(w, 0);
         self.cand.resize(hops * w, 0);
@@ -243,10 +254,11 @@ impl RateScratch {
         self.grabbed.reserve(grabs * (hops + 1));
     }
 
-    /// Where mask `d` of `dst` starts in `within`.
+    /// Where mask `d` of `dst` starts in `within`; masks past the last one
+    /// its BFS wrote read that one.
     #[inline]
     fn mask_at(&self, dst: SiteId, d: usize) -> usize {
-        (dst * (self.hops + 1) + d) * self.words
+        (dst * (self.hops + 1) + d.min(self.deepest[dst])) * self.words
     }
 
     /// True if `s` was within `d` hops of `dst` when its masks were
@@ -257,14 +269,17 @@ impl RateScratch {
     }
 
     /// Recomputes `dst`'s masks over the support rows as they stand: a
-    /// bitset BFS, expanded from `dst` as the reference's is.
+    /// bitset BFS, expanded from `dst` as the reference's is, that stops
+    /// once a level adds no site — every later level would repeat it.
     fn levels(&mut self, dst: SiteId) {
         let (w, hops) = (self.words, self.hops);
         let masks = &mut self.within[dst * (hops + 1) * w..(dst + 1) * (hops + 1) * w];
         masks[..w].fill(0);
         set_bit(masks, dst);
         self.frontier.copy_from_slice(&masks[..w]);
-        for d in 1..=hops {
+        let mut d = 0;
+        while d < hops && self.frontier.iter().any(|&f| f != 0) {
+            d += 1;
             let (prev, level) = masks[(d - 1) * w..(d + 1) * w].split_at_mut(w);
             level.copy_from_slice(prev);
             for (j, &word) in self.frontier.iter().enumerate() {
@@ -281,6 +296,7 @@ impl RateScratch {
                 *f = x & !p;
             }
         }
+        self.deepest[dst] = d;
     }
 
     /// Fills `cand[depth]` with the sites a path of `l` hops may step to
@@ -299,21 +315,56 @@ impl RateScratch {
     }
 
     /// Enumerates into `found` up to `limit` simple paths from `src` to
-    /// `dst` with exactly `l` hops, each hop supported — the reference's
-    /// DFS in ascending neighbor order, made iterative. The masks prune
-    /// only subtrees that hold no completion (they are lower bounds on the
-    /// hop distance, however stale), so the sequence found is a function
-    /// of the residual alone. Returns the number of paths.
+    /// `dst` with exactly `l` hops, each hop supported, in the order the
+    /// reference's DFS finds them (ascending neighbor order). Returns the
+    /// number of paths.
     fn search(&mut self, src: SiteId, dst: SiteId, l: usize, limit: usize) -> usize {
-        let w = self.words;
         self.found.clear();
-        if l == 1 {
-            if !has_bit(&self.support[src * w..], dst) {
-                return 0;
-            }
-            self.found.extend([src, dst]);
-            return 1;
+        match l {
+            1 => self.one_hop(src, dst),
+            2 => self.two_hop(src, dst, limit),
+            _ => self.dfs(src, dst, l, limit),
         }
+    }
+
+    /// The link `src → dst`, if it has support.
+    fn one_hop(&mut self, src: SiteId, dst: SiteId) -> usize {
+        if !has_bit(&self.support[src * self.words..], dst) {
+            return 0;
+        }
+        self.found.extend([src, dst]);
+        1
+    }
+
+    /// The paths `src → x → dst`, `x` ascending: the sites in both
+    /// endpoints' support rows. A [`Topology`] is symmetric and has no
+    /// self-links, and grabs drain both directions of a link alike, so row
+    /// `dst` holds exactly the sites whose last hop into `dst` has support,
+    /// and neither endpoint is in both rows.
+    fn two_hop(&mut self, src: SiteId, dst: SiteId, limit: usize) -> usize {
+        let w = self.words;
+        let mut count = 0;
+        for j in 0..w {
+            let mut bits = self.support[src * w + j] & self.support[dst * w + j];
+            while bits != 0 {
+                let x = j * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.found.extend([src, x, dst]);
+                count += 1;
+                if count == limit {
+                    return count;
+                }
+            }
+        }
+        count
+    }
+
+    /// The reference's DFS for `l ≥ 3` hops, made iterative and pruned by
+    /// `dst`'s hop levels. The masks prune only subtrees that hold no
+    /// completion (they are lower bounds on the hop distance, however
+    /// stale), so the sequence found is a function of the residual alone.
+    fn dfs(&mut self, src: SiteId, dst: SiteId, l: usize, limit: usize) -> usize {
+        let w = self.words;
         self.on_path.fill(0);
         set_bit(&mut self.on_path, src);
         self.path[0] = src;
@@ -419,14 +470,17 @@ impl RateScratch {
 /// annealing evaluation reads. The grabs stay in `scratch`;
 /// [`assign_rates_with`] turns them into [`Allocation`]s.
 ///
-/// A transfer leaves the active list for good once it is satisfied or its
-/// destination is more than `max_path_hops` away (capacity only shrinks,
-/// so distances only grow), and one whose destination is `d > l` hops away
-/// sleeps until round `d`. Hop levels to a destination are computed at
-/// most once per round, when a due transfer asks. Paths are enumerated on
-/// the residual as it stood before the transfer's own grabs of the round,
-/// then grabbed in that order. Bit-identical to
-/// [`assign_rates_reference`]; debug builds assert it on every pass.
+/// In rounds 1 and 2 every transfer in play searches: its paths are a
+/// support bit and a common-neighbor row, no hop levels needed. From round
+/// 3 a transfer leaves the active list for good once its destination is
+/// more than `max_path_hops` away (capacity only shrinks, so distances
+/// only grow), and one whose destination is `d > l` hops away sleeps until
+/// round `d`; hop levels to a destination are computed at most once per
+/// round, when a due transfer asks. A satisfied transfer leaves in any
+/// round. Paths are enumerated on the residual as it stood before the
+/// transfer's own grabs of the round, then grabbed in that order.
+/// Bit-identical to [`assign_rates_reference`]; debug builds assert it on
+/// every pass.
 pub(crate) fn rate_pass(
     topology: &Topology,
     theta: f64,
@@ -442,6 +496,7 @@ pub(crate) fn rate_pass(
     s.load(topology, theta, inputs, hops, limit);
     let mut throughput = 0.0;
     let mut examined = 0;
+    let mut bfs = 0;
 
     for l in 1..=hops {
         if s.active.is_empty() || limit == 0 {
@@ -457,21 +512,25 @@ pub(crate) fn rate_pass(
                 if s.demand[i] <= EPS {
                     continue;
                 }
-                if s.within_round[t.dst] != l {
-                    s.levels(t.dst);
-                    s.within_round[t.dst] = l;
+                if l >= FIRST_LEVELED_ROUND {
+                    if s.within_round[t.dst] != l {
+                        s.levels(t.dst);
+                        s.within_round[t.dst] = l;
+                        bfs += 1;
+                    }
+                    let Some(d) = (l..=hops).find(|&d| s.is_within(t.dst, d, t.src)) else {
+                        continue;
+                    };
+                    s.wake[i] = d;
                 }
-                let Some(d) = (l..=hops).find(|&d| s.is_within(t.dst, d, t.src)) else {
-                    continue;
-                };
-                if d == l {
+                // Due: in rounds 1 and 2 always, later when `dst` is `l`
+                // hops away.
+                if s.wake[i] <= l {
                     examined += s.search(t.src, t.dst, l, limit);
                     s.grab(i, l, &mut throughput);
                     if s.demand[i] <= EPS {
                         continue;
                     }
-                } else {
-                    s.wake[i] = d;
                 }
             }
             s.active[kept] = i;
@@ -480,6 +539,7 @@ pub(crate) fn rate_pass(
         s.active.truncate(kept);
     }
     telemetry.paths_examined.add(examined as u64);
+    telemetry.hop_levels.add(bfs);
     telemetry.allocations_made.add(s.grabs.len() as u64);
 
     debug_assert_eq!(

@@ -218,6 +218,8 @@ struct PathRec {
 /// search on a plant, searching allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RelayScratch {
+    /// The free-regenerator vector the search started from.
+    regens: Vec<u32>,
     /// Relay weight per site (`0` at the endpoints, `1/free` elsewhere).
     weight: Vec<f64>,
     dist: Vec<f64>,
@@ -354,7 +356,7 @@ impl RelayScratch {
 /// nodes *and* cost bits as `owan_graph::Path` does.
 ///
 /// All state between draws (found paths, candidate pool, weights) lives in
-/// the [`RelayScratch`]; the vector is read once, by [`Self::start`], so
+/// the [`RelayScratch`]; the vector is copied once, by [`Self::start`], so
 /// the caller is free to provision against the state it came from between
 /// draws. Starting a new search resets the scratch, whatever the previous
 /// one left behind.
@@ -366,11 +368,12 @@ pub struct RelaySearch<'a> {
     dst: SiteId,
     /// No further path exists (or `src == dst`: no relay path at all).
     exhausted: bool,
+    /// Membership and relay weights are filled in (see [`Self::prepare`]).
+    prepared: bool,
 }
 
 impl<'a> RelaySearch<'a> {
-    /// Sets up the search: membership and relay weights from
-    /// `regens_free`, nothing searched yet.
+    /// Sets up the search: a copy of `regens_free`, nothing searched yet.
     pub fn start(
         reach: &'a ReachRows,
         regens_free: &[u32],
@@ -378,8 +381,34 @@ impl<'a> RelaySearch<'a> {
         dst: SiteId,
         scratch: &'a mut RelayScratch,
     ) -> Self {
-        let (n, w) = (reach.n, reach.words);
         let sc = scratch;
+        sc.regens.clear();
+        sc.regens
+            .extend_from_slice(&regens_free[..regens_free.len().min(reach.n)]);
+        sc.arena.clear();
+        sc.found.clear();
+        sc.pool.clear();
+        RelaySearch {
+            reach,
+            sc,
+            src,
+            dst,
+            exhausted: src == dst,
+            prepared: false,
+        }
+    }
+
+    /// Fills membership and relay weights from the vector the search
+    /// started from, and resets the Dijkstra buffers: what a Dijkstra or a
+    /// spur round reads, and a within-reach first draw does not. Runs once
+    /// per search, before the first of them.
+    fn prepare(&mut self) {
+        if self.prepared {
+            return;
+        }
+        self.prepared = true;
+        let (n, w, src, dst) = (self.reach.n, self.reach.words, self.src, self.dst);
+        let sc = &mut *self.sc;
         sc.weight.clear();
         sc.weight.resize(n, 0.0);
         sc.dist.resize(n, f64::INFINITY);
@@ -394,23 +423,13 @@ impl<'a> RelaySearch<'a> {
             set.clear();
             set.resize(w, 0);
         }
-        for (s, &free) in regens_free.iter().enumerate().take(n) {
+        for (s, &free) in sc.regens.iter().enumerate() {
             if s == src || s == dst {
                 set_bit(&mut sc.member, s);
             } else if free > 0 {
                 set_bit(&mut sc.member, s);
                 sc.weight[s] = 1.0 / free as f64;
             }
-        }
-        sc.arena.clear();
-        sc.found.clear();
-        sc.pool.clear();
-        RelaySearch {
-            reach,
-            sc,
-            src,
-            dst,
-            exhausted: src == dst,
         }
     }
 
@@ -469,9 +488,9 @@ impl<'a> RelaySearch<'a> {
     /// weigh 0 and every other member `1/free > 0`, and the reference
     /// settles by `(dist, rank)` with `rank(src) = 0`, `rank(dst) = 1` —
     /// so once `src` is settled the frontier's least key is `(0.0, 1)`,
-    /// which is `dst` with predecessor `src`. Later draws spur off it from
-    /// the weights and membership [`Self::start`] filled, as off any other
-    /// first path.
+    /// which is `dst` with predecessor `src`. Neither weights nor
+    /// membership are read for it; later draws spur off it, as off any
+    /// other first path.
     fn first(&mut self) -> Option<PathRec> {
         let (src, dst) = (self.src, self.dst);
         if has_bit(self.reach.row(src), dst) {
@@ -482,6 +501,7 @@ impl<'a> RelaySearch<'a> {
                 cost: 0.0,
             });
         }
+        self.prepare();
         let cost = self.sc.shortest(self.reach, src, src, dst)?;
         Some(PathRec {
             start: 0,
@@ -493,6 +513,7 @@ impl<'a> RelaySearch<'a> {
     /// One Yen round: spur from every node of `last` (the path found
     /// before) except `dst` into the pool, then take the pool's cheapest.
     fn spur_round(&mut self, last: PathRec) -> Option<PathRec> {
+        self.prepare();
         let (reach, src, dst) = (self.reach, self.src, self.dst);
         let sc = &mut *self.sc;
         // Prefix costs of the last path's roots, summed left to right.

@@ -53,6 +53,9 @@ telemetry_bundle! {
         pub anneal_accepted: counter = "anneal.accepted",
         /// Neighbor moves rejected.
         pub anneal_rejected: counter = "anneal.rejected",
+        /// Neighbor moves that gave back the current topology: taken at
+        /// the current energy, without an evaluation.
+        pub anneal_identity_moves: counter = "anneal.identity_moves",
         /// Energy evaluations: each runs Algorithm 3 (circuits + rates).
         pub anneal_cache_miss: counter = "anneal.cache_miss",
         /// Evaluations on the naive path (no cache attached at all).
@@ -94,6 +97,9 @@ telemetry_bundle! {
         pub shortest_path_calls: counter = "circuits.shortest_path_calls",
         /// Candidate paths examined by rate assignment.
         pub paths_examined: counter = "rates.paths_examined",
+        /// Hop-level BFS runs of rate assignment (rounds 3 and later, at
+        /// most one per destination and round).
+        pub hop_levels: counter = "rates.hop_levels",
         /// Path-rate allocations made.
         pub allocations_made: counter = "rates.allocations_made",
         /// Transfers promoted by the starvation guard (§3.2, t̂ threshold),

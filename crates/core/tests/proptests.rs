@@ -229,8 +229,8 @@ proptest! {
 
         // Counter-level accounting: the `anneal.cache_miss.<reason>`
         // counters sum exactly to `anneal.cache_miss` on the cached path,
-        // where every evaluation — one per iteration after the initial
-        // one — is `cold`.
+        // where every evaluation — the initial one, then one per
+        // iteration that is not an identity move — is `cold`.
         let snap = recorder.snapshot();
         let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         let by_reason: u64 = snap
@@ -243,6 +243,9 @@ proptest! {
         prop_assert_eq!(counter("anneal.cache_miss.uncached"), 0);
         prop_assert_eq!(counter("anneal.cache_miss"), cache.stats.outcome_misses);
         prop_assert_eq!(counter("anneal.cache_miss.cold"), cache.stats.outcome_misses);
-        prop_assert_eq!(counter("anneal.cache_miss"), counter("anneal.iterations") + 1);
+        prop_assert_eq!(
+            counter("anneal.cache_miss") + counter("anneal.identity_moves"),
+            counter("anneal.iterations") + 1
+        );
     }
 }

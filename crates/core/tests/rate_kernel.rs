@@ -67,6 +67,69 @@ fn topology(rng: &mut Rng, n: usize) -> Topology {
     topo
 }
 
+/// A dense topology over `n` sites: each pair linked with probability
+/// one half, multiplicities 1–3. A pair then has some `n / 4` common
+/// neighbors, more than `max_paths_per_round`, so the limit cuts round
+/// 2's ascending sequence, and half the pairs are first served there.
+fn dense(rng: &mut Rng, n: usize) -> Topology {
+    let mut topo = Topology::empty(n);
+    for u in 0..n {
+        for v in u + 1..n {
+            if rng.below(2) == 0 {
+                topo.add_links(u, v, rng.between(1, 3) as u32);
+            }
+        }
+    }
+    topo
+}
+
+/// Chains over the shuffled sites: lines of 2–12 sites, every third one
+/// closed into a ring, multiplicities 1–3. Along a line a site is first
+/// reachable as many hops away as it is positions away, up to 11; sites
+/// of different chains are unreachable at any depth. Returns the chains
+/// with the topology.
+fn chains(rng: &mut Rng, n: usize) -> (Topology, Vec<Vec<usize>>) {
+    let mut topo = Topology::empty(n);
+    let mut sites: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        sites.swap(i, rng.below(i + 1));
+    }
+    let mut chains = Vec::new();
+    let mut rest = &sites[..];
+    while rest.len() >= 2 {
+        let len = rng.between(2, 12).min(rest.len());
+        let (chain, tail) = rest.split_at(len);
+        for pair in chain.windows(2) {
+            topo.add_links(pair[0], pair[1], rng.between(1, 3) as u32);
+        }
+        if chains.len() % 3 == 2 && len > 2 {
+            topo.add_links(chain[len - 1], chain[0], rng.between(1, 3) as u32);
+        }
+        chains.push(chain.to_vec());
+        rest = tail;
+    }
+    (topo, chains)
+}
+
+/// `count` transfers whose endpoints mostly lie on one chain, any number
+/// of positions apart; the others run between chains.
+fn chain_transfers(
+    rng: &mut Rng,
+    n: usize,
+    chains: &[Vec<usize>],
+    count: usize,
+    theta: f64,
+) -> Vec<Transfer> {
+    let mut ts = transfers(rng, n, count, theta, 30.0);
+    for t in &mut ts {
+        if rng.below(5) > 0 {
+            let chain = &chains[rng.below(chains.len())];
+            (t.src, t.dst) = (chain[rng.below(chain.len())], chain[rng.below(chain.len())]);
+        }
+    }
+    ts
+}
+
 /// `count` transfers over `n` sites whose demand rates are comparable to
 /// a circuit's `theta` whatever the slot length, so links saturate and
 /// later rounds run on a thinned residual. Some have no volume left, some
@@ -148,13 +211,27 @@ impl Case<'_> {
     /// scratch. Returns the number of paths allocated, so callers can
     /// check they tested something.
     fn check(&self, scratch: &mut RateScratch, what: &str) -> usize {
-        let telemetry = CoreTelemetry::disabled();
+        self.outcome(scratch, &CoreTelemetry::disabled(), what)
+            .allocations
+            .iter()
+            .map(|a| a.paths.len())
+            .sum()
+    }
+
+    /// [`Self::check`] with the kernel's counters going to `telemetry`;
+    /// returns the outcome both passes agreed on.
+    fn outcome(
+        &self,
+        scratch: &mut RateScratch,
+        telemetry: &CoreTelemetry,
+        what: &str,
+    ) -> RateOutcome {
         let inputs = RateInputs::new(
             self.ts,
             self.policy,
             self.slot_len_s,
             &self.config,
-            &telemetry,
+            telemetry,
         );
         let want = assign_rates_reference(self.topo, self.theta, &inputs, &self.config);
         let got = assign_rates_with(
@@ -163,10 +240,10 @@ impl Case<'_> {
             &inputs,
             &self.config,
             scratch,
-            &telemetry,
+            telemetry,
         );
         assert_bit_equal(&got, &want, what);
-        want.allocations.iter().map(|a| a.paths.len()).sum()
+        want
     }
 }
 
@@ -342,5 +419,129 @@ fn public_entry_points_run_the_kernel_on_fresh_buffers() {
         let want = assign_rates_reference(&topo, 10.0, &inputs, &config);
         let got = assign_rates_ordered(&topo, 10.0, &ts, &order, 300.0, &config);
         assert_bit_equal(&got, &want, "assign_rates_ordered");
+    }
+}
+
+/// Dense plants, where round 2 has more common neighbors than it may take:
+/// every path limit from 1 to 8 cuts the ascending sequence somewhere.
+#[test]
+fn kernel_equals_reference_where_common_neighbors_outnumber_the_limit() {
+    let mut rng = Rng::new(9);
+    let mut scratch = RateScratch::default();
+    let mut two_hop = 0;
+    for max_paths_per_round in 1..=8 {
+        for (case, policy) in POLICIES.into_iter().enumerate() {
+            let n = rng.between(12, 70);
+            let topo = dense(&mut rng, n);
+            let ts = transfers(&mut rng, n, 3 * n, 10.0, SLOTS[case]);
+            let out = Case {
+                topo: &topo,
+                theta: 10.0,
+                ts: &ts,
+                policy,
+                slot_len_s: SLOTS[case],
+                config: RateAssignConfig {
+                    max_paths_per_round,
+                    ..RateAssignConfig::default()
+                },
+            }
+            .outcome(
+                &mut scratch,
+                &CoreTelemetry::disabled(),
+                &format!("dense, {n} sites, {max_paths_per_round} paths, {policy:?}"),
+            );
+            two_hop += out
+                .allocations
+                .iter()
+                .flat_map(|a| &a.paths)
+                .filter(|(p, _)| p.len() == 3)
+                .count();
+        }
+    }
+    assert!(two_hop > 100, "only {two_hop} two-hop paths grabbed");
+}
+
+/// Chains, where destinations are first reachable 3 to 11 hops away or
+/// never, at every hop bound: a transfer beyond the bound gets nothing, one
+/// within it gets its paths of every length, and with a bound of 1 or 2 no
+/// hop levels are computed at all.
+#[test]
+fn kernel_equals_reference_on_chains_at_every_hop_bound() {
+    let mut rng = Rng::new(10);
+    let mut scratch = RateScratch::default();
+    let mut lengths = [0usize; 9];
+    for max_path_hops in 1..=8 {
+        for case in 0..12 {
+            let n = rng.between(10, 90);
+            let (topo, chains) = chains(&mut rng, n);
+            // Few enough transfers that the long paths keep some capacity.
+            let ts = chain_transfers(&mut rng, n, &chains, n / 2, 10.0);
+            let recorder = owan_obs::Recorder::enabled();
+            let telemetry = CoreTelemetry::new(&recorder);
+            let out = Case {
+                topo: &topo,
+                theta: 10.0,
+                ts: &ts,
+                policy: POLICIES[case % 2],
+                slot_len_s: 30.0,
+                config: RateAssignConfig {
+                    max_path_hops,
+                    max_paths_per_round: 1 + case % 4,
+                    starvation_threshold: 3,
+                },
+            }
+            .outcome(
+                &mut scratch,
+                &telemetry,
+                &format!("chains, {n} sites, {max_path_hops} hops, case {case}"),
+            );
+            for (path, _) in out.allocations.iter().flat_map(|a| &a.paths) {
+                lengths[path.len() - 1] += 1;
+            }
+            let levels = recorder.counter("rates.hop_levels").get();
+            if max_path_hops <= 2 {
+                assert_eq!(levels, 0, "{max_path_hops} hops, case {case}");
+            }
+        }
+    }
+    for (hops, &count) in lengths.iter().enumerate().skip(1) {
+        assert!(count > 0, "no {hops}-hop path grabbed: {lengths:?}");
+    }
+}
+
+/// One scratch through sparse, dense and chain plants of every size class,
+/// the 64-site word boundary and the sizes just past it included, so each
+/// pass runs on masks, support rows and saturation depths another plant
+/// left behind.
+#[test]
+fn one_scratch_serves_every_plant_shape_and_size() {
+    let mut rng = Rng::new(11);
+    let mut scratch = RateScratch::default();
+    let sizes = [5, 64, 70, 3, 85, 64, 65, 30, 8, 77, 64, 40];
+    for (case, &n) in sizes.iter().cycle().take(3 * sizes.len()).enumerate() {
+        let (topo, ts) = match case % 3 {
+            0 => {
+                let topo = topology(&mut rng, n);
+                (topo, transfers(&mut rng, n, 2 * n, 10.0, 30.0))
+            }
+            1 => {
+                let topo = dense(&mut rng, n);
+                (topo, transfers(&mut rng, n, 2 * n, 10.0, 30.0))
+            }
+            _ => {
+                let (topo, chains) = chains(&mut rng, n);
+                let ts = chain_transfers(&mut rng, n, &chains, 2 * n, 10.0);
+                (topo, ts)
+            }
+        };
+        Case {
+            topo: &topo,
+            theta: 10.0,
+            ts: &ts,
+            policy: POLICIES[case % 2],
+            slot_len_s: 30.0,
+            config: RateAssignConfig::default(),
+        }
+        .check(&mut scratch, &format!("case {case}, {n} sites"));
     }
 }

@@ -1,13 +1,16 @@
-//! Fixtures shared by the fast-path suites (`fastpath.rs`, `ledger.rs`,
-//! `eval_allocations.rs`): the benchmark networks with a small transfer
-//! set, and the plants on which wavelengths and regenerators are scarce.
+//! Fixtures shared by the root suites: for the fast-path suites
+//! (`fastpath.rs`, `ledger.rs`, `eval_allocations.rs`) the benchmark
+//! networks with a small transfer set and the plants on which wavelengths
+//! and regenerators are scarce; for the plan pins (`lp_baselines.rs`,
+//! `owan_plans.rs`) an engine wrapper that audits and digests every plan.
 #![allow(dead_code)] // each suite uses its own subset
 
 use owan::core::{
     default_topology, CircuitBuildConfig, EnergyContext, RateAssignConfig, SchedulingPolicy,
-    Topology, Transfer,
+    SlotInput, SlotPlan, Topology, TrafficEngineer, Transfer,
 };
 use owan::optical::{FiberPlant, OpticalParams};
+use owan::oracle::check_plan;
 use owan::topo::Network;
 use owan_bench::{net_by_name, workload_for, Scale};
 
@@ -118,5 +121,63 @@ pub fn scarce_network(family: &str, seed: u64) -> Network {
             });
             Network { plant, ..net }
         }
+    }
+}
+
+/// Audits and digests every plan on its way back to the controller.
+pub struct Audited {
+    inner: Box<dyn TrafficEngineer>,
+    /// FNV-1a over each plan's allocations: transfer, path sites, and the
+    /// exact bits of every rate, chained across slots.
+    pub digest: u64,
+    pub planned_slots: usize,
+    pub allocations: usize,
+}
+
+impl Audited {
+    pub fn new(inner: Box<dyn TrafficEngineer>) -> Self {
+        Audited {
+            inner,
+            digest: 0xcbf2_9ce4_8422_2325,
+            planned_slots: 0,
+            allocations: 0,
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.digest ^= u64::from(b);
+            self.digest = self.digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl TrafficEngineer for Audited {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn plan_slot(&mut self, plant: &FiberPlant, input: &SlotInput<'_>) -> SlotPlan {
+        let plan = self.inner.plan_slot(plant, input);
+        check_plan(plant, input.transfers, input.slot_len_s, &plan).unwrap_or_else(|v| {
+            panic!(
+                "{} slot at {} s violates the oracle: {v}",
+                self.inner.name(),
+                input.now_s
+            )
+        });
+        for a in &plan.allocations {
+            self.word(a.transfer as u64);
+            for (path, rate) in &a.paths {
+                for &s in path {
+                    self.word(s as u64);
+                }
+                self.word(rate.to_bits());
+            }
+        }
+        self.word(u64::MAX);
+        self.planned_slots += 1;
+        self.allocations += plan.allocations.len();
+        plan
     }
 }

@@ -6,9 +6,9 @@
 //! built once a slot) keeps every digest; anything that changes a pivot
 //! sequence, a row order or a tie-break moves one.
 
-use owan::core::{SlotInput, SlotPlan, TrafficEngineer};
-use owan::optical::FiberPlant;
-use owan::oracle::check_plan;
+mod common;
+
+use common::Audited;
 use owan::sim::controller::{run_controller, ControllerConfig};
 use owan::sim::runner::{make_engine, EngineKind, RunnerConfig};
 use owan::topo::isp_backbone;
@@ -16,55 +16,6 @@ use owan::workload::{generate, WorkloadConfig};
 
 const SLOT_LEN_S: f64 = 300.0;
 const MAX_SLOTS: usize = 12;
-
-/// Audits and digests every plan on its way back to the controller.
-struct Audited {
-    inner: Box<dyn TrafficEngineer>,
-    /// FNV-1a over each plan's allocations: transfer, path sites, and the
-    /// exact bits of every rate, chained across slots.
-    digest: u64,
-    planned_slots: usize,
-    allocations: usize,
-}
-
-impl Audited {
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.digest ^= u64::from(b);
-            self.digest = self.digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl TrafficEngineer for Audited {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn plan_slot(&mut self, plant: &FiberPlant, input: &SlotInput<'_>) -> SlotPlan {
-        let plan = self.inner.plan_slot(plant, input);
-        check_plan(plant, input.transfers, input.slot_len_s, &plan).unwrap_or_else(|v| {
-            panic!(
-                "{} slot at {} s violates the oracle: {v}",
-                self.inner.name(),
-                input.now_s
-            )
-        });
-        for a in &plan.allocations {
-            self.word(a.transfer as u64);
-            for (path, rate) in &a.paths {
-                for &s in path {
-                    self.word(s as u64);
-                }
-                self.word(rate.to_bits());
-            }
-        }
-        self.word(u64::MAX);
-        self.planned_slots += 1;
-        self.allocations += plan.allocations.len();
-        plan
-    }
-}
 
 fn digest_of(kind: EngineKind) -> u64 {
     let net = isp_backbone(7);
@@ -75,12 +26,7 @@ fn digest_of(kind: EngineKind) -> u64 {
         tunnels_k: 4,
         ..Default::default()
     };
-    let mut engine = Audited {
-        inner: make_engine(kind, &net, &cfg),
-        digest: 0xcbf2_9ce4_8422_2325,
-        planned_slots: 0,
-        allocations: 0,
-    };
+    let mut engine = Audited::new(make_engine(kind, &net, &cfg));
     let result = run_controller(
         &net.plant,
         &requests,
