@@ -43,7 +43,7 @@ fn bench_energy(c: &mut Criterion) {
     }
 }
 
-fn bench_anneal(c: &mut Criterion) {
+fn bench_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("anneal");
     group.sample_size(10);
     for name in ["internet2", "interdc"] {
@@ -69,5 +69,5 @@ fn bench_anneal(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_energy, bench_anneal);
+criterion_group!(benches, bench_energy, bench_search);
 criterion_main!(benches);

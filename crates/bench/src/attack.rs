@@ -16,7 +16,6 @@
 //! utilization. Output is a flat JSON object so the CI smoke job can grep
 //! a single key against the checked-in baseline without a JSON parser.
 
-use crate::perf::{git_commit, json_number, json_string};
 use crate::scale::{net_by_name, workload_for, Scale};
 use owan_chaos::{run_attack, AttackTimeline, ChaosConfig, OpFaultModel, SlotAudit};
 use owan_core::{
@@ -347,6 +346,38 @@ pub fn check_attack_against_baseline(
     Ok(summary)
 }
 
+/// The short git commit hash of the working tree, or `"unknown"` when git
+/// or the checkout is unavailable (e.g. a source tarball build).
+fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Extracts a numeric value from a flat JSON object by key. Intentionally
+/// minimal — the baseline file is machine-written by this module.
+fn json_number(json: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let rest = &json[json.find(&needle)? + needle.len()..];
+    let end = rest.find([',', '\n', '}'])?;
+    rest[..end].trim().parse().ok()
+}
+
+/// Extracts a string value from a flat JSON object by key (same minimal
+/// contract as [`json_number`]).
+fn json_string(json: &str, key: &str) -> Option<String> {
+    let needle = format!("\"{key}\":");
+    let rest = &json[json.find(&needle)? + needle.len()..];
+    let rest = rest.trim_start().strip_prefix('"')?;
+    Some(rest[..rest.find('"')?].to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,7 +409,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"coremelt_owan_time_to_restore_slots\": 3"));
         assert!(json.contains("\"coremelt_owan_residual_loss_gbits\": 50"));
-        assert!(crate::perf::json_number(&json, "coremelt_owan_peak_victim_util").is_some());
+        assert!(json_number(&json, "coremelt_owan_peak_victim_util").is_some());
         assert!(!json.contains(",\n}"), "no trailing comma");
     }
 
@@ -408,7 +439,7 @@ mod tests {
         };
         let json = report.to_json();
         assert_eq!(
-            crate::perf::json_number(&json, "flashcrowd_maxflow_time_to_restore_slots"),
+            json_number(&json, "flashcrowd_maxflow_time_to_restore_slots"),
             Some(-1.0)
         );
     }

@@ -11,15 +11,11 @@
 //! `Scale::quick()` shrinks everything for smoke tests and CI.
 
 pub mod attack;
-pub mod diff;
 pub mod figs;
 pub mod micro;
-pub mod perf;
 pub mod scale;
 
 pub use attack::{bench_attack, check_attack_against_baseline, AttackBenchReport, AttackBenchRow};
-pub use diff::{history_record, perf_diff, PerfDiff, PhaseDelta, Verdict};
 pub use figs::{fig7, fig8, fig9};
 pub use micro::{fig10a, fig10b, fig10c, fig10d, validation};
-pub use perf::{bench_anneal, check_against_baseline, git_commit, AnnealBenchReport};
 pub use scale::{net_by_name, workload_for, Scale};

@@ -52,16 +52,6 @@ pub struct AnnealConfig {
     /// Optional wall-clock budget in seconds (used by the Fig 10(d)
     /// running-time experiment). `None` = no time limit.
     pub time_budget_s: Option<f64>,
-    /// Use the [`EnergyCache`] fast path (plant tables, lazy relay search,
-    /// delta rebuilds on flat circuit ledgers). At a fixed iteration count
-    /// (`time_budget_s == None`) the search result is bit-identical either
-    /// way — the flag only buys speed. Under a wall-clock budget the
-    /// cheaper evaluations fit *more* iterations inside the budget, so
-    /// the resulting plan legitimately differs (that is the point of the
-    /// Fig 10(d) experiment: quality per second, not per iteration). Off
-    /// = the naive reference path, kept for differential tests and
-    /// benchmarks.
-    pub use_cache: bool,
 }
 
 impl Default for AnnealConfig {
@@ -72,7 +62,6 @@ impl Default for AnnealConfig {
             seed: 1,
             max_iterations: 400,
             time_budget_s: None,
-            use_cache: true,
         }
     }
 }
@@ -180,22 +169,23 @@ pub fn anneal(ctx: &EnergyContext<'_>, initial: &Topology, config: &AnnealConfig
 /// search itself is bit-for-bit identical to the unobserved run — the
 /// recorder never touches the RNG or the accept decisions.
 ///
-/// When `config.use_cache` is set (the default) an ephemeral
-/// [`EnergyCache`] accelerates the run; pass a persistent cache to
-/// [`anneal_with_cache`] instead to reuse the plant-scoped layers across
-/// slots.
+/// An ephemeral [`EnergyCache`] accelerates the run; pass a persistent
+/// cache to [`anneal_with_cache`] instead to reuse the plant-scoped layers
+/// across slots.
 pub fn anneal_observed(
     ctx: &EnergyContext<'_>,
     initial: &Topology,
     config: &AnnealConfig,
     telemetry: &CoreTelemetry,
 ) -> AnnealResult {
-    let mut ephemeral = config.use_cache.then(EnergyCache::new);
-    anneal_with_cache(ctx, initial, config, ephemeral.as_mut(), telemetry)
+    let mut cache = EnergyCache::new();
+    anneal_with_cache(ctx, initial, config, Some(&mut cache), telemetry)
 }
 
-/// [`anneal_observed`] against an explicit cache (`None` = the naive
-/// reference path, regardless of `config.use_cache`). At a fixed
+/// [`anneal_observed`] against an explicit cache. `None` selects the naive
+/// reference backend, which scores every candidate with a full
+/// [`compute_energy`](crate::energy::compute_energy); the differential
+/// suites compare against it, and nothing else selects it. At a fixed
 /// iteration count (`time_budget_s == None`) the search result is
 /// bit-identical across `cache` choices; only wall-clock and the
 /// work-performed counters differ. With a time budget set, the cache
@@ -360,8 +350,7 @@ pub fn chain_seed(seed: u64, i: usize) -> u64 {
 /// order and a later chain replaces the incumbent only on *strictly*
 /// greater energy, so ties always resolve to the lowest chain index —
 /// scheduling cannot influence the winner. Each chain gets its own
-/// ephemeral [`EnergyCache`] when `config.use_cache` is set; caches are
-/// never shared between threads.
+/// ephemeral [`EnergyCache`]; caches are never shared between threads.
 pub fn anneal_parallel(
     ctx: &EnergyContext<'_>,
     initial: &Topology,
@@ -369,18 +358,13 @@ pub fn anneal_parallel(
     chains: usize,
     telemetry: &CoreTelemetry,
 ) -> AnnealResult {
-    let mut caches: Vec<EnergyCache> = if config.use_cache {
-        (0..chains).map(|_| EnergyCache::new()).collect()
-    } else {
-        Vec::new()
-    };
-    anneal_parallel_with_caches(ctx, initial, config, chains, &mut caches, telemetry)
+    let mut caches: Vec<EnergyCache> = (0..chains).map(|_| EnergyCache::new()).collect();
+    anneal_parallel_pooled(ctx, initial, config, chains, &mut caches, None, telemetry)
 }
 
 /// [`anneal_parallel`] against caller-owned caches, so the plant-scoped
-/// cache layers persist across slots. `caches` must be empty (naive
-/// evaluation in every chain) or hold at least `chains` entries (chain `i`
-/// uses `caches[i]`).
+/// cache layers persist across slots: `caches` holds at least `chains`
+/// entries, and chain `i` uses `caches[i]`.
 ///
 /// Chain 0 is the sequential run: with `chains == 1` this executes inline
 /// (no thread spawn) and returns exactly what [`anneal_with_cache`] would.
@@ -389,31 +373,19 @@ pub fn anneal_parallel(
 /// across chains, and each sampled trajectory event carries the emitting
 /// chain's index in its `chain` field, so interleaved per-slot traces
 /// remain attributable.
-pub fn anneal_parallel_with_caches(
-    ctx: &EnergyContext<'_>,
-    initial: &Topology,
-    config: &AnnealConfig,
-    chains: usize,
-    caches: &mut [EnergyCache],
-    telemetry: &CoreTelemetry,
-) -> AnnealResult {
-    anneal_parallel_pooled(ctx, initial, config, chains, caches, None, telemetry)
-}
-
-/// [`anneal_parallel_with_caches`] with an explicit worker budget for the
-/// evaluation pool: `None` sizes the pool to the machine
-/// ([`EvalPool::auto`]), `Some(1)` forces every chain inline on the caller
-/// thread (no spawns at all — the right choice on one core, where the old
-/// thread-per-chain model paid spawn and scheduler overhead for nothing).
-/// The chain → result mapping and the winner are identical for every
-/// worker count; only wall-clock changes.
+///
+/// `workers` is the worker budget of the evaluation pool: `None` sizes the
+/// pool to the machine ([`EvalPool::auto`]), `Some(1)` forces every chain
+/// inline on the caller thread (no spawns at all — the right choice on one
+/// core, where the old thread-per-chain model paid spawn and scheduler
+/// overhead for nothing). The chain → result mapping and the winner are
+/// identical for every worker count; only wall-clock changes.
 ///
 /// Before any chain runs, the per-plant precompute (relay domains, reach
 /// rows and route table, see [`PlantCache`]) is resolved **once** —
 /// recycled from whichever cache already holds it for this plant, built
-/// fresh otherwise
-/// — and offered to every chain's cache, so N chains never redo the
-/// all-pairs work N times.
+/// fresh otherwise — and offered to every chain's cache, so N chains never
+/// redo the all-pairs work N times.
 #[allow(clippy::too_many_arguments)]
 pub fn anneal_parallel_pooled(
     ctx: &EnergyContext<'_>,
@@ -425,27 +397,23 @@ pub fn anneal_parallel_pooled(
     telemetry: &CoreTelemetry,
 ) -> AnnealResult {
     assert!(chains >= 1, "at least one annealing chain is required");
-    assert!(
-        caches.is_empty() || caches.len() >= chains,
-        "pass no caches or one per chain"
-    );
+    assert!(caches.len() >= chains, "pass one cache per chain");
     telemetry.anneal_chains.add(chains as u64);
+    let caches = &mut caches[..chains];
 
     // Hoist the per-plant precompute out of the chains: one Floyd–Warshall
     // pass shared by every chain (and, via the caches, by later slots).
-    if !caches.is_empty() {
-        let sig = plant_fingerprint(ctx.plant);
-        let shared = caches[..chains]
-            .iter()
-            .find_map(|c| c.plant_cache_for(sig))
-            .unwrap_or_else(|| Arc::new(PlantCache::build(ctx.plant, ctx.fiber_dist)));
-        for c in caches[..chains].iter_mut() {
-            c.install_plant_cache(Arc::clone(&shared));
-        }
+    let sig = plant_fingerprint(ctx.plant);
+    let shared = caches
+        .iter()
+        .find_map(|c| c.plant_cache_for(sig))
+        .unwrap_or_else(|| Arc::new(PlantCache::build(ctx.plant, ctx.fiber_dist)));
+    for c in caches.iter_mut() {
+        c.install_plant_cache(Arc::clone(&shared));
     }
 
-    if chains == 1 {
-        return anneal_with_cache(ctx, initial, config, caches.first_mut(), telemetry);
+    if let [cache] = caches {
+        return anneal_with_cache(ctx, initial, config, Some(cache), telemetry);
     }
 
     let pool = match workers {
@@ -456,13 +424,8 @@ pub fn anneal_parallel_pooled(
     let parallel_region = ctx.prof.region("anneal.parallel");
     let parallel_id = parallel_region.id();
     let spawn_ns = telemetry.recorder.now_ns();
-    let mut cache_slots: Vec<Option<&mut EnergyCache>> = if caches.is_empty() {
-        (0..chains).map(|_| None).collect()
-    } else {
-        caches[..chains].iter_mut().map(Some).collect()
-    };
-    let tasks: Vec<_> = cache_slots
-        .drain(..)
+    let tasks: Vec<_> = caches
+        .iter_mut()
         .enumerate()
         .map(|(i, cache)| {
             let cfg = AnnealConfig {
@@ -475,13 +438,20 @@ pub fn anneal_parallel_pooled(
                 // `anneal.parallel` region explicitly.
                 let _chain_region = ctx.prof.region_under(parallel_id, "chain");
                 let start_ns = telemetry.recorder.now_ns();
-                let r = anneal_chain(ctx, initial, &cfg, cache, rate_inputs, telemetry, i as u64);
+                let r = anneal_chain(
+                    ctx,
+                    initial,
+                    &cfg,
+                    Some(cache),
+                    rate_inputs,
+                    telemetry,
+                    i as u64,
+                );
                 (r, start_ns, telemetry.recorder.now_ns())
             }
         })
         .collect();
-    let results: Vec<Option<(AnnealResult, u64, u64)>> =
-        pool.run(tasks).into_iter().map(Some).collect();
+    let results: Vec<(AnnealResult, u64, u64)> = pool.run(tasks);
     drop(parallel_region);
 
     // Utilization accounting: summed per-chain busy time over the wall
@@ -493,10 +463,7 @@ pub fn anneal_parallel_pooled(
     let wall_ns = telemetry.recorder.now_ns().saturating_sub(spawn_ns);
     telemetry.anneal_parallel_wall_ns.add(wall_ns);
     if telemetry.recorder.is_enabled() {
-        for (i, r) in results.iter().enumerate() {
-            let Some((_, start_ns, end_ns)) = r else {
-                continue;
-            };
+        for (i, (_, start_ns, end_ns)) in results.iter().enumerate() {
             let busy_ns = end_ns.saturating_sub(*start_ns);
             telemetry.anneal_parallel_busy_ns.add(busy_ns);
             telemetry.recorder.event(
@@ -514,9 +481,8 @@ pub fn anneal_parallel_pooled(
         }
     }
 
-    let results = results.into_iter().map(|r| r.map(|(r, _, _)| r));
     let mut winner: Option<AnnealResult> = None;
-    for r in results.into_iter().flatten() {
+    for (r, _, _) in results {
         winner = match winner {
             Some(w) if r.energy_gbps() <= w.energy_gbps() => Some(w),
             _ => Some(r),
@@ -679,16 +645,19 @@ mod tests {
             ..Default::default()
         };
         // One chain, cached and naive, and four chains sharing one order.
-        for (chains, use_cache) in [(1, true), (1, false), (4, true)] {
+        for (chains, cached) in [(1, true), (1, false), (4, true)] {
             let recorder = owan_obs::Recorder::enabled();
             let telemetry = CoreTelemetry::new(&recorder);
-            let cfg = AnnealConfig { use_cache, ..cfg };
-            anneal_parallel(&ctx, &ring, &cfg, chains, &telemetry);
+            if cached {
+                anneal_parallel(&ctx, &ring, &cfg, chains, &telemetry);
+            } else {
+                anneal_with_cache(&ctx, &ring, &cfg, None, &telemetry);
+            }
             assert!(recorder.counter("rates.full_evals").get() > chains as u64);
             assert_eq!(
                 recorder.counter("rates.starvation_promotions").get(),
                 1,
-                "{chains} chains, cache {use_cache}"
+                "{chains} chains, cached {cached}"
             );
         }
     }

@@ -114,7 +114,7 @@ pub struct OwanEngine {
     prof: Profiler,
     /// One persistent [`EnergyCache`] per annealing chain; the plant-scoped
     /// layers survive across slots (and are fingerprint-flushed on plant
-    /// changes). Empty when the cache fast path is disabled.
+    /// changes).
     caches: Vec<EnergyCache>,
     /// The all-pairs fiber distance matrix (one Dijkstra per site) of the
     /// plant with this fingerprint: recomputed when a fault, a repair or a
@@ -127,18 +127,13 @@ impl OwanEngine {
     /// static topology).
     pub fn new(initial: Topology, config: OwanConfig) -> Self {
         assert!(config.chains >= 1, "at least one annealing chain");
-        let caches = if config.anneal.use_cache {
-            (0..config.chains).map(|_| EnergyCache::new()).collect()
-        } else {
-            Vec::new()
-        };
         OwanEngine {
             config,
             current: initial,
             slot_counter: 0,
             telemetry: CoreTelemetry::disabled(),
             prof: Profiler::disabled(),
-            caches,
+            caches: (0..config.chains).map(|_| EnergyCache::new()).collect(),
             fiber_dist: None,
         }
     }
@@ -148,8 +143,8 @@ impl OwanEngine {
         &self.current
     }
 
-    /// The per-chain evaluation caches (empty when the fast path is off).
-    /// Exposed for tests and benchmarks to inspect effectiveness counters.
+    /// The per-chain evaluation caches, one per annealing chain. Exposed
+    /// for tests and benchmarks to inspect effectiveness counters.
     pub fn energy_caches(&self) -> &[EnergyCache] {
         &self.caches
     }

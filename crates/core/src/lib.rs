@@ -57,8 +57,8 @@ pub mod topology;
 pub mod types;
 
 pub use anneal::{
-    anneal, anneal_observed, anneal_parallel, anneal_parallel_pooled, anneal_parallel_with_caches,
-    anneal_with_cache, chain_seed, AnnealConfig, AnnealResult,
+    anneal, anneal_observed, anneal_parallel, anneal_parallel_pooled, anneal_with_cache,
+    chain_seed, AnnealConfig, AnnealResult,
 };
 pub use cache::{plant_fingerprint, EnergyCache, EnergyCacheStats, MissReason, PlantCache};
 pub use circuits::{

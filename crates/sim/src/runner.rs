@@ -79,11 +79,6 @@ pub struct RunnerConfig {
     /// Parallel annealing chains per slot for Owan (1 = sequential; the
     /// result for N chains is deterministic and never worse than chain 0's).
     pub anneal_chains: usize,
-    /// Use the energy-cache fast path in Owan. Plans are bit-identical at
-    /// a fixed iteration budget; under `anneal_time_budget_s` the cheaper
-    /// evaluations fit more iterations, so plans differ. Off = the naive
-    /// reference evaluation, for differential tests/benchmarks.
-    pub anneal_use_cache: bool,
 }
 
 impl Default for RunnerConfig {
@@ -97,7 +92,6 @@ impl Default for RunnerConfig {
             seed: 1,
             policy: SchedulingPolicy::ShortestJobFirst,
             anneal_chains: 1,
-            anneal_use_cache: true,
         }
     }
 }
@@ -118,7 +112,6 @@ pub fn make_engine(
                     max_iterations: config.anneal_iterations,
                     seed: config.seed,
                     time_budget_s: config.anneal_time_budget_s,
-                    use_cache: config.anneal_use_cache,
                     ..Default::default()
                 },
                 rate: owan_core::RateAssignConfig {

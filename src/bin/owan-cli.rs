@@ -11,7 +11,6 @@
 //! owan-cli attack [ATTACK OPTIONS]
 //! owan-cli explain [RUN OPTIONS] [--chaos] [--id N]
 //! owan-cli slo [RUN OPTIONS] [--chaos] [--slo-burn F] [--slo-p99 MS]
-//! owan-cli perf diff A.json B.json [--threshold F] [--gate]
 //! ```
 //!
 //! With `--sigma` the workload carries deadlines and the deadline metrics
@@ -26,8 +25,8 @@
 //! table instead. `--serve ADDR` exposes live Prometheus text
 //! (`/metrics`, `/healthz`) while the run executes. Every flag is off by
 //! default and a disabled recorder/scope/profiler changes no engine
-//! output. `perf diff` compares two `bench_anneal` JSON reports phase by
-//! phase with noise-aware thresholds; `--gate` exits 1 on regression.
+//! output. Every command exits 2 on a flag or argument it does not read,
+//! so a typo'd or retired flag is never silently ignored.
 //!
 //! `attack` composes adversarial traffic (coremelt, flash crowd, drift)
 //! with the chaos fault machinery and measures recovery — delivered-volume
@@ -78,6 +77,8 @@ use owan::workload::attack::{
     coremelt, drift, flash_crowd, CoremeltConfig, DriftConfig, FlashCrowdConfig,
 };
 use owan::workload::{generate, WorkloadConfig};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: owan-cli [OPTIONS]
@@ -88,7 +89,8 @@ const USAGE: &str = "usage: owan-cli [OPTIONS]
        owan-cli attack [OPTIONS]
        owan-cli explain [OPTIONS] [--chaos] [--id N]
        owan-cli slo [OPTIONS] [--chaos]
-       owan-cli perf diff A.json B.json [--threshold F] [--gate]
+
+Every command exits 2 on a flag it does not take.
 
 run options:
   --net NAME          evaluation network: internet2 | isp | interdc  [internet2]
@@ -100,8 +102,6 @@ run options:
   --seed N            workload + annealing seed  [42]
   --iters N           annealing iterations per slot  [150]
   --chains N          parallel annealing chains per slot (owan)  [1]
-  --no-fastpath       disable the energy-cache fast path (owan); plans are
-                      bit-identical either way, only slower
   --max-requests N    truncate the workload to N transfers
   --obs FILE.jsonl    export run telemetry as JSON Lines to FILE
   --obs-summary       print a per-stage timing table after the metrics
@@ -120,12 +120,13 @@ run options:
 transfers: run the workload with the flight recorder attached and print
 the per-transfer lifecycle table (state, slots served, delivered Gb by
 path, queue time, preemptions, deadline slack). `--trace ID` prints one
-transfer's slot-by-slot history instead. Takes all run options.
+transfer's slot-by-slot history instead. Takes the run options except
+--obs, --obs-summary, --prof, --prof-report and --serve.
 
 top: run the workload and print a live-refreshing dashboard (throughput,
 active/queued/at-risk transfers, per-stage timings, chaos and oracle
 counters) every `--interval` seconds [2] until the run finishes. Takes
-all run options plus `--serve`.
+the run options except --obs, --obs-summary, --prof and --prof-report.
 
 verify options (modes are mutually exclusive; default is --seeds):
   --seeds N           fuzz N consecutive seeds through the oracle  [200]
@@ -134,6 +135,7 @@ verify options (modes are mutually exclusive; default is --seeds):
                       or a flight dump written by chaos --scope-dump
   --net NAME          replay a generated workload on a named network instead
   --slots N           replay horizon in slots (with --net)  [60]
+  --slot SECS         slot length, seconds (with --net)  [300]
   --iters N           annealing iterations per slot  [40]
   --load L            workload load factor (with --net)  [1.0]
   --seed N            workload seed (with --net)  [42]
@@ -222,9 +224,11 @@ time-to-restore (slots until cumulative background delivery is back to
 utilization. Exits 0 when all invariants hold and the runs are
 deterministic, 1 otherwise, 2 on bad arguments.
 
-explain / slo options (take all run options, plus):
-  --chaos             run the seeded chaos scenario (chaos options apply)
-                      instead of the fault-free workload
+explain / slo options (take the run options except --obs-summary,
+--prof-report and --serve, plus):
+  --chaos             run the seeded chaos scenario instead of the
+                      fault-free workload; the chaos options replace the
+                      run options
   --id N              explain transfer N instead of the worst-slack one
   --slo-burn F        deadline-miss burn-rate threshold (unset: measured,
                       never tripped)
@@ -244,33 +248,66 @@ if --id names no transfer, 1 if the partition check fails.
 slo runs the same scenario and prints the monitor report: deadline
 outcomes and burn rate over the sliding window, p99 slot-planning
 latency, delivered-Gb deficit, and which monitor (if any) tripped the
-flight-recorder freeze.
+flight-recorder freeze.";
 
-perf diff options:
-  --threshold F       relative change (fraction) a metric must move in the
-                      bad direction to count as a regression  [0.15]
-  --gate              exit 1 when any metric regressed past the threshold
-
-perf diff compares two bench_anneal JSON reports phase by phase with
-noise-aware thresholds. Reports at different scales are refused; a
-core-count mismatch warns and masks the chain-scaling rows. Exits 0 when
-comparable (regressions print but only --gate turns them into exit 1),
-2 on bad arguments or incomparable reports.";
-
-/// Minimal flag parser: `--key value` pairs plus boolean switches.
-struct Args(Vec<String>);
+/// Minimal flag parser: `--key value` pairs plus boolean switches. It
+/// remembers every key a command asks for, so the command can refuse the
+/// rest ([`Args::reject_unread`]).
+struct Args {
+    argv: Vec<String>,
+    /// Keys read so far, each with whether it takes a value.
+    read: RefCell<HashMap<String, bool>>,
+}
 
 impl Args {
+    fn new(argv: Vec<String>) -> Self {
+        Args {
+            argv,
+            read: RefCell::default(),
+        }
+    }
+
     fn get(&self, key: &str) -> Option<&str> {
-        self.0
+        self.read.borrow_mut().insert(key.to_string(), true);
+        self.argv
             .iter()
             .position(|a| a == key)
-            .and_then(|i| self.0.get(i + 1))
+            .and_then(|i| self.argv.get(i + 1))
             .map(String::as_str)
     }
 
     fn flag(&self, key: &str) -> bool {
-        self.0.iter().any(|a| a == key)
+        self.read.borrow_mut().insert(key.to_string(), false);
+        self.argv.iter().any(|a| a == key)
+    }
+
+    /// Exits 2 naming the first word of the command line that no read
+    /// asked for: a flag (a typo'd or retired one must not be ignored
+    /// without a word) or a stray argument. Each command calls this once,
+    /// after its last read and before it runs. `cmd` is the command's name
+    /// with a leading space, empty for the plain run; a command's name
+    /// follows the program name in `argv`.
+    fn reject_unread(&self, cmd: &str) {
+        let read = self.read.borrow();
+        let mut words = self.argv.iter().skip(1 + usize::from(!cmd.is_empty()));
+        while let Some(word) = words.next() {
+            match read.get(word.as_str()) {
+                // `get` takes the word after its key as the value.
+                Some(true) => {
+                    words.next();
+                }
+                Some(false) => {}
+                None => {
+                    let what = if word.starts_with('-') {
+                        "flag"
+                    } else {
+                        "argument"
+                    };
+                    eprintln!("owan-cli{cmd}: unknown {what} '{word}'");
+                    std::process::exit(2);
+                }
+            }
+        }
     }
 
     /// Parses `--key value`, returning `default` only when the flag is
@@ -401,7 +438,6 @@ fn run_setup(args: &Args) -> RunSetup {
     let seed = args.parse("--seed", 42u64);
     let iters = args.parse("--iters", 150usize);
     let chains = args.parse("--chains", 1usize);
-    let use_fastpath = !args.flag("--no-fastpath");
     let max_requests = args.parse("--max-requests", usize::MAX);
 
     let mut wl = if net_name == "internet2" {
@@ -433,7 +469,6 @@ fn run_setup(args: &Args) -> RunSetup {
             SchedulingPolicy::ShortestJobFirst
         },
         anneal_chains: chains,
-        anneal_use_cache: use_fastpath,
         ..Default::default()
     };
 
@@ -459,10 +494,10 @@ fn scope_from_args(args: &Args, setup: &RunSetup, mode: &str, force: bool) -> Sc
     let dump_path = args.get("--scope-dump").map(str::to_string);
     let enabled =
         force || args.flag("--scope") || dump_path.is_some() || args.get("--scope-trace").is_some();
+    let flight_slots = args.parse("--scope-slots", 16usize);
     if !enabled {
         return ScopeRecorder::disabled();
     }
-    let flight_slots = args.parse("--scope-slots", 16usize);
     let scope = ScopeRecorder::enabled(ScopeConfig {
         flight_slots,
         dump_path: dump_path.map(PathBuf::from),
@@ -525,16 +560,25 @@ struct WhyRun {
     recorder: Recorder,
     scope: ScopeRecorder,
     prof: Profiler,
+    /// The export flags the run options advertise: `--scope-trace`,
+    /// `--prof` and `--obs`.
+    scope_trace: Option<String>,
+    prof_path: Option<String>,
+    obs_path: Option<String>,
 }
 
 /// Runs the configured scenario for `explain` / `slo` with the tier-4
 /// why recorder attached, joins the obs (and, on the sim path, profiler)
 /// snapshots in, and distills the report. `--chaos` swaps the fault-free
-/// workload for the seeded chaos scenario of `owan-cli chaos`.
+/// workload for the seeded chaos scenario of `owan-cli chaos`. The caller
+/// reads its own flags first: this rejects the unread ones before the run.
 fn why_run(args: &Args, cmd: &str) -> WhyRun {
     let recorder = Recorder::enabled();
     let slo = slo_from_args(args);
     let why = WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, &recorder);
+    let scope_trace = args.get("--scope-trace").map(str::to_string);
+    let prof_path = args.get("--prof").map(str::to_string);
+    let obs_path = args.get("--obs").map(str::to_string);
 
     let (scope, prof);
     if args.flag("--chaos") {
@@ -591,10 +635,10 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
 
         prof = Profiler::disabled();
         let dump_path = args.get("--scope-dump").map(str::to_string);
-        let scope_on =
-            args.flag("--scope") || dump_path.is_some() || args.get("--scope-trace").is_some();
+        let scope_on = args.flag("--scope") || dump_path.is_some() || scope_trace.is_some();
+        let flight_slots = args.parse("--scope-slots", 16usize);
+        args.reject_unread(cmd);
         scope = if scope_on {
-            let flight_slots = args.parse("--scope-slots", 16usize);
             let scope = ScopeRecorder::enabled(ScopeConfig {
                 flight_slots,
                 dump_path: dump_path.map(PathBuf::from),
@@ -643,6 +687,7 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
     } else {
         let setup = run_setup(args);
         scope = scope_from_args(args, &setup, "sim", false);
+        args.reject_unread(cmd);
         prof = Profiler::enabled();
         eprintln!(
             "owan-cli{cmd}: {} on {}, {} transfers, load {}, slot {}s",
@@ -677,22 +722,19 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
         recorder,
         scope,
         prof,
+        scope_trace,
+        prof_path,
+        obs_path,
     }
 }
 
 /// Shared tail of `explain` / `slo`: honor the export flags the run
 /// options advertise (`--scope-trace`, `--prof`, `--obs`).
-fn why_run_exports(args: &Args, cmd: &str, run: &WhyRun) {
+fn why_run_exports(cmd: &str, run: &WhyRun) {
     if run.scope.is_enabled() {
-        write_trace(
-            cmd,
-            &run.scope,
-            &run.recorder,
-            &run.prof,
-            &args.get("--scope-trace").map(str::to_string),
-        );
+        write_trace(cmd, &run.scope, &run.recorder, &run.prof, &run.scope_trace);
     }
-    if let Some(path) = args.get("--prof") {
+    if let Some(path) = &run.prof_path {
         if run.prof.is_enabled() {
             let mut out: Vec<u8> = Vec::new();
             run.prof
@@ -708,7 +750,7 @@ fn why_run_exports(args: &Args, cmd: &str, run: &WhyRun) {
             );
         }
     }
-    write_obs(cmd, &run.recorder, &args.get("--obs").map(str::to_string));
+    write_obs(cmd, &run.recorder, &run.obs_path);
 }
 
 /// `owan-cli explain`: re-run the scenario with the why recorder joined
@@ -716,18 +758,18 @@ fn why_run_exports(args: &Args, cmd: &str, run: &WhyRun) {
 /// the worst-slack transfer by default, `--id N` to pick. Exits 1 when
 /// the bucket partition check fails, 2 when `--id` names no transfer.
 fn explain_main(args: &Args) -> ! {
+    let id: Option<usize> = args.get("--id").map(|raw| {
+        raw.parse().unwrap_or_else(|_| {
+            eprintln!("owan-cli explain: invalid value '{raw}' for --id");
+            std::process::exit(2);
+        })
+    });
     let run = why_run(args, " explain");
-    let text = match args.get("--id") {
-        Some(raw) => {
-            let id: usize = raw.parse().unwrap_or_else(|_| {
-                eprintln!("owan-cli explain: invalid value '{raw}' for --id");
-                std::process::exit(2);
-            });
-            render_explain(&run.report, id).unwrap_or_else(|| {
-                eprintln!("owan-cli explain: no transfer with id {id}");
-                std::process::exit(2);
-            })
-        }
+    let text = match id {
+        Some(id) => render_explain(&run.report, id).unwrap_or_else(|| {
+            eprintln!("owan-cli explain: no transfer with id {id}");
+            std::process::exit(2);
+        }),
         None => {
             let worst = run.report.worst_slack().unwrap_or_else(|| {
                 eprintln!("owan-cli explain: the run held no transfers");
@@ -737,7 +779,7 @@ fn explain_main(args: &Args) -> ! {
         }
     };
     print!("{text}");
-    why_run_exports(args, " explain", &run);
+    why_run_exports(" explain", &run);
     std::process::exit(if text.contains("partition,BROKEN") {
         1
     } else {
@@ -751,7 +793,7 @@ fn explain_main(args: &Args) -> ! {
 fn slo_main(args: &Args) -> ! {
     let run = why_run(args, " slo");
     print!("{}", render_slo(&run.report));
-    why_run_exports(args, " slo", &run);
+    why_run_exports(" slo", &run);
     std::process::exit(0);
 }
 
@@ -767,6 +809,17 @@ fn verify_main(args: &Args) -> ! {
     };
     let out_path = args.get("--out").map(str::to_string);
     let obs_path = args.get("--obs").map(str::to_string);
+    let replay = args.get("--replay");
+    let net_name = args.get("--net");
+    let load = args.parse("--load", 1.0f64);
+    let seed = args.parse("--seed", 42u64);
+    let slots = args.parse("--slots", 60usize);
+    let slot_len = args.parse("--slot", 300.0f64);
+    let count = args.parse("--seeds", 200u64);
+    let start = args.parse("--start", 0u64);
+    let attack = args.flag("--attack");
+    let chaos = args.flag("--chaos");
+    args.reject_unread(" verify");
     let recorder = if obs_path.is_some() {
         Recorder::enabled()
     } else {
@@ -792,7 +845,7 @@ fn verify_main(args: &Args) -> ! {
         std::process::exit(1);
     };
 
-    if let Some(path) = args.get("--replay") {
+    if let Some(path) = replay {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("owan-cli verify: cannot read --replay file '{path}': {e}");
             std::process::exit(2);
@@ -824,12 +877,8 @@ fn verify_main(args: &Args) -> ! {
         }
     }
 
-    if let Some(net_name) = args.get("--net") {
+    if let Some(net_name) = net_name {
         let network = build_network(" verify", net_name);
-        let load = args.parse("--load", 1.0f64);
-        let seed = args.parse("--seed", 42u64);
-        let slots = args.parse("--slots", 60usize);
-        let slot_len = args.parse("--slot", 300.0f64);
         let wl = if net_name == "internet2" {
             WorkloadConfig::testbed(load, seed)
         } else {
@@ -865,9 +914,7 @@ fn verify_main(args: &Args) -> ! {
         }
     }
 
-    let count = args.parse("--seeds", 200u64);
-    let start = args.parse("--start", 0u64);
-    if args.flag("--attack") {
+    if attack {
         eprintln!(
             "attack-fuzzing seeds {start}..{} with {iters} anneal iters",
             start + count
@@ -896,7 +943,7 @@ fn verify_main(args: &Args) -> ! {
             Err((seed, f)) => fail(&format!("attack seed {seed}: {f}"), None),
         }
     }
-    if args.flag("--chaos") {
+    if chaos {
         eprintln!(
             "chaos-fuzzing seeds {start}..{} with {iters} anneal iters",
             start + count
@@ -1161,6 +1208,7 @@ fn chaos_main(args: &Args) -> ! {
     let flight_slots = args.parse("--scope-slots", 16usize);
     let slo = slo_from_args(args);
     let why_enabled = slo_flags_on(args);
+    args.reject_unread(" chaos");
 
     let mut wl = if net_name == "internet2" {
         WorkloadConfig::testbed(load, seed)
@@ -1451,8 +1499,10 @@ fn attack_main(args: &Args) -> ! {
     let scope_trace = args.get("--scope-trace").map(str::to_string);
     let scope_on = args.flag("--scope") || scope_dump.is_some() || scope_trace.is_some();
     let flight_slots = args.parse("--scope-slots", 16usize);
+    let duration = args.parse("--duration", horizon.min(7_200.0));
     let slo = slo_from_args(args);
     let why_enabled = slo_flags_on(args);
+    args.reject_unread(" attack");
     if !(restore > 0.0 && restore <= 1.0) {
         eprintln!("owan-cli attack: --restore must be in (0, 1]");
         std::process::exit(2);
@@ -1463,7 +1513,7 @@ fn attack_main(args: &Args) -> ! {
     } else {
         WorkloadConfig::simulation(load, seed)
     };
-    wl.duration_s = args.parse("--duration", horizon.min(7_200.0));
+    wl.duration_s = duration;
     if let Some(s) = sigma {
         wl = wl.with_deadlines(slot, s);
     }
@@ -1764,79 +1814,20 @@ fn attack_main(args: &Args) -> ! {
     std::process::exit(if violations == 0 { 0 } else { 1 });
 }
 
-/// `owan-cli perf diff`: compare two `bench_anneal` JSON reports with
-/// noise-aware per-phase thresholds. Strict flag parsing — unknown flags
-/// and malformed values exit 2 rather than being silently ignored, so a
-/// typo'd `--gate` can never turn a gating CI job into a no-op.
-fn perf_main() -> ! {
-    let rest: Vec<String> = std::env::args().skip(2).collect();
-    let usage = "owan-cli perf: usage: owan-cli perf diff A.json B.json [--threshold F] [--gate]";
-    if rest.first().map(String::as_str) != Some("diff") {
-        eprintln!("{usage}");
-        std::process::exit(2);
-    }
-    let mut threshold = 0.15f64;
-    let mut gate = false;
-    let mut files: Vec<String> = Vec::new();
-    let mut it = rest.iter().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let raw = it.next().unwrap_or_else(|| {
-                    eprintln!("owan-cli perf: --threshold needs a value");
-                    std::process::exit(2);
-                });
-                threshold = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("owan-cli perf: invalid value '{raw}' for --threshold");
-                    std::process::exit(2);
-                });
-            }
-            "--gate" => gate = true,
-            flag if flag.starts_with('-') => {
-                eprintln!("owan-cli perf: unknown flag '{flag}'\n{usage}");
-                std::process::exit(2);
-            }
-            file => files.push(file.to_string()),
-        }
-    }
-    let [a_path, b_path] = files.as_slice() else {
-        eprintln!(
-            "owan-cli perf: expected exactly two report files, got {}\n{usage}",
-            files.len()
-        );
-        std::process::exit(2);
-    };
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("owan-cli perf: cannot read '{path}': {e}");
-            std::process::exit(2);
-        })
-    };
-    match owan::bench::perf_diff(&read(a_path), &read(b_path), threshold) {
-        Ok(diff) => {
-            print!("{}", diff.format_table());
-            if gate && diff.has_regressions() {
-                eprintln!(
-                    "owan-cli perf: FAIL: regression past the {:.0}% threshold",
-                    threshold * 100.0
-                );
-                std::process::exit(1);
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("owan-cli perf: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// `owan-cli transfers`: run the workload with the flight recorder
 /// attached, then print the per-transfer lifecycle table (or, with
 /// `--trace ID`, one transfer's slot-by-slot history).
 fn transfers_main(args: &Args) -> ! {
     let setup = run_setup(args);
     let scope = scope_from_args(args, &setup, "sim", true);
+    let trace: Option<usize> = args.get("--trace").map(|raw| {
+        raw.parse().unwrap_or_else(|_| {
+            eprintln!("owan-cli transfers: invalid value '{raw}' for --trace");
+            std::process::exit(2);
+        })
+    });
+    let scope_trace = args.get("--scope-trace").map(str::to_string);
+    args.reject_unread(" transfers");
     let recorder = Recorder::enabled();
     eprintln!(
         "tracing {} on {}: {} transfers, load {}, slot {}s",
@@ -1855,11 +1846,7 @@ fn transfers_main(args: &Args) -> ! {
         &scope,
     );
 
-    if let Some(raw) = args.get("--trace") {
-        let id: usize = raw.parse().unwrap_or_else(|_| {
-            eprintln!("owan-cli transfers: invalid value '{raw}' for --trace");
-            std::process::exit(2);
-        });
+    if let Some(id) = trace {
         match scope.render_transfer_trace(id) {
             Some(trace) => print!("{trace}"),
             None => {
@@ -1882,7 +1869,7 @@ fn transfers_main(args: &Args) -> ! {
         &scope,
         &recorder,
         &Profiler::disabled(),
-        &args.get("--scope-trace").map(str::to_string),
+        &scope_trace,
     );
     std::process::exit(0);
 }
@@ -1894,7 +1881,9 @@ fn top_main(args: &Args) -> ! {
     let scope = scope_from_args(args, &setup, "sim", false);
     let recorder = Recorder::enabled();
     let interval = args.parse("--interval", 2.0f64).max(0.1);
-    let server = args.get("--serve").map(|addr| {
+    let serve_addr = args.get("--serve");
+    args.reject_unread(" top");
+    let server = serve_addr.map(|addr| {
         let server = MetricsServer::spawn(addr, recorder.clone()).unwrap_or_else(|e| {
             eprintln!("owan-cli top: cannot bind --serve address '{addr}': {e}");
             std::process::exit(2);
@@ -1954,7 +1943,7 @@ fn top_main(args: &Args) -> ! {
 }
 
 fn main() {
-    let args = Args(std::env::args().collect());
+    let args = Args::new(std::env::args().collect());
     if args.flag("--help") || args.flag("-h") {
         println!("{USAGE}");
         return;
@@ -1967,7 +1956,6 @@ fn main() {
         Some("slo") => slo_main(&args),
         Some("transfers") => transfers_main(&args),
         Some("top") => top_main(&args),
-        Some("perf") => perf_main(),
         _ => {}
     }
 
@@ -1979,6 +1967,7 @@ fn main() {
     let scope = scope_from_args(&args, &setup, "sim", false);
     let prof_path = args.get("--prof").map(str::to_string);
     let prof_report = args.flag("--prof-report");
+    args.reject_unread("");
     let prof = if prof_path.is_some() || prof_report {
         Profiler::enabled()
     } else {

@@ -1,8 +1,8 @@
 //! The region profiler must observe, never perturb — disabled it changes
 //! no simulation outcome, enabled it still reproduces the same plans and
 //! its miss-attribution counters must account for every single cache
-//! miss. The `perf diff` CLI parser is strict: a typo'd flag exits 2
-//! instead of silently dropping a gate.
+//! miss. Through the binary, the profiler flags write their outputs, and
+//! a flag a command never reads exits 2 instead of being silently dropped.
 
 use std::process::Command;
 
@@ -173,128 +173,55 @@ fn owan_cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_owan-cli"))
 }
 
-/// A bench report JSON with every key `perf diff` looks at.
-fn sample_report(scale: &str, fast_wall: f64, cores: usize) -> String {
-    format!(
-        concat!(
-            "{{\n\"scale\": \"{scale}\",\n\"commit\": \"test\",\n",
-            "\"cores\": {cores},\n",
-            "\"naive_wall_s\": 1.0,\n\"fast_wall_s\": {fw:.6},\n",
-            "\"naive_evals_per_s\": 100.0,\n\"fast_evals_per_s\": {rate:.2},\n",
-            "\"pipeline_naive_wall_s\": 2.0,\n\"pipeline_fast_wall_s\": 1.0,\n",
-            "\"pipeline_obs_wall_s\": 1.0,\n\"pipeline_scope_wall_s\": 1.02,\n",
-            "\"pipeline_prof_wall_s\": 1.01,\n\"pipeline_slots_per_s\": 6.0,\n",
-            "\"chains_seq_wall_s\": 1.0,\n\"chains_par_wall_s\": 0.5,\n",
-            "\"scope_overhead\": 0.02,\n\"prof_overhead\": 0.01\n}}\n"
-        ),
-        scale = scale,
-        cores = cores,
-        fw = fast_wall,
-        rate = 100.0 / fast_wall,
-    )
-}
-
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(name);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-/// Every malformed `perf` invocation exits 2 — never silently succeeds.
+/// A flag no command reads exits 2 naming it, before anything runs: a
+/// retired flag or a typo (`--iter` for `--iters`, which would silently run
+/// the default 150 iterations) is never dropped without a word. The same
+/// command line without it runs and exits 0.
 #[test]
-fn perf_cli_parser_is_strict() {
-    let dir = temp_dir("owan_prof_cli_strict");
-    let a = dir.join("a.json");
-    let b = dir.join("b.json");
-    std::fs::write(&a, sample_report("quick", 0.25, 4)).unwrap();
-    std::fs::write(&b, sample_report("quick", 0.25, 4)).unwrap();
-
-    // `perf` without the `diff` verb.
-    let out = owan_cli().arg("perf").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-
-    // Too few / too many files.
-    let out = owan_cli().args(["perf", "diff"]).arg(&a).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = owan_cli()
-        .args(["perf", "diff"])
-        .args([&a, &b, &a])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-
-    // Unknown flag must be fatal: a typo'd --gate can never turn a
-    // gating CI job into a no-op.
-    let out = owan_cli()
-        .args(["perf", "diff", "--gat"])
-        .args([&a, &b])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
-
-    // Bad threshold value.
-    let out = owan_cli()
-        .args(["perf", "diff", "--threshold", "bogus"])
-        .args([&a, &b])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-
-    // Unreadable file is a runtime error, also exit 2.
-    let out = owan_cli()
-        .args(["perf", "diff"])
-        .arg(&a)
-        .arg(dir.join("missing.json"))
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-}
-
-/// The happy path prints the comparison table and exits 0; `--gate` on a
-/// regressed pair exits 1.
-#[test]
-fn perf_cli_diffs_reports_and_gates_regressions() {
-    let dir = temp_dir("owan_prof_cli_diff");
-    let a = dir.join("base.json");
-    let b = dir.join("slow.json");
-    std::fs::write(&a, sample_report("quick", 0.25, 4)).unwrap();
-    std::fs::write(&b, sample_report("quick", 0.60, 4)).unwrap();
-
-    // Identical pair: table, no regressions, exit 0 even with --gate.
-    let out = owan_cli()
-        .args(["perf", "diff", "--gate"])
-        .args([&a, &a])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("fast_wall_s"), "{stdout}");
-
-    // 2.4x slower fast path: report-only exits 0, --gate exits 1.
-    let out = owan_cli()
-        .args(["perf", "diff"])
-        .args([&a, &b])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED"));
-    let out = owan_cli()
-        .args(["perf", "diff", "--gate"])
-        .args([&a, &b])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-
-    // Scale mismatch is refused outright.
-    let c = dir.join("full.json");
-    std::fs::write(&c, sample_report("full", 0.25, 4)).unwrap();
-    let out = owan_cli()
-        .args(["perf", "diff"])
-        .args([&a, &c])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+fn cli_rejects_flags_it_never_reads() {
+    let run = [
+        "--net",
+        "internet2",
+        "--duration",
+        "600",
+        "--max-requests",
+        "2",
+        "--iters",
+        "5",
+    ];
+    let chaos = ["chaos", "--net", "internet2", "--slots", "2"];
+    // (a command line, what is appended to it); the first appended word is
+    // the flag that must be named.
+    let cases: [(&[&str], &[&str]); 5] = [
+        // The removed switch that selected the naive annealing backend.
+        (&run, &[concat!("--no-", "fastpath")]),
+        (&run[..6], &["--iter", "5"]),
+        (&chaos, &["--bogus"]),
+        (&["verify", "--seeds", "1"], &["--net-name", "isp"]),
+        // `--slots` is a chaos option; without `--chaos` explain reads none.
+        (&["explain", "--max-requests", "2"], &["--slots", "3"]),
+    ];
+    for (args, extra) in cases {
+        let out = owan_cli().args(args).args(extra).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} {extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag '{}'", extra[0])),
+            "{args:?} {extra:?}: {stderr}"
+        );
+    }
+    let out = owan_cli().args(run).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// `--prof FILE` writes a folded-stack file and `--prof-report` prints
