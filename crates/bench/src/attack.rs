@@ -17,14 +17,11 @@
 //! a single key against the checked-in baseline without a JSON parser.
 
 use crate::scale::{net_by_name, workload_for, Scale};
-use owan_chaos::{run_attack, AttackTimeline, ChaosConfig, OpFaultModel, SlotAudit};
-use owan_core::{
-    default_topology, AnnealConfig, OwanConfig, OwanEngine, TrafficEngineer, TransferRequest,
-};
-use owan_obs::Recorder;
-use owan_oracle::{check_plan, check_timeline};
-use owan_scope::ScopeRecorder;
+use owan_chaos::{restartable_owan, run_attack, AttackTimeline, ChaosConfig, OpFaultModel};
+use owan_core::{TrafficEngineer, TransferRequest};
+use owan_oracle::InvariantAudit;
 use owan_sim::runner::{make_engine, EngineKind, RunnerConfig};
+use owan_sim::Probes;
 use owan_topo::Network;
 use owan_workload::attack::{coremelt, flash_crowd, CoremeltConfig, FlashCrowdConfig};
 
@@ -187,36 +184,17 @@ fn run_cell(
         seed: scale.seed.wrapping_add(1),
         ..Default::default()
     };
+    let owan = restartable_owan(scale.anneal_iterations, scale.seed);
     let mut factory = |p: &owan_optical::FiberPlant| -> Box<dyn TrafficEngineer> {
         if kind == EngineKind::Owan {
-            let owan_config = OwanConfig {
-                anneal: AnnealConfig {
-                    max_iterations: scale.anneal_iterations,
-                    seed: scale.seed.wrapping_add(1),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            Box::new(OwanEngine::new(default_topology(p), owan_config))
+            owan(p)
         } else {
             make_engine(kind, net, &runner_cfg)
         }
     };
 
-    let mut slots_audited = 0usize;
-    let mut audit = |a: &SlotAudit| -> Result<(), String> {
-        if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-            return Err(format!("slot plan: {v}"));
-        }
-        if let (Some(delta), Some(update)) = (a.delta, a.update) {
-            if let Err(v) = check_timeline(delta, update, &a.params) {
-                return Err(format!("update: {v}"));
-            }
-        }
-        slots_audited += 1;
-        Ok(())
-    };
-
+    let probes = Probes::default();
+    let mut audit = InvariantAudit::new(&probes);
     let outcome = run_attack(
         &net.plant,
         requests,
@@ -226,9 +204,8 @@ fn run_cell(
         0.9,
         &[],
         &OpFaultModel::none(),
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
-        Some(&mut audit),
+        &probes,
+        Some(&mut |a| audit.check(a)),
     )
     .unwrap_or_else(|e| panic!("{scenario}/{engine}: oracle rejected the run: {e}"));
 
@@ -242,7 +219,7 @@ fn run_cell(
         restored_slots: outcome.metrics.restored_slots,
         peak_victim_util: outcome.metrics.peak_victim_util,
         injected_gbits: outcome.metrics.injected_gbits,
-        slots_audited,
+        slots_audited: audit.plans_checked,
     }
 }
 

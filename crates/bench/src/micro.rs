@@ -2,10 +2,11 @@
 
 use crate::scale::{net_by_name, workload_for, Scale};
 use owan_core::{SchedulingPolicy, SlotInput};
+use owan_obs::Recorder;
 use owan_sim::metrics::{self, SizeBin};
 use owan_sim::runner::{make_engine, run_engine, EngineKind, RunnerConfig};
 use owan_sim::validate::{validate_simulator, ValidationReport};
-use owan_sim::SimConfig;
+use owan_sim::{simulate_probed, Probes, SimConfig};
 use owan_update::{
     plan_consistent, plan_one_shot, throughput_timeline, NetworkDelta, TimelinePoint, UpdateParams,
 };
@@ -265,34 +266,74 @@ pub fn print_fig10c(rows: &[(f64, [f64; 3])]) {
     }
 }
 
+/// One point of the Figure 10(d) sweep.
+#[derive(Debug, Clone, Copy)]
+pub struct Fig10dRow {
+    /// Annealing iteration cap per slot.
+    pub iterations: usize,
+    /// Iterations the annealer actually ran, mean per planned slot (the
+    /// walk also stops once the temperature cools below `ε`).
+    pub iterations_run: f64,
+    /// Measured wall time per planned slot, milliseconds.
+    pub ms_per_slot: f64,
+    /// Average transfer completion time, seconds.
+    pub avg_completion_s: f64,
+}
+
+/// Iteration caps Figure 10(d) sweeps. The walk cools as `T₀·αⁿ` and stops
+/// below `ε`, so it never runs more than `ln(T₀/ε)/ln(1/α)` iterations:
+/// ~160–225 at α = 0.95, ε = 1 and Gbps-scale throughputs. Every point
+/// sits below that horizon.
+const FIG10D_ITERATIONS: [usize; 5] = [5, 10, 20, 40, 80];
+
 /// Figure 10(d): average completion time vs the simulated-annealing
-/// running-time budget, on the inter-DC network at λ = 1. Returns
-/// `(budget seconds, avg completion seconds)` rows.
-pub fn fig10d(scale: &Scale) -> Vec<(f64, f64)> {
+/// search budget, on the inter-DC network at λ = 1. The paper sweeps
+/// wall-clock time; a plan here is a function of its inputs only, so the
+/// budget is an iteration count, reported with the time it took.
+pub fn fig10d(scale: &Scale) -> Vec<Fig10dRow> {
     let net = net_by_name("interdc");
     let reqs = workload_for(&net, 1.0, None, scale);
-    let budgets = [0.02, 0.08, 0.32, 1.28, 5.12];
-    budgets
+    FIG10D_ITERATIONS
         .iter()
-        .map(|&budget| {
+        .map(|&iterations| {
             let cfg = RunnerConfig {
-                anneal_time_budget_s: Some(budget),
-                anneal_iterations: usize::MAX,
+                anneal_iterations: iterations,
                 ..runner_config(scale)
             };
+            let start = std::time::Instant::now();
             let res = run_engine(EngineKind::Owan, &net, &reqs, &cfg);
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            // The same run again with a recorder, for the iteration count:
+            // the recorder changes no plan, and keeping it off the timed
+            // run keeps its cost out of the milliseconds.
+            let probes = Probes {
+                recorder: Recorder::enabled(),
+                ..Default::default()
+            };
+            let mut engine = make_engine(EngineKind::Owan, &net, &cfg);
+            simulate_probed(&net.plant, &reqs, engine.as_mut(), &cfg.sim, &probes);
+            let iterations_run = probes.recorder.counter("anneal.iterations").get() as f64;
+            let planned = res.throughput_series.len().max(1) as f64;
             let (avg, _) = metrics::summary(&res, SizeBin::All);
-            (budget, avg)
+            Fig10dRow {
+                iterations,
+                iterations_run: iterations_run / planned,
+                ms_per_slot: wall_ms / planned,
+                avg_completion_s: avg,
+            }
         })
         .collect()
 }
 
 /// Prints Figure 10(d).
-pub fn print_fig10d(rows: &[(f64, f64)]) {
-    println!("# Figure 10(d) — impact of annealing running time (interdc)");
-    println!("sa_budget_s,avg_completion_s");
-    for (b, avg) in rows {
-        println!("{b},{avg:.0}");
+pub fn print_fig10d(rows: &[Fig10dRow]) {
+    println!("# Figure 10(d) — impact of the annealing search budget (interdc)");
+    println!("sa_iterations,iterations_run,ms_per_slot,avg_completion_s");
+    for r in rows {
+        println!(
+            "{},{:.1},{:.2},{:.0}",
+            r.iterations, r.iterations_run, r.ms_per_slot, r.avg_completion_s
+        );
     }
 }
 

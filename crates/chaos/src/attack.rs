@@ -14,13 +14,11 @@
 
 use crate::fault::FaultEvent;
 use crate::inject::OpFaultModel;
-use crate::runner::{run_chaos_explained, run_chaos_traced, AuditHook, ChaosConfig, ChaosResult};
+use crate::runner::{run_chaos_probed, AuditHook, ChaosConfig, ChaosResult};
 use crate::telemetry::AttackTelemetry;
 use owan_core::{TrafficEngineer, TransferRequest};
-use owan_obs::Recorder;
 use owan_optical::{FiberPlant, SiteId};
-use owan_scope::ScopeRecorder;
-use owan_why::WhyRecorder;
+use owan_sim::Probes;
 use owan_workload::attack::AttackWave;
 
 const EPS: f64 = 1e-9;
@@ -169,11 +167,12 @@ pub struct AttackOutcome {
 /// measures recovery.
 ///
 /// Two runs share the engine factory: a quiet baseline (background
-/// requests only, no faults, disabled telemetry) and the attacked run
-/// (attack timeline composed in, `events`/`op_faults` injected, victim
-/// links tracked, every slot offered to `audit`). `restore_fraction`
-/// sets the recovery bar (the headline metric uses 0.9). Attack
-/// counters land on `recorder` under `chaos.attack.*`.
+/// requests only, no faults, no probes) and the attacked run (attack
+/// timeline composed in, `events`/`op_faults` injected, victim links
+/// tracked, every slot offered to `audit`, reporting into `probes`).
+/// `restore_fraction` sets the recovery bar (the headline metric uses
+/// 0.9). Attack counters land on the probes' recorder under
+/// `chaos.attack.*`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_attack(
     plant: &FiberPlant,
@@ -184,43 +183,7 @@ pub fn run_attack(
     restore_fraction: f64,
     events: &[FaultEvent],
     op_faults: &OpFaultModel,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    audit: Option<&mut AuditHook>,
-) -> Result<AttackOutcome, String> {
-    run_attack_explained(
-        plant,
-        background,
-        timeline,
-        make_engine,
-        config,
-        restore_fraction,
-        events,
-        op_faults,
-        recorder,
-        scope,
-        &WhyRecorder::disabled(),
-        audit,
-    )
-}
-
-/// [`run_attack`] with a why recorder attached to the *attacked* run
-/// (the quiet baseline keeps a disabled one: its transfers face no
-/// adversary, so there is nothing to attribute). With a disabled
-/// recorder this is exactly [`run_attack`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_attack_explained(
-    plant: &FiberPlant,
-    background: &[TransferRequest],
-    timeline: &AttackTimeline,
-    make_engine: &mut dyn FnMut(&FiberPlant) -> Box<dyn TrafficEngineer>,
-    config: &ChaosConfig,
-    restore_fraction: f64,
-    events: &[FaultEvent],
-    op_faults: &OpFaultModel,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    why: &WhyRecorder,
+    probes: &Probes,
     audit: Option<&mut AuditHook>,
 ) -> Result<AttackOutcome, String> {
     assert!(restore_fraction > 0.0 && restore_fraction <= 1.0);
@@ -229,15 +192,14 @@ pub fn run_attack_explained(
         victim_links: Vec::new(),
         ..config.clone()
     };
-    let baseline = run_chaos_traced(
+    let baseline = run_chaos_probed(
         plant,
         background,
         make_engine,
         &baseline_cfg,
         &[],
         &OpFaultModel::none(),
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
+        &Probes::default(),
         None,
     )?;
 
@@ -247,16 +209,14 @@ pub fn run_attack_explained(
         victim_links: timeline.victim_links(),
         ..config.clone()
     };
-    let attacked = run_chaos_explained(
+    let attacked = run_chaos_probed(
         plant,
         &composed.requests,
         make_engine,
         &attacked_cfg,
         events,
         op_faults,
-        recorder,
-        scope,
-        why,
+        probes,
         audit,
     )?;
 
@@ -268,7 +228,7 @@ pub fn run_attack_explained(
         restore_fraction,
     );
 
-    let telem = AttackTelemetry::new(recorder);
+    let telem = AttackTelemetry::new(&probes.recorder);
     telem.waves.add(timeline.waves().len() as u64);
     telem
         .active_slots

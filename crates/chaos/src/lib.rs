@@ -12,12 +12,16 @@
 //! * **seeded injection** ([`OpFaultModel`], [`seeded_scenario`]):
 //!   deterministic per-attempt faults on update operations and full
 //!   scenario timelines reproducible from a seed;
-//! * a **hardened controller loop** ([`run_chaos`]) that plans on the
+//! * a **hardened controller loop** ([`run_chaos`], [`run_chaos_probed`]
+//!   with an `owan_sim::Probes` run context) that plans on the
 //!   detection-delayed *believed* plant, executes updates with retry /
 //!   backoff / dependent-subtree abort, runs each slot on the *achieved*
 //!   state, blackholes circuits over undetected cuts, degrades to the
 //!   filtered previous topology when planning fails, and rebuilds the
-//!   engine from stored state after a crash;
+//!   engine from stored state after a crash ([`restartable_owan`] is the
+//!   annealed engine's factory). It is the workspace's one failure loop:
+//!   with zero detection delay and no op faults it is the plain §3.4
+//!   controller;
 //! * an **adversarial traffic layer** ([`AttackTimeline`], [`run_attack`]):
 //!   coremelt, flash-crowd, and drift demand waves (generated in
 //!   `owan_workload::attack`) composed with the fault timeline as
@@ -33,13 +37,12 @@ pub mod runner;
 pub mod telemetry;
 
 pub use attack::{
-    recovery_metrics, run_attack, run_attack_explained, AttackOutcome, AttackTimeline,
-    ComposedScenario, RecoveryMetrics,
+    recovery_metrics, run_attack, AttackOutcome, AttackTimeline, ComposedScenario, RecoveryMetrics,
 };
 pub use fault::{plants_equal, FaultEvent, FaultKind, FaultState};
 pub use inject::{seeded_scenario, ChaosSpec, OpFaultModel};
 pub use runner::{
-    run_chaos, run_chaos_explained, run_chaos_traced, AuditHook, ChaosConfig, ChaosResult,
-    ChaosStats, SlotAudit,
+    restartable_owan, run_chaos, run_chaos_probed, AuditHook, ChaosConfig, ChaosResult, ChaosStats,
+    SlotAudit,
 };
 pub use telemetry::{AttackTelemetry, ChaosTelemetry};

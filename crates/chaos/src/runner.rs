@@ -28,18 +28,19 @@ use crate::fault::{FaultEvent, FaultKind, FaultState};
 use crate::inject::OpFaultModel;
 use crate::telemetry::ChaosTelemetry;
 use owan_core::{
-    build_topology_cached, Allocation, BuiltTopology, CircuitBuildConfig, CoreTelemetry,
-    EnergyCache, SlotInput, SlotPlan, Topology, TrafficEngineer, Transfer, TransferRequest,
+    build_topology_cached, default_topology, Allocation, AnnealConfig, BuiltTopology,
+    CircuitBuildConfig, CoreTelemetry, EnergyCache, OwanConfig, OwanEngine, SlotInput, SlotPlan,
+    Topology, TrafficEngineer, Transfer, TransferRequest,
 };
 use owan_obs::Recorder;
 use owan_optical::{FiberId, FiberPlant, SiteId};
-use owan_scope::{ScopeRecorder, SlotObservation};
-use owan_sim::{build_scope_rows, plan_is_feasible, CompletionRecord, Failure};
+use owan_scope::SlotObservation;
+use owan_sim::{build_scope_rows, plan_is_feasible, CompletionRecord, Failure, Probes};
 use owan_update::{
     execute_plan, plan_consistent, transition_scale, NetworkDelta, OpKind, RetryPolicy,
     UpdateParams, UpdatePlan,
 };
-use owan_why::{TransferSample, WhyRecorder, WhySlotObservation};
+use owan_why::{TransferSample, WhySlotObservation};
 use std::collections::{HashMap, HashSet};
 
 const EPS: f64 = 1e-9;
@@ -140,7 +141,7 @@ pub struct ChaosResult {
 
 impl ChaosResult {
     /// True when every transfer finished.
-    pub fn all_complete(&self) -> bool {
+    pub fn all_completed(&self) -> bool {
         self.completions.iter().all(|r| r.completion_s.is_some())
     }
 }
@@ -169,18 +170,41 @@ pub struct SlotAudit<'a> {
     pub params: UpdateParams,
     /// Slot length, seconds.
     pub slot_len_s: f64,
-    /// True when the slot degraded to the filtered previous topology.
-    pub used_fallback: bool,
+    /// Why the engine's own plan was replaced by the filtered previous
+    /// topology (infeasible rates, or more links than the believed plant
+    /// has router ports), when it was.
+    pub fallback: Option<String>,
 }
 
 /// Per-slot audit hook type.
 pub type AuditHook<'a> = dyn FnMut(&SlotAudit) -> Result<(), String> + 'a;
 
+/// The engine factory of a chaos run: a fresh [`OwanEngine`] whose starting
+/// topology is re-derived from the plant the controller believes in,
+/// annealing `iterations` per slot from seed `seed + 1`. A restarted
+/// controller (§3.4) comes back through the same factory, so the `chaos`
+/// command, the oracle's replays and flight-dump replay build identical
+/// engines.
+pub fn restartable_owan(
+    iterations: usize,
+    seed: u64,
+) -> impl Fn(&FiberPlant) -> Box<dyn TrafficEngineer> {
+    move |plant| {
+        let config = OwanConfig {
+            anneal: AnnealConfig {
+                max_iterations: iterations,
+                seed: seed.wrapping_add(1),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        Box::new(OwanEngine::new(default_topology(plant), config))
+    }
+}
+
 /// Runs the hardened controller loop over `events`, injecting op faults
-/// from `op_faults`. `make_engine` builds a fresh engine from the
-/// believed plant — called once at start and again after every crash
-/// (stateless restart). `audit`, when given, is invoked every planned
-/// slot; an `Err` aborts the run.
+/// from `op_faults`, with only the obs recorder attached. See
+/// [`run_chaos_probed`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_chaos(
     plant: &FiberPlant,
@@ -192,75 +216,60 @@ pub fn run_chaos(
     recorder: &Recorder,
     audit: Option<&mut AuditHook>,
 ) -> Result<ChaosResult, String> {
-    run_chaos_traced(
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Default::default()
+    };
+    run_chaos_probed(
         plant,
         requests,
         make_engine,
         config,
         events,
         op_faults,
-        recorder,
-        &ScopeRecorder::disabled(),
+        &probes,
         audit,
     )
 }
 
-/// [`run_chaos`] with a flight recorder attached. Besides the sim-side
-/// scope data (transfer lifecycle, flight frames, spans), the chaos loop
-/// contributes what only it knows: the believed-vs-actual failure sets
-/// per slot, per-slot fault events, and the anomaly triggers —
-/// `plan.infeasible` (fallback slot), `update.retry_exhausted` (op
-/// subtree aborted), `blackhole.undetected_cut` (paths dark under an
-/// undetected cut). The *first* anomaly freezes the flight ring into a
-/// deterministic dump.
+/// Runs the hardened controller loop over `events`, injecting op faults
+/// from `op_faults`. `make_engine` builds a fresh engine from the
+/// believed plant — called once at start and again after every crash
+/// (stateless restart); each engine gets the probes' recorder and
+/// profiler. `audit`, when given, is invoked every planned slot; an `Err`
+/// aborts the run.
+///
+/// Besides the sim-side data, the loop hands each probe what only it
+/// knows:
+/// * the scope gets the believed-vs-actual failure sets per slot, the
+///   slot's fault events, and the anomaly triggers `plan.infeasible`
+///   (fallback slot), `update.retry_exhausted` (op subtree aborted) and
+///   `blackhole.undetected_cut` (paths dark under an undetected cut). The
+///   *first* anomaly freezes the flight ring into a deterministic dump.
+/// * the why recorder gets the pre-blackhole (`full`) and post-blackhole
+///   (`live`) rate of every achieved allocation, the transition scale, the
+///   slot's fault labels and whether an attack wave was active — exactly
+///   what the attribution engine needs to reproduce the booked
+///   blackhole-Gb figure bit for bit. A tripped SLO monitor freezes the
+///   flight recorder through the scope's anomaly path, so `verify
+///   --replay` reconstructs the dump unchanged.
 #[allow(clippy::too_many_arguments)]
-pub fn run_chaos_traced(
+pub fn run_chaos_probed(
     plant: &FiberPlant,
     requests: &[TransferRequest],
     make_engine: &mut dyn FnMut(&FiberPlant) -> Box<dyn TrafficEngineer>,
     config: &ChaosConfig,
     events: &[FaultEvent],
     op_faults: &OpFaultModel,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    audit: Option<&mut AuditHook>,
-) -> Result<ChaosResult, String> {
-    run_chaos_explained(
-        plant,
-        requests,
-        make_engine,
-        config,
-        events,
-        op_faults,
-        recorder,
-        scope,
-        &WhyRecorder::disabled(),
-        audit,
-    )
-}
-
-/// [`run_chaos_traced`] with the tier-4 attribution/SLO collector on
-/// top. The chaos loop feeds `why` the values only it knows: the
-/// pre-blackhole (`full`) and post-blackhole (`live`) rate of every
-/// achieved allocation, the transition scale, the slot's fault labels,
-/// and whether an attack wave was active — exactly the inputs the
-/// attribution engine needs to reproduce the runner's booked
-/// blackhole-Gb figure bit-for-bit. A tripped SLO monitor freezes the
-/// flight recorder through the existing [`ScopeRecorder::anomaly`]
-/// path, so `verify --replay` reconstructs the dump unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chaos_explained(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    make_engine: &mut dyn FnMut(&FiberPlant) -> Box<dyn TrafficEngineer>,
-    config: &ChaosConfig,
-    events: &[FaultEvent],
-    op_faults: &OpFaultModel,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    why: &WhyRecorder,
+    probes: &Probes,
     mut audit: Option<&mut AuditHook>,
 ) -> Result<ChaosResult, String> {
+    let Probes {
+        recorder,
+        scope,
+        prof,
+        why,
+    } = probes;
     let theta = plant.params().wavelength_capacity_gbps;
     let scope_on = scope.is_enabled();
     if scope_on {
@@ -375,6 +384,7 @@ pub fn run_chaos_explained(
         }
         let eng = engine.get_or_insert_with(|| make_engine(believed_plant));
         eng.set_recorder(recorder.clone());
+        eng.set_profiler(prof.clone());
 
         // 3. Admission.
         let active: Vec<Transfer> = transfers
@@ -417,10 +427,15 @@ pub fn run_chaos_explained(
         let plan_start_ns = recorder.now_ns();
         let mut plan = eng.plan_slot(believed_plant, &input);
         let plan_ns = recorder.now_ns().saturating_sub(plan_start_ns);
-        let mut used_fallback = false;
-        let plan_ok =
-            plan_is_feasible(&plan, theta).is_ok() && plan.topology.ports_feasible(believed_plant);
-        if !plan_ok {
+        let fallback = match plan_is_feasible(&plan, theta) {
+            Err(e) => Some(e.to_string()),
+            Ok(()) if !plan.topology.ports_feasible(believed_plant) => {
+                Some("topology exceeds the believed plant's router ports".to_string())
+            }
+            Ok(()) => None,
+        };
+        let used_fallback = fallback.is_some();
+        if used_fallback {
             plan = fallback_plan(
                 believed_plant,
                 achieved_prev.as_ref(),
@@ -431,7 +446,6 @@ pub fn run_chaos_explained(
                 &circuit_cfg,
                 &mut realise_cache,
             );
-            used_fallback = true;
             telem.fallback_slots.incr();
             stats.fallback_slots += 1;
         }
@@ -500,7 +514,7 @@ pub fn run_chaos_explained(
                 update: transition.as_ref().map(|(_, u)| u),
                 slot_len_s: config.slot_len_s,
                 params,
-                used_fallback,
+                fallback,
             };
             hook(&a).map_err(|e| format!("audit failed at slot {slot}: {e}"))?;
         }

@@ -6,7 +6,7 @@ use owan_chaos::{run_attack, AttackTimeline, ChaosConfig, FaultEvent, FaultKind,
 use owan_core::{default_topology, OwanConfig, OwanEngine, TrafficEngineer, TransferRequest};
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
-use owan_scope::ScopeRecorder;
+use owan_sim::Probes;
 use owan_workload::attack::{coremelt, flash_crowd, CoremeltConfig, FlashCrowdConfig};
 use owan_workload::{generate, WorkloadConfig};
 
@@ -50,7 +50,10 @@ fn coremelt_run_tracks_background_and_victims() {
     let mut cm = CoremeltConfig::new(5, 600.0, 1_200.0);
     cm.intensity = 0.8;
     let timeline = AttackTimeline::new(vec![coremelt(&net.plant, &cm)]);
-    let recorder = Recorder::enabled();
+    let probes = Probes {
+        recorder: Recorder::enabled(),
+        ..Default::default()
+    };
     let mut factory = make_factory();
     let outcome = run_attack(
         &net.plant,
@@ -61,8 +64,7 @@ fn coremelt_run_tracks_background_and_victims() {
         0.9,
         &[],
         &OpFaultModel::none(),
-        &recorder,
-        &ScopeRecorder::disabled(),
+        &probes,
         None,
     )
     .expect("attack run");
@@ -86,7 +88,7 @@ fn coremelt_run_tracks_background_and_victims() {
     assert!(outcome.metrics.peak_victim_util > 0.0, "victims saw load");
     assert_eq!(outcome.metrics.onset_slot, 2);
 
-    let snap = recorder.snapshot();
+    let snap = probes.recorder.snapshot();
     assert_eq!(snap.counters.get("chaos.attack.waves"), Some(&1));
     assert!(snap.counters.get("chaos.attack.injected_gbits").copied() > Some(0));
     assert!(snap.counters.get("chaos.attack.victim_links").copied() > Some(0));
@@ -114,8 +116,7 @@ fn flash_crowd_composes_with_a_fiber_cut() {
         0.9,
         &events,
         &OpFaultModel::none(),
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
+        &Probes::default(),
         None,
     )
     .expect("attack+fault run");
@@ -148,8 +149,7 @@ fn attack_runs_are_deterministic_per_seed() {
             0.9,
             &[],
             &OpFaultModel::none(),
-            &Recorder::disabled(),
-            &ScopeRecorder::disabled(),
+            &Probes::default(),
             None,
         )
         .expect("attack run")

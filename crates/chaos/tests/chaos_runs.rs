@@ -88,7 +88,7 @@ fn run(events: &[FaultEvent], faults: &OpFaultModel) -> ChaosResult {
 #[test]
 fn quiet_run_completes_everything() {
     let res = run(&[], &OpFaultModel::none());
-    assert!(res.all_complete(), "completions: {:?}", res.completions);
+    assert!(res.all_completed(), "completions: {:?}", res.completions);
     assert_eq!(res.stats.crashes, 0);
     assert_eq!(res.stats.op_aborts, 0);
     assert_eq!(res.stats.blackhole_paths, 0);
@@ -101,7 +101,7 @@ fn cut_plus_repair_still_completes() {
         FaultEvent::at(400.0, FaultKind::FiberRepaired(1)),
     ];
     let res = run(&events, &OpFaultModel::none());
-    assert!(res.all_complete(), "completions: {:?}", res.completions);
+    assert!(res.all_completed(), "completions: {:?}", res.completions);
     assert!(res.stats.faults_detected >= 2);
 }
 
@@ -123,7 +123,7 @@ fn mixed_seeded_scenario_completes_with_surviving_endpoints() {
         fail_prob: 0.05,
     };
     let res = run(&events, &faults);
-    assert!(res.all_complete(), "completions: {:?}", res.completions);
+    assert!(res.all_completed(), "completions: {:?}", res.completions);
     assert!(res.stats.crashes >= 1, "stats: {:?}", res.stats);
     assert!(res.stats.faults_detected >= 2, "stats: {:?}", res.stats);
 }
@@ -157,7 +157,7 @@ fn op_faults_delay_but_do_not_strand() {
     let clean = run(&[], &OpFaultModel::none());
     let faulty = run(&[], &faults);
     assert!(
-        faulty.all_complete(),
+        faulty.all_completed(),
         "completions: {:?}",
         faulty.completions
     );
@@ -204,7 +204,7 @@ fn undetected_cut_blackholes_traffic() {
         res.stats
     );
     assert!(res.stats.blackhole_gbits > 0.0);
-    assert!(res.all_complete(), "completions: {:?}", res.completions);
+    assert!(res.all_completed(), "completions: {:?}", res.completions);
 }
 
 #[test]
@@ -212,7 +212,7 @@ fn crash_restart_recovers_and_counts() {
     let events = vec![FaultEvent::at(700.0, FaultKind::ControllerCrash)];
     let res = run(&events, &OpFaultModel::none());
     assert_eq!(res.stats.crashes, 1);
-    assert!(res.all_complete(), "completions: {:?}", res.completions);
+    assert!(res.all_completed(), "completions: {:?}", res.completions);
 }
 
 #[test]
@@ -229,7 +229,7 @@ fn dead_endpoint_waits_for_site_up() {
         "completions: {:?}",
         res.completions
     );
-    assert!(res.all_complete());
+    assert!(res.all_completed());
 }
 
 #[test]
@@ -340,5 +340,68 @@ fn retry_policy_backoff_is_used() {
     )
     .expect("chaos run");
     assert!(res.stats.op_timeouts > 0);
-    assert!(res.all_complete(), "completions: {:?}", res.completions);
+    assert!(res.all_completed(), "completions: {:?}", res.completions);
+}
+
+/// The plain §3.4 controller: zero detection delay, no op faults.
+fn run_plain(requests: &[TransferRequest], events: &[FaultEvent], max_slots: usize) -> ChaosResult {
+    let cfg = ChaosConfig {
+        slot_len_s: 100.0,
+        max_slots,
+        detection_delay_s: 0.0,
+        ..Default::default()
+    };
+    run_chaos(
+        &plant(),
+        requests,
+        &mut make_factory(),
+        &cfg,
+        events,
+        &OpFaultModel::none(),
+        &Recorder::disabled(),
+        None,
+    )
+    .expect("chaos run")
+}
+
+#[test]
+fn permanently_dead_destination_stops_the_run_early() {
+    let requests = [TransferRequest {
+        src: 0,
+        dst: 2,
+        volume_gbits: 100_000.0,
+        arrival_s: 0.0,
+        deadline_s: None,
+    }];
+    let events = [FaultEvent::at(0.0, FaultKind::SiteDown(2))];
+    let res = run_plain(&requests, &events, 50);
+    assert!(!res.all_completed());
+    assert!(
+        res.delivered_series.len() < 50,
+        "the loop stops once every fault landed and nothing can move, \
+         instead of spinning to max_slots: {} slots",
+        res.delivered_series.len()
+    );
+}
+
+#[test]
+fn amp_degradation_alone_still_drains() {
+    let requests = [TransferRequest {
+        src: 0,
+        dst: 2,
+        volume_gbits: 20_000.0,
+        arrival_s: 0.0,
+        deadline_s: None,
+    }];
+    let events = [FaultEvent::at(
+        150.0,
+        FaultKind::AmpDegraded {
+            fiber: 0,
+            usable: 1,
+        },
+    )];
+    let res = run_plain(&requests, &events, 200);
+    assert!(res.all_completed(), "completions: {:?}", res.completions);
+    assert_eq!(res.stats.faults_detected, 1);
+    assert_eq!(res.stats.fallback_slots, 0);
 }

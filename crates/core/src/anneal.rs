@@ -32,7 +32,6 @@ use owan_optical::SiteId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Energy-trajectory samples recorded per annealing run (spread evenly
 /// over `max_iterations`); bounds event volume on long searches.
@@ -49,9 +48,6 @@ pub struct AnnealConfig {
     pub seed: u64,
     /// Hard cap on iterations regardless of temperature.
     pub max_iterations: usize,
-    /// Optional wall-clock budget in seconds (used by the Fig 10(d)
-    /// running-time experiment). `None` = no time limit.
-    pub time_budget_s: Option<f64>,
 }
 
 impl Default for AnnealConfig {
@@ -61,7 +57,6 @@ impl Default for AnnealConfig {
             epsilon: 1.0,
             seed: 1,
             max_iterations: 400,
-            time_budget_s: None,
         }
     }
 }
@@ -185,12 +180,9 @@ pub fn anneal_observed(
 /// [`anneal_observed`] against an explicit cache. `None` selects the naive
 /// reference backend, which scores every candidate with a full
 /// [`compute_energy`](crate::energy::compute_energy); the differential
-/// suites compare against it, and nothing else selects it. At a fixed
-/// iteration count (`time_budget_s == None`) the search result is
-/// bit-identical across `cache` choices; only wall-clock and the
-/// work-performed counters differ. With a time budget set, the cache
-/// changes how many iterations fit the budget, so the trajectories — and
-/// the returned plans — diverge.
+/// suites compare against it, and nothing else selects it. The search
+/// result is bit-identical across `cache` choices; only wall-clock and
+/// the work-performed counters differ.
 pub fn anneal_with_cache(
     ctx: &EnergyContext<'_>,
     initial: &Topology,
@@ -218,7 +210,6 @@ fn anneal_chain(
 ) -> AnnealResult {
     let _span = telemetry.anneal.enter();
     let _region = ctx.prof.region("anneal");
-    let start = Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut eval = EnergyEvaluator::new(ctx, cache, rate_inputs, telemetry);
 
@@ -246,11 +237,6 @@ fn anneal_chain(
     let sample_every = (config.max_iterations / TRAJECTORY_SAMPLES).max(1);
 
     while temperature > config.epsilon && iterations < config.max_iterations {
-        if let Some(budget) = config.time_budget_s {
-            if start.elapsed().as_secs_f64() >= budget {
-                break;
-            }
-        }
         let iter_span = telemetry.anneal_iter.enter();
         if !neighbor_into(&current, &mut rng, &mut neighbor) {
             iter_span.cancel();
@@ -660,35 +646,5 @@ mod tests {
                 "{chains} chains, cached {cached}"
             );
         }
-    }
-
-    #[test]
-    fn time_budget_respected() {
-        let plant = ring_plant(6, 2);
-        let fd = plant.fiber_distance_matrix();
-        let transfers = vec![transfer(0, 0, 3, 500.0)];
-        let ctx = EnergyContext {
-            plant: &plant,
-            fiber_dist: &fd,
-            transfers: &transfers,
-            policy: SchedulingPolicy::ShortestJobFirst,
-            slot_len_s: 1.0,
-            circuit_config: CircuitBuildConfig::default(),
-            rate_config: RateAssignConfig::default(),
-            prof: owan_prof::Profiler::disabled(),
-        };
-        let mut ring = Topology::empty(6);
-        for i in 0..6 {
-            ring.add_links(i, (i + 1) % 6, 1);
-        }
-        let cfg = AnnealConfig {
-            time_budget_s: Some(0.0),
-            max_iterations: 1_000_000,
-            ..Default::default()
-        };
-        let start = std::time::Instant::now();
-        let res = anneal(&ctx, &ring, &cfg);
-        assert!(start.elapsed().as_secs_f64() < 1.0);
-        assert_eq!(res.iterations, 0, "zero budget means no search iterations");
     }
 }

@@ -10,15 +10,13 @@
 //! detection-delayed believed plant, op faults, controller crashes, and
 //! hostile demand, all at once.
 
-use crate::chaos::{chaos_events_for, ChaosReplayConfig};
+use crate::audit::InvariantAudit;
+use crate::chaos::{chaos_events_for, chaos_inputs, ChaosReplayConfig};
 use crate::fuzz::Scenario;
-use crate::invariants::{check_plan, check_timeline};
 use crate::replay::ReplayFailure;
-use owan_chaos::{run_attack, AttackOutcome, AttackTimeline, ChaosConfig, OpFaultModel};
-use owan_core::{default_topology, AnnealConfig, OwanConfig, OwanEngine, TrafficEngineer};
+use owan_chaos::{restartable_owan, run_attack, AttackTimeline};
 use owan_obs::Recorder;
-use owan_scope::ScopeRecorder;
-use owan_update::RetryPolicy;
+use owan_sim::Probes;
 use owan_workload::attack::{coremelt, flash_crowd, AttackWave, CoremeltConfig, FlashCrowdConfig};
 
 /// Derives a deterministic attack timeline for a fuzz scenario: a
@@ -67,100 +65,36 @@ pub struct AttackReplayStats {
 }
 
 /// Replays one fuzz scenario with its derived attack timeline composed
-/// into the fault timeline, auditing every attacked slot.
+/// into the fault timeline, auditing every attacked slot. Invariant checks
+/// count on the probes' recorder, attack counters land under
+/// `chaos.attack.*`, and the attacked run's timeline flows into the
+/// probes' scope.
 pub fn replay_attack_scenario(
     scenario: &Scenario,
     config: &ChaosReplayConfig,
-) -> Result<AttackReplayStats, ReplayFailure> {
-    replay_attack_scenario_traced(
-        scenario,
-        config,
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
-    )
-}
-
-/// [`replay_attack_scenario`] with observability attached: invariant
-/// checks count on `recorder` (`oracle.invariant_checked` /
-/// `oracle.invariant_violated`), attack counters land under
-/// `chaos.attack.*`, and the hardened loop's timeline flows into `scope`.
-pub fn replay_attack_scenario_traced(
-    scenario: &Scenario,
-    config: &ChaosReplayConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
+    probes: &Probes,
 ) -> Result<AttackReplayStats, ReplayFailure> {
     let timeline = attack_timeline_for(scenario);
     let events = chaos_events_for(scenario);
-    let op_faults = OpFaultModel {
-        seed: scenario.seed,
-        timeout_prob: config.timeout_prob,
-        fail_prob: config.fail_prob,
-    };
-    let chaos_config = ChaosConfig {
-        slot_len_s: scenario.slot_len_s,
-        max_slots: scenario.max_slots,
-        detection_delay_s: config.detection_delay_s,
-        retry: RetryPolicy::default(),
-        ..Default::default()
-    };
-    let seed = scenario.seed;
-    let iterations = config.anneal_iterations;
-    let mut make_engine = move |plant: &owan_optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: iterations,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(plant), owan_config)) as Box<dyn TrafficEngineer>
-    };
-
-    let checked = recorder.counter("oracle.invariant_checked");
-    let violated = recorder.counter("oracle.invariant_violated");
-    let mut plans_checked = 0usize;
-    let mut updates_checked = 0usize;
-    let mut audit = |a: &owan_chaos::SlotAudit| -> Result<(), String> {
-        checked.add(1);
-        if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-            violated.add(1);
-            scope.anomaly("oracle.invariant_violated", a.slot);
-            return Err(format!("slot plan: {v}"));
-        }
-        plans_checked += 1;
-        if let (Some(delta), Some(update)) = (a.delta, a.update) {
-            checked.add(1);
-            if let Err(v) = check_timeline(delta, update, &a.params) {
-                violated.add(1);
-                scope.anomaly("oracle.invariant_violated", a.slot);
-                return Err(format!("update: {v}"));
-            }
-            updates_checked += 1;
-        }
-        Ok(())
-    };
-
-    let outcome: AttackOutcome = run_attack(
+    let (chaos_config, op_faults) = chaos_inputs(scenario, config);
+    let mut audit = InvariantAudit::new(probes);
+    let outcome = run_attack(
         &scenario.plant,
         &scenario.requests,
         &timeline,
-        &mut make_engine,
+        &mut restartable_owan(config.anneal_iterations, scenario.seed),
         &chaos_config,
         0.9,
         &events,
         &op_faults,
-        recorder,
-        scope,
-        Some(&mut audit),
-    )
-    .map_err(|message| ReplayFailure { slot: 0, message })?;
-
+        probes,
+        Some(&mut |a| audit.check(a)),
+    );
+    let outcome = outcome.map_err(|e| audit.failure(e))?;
     Ok(AttackReplayStats {
         slots: outcome.attacked.slots,
-        plans_checked,
-        updates_checked,
+        plans_checked: audit.plans_checked,
+        updates_checked: audit.updates_checked,
         waves: timeline.waves().len(),
         restored_slots: outcome.metrics.restored_slots,
         recovered: outcome.metrics.time_to_restore_slots.is_some(),
@@ -184,29 +118,23 @@ pub struct AttackFuzzStats {
     pub recovered: usize,
 }
 
-/// Sweeps `count` seeds starting at `start` through attack replay. On a
-/// violation, returns the failing seed with the failure.
+/// Sweeps `count` seeds starting at `start` through attack replay,
+/// counting every invariant check on `recorder`. On a violation, returns
+/// the failing seed with the failure.
 pub fn fuzz_attack(
-    start: u64,
-    count: u64,
-    config: &ChaosReplayConfig,
-) -> Result<AttackFuzzStats, (u64, ReplayFailure)> {
-    fuzz_attack_observed(start, count, config, &Recorder::disabled())
-}
-
-/// [`fuzz_attack`] with every invariant check counted on `recorder`.
-pub fn fuzz_attack_observed(
     start: u64,
     count: u64,
     config: &ChaosReplayConfig,
     recorder: &Recorder,
 ) -> Result<AttackFuzzStats, (u64, ReplayFailure)> {
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Default::default()
+    };
     let mut stats = AttackFuzzStats::default();
     for seed in start..start + count {
         let scenario = Scenario::generate(seed);
-        let s =
-            replay_attack_scenario_traced(&scenario, config, recorder, &ScopeRecorder::disabled())
-                .map_err(|f| (seed, f))?;
+        let s = replay_attack_scenario(&scenario, config, &probes).map_err(|f| (seed, f))?;
         stats.scenarios += 1;
         stats.slots += s.slots;
         stats.plans_checked += s.plans_checked;
@@ -231,7 +159,7 @@ mod tests {
     #[test]
     fn single_attack_replay_is_clean() {
         let s = Scenario::generate(4);
-        let stats = replay_attack_scenario(&s, &ChaosReplayConfig::default())
+        let stats = replay_attack_scenario(&s, &ChaosReplayConfig::default(), &Probes::default())
             .unwrap_or_else(|f| panic!("seed 4 violated: {f}"));
         assert!(stats.plans_checked > 0);
         assert_eq!(stats.plans_checked, stats.slots);

@@ -10,15 +10,14 @@
 //! asserting blackhole/loop/overload freedom of every executed update
 //! schedule. [`fuzz_chaos`] sweeps seed ranges.
 
+use crate::audit::InvariantAudit;
 use crate::fuzz::Scenario;
-use crate::invariants::{check_plan, check_timeline};
 use crate::replay::ReplayFailure;
-use owan_chaos::{run_chaos_traced, ChaosConfig, ChaosResult, FaultEvent, FaultKind, OpFaultModel};
-use owan_core::{default_topology, AnnealConfig, OwanConfig, OwanEngine, TrafficEngineer};
+use owan_chaos::{
+    restartable_owan, run_chaos_probed, ChaosConfig, FaultEvent, FaultKind, OpFaultModel,
+};
 use owan_obs::Recorder;
-use owan_scope::ScopeRecorder;
-use owan_sim::Failure;
-use owan_update::RetryPolicy;
+use owan_sim::{Failure, Probes};
 
 /// Chaos-replay tunables.
 #[derive(Debug, Clone, Copy)]
@@ -62,6 +61,39 @@ pub struct ChaosReplayStats {
     pub crashes: u64,
 }
 
+/// The fault event a scenario failure strikes as, and the event that
+/// heals it.
+pub(crate) fn fault_and_repair(failure: Failure) -> (FaultKind, FaultKind) {
+    match failure {
+        Failure::FiberCut(id) => (FaultKind::FiberCut(id), FaultKind::FiberRepaired(id)),
+        Failure::SiteDown(s) => (FaultKind::SiteDown(s), FaultKind::SiteUp(s)),
+        Failure::AmpDegraded { fiber, usable } => (
+            FaultKind::AmpDegraded { fiber, usable },
+            FaultKind::AmpRepaired(fiber),
+        ),
+    }
+}
+
+/// The loop configuration and op-fault model a chaos replay of
+/// `scenario` runs under.
+pub(crate) fn chaos_inputs(
+    scenario: &Scenario,
+    config: &ChaosReplayConfig,
+) -> (ChaosConfig, OpFaultModel) {
+    let chaos_config = ChaosConfig {
+        slot_len_s: scenario.slot_len_s,
+        max_slots: scenario.max_slots,
+        detection_delay_s: config.detection_delay_s,
+        ..Default::default()
+    };
+    let op_faults = OpFaultModel {
+        seed: scenario.seed,
+        timeout_prob: config.timeout_prob,
+        fail_prob: config.fail_prob,
+    };
+    (chaos_config, op_faults)
+}
+
 /// Derives a full chaos timeline from a fuzz scenario: every generated
 /// failure becomes a fault event, heals a quarter-horizon later, and one
 /// controller crash lands mid-run. Deterministic in the scenario.
@@ -69,14 +101,7 @@ pub fn chaos_events_for(scenario: &Scenario) -> Vec<FaultEvent> {
     let horizon = scenario.slot_len_s * scenario.max_slots as f64;
     let mut events: Vec<FaultEvent> = Vec::new();
     for f in &scenario.failures {
-        let (fault, repair) = match f.failure {
-            Failure::FiberCut(id) => (FaultKind::FiberCut(id), FaultKind::FiberRepaired(id)),
-            Failure::SiteDown(s) => (FaultKind::SiteDown(s), FaultKind::SiteUp(s)),
-            Failure::AmpDegraded { fiber, usable } => (
-                FaultKind::AmpDegraded { fiber, usable },
-                FaultKind::AmpRepaired(fiber),
-            ),
-        };
+        let (fault, repair) = fault_and_repair(f.failure);
         events.push(FaultEvent::at(f.time_s, fault));
         let heal = f.time_s + 0.25 * horizon;
         if heal < horizon {
@@ -89,99 +114,33 @@ pub fn chaos_events_for(scenario: &Scenario) -> Vec<FaultEvent> {
 }
 
 /// Replays one scenario through the hardened controller, checking every
-/// planned slot and every executed update schedule.
+/// planned slot and every executed update schedule. The checks count on
+/// the probes' recorder, the loop's timeline flows into the probes'
+/// scope, and a violation freezes a flight dump of the slots leading up
+/// to it (see [`InvariantAudit`]).
 pub fn replay_chaos_scenario(
     scenario: &Scenario,
     config: &ChaosReplayConfig,
-) -> Result<ChaosReplayStats, ReplayFailure> {
-    replay_chaos_scenario_traced(
-        scenario,
-        config,
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
-    )
-}
-
-/// [`replay_chaos_scenario`] with observability attached: every invariant
-/// check is counted on `recorder` (`oracle.invariant_checked` /
-/// `oracle.invariant_violated`), the hardened loop's slot timeline flows
-/// into `scope`, and a violation triggers a flight-recorder dump
-/// (`oracle.invariant_violated` anomaly) covering the slots leading up to
-/// it. With both disabled this is exactly [`replay_chaos_scenario`].
-pub fn replay_chaos_scenario_traced(
-    scenario: &Scenario,
-    config: &ChaosReplayConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
+    probes: &Probes,
 ) -> Result<ChaosReplayStats, ReplayFailure> {
     let events = chaos_events_for(scenario);
-    let op_faults = OpFaultModel {
-        seed: scenario.seed,
-        timeout_prob: config.timeout_prob,
-        fail_prob: config.fail_prob,
-    };
-    let chaos_config = ChaosConfig {
-        slot_len_s: scenario.slot_len_s,
-        max_slots: scenario.max_slots,
-        detection_delay_s: config.detection_delay_s,
-        retry: RetryPolicy::default(),
-        ..Default::default()
-    };
-    let seed = scenario.seed;
-    let iterations = config.anneal_iterations;
-    let mut make_engine = move |plant: &owan_optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: iterations,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(plant), owan_config)) as Box<dyn TrafficEngineer>
-    };
-
-    let checked = recorder.counter("oracle.invariant_checked");
-    let violated = recorder.counter("oracle.invariant_violated");
-    let mut plans_checked = 0usize;
-    let mut updates_checked = 0usize;
-    let mut audit = |a: &owan_chaos::SlotAudit| -> Result<(), String> {
-        checked.add(1);
-        if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-            violated.add(1);
-            scope.anomaly("oracle.invariant_violated", a.slot);
-            return Err(format!("slot plan: {v}"));
-        }
-        plans_checked += 1;
-        if let (Some(delta), Some(update)) = (a.delta, a.update) {
-            checked.add(1);
-            if let Err(v) = check_timeline(delta, update, &a.params) {
-                violated.add(1);
-                scope.anomaly("oracle.invariant_violated", a.slot);
-                return Err(format!("update: {v}"));
-            }
-            updates_checked += 1;
-        }
-        Ok(())
-    };
-
-    let result: ChaosResult = run_chaos_traced(
+    let (chaos_config, op_faults) = chaos_inputs(scenario, config);
+    let mut audit = InvariantAudit::new(probes);
+    let result = run_chaos_probed(
         &scenario.plant,
         &scenario.requests,
-        &mut make_engine,
+        &mut restartable_owan(config.anneal_iterations, scenario.seed),
         &chaos_config,
         &events,
         &op_faults,
-        recorder,
-        scope,
-        Some(&mut audit),
-    )
-    .map_err(|message| ReplayFailure { slot: 0, message })?;
-
+        probes,
+        Some(&mut |a| audit.check(a)),
+    );
+    let result = result.map_err(|e| audit.failure(e))?;
     Ok(ChaosReplayStats {
         slots: result.slots,
-        plans_checked,
-        updates_checked,
+        plans_checked: audit.plans_checked,
+        updates_checked: audit.updates_checked,
         completed: result
             .completions
             .iter()
@@ -207,29 +166,23 @@ pub struct ChaosFuzzStats {
     pub crashes: u64,
 }
 
-/// Sweeps `count` seeds starting at `start` through chaos replay. On a
-/// violation, returns the failing seed with the failure.
+/// Sweeps `count` seeds starting at `start` through chaos replay,
+/// counting every invariant check on `recorder`. On a violation, returns
+/// the failing seed with the failure.
 pub fn fuzz_chaos(
-    start: u64,
-    count: u64,
-    config: &ChaosReplayConfig,
-) -> Result<ChaosFuzzStats, (u64, ReplayFailure)> {
-    fuzz_chaos_observed(start, count, config, &Recorder::disabled())
-}
-
-/// [`fuzz_chaos`] with every invariant check counted on `recorder`.
-pub fn fuzz_chaos_observed(
     start: u64,
     count: u64,
     config: &ChaosReplayConfig,
     recorder: &Recorder,
 ) -> Result<ChaosFuzzStats, (u64, ReplayFailure)> {
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Default::default()
+    };
     let mut stats = ChaosFuzzStats::default();
     for seed in start..start + count {
         let scenario = Scenario::generate(seed);
-        let s =
-            replay_chaos_scenario_traced(&scenario, config, recorder, &ScopeRecorder::disabled())
-                .map_err(|f| (seed, f))?;
+        let s = replay_chaos_scenario(&scenario, config, &probes).map_err(|f| (seed, f))?;
         stats.scenarios += 1;
         stats.slots += s.slots;
         stats.plans_checked += s.plans_checked;
@@ -258,7 +211,7 @@ mod tests {
     #[test]
     fn single_chaos_replay_is_clean() {
         let s = Scenario::generate(3);
-        let stats = replay_chaos_scenario(&s, &ChaosReplayConfig::default())
+        let stats = replay_chaos_scenario(&s, &ChaosReplayConfig::default(), &Probes::default())
             .unwrap_or_else(|f| panic!("seed 3 violated: {f}"));
         assert!(stats.plans_checked > 0);
         assert_eq!(stats.plans_checked, stats.slots);

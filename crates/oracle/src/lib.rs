@@ -20,13 +20,18 @@
 //!    and [`check_timeline`] asserts per-step blackhole/loop/overload
 //!    freedom across an update schedule. Any failure names the violated
 //!    invariant.
-//! 3. **Differential replay** ([`fuzz`], [`replay`]). Seeded random
-//!    scenarios (plants, request streams, failure injections) are driven
-//!    through the real controller slot by slot with every invariant
-//!    checked; a divergence is shrunk to a minimal [`Reproducer`] whose
-//!    seed regenerates it exactly.
+//! 3. **Differential replay** ([`fuzz`], [`replay`], [`chaos`],
+//!    [`attack`]). Seeded random scenarios (plants, request streams,
+//!    failure injections) are driven through the production loop,
+//!    `owan_chaos::run_chaos`, with every planned slot audited by one
+//!    [`InvariantAudit`]. Differential replay drives the production loop:
+//!    the plain replay is `run_chaos` at zero detection delay with no op
+//!    faults, the chaos replay adds repairs, a crash and op faults, the
+//!    attack replay adds adversarial demand. A divergence is shrunk to a
+//!    minimal [`Reproducer`] whose seed regenerates it exactly.
 
 pub mod attack;
+pub mod audit;
 pub mod chaos;
 pub mod exact;
 pub mod fuzz;
@@ -35,12 +40,12 @@ pub mod lp;
 pub mod replay;
 
 pub use attack::{
-    attack_timeline_for, fuzz_attack, fuzz_attack_observed, replay_attack_scenario,
-    replay_attack_scenario_traced, AttackFuzzStats, AttackReplayStats,
+    attack_timeline_for, fuzz_attack, replay_attack_scenario, AttackFuzzStats, AttackReplayStats,
 };
+pub use audit::InvariantAudit;
 pub use chaos::{
-    chaos_events_for, fuzz_chaos, fuzz_chaos_observed, replay_chaos_scenario,
-    replay_chaos_scenario_traced, ChaosFuzzStats, ChaosReplayConfig, ChaosReplayStats,
+    chaos_events_for, fuzz_chaos, replay_chaos_scenario, ChaosFuzzStats, ChaosReplayConfig,
+    ChaosReplayStats,
 };
 pub use exact::{
     anneal_gap, best_topology_by_enumeration, EnumerationReport, ExactError, GapReport,
@@ -51,6 +56,6 @@ pub use lp::{
     all_simple_paths, check_rates_lp_feasible, greedy_gap, lp_max_throughput, LpReference,
 };
 pub use replay::{
-    fuzz as fuzz_seeds, fuzz_observed as fuzz_seeds_observed, minimize, replay_scenario,
-    replay_scenario_observed, FuzzStats, ReplayConfig, ReplayFailure, ReplayStats, Reproducer,
+    fuzz as fuzz_seeds, minimize, replay_scenario, FuzzStats, ReplayConfig, ReplayFailure,
+    ReplayStats, Reproducer,
 };

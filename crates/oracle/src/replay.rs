@@ -1,27 +1,26 @@
-//! Differential replay: drive the full control loop over fuzzed scenarios
-//! and check every invariant at every slot.
+//! Differential replay: drive the production control loop over fuzzed
+//! scenarios and check every invariant at every slot.
 //!
-//! [`replay_scenario`] runs one [`Scenario`] through an [`OwanEngine`]
-//! slot by slot — admitting requests, applying due failures via
-//! [`degrade_plant`], advancing transfers fluidly — and cross-checks each
-//! emitted plan with [`check_plan`] plus the transition between
-//! consecutive plans with [`check_timeline`]. [`fuzz`] sweeps seed ranges;
-//! on divergence the failing scenario is shrunk by [`minimize`] to a
-//! [`Reproducer`] — a seed plus the surviving request/failure indices,
-//! which regenerate the minimal case exactly (generation is
-//! deterministic).
+//! [`replay_scenario`] runs one [`Scenario`] through
+//! `owan_chaos::run_chaos` — the workspace's one failure loop — with zero
+//! detection delay and no injected op faults: the plain §3.4 controller,
+//! removing each failed fiber or site from its plant view as it strikes
+//! and recomputing. Every planned slot is audited by an
+//! [`InvariantAudit`]: the engine's own plan must be feasible on the true
+//! plant (a slot the loop had to fall back on is a `PlanError`),
+//! [`check_plan`](crate::check_plan) holds on it, and
+//! [`check_timeline`](crate::check_timeline) on the executed update into
+//! it. [`fuzz`] sweeps seed ranges; on divergence the failing scenario is
+//! shrunk by [`minimize`] to a [`Reproducer`] — a seed plus the surviving
+//! request/failure indices, which regenerate the minimal case exactly
+//! (generation is deterministic).
 
+use crate::audit::InvariantAudit;
+use crate::chaos::fault_and_repair;
 use crate::fuzz::Scenario;
-use crate::invariants::{check_plan, check_timeline};
-use owan_core::{
-    default_topology, AnnealConfig, OwanConfig, OwanEngine, SlotInput, SlotPlan, TrafficEngineer,
-    Transfer,
-};
+use owan_chaos::{restartable_owan, run_chaos_probed, ChaosConfig, FaultEvent, OpFaultModel};
 use owan_obs::Recorder;
-use owan_sim::{degrade_plant, plan_is_feasible, Failure};
-use owan_update::{plan_consistent, NetworkDelta, UpdateParams};
-
-const EPS: f64 = 1e-9;
+use owan_sim::Probes;
 
 /// Replay tunables. The defaults keep debug-mode replay of one scenario
 /// in the low tens of milliseconds so hundreds of seeds fit in a test.
@@ -31,15 +30,12 @@ pub struct ReplayConfig {
     /// replay shrinks it — the oracle checks hold for *any* iteration
     /// count).
     pub anneal_iterations: usize,
-    /// Also verify the update timeline between consecutive plans.
-    pub check_updates: bool,
 }
 
 impl Default for ReplayConfig {
     fn default() -> Self {
         ReplayConfig {
             anneal_iterations: 40,
-            check_updates: true,
         }
     }
 }
@@ -49,7 +45,7 @@ impl Default for ReplayConfig {
 pub struct ReplayFailure {
     /// Slot the violation surfaced in.
     pub slot: usize,
-    /// The violated invariant, rendered (`"LinkCapacity: ..."`).
+    /// The violated invariant, rendered (`"slot plan: LinkCapacity: ..."`).
     pub message: String,
 }
 
@@ -62,161 +58,57 @@ impl std::fmt::Display for ReplayFailure {
 /// What a clean replay covered.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayStats {
-    /// Slots executed.
+    /// Slots the controller planned in.
     pub slots: usize,
-    /// Plans checked with [`check_plan`].
+    /// Plans checked with [`check_plan`](crate::check_plan).
     pub plans_checked: usize,
-    /// Plan transitions checked with [`check_timeline`].
+    /// Executed updates checked with [`check_timeline`](crate::check_timeline).
     pub updates_checked: usize,
     /// Transfers that completed within the horizon.
     pub completed: usize,
 }
 
-/// Replays one scenario, checking every invariant at every slot.
+/// Replays one scenario, checking every invariant at every planned slot.
+/// The checks count on the probes' recorder, and a violation freezes the
+/// probes' scope (see [`InvariantAudit`]).
 pub fn replay_scenario(
     scenario: &Scenario,
     config: &ReplayConfig,
+    probes: &Probes,
 ) -> Result<ReplayStats, ReplayFailure> {
-    replay_scenario_observed(scenario, config, &Recorder::disabled())
-}
-
-/// [`replay_scenario`] with every invariant check counted on `recorder`
-/// (`oracle.invariant_checked` / `oracle.invariant_violated`). With a
-/// disabled recorder this is exactly [`replay_scenario`].
-pub fn replay_scenario_observed(
-    scenario: &Scenario,
-    config: &ReplayConfig,
-    recorder: &Recorder,
-) -> Result<ReplayStats, ReplayFailure> {
-    let checked = recorder.counter("oracle.invariant_checked");
-    let violated = recorder.counter("oracle.invariant_violated");
-    let theta = scenario.plant.params().wavelength_capacity_gbps;
-    let update_params = UpdateParams {
-        theta_gbps: theta,
-        circuit_time_s: scenario.plant.params().circuit_reconfig_time_s,
-        ..Default::default()
-    };
-    let owan_config = OwanConfig {
-        anneal: AnnealConfig {
-            max_iterations: config.anneal_iterations,
-            seed: scenario.seed.wrapping_add(1),
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut engine = OwanEngine::new(default_topology(&scenario.plant), owan_config);
-
-    let mut transfers: Vec<Transfer> = scenario
-        .requests
+    let events: Vec<FaultEvent> = scenario
+        .failures
         .iter()
-        .enumerate()
-        .map(|(id, r)| Transfer::from_request(id, r))
+        .map(|f| FaultEvent::at(f.time_s, fault_and_repair(f.failure).0))
         .collect();
-
-    let mut stats = ReplayStats::default();
-    let mut current_plant = scenario.plant.clone();
-    let mut applied = 0usize;
-    let mut prev_plan: Option<SlotPlan> = None;
-
-    for slot in 0..scenario.max_slots {
-        let now = slot as f64 * scenario.slot_len_s;
-        stats.slots = slot + 1;
-
-        // Apply failures due by this slot (mirrors `simulate_with_failures`).
-        let due = scenario
-            .failures
+    let chaos_config = ChaosConfig {
+        slot_len_s: scenario.slot_len_s,
+        max_slots: scenario.max_slots,
+        detection_delay_s: 0.0,
+        ..Default::default()
+    };
+    let mut audit = InvariantAudit::new(probes);
+    let result = run_chaos_probed(
+        &scenario.plant,
+        &scenario.requests,
+        &mut restartable_owan(config.anneal_iterations, scenario.seed),
+        &chaos_config,
+        &events,
+        &OpFaultModel::none(),
+        probes,
+        Some(&mut |a| audit.check_engine_plan(a)),
+    );
+    let result = result.map_err(|e| audit.failure(e))?;
+    Ok(ReplayStats {
+        slots: result.slots,
+        plans_checked: audit.plans_checked,
+        updates_checked: audit.updates_checked,
+        completed: result
+            .completions
             .iter()
-            .take_while(|e| e.time_s <= now + EPS)
-            .count();
-        if due > applied {
-            let active: Vec<Failure> = scenario.failures[..due].iter().map(|e| e.failure).collect();
-            current_plant = degrade_plant(&scenario.plant, &active);
-            applied = due;
-        }
-
-        let active: Vec<Transfer> = transfers
-            .iter()
-            .filter(|t| t.arrival_s <= now + EPS && !t.is_complete())
-            .cloned()
-            .collect();
-        let pending_future = transfers
-            .iter()
-            .any(|t| t.arrival_s > now + EPS && !t.is_complete());
-        if active.is_empty() && !pending_future {
-            break;
-        }
-
-        let plan = engine.plan_slot(
-            &current_plant,
-            &SlotInput {
-                transfers: &active,
-                slot_len_s: scenario.slot_len_s,
-                now_s: now,
-            },
-        );
-
-        // Oracle 1: the simulator's own feasibility gate.
-        checked.add(1);
-        if let Err(e) = plan_is_feasible(&plan, theta) {
-            violated.add(1);
-            return Err(ReplayFailure {
-                slot,
-                message: format!("PlanError: {e}"),
-            });
-        }
-        // Oracle 2: the full cross-layer invariant suite.
-        checked.add(1);
-        if let Err(v) = check_plan(&current_plant, &active, scenario.slot_len_s, &plan) {
-            violated.add(1);
-            return Err(ReplayFailure {
-                slot,
-                message: v.to_string(),
-            });
-        }
-        stats.plans_checked += 1;
-
-        // Oracle 3: the transition from the previous plan must stay
-        // blackhole-, loop-, and overload-free throughout the update.
-        if config.check_updates {
-            if let Some(prev) = &prev_plan {
-                let delta = NetworkDelta::from_plans(
-                    &prev.topology,
-                    &prev.allocations,
-                    &plan.topology,
-                    &plan.allocations,
-                    scenario.plant.params().wavelengths_per_fiber,
-                );
-                let update = plan_consistent(&delta, &update_params);
-                checked.add(1);
-                if let Err(v) = check_timeline(&delta, &update, &update_params) {
-                    violated.add(1);
-                    return Err(ReplayFailure {
-                        slot,
-                        message: v.to_string(),
-                    });
-                }
-                stats.updates_checked += 1;
-            }
-        }
-        prev_plan = Some(plan.clone());
-
-        // Fluid advance (rate efficiency 1, as in `sim::simulate`).
-        for alloc in &plan.allocations {
-            let rate = alloc.total_rate();
-            if rate <= EPS {
-                continue;
-            }
-            let t = &mut transfers[alloc.transfer];
-            if rate * scenario.slot_len_s + EPS >= t.remaining_gbits {
-                t.remaining_gbits = 0.0;
-            } else {
-                t.remaining_gbits -= rate * scenario.slot_len_s;
-            }
-        }
-    }
-
-    stats.completed = transfers.iter().filter(|t| t.is_complete()).count();
-    Ok(stats)
+            .filter(|c| c.completion_s.is_some())
+            .count(),
+    })
 }
 
 /// A minimized failing case: the seed plus the request/failure indices
@@ -316,7 +208,7 @@ pub fn minimize(scenario: &Scenario, config: &ReplayConfig) -> Reproducer {
     let base = Scenario::generate(scenario.seed);
 
     let still_fails = |req: &[usize], fail: &[usize]| -> Option<String> {
-        replay_scenario(&base.subset(req, fail), config)
+        replay_scenario(&base.subset(req, fail), config, &Probes::default())
             .err()
             .map(|f| f.message)
     };
@@ -385,25 +277,25 @@ pub struct FuzzStats {
     pub updates_checked: usize,
 }
 
-/// Replays `count` consecutive seeds starting at `start`. Returns stats on
-/// success, or the first failure minimized to a [`Reproducer`].
-pub fn fuzz(start: u64, count: u64, config: &ReplayConfig) -> Result<FuzzStats, Reproducer> {
-    fuzz_observed(start, count, config, &Recorder::disabled())
-}
-
-/// [`fuzz`] with every invariant check counted on `recorder`. The
-/// minimizer runs unobserved — its replays probe candidate subsets rather
-/// than verify, so counting them would inflate the check totals.
-pub fn fuzz_observed(
+/// Replays `count` consecutive seeds starting at `start`, counting every
+/// invariant check on `recorder`. Returns stats on success, or the first
+/// failure minimized to a [`Reproducer`]. The minimizer runs unobserved —
+/// its replays probe candidate subsets rather than verify, so counting
+/// them would inflate the check totals.
+pub fn fuzz(
     start: u64,
     count: u64,
     config: &ReplayConfig,
     recorder: &Recorder,
 ) -> Result<FuzzStats, Reproducer> {
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Default::default()
+    };
     let mut stats = FuzzStats::default();
     for seed in start..start + count {
         let scenario = Scenario::generate(seed);
-        match replay_scenario_observed(&scenario, config, recorder) {
+        match replay_scenario(&scenario, config, &probes) {
             Ok(s) => {
                 stats.seeds += 1;
                 stats.slots += s.slots;
@@ -423,7 +315,7 @@ mod tests {
     #[test]
     fn clean_seed_replays_ok() {
         let scenario = Scenario::generate(0);
-        let stats = replay_scenario(&scenario, &ReplayConfig::default())
+        let stats = replay_scenario(&scenario, &ReplayConfig::default(), &Probes::default())
             .unwrap_or_else(|f| panic!("seed 0 diverged: {f}"));
         assert!(stats.plans_checked > 0);
     }

@@ -5,12 +5,14 @@
 //! Seed count balances coverage against debug-mode runtime; the CI
 //! `chaos-long` job sweeps a much larger range.
 
+use owan_obs::Recorder;
 use owan_oracle::{fuzz_chaos, replay_chaos_scenario, ChaosReplayConfig, Scenario};
+use owan_sim::Probes;
 
 #[test]
 fn chaos_fuzz_sweep_is_clean() {
     let config = ChaosReplayConfig::default();
-    match fuzz_chaos(0, 25, &config) {
+    match fuzz_chaos(0, 25, &config, &Recorder::disabled()) {
         Ok(stats) => {
             assert_eq!(stats.scenarios, 25);
             assert!(stats.plans_checked > 0);
@@ -31,8 +33,8 @@ fn chaos_fuzz_sweep_is_clean() {
 fn chaos_replay_is_deterministic() {
     let scenario = Scenario::generate(12);
     let config = ChaosReplayConfig::default();
-    let a = replay_chaos_scenario(&scenario, &config).expect("clean");
-    let b = replay_chaos_scenario(&scenario, &config).expect("clean");
+    let a = replay_chaos_scenario(&scenario, &config, &Probes::default()).expect("clean");
+    let b = replay_chaos_scenario(&scenario, &config, &Probes::default()).expect("clean");
     assert_eq!(a.slots, b.slots);
     assert_eq!(a.plans_checked, b.plans_checked);
     assert_eq!(a.completed, b.completed);
@@ -51,7 +53,7 @@ fn heavier_op_faults_stay_invariant_clean() {
     };
     for seed in [2u64, 5, 9, 14] {
         let scenario = Scenario::generate(seed);
-        if let Err(f) = replay_chaos_scenario(&scenario, &config) {
+        if let Err(f) = replay_chaos_scenario(&scenario, &config, &Probes::default()) {
             panic!("seed {seed} violated under heavy op faults: {f}");
         }
     }

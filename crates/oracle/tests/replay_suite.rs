@@ -1,25 +1,32 @@
 //! The differential replay suite: seeded random request streams (with
-//! failure injection) are driven through the real controller with every
-//! cross-layer invariant checked at every slot, and deliberately corrupted
-//! plans must be rejected with the *named* invariant.
+//! failure injection) are driven through the production controller loop
+//! with every cross-layer invariant checked at every slot, and
+//! deliberately corrupted plans must be rejected with the *named*
+//! invariant.
 
-use owan_core::{default_topology, OwanConfig, OwanEngine, SlotInput, TrafficEngineer, Transfer};
+use owan_chaos::{run_chaos, ChaosConfig, OpFaultModel};
+use owan_core::{
+    default_topology, OwanConfig, OwanEngine, SlotInput, SlotPlan, TrafficEngineer, Transfer,
+};
+use owan_obs::Recorder;
+use owan_optical::FiberPlant;
 use owan_oracle::invariants::{check_plan, Invariant};
 use owan_oracle::replay::{fuzz, replay_scenario, ReplayConfig};
-use owan_oracle::Scenario;
+use owan_oracle::{InvariantAudit, Scenario};
+use owan_sim::Probes;
 
 /// The headline acceptance test: 200 seeded scenarios — small random
 /// plants, request streams, fiber cuts and site failures — replay through
-/// the annealing controller with `check_plan` on every slot plan and
-/// `check_timeline` on every plan-to-plan transition. Zero divergence
-/// allowed; any failure is minimized and printed as a reproducer.
+/// the annealing controller in `run_chaos` with `check_plan` on every
+/// slot plan and `check_timeline` on every executed update. Zero
+/// divergence allowed; any failure is minimized and printed as a
+/// reproducer.
 #[test]
 fn two_hundred_seeded_streams_replay_clean() {
     let config = ReplayConfig {
         anneal_iterations: 30,
-        check_updates: true,
     };
-    match fuzz(0, 200, &config) {
+    match fuzz(0, 200, &config, &Recorder::disabled()) {
         Ok(stats) => {
             assert_eq!(stats.seeds, 200);
             assert!(
@@ -151,11 +158,70 @@ fn genuine_plan_passes_then_corruptions_are_named() {
 fn replay_is_deterministic() {
     let config = ReplayConfig::default();
     for seed in [1, 17, 99] {
-        let a = replay_scenario(&Scenario::generate(seed), &config).unwrap();
-        let b = replay_scenario(&Scenario::generate(seed), &config).unwrap();
+        let a = replay_scenario(&Scenario::generate(seed), &config, &Probes::default()).unwrap();
+        let b = replay_scenario(&Scenario::generate(seed), &config, &Probes::default()).unwrap();
         assert_eq!(a.slots, b.slots);
         assert_eq!(a.plans_checked, b.plans_checked);
         assert_eq!(a.updates_checked, b.updates_checked);
         assert_eq!(a.completed, b.completed);
     }
+}
+
+/// An engine whose every plan oversubscribes a link: the first allocation
+/// of each plan gets 10 000 Gbps more on its first path.
+struct Overcommitting(OwanEngine);
+
+impl TrafficEngineer for Overcommitting {
+    fn name(&self) -> &str {
+        "overcommitting"
+    }
+
+    fn plan_slot(&mut self, plant: &FiberPlant, input: &SlotInput<'_>) -> SlotPlan {
+        let mut plan = self.0.plan_slot(plant, input);
+        if let Some(path) = plan
+            .allocations
+            .first_mut()
+            .and_then(|a| a.paths.first_mut())
+        {
+            path.1 += 10_000.0;
+        }
+        plan
+    }
+}
+
+/// The production loop recovers from an infeasible engine plan by falling
+/// back to the previous topology; the replay's audit must not let that
+/// recovery hide the engine bug: a replay-style run (zero detection
+/// delay, no op faults) fails as a `PlanError` at its first allocating
+/// slot.
+#[test]
+fn infeasible_engine_plan_is_a_named_violation() {
+    let (scenario, _, _) = plan_with_allocations();
+    let config = ChaosConfig {
+        slot_len_s: scenario.slot_len_s,
+        max_slots: scenario.max_slots,
+        detection_delay_s: 0.0,
+        ..Default::default()
+    };
+    let mut make_engine = |plant: &FiberPlant| -> Box<dyn TrafficEngineer> {
+        Box::new(Overcommitting(OwanEngine::new(
+            default_topology(plant),
+            OwanConfig::default(),
+        )))
+    };
+    let mut audit = InvariantAudit::new(&Probes::default());
+    let err = run_chaos(
+        &scenario.plant,
+        &scenario.requests,
+        &mut make_engine,
+        &config,
+        &[],
+        &OpFaultModel::none(),
+        &Recorder::disabled(),
+        Some(&mut |a| audit.check_engine_plan(a)),
+    )
+    .expect_err("the overcommitted plan must fail the audit");
+    let failure = audit.failure(err.clone());
+    assert!(failure.message.starts_with("PlanError: "), "{failure}");
+    assert!(err.contains(&failure.message), "{err}");
 }

@@ -14,14 +14,10 @@
 //! clock, read back rate allocations and the device operation schedule.
 
 use crate::sim::{CompletionRecord, PlanError};
-use crate::telemetry::{at_risk_count, SimTelemetry, SlotTelemetry};
 use owan_core::{SlotInput, SlotPlan, TrafficEngineer, Transfer, TransferRequest};
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
-use owan_update::{
-    plan_consistent_observed, plan_one_shot_observed, transition_scale, NetworkDelta, UpdateParams,
-    UpdateTelemetry,
-};
+use owan_update::{plan_consistent, plan_one_shot, transition_scale, NetworkDelta, UpdateParams};
 
 const EPS: f64 = 1e-9;
 
@@ -75,9 +71,6 @@ pub struct ControllerResult {
     /// (what the idealized simulator would have delivered on the same
     /// plans during the transition windows).
     pub transition_loss_gbits: f64,
-    /// Per-slot controller telemetry, present when the run was made with
-    /// a recording recorder (see [`run_controller_observed`]).
-    pub telemetry: Option<Vec<SlotTelemetry>>,
     /// Set when the engine emitted an infeasible plan: the slot it happened
     /// in and the violated feasibility condition. The run stops at that
     /// slot; transfers still pending are reported unfinished.
@@ -92,34 +85,15 @@ impl ControllerResult {
 }
 
 /// Runs the controller loop: admit → plan → schedule update → deliver.
+/// The engine runs with a disabled recorder.
 pub fn run_controller(
     plant: &FiberPlant,
     requests: &[TransferRequest],
     engine: &mut dyn TrafficEngineer,
     config: &ControllerConfig,
 ) -> ControllerResult {
-    run_controller_observed(plant, requests, engine, config, &Recorder::disabled())
-}
-
-/// [`run_controller`] with telemetry. Unlike [`crate::sim::simulate_observed`],
-/// the update planner here is on the real execution path (its schedule
-/// determines delivered volume), so the `stage.update` span times work
-/// the controller was doing anyway. Delivered results are identical to
-/// the unobserved run.
-pub fn run_controller_observed(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &ControllerConfig,
-    recorder: &Recorder,
-) -> ControllerResult {
     let theta = plant.params().wavelength_capacity_gbps;
-    engine.set_recorder(recorder.clone());
-    let telemetry = recorder.is_enabled().then(|| SimTelemetry::new(recorder));
-    let update_telemetry = telemetry
-        .as_ref()
-        .map_or_else(UpdateTelemetry::disabled, |t| t.update.clone());
-    let mut slot_rows: Vec<SlotTelemetry> = Vec::new();
+    engine.set_recorder(Recorder::disabled());
     let params = UpdateParams {
         theta_gbps: theta,
         circuit_time_s: plant.params().circuit_reconfig_time_s,
@@ -165,10 +139,6 @@ pub fn run_controller_observed(
             break;
         }
 
-        let slot_span = telemetry
-            .as_ref()
-            .map(|t| (t.slot_stage.enter(), t.stage_marks()));
-        let plan_start_ns = recorder.now_ns();
         let plan = engine.plan_slot(
             plant,
             &SlotInput {
@@ -177,14 +147,12 @@ pub fn run_controller_observed(
                 now_s: now,
             },
         );
-        let plan_ns = recorder.now_ns().saturating_sub(plan_start_ns);
         if let Err(e) = crate::sim::plan_is_feasible(&plan, theta) {
             plan_error = Some((slot, e));
             break;
         }
 
         // Schedule the transition from the previous state.
-        let mut slot_update_ops = 0usize;
         let (scale, loss) = match &prev_plan {
             Some(prev) => {
                 let delta = NetworkDelta::from_plans(
@@ -195,14 +163,9 @@ pub fn run_controller_observed(
                     plant.params().wavelengths_per_fiber,
                 );
                 let update = match config.discipline {
-                    UpdateDiscipline::Consistent => {
-                        plan_consistent_observed(&delta, &params, &update_telemetry)
-                    }
-                    UpdateDiscipline::OneShot => {
-                        plan_one_shot_observed(&delta, &params, &update_telemetry)
-                    }
+                    UpdateDiscipline::Consistent => plan_consistent(&delta, &params),
+                    UpdateDiscipline::OneShot => plan_one_shot(&delta, &params),
                 };
-                slot_update_ops = update.ops.len();
                 update_ops += update.ops.len();
                 transition_scale(
                     &delta,
@@ -218,14 +181,12 @@ pub fn run_controller_observed(
 
         // Deliver.
         let mut slot_delivered = 0.0;
-        let mut got_rate = vec![false; transfers.len()];
         for alloc in &plan.allocations {
             let rate_alloc = alloc.total_rate();
             let rate = rate_alloc * scale;
             if rate <= EPS {
                 continue;
             }
-            got_rate[alloc.transfer] = true;
             let t = &mut transfers[alloc.transfer];
             let rec = &mut records[alloc.transfer];
             if let Some(d) = t.deadline_s {
@@ -254,27 +215,6 @@ pub fn run_controller_observed(
             }
         }
         delivered_series.push((now, slot_delivered));
-
-        if let (Some(t), Some((span, marks))) = (&telemetry, slot_span) {
-            span.finish();
-            let (anneal_ns, circuits_ns, rates_ns, update_ns) = t.stage_marks().since(&marks);
-            let row = SlotTelemetry {
-                slot,
-                start_s: now,
-                active_transfers: active.len(),
-                queue_depth: active.iter().filter(|a| !got_rate[a.id]).count(),
-                at_risk: at_risk_count(&active, &plan, now),
-                plan_ns,
-                anneal_ns,
-                circuits_ns,
-                rates_ns,
-                update_ns,
-                update_ops: slot_update_ops,
-                throughput_gbps: plan.throughput_gbps,
-            };
-            t.publish_slot(&row);
-            slot_rows.push(row);
-        }
         prev_plan = Some(plan);
     }
 
@@ -288,7 +228,6 @@ pub fn run_controller_observed(
         makespan_s,
         update_ops,
         transition_loss_gbits,
-        telemetry: telemetry.map(|_| slot_rows),
         plan_error,
     }
 }

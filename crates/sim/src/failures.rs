@@ -8,23 +8,14 @@
 //! fails, we spawn a new instance, which starts to compute and reconfigure
 //! the network state at the next time slot."
 //!
-//! [`degrade_plant`] produces the post-failure physical network;
-//! [`simulate_with_failures`] drives an engine through a timeline of
-//! failure events, presenting the degraded plant from each event's slot on;
-//! [`simulate_with_restarts`] emulates the stateless controller failover by
-//! swapping in a fresh engine at chosen slot boundaries. Richer fault
-//! dynamics — repairs, detection delay, mid-slot blackholes, update-op
-//! faults — live in the `owan-chaos` crate, which builds on the same
+//! This module holds the failure model ([`Failure`], [`FailureEvent`]) and
+//! [`degrade_plant`], which produces the post-failure physical network.
+//! The loop that drives a controller through failures — detection delay,
+//! repairs, mid-slot blackholes, update-op faults and stateless crash
+//! restarts — is `owan_chaos::run_chaos`, which builds on these
 //! primitives.
 
-use crate::sim::{
-    drive_slots, EngineSource, PlantProvider, SimConfig, SimResult, SingleEngine, StaticPlant,
-};
-use owan_core::{TrafficEngineer, TransferRequest};
-use owan_obs::Recorder;
 use owan_optical::{FiberId, FiberPlant, SiteId};
-
-const EPS: f64 = 1e-9;
 
 /// A failure event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,160 +106,9 @@ pub fn degrade_plant_mapped(
     (out, map)
 }
 
-/// Folds a failure timeline into per-slot degraded plants.
-pub(crate) struct FailureTimelinePlant<'a> {
-    base: &'a FiberPlant,
-    /// Events sorted by time.
-    timeline: Vec<FailureEvent>,
-    applied: usize,
-    current: FiberPlant,
-}
-
-impl<'a> FailureTimelinePlant<'a> {
-    pub(crate) fn new(base: &'a FiberPlant, events: &[FailureEvent]) -> Self {
-        let mut timeline = events.to_vec();
-        timeline.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
-        FailureTimelinePlant {
-            base,
-            timeline,
-            applied: 0,
-            current: base.clone(),
-        }
-    }
-}
-
-impl PlantProvider for FailureTimelinePlant<'_> {
-    fn plant_at(&mut self, _slot: usize, now_s: f64) -> &FiberPlant {
-        let due = self
-            .timeline
-            .iter()
-            .take_while(|e| e.time_s <= now_s + EPS)
-            .count();
-        if due > self.applied {
-            let active: Vec<Failure> = self.timeline[..due].iter().map(|e| e.failure).collect();
-            self.current = degrade_plant(self.base, &active);
-            self.applied = due;
-        }
-        &self.current
-    }
-}
-
-/// Like [`crate::sim::simulate`] but with a failure timeline: from the slot
-/// containing each event onward, the engine sees the degraded plant.
-/// Transfers whose endpoints died can never finish and are reported
-/// unfinished.
-pub fn simulate_with_failures(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &SimConfig,
-    events: &[FailureEvent],
-) -> SimResult {
-    simulate_with_failures_observed(
-        plant,
-        requests,
-        engine,
-        config,
-        events,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`simulate_with_failures`] with telemetry: failure runs are traceable
-/// exactly like [`crate::sim::simulate_observed`] — per-slot `SlotTelemetry`
-/// rows, stage spans, and update-op counts land on the recorder.
-pub fn simulate_with_failures_observed(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &SimConfig,
-    events: &[FailureEvent],
-    recorder: &Recorder,
-) -> SimResult {
-    drive_slots(
-        plant,
-        requests,
-        &mut FailureTimelinePlant::new(plant, events),
-        &mut SingleEngine(engine),
-        config,
-        recorder,
-        &owan_scope::ScopeRecorder::disabled(),
-        &owan_core::Profiler::disabled(),
-        &owan_why::WhyRecorder::disabled(),
-    )
-}
-
-/// Swaps in a fresh engine at each slot in `restart_slots` (§3.4 stateless
-/// failover: a crashed controller's replacement recomputes from the stored
-/// plant + transfer set, carrying no in-memory state across the crash).
-struct RestartingEngines<'a> {
-    factory: &'a mut dyn FnMut() -> Box<dyn TrafficEngineer>,
-    /// Sorted restart boundaries.
-    restart_slots: Vec<usize>,
-    next_restart: usize,
-    current: Box<dyn TrafficEngineer>,
-}
-
-impl<'a> RestartingEngines<'a> {
-    fn new(factory: &'a mut dyn FnMut() -> Box<dyn TrafficEngineer>, restarts: &[usize]) -> Self {
-        let mut restart_slots = restarts.to_vec();
-        restart_slots.sort_unstable();
-        restart_slots.dedup();
-        let current = factory();
-        RestartingEngines {
-            factory,
-            restart_slots,
-            next_restart: 0,
-            current,
-        }
-    }
-}
-
-impl EngineSource for RestartingEngines<'_> {
-    fn engine_at(&mut self, slot: usize) -> &mut dyn TrafficEngineer {
-        let mut restarted = false;
-        while self.next_restart < self.restart_slots.len()
-            && self.restart_slots[self.next_restart] <= slot
-        {
-            restarted = true;
-            self.next_restart += 1;
-        }
-        if restarted {
-            self.current = (self.factory)();
-        }
-        self.current.as_mut()
-    }
-}
-
-/// Runs the workload with controller crashes at the given slot boundaries:
-/// at each slot in `restart_slots`, the engine is discarded and `factory`
-/// builds its stateless replacement. With an empty `restart_slots` this is
-/// exactly [`crate::sim::simulate`].
-pub fn simulate_with_restarts(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    factory: &mut dyn FnMut() -> Box<dyn TrafficEngineer>,
-    config: &SimConfig,
-    restart_slots: &[usize],
-) -> SimResult {
-    let mut engines = RestartingEngines::new(factory, restart_slots);
-    drive_slots(
-        plant,
-        requests,
-        &mut StaticPlant(plant),
-        &mut engines,
-        config,
-        &Recorder::disabled(),
-        &owan_scope::ScopeRecorder::disabled(),
-        &owan_core::Profiler::disabled(),
-        &owan_why::WhyRecorder::disabled(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use owan_core::{default_topology, OwanConfig, OwanEngine};
     use owan_optical::OpticalParams;
 
     fn plant() -> FiberPlant {
@@ -338,188 +178,5 @@ mod tests {
                 assert_eq!(d.fiber(*n).b, p.fiber(orig).b);
             }
         }
-    }
-
-    #[test]
-    fn owan_survives_fiber_cut() {
-        let p = plant();
-        let mut e = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let reqs = vec![TransferRequest {
-            src: 0,
-            dst: 2,
-            volume_gbits: 2_000.0,
-            arrival_s: 0.0,
-            deadline_s: None,
-        }];
-        let cfg = SimConfig {
-            slot_len_s: 100.0,
-            ..Default::default()
-        };
-        let events = [FailureEvent {
-            time_s: 150.0,
-            failure: Failure::FiberCut(0),
-        }];
-        let res = simulate_with_failures(&p, &reqs, &mut e, &cfg, &events);
-        assert!(
-            res.all_completed(),
-            "transfer should reroute around the cut"
-        );
-    }
-
-    #[test]
-    fn owan_survives_amp_degradation() {
-        let p = plant();
-        let mut e = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let reqs = vec![TransferRequest {
-            src: 0,
-            dst: 2,
-            volume_gbits: 2_000.0,
-            arrival_s: 0.0,
-            deadline_s: None,
-        }];
-        let cfg = SimConfig {
-            slot_len_s: 100.0,
-            ..Default::default()
-        };
-        let events = [FailureEvent {
-            time_s: 150.0,
-            failure: Failure::AmpDegraded {
-                fiber: 0,
-                usable: 1,
-            },
-        }];
-        let res = simulate_with_failures(&p, &reqs, &mut e, &cfg, &events);
-        assert!(res.all_completed(), "{res:?}");
-    }
-
-    #[test]
-    fn dead_destination_never_completes() {
-        let p = plant();
-        let mut e = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let reqs = vec![TransferRequest {
-            src: 0,
-            dst: 2,
-            volume_gbits: 100_000.0,
-            arrival_s: 0.0,
-            deadline_s: None,
-        }];
-        let cfg = SimConfig {
-            slot_len_s: 100.0,
-            max_slots: 50,
-            ..Default::default()
-        };
-        let events = [FailureEvent {
-            time_s: 0.0,
-            failure: Failure::SiteDown(2),
-        }];
-        let res = simulate_with_failures(&p, &reqs, &mut e, &cfg, &events);
-        assert!(!res.all_completed());
-        assert!(res.slots < 50, "simulation stops early instead of spinning");
-    }
-
-    #[test]
-    fn failure_run_carries_telemetry() {
-        let p = plant();
-        let mut e = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let reqs = vec![TransferRequest {
-            src: 0,
-            dst: 2,
-            volume_gbits: 2_000.0,
-            arrival_s: 0.0,
-            deadline_s: None,
-        }];
-        let cfg = SimConfig {
-            slot_len_s: 100.0,
-            ..Default::default()
-        };
-        let events = [FailureEvent {
-            time_s: 150.0,
-            failure: Failure::FiberCut(0),
-        }];
-        let recorder = Recorder::enabled();
-        let res = simulate_with_failures_observed(&p, &reqs, &mut e, &cfg, &events, &recorder);
-        assert!(res.all_completed());
-        let rows = res.telemetry.expect("observed run records telemetry");
-        // One row per planned slot (the final admission-only slot plans
-        // nothing and records no row).
-        assert_eq!(rows.len(), res.throughput_series.len());
-        assert!(!rows.is_empty());
-        assert!(rows.iter().all(|r| r.active_transfers >= 1));
-    }
-
-    #[test]
-    fn controller_failover_is_stateless() {
-        // §3.4: a restarted controller resumes from the stored physical
-        // network + transfer set. Run one engine for the whole workload
-        // and a crash-and-restart run split at slot 3: the replacement
-        // engine re-anneals from scratch, so individual plans may differ,
-        // but every transfer still completes and the makespan stays in the
-        // same ballpark (the restart costs at most a couple of slots of
-        // re-convergence, not the workload).
-        let p = plant();
-        let reqs = vec![
-            TransferRequest {
-                src: 0,
-                dst: 1,
-                volume_gbits: 800.0,
-                arrival_s: 0.0,
-                deadline_s: None,
-            },
-            TransferRequest {
-                src: 2,
-                dst: 3,
-                volume_gbits: 800.0,
-                arrival_s: 0.0,
-                deadline_s: None,
-            },
-        ];
-        let cfg = SimConfig {
-            slot_len_s: 100.0,
-            ..Default::default()
-        };
-        let mut continuous = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let res = crate::sim::simulate(&p, &reqs, &mut continuous, &cfg);
-        assert!(res.all_completed());
-
-        let mut factory = || -> Box<dyn TrafficEngineer> {
-            Box::new(OwanEngine::new(default_topology(&p), OwanConfig::default()))
-        };
-        let restarted = simulate_with_restarts(&p, &reqs, &mut factory, &cfg, &[3]);
-        assert!(
-            restarted.all_completed(),
-            "crash-and-restart run must still drain: {restarted:?}"
-        );
-        // The restarted controller may need a little re-convergence, but a
-        // stateless failover must not derail the run.
-        assert!(
-            restarted.makespan_s <= res.makespan_s + 2.0 * cfg.slot_len_s,
-            "restart cost too high: {} vs {}",
-            restarted.makespan_s,
-            res.makespan_s
-        );
-    }
-
-    #[test]
-    fn restart_with_no_boundaries_matches_plain_run() {
-        let p = plant();
-        let reqs = vec![TransferRequest {
-            src: 0,
-            dst: 2,
-            volume_gbits: 1_200.0,
-            arrival_s: 0.0,
-            deadline_s: None,
-        }];
-        let cfg = SimConfig {
-            slot_len_s: 100.0,
-            ..Default::default()
-        };
-        let mut plain_engine = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let plain = crate::sim::simulate(&p, &reqs, &mut plain_engine, &cfg);
-        let mut factory = || -> Box<dyn TrafficEngineer> {
-            Box::new(OwanEngine::new(default_topology(&p), OwanConfig::default()))
-        };
-        let restarted = simulate_with_restarts(&p, &reqs, &mut factory, &cfg, &[]);
-        assert_eq!(plain.completions, restarted.completions);
-        assert_eq!(plain.makespan_s, restarted.makespan_s);
     }
 }

@@ -4,8 +4,22 @@
 //!   paper's testbed methodology, §5.1),
 //! * [`metrics`] — completion time / deadline / makespan metrics,
 //! * [`runner`] — engine construction and parallel comparison sweeps,
-//! * [`failures`] — link/switch failure experiments (§3.4),
+//! * [`failures`] — the §3.4 failure model and the degraded plant it
+//!   yields (`owan-chaos` runs the failure experiments on it),
 //! * [`validate`] — the simulator-vs-testbed validation (§5.1).
+//!
+//! # Slot loops and their run context
+//!
+//! Two loops live here: [`simulate`] / [`simulate_probed`], the idealized
+//! fluid simulator the figures use, and [`run_controller`], which also
+//! charges each slot's update transition. Failures, repairs, detection
+//! delay and crash restarts (§3.4) are one more loop, `owan_chaos::run_chaos`.
+//!
+//! A loop reports into a [`Probes`] run context: the obs recorder, the
+//! flight recorder, the region profiler and the why recorder, all disabled
+//! by `Probes::default()`. A disabled probe changes no plan and no metric.
+//! `runner::run_engine{,_observed,_traced,_profiled,_explained}` build an
+//! engine by kind and run it through [`simulate_probed`].
 //!
 //! # Example: compare Owan against SWAN on the Internet2 testbed
 //!
@@ -41,20 +55,15 @@ pub mod sim;
 pub mod telemetry;
 pub mod validate;
 
-pub use controller::{
-    run_controller, run_controller_observed, ControllerConfig, ControllerResult, UpdateDiscipline,
-};
-pub use failures::{
-    degrade_plant, degrade_plant_mapped, simulate_with_failures, simulate_with_failures_observed,
-    simulate_with_restarts, Failure, FailureEvent,
-};
+pub use controller::{run_controller, ControllerConfig, ControllerResult, UpdateDiscipline};
+pub use failures::{degrade_plant, degrade_plant_mapped, Failure, FailureEvent};
 pub use runner::{
     make_engine, run_comparison, run_engine, run_engine_explained, run_engine_observed,
     run_engine_profiled, run_engine_traced, EngineKind, RunnerConfig,
 };
 pub use sim::{
-    build_scope_rows, plan_is_feasible, simulate, simulate_explained, simulate_observed,
-    simulate_profiled, simulate_traced, CompletionRecord, PlanError, SimConfig, SimResult,
+    build_scope_rows, plan_is_feasible, simulate, simulate_probed, CompletionRecord, PlanError,
+    Probes, SimConfig, SimResult,
 };
 pub use telemetry::SlotTelemetry;
 pub use validate::{validate_simulator, ValidationReport};

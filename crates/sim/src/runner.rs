@@ -1,10 +1,7 @@
 //! Experiment runner: constructs engines by name and drives whole
 //! comparison sweeps, optionally in parallel across engines/loads.
 
-use crate::sim::{
-    simulate, simulate_explained, simulate_observed, simulate_profiled, simulate_traced, SimConfig,
-    SimResult,
-};
+use crate::sim::{simulate, simulate_probed, Probes, SimConfig, SimResult};
 use owan_core::{
     default_topology, AnnealConfig, OwanConfig, OwanEngine, SchedulingPolicy, TrafficEngineer,
     TransferRequest,
@@ -66,10 +63,8 @@ pub struct RunnerConfig {
     pub sim: SimConfig,
     /// Tunnels per site pair for LP baselines.
     pub tunnels_k: usize,
-    /// Annealing iterations for Owan (per slot).
+    /// Annealing iterations for Owan (per slot; Fig 10(d) sweeps it).
     pub anneal_iterations: usize,
-    /// Optional wall-clock budget per annealing run (Fig 10(d) sweeps it).
-    pub anneal_time_budget_s: Option<f64>,
     /// Starvation guard threshold `t̂` for Owan's rate assignment (§3.2).
     pub starvation_threshold: u32,
     /// Annealing seed.
@@ -87,7 +82,6 @@ impl Default for RunnerConfig {
             sim: SimConfig::default(),
             tunnels_k: 4,
             anneal_iterations: 200,
-            anneal_time_budget_s: None,
             starvation_threshold: owan_core::RateAssignConfig::default().starvation_threshold,
             seed: 1,
             policy: SchedulingPolicy::ShortestJobFirst,
@@ -111,7 +105,6 @@ pub fn make_engine(
                 anneal: AnnealConfig {
                     max_iterations: config.anneal_iterations,
                     seed: config.seed,
-                    time_budget_s: config.anneal_time_budget_s,
                     ..Default::default()
                 },
                 rate: owan_core::RateAssignConfig {
@@ -151,9 +144,9 @@ pub fn run_engine(
     simulate(&network.plant, requests, engine.as_mut(), &config.sim)
 }
 
-/// [`run_engine`] with a telemetry recorder attached to the engine and
-/// the simulation loop. With a disabled recorder this is exactly
-/// [`run_engine`].
+/// [`run_engine`] through [`simulate_probed`] with a recorder attached.
+/// This and the next three shims exist for the benchmark's overhead rows;
+/// other callers build a [`Probes`] and call [`simulate_probed`].
 pub fn run_engine_observed(
     kind: EngineKind,
     network: &Network,
@@ -161,20 +154,21 @@ pub fn run_engine_observed(
     config: &RunnerConfig,
     recorder: &Recorder,
 ) -> SimResult {
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Default::default()
+    };
     let mut engine = make_engine(kind, network, config);
-    simulate_observed(
+    simulate_probed(
         &network.plant,
         requests,
         engine.as_mut(),
         &config.sim,
-        recorder,
+        &probes,
     )
 }
 
-/// [`run_engine_observed`] with a flight recorder attached: the scope
-/// collects per-transfer lifecycle state, per-slot flight frames, and
-/// the causal span timeline. With a disabled scope this is exactly
-/// [`run_engine_observed`].
+/// [`run_engine_observed`] with a flight recorder attached on top.
 pub fn run_engine_traced(
     kind: EngineKind,
     network: &Network,
@@ -183,19 +177,22 @@ pub fn run_engine_traced(
     recorder: &Recorder,
     scope: &owan_scope::ScopeRecorder,
 ) -> SimResult {
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope: scope.clone(),
+        ..Default::default()
+    };
     let mut engine = make_engine(kind, network, config);
-    simulate_traced(
+    simulate_probed(
         &network.plant,
         requests,
         engine.as_mut(),
         &config.sim,
-        recorder,
-        scope,
+        &probes,
     )
 }
 
-/// [`run_engine_traced`] with a region profiler attached on top. With a
-/// disabled profiler this is exactly [`run_engine_traced`].
+/// [`run_engine_traced`] with a region profiler attached on top.
 pub fn run_engine_profiled(
     kind: EngineKind,
     network: &Network,
@@ -205,22 +202,23 @@ pub fn run_engine_profiled(
     scope: &owan_scope::ScopeRecorder,
     prof: &owan_core::Profiler,
 ) -> SimResult {
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope: scope.clone(),
+        prof: prof.clone(),
+        ..Default::default()
+    };
     let mut engine = make_engine(kind, network, config);
-    simulate_profiled(
+    simulate_probed(
         &network.plant,
         requests,
         engine.as_mut(),
         &config.sim,
-        recorder,
-        scope,
-        prof,
+        &probes,
     )
 }
 
-/// [`run_engine_profiled`] with a why recorder attached on top: the
-/// recorder joins the other streams into per-transfer causal
-/// attribution and online SLO monitors. With a disabled why recorder
-/// this is exactly [`run_engine_profiled`].
+/// [`run_engine_profiled`] with a why recorder attached on top.
 #[allow(clippy::too_many_arguments)]
 pub fn run_engine_explained(
     kind: EngineKind,
@@ -232,16 +230,19 @@ pub fn run_engine_explained(
     prof: &owan_core::Profiler,
     why: &owan_why::WhyRecorder,
 ) -> SimResult {
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope: scope.clone(),
+        prof: prof.clone(),
+        why: why.clone(),
+    };
     let mut engine = make_engine(kind, network, config);
-    simulate_explained(
+    simulate_probed(
         &network.plant,
         requests,
         engine.as_mut(),
         &config.sim,
-        recorder,
-        scope,
-        prof,
-        why,
+        &probes,
     )
 }
 

@@ -107,7 +107,7 @@ pub struct SimResult {
     /// Slots simulated.
     pub slots: usize,
     /// Per-slot controller telemetry, present when the run was made with
-    /// a recording [`Recorder`] (see [`simulate_observed`]).
+    /// a recording [`Recorder`] (see [`simulate_probed`]).
     pub telemetry: Option<Vec<SlotTelemetry>>,
     /// Set when the engine emitted an infeasible plan: the slot it happened
     /// in and the violated feasibility condition. The run stops at that
@@ -205,41 +205,22 @@ pub fn plan_is_feasible(plan: &SlotPlan, theta: f64) -> Result<(), PlanError> {
     Ok(())
 }
 
-/// Supplies the plant the engine sees at each slot. The fault-free runs
-/// use a static plant; failure runs fold a timeline of events into
-/// progressively degraded plants ([`crate::failures`]). Centralizing the
-/// slot loop behind this trait keeps the failure path from drifting from
-/// the fault-free path.
-pub(crate) trait PlantProvider {
-    /// Plant presented to the engine for the slot starting at `now_s`.
-    fn plant_at(&mut self, slot: usize, now_s: f64) -> &FiberPlant;
-}
-
-/// A fixed plant for the whole run.
-pub(crate) struct StaticPlant<'a>(pub &'a FiberPlant);
-
-impl PlantProvider for StaticPlant<'_> {
-    fn plant_at(&mut self, _slot: usize, _now_s: f64) -> &FiberPlant {
-        self.0
-    }
-}
-
-/// Supplies the engine driving each slot. A fresh instance mid-run models
-/// a stateless controller restart (§3.4): the replacement recomputes from
-/// the stored plant + transfer set with no memory of its predecessor.
-pub(crate) trait EngineSource {
-    /// Engine for `slot`. Must be idempotent per slot (repeated calls with
-    /// the same slot return the same instance, not a fresh restart).
-    fn engine_at(&mut self, slot: usize) -> &mut dyn TrafficEngineer;
-}
-
-/// One engine for the whole run.
-pub(crate) struct SingleEngine<'a>(pub &'a mut dyn TrafficEngineer);
-
-impl EngineSource for SingleEngine<'_> {
-    fn engine_at(&mut self, _slot: usize) -> &mut dyn TrafficEngineer {
-        self.0
-    }
+/// The run context a slot loop reports into: the obs recorder (tier 1),
+/// the flight recorder (tier 2), the region profiler (tier 3) and the
+/// attribution/SLO collector (tier 4). `Probes::default()` disables all
+/// four, and a disabled handle changes no plan: every recording path is an
+/// early return (`tests/{observability,scope,prof,why}.rs` check each tier
+/// enabled and disabled).
+#[derive(Debug, Default)]
+pub struct Probes {
+    /// Counters, gauges and stage spans; attached to the engine.
+    pub recorder: Recorder,
+    /// Transfer lifecycle, flight frames, the causal span timeline.
+    pub scope: ScopeRecorder,
+    /// Region profiler; attached to the engine.
+    pub prof: Profiler,
+    /// Per-transfer attribution and online SLO monitors.
+    pub why: WhyRecorder,
 }
 
 /// Runs `engine` over `requests` on `plant` until every transfer completes
@@ -255,133 +236,42 @@ pub fn simulate(
     engine: &mut dyn TrafficEngineer,
     config: &SimConfig,
 ) -> SimResult {
-    simulate_observed(plant, requests, engine, config, &Recorder::disabled())
+    simulate_probed(plant, requests, engine, config, &Probes::default())
 }
 
-/// [`simulate`] with telemetry. When `recorder` is enabled the engine
-/// gets it attached (via [`TrafficEngineer::set_recorder`]), each slot is
-/// timed as a `stage.slot` span, and the result carries one
-/// [`SlotTelemetry`] row per slot. The update-scheduling stage is
-/// measured by running the consistent planner between consecutive plans
-/// purely for telemetry — the idealized simulator still delivers the full
-/// allocation, so the emitted `SlotPlan`s and all completion metrics are
-/// identical to the unobserved run (the determinism test in
-/// `tests/observability.rs` checks exactly this).
-pub fn simulate_observed(
+/// [`simulate`] reporting into `probes`: admission, feasibility gate,
+/// fluid delivery, deadline + starvation bookkeeping, per slot.
+///
+/// * An enabled recorder is attached to the engine (via
+///   [`TrafficEngineer::set_recorder`]), each slot is timed as a
+///   `stage.slot` span, and the result carries one [`SlotTelemetry`] row
+///   per slot. The update-scheduling stage is measured by running the
+///   consistent planner between consecutive plans purely for telemetry —
+///   the idealized simulator still delivers the full allocation.
+/// * An enabled scope gets per-transfer lifecycle rows, a flight frame
+///   per slot and the causal span timeline.
+/// * An enabled profiler is attached to the engine, and the loop wraps
+///   each slot and its telemetry-only update pass in `slot` / `update`
+///   regions.
+/// * An enabled why recorder is fed every slot (per-transfer rate
+///   samples, planning latency, throughput); a tripped SLO monitor
+///   freezes the flight recorder through [`ScopeRecorder::anomaly`].
+///
+/// Failures and controller restarts (§3.4) are `owan-chaos::run_chaos`'s
+/// job: this loop runs one engine on one plant.
+pub fn simulate_probed(
     plant: &FiberPlant,
     requests: &[TransferRequest],
     engine: &mut dyn TrafficEngineer,
     config: &SimConfig,
-    recorder: &Recorder,
+    probes: &Probes,
 ) -> SimResult {
-    simulate_traced(
-        plant,
-        requests,
-        engine,
-        config,
-        recorder,
-        &ScopeRecorder::disabled(),
-    )
-}
-
-/// [`simulate_observed`] with a flight recorder attached: per-transfer
-/// lifecycle tracking, per-slot flight frames, and the causal span
-/// timeline all land on `scope`. With a disabled scope this is exactly
-/// [`simulate_observed`] — the slot loop takes the same early-return
-/// path and allocates nothing extra.
-pub fn simulate_traced(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &SimConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-) -> SimResult {
-    simulate_profiled(
-        plant,
-        requests,
-        engine,
-        config,
-        recorder,
-        scope,
-        &Profiler::disabled(),
-    )
-}
-
-/// [`simulate_traced`] with a region profiler attached on top: the engine
-/// gets it via [`TrafficEngineer::set_profiler`], and the slot loop wraps
-/// each slot and its telemetry-only update-scheduling pass in `slot` /
-/// `update` regions. With a disabled profiler this is exactly
-/// [`simulate_traced`] — region opens cost one `Option` check.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_profiled(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &SimConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    prof: &Profiler,
-) -> SimResult {
-    simulate_explained(
-        plant,
-        requests,
-        engine,
-        config,
-        recorder,
-        scope,
-        prof,
-        &WhyRecorder::disabled(),
-    )
-}
-
-/// [`simulate_profiled`] with the tier-4 attribution/SLO collector on
-/// top: every slot is fed to `why` (per-transfer rate samples, planning
-/// latency, throughput), and a tripped SLO monitor freezes the flight
-/// recorder through the existing [`ScopeRecorder::anomaly`] path. With
-/// a disabled why recorder this is exactly [`simulate_profiled`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_explained(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &SimConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    prof: &Profiler,
-    why: &WhyRecorder,
-) -> SimResult {
-    drive_slots(
-        plant,
-        requests,
-        &mut StaticPlant(plant),
-        &mut SingleEngine(engine),
-        config,
+    let Probes {
         recorder,
         scope,
         prof,
         why,
-    )
-}
-
-/// The shared slot loop behind [`simulate_observed`],
-/// [`crate::failures::simulate_with_failures_observed`] and
-/// [`crate::failures::simulate_with_restarts`]: admission, feasibility
-/// gate, fluid delivery, deadline + starvation bookkeeping, telemetry.
-/// `base` supplies global parameters (θ, reconfiguration times); the plant
-/// each slot's engine actually sees comes from `plants`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_slots(
-    base: &FiberPlant,
-    requests: &[TransferRequest],
-    plants: &mut dyn PlantProvider,
-    engines: &mut dyn EngineSource,
-    config: &SimConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    prof: &Profiler,
-    why: &WhyRecorder,
-) -> SimResult {
+    } = probes;
     assert!(config.rate_efficiency > 0.0 && config.rate_efficiency <= 1.0);
     let scope_on = scope.is_enabled();
     if scope_on {
@@ -391,12 +281,13 @@ pub(crate) fn drive_slots(
     if why_on {
         why.begin_run(requests);
     }
-    let theta = base.params().wavelength_capacity_gbps;
-    let mut engine_name = engines.engine_at(0).name().to_string();
+    let theta = plant.params().wavelength_capacity_gbps;
+    engine.set_recorder(recorder.clone());
+    engine.set_profiler(prof.clone());
     let telemetry = recorder.is_enabled().then(|| SimTelemetry::new(recorder));
     let update_params = UpdateParams {
         theta_gbps: theta,
-        circuit_time_s: base.params().circuit_reconfig_time_s,
+        circuit_time_s: plant.params().circuit_reconfig_time_s,
         ..Default::default()
     };
     let mut slot_rows: Vec<SlotTelemetry> = Vec::new();
@@ -428,7 +319,6 @@ pub(crate) fn drive_slots(
     for slot in 0..config.max_slots {
         let now = slot as f64 * config.slot_len_s;
         slots = slot + 1;
-        let current_plant = plants.plant_at(slot, now);
 
         // Active = arrived and incomplete.
         let active: Vec<Transfer> = transfers
@@ -442,20 +332,15 @@ pub(crate) fn drive_slots(
         if active.is_empty() && !pending_future {
             break;
         }
-        // A workload stuck on portless endpoints (e.g. sites that died in
-        // a failure run) cannot drain; stop when no active transfer can
-        // make progress and nothing new will arrive.
-        let any_progress_possible = active.iter().any(|t| {
-            current_plant.router_ports(t.src) > 0 && current_plant.router_ports(t.dst) > 0
-        });
+        // A workload stuck on portless endpoints cannot drain; stop when
+        // no active transfer can make progress and nothing new will arrive.
+        let any_progress_possible = active
+            .iter()
+            .any(|t| plant.router_ports(t.src) > 0 && plant.router_ports(t.dst) > 0);
         if !any_progress_possible && !pending_future {
             break;
         }
 
-        let engine = engines.engine_at(slot);
-        engine.set_recorder(recorder.clone());
-        engine.set_profiler(prof.clone());
-        engine_name = engine.name().to_string();
         let slot_region = prof.region("slot");
         let slot_start_ns = recorder.now_ns();
         let slot_span = telemetry
@@ -463,7 +348,7 @@ pub(crate) fn drive_slots(
             .map(|t| (t.slot_stage.enter(), t.stage_marks()));
         let plan_start_ns = recorder.now_ns();
         let plan = engine.plan_slot(
-            current_plant,
+            plant,
             &SlotInput {
                 transfers: &active,
                 slot_len_s: config.slot_len_s,
@@ -491,7 +376,7 @@ pub(crate) fn drive_slots(
                     &prev.allocations,
                     &plan.topology,
                     &plan.allocations,
-                    base.params().wavelengths_per_fiber,
+                    plant.params().wavelengths_per_fiber,
                 );
                 plan_consistent_observed(&delta, &update_params, &t.update)
                     .ops
@@ -680,7 +565,7 @@ pub(crate) fn drive_slots(
     }
 
     SimResult {
-        engine: engine_name,
+        engine: engine.name().to_string(),
         completions: records,
         makespan_s,
         throughput_series,

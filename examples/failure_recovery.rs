@@ -3,10 +3,16 @@
 //! the network state; because Owan re-optimizes the optical layer every
 //! slot, the transfers reroute over surviving fibers.
 //!
+//! The run goes through `run_chaos`, the workspace's failure loop, with
+//! the cut detected the instant it strikes and no update-op faults: the
+//! plain controller of §3.4.
+//!
 //! Run with: `cargo run --release --example failure_recovery`
 
-use owan::core::{default_topology, OwanConfig, OwanEngine, TransferRequest};
-use owan::sim::{simulate_with_failures, Failure, FailureEvent, SimConfig};
+use owan::chaos::{run_chaos, ChaosConfig, FaultEvent, FaultKind, OpFaultModel};
+use owan::core::{default_topology, OwanConfig, OwanEngine, TrafficEngineer, TransferRequest};
+use owan::obs::Recorder;
+use owan::optical::FiberPlant;
 use owan::topo::internet2_wan;
 
 fn main() {
@@ -31,21 +37,34 @@ fn main() {
         .iter()
         .position(|f| (f.a == seat || f.b == seat) && (plant.site(f.other(seat)).name == "SALT"))
         .expect("SEAT-SALT fiber exists");
-    let events = [FailureEvent {
-        time_s: 1_200.0,
-        failure: Failure::FiberCut(cut),
-    }];
+    let events = [FaultEvent::at(1_200.0, FaultKind::FiberCut(cut))];
 
-    let mut engine = OwanEngine::new(default_topology(plant), OwanConfig::default());
-    let cfg = SimConfig {
+    let mut make_engine = |p: &FiberPlant| -> Box<dyn TrafficEngineer> {
+        Box::new(OwanEngine::new(default_topology(p), OwanConfig::default()))
+    };
+    let config = ChaosConfig {
         slot_len_s: 300.0,
+        detection_delay_s: 0.0,
         ..Default::default()
     };
-    let result = simulate_with_failures(plant, &requests, &mut engine, &cfg, &events);
+    let result = run_chaos(
+        plant,
+        &requests,
+        &mut make_engine,
+        &config,
+        &events,
+        &OpFaultModel::none(),
+        &Recorder::disabled(),
+        None,
+    )
+    .expect("no audit, no abort");
 
     println!("fiber SEAT-SALT cut at t=1200 s");
-    for (t, gbps) in &result.throughput_series {
-        println!("t={t:>6.0}s  allocated {gbps:>7.1} Gbps");
+    for (t, gbits) in &result.delivered_series {
+        println!(
+            "t={t:>6.0}s  delivered {:>7.1} Gbps",
+            gbits / config.slot_len_s
+        );
     }
     match result.completions[0].completion_s {
         Some(t) => println!("\nbackup completed at t={t:.0} s despite the cut"),

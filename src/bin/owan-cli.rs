@@ -53,24 +53,19 @@
 //! `cargo run --release --bin owan-cli -- --net internet2 --engine owan --load 1.5`
 
 use owan::chaos::{
-    run_attack_explained, run_chaos, run_chaos_explained, seeded_scenario, AttackOutcome,
-    AttackTimeline, ChaosConfig, ChaosResult, OpFaultModel, SlotAudit,
+    restartable_owan, run_attack, run_chaos_probed, seeded_scenario, AttackOutcome, AttackTimeline,
+    ChaosConfig, ChaosResult, FaultEvent, OpFaultModel,
 };
-use owan::core::{
-    default_topology, AnnealConfig, OwanConfig, OwanEngine, Profiler, SchedulingPolicy,
-    TrafficEngineer, TransferRequest,
-};
+use owan::core::{Profiler, SchedulingPolicy, TrafficEngineer, TransferRequest};
 use owan::obs::{format_counter_table, format_stage_table, Recorder};
 use owan::oracle::{
-    check_plan, check_timeline, fuzz_attack_observed, fuzz_chaos_observed, fuzz_seeds_observed,
-    replay_scenario_observed, ChaosReplayConfig, ReplayConfig, Reproducer, Scenario,
+    fuzz_attack, fuzz_chaos, fuzz_seeds, replay_scenario, ChaosReplayConfig, InvariantAudit,
+    ReplayConfig, Reproducer, Scenario,
 };
 use owan::scope::{render_top, FlightDump, MetricsServer, ScopeConfig, ScopeRecorder};
 use owan::sim::metrics::{self, SizeBin};
-use owan::sim::runner::{
-    run_engine_explained, run_engine_profiled, run_engine_traced, EngineKind, RunnerConfig,
-};
-use owan::sim::SimConfig;
+use owan::sim::runner::{make_engine, EngineKind, RunnerConfig};
+use owan::sim::{simulate_probed, Probes, SimConfig, SimResult};
 use owan::topo::{inter_dc, internet2_testbed, isp_backbone, Network};
 use owan::why::{render_explain, render_slo, SloConfig, WhyConfig, WhyRecorder, WhyReport};
 use owan::workload::attack::{
@@ -336,6 +331,26 @@ fn build_network(cmd: &str, name: &str) -> Network {
     }
 }
 
+/// Parses `--sigma`, naming the command on a malformed value.
+fn parse_sigma(args: &Args, cmd: &str) -> Option<f64> {
+    args.get("--sigma").map(|raw| {
+        raw.parse().unwrap_or_else(|_| {
+            eprintln!("owan-cli{cmd}: invalid value '{raw}' for --sigma");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// The §5.1 workload generator configuration for a named network: the
+/// testbed arrival model on `internet2`, the simulation model elsewhere.
+fn workload_config(net_name: &str, load: f64, seed: u64) -> WorkloadConfig {
+    if net_name == "internet2" {
+        WorkloadConfig::testbed(load, seed)
+    } else {
+        WorkloadConfig::simulation(load, seed)
+    }
+}
+
 /// Writes the recorder snapshot as JSON Lines to `path` (if set).
 fn write_obs(cmd: &str, recorder: &Recorder, path: &Option<String>) {
     let Some(path) = path else { return };
@@ -357,17 +372,17 @@ fn write_obs(cmd: &str, recorder: &Recorder, path: &Option<String>) {
     );
 }
 
-/// Writes the scope's Chrome trace to `path` (if set). An enabled
-/// profiler's retained spans are merged into the same trace (category
-/// `prof`).
-fn write_trace(
-    cmd: &str,
-    scope: &ScopeRecorder,
-    recorder: &Recorder,
-    prof: &Profiler,
-    path: &Option<String>,
-) {
+/// Writes the probes' Chrome trace to `path` (if set): the scope's
+/// causal timeline, with an enabled profiler's retained spans merged into
+/// the same trace (category `prof`).
+fn write_trace(cmd: &str, probes: &Probes, path: &Option<String>) {
     let Some(path) = path else { return };
+    let Probes {
+        recorder,
+        scope,
+        prof,
+        ..
+    } = probes;
     let snapshot = recorder.is_enabled().then(|| recorder.snapshot());
     let mut out: Vec<u8> = Vec::new();
     let prof_spans = if prof.is_enabled() {
@@ -427,12 +442,7 @@ fn run_setup(args: &Args) -> RunSetup {
     };
 
     let load = args.parse("--load", 1.0f64);
-    let sigma: Option<f64> = args.get("--sigma").map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("owan-cli: invalid value '{raw}' for --sigma");
-            std::process::exit(2);
-        })
-    });
+    let sigma = parse_sigma(args, "");
     let slot = args.parse("--slot", 300.0f64);
     let duration = args.parse("--duration", 7_200.0f64);
     let seed = args.parse("--seed", 42u64);
@@ -440,11 +450,7 @@ fn run_setup(args: &Args) -> RunSetup {
     let chains = args.parse("--chains", 1usize);
     let max_requests = args.parse("--max-requests", usize::MAX);
 
-    let mut wl = if net_name == "internet2" {
-        WorkloadConfig::testbed(load, seed)
-    } else {
-        WorkloadConfig::simulation(load, seed)
-    };
+    let mut wl = workload_config(&net_name, load, seed);
     wl.duration_s = duration;
     if net_name == "interdc" {
         wl = wl.with_hotspots();
@@ -484,6 +490,192 @@ fn run_setup(args: &Args) -> RunSetup {
         slot,
         seed,
         iters,
+    }
+}
+
+impl RunSetup {
+    /// Runs the configured engine over the workload through the idealized
+    /// slot loop, reporting into `probes`.
+    fn run(&self, probes: &Probes) -> SimResult {
+        let mut engine = make_engine(self.kind, &self.network, &self.cfg);
+        simulate_probed(
+            &self.network.plant,
+            &self.requests,
+            engine.as_mut(),
+            &self.cfg.sim,
+            probes,
+        )
+    }
+}
+
+/// The seeded chaos scenario that `chaos`, `explain --chaos` and
+/// `slo --chaos` run, and the one format a chaos flight dump names it in:
+/// [`ChaosScenario::stamp`] writes the options into the dump's metadata
+/// and [`ChaosScenario::from_meta`] reads them back for `verify --replay`.
+struct ChaosScenario {
+    net_name: String,
+    network: Network,
+    seed: u64,
+    load: f64,
+    sigma: Option<f64>,
+    slot: f64,
+    slots: usize,
+    iters: usize,
+    detect: f64,
+    timeout_prob: f64,
+    fail_prob: f64,
+    /// Flight-recorder ring depth, slots.
+    scope_slots: usize,
+    /// The SLO monitors, when the why recorder is attached.
+    slo: Option<SloConfig>,
+}
+
+/// What a [`ChaosScenario`] runs on the network's plant.
+struct ChaosInputs {
+    requests: Vec<TransferRequest>,
+    events: Vec<FaultEvent>,
+    op_faults: OpFaultModel,
+    config: ChaosConfig,
+}
+
+impl ChaosScenario {
+    /// Reads the chaos options; the caller sets [`ChaosScenario::slo`].
+    fn from_args(args: &Args, cmd: &str) -> Self {
+        let net_name = args.get("--net").unwrap_or("internet2").to_string();
+        ChaosScenario {
+            network: build_network(cmd, &net_name),
+            net_name,
+            seed: args.parse("--seed", 42u64),
+            load: args.parse("--load", 1.0f64),
+            sigma: parse_sigma(args, cmd),
+            slot: args.parse("--slot", 300.0f64),
+            slots: args.parse("--slots", 60usize),
+            iters: args.parse("--iters", 60usize),
+            detect: args.parse("--detect", 30.0f64),
+            timeout_prob: args.parse("--timeout-prob", 0.1f64),
+            fail_prob: args.parse("--fail-prob", 0.05f64),
+            scope_slots: args.parse("--scope-slots", 16usize),
+            slo: None,
+        }
+    }
+
+    /// Rebuilds the scenario a chaos flight dump at `path` was recorded
+    /// under; a dump without `iters:` replays at `iters`. Exits 2 naming
+    /// the key when one is missing or malformed.
+    fn from_meta(dump: &FlightDump, path: &str, iters: usize) -> Self {
+        fn get<T: std::str::FromStr>(dump: &FlightDump, path: &str, key: &str) -> Option<T> {
+            let raw = dump.meta.get(key)?;
+            Some(raw.parse().unwrap_or_else(|_| {
+                eprintln!("owan-cli verify: flight dump '{path}': bad `{key}: {raw}`");
+                std::process::exit(2);
+            }))
+        }
+        fn need<T: std::str::FromStr>(dump: &FlightDump, path: &str, key: &str) -> T {
+            get(dump, path, key).unwrap_or_else(|| {
+                eprintln!("owan-cli verify: flight dump '{path}' missing `{key}:` metadata");
+                std::process::exit(2);
+            })
+        }
+        let mode: String = need(dump, path, "mode");
+        if mode != "chaos" {
+            eprintln!(
+                "owan-cli verify: flight dump '{path}' has mode '{mode}'; only chaos dumps replay"
+            );
+            std::process::exit(2);
+        }
+        let net_name: String = need(dump, path, "net");
+        // `slo_window` marks a dump whose run had the why recorder
+        // attached; rebuilding the same monitors lets an SLO-tripped
+        // freeze reproduce its anomaly (and so the dump) exactly.
+        let slo = get(dump, path, "slo_window").map(|burn_window_slots| SloConfig {
+            burn_window_slots,
+            burn_threshold: get(dump, path, "slo_burn"),
+            plan_p99_ms: get(dump, path, "slo_p99_ms"),
+            deficit_gbits: get(dump, path, "slo_deficit"),
+            ..Default::default()
+        });
+        ChaosScenario {
+            network: build_network(" verify", &net_name),
+            net_name,
+            seed: need(dump, path, "seed"),
+            load: need(dump, path, "load"),
+            sigma: get(dump, path, "sigma"),
+            slot: need(dump, path, "slot_len_s"),
+            slots: need(dump, path, "slots"),
+            iters: get(dump, path, "iters").unwrap_or(iters),
+            detect: need(dump, path, "detect_s"),
+            timeout_prob: need(dump, path, "timeout_prob"),
+            fail_prob: need(dump, path, "fail_prob"),
+            scope_slots: need(dump, path, "scope_slots"),
+            slo,
+        }
+    }
+
+    /// Writes the scenario into `scope`'s metadata under the keys
+    /// [`ChaosScenario::from_meta`] reads.
+    fn stamp(&self, scope: &ScopeRecorder) {
+        scope.set_meta("mode", "chaos");
+        scope.set_meta("net", &self.net_name);
+        scope.set_meta("seed", self.seed);
+        scope.set_meta("load", self.load);
+        if let Some(s) = self.sigma {
+            scope.set_meta("sigma", s);
+        }
+        scope.set_meta("slot_len_s", self.slot);
+        scope.set_meta("slots", self.slots);
+        scope.set_meta("iters", self.iters);
+        scope.set_meta("detect_s", self.detect);
+        scope.set_meta("timeout_prob", self.timeout_prob);
+        scope.set_meta("fail_prob", self.fail_prob);
+        scope.set_meta("scope_slots", self.scope_slots);
+        if let Some(slo) = &self.slo {
+            stamp_slo_meta(scope, slo);
+        }
+    }
+
+    /// A flight recorder for the scenario, stamped, dumping to
+    /// `dump_path` when set.
+    fn scope(&self, dump_path: Option<&String>) -> ScopeRecorder {
+        let scope = ScopeRecorder::enabled(ScopeConfig {
+            flight_slots: self.scope_slots,
+            dump_path: dump_path.map(PathBuf::from),
+        });
+        self.stamp(&scope);
+        scope
+    }
+
+    /// The why recorder the scenario's SLO monitors run in, hosted on
+    /// `recorder`; disabled when no monitor is attached.
+    fn why(&self, recorder: &Recorder) -> WhyRecorder {
+        match &self.slo {
+            Some(slo) => WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, recorder),
+            None => WhyRecorder::disabled(),
+        }
+    }
+
+    /// Generates the workload, the seeded fault timeline and op-fault
+    /// model, and the loop configuration.
+    fn inputs(&self) -> ChaosInputs {
+        let mut wl = workload_config(&self.net_name, self.load, self.seed);
+        if let Some(s) = self.sigma {
+            wl = wl.with_deadlines(self.slot, s);
+        }
+        let horizon = self.slot * self.slots as f64;
+        ChaosInputs {
+            requests: generate(&self.network, &wl),
+            events: seeded_scenario(&self.network.plant, self.seed, horizon),
+            op_faults: OpFaultModel {
+                seed: self.seed,
+                timeout_prob: self.timeout_prob,
+                fail_prob: self.fail_prob,
+            },
+            config: ChaosConfig {
+                slot_len_s: self.slot,
+                max_slots: self.slots,
+                detection_delay_s: self.detect,
+                ..Default::default()
+            },
+        }
     }
 }
 
@@ -554,12 +746,29 @@ fn stamp_slo_meta(scope: &ScopeRecorder, slo: &SloConfig) {
     }
 }
 
+/// Writes the profiler's folded stacks to `path` (if set and profiling).
+fn write_folded(cmd: &str, prof: &Profiler, path: &Option<String>) {
+    let Some(path) = path else { return };
+    if !prof.is_enabled() {
+        return;
+    }
+    let mut out: Vec<u8> = Vec::new();
+    prof.write_folded(&mut out)
+        .expect("serializing to memory cannot fail");
+    if let Err(e) = std::fs::write(path, &out) {
+        eprintln!("owan-cli{cmd}: cannot write --prof file '{path}': {e}");
+        std::process::exit(1);
+    }
+    eprintln!(
+        "wrote folded stacks to {path} ({} lines)",
+        out.iter().filter(|&&b| b == b'\n').count()
+    );
+}
+
 /// Everything `explain` and `slo` need back from a why-recorded run.
 struct WhyRun {
     report: WhyReport,
-    recorder: Recorder,
-    scope: ScopeRecorder,
-    prof: Profiler,
+    probes: Probes,
     /// The export flags the run options advertise: `--scope-trace`,
     /// `--prof` and `--obs`.
     scope_trace: Option<String>,
@@ -575,110 +784,49 @@ struct WhyRun {
 fn why_run(args: &Args, cmd: &str) -> WhyRun {
     let recorder = Recorder::enabled();
     let slo = slo_from_args(args);
-    let why = WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, &recorder);
     let scope_trace = args.get("--scope-trace").map(str::to_string);
     let prof_path = args.get("--prof").map(str::to_string);
     let obs_path = args.get("--obs").map(str::to_string);
 
-    let (scope, prof);
+    let probes;
     if args.flag("--chaos") {
-        let net_name = args.get("--net").unwrap_or("internet2").to_string();
-        let network = build_network(cmd, &net_name);
-        let seed = args.parse("--seed", 42u64);
-        let load = args.parse("--load", 1.0f64);
-        let sigma: Option<f64> = args.get("--sigma").map(|raw| {
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("owan-cli{cmd}: invalid value '{raw}' for --sigma");
-                std::process::exit(2);
-            })
-        });
-        let slot = args.parse("--slot", 300.0f64);
-        let slots = args.parse("--slots", 60usize);
-        let iters = args.parse("--iters", 60usize);
-        let detect = args.parse("--detect", 30.0f64);
-        let timeout_prob = args.parse("--timeout-prob", 0.1f64);
-        let fail_prob = args.parse("--fail-prob", 0.05f64);
-
-        let mut wl = if net_name == "internet2" {
-            WorkloadConfig::testbed(load, seed)
-        } else {
-            WorkloadConfig::simulation(load, seed)
-        };
-        if let Some(s) = sigma {
-            wl = wl.with_deadlines(slot, s);
-        }
-        let requests = generate(&network, &wl);
-        let plant = network.plant;
-        let events = seeded_scenario(&plant, seed, slot * slots as f64);
-        let op_faults = OpFaultModel {
-            seed,
-            timeout_prob,
-            fail_prob,
-        };
-        let config = ChaosConfig {
-            slot_len_s: slot,
-            max_slots: slots,
-            detection_delay_s: detect,
-            ..Default::default()
-        };
-        let mut make_engine = |p: &owan::optical::FiberPlant| {
-            let owan_config = OwanConfig {
-                anneal: AnnealConfig {
-                    max_iterations: iters,
-                    seed: seed.wrapping_add(1),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-        };
-
-        prof = Profiler::disabled();
+        let mut scenario = ChaosScenario::from_args(args, cmd);
+        scenario.slo = Some(slo);
         let dump_path = args.get("--scope-dump").map(str::to_string);
         let scope_on = args.flag("--scope") || dump_path.is_some() || scope_trace.is_some();
-        let flight_slots = args.parse("--scope-slots", 16usize);
         args.reject_unread(cmd);
-        scope = if scope_on {
-            let scope = ScopeRecorder::enabled(ScopeConfig {
-                flight_slots,
-                dump_path: dump_path.map(PathBuf::from),
-            });
-            scope.set_meta("mode", "chaos");
-            scope.set_meta("net", &net_name);
-            scope.set_meta("seed", seed);
-            scope.set_meta("load", load);
-            if let Some(s) = sigma {
-                scope.set_meta("sigma", s);
-            }
-            scope.set_meta("slot_len_s", slot);
-            scope.set_meta("slots", slots);
-            scope.set_meta("iters", iters);
-            scope.set_meta("detect_s", detect);
-            scope.set_meta("timeout_prob", timeout_prob);
-            scope.set_meta("fail_prob", fail_prob);
-            scope.set_meta("scope_slots", flight_slots);
-            stamp_slo_meta(&scope, &slo);
-            scope
-        } else {
-            ScopeRecorder::disabled()
+        let ChaosInputs {
+            requests,
+            events,
+            op_faults,
+            config,
+        } = scenario.inputs();
+        probes = Probes {
+            scope: if scope_on {
+                scenario.scope(dump_path.as_ref())
+            } else {
+                ScopeRecorder::disabled()
+            },
+            why: scenario.why(&recorder),
+            recorder,
+            ..Default::default()
         };
-
         eprintln!(
-            "owan-cli{cmd}: chaos {net_name}, {} transfers, {} fault events, \
-             {slots} slots of {slot}s",
+            "owan-cli{cmd}: chaos {}, {} transfers, {} fault events, {} slots of {}s",
+            scenario.net_name,
             requests.len(),
-            events.len()
+            events.len(),
+            scenario.slots,
+            scenario.slot
         );
-        if let Err(e) = run_chaos_explained(
-            &plant,
+        if let Err(e) = run_chaos_probed(
+            &scenario.network.plant,
             &requests,
-            &mut make_engine,
+            &mut restartable_owan(scenario.iters, scenario.seed),
             &config,
             &events,
             &op_faults,
-            &recorder,
-            &scope,
-            &why,
+            &probes,
             None,
         ) {
             eprintln!("owan-cli{cmd}: FAIL: {e}");
@@ -686,9 +834,8 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
         }
     } else {
         let setup = run_setup(args);
-        scope = scope_from_args(args, &setup, "sim", false);
+        let scope = scope_from_args(args, &setup, "sim", false);
         args.reject_unread(cmd);
-        prof = Profiler::enabled();
         eprintln!(
             "owan-cli{cmd}: {} on {}, {} transfers, load {}, slot {}s",
             setup.engine_name,
@@ -697,31 +844,26 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
             setup.load,
             setup.slot
         );
-        run_engine_explained(
-            setup.kind,
-            &setup.network,
-            &setup.requests,
-            &setup.cfg,
-            &recorder,
-            &scope,
-            &prof,
-            &why,
-        );
+        probes = Probes {
+            why: WhyRecorder::enabled(WhyConfig { slo }, &recorder),
+            recorder,
+            scope,
+            prof: Profiler::enabled(),
+        };
+        setup.run(&probes);
     }
 
-    if prof.is_enabled() {
-        why.attach_prof(&prof.snapshot());
+    if probes.prof.is_enabled() {
+        probes.why.attach_prof(&probes.prof.snapshot());
     }
-    why.attach_obs(&recorder.snapshot());
-    let report = why.report().unwrap_or_else(|| {
+    probes.why.attach_obs(&probes.recorder.snapshot());
+    let report = probes.why.report().unwrap_or_else(|| {
         eprintln!("owan-cli{cmd}: the run recorded no slots");
         std::process::exit(1);
     });
     WhyRun {
         report,
-        recorder,
-        scope,
-        prof,
+        probes,
         scope_trace,
         prof_path,
         obs_path,
@@ -731,26 +873,11 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
 /// Shared tail of `explain` / `slo`: honor the export flags the run
 /// options advertise (`--scope-trace`, `--prof`, `--obs`).
 fn why_run_exports(cmd: &str, run: &WhyRun) {
-    if run.scope.is_enabled() {
-        write_trace(cmd, &run.scope, &run.recorder, &run.prof, &run.scope_trace);
+    if run.probes.scope.is_enabled() {
+        write_trace(cmd, &run.probes, &run.scope_trace);
     }
-    if let Some(path) = &run.prof_path {
-        if run.prof.is_enabled() {
-            let mut out: Vec<u8> = Vec::new();
-            run.prof
-                .write_folded(&mut out)
-                .expect("serializing to memory cannot fail");
-            if let Err(e) = std::fs::write(path, &out) {
-                eprintln!("owan-cli{cmd}: cannot write --prof file '{path}': {e}");
-                std::process::exit(1);
-            }
-            eprintln!(
-                "wrote folded stacks to {path} ({} lines)",
-                out.iter().filter(|&&b| b == b'\n').count()
-            );
-        }
-    }
-    write_obs(cmd, &run.recorder, &run.obs_path);
+    write_folded(cmd, &run.probes.prof, &run.prof_path);
+    write_obs(cmd, &run.probes.recorder, &run.obs_path);
 }
 
 /// `owan-cli explain`: re-run the scenario with the why recorder joined
@@ -805,7 +932,6 @@ fn verify_main(args: &Args) -> ! {
     let iters = args.parse("--iters", 40usize);
     let config = ReplayConfig {
         anneal_iterations: iters,
-        check_updates: true,
     };
     let out_path = args.get("--out").map(str::to_string);
     let obs_path = args.get("--obs").map(str::to_string);
@@ -824,6 +950,10 @@ fn verify_main(args: &Args) -> ! {
         Recorder::enabled()
     } else {
         Recorder::disabled()
+    };
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Default::default()
     };
 
     let fail = |message: &str, repro: Option<&Reproducer>| -> ! {
@@ -864,7 +994,7 @@ fn verify_main(args: &Args) -> ! {
             scenario.requests.len(),
             scenario.failures.len()
         );
-        match replay_scenario_observed(&scenario, &config, &recorder) {
+        match replay_scenario(&scenario, &config, &probes) {
             Ok(stats) => {
                 println!(
                     "OK: seed {} replayed clean ({} slots, {} plans, {} transitions checked)",
@@ -879,12 +1009,7 @@ fn verify_main(args: &Args) -> ! {
 
     if let Some(net_name) = net_name {
         let network = build_network(" verify", net_name);
-        let wl = if net_name == "internet2" {
-            WorkloadConfig::testbed(load, seed)
-        } else {
-            WorkloadConfig::simulation(load, seed)
-        };
-        let requests = generate(&network, &wl);
+        let requests = generate(&network, &workload_config(net_name, load, seed));
         eprintln!(
             "verifying {net_name}: {} transfers, {slots} slots of {slot_len}s, {iters} anneal iters",
             requests.len()
@@ -897,7 +1022,7 @@ fn verify_main(args: &Args) -> ! {
             slot_len_s: slot_len,
             max_slots: slots,
         };
-        match replay_scenario_observed(&scenario, &config, &recorder) {
+        match replay_scenario(&scenario, &config, &probes) {
             Ok(stats) => {
                 println!(
                     "OK: {net_name} replayed clean ({} slots, {} plans, {} transitions checked, \
@@ -923,7 +1048,7 @@ fn verify_main(args: &Args) -> ! {
             anneal_iterations: iters,
             ..Default::default()
         };
-        match fuzz_attack_observed(start, count, &chaos_config, &recorder) {
+        match fuzz_attack(start, count, &chaos_config, &recorder) {
             Ok(stats) => {
                 println!(
                     "OK: {} attack scenarios replayed clean ({} slots, {} plans, {} update \
@@ -952,7 +1077,7 @@ fn verify_main(args: &Args) -> ! {
             anneal_iterations: iters,
             ..Default::default()
         };
-        match fuzz_chaos_observed(start, count, &chaos_config, &recorder) {
+        match fuzz_chaos(start, count, &chaos_config, &recorder) {
             Ok(stats) => {
                 println!(
                     "OK: {} chaos scenarios replayed clean ({} slots, {} plans, {} update \
@@ -975,7 +1100,7 @@ fn verify_main(args: &Args) -> ! {
         "fuzzing seeds {start}..{} with {iters} anneal iters",
         start + count
     );
-    match fuzz_seeds_observed(start, count, &config, &recorder) {
+    match fuzz_seeds(start, count, &config, &recorder) {
         Ok(stats) => {
             println!(
                 "OK: {} seeds replayed clean ({} slots, {} plans, {} transitions checked)",
@@ -1005,151 +1130,52 @@ fn replay_flight_dump(
         eprintln!("owan-cli verify: malformed flight dump '{path}': {e}");
         std::process::exit(2);
     });
-    let meta = |key: &str| -> String {
-        dump.meta.get(key).cloned().unwrap_or_else(|| {
-            eprintln!("owan-cli verify: flight dump '{path}' missing `{key}:` metadata");
-            std::process::exit(2);
-        })
-    };
-    let parse = |key: &str, raw: &str| -> f64 {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("owan-cli verify: flight dump '{path}': bad `{key}: {raw}`");
-            std::process::exit(2);
-        })
-    };
-    let mode = meta("mode");
-    if mode != "chaos" {
-        eprintln!(
-            "owan-cli verify: flight dump '{path}' has mode '{mode}'; only chaos dumps replay"
-        );
-        std::process::exit(2);
-    }
-    let net_name = meta("net");
-    let seed = parse("seed", &meta("seed")) as u64;
-    let load = parse("load", &meta("load"));
-    let slot = parse("slot_len_s", &meta("slot_len_s"));
-    let slots = parse("slots", &meta("slots")) as usize;
-    let iters = dump
-        .meta
-        .get("iters")
-        .map_or(iters_flag, |raw| parse("iters", raw) as usize);
-    let detect = parse("detect_s", &meta("detect_s"));
-    let timeout_prob = parse("timeout_prob", &meta("timeout_prob"));
-    let fail_prob = parse("fail_prob", &meta("fail_prob"));
-    let flight_slots = parse("scope_slots", &meta("scope_slots")) as usize;
-
+    let scenario = ChaosScenario::from_meta(&dump, path, iters_flag);
     eprintln!(
-        "replaying flight dump {path}: {} anomaly at slot {}, {} frames, net {net_name}, seed {seed}",
+        "replaying flight dump {path}: {} anomaly at slot {}, {} frames, net {}, seed {}",
         dump.reason,
         dump.anomaly_slot,
-        dump.frames.len()
+        dump.frames.len(),
+        scenario.net_name,
+        scenario.seed
     );
-
-    let network = build_network(" verify", &net_name);
-    let mut wl = if net_name == "internet2" {
-        WorkloadConfig::testbed(load, seed)
-    } else {
-        WorkloadConfig::simulation(load, seed)
-    };
-    if let Some(raw) = dump.meta.get("sigma") {
-        wl = wl.with_deadlines(slot, parse("sigma", raw));
-    }
-    let requests = generate(&network, &wl);
-    let plant = network.plant;
-    let horizon = slot * slots as f64;
-    let events = seeded_scenario(&plant, seed, horizon);
-    let op_faults = OpFaultModel {
-        seed,
-        timeout_prob,
-        fail_prob,
-    };
-    let config = ChaosConfig {
-        slot_len_s: slot,
-        max_slots: slots,
-        detection_delay_s: detect,
-        ..Default::default()
-    };
-    let mut make_engine = |p: &owan::optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: iters,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-    };
+    let ChaosInputs {
+        requests,
+        events,
+        op_faults,
+        config,
+    } = scenario.inputs();
 
     let scope = ScopeRecorder::enabled(ScopeConfig {
-        flight_slots,
+        flight_slots: scenario.scope_slots,
         dump_path: None,
     });
     for (key, value) in &dump.meta {
         scope.set_meta(key, value);
     }
-
-    // `slo_window` marks a dump whose run had the why recorder attached;
-    // rebuilding the same monitors lets an SLO-tripped freeze reproduce
-    // its anomaly (and so the dump) exactly.
-    let why = match dump.meta.get("slo_window") {
-        Some(raw) => {
-            let mut slo = SloConfig {
-                burn_window_slots: parse("slo_window", raw) as usize,
-                ..Default::default()
-            };
-            if let Some(v) = dump.meta.get("slo_burn") {
-                slo.burn_threshold = Some(parse("slo_burn", v));
-            }
-            if let Some(v) = dump.meta.get("slo_p99_ms") {
-                slo.plan_p99_ms = Some(parse("slo_p99_ms", v));
-            }
-            if let Some(v) = dump.meta.get("slo_deficit") {
-                slo.deficit_gbits = Some(parse("slo_deficit", v));
-            }
-            WhyRecorder::enabled(WhyConfig { slo }, recorder)
-        }
-        None => WhyRecorder::disabled(),
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope,
+        why: scenario.why(recorder),
+        ..Default::default()
     };
-
-    let checked = recorder.counter("oracle.invariant_checked");
-    let violated = recorder.counter("oracle.invariant_violated");
-    let mut audit = |a: &SlotAudit| -> Result<(), String> {
-        checked.add(1);
-        if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-            violated.add(1);
-            scope.anomaly("oracle.invariant_violated", a.slot);
-            return Err(format!("slot plan: {v}"));
-        }
-        if let (Some(delta), Some(update)) = (a.delta, a.update) {
-            checked.add(1);
-            if let Err(v) = check_timeline(delta, update, &a.params) {
-                violated.add(1);
-                scope.anomaly("oracle.invariant_violated", a.slot);
-                return Err(format!("update: {v}"));
-            }
-        }
-        Ok(())
-    };
-
-    if let Err(e) = run_chaos_explained(
-        &plant,
+    let mut audit = InvariantAudit::new(&probes);
+    if let Err(e) = run_chaos_probed(
+        &scenario.network.plant,
         &requests,
-        &mut make_engine,
+        &mut restartable_owan(scenario.iters, scenario.seed),
         &config,
         &events,
         &op_faults,
-        recorder,
-        &scope,
-        &why,
-        Some(&mut audit),
+        &probes,
+        Some(&mut |a| audit.check(a)),
     ) {
         eprintln!("owan-cli verify: FAIL: flight-dump replay violated an invariant: {e}");
         write_obs(" verify", recorder, obs_path);
         std::process::exit(1);
     }
 
-    let regenerated = scope.dump_text();
+    let regenerated = probes.scope.dump_text();
     write_obs(" verify", recorder, obs_path);
     match regenerated {
         None => {
@@ -1185,72 +1211,37 @@ fn replay_flight_dump(
 /// hardened controller fault-free and faulted (auditing every slot), and
 /// reports the delivered-volume loss plus the fault/recovery counters.
 fn chaos_main(args: &Args) -> ! {
-    let net_name = args.get("--net").unwrap_or("internet2").to_string();
-    let network = build_network(" chaos", &net_name);
-    let seed = args.parse("--seed", 42u64);
-    let load = args.parse("--load", 1.0f64);
-    let sigma: Option<f64> = args.get("--sigma").map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("owan-cli chaos: invalid value '{raw}' for --sigma");
-            std::process::exit(2);
-        })
-    });
-    let slot = args.parse("--slot", 300.0f64);
-    let slots = args.parse("--slots", 60usize);
-    let iters = args.parse("--iters", 60usize);
-    let detect = args.parse("--detect", 30.0f64);
-    let timeout_prob = args.parse("--timeout-prob", 0.1f64);
-    let fail_prob = args.parse("--fail-prob", 0.05f64);
+    let mut scenario = ChaosScenario::from_args(args, " chaos");
     let obs_path = args.get("--obs").map(str::to_string);
     let scope_dump = args.get("--scope-dump").map(str::to_string);
     let scope_trace = args.get("--scope-trace").map(str::to_string);
     let scope_on = args.flag("--scope") || scope_dump.is_some() || scope_trace.is_some();
-    let flight_slots = args.parse("--scope-slots", 16usize);
     let slo = slo_from_args(args);
     let why_enabled = slo_flags_on(args);
     args.reject_unread(" chaos");
-
-    let mut wl = if net_name == "internet2" {
-        WorkloadConfig::testbed(load, seed)
-    } else {
-        WorkloadConfig::simulation(load, seed)
-    };
-    if let Some(s) = sigma {
-        wl = wl.with_deadlines(slot, s);
+    if why_enabled {
+        scenario.slo = Some(slo);
     }
-    let requests = generate(&network, &wl);
-    let plant = network.plant;
-
-    let horizon = slot * slots as f64;
-    let events = seeded_scenario(&plant, seed, horizon);
-    let op_faults = OpFaultModel {
-        seed,
-        timeout_prob,
-        fail_prob,
-    };
-    let config = ChaosConfig {
-        slot_len_s: slot,
-        max_slots: slots,
-        detection_delay_s: detect,
-        ..Default::default()
-    };
-    let mut make_engine = |p: &owan::optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: iters,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-    };
+    let ChaosInputs {
+        requests,
+        events,
+        op_faults,
+        config,
+    } = scenario.inputs();
+    let plant = &scenario.network.plant;
+    let mut make_engine = restartable_owan(scenario.iters, scenario.seed);
 
     eprintln!(
-        "chaos on {net_name}: {} transfers, {} fault events, {slots} slots of {slot}s, \
-         detect {detect}s, op faults t={timeout_prob} f={fail_prob}",
+        "chaos on {}: {} transfers, {} fault events, {} slots of {}s, \
+         detect {}s, op faults t={} f={}",
+        scenario.net_name,
         requests.len(),
-        events.len()
+        events.len(),
+        scenario.slots,
+        scenario.slot,
+        scenario.detect,
+        scenario.timeout_prob,
+        scenario.fail_prob
     );
 
     let recorder = if obs_path.is_some() || scope_on || why_enabled {
@@ -1260,94 +1251,47 @@ fn chaos_main(args: &Args) -> ! {
     };
     // Dumps from both faulted runs must be byte-identical, so both scopes
     // carry the same reconstruction metadata; only the first writes a file.
-    let make_scope = |dump_path: Option<&String>| -> ScopeRecorder {
-        if !scope_on {
-            return ScopeRecorder::disabled();
-        }
-        let scope = ScopeRecorder::enabled(ScopeConfig {
-            flight_slots,
-            dump_path: dump_path.map(PathBuf::from),
-        });
-        scope.set_meta("mode", "chaos");
-        scope.set_meta("net", &net_name);
-        scope.set_meta("seed", seed);
-        scope.set_meta("load", load);
-        if let Some(s) = sigma {
-            scope.set_meta("sigma", s);
-        }
-        scope.set_meta("slot_len_s", slot);
-        scope.set_meta("slots", slots);
-        scope.set_meta("iters", iters);
-        scope.set_meta("detect_s", detect);
-        scope.set_meta("timeout_prob", timeout_prob);
-        scope.set_meta("fail_prob", fail_prob);
-        scope.set_meta("scope_slots", flight_slots);
-        if why_enabled {
-            stamp_slo_meta(&scope, &slo);
-        }
-        scope
-    };
-    let scope = make_scope(scope_dump.as_ref());
-    let rerun_scope = make_scope(None);
-    let make_why = |rec: &Recorder| -> WhyRecorder {
-        if why_enabled {
-            WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, rec)
+    let probes_on = |recorder: Recorder, dump_path: Option<&String>| Probes {
+        scope: if scope_on {
+            scenario.scope(dump_path)
         } else {
-            WhyRecorder::disabled()
-        }
+            ScopeRecorder::disabled()
+        },
+        why: scenario.why(&recorder),
+        recorder,
+        ..Default::default()
     };
-    let why = make_why(&recorder);
-    let rerun_why = make_why(&Recorder::disabled());
+    let probes = probes_on(recorder.clone(), scope_dump.as_ref());
+    let rerun_probes = probes_on(Recorder::disabled(), None);
 
     let mut violations = 0usize;
-    let baseline = run_chaos(
-        &plant,
+    let baseline = run_chaos_probed(
+        plant,
         &requests,
         &mut make_engine,
         &config,
         &[],
         &OpFaultModel::none(),
-        &Recorder::disabled(),
+        &Probes::default(),
         None,
     )
     .expect("fault-free baseline cannot fail an absent audit");
 
-    let mut run_with =
-        |rec: &Recorder, scp: &ScopeRecorder, why: &WhyRecorder| -> Result<ChaosResult, String> {
-            let checked = rec.counter("oracle.invariant_checked");
-            let violated = rec.counter("oracle.invariant_violated");
-            let mut audit = |a: &SlotAudit| -> Result<(), String> {
-                checked.add(1);
-                if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-                    violated.add(1);
-                    scp.anomaly("oracle.invariant_violated", a.slot);
-                    return Err(format!("slot plan: {v}"));
-                }
-                if let (Some(delta), Some(update)) = (a.delta, a.update) {
-                    checked.add(1);
-                    if let Err(v) = check_timeline(delta, update, &a.params) {
-                        violated.add(1);
-                        scp.anomaly("oracle.invariant_violated", a.slot);
-                        return Err(format!("update: {v}"));
-                    }
-                }
-                Ok(())
-            };
-            run_chaos_explained(
-                &plant,
-                &requests,
-                &mut make_engine,
-                &config,
-                &events,
-                &op_faults,
-                rec,
-                scp,
-                why,
-                Some(&mut audit),
-            )
-        };
+    let mut run_with = |probes: &Probes| -> Result<ChaosResult, String> {
+        let mut audit = InvariantAudit::new(probes);
+        run_chaos_probed(
+            plant,
+            &requests,
+            &mut make_engine,
+            &config,
+            &events,
+            &op_faults,
+            probes,
+            Some(&mut |a| audit.check(a)),
+        )
+    };
 
-    let faulted = match run_with(&recorder, &scope, &why) {
+    let faulted = match run_with(&probes) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("owan-cli chaos: FAIL: {e}");
@@ -1355,21 +1299,25 @@ fn chaos_main(args: &Args) -> ! {
         }
     };
     // Same seed, same scenario: the rerun must reproduce the run exactly.
-    let rerun = match run_with(&Recorder::disabled(), &rerun_scope, &rerun_why) {
+    let rerun = match run_with(&rerun_probes) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("owan-cli chaos: FAIL on rerun: {e}");
             std::process::exit(1);
         }
     };
+    let scope = &probes.scope;
     let mut deterministic = faulted.delivered_series == rerun.delivered_series
         && faulted.stats == rerun.stats
         && faulted.makespan_s == rerun.makespan_s;
-    if scope_on && scope.dump_text() != rerun_scope.dump_text() {
+    if scope_on && scope.dump_text() != rerun_probes.scope.dump_text() {
         deterministic = false;
     }
     if !deterministic {
-        eprintln!("owan-cli chaos: FAIL: rerun with seed {seed} diverged");
+        eprintln!(
+            "owan-cli chaos: FAIL: rerun with seed {} diverged",
+            scenario.seed
+        );
         violations += 1;
     }
 
@@ -1379,8 +1327,8 @@ fn chaos_main(args: &Args) -> ! {
             .filter(|c| c.completion_s.is_some())
             .count()
     };
-    println!("network,{net_name}");
-    println!("seed,{seed}");
+    println!("network,{}", scenario.net_name);
+    println!("seed,{}", scenario.seed);
     println!("transfers,{}", requests.len());
     println!("fault_events,{}", events.len());
     println!("baseline_completed,{}", completed(&baseline));
@@ -1404,7 +1352,7 @@ fn chaos_main(args: &Args) -> ! {
     println!("blackhole_gbits,{:.0}", faulted.stats.blackhole_gbits);
     println!("transition_loss_gbits,{:.0}", faulted.transition_loss_gbits);
     if why_enabled {
-        match why.tripped() {
+        match probes.why.tripped() {
             Some((reason, slot)) => println!("slo_tripped,{reason},{slot}"),
             None => println!("slo_tripped,none"),
         }
@@ -1420,13 +1368,7 @@ fn chaos_main(args: &Args) -> ! {
                 eprintln!("flight dump written to {path}");
             }
         }
-        write_trace(
-            " chaos",
-            &scope,
-            &recorder,
-            &Profiler::disabled(),
-            &scope_trace,
-        );
+        write_trace(" chaos", &probes, &scope_trace);
     }
 
     write_obs(" chaos", &recorder, &obs_path);
@@ -1469,12 +1411,7 @@ fn attack_main(args: &Args) -> ! {
     let attack_name = args.get("--attack").unwrap_or("coremelt").to_string();
     let seed = args.parse("--seed", 42u64);
     let load = args.parse("--load", 0.4f64);
-    let sigma: Option<f64> = args.get("--sigma").map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("owan-cli attack: invalid value '{raw}' for --sigma");
-            std::process::exit(2);
-        })
-    });
+    let sigma = parse_sigma(args, " attack");
     let slot = args.parse("--slot", 300.0f64);
     let slots = args.parse("--slots", 40usize);
     let iters = args.parse("--iters", 60usize);
@@ -1508,11 +1445,7 @@ fn attack_main(args: &Args) -> ! {
         std::process::exit(2);
     }
 
-    let mut wl = if net_name == "internet2" {
-        WorkloadConfig::testbed(load, seed)
-    } else {
-        WorkloadConfig::simulation(load, seed)
-    };
+    let mut wl = workload_config(&net_name, load, seed);
     wl.duration_s = duration;
     if let Some(s) = sigma {
         wl = wl.with_deadlines(slot, s);
@@ -1588,19 +1521,12 @@ fn attack_main(args: &Args) -> ! {
         seed: seed.wrapping_add(1),
         ..Default::default()
     };
+    let owan = restartable_owan(iters, seed);
     let mut engine_factory = |p: &owan::optical::FiberPlant| -> Box<dyn TrafficEngineer> {
         if kind == EngineKind::Owan {
-            let owan_config = OwanConfig {
-                anneal: AnnealConfig {
-                    max_iterations: iters,
-                    seed: seed.wrapping_add(1),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            Box::new(OwanEngine::new(default_topology(p), owan_config))
+            owan(p)
         } else {
-            owan::sim::runner::make_engine(kind, &network, &runner_cfg)
+            make_engine(kind, &network, &runner_cfg)
         }
     };
 
@@ -1643,56 +1569,36 @@ fn attack_main(args: &Args) -> ! {
         }
         scope
     };
-    let scope = make_scope(scope_dump.as_ref());
-    let rerun_scope = make_scope(None);
-    let make_why = |rec: &Recorder| -> WhyRecorder {
-        if why_enabled {
-            WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, rec)
+    let probes_on = |recorder: Recorder, dump_path: Option<&String>| Probes {
+        scope: make_scope(dump_path),
+        why: if why_enabled {
+            WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, &recorder)
         } else {
             WhyRecorder::disabled()
-        }
+        },
+        recorder,
+        ..Default::default()
     };
-    let why = make_why(&recorder);
-    let rerun_why = make_why(&Recorder::disabled());
+    let probes = probes_on(recorder.clone(), scope_dump.as_ref());
+    let rerun_probes = probes_on(Recorder::disabled(), None);
 
-    let mut run_with =
-        |rec: &Recorder, scp: &ScopeRecorder, why: &WhyRecorder| -> Result<AttackOutcome, String> {
-            let checked = rec.counter("oracle.invariant_checked");
-            let violated = rec.counter("oracle.invariant_violated");
-            let mut audit = |a: &SlotAudit| -> Result<(), String> {
-                checked.add(1);
-                if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-                    violated.add(1);
-                    scp.anomaly("oracle.invariant_violated", a.slot);
-                    return Err(format!("slot plan: {v}"));
-                }
-                if let (Some(delta), Some(update)) = (a.delta, a.update) {
-                    checked.add(1);
-                    if let Err(v) = check_timeline(delta, update, &a.params) {
-                        violated.add(1);
-                        scp.anomaly("oracle.invariant_violated", a.slot);
-                        return Err(format!("update: {v}"));
-                    }
-                }
-                Ok(())
-            };
-            run_attack_explained(
-                &network.plant,
-                &requests,
-                &timeline,
-                &mut engine_factory,
-                &config,
-                restore,
-                &events,
-                &op_faults,
-                rec,
-                scp,
-                why,
-                Some(&mut audit),
-            )
-        };
+    let mut run_with = |probes: &Probes| -> Result<AttackOutcome, String> {
+        let mut audit = InvariantAudit::new(probes);
+        run_attack(
+            &network.plant,
+            &requests,
+            &timeline,
+            &mut engine_factory,
+            &config,
+            restore,
+            &events,
+            &op_faults,
+            probes,
+            Some(&mut |a| audit.check(a)),
+        )
+    };
 
-    let outcome = match run_with(&recorder, &scope, &why) {
+    let outcome = match run_with(&probes) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("owan-cli attack: FAIL: {e}");
@@ -1700,7 +1606,7 @@ fn attack_main(args: &Args) -> ! {
         }
     };
     // Same seed, same timeline: the rerun must reproduce the run exactly.
-    let rerun = match run_with(&Recorder::disabled(), &rerun_scope, &rerun_why) {
+    let rerun = match run_with(&rerun_probes) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("owan-cli attack: FAIL on rerun: {e}");
@@ -1712,7 +1618,8 @@ fn attack_main(args: &Args) -> ! {
         && outcome.attacked.victim_util_series == rerun.attacked.victim_util_series
         && outcome.attacked.stats == rerun.attacked.stats
         && outcome.metrics == rerun.metrics;
-    if scope_on && scope.dump_text() != rerun_scope.dump_text() {
+    let scope = &probes.scope;
+    if scope_on && scope.dump_text() != rerun_probes.scope.dump_text() {
         deterministic = false;
     }
     let mut violations = 0usize;
@@ -1759,7 +1666,7 @@ fn attack_main(args: &Args) -> ! {
     println!("crashes,{}", outcome.attacked.stats.crashes);
     println!("fallback_slots,{}", outcome.attacked.stats.fallback_slots);
     if why_enabled {
-        match why.tripped() {
+        match probes.why.tripped() {
             Some((reason, slot)) => println!("slo_tripped,{reason},{slot}"),
             None => println!("slo_tripped,none"),
         }
@@ -1792,13 +1699,7 @@ fn attack_main(args: &Args) -> ! {
                 eprintln!("flight dump written to {path}");
             }
         }
-        write_trace(
-            " attack",
-            &scope,
-            &recorder,
-            &Profiler::disabled(),
-            &scope_trace,
-        );
+        write_trace(" attack", &probes, &scope_trace);
     }
 
     write_obs(" attack", &recorder, &obs_path);
@@ -1837,14 +1738,13 @@ fn transfers_main(args: &Args) -> ! {
         setup.load,
         setup.slot
     );
-    let result = run_engine_traced(
-        setup.kind,
-        &setup.network,
-        &setup.requests,
-        &setup.cfg,
-        &recorder,
-        &scope,
-    );
+    let probes = Probes {
+        recorder,
+        scope,
+        ..Default::default()
+    };
+    let result = setup.run(&probes);
+    let scope = &probes.scope;
 
     if let Some(id) = trace {
         match scope.render_transfer_trace(id) {
@@ -1864,13 +1764,7 @@ fn transfers_main(args: &Args) -> ! {
             result.slots
         );
     }
-    write_trace(
-        " transfers",
-        &scope,
-        &recorder,
-        &Profiler::disabled(),
-        &scope_trace,
-    );
+    write_trace(" transfers", &probes, &scope_trace);
     std::process::exit(0);
 }
 
@@ -1902,15 +1796,12 @@ fn top_main(args: &Args) -> ! {
     );
 
     let start = std::time::Instant::now();
-    let handle = {
-        let network = setup.network.clone();
-        let requests = setup.requests.clone();
-        let cfg = setup.cfg;
-        let kind = setup.kind;
-        let rec = recorder.clone();
-        let scp = scope.clone();
-        std::thread::spawn(move || run_engine_traced(kind, &network, &requests, &cfg, &rec, &scp))
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope,
+        ..Default::default()
     };
+    let handle = std::thread::spawn(move || setup.run(&probes));
     while !handle.is_finished() {
         std::thread::sleep(std::time::Duration::from_secs_f64(interval.min(0.25)));
         if start.elapsed().as_secs_f64() >= interval {
@@ -2001,15 +1892,19 @@ fn main() {
         setup.load,
         setup.slot
     );
-    let result = run_engine_profiled(
-        setup.kind,
-        &setup.network,
-        &setup.requests,
-        &setup.cfg,
-        &recorder,
-        &scope,
-        &prof,
-    );
+    let probes = Probes {
+        recorder,
+        scope,
+        prof,
+        ..Default::default()
+    };
+    let result = setup.run(&probes);
+    let Probes {
+        recorder,
+        scope,
+        prof,
+        ..
+    } = &probes;
 
     println!("engine,{}", result.engine);
     println!("network,{}", setup.net_name);
@@ -2047,22 +1942,9 @@ fn main() {
             "scope_dumped,{}",
             if scope.has_dumped() { "yes" } else { "no" }
         );
-        write_trace("", &scope, &recorder, &prof, &scope_trace);
+        write_trace("", &probes, &scope_trace);
     }
-
-    if let Some(path) = &prof_path {
-        let mut out: Vec<u8> = Vec::new();
-        prof.write_folded(&mut out)
-            .expect("serializing to memory cannot fail");
-        if let Err(e) = std::fs::write(path, &out) {
-            eprintln!("owan-cli: cannot write --prof file '{path}': {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote folded stacks to {path} ({} lines)",
-            out.iter().filter(|&&b| b == b'\n').count()
-        );
-    }
+    write_folded("", prof, &prof_path);
     if prof_report {
         print!("{}", prof.snapshot().format_tree());
         let snapshot = recorder.snapshot();
@@ -2078,7 +1960,7 @@ fn main() {
         }
     }
 
-    write_obs("", &recorder, &obs_path);
+    write_obs("", recorder, &obs_path);
     if recorder.is_enabled() && obs_summary {
         print!(
             "{}",

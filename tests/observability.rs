@@ -8,8 +8,8 @@ use owan::core::engine::{OwanConfig, OwanEngine, SlotInput, TrafficEngineer};
 use owan::core::types::Transfer;
 use owan::core::AnnealConfig;
 use owan::obs::{ManualClock, Recorder};
-use owan::sim::runner::{make_engine, run_engine, run_engine_observed, EngineKind, RunnerConfig};
-use owan::sim::SimConfig;
+use owan::sim::runner::{make_engine, run_engine, EngineKind, RunnerConfig};
+use owan::sim::{simulate_probed, Probes, SimConfig};
 use owan::topo::internet2_testbed;
 use owan::workload::{generate, WorkloadConfig};
 
@@ -101,8 +101,13 @@ fn recording_does_not_change_slot_plans() {
 fn recording_does_not_change_simulation_results() {
     let (net, requests) = small_workload();
     let cfg = fast_runner();
-    let recorder = Recorder::enabled();
-    let observed = run_engine_observed(EngineKind::Owan, &net, &requests, &cfg, &recorder);
+    let probes = Probes {
+        recorder: Recorder::enabled(),
+        ..Default::default()
+    };
+    let mut engine = make_engine(EngineKind::Owan, &net, &cfg);
+    let observed = simulate_probed(&net.plant, &requests, engine.as_mut(), &cfg.sim, &probes);
+    let recorder = probes.recorder;
     let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
 
     assert_eq!(observed.completions, plain.completions);

@@ -8,9 +8,8 @@ use std::process::Command;
 
 use owan::core::{Profiler, TransferRequest};
 use owan::obs::Recorder;
-use owan::scope::ScopeRecorder;
-use owan::sim::runner::{run_engine, run_engine_profiled, EngineKind, RunnerConfig};
-use owan::sim::SimConfig;
+use owan::sim::runner::{make_engine, run_engine, EngineKind, RunnerConfig};
+use owan::sim::{simulate_probed, Probes, SimConfig, SimResult};
 use owan::topo::isp::ISP_SITES;
 use owan::topo::{isp_backbone, Network};
 use owan::workload::{generate, WorkloadConfig};
@@ -28,6 +27,12 @@ fn fast_runner(iters: usize) -> RunnerConfig {
     }
 }
 
+fn run_owan(net: &Network, requests: &[TransferRequest], probes: &Probes) -> SimResult {
+    let cfg = fast_runner(40);
+    let mut engine = make_engine(EngineKind::Owan, net, &cfg);
+    simulate_probed(&net.plant, requests, engine.as_mut(), &cfg.sim, probes)
+}
+
 fn isp_workload(load: f64, take: usize) -> (Network, Vec<TransferRequest>) {
     let net = isp_backbone(42);
     let mut cfg = WorkloadConfig::simulation(load, 42);
@@ -40,17 +45,8 @@ fn isp_workload(load: f64, take: usize) -> (Network, Vec<TransferRequest>) {
 #[test]
 fn disabled_profiler_is_zero_perturbation() {
     let (net, requests) = isp_workload(0.6, 8);
-    let cfg = fast_runner(40);
-    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
-    let profiled = run_engine_profiled(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &cfg,
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
-        &Profiler::disabled(),
-    );
+    let plain = run_engine(EngineKind::Owan, &net, &requests, &fast_runner(40));
+    let profiled = run_owan(&net, &requests, &Probes::default());
     assert_eq!(plain.makespan_s, profiled.makespan_s);
     assert_eq!(plain.slots, profiled.slots);
     assert_eq!(plain.throughput_series, profiled.throughput_series);
@@ -66,20 +62,16 @@ fn disabled_profiler_is_zero_perturbation() {
 #[test]
 fn enabled_profiler_preserves_results_and_exports_folded_stacks() {
     let (net, requests) = isp_workload(0.6, 8);
-    let cfg = fast_runner(40);
-    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
-    let prof = Profiler::enabled();
+    let plain = run_engine(EngineKind::Owan, &net, &requests, &fast_runner(40));
     // Recorder enabled so the telemetry-only update-scheduling stage runs
     // and its region shows up; observed runs are result-identical.
-    let profiled = run_engine_profiled(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &cfg,
-        &Recorder::enabled(),
-        &ScopeRecorder::disabled(),
-        &prof,
-    );
+    let probes = Probes {
+        recorder: Recorder::enabled(),
+        prof: Profiler::enabled(),
+        ..Default::default()
+    };
+    let profiled = run_owan(&net, &requests, &probes);
+    let prof = probes.prof;
     assert_eq!(plain.makespan_s, profiled.makespan_s);
     assert_eq!(plain.throughput_series, profiled.throughput_series);
 
@@ -129,19 +121,14 @@ fn enabled_profiler_preserves_results_and_exports_folded_stacks() {
 fn isp_fig10_cache_misses_are_fully_attributed() {
     assert_eq!(ISP_SITES, 40, "Fig-10 backbone must have 40 sites");
     let (net, requests) = isp_workload(0.6, 10);
-    let recorder = Recorder::enabled();
-    let result = run_engine_profiled(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &fast_runner(40),
-        &recorder,
-        &ScopeRecorder::disabled(),
-        &Profiler::disabled(),
-    );
+    let probes = Probes {
+        recorder: Recorder::enabled(),
+        ..Default::default()
+    };
+    let result = run_owan(&net, &requests, &probes);
     assert!(result.all_completed(), "ISP run left transfers unfinished");
 
-    let snap = recorder.snapshot();
+    let snap = probes.recorder.snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let total = counter("anneal.cache_miss");
     assert!(total > 0, "run recorded no cache misses at all");

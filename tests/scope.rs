@@ -7,14 +7,12 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::Command;
 
-use owan::chaos::{run_chaos_traced, seeded_scenario, ChaosConfig, OpFaultModel};
-use owan::core::{
-    default_topology, AnnealConfig, OwanConfig, OwanEngine, TrafficEngineer, TransferRequest,
-};
+use owan::chaos::{restartable_owan, run_chaos_probed, seeded_scenario, ChaosConfig, OpFaultModel};
+use owan::core::TransferRequest;
 use owan::obs::Recorder;
 use owan::scope::{jsonv, FlightDump, MetricsServer, ScopeConfig, ScopeRecorder};
-use owan::sim::runner::{run_engine, run_engine_traced, EngineKind, RunnerConfig};
-use owan::sim::SimConfig;
+use owan::sim::runner::{make_engine, run_engine, EngineKind, RunnerConfig};
+use owan::sim::{simulate_probed, Probes, SimConfig, SimResult};
 use owan::topo::isp::ISP_SITES;
 use owan::topo::{internet2_testbed, isp_backbone, Network};
 use owan::workload::{generate, WorkloadConfig};
@@ -32,6 +30,12 @@ fn fast_runner(iters: usize) -> RunnerConfig {
     }
 }
 
+fn run_owan(net: &Network, requests: &[TransferRequest], probes: &Probes) -> SimResult {
+    let cfg = fast_runner(40);
+    let mut engine = make_engine(EngineKind::Owan, net, &cfg);
+    simulate_probed(&net.plant, requests, engine.as_mut(), &cfg.sim, probes)
+}
+
 fn isp_workload(load: f64, take: usize) -> (Network, Vec<TransferRequest>) {
     let net = isp_backbone(42);
     let mut cfg = WorkloadConfig::simulation(load, 42);
@@ -47,21 +51,18 @@ fn isp_workload(load: f64, take: usize) -> (Network, Vec<TransferRequest>) {
 fn isp_fig10_run_exports_valid_nested_chrome_trace() {
     assert_eq!(ISP_SITES, 40, "Fig-10 backbone must have 40 sites");
     let (net, requests) = isp_workload(0.6, 10);
-    let recorder = Recorder::enabled();
-    let scope = ScopeRecorder::enabled(ScopeConfig::default());
-    let result = run_engine_traced(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &fast_runner(40),
-        &recorder,
-        &scope,
-    );
+    let probes = Probes {
+        recorder: Recorder::enabled(),
+        scope: ScopeRecorder::enabled(ScopeConfig::default()),
+        ..Default::default()
+    };
+    let result = run_owan(&net, &requests, &probes);
     assert!(result.all_completed(), "ISP run left transfers unfinished");
 
     let mut raw: Vec<u8> = Vec::new();
-    let snapshot = recorder.snapshot();
-    scope
+    let snapshot = probes.recorder.snapshot();
+    probes
+        .scope
         .export_chrome_trace(Some(&snapshot), &mut raw)
         .unwrap();
     let text = String::from_utf8(raw).unwrap();
@@ -117,15 +118,13 @@ fn isp_fig10_run_exports_valid_nested_chrome_trace() {
 #[test]
 fn transfer_accounting_matches_aggregate_to_float_tolerance() {
     let (net, requests) = isp_workload(0.6, 12);
-    let scope = ScopeRecorder::enabled(ScopeConfig::default());
-    let result = run_engine_traced(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &fast_runner(40),
-        &Recorder::enabled(),
-        &scope,
-    );
+    let probes = Probes {
+        recorder: Recorder::enabled(),
+        scope: ScopeRecorder::enabled(ScopeConfig::default()),
+        ..Default::default()
+    };
+    let result = run_owan(&net, &requests, &probes);
+    let scope = probes.scope;
 
     let tracker = scope.tracker_snapshot().unwrap();
     assert_eq!(tracker.transfers().len(), requests.len());
@@ -163,16 +162,8 @@ fn transfer_accounting_matches_aggregate_to_float_tolerance() {
 #[test]
 fn disabled_scope_is_zero_perturbation() {
     let (net, requests) = isp_workload(0.6, 8);
-    let cfg = fast_runner(40);
-    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
-    let traced = run_engine_traced(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &cfg,
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
-    );
+    let plain = run_engine(EngineKind::Owan, &net, &requests, &fast_runner(40));
+    let traced = run_owan(&net, &requests, &Probes::default());
     assert_eq!(plain.makespan_s, traced.makespan_s);
     assert_eq!(plain.slots, traced.slots);
     assert_eq!(plain.throughput_series, traced.throughput_series);
@@ -199,34 +190,26 @@ fn chaos_scope_run(seed: u64) -> (ScopeRecorder, Result<(), String>) {
         timeout_prob: 0.1,
         fail_prob: 0.05,
     };
-    let mut make_engine = |p: &owan::optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: 30,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-    };
     let scope = ScopeRecorder::enabled(ScopeConfig::default());
     scope.set_meta("mode", "chaos");
     scope.set_meta("net", "internet2");
     scope.set_meta("seed", seed);
-    let outcome = run_chaos_traced(
+    let probes = Probes {
+        scope,
+        ..Default::default()
+    };
+    let outcome = run_chaos_probed(
         &plant,
         &requests,
-        &mut make_engine,
+        &mut restartable_owan(30, seed),
         &config,
         &events,
         &op_faults,
-        &Recorder::disabled(),
-        &scope,
+        &probes,
         None,
     )
     .map(|_| ());
-    (scope, outcome)
+    (probes.scope, outcome)
 }
 
 /// An undetected fiber cut must freeze the flight ring into a dump, and
@@ -296,6 +279,33 @@ fn flight_dump_replays_through_verify_cli() {
         "verify --replay rejected the dump: {stdout} {stderr}"
     );
     assert!(stdout.contains("OK"), "unexpected verify output: {stdout}");
+}
+
+/// Flight dumps checked in under `tests/data/`, written by an earlier
+/// build of `owan-cli chaos --scope-dump` (one blackhole anomaly, one SLO
+/// trip carrying `sigma` and `slo_*` keys), must still replay byte for
+/// byte: this pins the dump's metadata format across changes to either
+/// side of it.
+#[test]
+fn checked_in_flight_dumps_replay_through_verify_cli() {
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    for name in ["chaos_internet2.dump", "slo_burn_internet2.dump"] {
+        let verify = Command::new(env!("CARGO_BIN_EXE_owan-cli"))
+            .args(["verify", "--replay"])
+            .arg(data.join(name))
+            .output()
+            .expect("verify failed to start");
+        let stdout = String::from_utf8_lossy(&verify.stdout);
+        let stderr = String::from_utf8_lossy(&verify.stderr);
+        assert!(
+            verify.status.success(),
+            "verify --replay rejected {name}: {stdout} {stderr}"
+        );
+        assert!(
+            stdout.contains("replayed exactly"),
+            "{name}: unexpected verify output: {stdout}"
+        );
+    }
 }
 
 /// The live endpoint serves the run's counters over plain HTTP.

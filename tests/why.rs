@@ -3,15 +3,11 @@
 //! bucket must agree bit-for-bit with the chaos runner's loss ledger,
 //! and a disabled why recorder must never perturb a run.
 
-use owan::chaos::{run_chaos_explained, seeded_scenario, ChaosConfig, OpFaultModel};
-use owan::core::{
-    default_topology, AnnealConfig, OwanConfig, OwanEngine, Profiler, TrafficEngineer,
-    TransferRequest,
-};
+use owan::chaos::{restartable_owan, run_chaos_probed, seeded_scenario, ChaosConfig, OpFaultModel};
+use owan::core::TransferRequest;
 use owan::obs::Recorder;
-use owan::scope::ScopeRecorder;
-use owan::sim::runner::{run_engine, run_engine_explained, EngineKind, RunnerConfig};
-use owan::sim::SimConfig;
+use owan::sim::runner::{make_engine, run_engine, EngineKind, RunnerConfig};
+use owan::sim::{simulate_probed, Probes, SimConfig, SimResult};
 use owan::topo::isp::ISP_SITES;
 use owan::topo::{internet2_testbed, isp_backbone, Network};
 use owan::why::{render_explain, WhyConfig, WhyRecorder, WhyReport};
@@ -28,6 +24,12 @@ fn fast_runner(iters: usize) -> RunnerConfig {
         seed: 11,
         ..Default::default()
     }
+}
+
+fn run_owan(net: &Network, requests: &[TransferRequest], probes: &Probes) -> SimResult {
+    let cfg = fast_runner(40);
+    let mut engine = make_engine(EngineKind::Owan, net, &cfg);
+    simulate_probed(&net.plant, requests, engine.as_mut(), &cfg.sim, probes)
 }
 
 fn isp_deadline_workload(load: f64, take: usize) -> (Network, Vec<TransferRequest>) {
@@ -64,19 +66,17 @@ fn fig10_isp_buckets_partition_wall_time() {
     assert_eq!(ISP_SITES, 40, "Fig-10 backbone must have 40 sites");
     let (net, requests) = isp_deadline_workload(0.6, 12);
     let recorder = Recorder::enabled();
-    let why = WhyRecorder::enabled(WhyConfig::default(), &recorder);
-    let result = run_engine_explained(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &fast_runner(40),
-        &recorder,
-        &ScopeRecorder::disabled(),
-        &Profiler::disabled(),
-        &why,
-    );
+    let probes = Probes {
+        why: WhyRecorder::enabled(WhyConfig::default(), &recorder),
+        recorder,
+        ..Default::default()
+    };
+    let result = run_owan(&net, &requests, &probes);
     assert!(result.all_completed(), "ISP run left transfers unfinished");
-    let report = why.report().expect("enabled why recorder yields a report");
+    let report = probes
+        .why
+        .report()
+        .expect("enabled why recorder yields a report");
     assert_eq!(report.transfers.len(), requests.len());
     assert_partition(&report);
 
@@ -133,33 +133,27 @@ fn chaos_why_run(seed: u64) -> (owan::chaos::ChaosResult, WhyReport) {
         timeout_prob: 0.1,
         fail_prob: 0.05,
     };
-    let mut make_engine = |p: &owan::optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: 30,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-    };
     let recorder = Recorder::enabled();
-    let why = WhyRecorder::enabled(WhyConfig::default(), &recorder);
-    let result = run_chaos_explained(
+    let probes = Probes {
+        why: WhyRecorder::enabled(WhyConfig::default(), &recorder),
+        recorder,
+        ..Default::default()
+    };
+    let result = run_chaos_probed(
         &plant,
         &requests,
-        &mut make_engine,
+        &mut restartable_owan(30, seed),
         &config,
         &events,
         &op_faults,
-        &recorder,
-        &ScopeRecorder::disabled(),
-        &why,
+        &probes,
         None,
     )
     .expect("chaos run failed");
-    let report = why.report().expect("enabled why recorder yields a report");
+    let report = probes
+        .why
+        .report()
+        .expect("enabled why recorder yields a report");
     (result, report)
 }
 
@@ -192,22 +186,16 @@ fn blackhole_bucket_matches_chaos_ledger_exactly() {
 #[test]
 fn why_recorder_is_zero_perturbation() {
     let (net, requests) = isp_deadline_workload(0.6, 8);
-    let cfg = fast_runner(40);
-    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
+    let plain = run_engine(EngineKind::Owan, &net, &requests, &fast_runner(40));
     for why in [
         WhyRecorder::disabled(),
         WhyRecorder::enabled(WhyConfig::default(), &Recorder::enabled()),
     ] {
-        let explained = run_engine_explained(
-            EngineKind::Owan,
-            &net,
-            &requests,
-            &cfg,
-            &Recorder::disabled(),
-            &ScopeRecorder::disabled(),
-            &Profiler::disabled(),
-            &why,
-        );
+        let probes = Probes {
+            why,
+            ..Default::default()
+        };
+        let explained = run_owan(&net, &requests, &probes);
         assert_eq!(plain.makespan_s, explained.makespan_s);
         assert_eq!(plain.slots, explained.slots);
         assert_eq!(plain.throughput_series, explained.throughput_series);
