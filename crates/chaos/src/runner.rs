@@ -35,12 +35,12 @@ use owan_core::{
 use owan_obs::Recorder;
 use owan_optical::{FiberId, FiberPlant, SiteId};
 use owan_scope::SlotObservation;
-use owan_sim::{build_scope_rows, plan_is_feasible, CompletionRecord, Failure, Probes};
+use owan_sim::{at_risk_count, plan_is_feasible, CompletionRecord, Failure, Probes, SlotLedger};
 use owan_update::{
     execute_plan, plan_consistent, transition_scale, NetworkDelta, OpKind, RetryPolicy,
     UpdateParams, UpdatePlan,
 };
-use owan_why::{TransferSample, WhySlotObservation};
+use owan_why::SlotRecord;
 use std::collections::{HashMap, HashSet};
 
 const EPS: f64 = 1e-9;
@@ -308,24 +308,8 @@ pub fn run_chaos_probed(
         .collect();
     crash_times.sort_by(|a, b| a.total_cmp(b));
 
-    let mut transfers: Vec<Transfer> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| Transfer::from_request(id, r))
-        .collect();
-    let mut records: Vec<CompletionRecord> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| CompletionRecord {
-            id,
-            volume_gbits: r.volume_gbits,
-            arrival_s: r.arrival_s,
-            deadline_s: r.deadline_s,
-            completion_s: None,
-            gbits_by_deadline: 0.0,
-        })
-        .collect();
-
+    let mut ledger = SlotLedger::new(requests);
+    let n = requests.len();
     let mut state = FaultState::default();
     // Ground truth for the scope's believed-vs-actual frames: the same
     // plant events folded in with zero detection delay.
@@ -345,7 +329,6 @@ pub fn run_chaos_probed(
     let mut background_series: Vec<(f64, f64)> = Vec::new();
     let mut victim_util_series: Vec<(f64, f64)> = Vec::new();
     let is_attack = |id: usize| -> bool { config.attack_flags.get(id).copied().unwrap_or(false) };
-    let mut makespan_s: f64 = 0.0;
     let mut update_ops = 0usize;
     let mut transition_loss_gbits = 0.0;
     let mut slots = 0usize;
@@ -387,14 +370,7 @@ pub fn run_chaos_probed(
         eng.set_profiler(prof.clone());
 
         // 3. Admission.
-        let active: Vec<Transfer> = transfers
-            .iter()
-            .filter(|t| t.arrival_s <= now + EPS && !t.is_complete())
-            .cloned()
-            .collect();
-        let pending = transfers
-            .iter()
-            .any(|t| t.arrival_s > now + EPS && !t.is_complete());
+        let (active, pending) = ledger.admit(now);
         if active.is_empty() && !pending {
             break;
         }
@@ -439,8 +415,7 @@ pub fn run_chaos_probed(
             plan = fallback_plan(
                 believed_plant,
                 achieved_prev.as_ref(),
-                &active,
-                &transfers,
+                &ledger,
                 theta,
                 config.slot_len_s,
                 &circuit_cfg,
@@ -541,58 +516,38 @@ pub fn run_chaos_probed(
         }
 
         // 7. Deliver on the achieved state, discounted by the transition
-        // and any blackholes.
-        let mut slot_delivered = 0.0;
-        let mut slot_background = 0.0;
-        let mut got_rate = vec![false; transfers.len()];
-        let mut per_delivered = trace_on.then(|| vec![0.0f64; transfers.len()]);
-        for (ai, alloc) in achieved.allocations.iter().enumerate() {
-            let rate_alloc: f64 = alloc
+        // and any blackholes. A finished transfer can still be served here
+        // (an aborted `RemovePath` keeps its path); see ROADMAP,
+        // re-baselining item, error (5).
+        let live_rate = |ai: usize, alloc: &Allocation| -> f64 {
+            alloc
                 .paths
                 .iter()
                 .enumerate()
                 .map(|(pi, (_, r))| r * path_live_frac.get(&(ai, pi)).copied().unwrap_or(1.0))
-                .sum();
-            let full_alloc = alloc.total_rate();
-            let lost = (full_alloc - rate_alloc).max(0.0) * scale * config.slot_len_s;
+                .sum()
+        };
+        let mut slot_delivered = 0.0;
+        let mut slot_background = 0.0;
+        let mut got_rate = vec![false; n];
+        let mut per_delivered = trace_on.then(|| vec![0.0f64; n]);
+        for (ai, alloc) in achieved.allocations.iter().enumerate() {
+            let id = alloc.transfer;
+            let rate_alloc = live_rate(ai, alloc);
+            let lost = (alloc.total_rate() - rate_alloc).max(0.0) * scale * config.slot_len_s;
             if lost > EPS {
                 stats.blackhole_gbits += lost;
             }
-            let rate = rate_alloc * scale;
-            if rate <= EPS {
+            let Some(d) = ledger.deliver(id, rate_alloc, scale, now, config.slot_len_s) else {
                 continue;
-            }
-            got_rate[alloc.transfer] = true;
-            let t = &mut transfers[alloc.transfer];
-            let remaining_before = t.remaining_gbits;
-            let rec = &mut records[alloc.transfer];
-            if let Some(d) = t.deadline_s {
-                if d > now {
-                    let usable = (d - now).min(config.slot_len_s);
-                    let by_deadline = (rate * usable).min(t.remaining_gbits);
-                    rec.gbits_by_deadline =
-                        (rec.gbits_by_deadline + by_deadline).min(t.volume_gbits);
-                }
-            }
-            // Completion keys off the effective allocated rate, as in the
-            // fault-free controller: scaled delivery only shifts the
-            // finish instant inside the slot.
-            if rate_alloc * config.slot_len_s + EPS >= t.remaining_gbits {
-                let finish = now + t.remaining_gbits / rate;
-                slot_delivered += t.remaining_gbits;
-                t.remaining_gbits = 0.0;
-                rec.completion_s = Some(finish);
-                makespan_s = makespan_s.max(finish);
-            } else {
-                let vol = rate * config.slot_len_s;
-                t.remaining_gbits -= vol;
-                slot_delivered += vol;
-            }
-            if !is_attack(alloc.transfer) {
-                slot_background += remaining_before - t.remaining_gbits;
+            };
+            got_rate[id] = true;
+            slot_delivered += d.booked_gbits;
+            if !is_attack(id) {
+                slot_background += d.drained_gbits;
             }
             if let Some(delivered) = per_delivered.as_mut() {
-                delivered[alloc.transfer] += remaining_before - t.remaining_gbits;
+                delivered[id] += d.drained_gbits;
             }
         }
         delivered_series.push((now, slot_delivered));
@@ -603,17 +558,7 @@ pub fn run_chaos_probed(
         ));
 
         // Starvation bookkeeping feeds the §3.2 guard in the engine.
-        let mut queue_depth = 0usize;
-        for t in transfers.iter_mut() {
-            if t.arrival_s <= now + EPS && !t.is_complete() {
-                if got_rate[t.id] {
-                    t.starved_slots = 0;
-                } else {
-                    t.starved_slots += 1;
-                    queue_depth += 1;
-                }
-            }
-        }
+        let queue_depth = ledger.count_starved(now, &got_rate);
 
         if let Some(delivered) = &per_delivered {
             // Fold in every plant event that struck during this slot —
@@ -635,21 +580,12 @@ pub fn run_chaos_probed(
                     .iter()
                     .map(failure_label)
                     .collect();
-                let at_risk = active
-                    .iter()
-                    .filter(|a| a.deadline_s.is_some() && !transfers[a.id].is_complete())
-                    .filter(|a| {
-                        let deadline = a.deadline_s.expect("filtered to deadline transfers");
-                        let rate = achieved
-                            .allocations
-                            .iter()
-                            .find(|al| al.transfer == a.id)
-                            .map_or(0.0, Allocation::total_rate);
-                        let horizon = (deadline - now).max(0.0);
-                        rate * horizon + EPS < transfers[a.id].remaining_gbits
-                    })
-                    .count();
-                let rows = build_scope_rows(&active, &achieved, &transfers, &records, delivered);
+                // Post-delivery, against a horizon from the slot start:
+                // `simulate` counts before delivery (ROADMAP,
+                // observability item).
+                let view = active.iter().map(|a| &ledger.transfers()[a.id]);
+                let at_risk = at_risk_count(view, &achieved, now);
+                let rows = ledger.scope_rows(&active, &achieved, delivered);
                 scope.record_slot(&SlotObservation {
                     slot,
                     now_s: now,
@@ -691,49 +627,13 @@ pub fn run_chaos_probed(
                 scope.anomaly("blackhole.undetected_cut", slot);
             }
             if why_on {
-                // Tier-4 feed: recompute each achieved allocation's
-                // full and live rate with the exact expressions the
-                // delivery loop used, in the same order, so the why
-                // report's Gb ledger reproduces `stats.blackhole_gbits`
-                // bit-for-bit.
-                let mut samples: Vec<TransferSample> = Vec::with_capacity(active.len());
-                let mut sampled = vec![false; transfers.len()];
-                for (ai, alloc) in achieved.allocations.iter().enumerate() {
-                    let rate_alloc: f64 = alloc
-                        .paths
-                        .iter()
-                        .enumerate()
-                        .map(|(pi, (_, r))| {
-                            r * path_live_frac.get(&(ai, pi)).copied().unwrap_or(1.0)
-                        })
-                        .sum();
-                    let full_alloc = alloc.total_rate();
-                    sampled[alloc.transfer] = true;
-                    samples.push(TransferSample {
-                        id: alloc.transfer,
-                        full_rate_gbps: full_alloc,
-                        live_rate_gbps: rate_alloc,
-                        delivered_gbits: delivered[alloc.transfer],
-                        remaining_gbits: transfers[alloc.transfer].remaining_gbits,
-                        completion_s: records[alloc.transfer].completion_s,
-                        queued: full_alloc <= EPS,
-                    });
-                }
-                for t in &active {
-                    if !sampled[t.id] {
-                        samples.push(TransferSample {
-                            id: t.id,
-                            full_rate_gbps: 0.0,
-                            live_rate_gbps: 0.0,
-                            delivered_gbits: 0.0,
-                            remaining_gbits: transfers[t.id].remaining_gbits,
-                            completion_s: records[t.id].completion_s,
-                            queued: true,
-                        });
-                    }
-                }
+                // Tier-4 feed: each achieved allocation's full and live
+                // rate, from the expressions delivery used, in its order,
+                // so the why report's Gb ledger reproduces
+                // `stats.blackhole_gbits` bit for bit.
+                let samples = ledger.why_samples(&active, &achieved, delivered, live_rate);
                 let attack_active = active.iter().any(|t| is_attack(t.id));
-                if let Some(reason) = why.observe_slot(&WhySlotObservation {
+                if let Some(reason) = why.observe_slot(SlotRecord {
                     slot,
                     now_s: now,
                     slot_len_s: config.slot_len_s,
@@ -743,8 +643,8 @@ pub fn run_chaos_probed(
                     transition_scale: scale,
                     throughput_gbps: achieved.throughput_gbps,
                     attack_active,
-                    samples: &samples,
-                    events: &slot_events,
+                    samples,
+                    events: slot_events,
                 }) {
                     scope.anomaly(reason, slot);
                 }
@@ -754,14 +654,13 @@ pub fn run_chaos_probed(
         achieved_prev = Some(achieved);
     }
 
-    if !records.iter().all(|r| r.completion_s.is_some()) {
-        makespan_s = makespan_s.max(delivered_series.len() as f64 * config.slot_len_s);
-    }
+    let (completions, makespan_s) =
+        ledger.finish(delivered_series.len() as f64 * config.slot_len_s);
     let delivered_gbits = delivered_series.iter().map(|(_, g)| g).sum();
     let background_gbits = background_series.iter().map(|(_, g)| g).sum();
 
     Ok(ChaosResult {
-        completions: records,
+        completions,
         delivered_series,
         delivered_gbits,
         background_series,
@@ -834,13 +733,13 @@ fn fault_label(k: &FaultKind) -> String {
 
 /// Graceful degradation (§3.4): the previous topology filtered to links
 /// whose endpoints and fiber routes survive, re-realized on the believed
-/// plant, carrying the previous allocations clamped to what still fits.
-#[allow(clippy::too_many_arguments)]
+/// plant, carrying the previous allocations of still-incomplete transfers
+/// clamped to what still fits. Every transfer `prev` allocates has
+/// arrived, so incomplete is active.
 fn fallback_plan(
     believed: &FiberPlant,
     prev: Option<&SlotPlan>,
-    active: &[Transfer],
-    transfers: &[Transfer],
+    ledger: &SlotLedger,
     theta: f64,
     slot_len_s: f64,
     circuit_cfg: &CircuitBuildConfig,
@@ -863,10 +762,10 @@ fn fallback_plan(
     }
     let topo = realise(believed, &desired, &fd, circuit_cfg, cache).achieved;
 
-    let active_ids: HashSet<usize> = active.iter().map(|t| t.id).collect();
+    let transfers = ledger.transfers();
     let mut allocations: Vec<Allocation> = Vec::new();
     for alloc in &prev.allocations {
-        if !active_ids.contains(&alloc.transfer) {
+        if transfers[alloc.transfer].is_complete() {
             continue;
         }
         let paths: Vec<(Vec<SiteId>, f64)> = alloc

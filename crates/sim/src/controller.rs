@@ -13,13 +13,12 @@
 //! This is the component a deployment would run: submit requests, tick the
 //! clock, read back rate allocations and the device operation schedule.
 
-use crate::sim::{CompletionRecord, PlanError};
-use owan_core::{SlotInput, SlotPlan, TrafficEngineer, Transfer, TransferRequest};
+use crate::ledger::{CompletionRecord, SlotLedger};
+use crate::sim::PlanError;
+use owan_core::{SlotInput, SlotPlan, TrafficEngineer, TransferRequest};
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
 use owan_update::{plan_consistent, plan_one_shot, transition_scale, NetworkDelta, UpdateParams};
-
-const EPS: f64 = 1e-9;
 
 /// Update scheduling discipline used between slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,41 +99,16 @@ pub fn run_controller(
         path_time_s: config.path_time_s,
     };
 
-    let mut transfers: Vec<Transfer> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| Transfer::from_request(id, r))
-        .collect();
-    let mut records: Vec<CompletionRecord> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| CompletionRecord {
-            id,
-            volume_gbits: r.volume_gbits,
-            arrival_s: r.arrival_s,
-            deadline_s: r.deadline_s,
-            completion_s: None,
-            gbits_by_deadline: 0.0,
-        })
-        .collect();
-
+    let mut ledger = SlotLedger::new(requests);
     let mut prev_plan: Option<SlotPlan> = None;
     let mut delivered_series = Vec::new();
-    let mut makespan_s: f64 = 0.0;
     let mut update_ops = 0usize;
     let mut transition_loss_gbits = 0.0;
     let mut plan_error: Option<(usize, PlanError)> = None;
 
     for slot in 0..config.max_slots {
         let now = slot as f64 * config.slot_len_s;
-        let active: Vec<Transfer> = transfers
-            .iter()
-            .filter(|t| t.arrival_s <= now + EPS && !t.is_complete())
-            .cloned()
-            .collect();
-        let pending = transfers
-            .iter()
-            .any(|t| t.arrival_s > now + EPS && !t.is_complete());
+        let (active, pending) = ledger.admit(now);
         if active.is_empty() && !pending {
             break;
         }
@@ -179,51 +153,29 @@ pub fn run_controller(
         };
         transition_loss_gbits += loss;
 
-        // Deliver.
+        // Deliver. The controller counts no starvation and has no
+        // completion floor (ROADMAP, re-baselining item).
         let mut slot_delivered = 0.0;
         for alloc in &plan.allocations {
-            let rate_alloc = alloc.total_rate();
-            let rate = rate_alloc * scale;
-            if rate <= EPS {
-                continue;
-            }
-            let t = &mut transfers[alloc.transfer];
-            let rec = &mut records[alloc.transfer];
-            if let Some(d) = t.deadline_s {
-                if d > now {
-                    let usable = (d - now).min(config.slot_len_s);
-                    let by_deadline = (rate * usable).min(t.remaining_gbits);
-                    rec.gbits_by_deadline =
-                        (rec.gbits_by_deadline + by_deadline).min(t.volume_gbits);
-                }
-            }
-            // Completion keys off the *allocated* rate (as in
-            // `sim::simulate`): a transfer whose allocation covers its
-            // remaining volume finishes this slot, merely later when the
-            // transition ate into the slot — otherwise the scaled delivery
-            // would produce an unphysical geometric tail.
-            if rate_alloc * config.slot_len_s + EPS >= t.remaining_gbits {
-                let finish = now + t.remaining_gbits / rate;
-                slot_delivered += t.remaining_gbits;
-                t.remaining_gbits = 0.0;
-                rec.completion_s = Some(finish);
-                makespan_s = makespan_s.max(finish);
-            } else {
-                let vol = rate * config.slot_len_s;
-                t.remaining_gbits -= vol;
-                slot_delivered += vol;
+            let delivery = ledger.deliver(
+                alloc.transfer,
+                alloc.total_rate(),
+                scale,
+                now,
+                config.slot_len_s,
+            );
+            if let Some(d) = delivery {
+                slot_delivered += d.booked_gbits;
             }
         }
         delivered_series.push((now, slot_delivered));
         prev_plan = Some(plan);
     }
 
-    if !records.iter().all(|r| r.completion_s.is_some()) {
-        makespan_s = makespan_s.max(delivered_series.len() as f64 * config.slot_len_s);
-    }
-
+    let (completions, makespan_s) =
+        ledger.finish(delivered_series.len() as f64 * config.slot_len_s);
     ControllerResult {
-        completions: records,
+        completions,
         delivered_series,
         makespan_s,
         update_ops,

@@ -2,6 +2,8 @@
 //!
 //! * [`sim`] — the time-slotted fluid simulator (validated against the
 //!   paper's testbed methodology, §5.1),
+//! * [`ledger`] — the per-transfer slot accounting every loop books
+//!   delivery through,
 //! * [`metrics`] — completion time / deadline / makespan metrics,
 //! * [`runner`] — engine construction and parallel comparison sweeps,
 //! * [`failures`] — the §3.4 failure model and the degraded plant it
@@ -14,6 +16,7 @@
 //! fluid simulator the figures use, and [`run_controller`], which also
 //! charges each slot's update transition. Failures, repairs, detection
 //! delay and crash restarts (§3.4) are one more loop, `owan_chaos::run_chaos`.
+//! All three admit, deliver and finish through one [`SlotLedger`].
 //!
 //! A loop reports into a [`Probes`] run context: the obs recorder, the
 //! flight recorder, the region profiler and the why recorder, all disabled
@@ -49,6 +52,7 @@
 
 pub mod controller;
 pub mod failures;
+pub mod ledger;
 pub mod metrics;
 pub mod runner;
 pub mod sim;
@@ -57,13 +61,13 @@ pub mod validate;
 
 pub use controller::{run_controller, ControllerConfig, ControllerResult, UpdateDiscipline};
 pub use failures::{degrade_plant, degrade_plant_mapped, Failure, FailureEvent};
+pub use ledger::{at_risk_count, CompletionRecord, Delivery, SlotLedger};
 pub use runner::{
     make_engine, run_comparison, run_engine, run_engine_explained, run_engine_observed,
     run_engine_profiled, run_engine_traced, EngineKind, RunnerConfig,
 };
 pub use sim::{
-    build_scope_rows, plan_is_feasible, simulate, simulate_probed, CompletionRecord, PlanError,
-    Probes, SimConfig, SimResult,
+    plan_is_feasible, simulate, simulate_probed, PlanError, Probes, SimConfig, SimResult,
 };
 pub use telemetry::SlotTelemetry;
 pub use validate::{validate_simulator, ValidationReport};

@@ -6,7 +6,8 @@
 //! finishing before deadlines. *Factor of improvement* = the alternative's
 //! metric divided by Owan's.
 
-use crate::sim::{CompletionRecord, SimResult};
+use crate::ledger::CompletionRecord;
+use crate::sim::SimResult;
 
 /// Size bins used by Figures 7(b)/(e)/(h) and 9(c)/(f)/(i): the smallest
 /// third of transfers, the middle third, and the largest third.

@@ -11,26 +11,23 @@
 //!    mid-slot completion times and per-deadline byte counts,
 //! 5. updates starvation counters (the §3.2 starvation guard's input).
 //!
+//! Steps 1, 4 and 5 are [`SlotLedger`]'s, shared with the other loops.
+//!
 //! The paper validated exactly this style of flow-level simulator against
 //! its hardware testbed within 10% (§5.1); [`crate::validate`] reproduces
 //! that comparison with an impaired-rate mode.
 
-use crate::telemetry::{at_risk_count, SimTelemetry, SlotTelemetry};
-use owan_core::{Profiler, SlotInput, SlotPlan, TrafficEngineer, Transfer, TransferRequest};
+use crate::ledger::{at_risk_count, CompletionRecord, SlotLedger};
+use crate::telemetry::{SimTelemetry, SlotTelemetry};
+use owan_core::{Profiler, SlotInput, SlotPlan, TrafficEngineer, TransferRequest};
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
-use owan_scope::{path_label, ScopeRecorder, SlotObservation, TransferSlotRow};
+use owan_scope::{ScopeRecorder, SlotObservation};
 use owan_update::{plan_consistent_observed, NetworkDelta, UpdateParams};
-use owan_why::{TransferSample, WhyRecorder, WhySlotObservation};
+use owan_why::{SlotRecord, WhyRecorder};
 use serde::{Deserialize, Serialize};
 
 const EPS: f64 = 1e-9;
-
-/// Transfers whose remaining volume falls below this floor (1e-6 Gb = 125
-/// bytes) are counted complete at the end of the slot. LP-based engines
-/// leave numerical dust of this order; without the floor a sub-byte
-/// residue can starve forever below the allocators' rate thresholds.
-const COMPLETION_FLOOR_GBITS: f64 = 1e-6;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -53,40 +50,6 @@ impl Default for SimConfig {
             slot_len_s: 300.0,
             max_slots: 2_000,
             rate_efficiency: 1.0,
-        }
-    }
-}
-
-/// Per-transfer outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompletionRecord {
-    /// Transfer id (index into the request list).
-    pub id: usize,
-    /// Total volume, gigabits.
-    pub volume_gbits: f64,
-    /// Arrival time, seconds.
-    pub arrival_s: f64,
-    /// Deadline, if any.
-    pub deadline_s: Option<f64>,
-    /// Completion time (absolute seconds), or `None` if unfinished when
-    /// the simulation ended.
-    pub completion_s: Option<f64>,
-    /// Gigabits delivered before the deadline (equals `volume_gbits` when
-    /// the transfer met its deadline; meaningful only if a deadline is set).
-    pub gbits_by_deadline: f64,
-}
-
-impl CompletionRecord {
-    /// Completion time relative to arrival, if finished.
-    pub fn completion_time_s(&self) -> Option<f64> {
-        self.completion_s.map(|c| c - self.arrival_s)
-    }
-
-    /// True if the transfer finished before its deadline.
-    pub fn met_deadline(&self) -> bool {
-        match (self.completion_s, self.deadline_s) {
-            (Some(c), Some(d)) => c <= d + EPS,
-            _ => false,
         }
     }
 }
@@ -292,43 +255,19 @@ pub fn simulate_probed(
     };
     let mut slot_rows: Vec<SlotTelemetry> = Vec::new();
     let mut prev_plan: Option<SlotPlan> = None;
-
-    let mut transfers: Vec<Transfer> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| Transfer::from_request(id, r))
-        .collect();
-    let mut records: Vec<CompletionRecord> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| CompletionRecord {
-            id,
-            volume_gbits: r.volume_gbits,
-            arrival_s: r.arrival_s,
-            deadline_s: r.deadline_s,
-            completion_s: None,
-            gbits_by_deadline: 0.0,
-        })
-        .collect();
+    let mut ledger = SlotLedger::new(requests);
+    let n = requests.len();
+    let slot_len = config.slot_len_s;
 
     let mut throughput_series = Vec::new();
-    let mut makespan_s: f64 = 0.0;
     let mut slots = 0;
     let mut plan_error: Option<(usize, PlanError)> = None;
 
     for slot in 0..config.max_slots {
-        let now = slot as f64 * config.slot_len_s;
+        let now = slot as f64 * slot_len;
         slots = slot + 1;
 
-        // Active = arrived and incomplete.
-        let active: Vec<Transfer> = transfers
-            .iter()
-            .filter(|t| t.arrival_s <= now + EPS && !t.is_complete())
-            .cloned()
-            .collect();
-        let pending_future = transfers
-            .iter()
-            .any(|t| t.arrival_s > now + EPS && !t.is_complete());
+        let (active, pending_future) = ledger.admit(now);
         if active.is_empty() && !pending_future {
             break;
         }
@@ -351,7 +290,7 @@ pub fn simulate_probed(
             plant,
             &SlotInput {
                 transfers: &active,
-                slot_len_s: config.slot_len_s,
+                slot_len_s: slot_len,
                 now_s: now,
             },
         );
@@ -386,70 +325,25 @@ pub fn simulate_probed(
         };
 
         // Advance transfers.
-        let mut got_rate = vec![false; transfers.len()];
-        let mut scope_delivered = (scope_on || why_on).then(|| vec![0.0f64; transfers.len()]);
+        let mut got_rate = vec![false; n];
+        let mut scope_delivered = (scope_on || why_on).then(|| vec![0.0f64; n]);
         for alloc in &plan.allocations {
-            let rate_alloc = alloc.total_rate();
-            let rate = rate_alloc * config.rate_efficiency;
-            if rate <= EPS {
+            let (id, rate_alloc) = (alloc.transfer, alloc.total_rate());
+            debug_assert!(
+                rate_alloc * config.rate_efficiency <= EPS || !ledger.transfers()[id].is_complete(),
+                "allocation to a finished transfer"
+            );
+            let Some(d) = ledger.deliver(id, rate_alloc, config.rate_efficiency, now, slot_len)
+            else {
                 continue;
-            }
-            let t = &mut transfers[alloc.transfer];
-            debug_assert!(!t.is_complete(), "allocation to a finished transfer");
-            got_rate[alloc.transfer] = true;
-            let remaining_before = t.remaining_gbits;
-
-            let rec = &mut records[alloc.transfer];
-            // Bytes before the deadline (pro-rata within the slot).
-            if let Some(d) = t.deadline_s {
-                if d > now {
-                    let usable = (d - now).min(config.slot_len_s);
-                    let by_deadline = (rate * usable).min(t.remaining_gbits);
-                    rec.gbits_by_deadline =
-                        (rec.gbits_by_deadline + by_deadline).min(t.volume_gbits);
-                }
-            }
-            // A transfer whose *allocated* rate covers its remaining volume
-            // finishes this slot; with impaired delivery it finishes up to
-            // `1/rate_efficiency` later within (or just past) the slot.
-            // Modeling the under-delivered sliver this way avoids the
-            // unphysical geometric tail a demand-capped allocator would
-            // otherwise produce.
-            if rate_alloc * config.slot_len_s + EPS >= t.remaining_gbits {
-                let finish = now + t.remaining_gbits / rate;
-                t.remaining_gbits = 0.0;
-                rec.completion_s = Some(finish);
-                makespan_s = makespan_s.max(finish);
-            } else {
-                t.remaining_gbits -= rate * config.slot_len_s;
-            }
+            };
+            got_rate[id] = true;
             if let Some(delivered) = scope_delivered.as_mut() {
-                delivered[alloc.transfer] = remaining_before - t.remaining_gbits;
+                delivered[id] = d.drained_gbits;
             }
         }
-
-        // Numerical-dust floor: see COMPLETION_FLOOR_GBITS.
-        for (i, t) in transfers.iter_mut().enumerate() {
-            if !t.is_complete() && t.remaining_gbits < COMPLETION_FLOOR_GBITS {
-                t.remaining_gbits = 0.0;
-                let finish = now + config.slot_len_s;
-                records[i].completion_s = Some(finish);
-                makespan_s = makespan_s.max(finish);
-            }
-        }
-
-        // Starvation guard bookkeeping.
-        let mut queue_depth = 0usize;
-        for (i, t) in transfers.iter_mut().enumerate() {
-            if t.arrival_s <= now + EPS && !t.is_complete() {
-                if got_rate[i] {
-                    t.starved_slots = 0;
-                } else {
-                    t.starved_slots += 1;
-                    queue_depth += 1;
-                }
-            }
-        }
+        ledger.settle_dust(now, slot_len);
+        let queue_depth = ledger.count_starved(now, &got_rate);
 
         let at_risk = if telemetry.is_some() || scope_on {
             at_risk_count(&active, &plan, now)
@@ -478,11 +372,11 @@ pub fn simulate_probed(
             slot_rows.push(row);
         }
         if let (true, Some(delivered)) = (scope_on, &scope_delivered) {
-            let rows = build_scope_rows(&active, &plan, &transfers, &records, delivered);
+            let rows = ledger.scope_rows(&active, &plan, delivered);
             scope.record_slot(&SlotObservation {
                 slot,
                 now_s: now,
-                slot_len_s: config.slot_len_s,
+                slot_len_s: slot_len,
                 start_ns: slot_start_ns,
                 end_ns: recorder.now_ns().max(slot_start_ns),
                 plan_start_ns,
@@ -504,52 +398,21 @@ pub fn simulate_probed(
             });
         }
         if let (true, Some(delivered)) = (why_on, &scope_delivered) {
-            // Tier-4 feed: allocation-order samples first (the order
-            // the chaos runner books its Gb ledger in), then the
-            // queued actives. The idealized simulator has no
-            // transitions, blackholes, or attacks, so full == live,
-            // scale == 1, and the fault channel stays empty.
-            let mut samples: Vec<TransferSample> = Vec::with_capacity(active.len());
-            let mut allocated = vec![false; transfers.len()];
-            for alloc in &plan.allocations {
-                let id = alloc.transfer;
-                let rate_alloc = alloc.total_rate();
-                allocated[id] = true;
-                samples.push(TransferSample {
-                    id,
-                    full_rate_gbps: rate_alloc,
-                    live_rate_gbps: rate_alloc,
-                    delivered_gbits: delivered[id],
-                    remaining_gbits: transfers[id].remaining_gbits,
-                    completion_s: records[id].completion_s,
-                    queued: rate_alloc <= EPS,
-                });
-            }
-            for t in &active {
-                if !allocated[t.id] {
-                    samples.push(TransferSample {
-                        id: t.id,
-                        full_rate_gbps: 0.0,
-                        live_rate_gbps: 0.0,
-                        delivered_gbits: 0.0,
-                        remaining_gbits: transfers[t.id].remaining_gbits,
-                        completion_s: records[t.id].completion_s,
-                        queued: true,
-                    });
-                }
-            }
-            if let Some(reason) = why.observe_slot(&WhySlotObservation {
+            // The idealized simulator has no transitions, blackholes or
+            // attacks: full == live, scale == 1, no fault events.
+            let samples = ledger.why_samples(&active, &plan, delivered, |_, a| a.total_rate());
+            if let Some(reason) = why.observe_slot(SlotRecord {
                 slot,
                 now_s: now,
-                slot_len_s: config.slot_len_s,
+                slot_len_s: slot_len,
                 start_ns: slot_start_ns,
                 end_ns: recorder.now_ns().max(slot_start_ns),
                 plan_ns,
                 transition_scale: 1.0,
                 throughput_gbps: plan.throughput_gbps,
                 attack_active: false,
-                samples: &samples,
-                events: &[],
+                samples,
+                events: Vec::new(),
             }) {
                 scope.anomaly(reason, slot);
             }
@@ -560,67 +423,16 @@ pub fn simulate_probed(
         slot_region.finish();
     }
 
-    if !records.iter().all(|r| r.completion_s.is_some()) {
-        makespan_s = makespan_s.max(slots as f64 * config.slot_len_s);
-    }
-
+    let (completions, makespan_s) = ledger.finish(slots as f64 * slot_len);
     SimResult {
         engine: engine.name().to_string(),
-        completions: records,
+        completions,
         makespan_s,
         throughput_series,
         slots,
         telemetry: telemetry.map(|_| slot_rows),
         plan_error,
     }
-}
-
-/// One [`TransferSlotRow`] per active transfer, for the scope's transfer
-/// tracker: allocated rate, volume delivered this slot (attributed per
-/// path pro-rata by path rate), post-slot remaining volume, queue
-/// position for unserved transfers, and the completion instant when the
-/// transfer finished this slot. Shared with the chaos loop, which feeds
-/// its achieved (post-fault) plan instead of the target plan.
-pub fn build_scope_rows(
-    active: &[Transfer],
-    plan: &SlotPlan,
-    transfers: &[Transfer],
-    records: &[CompletionRecord],
-    delivered: &[f64],
-) -> Vec<TransferSlotRow> {
-    let mut rows = Vec::with_capacity(active.len());
-    let mut queue_pos = 0usize;
-    for a in active {
-        let id = a.id;
-        let alloc = plan.allocations.iter().find(|al| al.transfer == id);
-        let rate_gbps = alloc.map_or(0.0, |al| al.total_rate());
-        let delivered_gbits = delivered.get(id).copied().unwrap_or(0.0);
-        let served = rate_gbps > EPS;
-        let paths = match alloc {
-            Some(al) if served && delivered_gbits > 0.0 => al
-                .paths
-                .iter()
-                .filter(|(_, r)| *r > EPS)
-                .map(|(p, r)| (path_label(p), delivered_gbits * r / rate_gbps))
-                .collect(),
-            _ => Vec::new(),
-        };
-        rows.push(TransferSlotRow {
-            id,
-            rate_gbps,
-            delivered_gbits,
-            remaining_gbits: transfers[id].remaining_gbits,
-            queue_pos: if served {
-                None
-            } else {
-                queue_pos += 1;
-                Some(queue_pos - 1)
-            },
-            completion_s: records[id].completion_s,
-            paths,
-        });
-    }
-    rows
 }
 
 #[cfg(test)]

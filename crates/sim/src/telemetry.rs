@@ -18,7 +18,6 @@
 //! hand-written.
 
 use owan_core::telemetry::names as core_names;
-use owan_core::{SlotPlan, Transfer};
 use owan_obs::{telemetry_bundle, Value};
 use owan_update::UpdateTelemetry;
 use serde::{Deserialize, Serialize};
@@ -135,27 +134,6 @@ impl SimTelemetry {
             ],
         );
     }
-}
-
-/// Number of active deadline transfers that cannot finish by their
-/// deadline at the rate `plan` allocates them (a transfer with no
-/// allocation and a live deadline is always at risk; one whose deadline
-/// already passed with volume remaining counts too).
-pub(crate) fn at_risk_count(active: &[Transfer], plan: &SlotPlan, now_s: f64) -> usize {
-    active
-        .iter()
-        .filter(|t| t.deadline_s.is_some() && !t.is_complete())
-        .filter(|t| {
-            let deadline = t.deadline_s.expect("filtered to deadline transfers");
-            let rate = plan
-                .allocations
-                .iter()
-                .find(|a| a.transfer == t.id)
-                .map_or(0.0, |a| a.total_rate());
-            let horizon = (deadline - now_s).max(0.0);
-            rate * horizon + 1e-9 < t.remaining_gbits
-        })
-        .count()
 }
 
 /// Snapshot of the core/update stage totals at one instant.

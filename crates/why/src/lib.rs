@@ -100,9 +100,24 @@ pub struct TransferSample {
     pub queued: bool,
 }
 
-/// Everything the slot loop tells the why recorder once per slot.
-#[derive(Debug, Clone, Copy)]
-pub struct WhySlotObservation<'a> {
+/// Static facts about one transfer, taken from the request list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TransferInfo {
+    /// Transfer id.
+    pub id: usize,
+    /// Total volume, Gb.
+    pub volume_gbits: f64,
+    /// Arrival time, absolute seconds.
+    pub arrival_s: f64,
+    /// Deadline, if any, absolute seconds.
+    pub deadline_s: Option<f64>,
+}
+
+/// Everything the slot loop tells the why recorder once per slot, retained
+/// as the unit the attribution engine and the joiner consume. Public so
+/// property tests can synthesize feeds without driving a whole simulation.
+#[derive(Debug, Clone)]
+pub struct SlotRecord {
     /// Slot index.
     pub slot: usize,
     /// Slot start, sim seconds.
@@ -125,51 +140,9 @@ pub struct WhySlotObservation<'a> {
     /// Per-transfer samples, **in plan-allocation order** (queued
     /// transfers appended after) — the order the chaos runner books
     /// losses in, which keeps the Gb ledger bit-exact.
-    pub samples: &'a [TransferSample],
+    pub samples: Vec<TransferSample>,
     /// Deterministic fault/event labels for this slot (the same strings
     /// the flight frames carry).
-    pub events: &'a [String],
-}
-
-/// Static facts about one transfer, taken from the request list.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferInfo {
-    /// Transfer id.
-    pub id: usize,
-    /// Total volume, Gb.
-    pub volume_gbits: f64,
-    /// Arrival time, absolute seconds.
-    pub arrival_s: f64,
-    /// Deadline, if any, absolute seconds.
-    pub deadline_s: Option<f64>,
-}
-
-/// One retained slot of the run — the unit the attribution engine and
-/// the joiner consume. Public so property tests can synthesize feeds
-/// without driving a whole simulation.
-#[derive(Debug, Clone)]
-pub struct SlotRecord {
-    /// Slot index.
-    pub slot: usize,
-    /// Slot start, sim seconds.
-    pub now_s: f64,
-    /// Slot length, sim seconds.
-    pub slot_len_s: f64,
-    /// Recorder-clock ns bounds of the slot's processing.
-    pub start_ns: u64,
-    /// Recorder-clock ns at slot-processing end.
-    pub end_ns: u64,
-    /// Planning wall time, ns.
-    pub plan_ns: u64,
-    /// Post-reconfiguration delivery fraction in `[0, 1]`.
-    pub transition_scale: f64,
-    /// Total allocated throughput, Gbps.
-    pub throughput_gbps: f64,
-    /// Attack wave active this slot.
-    pub attack_active: bool,
-    /// Per-transfer samples in allocation order.
-    pub samples: Vec<TransferSample>,
-    /// Fault/event labels.
     pub events: Vec<String>,
 }
 
@@ -255,28 +228,18 @@ impl WhyRecorder {
     /// `slo.deficit`) — the slot loop forwards it to
     /// `ScopeRecorder::anomaly` so the existing flight-recorder freeze
     /// fires with a self-explaining reason.
-    pub fn observe_slot(&self, obs: &WhySlotObservation<'_>) -> Option<&'static str> {
+    pub fn observe_slot(&self, record: SlotRecord) -> Option<&'static str> {
         let inner = self.inner.as_ref()?;
-        let mut state = inner.state.lock().expect("why state poisoned");
-        state.slots.push(SlotRecord {
-            slot: obs.slot,
-            now_s: obs.now_s,
-            slot_len_s: obs.slot_len_s,
-            start_ns: obs.start_ns,
-            end_ns: obs.end_ns,
-            plan_ns: obs.plan_ns,
-            transition_scale: obs.transition_scale,
-            throughput_gbps: obs.throughput_gbps,
-            attack_active: obs.attack_active,
-            samples: obs.samples.to_vec(),
-            events: obs.events.to_vec(),
-        });
-        let transfers = std::mem::take(&mut state.transfers);
-        let trip = state.slo.observe_slot(obs, &transfers, &inner.telem);
-        state.transfers = transfers;
+        let mut guard = inner.state.lock().expect("why state poisoned");
+        let state = &mut *guard;
+        let slot = record.slot;
+        let trip = state
+            .slo
+            .observe_slot(&record, &state.transfers, &inner.telem);
+        state.slots.push(record);
         if let Some(reason) = trip {
             if state.tripped.is_none() {
-                state.tripped = Some((reason, obs.slot));
+                state.tripped = Some((reason, slot));
                 inner.telem.trips.incr();
                 return Some(reason);
             }
@@ -418,7 +381,7 @@ mod tests {
             completion_s: Some(300.0),
             queued: false,
         };
-        let trip = why.observe_slot(&WhySlotObservation {
+        let trip = why.observe_slot(SlotRecord {
             slot: 0,
             now_s: 0.0,
             slot_len_s: 300.0,
@@ -428,8 +391,8 @@ mod tests {
             transition_scale: 1.0,
             throughput_gbps: 1.0,
             attack_active: false,
-            samples: &[sample],
-            events: &[],
+            samples: vec![sample],
+            events: Vec::new(),
         });
         assert!(trip.is_none());
         assert!(why.report().is_none());
@@ -453,7 +416,7 @@ mod tests {
                 completion_s: done.then_some(600.0),
                 queued: false,
             };
-            why.observe_slot(&WhySlotObservation {
+            why.observe_slot(SlotRecord {
                 slot,
                 now_s: now,
                 slot_len_s: 300.0,
@@ -463,8 +426,8 @@ mod tests {
                 transition_scale: 1.0,
                 throughput_gbps: 0.5,
                 attack_active: false,
-                samples: &[sample],
-                events: &[],
+                samples: vec![sample],
+                events: Vec::new(),
             });
         }
         let report = why.report().unwrap();

@@ -10,7 +10,7 @@
 //! threshold defaults to `None`: monitors always *measure*, they only
 //! *trip* when the run opts in.
 
-use crate::{TransferInfo, WhySlotObservation, WhyTelemetry, EPS};
+use crate::{SlotRecord, TransferInfo, WhyTelemetry, EPS};
 use std::collections::VecDeque;
 
 /// Trip reason for the deadline-miss burn-rate monitor.
@@ -90,7 +90,7 @@ impl SloState {
     /// reason, if any.
     pub(crate) fn observe_slot(
         &mut self,
-        obs: &WhySlotObservation<'_>,
+        obs: &SlotRecord,
         transfers: &[TransferInfo],
         telem: &WhyTelemetry,
     ) -> Option<&'static str> {
@@ -99,7 +99,7 @@ impl SloState {
         let mut missed_now = 0u32;
         // Completions first, so a transfer finishing in the same slot
         // its deadline falls in is judged by its completion instant.
-        for sample in obs.samples {
+        for sample in &obs.samples {
             let Some(done) = sample.completion_s else {
                 continue;
             };
@@ -120,7 +120,7 @@ impl SloState {
                 }
             }
         }
-        for sample in obs.samples {
+        for sample in &obs.samples {
             if let Some(d) = self.delivered.get_mut(sample.id) {
                 *d += sample.delivered_gbits;
             }
@@ -262,7 +262,7 @@ pub struct SloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TransferSample, WhySlotObservation};
+    use crate::TransferSample;
 
     fn info(id: usize, volume: f64, arrival: f64, deadline: Option<f64>) -> TransferInfo {
         TransferInfo {
@@ -273,13 +273,8 @@ mod tests {
         }
     }
 
-    fn obs<'a>(
-        slot: usize,
-        slot_len: f64,
-        plan_ns: u64,
-        samples: &'a [TransferSample],
-    ) -> WhySlotObservation<'a> {
-        WhySlotObservation {
+    fn obs(slot: usize, slot_len: f64, plan_ns: u64, samples: &[TransferSample]) -> SlotRecord {
+        SlotRecord {
             slot,
             now_s: slot as f64 * slot_len,
             slot_len_s: slot_len,
@@ -289,8 +284,8 @@ mod tests {
             transition_scale: 1.0,
             throughput_gbps: 1.0,
             attack_active: false,
-            samples,
-            events: &[],
+            samples: samples.to_vec(),
+            events: Vec::new(),
         }
     }
 

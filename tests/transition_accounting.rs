@@ -425,7 +425,8 @@ fn chaos_accounting_of_the_executed_plan_is_pinned() {
 /// pro-rata deadline credit runs on LP rates. `simulate` charges no
 /// transition: loss and update ops are zero and the series is allocated
 /// throughput per slot. The completion floor never fires here: no engine
-/// leaves a residue under 1e-6 Gb on this request set.
+/// leaves a residue under 1e-6 Gb on this request set (the ledger's unit
+/// tests cover it).
 #[test]
 fn simulate_accounting_of_an_lp_engine_is_pinned() {
     let net = isp_backbone(7);
