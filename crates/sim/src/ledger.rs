@@ -81,7 +81,7 @@ pub struct Delivery {
 }
 
 /// The run's transfers, their completion records and the makespan.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SlotLedger {
     transfers: Vec<Transfer>,
     records: Vec<CompletionRecord>,

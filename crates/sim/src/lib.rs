@@ -61,7 +61,7 @@ pub mod validate;
 
 pub use controller::{run_controller, ControllerConfig, ControllerResult, UpdateDiscipline};
 pub use failures::{degrade_plant, degrade_plant_mapped, Failure, FailureEvent};
-pub use ledger::{at_risk_count, CompletionRecord, Delivery, SlotLedger};
+pub use ledger::{at_risk_count, CompletionRecord, SlotLedger};
 pub use runner::{
     make_engine, run_comparison, run_engine, run_engine_explained, run_engine_observed,
     run_engine_profiled, run_engine_traced, EngineKind, RunnerConfig,

@@ -257,14 +257,13 @@ pub fn simulate_probed(
     let mut prev_plan: Option<SlotPlan> = None;
     let mut ledger = SlotLedger::new(requests);
     let n = requests.len();
-    let slot_len = config.slot_len_s;
 
     let mut throughput_series = Vec::new();
     let mut slots = 0;
     let mut plan_error: Option<(usize, PlanError)> = None;
 
     for slot in 0..config.max_slots {
-        let now = slot as f64 * slot_len;
+        let now = slot as f64 * config.slot_len_s;
         slots = slot + 1;
 
         let (active, pending_future) = ledger.admit(now);
@@ -290,7 +289,7 @@ pub fn simulate_probed(
             plant,
             &SlotInput {
                 transfers: &active,
-                slot_len_s: slot_len,
+                slot_len_s: config.slot_len_s,
                 now_s: now,
             },
         );
@@ -333,8 +332,13 @@ pub fn simulate_probed(
                 rate_alloc * config.rate_efficiency <= EPS || !ledger.transfers()[id].is_complete(),
                 "allocation to a finished transfer"
             );
-            let Some(d) = ledger.deliver(id, rate_alloc, config.rate_efficiency, now, slot_len)
-            else {
+            let Some(d) = ledger.deliver(
+                id,
+                rate_alloc,
+                config.rate_efficiency,
+                now,
+                config.slot_len_s,
+            ) else {
                 continue;
             };
             got_rate[id] = true;
@@ -342,7 +346,7 @@ pub fn simulate_probed(
                 delivered[id] = d.drained_gbits;
             }
         }
-        ledger.settle_dust(now, slot_len);
+        ledger.settle_dust(now, config.slot_len_s);
         let queue_depth = ledger.count_starved(now, &got_rate);
 
         let at_risk = if telemetry.is_some() || scope_on {
@@ -376,7 +380,7 @@ pub fn simulate_probed(
             scope.record_slot(&SlotObservation {
                 slot,
                 now_s: now,
-                slot_len_s: slot_len,
+                slot_len_s: config.slot_len_s,
                 start_ns: slot_start_ns,
                 end_ns: recorder.now_ns().max(slot_start_ns),
                 plan_start_ns,
@@ -404,7 +408,7 @@ pub fn simulate_probed(
             if let Some(reason) = why.observe_slot(SlotRecord {
                 slot,
                 now_s: now,
-                slot_len_s: slot_len,
+                slot_len_s: config.slot_len_s,
                 start_ns: slot_start_ns,
                 end_ns: recorder.now_ns().max(slot_start_ns),
                 plan_ns,
@@ -423,7 +427,7 @@ pub fn simulate_probed(
         slot_region.finish();
     }
 
-    let (completions, makespan_s) = ledger.finish(slots as f64 * slot_len);
+    let (completions, makespan_s) = ledger.finish(slots as f64 * config.slot_len_s);
     SimResult {
         engine: engine.name().to_string(),
         completions,
