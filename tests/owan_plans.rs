@@ -8,7 +8,9 @@
 //! The loop also accounts for the annealer's work: every iteration either
 //! scores a neighbor or takes an identity move (a neighbor equal to the
 //! current topology, accepted at the current energy unscored), and each
-//! slot's run scores its initial state once.
+//! slot's run scores its initial state once. The totals of that work —
+//! relay Dijkstras, hop-level BFS passes, rate paths examined, scored and
+//! identity moves — are pinned too.
 
 mod common;
 
@@ -33,6 +35,20 @@ struct Scenario {
     /// The plan digest recorded before the rate rounds 1–2 lost their hop
     /// levels and identity moves their evaluation.
     pinned: u64,
+    /// The work the loop does, pinned beside the plans: a change meant as
+    /// a pure speed-up runs the same searches and the same BFS passes,
+    /// each for less.
+    work: Work,
+}
+
+/// Exact counter totals of one scenario's loop.
+#[derive(Debug, PartialEq, Eq)]
+struct Work {
+    shortest_path_calls: u64,
+    hop_levels: u64,
+    paths_examined: u64,
+    cache_miss: u64,
+    identity_moves: u64,
 }
 
 fn isp_sjf() -> Scenario {
@@ -45,6 +61,13 @@ fn isp_sjf() -> Scenario {
         policy: SchedulingPolicy::ShortestJobFirst,
         iterations: 30,
         pinned: 0x097d_3c69_7cb9_4f45,
+        work: Work {
+            shortest_path_calls: 6_680,
+            hop_levels: 9_278,
+            paths_examined: 5_068,
+            cache_miss: 163,
+            identity_moves: 7,
+        },
     }
 }
 
@@ -60,6 +83,13 @@ fn interdc_edf_hotspots() -> Scenario {
         policy: SchedulingPolicy::EarliestDeadlineFirst,
         iterations: 60,
         pinned: 0xcc89_f051_6597_25fb,
+        work: Work {
+            shortest_path_calls: 7_289,
+            hop_levels: 7_107,
+            paths_examined: 8_853,
+            cache_miss: 259,
+            identity_moves: 61,
+        },
     }
 }
 
@@ -130,5 +160,13 @@ fn owan_plans_are_oracle_clean_and_bit_pinned() {
             "{}: rounds ≥ 3 ran",
             s.name
         );
+        let work = Work {
+            shortest_path_calls: counter("circuits.shortest_path_calls"),
+            hop_levels: counter("rates.hop_levels"),
+            paths_examined: counter("rates.paths_examined"),
+            cache_miss: evals,
+            identity_moves: identity,
+        };
+        assert_eq!(work, s.work, "{}: the loop's work moved", s.name);
     }
 }
