@@ -41,6 +41,7 @@
 use crate::circuits::{DeltaScratch, TopologyLedger};
 use crate::rates::RateScratch;
 use crate::regen::{ReachRows, RelayScratch};
+use crate::rows::{by_row_words, clear_bit, has_bit, row, row_mut, row_sites, set_bit};
 use owan_optical::{FiberPlant, RouteTable, SiteId};
 use std::sync::Arc;
 
@@ -201,50 +202,28 @@ pub fn plant_fingerprint(plant: &FiberPlant) -> u64 {
 pub struct PlantCache {
     sig: u64,
     n: usize,
-    /// Relay domain per unordered pair, indexed `min * n + max`.
-    domains: Vec<Vec<SiteId>>,
+    /// Relay domain per unordered pair as a site row, row `min * n + max`.
+    domains: Vec<u64>,
     reach: ReachRows,
     routes: RouteTable,
 }
 
 impl PlantCache {
     /// Builds the precompute: the reach rows; their closure over
-    /// regenerator-equipped pivots (a boolean Floyd–Warshall on bitset
-    /// rows, `O(V^2)` row unions) with the per-pair domains read off it;
-    /// and one fiber-graph Dijkstra per site for the route table.
+    /// regenerator-equipped pivots (a boolean Floyd–Warshall on site rows,
+    /// `O(V^2)` row unions) with the per-pair domains read off it, word by
+    /// word; and one fiber-graph Dijkstra per site for the route table.
+    ///
+    /// # Panics
+    ///
+    /// If the plant has more than [`MAX_SITES`](crate::rows::MAX_SITES)
+    /// sites.
     pub fn build(plant: &FiberPlant, fiber_dist: &[Vec<f64>]) -> Self {
-        let n = plant.site_count();
         let reach = ReachRows::build(plant, fiber_dist);
-        let equipped = |s: SiteId| plant.site(s).regenerators > 0;
-        // `through[x]`: the sites a path from `x` gets to with every
-        // interior site equipped.
-        let mut through: Vec<Vec<u64>> = (0..n).map(|x| reach.row(x).to_vec()).collect();
-        let has = |row: &[u64], s: SiteId| row[s / 64] >> (s % 64) & 1 == 1;
-        for k in (0..n).filter(|&k| equipped(k)) {
-            let via = through[k].clone();
-            for row in through.iter_mut().filter(|row| has(row, k)) {
-                for (a, b) in row.iter_mut().zip(&via) {
-                    *a |= b;
-                }
-            }
-        }
-        let mut domains = vec![Vec::new(); n * n];
-        for u in 0..n {
-            for v in u + 1..n {
-                domains[u * n + v] = (0..n)
-                    .filter(|&s| {
-                        s != u
-                            && s != v
-                            && equipped(s)
-                            && has(&through[u], s)
-                            && has(&through[s], v)
-                    })
-                    .collect();
-            }
-        }
+        let domains = by_row_words!(reach.words(), |W| relay_domains::<W>(plant, &reach));
         PlantCache {
             sig: plant_fingerprint(plant),
-            n,
+            n: plant.site_count(),
             domains,
             reach,
             routes: RouteTable::build(plant),
@@ -256,10 +235,12 @@ impl PlantCache {
         self.sig
     }
 
-    /// The relay domain of pair `(u, v)`, in increasing site order.
-    pub fn domain(&self, u: SiteId, v: SiteId) -> &[SiteId] {
+    /// The relay domain of pair `(u, v)` as a site row (see
+    /// [`row_sites`](crate::rows::row_sites)).
+    pub fn domain(&self, u: SiteId, v: SiteId) -> &[u64] {
         let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        &self.domains[a * self.n + b]
+        let w = self.reach.words();
+        &self.domains[(a * self.n + b) * w..][..w]
     }
 
     /// The plant's reach adjacency.
@@ -271,6 +252,55 @@ impl PlantCache {
     pub(crate) fn routes(&self) -> &RouteTable {
         &self.routes
     }
+}
+
+/// The relay domain of every unordered pair `(u, v)`, `u < v`, as `W`-word
+/// rows indexed `u * n + v`: the equipped sites, not `u` or `v`, that
+/// `through[u]` holds and whose own `through` row holds `v`.
+fn relay_domains<const W: usize>(plant: &FiberPlant, reach: &ReachRows) -> Vec<u64> {
+    let n = plant.site_count();
+    let mut equipped = [0u64; W];
+    for s in (0..n).filter(|&s| plant.site(s).regenerators > 0) {
+        set_bit(&mut equipped, s);
+    }
+    // `through[x]`: the sites a path from `x` gets to with every interior
+    // site equipped.
+    let mut through = vec![0u64; n * W];
+    for x in 0..n {
+        *row_mut::<W>(&mut through, x) = *reach.fwd::<W>(x);
+    }
+    for k in row_sites(&equipped) {
+        let via = *row::<W>(&through, k);
+        for x in 0..n {
+            let r = row_mut::<W>(&mut through, x);
+            if has_bit(r, k) {
+                for (a, b) in r.iter_mut().zip(via) {
+                    *a |= b;
+                }
+            }
+        }
+    }
+    // `into[v]`: the sites whose `through` row holds `v`.
+    let mut into = vec![0u64; n * W];
+    for x in 0..n {
+        for v in row_sites(row::<W>(&through, x)) {
+            set_bit(row_mut::<W>(&mut into, v), x);
+        }
+    }
+    let mut domains = vec![0u64; n * n * W];
+    for u in 0..n {
+        let from_u = *row::<W>(&through, u);
+        for v in u + 1..n {
+            let to_v = row::<W>(&into, v);
+            let d = row_mut::<W>(&mut domains, u * n + v);
+            for i in 0..W {
+                d[i] = equipped[i] & from_u[i] & to_v[i];
+            }
+            clear_bit(d, u);
+            clear_bit(d, v);
+        }
+    }
+    domains
 }
 
 /// What the fast evaluation keeps between calls. See the module docs for
@@ -446,8 +476,9 @@ mod tests {
                         s != u && s != v && regens[s] > 0 && gets_to(u)[s] && gets_to(s)[v]
                     })
                     .collect();
-                assert_eq!(pc.domain(u, v), want, "({u}, {v})");
-                assert_eq!(pc.domain(v, u), want, "({v}, {u})");
+                let row: Vec<usize> = row_sites(pc.domain(u, v)).collect();
+                assert_eq!(row, want, "({u}, {v})");
+                assert_eq!(pc.domain(v, u), pc.domain(u, v), "({v}, {u})");
                 sizes.insert(want.len());
             }
         }

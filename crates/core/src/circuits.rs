@@ -19,7 +19,8 @@
 //! ([`TopologyLedger::materialise`]) only for the run's winner.
 
 use crate::cache::{EnergyCache, PlantCache};
-use crate::regen::{set_bit, RegenGraph, RelayScratch, RelaySearch};
+use crate::regen::{RegenGraph, RelayScratch, RelaySearch};
+use crate::rows::{row_sites, set_bit};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
 use owan_optical::{
@@ -431,7 +432,7 @@ impl TopologyLedger {
                     m_prev == m_new
                         && (!any_dirty || {
                             let (lv, rv) = (live.free_regen_vec(), ds.replay.free_regen_vec());
-                            pc.domain(u, v).iter().all(|&s| lv[s] == rv[s])
+                            row_sites(pc.domain(u, v)).all(|s| lv[s] == rv[s])
                         })
                         && equal_on(live, &ds.replay, prev.probe(k), &ds.dirty)
                 });

@@ -52,6 +52,7 @@ pub mod groups;
 pub mod pool;
 pub mod rates;
 pub mod regen;
+pub mod rows;
 pub mod telemetry;
 pub mod topology;
 pub mod types;
@@ -80,6 +81,7 @@ pub use rates::{
     RateScratch,
 };
 pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch, RelaySearch};
+pub use rows::{row_sites, MAX_SITES};
 pub use telemetry::CoreTelemetry;
 // Re-exported so `owan-te`'s engines can override
 // `TrafficEngineer::set_recorder` without depending on `owan-obs` directly.

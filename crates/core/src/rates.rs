@@ -17,7 +17,7 @@
 //! straightforward pass it replaced stays as [`assign_rates_reference`]
 //! for the differential tests.
 
-use crate::regen::{has_bit, set_bit};
+use crate::rows::{by_row_words, clear_bit, has_bit, row, row_mut, row_sites, row_words, set_bit};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
 use crate::types::{Allocation, SchedulingPolicy, Transfer};
@@ -120,11 +120,6 @@ impl<'a> RateInputs<'a> {
     }
 }
 
-#[inline]
-fn clear_bit(set: &mut [u64], s: SiteId) {
-    set[s / 64] &= !(1 << (s % 64));
-}
-
 /// One grabbed path held in [`RateScratch`]'s log.
 #[derive(Debug, Clone, Copy)]
 struct Grab {
@@ -140,8 +135,8 @@ struct Grab {
 ///
 /// The residual keeps, beside the capacities, a *support* bitset row per
 /// site (bit `v` of row `u` iff `cap[u][v] > EPS`), so hop distances are a
-/// bitset BFS and the path search walks machine words. All site bitsets
-/// are `words = ceil(n / 64)` words long.
+/// BFS over site rows and the path search walks machine words. All site
+/// rows are `words = ceil(n / 64)` words long.
 #[derive(Debug, Clone, Default)]
 pub struct RateScratch {
     n: usize,
@@ -160,14 +155,12 @@ pub struct RateScratch {
     /// Per destination, the last mask its BFS wrote: the BFS stops when
     /// its frontier empties, and the masks past it equal it.
     deepest: Vec<usize>,
-    frontier: Vec<u64>,
     demand: Vec<f64>,
     /// Transfers still in play, in policy order.
     active: Vec<usize>,
     /// First round in which a transfer can have a path.
     wake: Vec<usize>,
     path: Vec<SiteId>,
-    on_path: Vec<u64>,
     /// Unexplored next hops, one mask per search depth.
     cand: Vec<u64>,
     /// Site sequences found by one search, back to back.
@@ -183,6 +176,11 @@ pub struct RateScratch {
 impl RateScratch {
     /// Loads the residual of `topology` and the pass's starting state, and
     /// sizes the path buffers for the most a pass can put in them.
+    ///
+    /// # Panics
+    ///
+    /// If the topology has more than [`MAX_SITES`](crate::rows::MAX_SITES)
+    /// sites.
     fn load(
         &mut self,
         topology: &Topology,
@@ -192,7 +190,7 @@ impl RateScratch {
         limit: usize,
     ) {
         let n = topology.site_count();
-        let w = n.div_ceil(64);
+        let w = row_words(n);
         (self.n, self.words, self.hops) = (n, w, hops);
         self.cap.clear();
         self.cap.resize(n * n, 0.0);
@@ -215,8 +213,6 @@ impl RateScratch {
         self.within_round.clear();
         self.within_round.resize(n, 0);
         self.deepest.resize(n, 0);
-        self.frontier.resize(w, 0);
-        self.on_path.resize(w, 0);
         self.cand.resize(hops * w, 0);
         self.path.resize(hops + 1, 0);
 
@@ -254,47 +250,47 @@ impl RateScratch {
         self.grabbed.reserve(grabs * (hops + 1));
     }
 
-    /// Where mask `d` of `dst` starts in `within`; masks past the last one
-    /// its BFS wrote read that one.
+    /// The row of `within` holding mask `d` of `dst`; masks past the last
+    /// one its BFS wrote read that one.
     #[inline]
     fn mask_at(&self, dst: SiteId, d: usize) -> usize {
-        (dst * (self.hops + 1) + d.min(self.deepest[dst])) * self.words
+        dst * (self.hops + 1) + d.min(self.deepest[dst])
     }
 
     /// True if `s` was within `d` hops of `dst` when its masks were
     /// computed.
     #[inline]
-    fn is_within(&self, dst: SiteId, d: usize, s: SiteId) -> bool {
-        has_bit(&self.within[self.mask_at(dst, d)..], s)
+    fn is_within<const W: usize>(&self, dst: SiteId, d: usize, s: SiteId) -> bool {
+        has_bit(row::<W>(&self.within, self.mask_at(dst, d)), s)
     }
 
     /// Recomputes `dst`'s masks over the support rows as they stand: a
-    /// bitset BFS, expanded from `dst` as the reference's is, that stops
-    /// once a level adds no site — every later level would repeat it.
-    fn levels(&mut self, dst: SiteId) {
-        let (w, hops) = (self.words, self.hops);
-        let masks = &mut self.within[dst * (hops + 1) * w..(dst + 1) * (hops + 1) * w];
-        masks[..w].fill(0);
-        set_bit(masks, dst);
-        self.frontier.copy_from_slice(&masks[..w]);
+    /// BFS over `W`-word site rows, expanded from `dst` as the
+    /// reference's is, that stops once a level adds no site — every later
+    /// level would repeat it.
+    fn levels<const W: usize>(&mut self, dst: SiteId) {
+        let first = dst * (self.hops + 1);
+        let mut reached = [0u64; W];
+        set_bit(&mut reached, dst);
+        *row_mut(&mut self.within, first) = reached;
+        let mut frontier = reached;
         let mut d = 0;
-        while d < hops && self.frontier.iter().any(|&f| f != 0) {
+        while d < self.hops && frontier != [0; W] {
             d += 1;
-            let (prev, level) = masks[(d - 1) * w..(d + 1) * w].split_at_mut(w);
-            level.copy_from_slice(prev);
-            for (j, &word) in self.frontier.iter().enumerate() {
+            let mut level = reached;
+            for (j, &word) in frontier.iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
                     let u = j * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    for (x, r) in level.iter_mut().zip(&self.support[u * w..(u + 1) * w]) {
+                    for (x, r) in level.iter_mut().zip(row::<W>(&self.support, u)) {
                         *x |= r;
                     }
                 }
             }
-            for ((f, x), p) in self.frontier.iter_mut().zip(level.iter()).zip(prev.iter()) {
-                *f = x & !p;
-            }
+            frontier = std::array::from_fn(|i| level[i] & !reached[i]);
+            reached = level;
+            *row_mut(&mut self.within, first + d) = reached;
         }
         self.deepest[dst] = d;
     }
@@ -303,33 +299,36 @@ impl RateScratch {
     /// from `path[depth]`: supported, off the path, close enough to `dst`
     /// to arrive on the last hop, and not `dst` itself (a path through
     /// `dst` cannot end there).
-    fn open(&mut self, depth: usize, dst: SiteId, l: usize) {
-        let w = self.words;
-        let cur = self.path[depth];
-        let near = self.mask_at(dst, l - depth - 1);
-        for j in 0..w {
-            self.cand[depth * w + j] =
-                self.support[cur * w + j] & !self.on_path[j] & self.within[near + j];
-        }
-        clear_bit(&mut self.cand[depth * w..], dst);
+    fn open<const W: usize>(&mut self, depth: usize, on_path: &[u64; W], dst: SiteId, l: usize) {
+        let support = row::<W>(&self.support, self.path[depth]);
+        let near = row::<W>(&self.within, self.mask_at(dst, l - depth - 1));
+        let mut cand: [u64; W] = std::array::from_fn(|j| support[j] & !on_path[j] & near[j]);
+        clear_bit(&mut cand, dst);
+        *row_mut(&mut self.cand, depth) = cand;
     }
 
     /// Enumerates into `found` up to `limit` simple paths from `src` to
     /// `dst` with exactly `l` hops, each hop supported, in the order the
     /// reference's DFS finds them (ascending neighbor order). Returns the
     /// number of paths.
-    fn search(&mut self, src: SiteId, dst: SiteId, l: usize, limit: usize) -> usize {
+    fn search<const W: usize>(
+        &mut self,
+        src: SiteId,
+        dst: SiteId,
+        l: usize,
+        limit: usize,
+    ) -> usize {
         self.found.clear();
         match l {
-            1 => self.one_hop(src, dst),
-            2 => self.two_hop(src, dst, limit),
-            _ => self.dfs(src, dst, l, limit),
+            1 => self.one_hop::<W>(src, dst),
+            2 => self.two_hop::<W>(src, dst, limit),
+            _ => self.dfs::<W>(src, dst, l, limit),
         }
     }
 
     /// The link `src → dst`, if it has support.
-    fn one_hop(&mut self, src: SiteId, dst: SiteId) -> usize {
-        if !has_bit(&self.support[src * self.words..], dst) {
+    fn one_hop<const W: usize>(&mut self, src: SiteId, dst: SiteId) -> usize {
+        if !has_bit(row::<W>(&self.support, src), dst) {
             return 0;
         }
         self.found.extend([src, dst]);
@@ -341,19 +340,15 @@ impl RateScratch {
     /// self-links, and grabs drain both directions of a link alike, so row
     /// `dst` holds exactly the sites whose last hop into `dst` has support,
     /// and neither endpoint is in both rows.
-    fn two_hop(&mut self, src: SiteId, dst: SiteId, limit: usize) -> usize {
-        let w = self.words;
+    fn two_hop<const W: usize>(&mut self, src: SiteId, dst: SiteId, limit: usize) -> usize {
+        let (a, b) = (row::<W>(&self.support, src), row::<W>(&self.support, dst));
+        let common: [u64; W] = std::array::from_fn(|j| a[j] & b[j]);
         let mut count = 0;
-        for j in 0..w {
-            let mut bits = self.support[src * w + j] & self.support[dst * w + j];
-            while bits != 0 {
-                let x = j * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.found.extend([src, x, dst]);
-                count += 1;
-                if count == limit {
-                    return count;
-                }
+        for x in row_sites(&common) {
+            self.found.extend([src, x, dst]);
+            count += 1;
+            if count == limit {
+                break;
             }
         }
         count
@@ -363,20 +358,19 @@ impl RateScratch {
     /// `dst`'s hop levels. The masks prune only subtrees that hold no
     /// completion (they are lower bounds on the hop distance, however
     /// stale), so the sequence found is a function of the residual alone.
-    fn dfs(&mut self, src: SiteId, dst: SiteId, l: usize, limit: usize) -> usize {
-        let w = self.words;
-        self.on_path.fill(0);
-        set_bit(&mut self.on_path, src);
+    fn dfs<const W: usize>(&mut self, src: SiteId, dst: SiteId, l: usize, limit: usize) -> usize {
+        let mut on_path = [0u64; W];
+        set_bit(&mut on_path, src);
         self.path[0] = src;
-        self.open(0, dst, l);
+        self.open(0, &on_path, dst, l);
         let (mut depth, mut count) = (0, 0);
         loop {
-            let rest = &mut self.cand[depth * w..(depth + 1) * w];
+            let rest = row_mut::<W>(&mut self.cand, depth);
             let Some(j) = rest.iter().position(|&x| x != 0) else {
                 if depth == 0 {
                     break;
                 }
-                clear_bit(&mut self.on_path, self.path[depth]);
+                clear_bit(&mut on_path, self.path[depth]);
                 depth -= 1;
                 continue;
             };
@@ -385,9 +379,9 @@ impl RateScratch {
             if depth + 2 < l {
                 depth += 1;
                 self.path[depth] = v;
-                set_bit(&mut self.on_path, v);
-                self.open(depth, dst, l);
-            } else if has_bit(&self.support[v * w..], dst) {
+                set_bit(&mut on_path, v);
+                self.open(depth, &on_path, dst, l);
+            } else if has_bit(row::<W>(&self.support, v), dst) {
                 // `v` is the last interior site: the path ends `v → dst`.
                 self.found.extend_from_slice(&self.path[..=depth]);
                 self.found.extend([v, dst]);
@@ -490,10 +484,40 @@ pub(crate) fn rate_pass(
     telemetry: &CoreTelemetry,
 ) -> f64 {
     telemetry.rates_full_evals.incr();
+    let s = scratch;
+    s.load(
+        topology,
+        theta,
+        inputs,
+        config.max_path_hops,
+        config.max_paths_per_round,
+    );
+    let (throughput, examined, bfs) = by_row_words!(s.words, |W| rounds::<W>(s, inputs, config));
+    telemetry.paths_examined.add(examined as u64);
+    telemetry.hop_levels.add(bfs);
+    telemetry.allocations_made.add(s.grabs.len() as u64);
+
+    debug_assert_eq!(
+        RateOutcome {
+            allocations: s.allocations(inputs.transfers),
+            throughput_gbps: throughput,
+        },
+        assign_rates_reference(topology, theta, inputs, config),
+        "the rate kernel must equal the reference pass"
+    );
+    throughput
+}
+
+/// The rounds of [`rate_pass`] on a loaded scratch, its site rows `W`
+/// words wide: the throughput, the paths examined and the hop-level BFS
+/// passes run.
+fn rounds<const W: usize>(
+    s: &mut RateScratch,
+    inputs: &RateInputs<'_>,
+    config: &RateAssignConfig,
+) -> (f64, usize, u64) {
     let hops = config.max_path_hops;
     let limit = config.max_paths_per_round;
-    let s = scratch;
-    s.load(topology, theta, inputs, hops, limit);
     let mut throughput = 0.0;
     let mut examined = 0;
     let mut bfs = 0;
@@ -514,11 +538,11 @@ pub(crate) fn rate_pass(
                 }
                 if l >= FIRST_LEVELED_ROUND {
                     if s.within_round[t.dst] != l {
-                        s.levels(t.dst);
+                        s.levels::<W>(t.dst);
                         s.within_round[t.dst] = l;
                         bfs += 1;
                     }
-                    let Some(d) = (l..=hops).find(|&d| s.is_within(t.dst, d, t.src)) else {
+                    let Some(d) = (l..=hops).find(|&d| s.is_within::<W>(t.dst, d, t.src)) else {
                         continue;
                     };
                     s.wake[i] = d;
@@ -526,7 +550,7 @@ pub(crate) fn rate_pass(
                 // Due: in rounds 1 and 2 always, later when `dst` is `l`
                 // hops away.
                 if s.wake[i] <= l {
-                    examined += s.search(t.src, t.dst, l, limit);
+                    examined += s.search::<W>(t.src, t.dst, l, limit);
                     s.grab(i, l, &mut throughput);
                     if s.demand[i] <= EPS {
                         continue;
@@ -538,19 +562,7 @@ pub(crate) fn rate_pass(
         }
         s.active.truncate(kept);
     }
-    telemetry.paths_examined.add(examined as u64);
-    telemetry.hop_levels.add(bfs);
-    telemetry.allocations_made.add(s.grabs.len() as u64);
-
-    debug_assert_eq!(
-        RateOutcome {
-            allocations: s.allocations(inputs.transfers),
-            throughput_gbps: throughput,
-        },
-        assign_rates_reference(topology, theta, inputs, config),
-        "the rate kernel must equal the reference pass"
-    );
-    throughput
+    (throughput, examined, bfs)
 }
 
 /// The rate pass plus the allocations it made: the pass every caller that

@@ -15,11 +15,14 @@
 //! transformed graph and runs the generic `owan-graph` Dijkstra/Yen on it:
 //! the reference, used by the naive circuit builder and by tests.
 //! [`RelaySearch`] is the evaluation path's kernel: the same search, bit
-//! for bit, over plant-scoped bitset rows ([`ReachRows`]) with no graph
+//! for bit, over plant-scoped site rows ([`ReachRows`]) with no graph
 //! built and no allocation, and resumable — it hands out one path per call,
 //! because Algorithm 3 needs the next relay path only when the previous one
 //! could not be lit.
 
+use crate::rows::{
+    by_row_words, clear_bit, has_bit, row, row_mut, row_words, set_bit, MAX_ROW_WORDS,
+};
 use owan_graph::{dijkstra, k_shortest_paths, Graph};
 use owan_optical::{FiberPlant, OpticalState, SiteId};
 
@@ -133,7 +136,7 @@ impl RegenGraph {
     }
 }
 
-/// The reach adjacency of a plant as bitset rows: which site pairs lie
+/// The reach adjacency of a plant as site rows: which site pairs lie
 /// within optical reach of each other, the vector-independent half of
 /// every regenerator graph. Built once per plant (see
 /// [`PlantCache`](crate::cache::PlantCache)) for [`RelaySearch`].
@@ -142,8 +145,8 @@ impl RegenGraph {
 /// with `fiber_dist[sites[i]][sites[j]]` — oriented by *node* order — and
 /// the distance matrix is only symmetric up to summation order, so both
 /// orientations are kept: `fwd` row `x` holds `y` when `fiber_dist[x][y]
-/// <= reach`, `rev` is its transpose, and [`Self::neighbor_word`] picks
-/// per neighbor the orientation the reference would have used.
+/// <= reach`, `rev` is its transpose, and [`Self::neighbors`] picks per
+/// neighbor the orientation the reference would have used.
 #[derive(Debug, Clone)]
 pub struct ReachRows {
     n: usize,
@@ -155,54 +158,64 @@ pub struct ReachRows {
 
 impl ReachRows {
     /// Builds the rows from the plant's all-pairs fiber distance matrix.
+    ///
+    /// # Panics
+    ///
+    /// If the plant has more than [`MAX_SITES`](crate::rows::MAX_SITES)
+    /// sites.
     pub fn build(plant: &FiberPlant, fiber_dist: &[Vec<f64>]) -> Self {
         let n = plant.site_count();
         let reach = plant.params().optical_reach_km;
-        let words = n.div_ceil(64).max(1);
+        let words = row_words(n);
         let mut fwd = vec![0u64; n * words];
         let mut rev = vec![0u64; n * words];
         for x in 0..n {
             for y in 0..n {
                 if x != y && fiber_dist[x][y] <= reach {
-                    fwd[x * words + y / 64] |= 1 << (y % 64);
-                    rev[y * words + x / 64] |= 1 << (x % 64);
+                    set_bit(&mut fwd[x * words..], y);
+                    set_bit(&mut rev[y * words..], x);
                 }
             }
         }
         ReachRows { n, words, fwd, rev }
     }
 
-    /// The sites `y` with `fiber_dist[x][y]` within reach, as a bitset.
-    pub(crate) fn row(&self, x: SiteId) -> &[u64] {
-        &self.fwd[x * self.words..(x + 1) * self.words]
+    /// Words per row.
+    pub(crate) fn words(&self) -> usize {
+        self.words
     }
 
-    /// Word `i` of the set of sites adjacent to `x` in the regenerator
-    /// graph of `(src, dst)` (before restricting to its node set). Node
-    /// order is `src, dst, then sites ascending`; the edge between two
-    /// nodes is tested from the earlier one.
-    fn neighbor_word(&self, x: SiteId, src: SiteId, dst: SiteId, i: usize) -> u64 {
-        let fwd = self.fwd[x * self.words + i];
+    /// The sites `y` with `fiber_dist[x][y]` within reach.
+    pub(crate) fn fwd<const W: usize>(&self, x: SiteId) -> &[u64; W] {
+        row(&self.fwd, x)
+    }
+
+    /// The sites adjacent to `x` in the regenerator graph of `(src, dst)`
+    /// (before restricting to its node set). Node order is `src, dst, then
+    /// sites ascending`; the edge between two nodes is tested from the
+    /// earlier one.
+    #[inline]
+    fn neighbors<const W: usize>(&self, x: SiteId, src: SiteId, dst: SiteId) -> [u64; W] {
+        let fwd = row::<W>(&self.fwd, x);
         if x == src {
-            return fwd;
+            return *fwd;
         }
+        let rev = row::<W>(&self.rev, x);
         // `earlier`: the nodes ordered before `x` — `src`, and unless `x`
         // is `dst` itself, `dst` and every site below `x`.
-        let mut earlier = 0u64;
+        let mut earlier = [0u64; W];
         if x != dst {
-            earlier = match (x / 64).cmp(&i) {
-                std::cmp::Ordering::Greater => !0,
-                std::cmp::Ordering::Equal => (1u64 << (x % 64)) - 1,
-                std::cmp::Ordering::Less => 0,
-            };
-            if dst / 64 == i {
-                earlier |= 1 << (dst % 64);
+            for (i, e) in earlier.iter_mut().enumerate() {
+                *e = match (x / 64).cmp(&i) {
+                    std::cmp::Ordering::Greater => !0,
+                    std::cmp::Ordering::Equal => (1u64 << (x % 64)) - 1,
+                    std::cmp::Ordering::Less => 0,
+                };
             }
+            set_bit(&mut earlier, dst);
         }
-        if src / 64 == i {
-            earlier |= 1 << (src % 64);
-        }
-        (self.rev[x * self.words + i] & earlier) | (fwd & !earlier)
+        set_bit(&mut earlier, src);
+        std::array::from_fn(|i| (rev[i] & earlier[i]) | (fwd[i] & !earlier[i]))
     }
 }
 
@@ -224,27 +237,14 @@ pub struct RelayScratch {
     weight: Vec<f64>,
     dist: Vec<f64>,
     pred: Vec<SiteId>,
-    /// Bitsets over sites, one row each of `ReachRows::words` words.
-    member: Vec<u64>,
-    done: Vec<u64>,
-    frontier: Vec<u64>,
-    banned_nodes: Vec<u64>,
-    banned_heads: Vec<u64>,
+    /// The search's node set: a site row in the first
+    /// `ReachRows::words` words.
+    member: [u64; MAX_ROW_WORDS],
     /// Site sequences of every found and pooled path, back to back.
     arena: Vec<SiteId>,
     found: Vec<PathRec>,
     pool: Vec<PathRec>,
     root_costs: Vec<f64>,
-}
-
-#[inline]
-pub(crate) fn set_bit(set: &mut [u64], s: SiteId) {
-    set[s / 64] |= 1 << (s % 64);
-}
-
-#[inline]
-pub(crate) fn has_bit(set: &[u64], s: SiteId) -> bool {
-    set[s / 64] & (1 << (s % 64)) != 0
 }
 
 /// Node index of site `s` in the regenerator graph of `(src, dst)`, up to
@@ -268,51 +268,64 @@ impl RelayScratch {
 
     /// Dense Dijkstra from `from` to `dst` over the member sites, skipping
     /// `banned_nodes` as heads and `banned_heads` as heads of edges out of
-    /// `from`; stops when `dst` is settled. Extract-min scans the frontier
-    /// for the least `(dist, rank)` — the order a binary heap keyed the
-    /// same way pops first sights in — and relaxations update on strict
-    /// improvement only, so distances and predecessors are those of
+    /// `from`; stops when `dst` is settled. Relaxations update on strict
+    /// improvement only, and extract-min settles the frontier site a
+    /// binary heap keyed by `(dist, rank)` pops first, so distances and
+    /// predecessors are those of
     /// `owan_graph::dijkstra::shortest_path_filtered_to`. On success the
     /// path is appended to the arena (behind whatever root the caller put
     /// there) and its cost, the settled distance, returned.
-    fn shortest(
+    ///
+    /// Extract-min computes no rank. `rank` puts `src` first, `dst`
+    /// second and the other sites in site order, but `src` is on the
+    /// frontier only as `from`, alone, when a search starts: after it is
+    /// settled it is done, and every spur round past the first bans it.
+    /// So the `(dist, rank)` order on any frontier is: least distance,
+    /// `dst` on a tie, then the lowest site — an ascending scan that keeps
+    /// the first strict minimum, and one comparison against `dst`.
+    fn shortest<const W: usize>(
         &mut self,
         reach: &ReachRows,
         from: SiteId,
-        src: SiteId,
-        dst: SiteId,
+        (src, dst): (SiteId, SiteId),
+        banned_nodes: &[u64; W],
+        banned_heads: &[u64; W],
     ) -> Option<f64> {
+        let member = *row::<W>(&self.member, 0);
+        let mut done = [0u64; W];
+        let mut frontier = [0u64; W];
         self.dist.fill(f64::INFINITY);
-        self.done.fill(0);
-        self.frontier.fill(0);
         self.dist[from] = 0.0;
-        set_bit(&mut self.frontier, from);
+        set_bit(&mut frontier, from);
         loop {
-            let mut best: Option<(f64, usize, SiteId)> = None;
-            for (i, &word) in self.frontier.iter().enumerate() {
+            if frontier == [0; W] {
+                return None;
+            }
+            // Every frontier site has a finite distance: one is picked.
+            let (mut d, mut u) = (f64::INFINITY, dst);
+            for (i, &word) in frontier.iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
                     let s = i * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let key = (self.dist[s], rank(s, src, dst));
-                    if best.is_none_or(|(d, r, _)| key.0 < d || (key.0 == d && key.1 < r)) {
-                        best = Some((key.0, key.1, s));
+                    if self.dist[s] < d {
+                        (d, u) = (self.dist[s], s);
                     }
                 }
             }
-            let (d, _, u) = best?;
-            self.frontier[u / 64] &= !(1 << (u % 64));
-            set_bit(&mut self.done, u);
+            if has_bit(&frontier, dst) && self.dist[dst] == d {
+                u = dst;
+            }
+            clear_bit(&mut frontier, u);
+            set_bit(&mut done, u);
             if u == dst {
                 break;
             }
-            for i in 0..reach.words {
-                let mut bits = reach.neighbor_word(u, src, dst, i)
-                    & self.member[i]
-                    & !self.done[i]
-                    & !self.banned_nodes[i];
+            let near = reach.neighbors::<W>(u, src, dst);
+            for i in 0..W {
+                let mut bits = near[i] & member[i] & !done[i] & !banned_nodes[i];
                 if u == from {
-                    bits &= !self.banned_heads[i];
+                    bits &= !banned_heads[i];
                 }
                 while bits != 0 {
                     let v = i * 64 + bits.trailing_zeros() as usize;
@@ -321,7 +334,7 @@ impl RelayScratch {
                     if nd < self.dist[v] {
                         self.dist[v] = nd;
                         self.pred[v] = u;
-                        set_bit(&mut self.frontier, v);
+                        set_bit(&mut frontier, v);
                     }
                 }
             }
@@ -349,9 +362,10 @@ impl RelayScratch {
 ///
 /// The node set is `src`, `dst` and every other site with a free
 /// regenerator; adjacency comes from the plant-scoped [`ReachRows`]; Yen's
-/// spur bans are bitmasks; every tie-break follows the reference's node
-/// order (see [`rank`]): Dijkstra settles by `(dist, node)`, the candidate
-/// pool yields by `(cost, node sequence)`, a stitched path costs
+/// spur bans are site rows; every tie-break follows the reference's node
+/// order (see [`rank`]): Dijkstra settles by `(dist, node)` (see
+/// [`RelayScratch::shortest`]), the candidate pool yields by `(cost, node
+/// sequence)`, a stitched path costs
 /// `root_costs[i] + spur cost`, and pool/found de-duplication compares
 /// nodes *and* cost bits as `owan_graph::Path` does.
 ///
@@ -399,35 +413,27 @@ impl<'a> RelaySearch<'a> {
     }
 
     /// Fills membership and relay weights from the vector the search
-    /// started from, and resets the Dijkstra buffers: what a Dijkstra or a
+    /// started from, and sizes the Dijkstra buffers: what a Dijkstra or a
     /// spur round reads, and a within-reach first draw does not. Runs once
     /// per search, before the first of them.
-    fn prepare(&mut self) {
+    fn prepare<const W: usize>(&mut self) {
         if self.prepared {
             return;
         }
         self.prepared = true;
-        let (n, w, src, dst) = (self.reach.n, self.reach.words, self.src, self.dst);
+        let (n, src, dst) = (self.reach.n, self.src, self.dst);
         let sc = &mut *self.sc;
         sc.weight.clear();
         sc.weight.resize(n, 0.0);
         sc.dist.resize(n, f64::INFINITY);
         sc.pred.resize(n, 0);
-        for set in [
-            &mut sc.member,
-            &mut sc.done,
-            &mut sc.frontier,
-            &mut sc.banned_nodes,
-            &mut sc.banned_heads,
-        ] {
-            set.clear();
-            set.resize(w, 0);
-        }
+        let member = row_mut::<W>(&mut sc.member, 0);
+        *member = [0; W];
         for (s, &free) in sc.regens.iter().enumerate() {
             if s == src || s == dst {
-                set_bit(&mut sc.member, s);
+                set_bit(member, s);
             } else if free > 0 {
-                set_bit(&mut sc.member, s);
+                set_bit(member, s);
                 sc.weight[s] = 1.0 / free as f64;
             }
         }
@@ -441,10 +447,11 @@ impl<'a> RelaySearch<'a> {
         if self.exhausted {
             return None;
         }
-        let next = match self.sc.found.last().copied() {
-            None => self.first(),
-            Some(last) => self.spur_round(last),
-        };
+        let last = self.sc.found.last().copied();
+        let next = by_row_words!(self.reach.words(), |W| match last {
+            None => self.first::<W>(),
+            Some(last) => self.spur_round::<W>(last),
+        });
         match next {
             Some(p) => {
                 self.sc.found.push(p);
@@ -485,15 +492,14 @@ impl<'a> RelaySearch<'a> {
 
     /// The cheapest path. When `dst` is within reach of `src` that is
     /// `[src, dst]` at cost `0.0`, and no Dijkstra runs: the endpoints
-    /// weigh 0 and every other member `1/free > 0`, and the reference
-    /// settles by `(dist, rank)` with `rank(src) = 0`, `rank(dst) = 1` —
-    /// so once `src` is settled the frontier's least key is `(0.0, 1)`,
-    /// which is `dst` with predecessor `src`. Neither weights nor
+    /// weigh 0 and every other member `1/free > 0`, and once `src` is
+    /// settled the reference settles the least distance with ties to `dst`
+    /// — so `dst`, at `0.0` with predecessor `src`. Neither weights nor
     /// membership are read for it; later draws spur off it, as off any
     /// other first path.
-    fn first(&mut self) -> Option<PathRec> {
+    fn first<const W: usize>(&mut self) -> Option<PathRec> {
         let (src, dst) = (self.src, self.dst);
-        if has_bit(self.reach.row(src), dst) {
+        if has_bit(self.reach.fwd::<W>(src), dst) {
             self.sc.arena.extend([src, dst]);
             return Some(PathRec {
                 start: 0,
@@ -501,8 +507,10 @@ impl<'a> RelaySearch<'a> {
                 cost: 0.0,
             });
         }
-        self.prepare();
-        let cost = self.sc.shortest(self.reach, src, src, dst)?;
+        self.prepare::<W>();
+        let cost = self
+            .sc
+            .shortest::<W>(self.reach, src, (src, dst), &[0; W], &[0; W])?;
         Some(PathRec {
             start: 0,
             len: self.sc.arena.len(),
@@ -512,8 +520,8 @@ impl<'a> RelaySearch<'a> {
 
     /// One Yen round: spur from every node of `last` (the path found
     /// before) except `dst` into the pool, then take the pool's cheapest.
-    fn spur_round(&mut self, last: PathRec) -> Option<PathRec> {
-        self.prepare();
+    fn spur_round<const W: usize>(&mut self, last: PathRec) -> Option<PathRec> {
+        self.prepare::<W>();
         let (reach, src, dst) = (self.reach, self.src, self.dst);
         let sc = &mut *self.sc;
         // Prefix costs of the last path's roots, summed left to right.
@@ -524,26 +532,26 @@ impl<'a> RelaySearch<'a> {
             sc.root_costs.push(sc.root_costs[i - 1] + hop);
         }
         // The root `last[..i]` is banned node by node as `i` grows.
-        sc.banned_nodes.fill(0);
+        let mut banned_nodes = [0u64; W];
         for i in 0..last.len - 1 {
             let spur_node = sc.arena[last.start + i];
             // Hide the edge every found path sharing this root takes out
             // of the spur node.
-            sc.banned_heads.fill(0);
+            let mut banned_heads = [0u64; W];
             for f in 0..sc.found.len() {
                 let p = sc.found[f];
                 if p.len > i
                     && sc.arena[p.start..=p.start + i] == sc.arena[last.start..=last.start + i]
                 {
                     let head = sc.arena[p.start + i + 1];
-                    set_bit(&mut sc.banned_heads, head);
+                    set_bit(&mut banned_heads, head);
                 }
             }
             // Stitch root + spur path in place: the root first, the spur
             // appended behind it by `shortest`.
             let start = sc.arena.len();
             sc.arena.extend_from_within(last.start..last.start + i);
-            match sc.shortest(reach, spur_node, src, dst) {
+            match sc.shortest(reach, spur_node, (src, dst), &banned_nodes, &banned_heads) {
                 Some(spur_cost) => {
                     let total = PathRec {
                         start,
@@ -561,7 +569,7 @@ impl<'a> RelaySearch<'a> {
                 }
                 None => sc.arena.truncate(start),
             }
-            set_bit(&mut sc.banned_nodes, spur_node);
+            set_bit(&mut banned_nodes, spur_node);
         }
 
         // Extract the cheapest pooled path, ties by node-order sequence.

@@ -5,7 +5,9 @@
 //! Paths must be equal and in the same order, costs equal bit for bit —
 //! whether asked for `k` at once or drawn one at a time.
 
-use owan_core::{relay_k_shortest, PlantCache, ReachRows, RegenGraph, RelayScratch, RelaySearch};
+use owan_core::{
+    relay_k_shortest, row_sites, PlantCache, ReachRows, RegenGraph, RelayScratch, RelaySearch,
+};
 use owan_optical::{FiberPlant, OpticalParams};
 use proptest::prelude::*;
 
@@ -212,11 +214,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// More than 64 sites: bitset rows span two words, and pairs straddle
-    /// the word boundary.
+    /// The word boundary: 64 sites (the last one-word plant), 65 (the
+    /// first two-word one) and more, so pairs straddle the boundary.
     #[test]
     fn kernel_equals_reference_on_multi_word_rows(
-        (free, seed) in (66usize..80).prop_flat_map(|n| (arb_free(n), any::<u64>())),
+        (free, seed) in (64usize..80).prop_flat_map(|n| (arb_free(n), any::<u64>())),
         k in 1usize..=6,
         picks in proptest::collection::vec((any::<usize>(), any::<usize>()), 24),
     ) {
@@ -224,10 +226,50 @@ proptest! {
         let p = plant(&vec![3; n], seed, false);
         let fd = p.fiber_distance_matrix();
         let mut fx = Fixture::new(p, fd);
-        let fixed = [(0, n - 1), (n - 1, 0), (63, 64), (64, 63), (1, 65)];
-        for (src, dst) in picks.iter().map(|&(a, b)| (a % n, b % n)).chain(fixed) {
+        let fixed = [(0, n - 1), (n - 1, 0), (62, 63), (63, 62), (63, 64), (64, 63), (1, 65)];
+        for (src, dst) in picks
+            .iter()
+            .map(|&(a, b)| (a % n, b % n))
+            .chain(fixed.into_iter().filter(|&(a, b)| a.max(b) < n))
+        {
             if src != dst {
                 fx.check(&free, src, dst, k)?;
+            }
+        }
+    }
+}
+
+/// The last one-word plant and the first two-word one, every time: each
+/// pair at the boundary both ways, and a spread of others, under a mixed
+/// and a uniform vector.
+#[test]
+fn kernel_equals_reference_at_64_and_65_sites() {
+    for n in [64, 65] {
+        for seed in 1..=2 {
+            let p = plant(&vec![3; n], seed, false);
+            let fd = p.fiber_distance_matrix();
+            let mut fx = Fixture::new(p, fd);
+            let mixed: Vec<u32> = (0..n).map(|s| (s * 7 % 5) as u32).collect();
+            for free in [mixed, vec![2; n]] {
+                let boundary = [
+                    (62, 63),
+                    (63, 62),
+                    (0, 63),
+                    (63, 0),
+                    (64, 0),
+                    (0, 64),
+                    (63, 64),
+                ];
+                let spread = (0..n).step_by(9).map(|a| (a, (a * 5 + 3) % n));
+                for (src, dst) in boundary
+                    .into_iter()
+                    .filter(|&(a, b)| a.max(b) < n)
+                    .chain(spread)
+                {
+                    if src != dst {
+                        fx.check(&free, src, dst, 6).unwrap();
+                    }
+                }
             }
         }
     }
@@ -343,8 +385,8 @@ proptest! {
                 }
                 // `b` copies `a` on the domain and differs freely off it.
                 let mut b = below(|x| x.1);
-                let domain = pc.domain(u, v);
-                for &s in domain {
+                let domain: Vec<usize> = row_sites(pc.domain(u, v)).collect();
+                for &s in &domain {
                     b[s] = a[s];
                 }
                 let da = fx.draw_all(&a, u, v, 8);
@@ -375,7 +417,7 @@ fn a_site_outside_the_domain_cannot_change_the_draws() {
     }
     let fd = p.fiber_distance_matrix();
     let pc = PlantCache::build(&p, &fd);
-    assert_eq!(pc.domain(0, 2), [1]);
+    assert_eq!(pc.domain(0, 2), [1 << 1]);
     let mut fx = Fixture::new(p, fd);
     let full = vec![2, 2, 0, 2];
     let spent3 = vec![2, 2, 0, 0];
