@@ -81,7 +81,6 @@ pub use rates::{
     RateScratch,
 };
 pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch, RelaySearch};
-pub use rows::{row_sites, MAX_SITES};
 pub use telemetry::CoreTelemetry;
 // Re-exported so `owan-te`'s engines can override
 // `TrafficEngineer::set_recorder` without depending on `owan-obs` directly.

@@ -282,7 +282,9 @@ impl RelayScratch {
     /// settled it is done, and every spur round past the first bans it.
     /// So the `(dist, rank)` order on any frontier is: least distance,
     /// `dst` on a tie, then the lowest site — an ascending scan that keeps
-    /// the first strict minimum, and one comparison against `dst`.
+    /// the first strict minimum, and one comparison against `dst`. (The
+    /// `dst` tie only settles `dst` early: once least, its distance cannot
+    /// improve, every weight being `>= 0`.)
     fn shortest<const W: usize>(
         &mut self,
         reach: &ReachRows,
@@ -364,7 +366,7 @@ impl RelayScratch {
 /// regenerator; adjacency comes from the plant-scoped [`ReachRows`]; Yen's
 /// spur bans are site rows; every tie-break follows the reference's node
 /// order (see [`rank`]): Dijkstra settles by `(dist, node)` (see
-/// [`RelayScratch::shortest`]), the candidate pool yields by `(cost, node
+/// `RelayScratch::shortest`), the candidate pool yields by `(cost, node
 /// sequence)`, a stitched path costs
 /// `root_costs[i] + spur cost`, and pool/found de-duplication compares
 /// nodes *and* cost bits as `owan_graph::Path` does.

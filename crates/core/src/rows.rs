@@ -3,7 +3,7 @@
 //!
 //! The relay search, the hop-level BFS and the relay domains hold their
 //! site sets this way. Each kernel is written once, generic over the word
-//! count `W`, and [`by_row_words!`] picks the instance once per search or
+//! count `W`, and `by_row_words!` picks the instance once per search or
 //! per pass from the plant's word count. Arrays of a compile-time width
 //! live in registers and their word loops unroll, which a slice of
 //! run-time length does not allow. Every shipped plant fits one word.
@@ -99,4 +99,41 @@ pub fn row_sites(set: &[u64]) -> impl Iterator<Item = SiteId> + '_ {
             })
         })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_span_one_to_four_words() {
+        for (n, words) in [
+            (0, 1),
+            (1, 1),
+            (64, 1),
+            (65, 2),
+            (128, 2),
+            (129, 3),
+            (256, 4),
+        ] {
+            assert_eq!(row_words(n), words, "{n} sites");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "site rows hold at most 256 sites")]
+    fn a_plant_past_the_cap_is_refused() {
+        row_words(MAX_SITES + 1);
+    }
+
+    #[test]
+    fn row_sites_lists_the_set_ascending() {
+        let mut set = [0u64; 3];
+        for s in [130, 0, 63, 64, 191] {
+            set_bit(&mut set, s);
+        }
+        clear_bit(&mut set, 191);
+        assert_eq!(row_sites(&set).collect::<Vec<_>>(), [0, 63, 64, 130]);
+        assert!(has_bit(row::<3>(&set, 0), 130));
+    }
 }

@@ -5,9 +5,8 @@
 //! Paths must be equal and in the same order, costs equal bit for bit —
 //! whether asked for `k` at once or drawn one at a time.
 
-use owan_core::{
-    relay_k_shortest, row_sites, PlantCache, ReachRows, RegenGraph, RelayScratch, RelaySearch,
-};
+use owan_core::rows::row_sites;
+use owan_core::{relay_k_shortest, PlantCache, ReachRows, RegenGraph, RelayScratch, RelaySearch};
 use owan_optical::{FiberPlant, OpticalParams};
 use proptest::prelude::*;
 
