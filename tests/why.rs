@@ -6,11 +6,12 @@
 use owan::chaos::{restartable_owan, run_chaos_probed, seeded_scenario, ChaosConfig, OpFaultModel};
 use owan::core::TransferRequest;
 use owan::obs::Recorder;
+use owan::scope::{ScopeConfig, ScopeRecorder};
 use owan::sim::runner::{make_engine, run_engine, EngineKind, RunnerConfig};
 use owan::sim::{simulate_probed, Probes, SimConfig, SimResult};
 use owan::topo::isp::ISP_SITES;
 use owan::topo::{internet2_testbed, isp_backbone, Network};
-use owan::why::{render_explain, WhyConfig, WhyRecorder, WhyReport};
+use owan::why::{render_explain, render_slo, SloConfig, WhyConfig, WhyRecorder, WhyReport};
 use owan::workload::{generate, WorkloadConfig};
 
 fn fast_runner(iters: usize) -> RunnerConfig {
@@ -204,3 +205,137 @@ fn why_recorder_is_zero_perturbation() {
         }
     }
 }
+
+/// FNV-1a, 64 bit: a stable digest for the golden streams below.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A recorder on a clock that never moves, so every ns field of every
+/// stream (spans, stage histograms, event timestamps, planning latency)
+/// is zero and the streams are byte-deterministic.
+fn frozen_recorder() -> Recorder {
+    Recorder::with_clock(std::sync::Arc::new(owan::obs::ManualClock::new()))
+}
+
+/// Scope and why on, the profiler off (its region shares read wall time).
+fn golden_probes(recorder: Recorder, slo: SloConfig) -> Probes {
+    let scope = ScopeRecorder::enabled(ScopeConfig {
+        flight_slots: 64,
+        dump_path: None,
+    });
+    scope.set_meta("net", "internet2");
+    Probes {
+        why: WhyRecorder::enabled(WhyConfig { slo }, &recorder),
+        recorder,
+        scope,
+        ..Default::default()
+    }
+}
+
+/// Every stream the scope and why tiers emit for one run, digested.
+fn stream_digests(probes: &Probes, transfers: usize) -> [(&'static str, u64); 7] {
+    let snapshot = probes.recorder.snapshot();
+    let mut trace = Vec::new();
+    probes
+        .scope
+        .export_chrome_trace(Some(&snapshot), &mut trace)
+        .unwrap();
+    let mut obs = Vec::new();
+    snapshot.write_jsonl(&mut obs).unwrap();
+    let report = probes.why.report().expect("why is on");
+    let explain: String = (0..transfers)
+        .map(|id| render_explain(&report, id).expect("every id renders"))
+        .collect();
+    let mut tracker = probes.scope.render_transfers().expect("scope is on");
+    for id in 0..transfers {
+        tracker.push_str(&probes.scope.render_transfer_trace(id).expect("tracked"));
+    }
+    let dump = probes.scope.dump_text().expect("the run freezes a dump");
+    [
+        ("flight_dump", fnv1a(dump.as_bytes())),
+        ("chrome_trace", fnv1a(&trace)),
+        ("obs_jsonl", fnv1a(&obs)),
+        ("explain", fnv1a(explain.as_bytes())),
+        ("slo", fnv1a(render_slo(&report).as_bytes())),
+        ("tracker", fnv1a(tracker.as_bytes())),
+        ("blackhole_bits", report.total_blackhole_gbits.to_bits()),
+    ]
+}
+
+/// Pins, byte for byte, what the scope and why tiers emit for one
+/// `simulate_probed` run and one `run_chaos_probed` run on internet2
+/// with σ = 1.5 deadlines: the flight dump, the Chrome trace, the obs
+/// JSONL, `render_explain` for every transfer, `render_slo`, the
+/// tracker's table and per-transfer traces, and the blackhole ledger's
+/// bits. The recorder's clock is frozen, so no field reads wall time.
+#[test]
+fn scope_and_why_streams_are_pinned() {
+    let net = internet2_testbed();
+    let requests = generate(
+        &net,
+        &WorkloadConfig::testbed(0.5, 42).with_deadlines(300.0, 1.5),
+    );
+    // A burn-rate threshold low enough to trip, so the fault-free run
+    // freezes a dump too.
+    let slo = SloConfig {
+        burn_threshold: Some(0.2),
+        ..SloConfig::default()
+    };
+
+    let probes = golden_probes(frozen_recorder(), slo.clone());
+    run_owan(&net, &requests, &probes);
+    let sim = stream_digests(&probes, requests.len());
+
+    let config = ChaosConfig {
+        slot_len_s: 300.0,
+        max_slots: 16,
+        detection_delay_s: 400.0,
+        ..Default::default()
+    };
+    let events = seeded_scenario(&net.plant, 42, 300.0 * 16.0);
+    let op_faults = OpFaultModel {
+        seed: 42,
+        timeout_prob: 0.1,
+        fail_prob: 0.05,
+    };
+    let probes = golden_probes(frozen_recorder(), slo);
+    run_chaos_probed(
+        &net.plant,
+        &requests,
+        &mut restartable_owan(30, 42),
+        &config,
+        &events,
+        &op_faults,
+        &probes,
+        None,
+    )
+    .expect("chaos run failed");
+    let chaos = stream_digests(&probes, requests.len());
+
+    assert_eq!(sim, SIM_GOLDEN, "simulate_probed streams moved");
+    assert_eq!(chaos, CHAOS_GOLDEN, "run_chaos_probed streams moved");
+}
+
+/// The pinned digests: a change that moves one changes what a tier emits.
+const SIM_GOLDEN: [(&str, u64); 7] = [
+    ("flight_dump", 0x17383d6a7a6482d2),
+    ("chrome_trace", 0xac493bb0dfc4f614),
+    ("obs_jsonl", 0xd4f7c15576b49c4f),
+    ("explain", 0xed39a6e1d2e00c83),
+    ("slo", 0x5301e5f40f55999),
+    ("tracker", 0xec3bdd9ba98fc7a2),
+    ("blackhole_bits", 0x0),
+];
+
+const CHAOS_GOLDEN: [(&str, u64); 7] = [
+    ("flight_dump", 0x5a6bd5b6e0cdfecf),
+    ("chrome_trace", 0x17d0fedbf4387555),
+    ("obs_jsonl", 0x2eb18224e5cc80f9),
+    ("explain", 0xd9eed273dc1a6628),
+    ("slo", 0x8c6c151b046419c4),
+    ("tracker", 0xb245b2775f1189cc),
+    ("blackhole_bits", 0x40bbfc3429e710b8),
+];
