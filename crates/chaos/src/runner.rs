@@ -34,13 +34,12 @@ use owan_core::{
 };
 use owan_obs::Recorder;
 use owan_optical::{FiberId, FiberPlant, SiteId};
-use owan_scope::SlotObservation;
+use owan_scope::SlotRecord;
 use owan_sim::{at_risk_count, plan_is_feasible, CompletionRecord, Failure, Probes, SlotLedger};
 use owan_update::{
     execute_plan, plan_consistent, transition_scale, NetworkDelta, OpKind, RetryPolicy,
     UpdateParams, UpdatePlan,
 };
-use owan_why::SlotRecord;
 use std::collections::{HashMap, HashSet};
 
 const EPS: f64 = 1e-9;
@@ -279,8 +278,8 @@ pub fn run_chaos_probed(
     if why_on {
         why.begin_run(requests);
     }
-    // Slot-event labels and per-transfer delivery feed both tier-2
-    // frames and the tier-4 joiner.
+    // Slot-event labels and per-transfer delivery feed the slot record
+    // that the scope reads and the why recorder keeps.
     let trace_on = scope_on || why_on;
     let telem = ChaosTelemetry::new(recorder);
     let params = UpdateParams {
@@ -564,7 +563,7 @@ pub fn run_chaos_probed(
             // Fold in every plant event that struck during this slot —
             // detected or not — so the frame's actual_down is ground
             // truth while believed_down lags by the detection delay.
-            // The same labels become the tier-4 joiner's fault instants.
+            // The same labels are the why report's fault lines.
             while actual_applied < plant_events.len()
                 && plant_events[actual_applied].time_s < now + config.slot_len_s - EPS
             {
@@ -572,51 +571,51 @@ pub fn run_chaos_probed(
                 slot_events.push(fault_label(&plant_events[actual_applied].kind));
                 actual_applied += 1;
             }
-            if scope_on {
-                let believed_down: Vec<String> =
-                    state.active_failures().iter().map(failure_label).collect();
-                let actual_down: Vec<String> = actual_state
+            // Post-delivery, against a horizon from the slot start:
+            // `simulate` counts before delivery (ROADMAP, observability
+            // item).
+            let view = active.iter().map(|a| &ledger.transfers()[a.id]);
+            let at_risk = at_risk_count(view, &achieved, now);
+            // Each achieved allocation's full and live rate, from the
+            // expressions delivery used, in its order, so the why
+            // report's Gb ledger reproduces `stats.blackhole_gbits` bit
+            // for bit.
+            let rec = SlotRecord {
+                slot,
+                now_s: now,
+                slot_len_s: config.slot_len_s,
+                start_ns: slot_start_ns,
+                end_ns: recorder.now_ns().max(slot_start_ns),
+                plan_start_ns,
+                plan_ns,
+                anneal_ns: 0,
+                circuits_ns: 0,
+                rates_ns: 0,
+                update_ns,
+                update_ops: slot_ops,
+                throughput_gbps: achieved.throughput_gbps,
+                active_transfers: active.len(),
+                queue_depth,
+                at_risk,
+                transition_scale: scale,
+                attack_active: active.iter().any(|t| is_attack(t.id)),
+                believed_down: state.active_failures().iter().map(failure_label).collect(),
+                actual_down: actual_state
                     .active_failures()
                     .iter()
                     .map(failure_label)
-                    .collect();
-                // Post-delivery, against a horizon from the slot start:
-                // `simulate` counts before delivery (ROADMAP,
-                // observability item).
-                let view = active.iter().map(|a| &ledger.transfers()[a.id]);
-                let at_risk = at_risk_count(view, &achieved, now);
-                let rows = ledger.scope_rows(&active, &achieved, delivered);
-                scope.record_slot(&SlotObservation {
-                    slot,
-                    now_s: now,
-                    slot_len_s: config.slot_len_s,
-                    start_ns: slot_start_ns,
-                    end_ns: recorder.now_ns().max(slot_start_ns),
-                    plan_start_ns,
-                    plan_ns,
-                    anneal_ns: 0,
-                    circuits_ns: 0,
-                    rates_ns: 0,
-                    update_ns,
-                    update_ops: slot_ops,
-                    throughput_gbps: achieved.throughput_gbps,
-                    active_transfers: active.len(),
-                    queue_depth,
-                    at_risk,
-                    plan: &achieved,
-                    rows: &rows,
-                    believed_down: &believed_down,
-                    actual_down: &actual_down,
-                    events: &slot_events,
-                });
-                scope.record_extra_span(
-                    "chaos",
-                    "update.execute",
-                    update_start_ns,
-                    update_start_ns.saturating_add(update_ns),
-                    Vec::new(),
-                );
-            }
+                    .collect(),
+                events: slot_events,
+                transfers: ledger.transfer_rows(&active, &achieved, delivered, live_rate),
+            };
+            scope.record_slot(&rec, &achieved);
+            scope.record_extra_span(
+                "chaos",
+                "update.execute",
+                update_start_ns,
+                update_start_ns.saturating_add(update_ns),
+                Vec::new(),
+            );
             if used_fallback {
                 scope.anomaly("plan.infeasible", slot);
             }
@@ -626,28 +625,8 @@ pub fn run_chaos_probed(
             if dark_paths > 0 {
                 scope.anomaly("blackhole.undetected_cut", slot);
             }
-            if why_on {
-                // Tier-4 feed: each achieved allocation's full and live
-                // rate, from the expressions delivery used, in its order,
-                // so the why report's Gb ledger reproduces
-                // `stats.blackhole_gbits` bit for bit.
-                let samples = ledger.why_samples(&active, &achieved, delivered, live_rate);
-                let attack_active = active.iter().any(|t| is_attack(t.id));
-                if let Some(reason) = why.observe_slot(SlotRecord {
-                    slot,
-                    now_s: now,
-                    slot_len_s: config.slot_len_s,
-                    start_ns: slot_start_ns,
-                    end_ns: recorder.now_ns().max(slot_start_ns),
-                    plan_ns,
-                    transition_scale: scale,
-                    throughput_gbps: achieved.throughput_gbps,
-                    attack_active,
-                    samples,
-                    events: slot_events,
-                }) {
-                    scope.anomaly(reason, slot);
-                }
+            if let Some(reason) = why.observe_slot(rec) {
+                scope.anomaly(reason, slot);
             }
         }
 

@@ -6,6 +6,9 @@
 //! histograms, `owan-scope` answers "what happened to *this* transfer
 //! in *that* slot":
 //!
+//! * [`SlotRecord`] — the one record a slot loop builds per slot (slot
+//!   header plus one [`TransferRow`] per booked transfer); the scope
+//!   reads it, then the why tier keeps it;
 //! * [`TransferTracker`] — per-transfer lifecycle state machine with
 //!   per-slot rates, per-path delivered volume, queue positions,
 //!   preemptions and deadline slack (`owan-cli transfers [--trace ID]`);
@@ -25,6 +28,7 @@
 mod flight;
 pub mod jsonv;
 mod prom;
+mod record;
 mod serve;
 mod top;
 mod trace;
@@ -32,16 +36,17 @@ mod transfers;
 
 pub use flight::{FlightDump, FlightRing, FrameTransfer, SlotFrame, DUMP_HEADER};
 pub use prom::render_prometheus;
+pub use record::{SlotRecord, TransferRow};
 pub use serve::MetricsServer;
 pub use top::render_top;
-pub use trace::{merge_span_streams, prof_trace_spans, stream_base, write_chrome_trace, SpanRec};
-pub use transfers::{SlotTrace, TrackedTransfer, TransferSlotRow, TransferState, TransferTracker};
+pub use trace::{prof_trace_spans, write_chrome_trace, SpanRec};
+pub use transfers::{SlotTrace, TrackedTransfer, TransferState, TransferTracker};
 
 use owan_core::{SlotPlan, TransferRequest};
 use owan_obs::{Snapshot, Value};
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Configuration for an enabled scope.
@@ -63,57 +68,6 @@ impl Default for ScopeConfig {
     }
 }
 
-/// Everything the slot loop tells the scope once per slot.
-///
-/// Stage durations come from the obs telemetry's per-slot marks; the
-/// scope turns them into nested spans (anneal ⊃ circuits+rates, and
-/// update after planning, all inside the slot span).
-#[derive(Debug, Clone, Copy)]
-pub struct SlotObservation<'a> {
-    /// Slot index.
-    pub slot: usize,
-    /// Slot start, sim seconds.
-    pub now_s: f64,
-    /// Slot length, sim seconds.
-    pub slot_len_s: f64,
-    /// Recorder-clock ns at slot-processing start.
-    pub start_ns: u64,
-    /// Recorder-clock ns at slot-processing end.
-    pub end_ns: u64,
-    /// Recorder-clock ns when planning started.
-    pub plan_start_ns: u64,
-    /// Total planning duration this slot, ns.
-    pub plan_ns: u64,
-    /// Annealing duration inside planning, ns.
-    pub anneal_ns: u64,
-    /// Circuit-construction duration inside annealing, ns.
-    pub circuits_ns: u64,
-    /// Rate-allocation duration inside annealing, ns.
-    pub rates_ns: u64,
-    /// Network-update duration after planning, ns.
-    pub update_ns: u64,
-    /// Update operations scheduled into the slot.
-    pub update_ops: usize,
-    /// Total allocated throughput, Gbps.
-    pub throughput_gbps: f64,
-    /// Active transfers at slot start.
-    pub active_transfers: usize,
-    /// Zero-rate queue depth.
-    pub queue_depth: usize,
-    /// Deadline transfers that cannot finish in time at current rates.
-    pub at_risk: usize,
-    /// The slot's plan (topology + allocations).
-    pub plan: &'a SlotPlan,
-    /// Per-transfer observations for the tracker.
-    pub rows: &'a [TransferSlotRow],
-    /// Failures the controller believes in (detected), stable strings.
-    pub believed_down: &'a [String],
-    /// Failures actually present in the plant.
-    pub actual_down: &'a [String],
-    /// Deterministic event strings for the flight frame.
-    pub events: &'a [String],
-}
-
 #[derive(Debug, Default)]
 struct ScopeState {
     meta: BTreeMap<String, String>,
@@ -121,10 +75,10 @@ struct ScopeState {
     spans: Vec<SpanRec>,
     ring: FlightRing,
     next_span: u64,
-    last_slot: usize,
     last_slot_span: Option<u64>,
     dumped: bool,
     dump_text: Option<String>,
+    dump_error: Option<String>,
 }
 
 #[derive(Debug)]
@@ -187,10 +141,10 @@ impl ScopeRecorder {
         state.tracker.begin_run(requests);
         state.spans.clear();
         state.next_span = 0;
-        state.last_slot = 0;
         state.last_slot_span = None;
         state.dumped = false;
         state.dump_text = None;
+        state.dump_error = None;
         let capacity = self
             .inner
             .as_ref()
@@ -199,42 +153,43 @@ impl ScopeRecorder {
     }
 
     /// Feeds one slot: updates the transfer tracker, pushes a flight
-    /// frame, and synthesizes the slot's span tree.
-    pub fn record_slot(&self, obs: &SlotObservation<'_>) {
+    /// frame, and synthesizes the slot's span tree. `plan` is the plan
+    /// the slot ran on; the per-path shares come from its allocations.
+    pub fn record_slot(&self, rec: &SlotRecord, plan: &SlotPlan) {
         let Some(mut state) = self.lock() else {
             return;
         };
-        state.last_slot = obs.slot;
-        state
-            .tracker
-            .observe_slot(obs.slot, obs.now_s, obs.slot_len_s, obs.rows);
+        let order = rec.by_id();
+        state.tracker.observe_slot(rec, &order, plan);
         let frame = SlotFrame {
-            slot: obs.slot,
-            now_s: obs.now_s,
-            active: obs.active_transfers,
-            queue_depth: obs.queue_depth,
-            at_risk: obs.at_risk,
-            throughput_gbps: obs.throughput_gbps,
-            plan_links: obs.plan.topology.links().len(),
-            plan_allocs: obs.plan.allocations.len(),
-            update_ops: obs.update_ops,
-            believed_down: obs.believed_down.to_vec(),
-            actual_down: obs.actual_down.to_vec(),
-            transfers: obs
-                .rows
+            slot: rec.slot,
+            now_s: rec.now_s,
+            active: rec.active_transfers,
+            queue_depth: rec.queue_depth,
+            at_risk: rec.at_risk,
+            throughput_gbps: rec.throughput_gbps,
+            plan_links: plan.topology.links().len(),
+            plan_allocs: plan.allocations.len(),
+            update_ops: rec.update_ops,
+            believed_down: rec.believed_down.clone(),
+            actual_down: rec.actual_down.clone(),
+            transfers: order
                 .iter()
-                .map(|row| FrameTransfer {
-                    id: row.id,
-                    rate_gbps: row.rate_gbps,
-                    delivered_gbits: row.delivered_gbits,
-                    remaining_gbits: row.remaining_gbits,
-                    queued: row.queue_pos.is_some(),
+                .map(|&i| {
+                    let row = &rec.transfers[i];
+                    FrameTransfer {
+                        id: row.id,
+                        rate_gbps: row.rate_gbps,
+                        delivered_gbits: row.delivered_gbits,
+                        remaining_gbits: row.remaining_gbits,
+                        queued: row.queued(),
+                    }
                 })
                 .collect(),
-            events: obs.events.to_vec(),
+            events: rec.events.clone(),
         };
         state.ring.push(frame);
-        synthesize_spans(&mut state, obs);
+        synthesize_spans(&mut state, rec, plan);
     }
 
     /// Adds an extra span (e.g. a chaos recovery window) as a child of
@@ -268,36 +223,33 @@ impl ScopeRecorder {
     }
 
     /// Reports an anomaly. The *first* anomaly of a run freezes the
-    /// flight ring into a dump: written to the configured path (returned)
-    /// or kept in memory (see [`ScopeRecorder::dump_text`]). Later
-    /// anomalies are ignored so the dump shows the slots *leading up to*
-    /// the first failure.
-    pub fn anomaly(&self, reason: &str, slot: usize) -> Option<PathBuf> {
-        let inner = self.inner.as_ref()?;
+    /// flight ring into a dump: kept in memory (see
+    /// [`ScopeRecorder::dump_text`]) and written to the configured path,
+    /// if any (a failed write is kept for [`ScopeRecorder::dump_error`]).
+    /// Later anomalies are ignored so the dump shows the slots *leading
+    /// up to* the first failure.
+    pub fn anomaly(&self, reason: &str, slot: usize) {
+        let Some(inner) = self.inner.as_ref() else {
+            return;
+        };
         let mut state = inner.state.lock().expect("scope state poisoned");
         if state.dumped {
-            return None;
+            return;
         }
         state.dumped = true;
         let text = flight::render_dump(reason, slot, &state.meta, &state.ring);
-        state.dump_text = Some(text.clone());
-        drop(state);
-        let path = inner.config.dump_path.clone()?;
-        std::fs::write(&path, text).ok()?;
-        Some(path)
+        if let Some(path) = &inner.config.dump_path {
+            if let Err(e) = std::fs::write(path, &text) {
+                state.dump_error = Some(e.to_string());
+            }
+        }
+        state.dump_text = Some(text);
     }
 
-    /// Writes a dump of the current ring regardless of anomaly state
-    /// (used by CI to validate the dump pipeline). Returns `false` when
-    /// disabled.
-    pub fn force_dump(&self, path: &Path) -> io::Result<bool> {
-        let Some(state) = self.lock() else {
-            return Ok(false);
-        };
-        let text = flight::render_dump("forced", state.last_slot, &state.meta, &state.ring);
-        drop(state);
-        std::fs::write(path, text)?;
-        Ok(true)
+    /// Why the frozen dump could not be written to the configured path:
+    /// the OS error.
+    pub fn dump_error(&self) -> Option<String> {
+        self.lock()?.dump_error.clone()
     }
 
     /// The in-memory dump from the first anomaly, if one fired.
@@ -325,10 +277,10 @@ impl ScopeRecorder {
     }
 
     /// [`Self::export_chrome_trace`] with a tier-3 profiler snapshot's
-    /// retained spans merged in (category `prof`), their ids rebased into
-    /// the next [`stream_base`] namespace block — one trace file carries
-    /// the causal slot timeline and the measured hot-path regions side by
-    /// side, with no id collisions between the two streams.
+    /// retained spans merged in (category `prof`), their ids offset by
+    /// `1 << 48` — one trace file carries the causal slot timeline and the
+    /// measured hot-path regions side by side, with no id collisions
+    /// between the two streams.
     pub fn export_chrome_trace_with_prof<W: io::Write>(
         &self,
         snapshot: Option<&Snapshot>,
@@ -339,7 +291,7 @@ impl ScopeRecorder {
             Some(state) => state.spans.clone(),
             None => Vec::new(),
         };
-        spans.extend(prof_trace_spans(prof, trace::stream_base(1)));
+        spans.extend(prof_trace_spans(prof, PROF_SPAN_ID_BASE));
         write_chrome_trace(&mut writer, &spans, snapshot)
     }
 
@@ -370,6 +322,10 @@ impl ScopeRecorder {
             .unwrap_or(0.0)
     }
 }
+
+/// The first id of the profiler's spans in a merged trace: the scope's
+/// own span ids count from zero and never reach it.
+const PROF_SPAN_ID_BASE: u64 = 1 << 48;
 
 /// `[0, 3, 5]` → `"0-3-5"` — the stable per-path label used in
 /// tracker rows and `delivered by path` reports.
@@ -419,40 +375,40 @@ fn push_span(
 ///     rates     [plan_start+circuits_ns, +rates_ns]               cat rates
 ///   update   [plan_start+plan_ns, +update_ns]                     cat update
 /// ```
-fn synthesize_spans(state: &mut ScopeState, obs: &SlotObservation<'_>) {
+fn synthesize_spans(state: &mut ScopeState, rec: &SlotRecord, plan: &SlotPlan) {
     let clamp = |lo: u64, hi: u64, start: u64, len: u64| {
         let s = start.clamp(lo, hi);
         (s, s.saturating_add(len).clamp(s, hi))
     };
-    let (slot_lo, slot_hi) = (obs.start_ns, obs.end_ns.max(obs.start_ns));
+    let (slot_lo, slot_hi) = (rec.start_ns, rec.end_ns.max(rec.start_ns));
     let slot_span = push_span(
         state,
         None,
         "sim",
-        &format!("slot {}", obs.slot),
+        &format!("slot {}", rec.slot),
         slot_lo,
         slot_hi,
         vec![
-            ("slot".to_string(), Value::from(obs.slot as u64)),
-            ("now_s".to_string(), Value::from(obs.now_s)),
+            ("slot".to_string(), Value::from(rec.slot as u64)),
+            ("now_s".to_string(), Value::from(rec.now_s)),
             (
                 "throughput_gbps".to_string(),
-                Value::from(obs.throughput_gbps),
+                Value::from(rec.throughput_gbps),
             ),
             (
                 "active".to_string(),
-                Value::from(obs.active_transfers as u64),
+                Value::from(rec.active_transfers as u64),
             ),
             (
                 "queue_depth".to_string(),
-                Value::from(obs.queue_depth as u64),
+                Value::from(rec.queue_depth as u64),
             ),
-            ("at_risk".to_string(), Value::from(obs.at_risk as u64)),
+            ("at_risk".to_string(), Value::from(rec.at_risk as u64)),
         ],
     );
     state.last_slot_span = Some(slot_span);
 
-    let (anneal_lo, anneal_hi) = clamp(slot_lo, slot_hi, obs.plan_start_ns, obs.anneal_ns);
+    let (anneal_lo, anneal_hi) = clamp(slot_lo, slot_hi, rec.plan_start_ns, rec.anneal_ns);
     let anneal_span = push_span(
         state,
         Some(slot_span),
@@ -462,7 +418,7 @@ fn synthesize_spans(state: &mut ScopeState, obs: &SlotObservation<'_>) {
         anneal_hi,
         Vec::new(),
     );
-    let (circ_lo, circ_hi) = clamp(anneal_lo, anneal_hi, anneal_lo, obs.circuits_ns);
+    let (circ_lo, circ_hi) = clamp(anneal_lo, anneal_hi, anneal_lo, rec.circuits_ns);
     push_span(
         state,
         Some(anneal_span),
@@ -472,10 +428,10 @@ fn synthesize_spans(state: &mut ScopeState, obs: &SlotObservation<'_>) {
         circ_hi,
         vec![(
             "links".to_string(),
-            Value::from(obs.plan.topology.links().len() as u64),
+            Value::from(plan.topology.links().len() as u64),
         )],
     );
-    let (rates_lo, rates_hi) = clamp(anneal_lo, anneal_hi, circ_hi, obs.rates_ns);
+    let (rates_lo, rates_hi) = clamp(anneal_lo, anneal_hi, circ_hi, rec.rates_ns);
     push_span(
         state,
         Some(anneal_span),
@@ -485,14 +441,14 @@ fn synthesize_spans(state: &mut ScopeState, obs: &SlotObservation<'_>) {
         rates_hi,
         vec![(
             "allocations".to_string(),
-            Value::from(obs.plan.allocations.len() as u64),
+            Value::from(plan.allocations.len() as u64),
         )],
     );
     let (upd_lo, upd_hi) = clamp(
         slot_lo,
         slot_hi,
-        obs.plan_start_ns.saturating_add(obs.plan_ns),
-        obs.update_ns,
+        rec.plan_start_ns.saturating_add(rec.plan_ns),
+        rec.update_ns,
     );
     push_span(
         state,
@@ -501,7 +457,7 @@ fn synthesize_spans(state: &mut ScopeState, obs: &SlotObservation<'_>) {
         "update",
         upd_lo,
         upd_hi,
-        vec![("ops".to_string(), Value::from(obs.update_ops as u64))],
+        vec![("ops".to_string(), Value::from(rec.update_ops as u64))],
     );
 }
 
@@ -518,8 +474,8 @@ mod tests {
         }
     }
 
-    fn obs<'a>(plan: &'a SlotPlan, slot: usize) -> SlotObservation<'a> {
-        SlotObservation {
+    fn rec(slot: usize) -> SlotRecord {
+        SlotRecord {
             slot,
             now_s: slot as f64 * 300.0,
             slot_len_s: 300.0,
@@ -534,13 +490,7 @@ mod tests {
             update_ops: 3,
             throughput_gbps: 10.0,
             active_transfers: 1,
-            queue_depth: 0,
-            at_risk: 0,
-            plan,
-            rows: &[],
-            believed_down: &[],
-            actual_down: &[],
-            events: &[],
+            ..SlotRecord::default()
         }
     }
 
@@ -551,9 +501,10 @@ mod tests {
         scope.set_meta("net", "isp");
         scope.begin_run(&[]);
         let p = plan();
-        scope.record_slot(&obs(&p, 0));
+        scope.record_slot(&rec(0), &p);
         assert_eq!(scope.span_count(), 0);
-        assert!(scope.anomaly("plan.infeasible", 0).is_none());
+        scope.anomaly("plan.infeasible", 0);
+        assert!(!scope.has_dumped());
         assert!(scope.dump_text().is_none());
         assert!(scope.render_transfers().is_none());
         let mut buf = Vec::new();
@@ -566,7 +517,7 @@ mod tests {
         let scope = ScopeRecorder::enabled(ScopeConfig::default());
         scope.begin_run(&[]);
         let p = plan();
-        scope.record_slot(&obs(&p, 0));
+        scope.record_slot(&rec(0), &p);
         assert_eq!(scope.span_count(), 5);
         let mut buf = Vec::new();
         scope.export_chrome_trace(None, &mut buf).unwrap();
@@ -589,12 +540,12 @@ mod tests {
         let scope = ScopeRecorder::enabled(ScopeConfig::default());
         scope.begin_run(&[]);
         let p = plan();
-        let mut o = obs(&p, 0);
+        let mut r = rec(0);
         // Pathological durations that would overflow the slot.
-        o.anneal_ns = 1_000_000;
-        o.circuits_ns = 2_000_000;
-        o.update_ns = 9_999_999;
-        scope.record_slot(&o);
+        r.anneal_ns = 1_000_000;
+        r.circuits_ns = 2_000_000;
+        r.update_ns = 9_999_999;
+        scope.record_slot(&r, &p);
         let tracker = scope.lock().unwrap();
         for span in &tracker.spans {
             assert!(span.start_ns >= 1_000 && span.end_ns <= 11_000, "{span:?}");
@@ -613,13 +564,11 @@ mod tests {
         scope.begin_run(&[]);
         let p = plan();
         for slot in 0..3 {
-            scope.record_slot(&obs(&p, slot));
+            scope.record_slot(&rec(slot), &p);
         }
-        assert!(
-            scope.anomaly("plan.infeasible", 2).is_none(),
-            "no path configured"
-        );
+        scope.anomaly("plan.infeasible", 2);
         assert!(scope.has_dumped());
+        assert!(scope.dump_error().is_none(), "no path configured");
         let text = scope.dump_text().unwrap();
         let dump = FlightDump::from_text(&text).unwrap();
         assert_eq!(dump.reason, "plan.infeasible");
@@ -632,11 +581,27 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_dump_write_is_kept() {
+        let dir = std::env::temp_dir().join("owan_scope_missing_dir");
+        let _ = std::fs::remove_dir_all(&dir);
+        let scope = ScopeRecorder::enabled(ScopeConfig {
+            flight_slots: 4,
+            dump_path: Some(dir.join("x.dump")),
+        });
+        scope.begin_run(&[]);
+        scope.anomaly("plan.infeasible", 0);
+        assert!(scope.has_dumped());
+        assert!(scope.dump_text().is_some(), "the dump stays in memory");
+        let err = scope.dump_error().expect("the write must fail");
+        assert!(err.contains("os error"), "{err}");
+    }
+
+    #[test]
     fn extra_spans_attach_to_the_slot() {
         let scope = ScopeRecorder::enabled(ScopeConfig::default());
         scope.begin_run(&[]);
         let p = plan();
-        scope.record_slot(&obs(&p, 0));
+        scope.record_slot(&rec(0), &p);
         scope.record_extra_span("chaos", "op.retry", 500, 99_000, Vec::new());
         let state = scope.lock().unwrap();
         let chaos = state.spans.iter().find(|s| s.cat == "chaos").unwrap();

@@ -89,8 +89,7 @@ pub fn write_chrome_trace<W: Write>(
     // Index children by parent, preserving recording order (which is
     // already start-ordered within a parent). First occurrence wins on a
     // duplicate id: a later same-id span must not steal the earlier
-    // span's children (merged streams avoid duplicates entirely via
-    // [`stream_base`] namespacing).
+    // span's children.
     let mut roots: Vec<usize> = Vec::new();
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
     let mut index_of_id = std::collections::BTreeMap::new();
@@ -161,48 +160,12 @@ pub fn write_chrome_trace<W: Write>(
     writer.write_all(out.as_bytes())
 }
 
-/// Span-id namespace width: every span stream merged into one trace gets
-/// its own `1 << 48` id block, so ids from independently recorded
-/// streams (each counting from zero) can never collide no matter how
-/// many spans either recorded.
-pub const STREAM_ID_BITS: u32 = 48;
-
-/// The first id of stream `stream`'s namespace block.
-pub const fn stream_base(stream: usize) -> u64 {
-    (stream as u64) << STREAM_ID_BITS
-}
-
-/// Merges several independently recorded span streams (runs, profiler
-/// snapshots) into one list, rebasing each stream's ids — and the parent
-/// links that reference them — into its own [`stream_base`] namespace.
-/// Without the rebase, two runs that both start counting at id 0 collide
-/// and the duplicate ids cross-wire parent/child edges in the export.
-pub fn merge_span_streams(streams: &[Vec<SpanRec>]) -> Vec<SpanRec> {
-    let mut out: Vec<SpanRec> = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-    for (stream, spans) in streams.iter().enumerate() {
-        let base = stream_base(stream);
-        for span in spans {
-            debug_assert!(
-                span.id < stream_base(1),
-                "span id {} overflows its stream namespace",
-                span.id
-            );
-            let mut span = span.clone();
-            span.id += base;
-            span.parent = span.parent.map(|p| p + base);
-            out.push(span);
-        }
-    }
-    out
-}
-
 /// Converts a profiler snapshot's retained raw spans into trace spans,
 /// so one Chrome trace carries both the scope's causal timeline and the
-/// tier-3 measured regions (category `prof`). `id_offset` namespaces the
-/// profiler's span indices away from the scope spans the result will be
-/// merged with — pass a [`stream_base`] block start, not a max-id+1
-/// guess. Spans whose enclosing span fell outside the retention cap
-/// surface as roots rather than being dropped.
+/// tier-3 measured regions (category `prof`). `id_offset` moves the
+/// profiler's span indices past every id of the scope spans the result
+/// will be merged with. Spans whose enclosing span fell outside the
+/// retention cap surface as roots rather than being dropped.
 pub fn prof_trace_spans(snap: &owan_prof::ProfSnapshot, id_offset: u64) -> Vec<SpanRec> {
     snap.spans
         .iter()
@@ -315,54 +278,6 @@ mod tests {
             assert!(depth >= 0);
         }
         assert_eq!(depth, 0);
-    }
-
-    #[test]
-    fn merging_two_runs_keeps_span_ids_unique() {
-        // Two runs recorded independently: identical id sequences, which
-        // collided (and cross-wired parents) before stream namespacing.
-        let run = |cat: &str| {
-            vec![
-                span(0, None, cat, 0, 100),
-                span(1, Some(0), cat, 10, 60),
-                span(2, Some(1), cat, 20, 40),
-            ]
-        };
-        let merged = merge_span_streams(&[run("sim"), run("chaos")]);
-        assert_eq!(merged.len(), 6);
-        let ids: std::collections::BTreeSet<u64> = merged.iter().map(|s| s.id).collect();
-        assert_eq!(ids.len(), merged.len(), "merged span ids must be unique");
-        // Parent links stay inside their own stream's namespace.
-        for span in &merged {
-            if let Some(p) = span.parent {
-                assert_eq!(p >> STREAM_ID_BITS, span.id >> STREAM_ID_BITS);
-            }
-        }
-        assert_eq!(merged[3].id, stream_base(1));
-        assert_eq!(merged[4].parent, Some(stream_base(1)));
-        // The export stays stack-balanced: each run nests under its own
-        // roots instead of the second run's children grafting onto the
-        // first run's same-id spans.
-        let mut buf = Vec::new();
-        write_chrome_trace(&mut buf, &merged, None).unwrap();
-        let doc = parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert_eq!(events.len(), 12, "3 spans per run -> 6 B + 6 E");
-        let mut depth = 0i64;
-        let mut max_depth = 0i64;
-        for ev in events {
-            match ev.get("ph").unwrap().as_str().unwrap() {
-                "B" => {
-                    depth += 1;
-                    max_depth = max_depth.max(depth);
-                }
-                "E" => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert_eq!(max_depth, 3, "each run keeps its own 3-deep nesting");
     }
 
     #[test]

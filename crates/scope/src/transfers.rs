@@ -2,15 +2,17 @@
 //! `owan-cli transfers`.
 //!
 //! Each transfer moves submitted → admitted → active →
-//! completed | expired | deadline-missed. The tracker is fed one
-//! [`TransferSlotRow`] per active transfer per slot by the sim/chaos
-//! loops and accumulates, per transfer: delivered Gb attributed per
-//! path, queue positions, preemption count (had a rate, then lost it
-//! while unfinished), remaining deadline slack, and a full per-slot
-//! trace for `--trace ID`.
+//! completed | expired | deadline-missed. The tracker reads every
+//! active transfer's row of each [`SlotRecord`] and accumulates, per
+//! transfer: delivered Gb attributed per path, queue positions,
+//! preemption count (had a rate, then lost it while unfinished),
+//! remaining deadline slack, and a full per-slot trace for `--trace ID`.
 
-use owan_core::TransferRequest;
+use crate::{path_label, SlotRecord};
+use owan_core::{SlotPlan, TransferRequest};
 use std::collections::BTreeMap;
+
+const EPS: f64 = 1e-9;
 
 /// Final (or current) state of a tracked transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,25 +43,6 @@ impl TransferState {
             TransferState::Expired => "expired",
         }
     }
-}
-
-/// One transfer's observation for one slot, supplied by the slot loop.
-#[derive(Debug, Clone)]
-pub struct TransferSlotRow {
-    /// Transfer id.
-    pub id: usize,
-    /// Rate allocated this slot, Gbps (0 if queued).
-    pub rate_gbps: f64,
-    /// Volume delivered this slot, Gb.
-    pub delivered_gbits: f64,
-    /// Remaining volume after this slot's delivery, Gb.
-    pub remaining_gbits: f64,
-    /// Position in the zero-rate queue this slot (`None` if served).
-    pub queue_pos: Option<usize>,
-    /// Completion time if the transfer finished this slot.
-    pub completion_s: Option<f64>,
-    /// Per-path delivered share this slot: `(path label, Gb)`.
-    pub paths: Vec<(String, f64)>,
 }
 
 /// Per-slot trace entry kept for `--trace ID`.
@@ -195,29 +178,44 @@ impl TransferTracker {
         self.end_s = 0.0;
     }
 
-    /// Feeds one slot of observations. `rows` covers every *active*
-    /// transfer this slot (served or queued); absent transfers are either
-    /// not yet admitted or already finished.
-    pub fn observe_slot(
-        &mut self,
-        slot: usize,
-        now_s: f64,
-        slot_len_s: f64,
-        rows: &[TransferSlotRow],
-    ) {
+    /// Feeds one slot: `order` holds the indices of `rec`'s active rows
+    /// in ascending transfer id ([`SlotRecord::by_id`]), and queue
+    /// positions count along it. A served row's delivered volume splits
+    /// over its allocation's paths (row `i` of `rec` is allocation `i` of
+    /// `plan`) pro rata by path rate.
+    pub(crate) fn observe_slot(&mut self, rec: &SlotRecord, order: &[usize], plan: &SlotPlan) {
+        let (slot, now_s, slot_len_s) = (rec.slot, rec.now_s, rec.slot_len_s);
         self.end_s = self.end_s.max(now_s + slot_len_s);
-        for row in rows {
+        let mut queued = 0usize;
+        for &i in order {
+            let row = &rec.transfers[i];
+            let served = !row.queued();
+            let queue_pos = (!served).then(|| {
+                queued += 1;
+                queued - 1
+            });
             let Some(t) = self.transfers.get_mut(row.id) else {
                 continue;
             };
+            let paths: Vec<(String, f64)> = match plan.allocations.get(i) {
+                Some(alloc) if served && row.delivered_gbits > 0.0 => {
+                    debug_assert_eq!(alloc.transfer, row.id, "rows follow the plan's allocations");
+                    alloc
+                        .paths
+                        .iter()
+                        .filter(|(_, r)| *r > EPS)
+                        .map(|(p, r)| (path_label(p), row.delivered_gbits * r / row.rate_gbps))
+                        .collect()
+                }
+                _ => Vec::new(),
+            };
             t.admitted_slot.get_or_insert(slot);
-            let served = row.rate_gbps > 1e-9;
             if served {
                 t.first_served_slot.get_or_insert(slot);
                 t.slots_served += 1;
             } else {
                 t.slots_queued += 1;
-                if t.had_rate_last_slot && row.remaining_gbits > 1e-9 {
+                if t.had_rate_last_slot && row.remaining_gbits > EPS {
                     t.preemptions += 1;
                 }
             }
@@ -227,7 +225,7 @@ impl TransferTracker {
             if row.completion_s.is_some() {
                 t.completion_s = row.completion_s;
             }
-            for (path, gb) in &row.paths {
+            for (path, gb) in &paths {
                 *t.delivered_by_path.entry(path.clone()).or_insert(0.0) += gb;
             }
             let slack_s = match (t.deadline_s, served) {
@@ -250,9 +248,9 @@ impl TransferTracker {
                 rate_gbps: row.rate_gbps,
                 delivered_gbits: row.delivered_gbits,
                 remaining_gbits: row.remaining_gbits,
-                queue_pos: row.queue_pos,
+                queue_pos,
                 slack_s,
-                paths: row.paths.clone(),
+                paths,
             });
         }
     }
@@ -380,6 +378,8 @@ impl TransferTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TransferRow;
+    use owan_core::{Allocation, Topology};
 
     fn req(volume: f64, arrival: f64, deadline: Option<f64>) -> TransferRequest {
         TransferRequest {
@@ -391,26 +391,46 @@ mod tests {
         }
     }
 
-    fn row(id: usize, rate: f64, delivered: f64, remaining: f64) -> TransferSlotRow {
-        TransferSlotRow {
+    fn row(id: usize, rate: f64, delivered: f64, remaining: f64) -> TransferRow {
+        TransferRow {
             id,
             rate_gbps: rate,
+            live_rate_gbps: rate,
             delivered_gbits: delivered,
             remaining_gbits: remaining,
-            queue_pos: if rate > 0.0 { None } else { Some(0) },
             completion_s: None,
-            paths: vec![("0-1".into(), delivered)],
+            active: true,
         }
+    }
+
+    /// Slot `slot` (100 s long) with `row` allocated its rate on path 0-1.
+    fn observe(tr: &mut TransferTracker, slot: usize, row: TransferRow) {
+        let plan = SlotPlan {
+            topology: Topology::empty(2),
+            allocations: vec![Allocation {
+                transfer: row.id,
+                paths: vec![(vec![0, 1], row.rate_gbps)],
+            }],
+            throughput_gbps: row.rate_gbps,
+        };
+        let rec = SlotRecord {
+            slot,
+            now_s: slot as f64 * 100.0,
+            slot_len_s: 100.0,
+            transfers: vec![row],
+            ..SlotRecord::default()
+        };
+        tr.observe_slot(&rec, &rec.by_id(), &plan);
     }
 
     #[test]
     fn lifecycle_reaches_completed() {
         let mut tr = TransferTracker::default();
         tr.begin_run(&[req(100.0, 0.0, None)]);
-        tr.observe_slot(0, 0.0, 100.0, &[row(0, 0.5, 50.0, 50.0)]);
+        observe(&mut tr, 0, row(0, 0.5, 50.0, 50.0));
         let mut done = row(0, 0.5, 50.0, 0.0);
         done.completion_s = Some(200.0);
-        tr.observe_slot(1, 100.0, 100.0, &[done]);
+        observe(&mut tr, 1, done);
         let t = tr.transfer(0).unwrap();
         assert_eq!(t.state(tr.end_s()), TransferState::Completed);
         assert!((t.delivered_gbits - 100.0).abs() < 1e-9);
@@ -423,10 +443,10 @@ mod tests {
     fn preemption_counts_served_then_queued() {
         let mut tr = TransferTracker::default();
         tr.begin_run(&[req(100.0, 0.0, None)]);
-        tr.observe_slot(0, 0.0, 100.0, &[row(0, 0.5, 50.0, 50.0)]);
-        tr.observe_slot(1, 100.0, 100.0, &[row(0, 0.0, 0.0, 50.0)]);
-        tr.observe_slot(2, 200.0, 100.0, &[row(0, 0.5, 50.0, 0.1)]);
-        tr.observe_slot(3, 300.0, 100.0, &[row(0, 0.0, 0.0, 0.1)]);
+        observe(&mut tr, 0, row(0, 0.5, 50.0, 50.0));
+        observe(&mut tr, 1, row(0, 0.0, 0.0, 50.0));
+        observe(&mut tr, 2, row(0, 0.5, 50.0, 0.1));
+        observe(&mut tr, 3, row(0, 0.0, 0.0, 0.1));
         let t = tr.transfer(0).unwrap();
         assert_eq!(t.preemptions, 2);
         assert_eq!(t.slots_queued, 2);
@@ -436,7 +456,7 @@ mod tests {
     fn never_admitted_is_submitted_and_unserved_is_admitted() {
         let mut tr = TransferTracker::default();
         tr.begin_run(&[req(10.0, 1e9, None), req(10.0, 0.0, None)]);
-        tr.observe_slot(0, 0.0, 100.0, &[row(1, 0.0, 0.0, 10.0)]);
+        observe(&mut tr, 0, row(1, 0.0, 0.0, 10.0));
         assert_eq!(
             tr.transfer(0).unwrap().state(tr.end_s()),
             TransferState::Submitted
@@ -451,8 +471,8 @@ mod tests {
     fn deadline_missed_when_run_passes_deadline() {
         let mut tr = TransferTracker::default();
         tr.begin_run(&[req(100.0, 0.0, Some(150.0))]);
-        tr.observe_slot(0, 0.0, 100.0, &[row(0, 0.1, 10.0, 90.0)]);
-        tr.observe_slot(1, 100.0, 100.0, &[row(0, 0.1, 10.0, 80.0)]);
+        observe(&mut tr, 0, row(0, 0.1, 10.0, 90.0));
+        observe(&mut tr, 1, row(0, 0.1, 10.0, 80.0));
         assert_eq!(
             tr.transfer(0).unwrap().state(tr.end_s()),
             TransferState::DeadlineMissed
@@ -465,7 +485,7 @@ mod tests {
         tr.begin_run(&[req(100.0, 0.0, Some(500.0))]);
         let mut done = row(0, 1.0, 100.0, 0.0);
         done.completion_s = Some(100.0);
-        tr.observe_slot(0, 0.0, 100.0, &[done]);
+        observe(&mut tr, 0, done);
         let table = tr.render_table();
         assert!(table.contains("completed"));
         assert!(table.contains("total: 1 transfers"));

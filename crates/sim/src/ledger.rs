@@ -17,13 +17,11 @@
 //! Those differences are known accounting errors kept bit for bit until
 //! one change fixes them together (ROADMAP, re-baselining item).
 //!
-//! The probe rows built from the ledger — the scope's transfer rows and
-//! the why recorder's samples — are built here too, so every tier reads
-//! the numbers the delivery step booked.
+//! The per-transfer rows of the probes' slot record are built here too,
+//! so every tier reads the numbers the delivery step booked.
 
 use owan_core::{Allocation, SlotPlan, Transfer, TransferRequest};
-use owan_scope::{path_label, TransferSlotRow};
-use owan_why::TransferSample;
+use owan_scope::TransferRow;
 use serde::{Deserialize, Serialize};
 
 const EPS: f64 = 1e-9;
@@ -76,7 +74,7 @@ pub struct Delivery {
     /// transfer completes (the controller loops' delivered series).
     pub booked_gbits: f64,
     /// `remaining_before − remaining_after` (the chaos background series
-    /// and the per-transfer probe rows).
+    /// and the slot record's rows).
     pub drained_gbits: f64,
 }
 
@@ -224,90 +222,50 @@ impl SlotLedger {
         (self.records, makespan_s)
     }
 
-    /// One [`TransferSlotRow`] per active transfer, for the scope's
-    /// transfer tracker: allocated rate, volume delivered this slot
-    /// (attributed per path pro rata by path rate), post-slot remaining
-    /// volume, queue position for unserved transfers, and the completion
-    /// instant when the transfer has finished.
-    pub fn scope_rows(
-        &self,
-        active: &[Transfer],
-        plan: &SlotPlan,
-        delivered: &[f64],
-    ) -> Vec<TransferSlotRow> {
-        let mut rows = Vec::with_capacity(active.len());
-        let mut queue_pos = 0usize;
-        for a in active {
-            let id = a.id;
-            let alloc = plan.allocations.iter().find(|al| al.transfer == id);
-            let rate_gbps = alloc.map_or(0.0, |al| al.total_rate());
-            let delivered_gbits = delivered.get(id).copied().unwrap_or(0.0);
-            let served = rate_gbps > EPS;
-            let paths = match alloc {
-                Some(al) if served && delivered_gbits > 0.0 => al
-                    .paths
-                    .iter()
-                    .filter(|(_, r)| *r > EPS)
-                    .map(|(p, r)| (path_label(p), delivered_gbits * r / rate_gbps))
-                    .collect(),
-                _ => Vec::new(),
-            };
-            rows.push(TransferSlotRow {
-                id,
-                rate_gbps,
-                delivered_gbits,
-                remaining_gbits: self.transfers[id].remaining_gbits,
-                queue_pos: if served {
-                    None
-                } else {
-                    queue_pos += 1;
-                    Some(queue_pos - 1)
-                },
-                completion_s: self.records[id].completion_s,
-                paths,
-            });
-        }
-        rows
-    }
-
-    /// The why recorder's samples: one per allocation of `plan` in
-    /// allocation order (the order delivery booked them), then the active
-    /// transfers the plan left out, queued. `live_rate(i, alloc)` is the
-    /// rate allocation `i` actually carried (what survived blackholes).
-    pub fn why_samples(
+    /// The slot record's transfer rows, in booking order: one per
+    /// allocation of `plan` (the order delivery booked them), then one per
+    /// active transfer the plan left out. `delivered` is each transfer's
+    /// drained volume this slot, by id; `live_rate(i, alloc)` is the rate
+    /// allocation `i` actually carried (what survived blackholes).
+    pub fn transfer_rows(
         &self,
         active: &[Transfer],
         plan: &SlotPlan,
         delivered: &[f64],
         live_rate: impl Fn(usize, &Allocation) -> f64,
-    ) -> Vec<TransferSample> {
-        let sample = |id: usize, full: f64, live: f64, delivered_gbits: f64| TransferSample {
-            id,
-            full_rate_gbps: full,
-            live_rate_gbps: live,
-            delivered_gbits,
-            remaining_gbits: self.transfers[id].remaining_gbits,
-            completion_s: self.records[id].completion_s,
-            queued: full <= EPS,
-        };
-        let mut samples = Vec::with_capacity(active.len());
-        let mut sampled = vec![false; self.transfers.len()];
+    ) -> Vec<TransferRow> {
+        let row =
+            |id: usize, rate: f64, live: f64, delivered_gbits: f64, active: bool| TransferRow {
+                id,
+                rate_gbps: rate,
+                live_rate_gbps: live,
+                delivered_gbits,
+                remaining_gbits: self.transfers[id].remaining_gbits,
+                completion_s: self.records[id].completion_s,
+                active,
+            };
+        let mut unbooked = vec![false; self.transfers.len()];
+        for t in active {
+            unbooked[t.id] = true;
+        }
+        let mut rows = Vec::with_capacity(plan.allocations.len() + active.len());
         for (i, alloc) in plan.allocations.iter().enumerate() {
             let id = alloc.transfer;
-            sampled[id] = true;
-            samples.push(sample(
+            let is_active = std::mem::take(&mut unbooked[id]);
+            rows.push(row(
                 id,
                 alloc.total_rate(),
                 live_rate(i, alloc),
                 delivered[id],
+                is_active,
             ));
         }
         for t in active {
-            if !sampled[t.id] {
-                samples.push(sample(t.id, 0.0, 0.0, 0.0));
+            if unbooked[t.id] {
+                rows.push(row(t.id, 0.0, 0.0, 0.0, true));
             }
         }
-        samples
+        rows
     }
 }
 
@@ -410,6 +368,41 @@ mod tests {
         let (records, _) = ledger.finish(300.0);
         assert_eq!(records[0].completion_s, Some(300.0));
         assert_eq!(records[1].completion_s, None);
+    }
+
+    #[test]
+    fn transfer_rows_follow_the_plan_then_the_left_out() {
+        let mut ledger = SlotLedger::new(&[
+            request(100.0, 0.0, None),
+            request(100.0, 0.0, None),
+            request(100.0, 0.0, None),
+            request(50.0, 0.0, None),
+        ]);
+        // Transfer 3 finished in the first slot, but a path the update
+        // failed to remove still carries it.
+        ledger.deliver(3, 1.0, 1.0, 0.0, 100.0);
+        let (active, _) = ledger.admit(100.0);
+        let alloc = |transfer: usize, rate: f64| Allocation {
+            transfer,
+            paths: vec![(vec![0, 1], rate)],
+        };
+        let plan = SlotPlan {
+            topology: owan_core::Topology::empty(2),
+            allocations: vec![alloc(2, 0.5), alloc(3, 0.25), alloc(0, 1.0)],
+            throughput_gbps: 1.75,
+        };
+        let live = |i: usize, a: &Allocation| if i == 1 { 0.0 } else { a.total_rate() };
+        let rows = ledger.transfer_rows(&active, &plan, &[0.0; 4], live);
+        let ids: Vec<usize> = rows.iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![2, 3, 0, 1], "booking order");
+        assert!(!rows[1].active && rows[1].live_rate_gbps == 0.0);
+        assert!(rows[3].active && rows[3].queued());
+        let rec = owan_scope::SlotRecord {
+            transfers: rows,
+            ..Default::default()
+        };
+        let admitted: Vec<usize> = rec.by_id().iter().map(|&i| rec.transfers[i].id).collect();
+        assert_eq!(admitted, vec![0, 1, 2], "admission order");
     }
 
     #[test]

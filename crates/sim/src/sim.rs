@@ -22,9 +22,9 @@ use crate::telemetry::{SimTelemetry, SlotTelemetry};
 use owan_core::{Profiler, SlotInput, SlotPlan, TrafficEngineer, TransferRequest};
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
-use owan_scope::{ScopeRecorder, SlotObservation};
+use owan_scope::{ScopeRecorder, SlotRecord};
 use owan_update::{plan_consistent_observed, NetworkDelta, UpdateParams};
-use owan_why::{SlotRecord, WhyRecorder};
+use owan_why::WhyRecorder;
 use serde::{Deserialize, Serialize};
 
 const EPS: f64 = 1e-9;
@@ -211,14 +211,14 @@ pub fn simulate(
 ///   per slot. The update-scheduling stage is measured by running the
 ///   consistent planner between consecutive plans purely for telemetry —
 ///   the idealized simulator still delivers the full allocation.
-/// * An enabled scope gets per-transfer lifecycle rows, a flight frame
-///   per slot and the causal span timeline.
+/// * An enabled scope or why recorder gets one [`SlotRecord`] per slot:
+///   the scope reads it for per-transfer lifecycle rows, a flight frame
+///   and the causal span timeline, then the why recorder keeps it.
 /// * An enabled profiler is attached to the engine, and the loop wraps
 ///   each slot and its telemetry-only update pass in `slot` / `update`
 ///   regions.
-/// * An enabled why recorder is fed every slot (per-transfer rate
-///   samples, planning latency, throughput); a tripped SLO monitor
-///   freezes the flight recorder through [`ScopeRecorder::anomaly`].
+/// * A tripped SLO monitor of the why recorder freezes the flight
+///   recorder through [`ScopeRecorder::anomaly`].
 ///
 /// Failures and controller restarts (§3.4) are `owan-chaos::run_chaos`'s
 /// job: this loop runs one engine on one plant.
@@ -325,7 +325,7 @@ pub fn simulate_probed(
 
         // Advance transfers.
         let mut got_rate = vec![false; n];
-        let mut scope_delivered = (scope_on || why_on).then(|| vec![0.0f64; n]);
+        let mut per_delivered = (scope_on || why_on).then(|| vec![0.0f64; n]);
         for alloc in &plan.allocations {
             let (id, rate_alloc) = (alloc.transfer, alloc.total_rate());
             debug_assert!(
@@ -342,7 +342,7 @@ pub fn simulate_probed(
                 continue;
             };
             got_rate[id] = true;
-            if let Some(delivered) = scope_delivered.as_mut() {
+            if let Some(delivered) = per_delivered.as_mut() {
                 delivered[id] = d.drained_gbits;
             }
         }
@@ -375,9 +375,10 @@ pub fn simulate_probed(
             t.publish_slot(&row);
             slot_rows.push(row);
         }
-        if let (true, Some(delivered)) = (scope_on, &scope_delivered) {
-            let rows = ledger.scope_rows(&active, &plan, delivered);
-            scope.record_slot(&SlotObservation {
+        if let Some(delivered) = &per_delivered {
+            // The idealized simulator has no transitions, blackholes,
+            // failures or attacks: live == allocated, scale == 1.
+            let rec = SlotRecord {
                 slot,
                 now_s: now,
                 slot_len_s: config.slot_len_s,
@@ -394,30 +395,15 @@ pub fn simulate_probed(
                 active_transfers: active.len(),
                 queue_depth,
                 at_risk,
-                plan: &plan,
-                rows: &rows,
-                believed_down: &[],
-                actual_down: &[],
-                events: &[],
-            });
-        }
-        if let (true, Some(delivered)) = (why_on, &scope_delivered) {
-            // The idealized simulator has no transitions, blackholes or
-            // attacks: full == live, scale == 1, no fault events.
-            let samples = ledger.why_samples(&active, &plan, delivered, |_, a| a.total_rate());
-            if let Some(reason) = why.observe_slot(SlotRecord {
-                slot,
-                now_s: now,
-                slot_len_s: config.slot_len_s,
-                start_ns: slot_start_ns,
-                end_ns: recorder.now_ns().max(slot_start_ns),
-                plan_ns,
                 transition_scale: 1.0,
-                throughput_gbps: plan.throughput_gbps,
                 attack_active: false,
-                samples,
+                believed_down: Vec::new(),
+                actual_down: Vec::new(),
                 events: Vec::new(),
-            }) {
+                transfers: ledger.transfer_rows(&active, &plan, delivered, |_, a| a.total_rate()),
+            };
+            scope.record_slot(&rec, &plan);
+            if let Some(reason) = why.observe_slot(rec) {
                 scope.anomaly(reason, slot);
             }
         }

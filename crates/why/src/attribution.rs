@@ -23,7 +23,8 @@
 //! construction. The proptest below pins both facts the same way the
 //! cache-miss taxonomy's partition proof does.
 
-use crate::{SlotRecord, TransferInfo, TransferSample, EPS};
+use crate::{TransferInfo, EPS};
+use owan_scope::{SlotRecord, TransferRow};
 
 /// Per-slot decomposition of one transfer's overlap with the slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -154,7 +155,7 @@ pub struct TransferAttribution {
 /// rounding) and are individually non-negative.
 pub fn split_slot(
     overlap_s: f64,
-    sample: &TransferSample,
+    sample: &TransferRow,
     slot: &SlotRecord,
     served_before: bool,
 ) -> SlotSplit {
@@ -162,8 +163,8 @@ pub fn split_slot(
     if overlap_s <= 0.0 {
         return split;
     }
-    let full = sample.full_rate_gbps;
-    if sample.queued || full <= EPS {
+    let full = sample.rate_gbps;
+    if sample.queued() {
         if slot.attack_active && served_before {
             split.preempted_s = overlap_s;
         } else {
@@ -184,7 +185,7 @@ pub fn split_slot(
     // exact max-min shares depend on per-path bottlenecks the plan no
     // longer exposes, and equal-share is the lower bound max-min
     // guarantees every unbottlenecked transfer).
-    let actives = slot.samples.len();
+    let actives = slot.transfers.len();
     let fair = if actives > 0 {
         slot.throughput_gbps / actives as f64
     } else {
@@ -216,7 +217,7 @@ pub fn attribute(
 fn attribute_one(info: &TransferInfo, slots: &[SlotRecord], run_end_s: f64) -> TransferAttribution {
     // Completion instant: the first sample that carries one.
     let completion_s = slots.iter().find_map(|slot| {
-        slot.samples
+        slot.transfers
             .iter()
             .find(|s| s.id == info.id)
             .and_then(|s| s.completion_s)
@@ -231,7 +232,7 @@ fn attribute_one(info: &TransferInfo, slots: &[SlotRecord], run_end_s: f64) -> T
     for slot in slots {
         let slot_end = slot.now_s + slot.slot_len_s;
         let overlap_s = (slot_end.min(end_s) - slot.now_s.max(info.arrival_s)).max(0.0);
-        let Some(sample) = slot.samples.iter().find(|s| s.id == info.id) else {
+        let Some(sample) = slot.transfers.iter().find(|s| s.id == info.id) else {
             continue; // in-system but unobserved: lands in `stalled`
         };
         delivered_gbits += sample.delivered_gbits;
@@ -246,7 +247,7 @@ fn attribute_one(info: &TransferInfo, slots: &[SlotRecord], run_end_s: f64) -> T
                 split,
             });
         }
-        if !sample.queued && sample.full_rate_gbps > EPS {
+        if !sample.queued() {
             served_before = true;
         }
     }
@@ -274,43 +275,37 @@ mod tests {
         len: f64,
         scale: f64,
         attack: bool,
-        samples: Vec<TransferSample>,
+        transfers: Vec<TransferRow>,
     ) -> SlotRecord {
-        let throughput = samples
-            .iter()
-            .filter(|s| !s.queued)
-            .map(|s| s.full_rate_gbps)
-            .sum();
+        let throughput = transfers.iter().map(|s| s.rate_gbps).sum();
         SlotRecord {
             slot: idx,
             now_s: idx as f64 * len,
             slot_len_s: len,
-            start_ns: idx as u64 * 1_000,
-            end_ns: idx as u64 * 1_000 + 500,
             plan_ns: 100,
             transition_scale: scale,
             throughput_gbps: throughput,
             attack_active: attack,
-            samples,
-            events: Vec::new(),
+            transfers,
+            ..SlotRecord::default()
         }
     }
 
-    fn sample(id: usize, full: f64, live: f64, queued: bool) -> TransferSample {
-        TransferSample {
+    fn sample(id: usize, full: f64, live: f64) -> TransferRow {
+        TransferRow {
             id,
-            full_rate_gbps: full,
+            rate_gbps: full,
             live_rate_gbps: live,
             delivered_gbits: live * 300.0,
             remaining_gbits: 1.0,
             completion_s: None,
-            queued,
+            active: true,
         }
     }
 
     #[test]
     fn fault_free_full_rate_is_pure_serving() {
-        let slots = vec![slot(0, 300.0, 1.0, false, vec![sample(0, 2.0, 2.0, false)])];
+        let slots = vec![slot(0, 300.0, 1.0, false, vec![sample(0, 2.0, 2.0)])];
         let info = TransferInfo {
             id: 0,
             volume_gbits: 600.0,
@@ -326,7 +321,7 @@ mod tests {
     #[test]
     fn reconfig_and_blackhole_split_by_scale_and_live_ratio() {
         // scale 0.8 → 20% reconfig; live/full = 0.5 → half the rest lost.
-        let slots = vec![slot(0, 100.0, 0.8, false, vec![sample(0, 2.0, 1.0, false)])];
+        let slots = vec![slot(0, 100.0, 0.8, false, vec![sample(0, 2.0, 1.0)])];
         let info = TransferInfo {
             id: 0,
             volume_gbits: 1000.0,
@@ -343,8 +338,8 @@ mod tests {
     #[test]
     fn queued_during_attack_after_service_is_preemption() {
         let slots = vec![
-            slot(0, 100.0, 1.0, false, vec![sample(7, 1.0, 1.0, false)]),
-            slot(1, 100.0, 1.0, true, vec![sample(7, 0.0, 0.0, true)]),
+            slot(0, 100.0, 1.0, false, vec![sample(7, 1.0, 1.0)]),
+            slot(1, 100.0, 1.0, true, vec![sample(7, 0.0, 0.0)]),
         ];
         let info = TransferInfo {
             id: 7,
@@ -360,7 +355,7 @@ mod tests {
 
     #[test]
     fn queued_before_first_service_is_queue_wait_even_under_attack() {
-        let slots = vec![slot(0, 100.0, 1.0, true, vec![sample(3, 0.0, 0.0, true)])];
+        let slots = vec![slot(0, 100.0, 1.0, true, vec![sample(3, 0.0, 0.0)])];
         let info = TransferInfo {
             id: 3,
             volume_gbits: 500.0,
@@ -379,7 +374,7 @@ mod tests {
             100.0,
             1.0,
             false,
-            vec![sample(0, 1.0, 1.0, false), sample(1, 3.0, 3.0, false)],
+            vec![sample(0, 1.0, 1.0), sample(1, 3.0, 3.0)],
         )];
         let infos = [
             TransferInfo {
@@ -409,7 +404,7 @@ mod tests {
         // Arrives at 0 but only sampled in slot 1 of [100, 200).
         let slots = vec![
             slot(0, 100.0, 1.0, false, Vec::new()),
-            slot(1, 100.0, 1.0, false, vec![sample(0, 1.0, 1.0, false)]),
+            slot(1, 100.0, 1.0, false, vec![sample(0, 1.0, 1.0)]),
         ];
         let info = TransferInfo {
             id: 0,
@@ -426,7 +421,7 @@ mod tests {
 
     #[test]
     fn completion_truncates_the_window() {
-        let mut s0 = sample(0, 2.0, 2.0, false);
+        let mut s0 = sample(0, 2.0, 2.0);
         s0.completion_s = Some(150.0);
         s0.remaining_gbits = 0.0;
         let slots = vec![
@@ -508,37 +503,35 @@ mod tests {
                 .map(|(i, g)| {
                     // One sample per id at most, allocation order by first occurrence.
                     let mut seen = std::collections::BTreeSet::new();
-                    let samples: Vec<TransferSample> = g
+                    // A queued transfer is one the plan allocated no rate.
+                    let rows: Vec<TransferRow> = g
                         .samples
                         .iter()
                         .filter(|s| seen.insert(s.id))
-                        .map(|s| TransferSample {
-                            id: s.id,
-                            full_rate_gbps: s.full,
-                            live_rate_gbps: s.full * s.live_frac,
-                            delivered_gbits: s.full * s.live_frac * slot_len,
-                            remaining_gbits: if s.completes { 0.0 } else { 1.0 },
-                            completion_s: s.completes.then_some((i as f64 + 0.5) * slot_len),
-                            queued: s.queued,
+                        .map(|s| {
+                            let full = if s.queued { 0.0 } else { s.full };
+                            TransferRow {
+                                id: s.id,
+                                rate_gbps: full,
+                                live_rate_gbps: full * s.live_frac,
+                                delivered_gbits: full * s.live_frac * slot_len,
+                                remaining_gbits: if s.completes { 0.0 } else { 1.0 },
+                                completion_s: s.completes.then_some((i as f64 + 0.5) * slot_len),
+                                active: true,
+                            }
                         })
                         .collect();
-                    let throughput = samples
-                        .iter()
-                        .filter(|s| !s.queued)
-                        .map(|s| s.full_rate_gbps)
-                        .sum();
+                    let throughput = rows.iter().map(|s| s.rate_gbps).sum();
                     SlotRecord {
                         slot: i,
                         now_s: i as f64 * slot_len,
                         slot_len_s: slot_len,
-                        start_ns: i as u64 * 1_000,
-                        end_ns: i as u64 * 1_000 + 500,
                         plan_ns: 42,
                         transition_scale: g.scale,
                         throughput_gbps: throughput,
                         attack_active: g.attack,
-                        samples,
-                        events: Vec::new(),
+                        transfers: rows,
+                        ..SlotRecord::default()
                     }
                 })
                 .collect();

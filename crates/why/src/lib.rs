@@ -1,18 +1,17 @@
-//! `owan-why`: causal attribution, SLO burn-rate monitors, and
-//! cross-stream trace analytics — the fourth observability tier.
+//! `owan-why`: causal attribution and SLO burn-rate monitors — the
+//! fourth observability tier.
 //!
 //! The three collection tiers answer *what* happened (`owan-obs`
 //! counters), *in what order* (`owan-scope` slot timelines and flight
 //! dumps), and *where the time went* (`owan-prof` region trees). This
 //! crate answers *why*: why did transfer 17 miss its deadline, which
 //! subsystem ate its slack, and is the run currently burning through its
-//! deadline SLO. It adds **no new probes** — every input is a value the
-//! slot loops already compute for the lower tiers:
+//! deadline SLO. It adds **no new probes**: its input is the one
+//! per-slot [`SlotRecord`] the slot loop builds for the scope tier — the
+//! slot header, the slot's fault labels and one row per transfer — which
+//! the loop moves into the why recorder after the scope has read it, plus
+//! the profiler's region tree for the hottest-region lines:
 //!
-//! * a cross-stream **joiner** ([`Timeline`]) that indexes the scope
-//!   tracker's per-transfer lifecycle, the obs recorder's event ring,
-//!   the prof region tree, and chaos/attack fault instants into one
-//!   per-slot, per-transfer timeline keyed by transfer id and slot;
 //! * a per-transfer **attribution engine** ([`attribute`]) that
 //!   decomposes each transfer's in-system wall time into named buckets —
 //!   queue wait, reconfiguration downtime, rate starvation vs its
@@ -31,20 +30,20 @@
 //! loops pay nothing when attribution is off.
 
 mod attribution;
-mod join;
 mod report;
 pub mod slo;
 
 pub use attribution::{
     attribute, split_slot, Buckets, SlotBucketRow, SlotSplit, TransferAttribution,
 };
-pub use join::{FaultInstant, JoinedSlot, JoinedTransferSlot, ProfRegionShare, Timeline};
-pub use report::{render_explain, render_slo};
+pub use report::{render_explain, render_slo, ProfRegionShare};
 pub use slo::{SloConfig, SloReport};
 
 use owan_core::TransferRequest;
-use owan_obs::{telemetry_bundle, Recorder, Snapshot};
+use owan_obs::{telemetry_bundle, Recorder};
 use owan_prof::ProfSnapshot;
+use owan_scope::SlotRecord;
+use report::prof_regions;
 use std::sync::{Arc, Mutex};
 
 /// Numerical tolerance shared with the slot loops.
@@ -73,33 +72,6 @@ telemetry_bundle! {
     }
 }
 
-/// What one transfer did during one slot — values the slot loop already
-/// computed for delivery and the scope rows, passed through verbatim.
-///
-/// `full_rate_gbps` is the rate the plan allocated; `live_rate_gbps` is
-/// what survived blackholes (equal in fault-free runs). The chaos
-/// runner's booked lost-Gb figure is reproduced **bit-exactly** from
-/// these two plus the transition scale, which is what the
-/// attribution-under-chaos test pins down.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferSample {
-    /// Transfer id (index into the request list).
-    pub id: usize,
-    /// Rate the slot's (achieved) plan allocated, Gbps.
-    pub full_rate_gbps: f64,
-    /// Allocated rate surviving undetected cuts, Gbps.
-    pub live_rate_gbps: f64,
-    /// Volume delivered this slot, Gb.
-    pub delivered_gbits: f64,
-    /// Remaining volume after the slot, Gb.
-    pub remaining_gbits: f64,
-    /// Completion instant if the transfer has finished (this slot or
-    /// earlier), absolute seconds.
-    pub completion_s: Option<f64>,
-    /// True when the transfer was active but received no allocation.
-    pub queued: bool,
-}
-
 /// Static facts about one transfer, taken from the request list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferInfo {
@@ -113,47 +85,13 @@ pub struct TransferInfo {
     pub deadline_s: Option<f64>,
 }
 
-/// Everything the slot loop tells the why recorder once per slot, retained
-/// as the unit the attribution engine and the joiner consume. Public so
-/// property tests can synthesize feeds without driving a whole simulation.
-#[derive(Debug, Clone)]
-pub struct SlotRecord {
-    /// Slot index.
-    pub slot: usize,
-    /// Slot start, sim seconds.
-    pub now_s: f64,
-    /// Slot length, sim seconds.
-    pub slot_len_s: f64,
-    /// Recorder-clock ns at slot-processing start (joins obs events).
-    pub start_ns: u64,
-    /// Recorder-clock ns at slot-processing end.
-    pub end_ns: u64,
-    /// Wall time of the engine's `plan_slot` call, ns (p99 SLO input).
-    pub plan_ns: u64,
-    /// Fraction of the slot delivering after the reconfiguration window
-    /// (`1.0` when transitions are free, as in the idealized simulator).
-    pub transition_scale: f64,
-    /// Total allocated throughput, Gbps (fair-share reference).
-    pub throughput_gbps: f64,
-    /// True when an attack wave injected traffic this slot.
-    pub attack_active: bool,
-    /// Per-transfer samples, **in plan-allocation order** (queued
-    /// transfers appended after) — the order the chaos runner books
-    /// losses in, which keeps the Gb ledger bit-exact.
-    pub samples: Vec<TransferSample>,
-    /// Deterministic fault/event labels for this slot (the same strings
-    /// the flight frames carry).
-    pub events: Vec<String>,
-}
-
 #[derive(Debug, Default)]
 struct WhyState {
     transfers: Vec<TransferInfo>,
     slots: Vec<SlotRecord>,
     slo: slo::SloState,
     tripped: Option<(&'static str, usize)>,
-    obs: Option<Snapshot>,
-    prof: Option<ProfSnapshot>,
+    prof_regions: Vec<ProfRegionShare>,
 }
 
 #[derive(Debug)]
@@ -223,7 +161,9 @@ impl WhyRecorder {
     }
 
     /// Feeds one slot: retains the record for attribution and advances
-    /// the online SLO monitors. Returns the anomaly reason the first
+    /// the online SLO monitors. The record's rows must be in its booking
+    /// order ([`SlotRecord::transfers`]): the blackhole ledger sums them
+    /// in that order. Returns the anomaly reason the first
     /// time a monitor trips (`slo.deadline_burn`, `slo.plan_p99`,
     /// `slo.deficit`) — the slot loop forwards it to
     /// `ScopeRecorder::anomaly` so the existing flight-recorder freeze
@@ -247,18 +187,10 @@ impl WhyRecorder {
         None
     }
 
-    /// Joins the obs recorder's final snapshot (event ring, counters)
-    /// into the timeline. Call once after the run.
-    pub fn attach_obs(&self, snapshot: &Snapshot) {
-        if let Some(mut state) = self.lock() {
-            state.obs = Some(snapshot.clone());
-        }
-    }
-
-    /// Joins the tier-3 profiler's region tree into the timeline.
+    /// Keeps the tier-3 profiler's hottest regions for the report.
     pub fn attach_prof(&self, snapshot: &ProfSnapshot) {
         if let Some(mut state) = self.lock() {
-            state.prof = Some(snapshot.clone());
+            state.prof_regions = prof_regions(snapshot);
         }
     }
 
@@ -267,8 +199,8 @@ impl WhyRecorder {
         self.lock()?.tripped
     }
 
-    /// Joins every attached stream and runs the attribution engine.
-    /// `None` when disabled.
+    /// Runs the attribution engine over the retained records. `None`
+    /// when disabled.
     pub fn report(&self) -> Option<WhyReport> {
         let inner = self.inner.as_ref()?;
         let state = inner.state.lock().expect("why state poisoned");
@@ -279,8 +211,8 @@ impl WhyRecorder {
         // so it compares bit-for-bit against `ChaosStats`.
         let mut total_blackhole_gbits = 0.0;
         for slot in &state.slots {
-            for s in &slot.samples {
-                let lost = (s.full_rate_gbps - s.live_rate_gbps).max(0.0)
+            for s in &slot.transfers {
+                let lost = (s.rate_gbps - s.live_rate_gbps).max(0.0)
                     * slot.transition_scale
                     * slot.slot_len_s;
                 if lost > EPS {
@@ -288,24 +220,18 @@ impl WhyRecorder {
                 }
             }
         }
-        let timeline = Timeline::build(
-            &state.transfers,
-            &state.slots,
-            state.obs.as_ref(),
-            state.prof.as_ref(),
-        );
         Some(WhyReport {
             transfers,
             total_blackhole_gbits,
             run_end_s,
-            slots: state.slots.len(),
             slo: state.slo.report(state.tripped),
-            timeline,
+            records: state.slots.clone(),
+            prof_regions: state.prof_regions.clone(),
         })
     }
 }
 
-/// The joined, attributed view of one run.
+/// The attributed view of one run.
 #[derive(Debug, Clone)]
 pub struct WhyReport {
     /// Per-transfer attributions, ordered by id.
@@ -315,12 +241,14 @@ pub struct WhyReport {
     pub total_blackhole_gbits: f64,
     /// End of the last observed slot, absolute seconds.
     pub run_end_s: f64,
-    /// Observed slots.
-    pub slots: usize,
     /// Final SLO monitor state.
     pub slo: SloReport,
-    /// The cross-stream timeline the attributions were computed from.
-    pub timeline: Timeline,
+    /// Every observed slot's record, in slot order: what the attributions
+    /// were computed from.
+    pub records: Vec<SlotRecord>,
+    /// Hottest prof regions by self time (at most twelve), empty without
+    /// an attached profiler.
+    pub prof_regions: Vec<ProfRegionShare>,
 }
 
 impl WhyReport {
@@ -356,6 +284,7 @@ impl WhyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use owan_scope::TransferRow;
 
     fn request(volume: f64, arrival: f64, deadline: Option<f64>) -> TransferRequest {
         TransferRequest {
@@ -372,27 +301,23 @@ mod tests {
         let why = WhyRecorder::disabled();
         assert!(!why.is_enabled());
         why.begin_run(&[request(100.0, 0.0, None)]);
-        let sample = TransferSample {
+        let row = TransferRow {
             id: 0,
-            full_rate_gbps: 1.0,
+            rate_gbps: 1.0,
             live_rate_gbps: 1.0,
             delivered_gbits: 300.0,
             remaining_gbits: 0.0,
             completion_s: Some(300.0),
-            queued: false,
+            active: true,
         };
         let trip = why.observe_slot(SlotRecord {
             slot: 0,
-            now_s: 0.0,
             slot_len_s: 300.0,
-            start_ns: 0,
-            end_ns: 1,
             plan_ns: 1,
             transition_scale: 1.0,
             throughput_gbps: 1.0,
-            attack_active: false,
-            samples: vec![sample],
-            events: Vec::new(),
+            transfers: vec![row],
+            ..SlotRecord::default()
         });
         assert!(trip.is_none());
         assert!(why.report().is_none());
@@ -407,31 +332,28 @@ mod tests {
         for slot in 0..2 {
             let now = slot as f64 * 300.0;
             let done = slot == 1;
-            let sample = TransferSample {
+            let row = TransferRow {
                 id: 0,
-                full_rate_gbps: 0.5,
+                rate_gbps: 0.5,
                 live_rate_gbps: 0.5,
                 delivered_gbits: 150.0,
                 remaining_gbits: if done { 0.0 } else { 150.0 },
                 completion_s: done.then_some(600.0),
-                queued: false,
+                active: true,
             };
             why.observe_slot(SlotRecord {
                 slot,
                 now_s: now,
                 slot_len_s: 300.0,
-                start_ns: slot as u64 * 1000,
-                end_ns: slot as u64 * 1000 + 500,
                 plan_ns: 100,
                 transition_scale: 1.0,
                 throughput_gbps: 0.5,
-                attack_active: false,
-                samples: vec![sample],
-                events: Vec::new(),
+                transfers: vec![row],
+                ..SlotRecord::default()
             });
         }
         let report = why.report().unwrap();
-        assert_eq!(report.slots, 2);
+        assert_eq!(report.records.len(), 2);
         let t = report.transfer(0).unwrap();
         assert!((t.wall_s - 600.0).abs() < 1e-9);
         assert!((t.buckets.sum_s() - t.wall_s).abs() < 1e-6);

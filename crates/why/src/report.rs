@@ -6,6 +6,56 @@
 //! bucket table sums to the transfer's in-system wall time.
 
 use crate::{TransferAttribution, WhyReport};
+use owan_prof::ProfSnapshot;
+
+/// How many prof regions a report keeps, hottest self time first.
+const PROF_REGIONS_KEPT: usize = 12;
+
+/// A prof region's share of run wall time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProfRegionShare {
+    /// `a;b;c` region path, root first.
+    pub path: String,
+    /// Completed entries.
+    pub calls: u64,
+    /// Wall time, children included, ns.
+    pub total_ns: u64,
+    /// Wall time, children excluded, ns.
+    pub self_ns: u64,
+    /// `self_ns` as a fraction of the root total (0 when no roots).
+    pub share: f64,
+}
+
+/// The hottest regions of a profiler snapshot by self time (at most
+/// [`PROF_REGIONS_KEPT`], none with zero self time). Regions are
+/// run-scoped: per-slot prof spans stay in the Chrome trace.
+pub(crate) fn prof_regions(snapshot: &ProfSnapshot) -> Vec<ProfRegionShare> {
+    let root_total = snapshot.root_total_ns();
+    let mut by_self: Vec<usize> = (0..snapshot.nodes.len()).collect();
+    by_self.sort_by(|&a, &b| {
+        snapshot.nodes[b]
+            .self_ns
+            .cmp(&snapshot.nodes[a].self_ns)
+            .then(a.cmp(&b))
+    });
+    by_self
+        .into_iter()
+        .take(PROF_REGIONS_KEPT)
+        .map(|i| (i, &snapshot.nodes[i]))
+        .take_while(|(_, node)| node.self_ns > 0)
+        .map(|(i, node)| ProfRegionShare {
+            path: snapshot.path(i).join(";"),
+            calls: node.calls,
+            total_ns: node.total_ns,
+            self_ns: node.self_ns,
+            share: if root_total > 0 {
+                node.self_ns as f64 / root_total as f64
+            } else {
+                0.0
+            },
+        })
+        .collect()
+}
 
 /// Relative tolerance for the partition footer.
 const PARTITION_TOL: f64 = 1e-6;
@@ -22,23 +72,23 @@ pub fn render_explain(report: &WhyReport, id: usize) -> Option<String> {
     let mut out = String::new();
     render_attribution(&mut out, attr);
 
-    // Fault instants inside the transfer's in-system window.
+    // Fault labels of the slots inside the transfer's in-system window.
     let end_s = attr.completion_s.unwrap_or(report.run_end_s);
     let mut fault_lines = 0;
-    for slot in &report.timeline.slots {
-        let slot_end = slot.now_s + slot.slot_len_s;
-        if slot_end <= attr.arrival_s || slot.now_s >= end_s {
+    for rec in &report.records {
+        let slot_end = rec.now_s + rec.slot_len_s;
+        if slot_end <= attr.arrival_s || rec.now_s >= end_s {
             continue;
         }
-        for fault in &slot.faults {
-            out.push_str(&format!("fault,{},{}\n", fault.slot, fault.label));
+        for label in &rec.events {
+            out.push_str(&format!("fault,{},{label}\n", rec.slot));
             fault_lines += 1;
         }
     }
     if fault_lines == 0 {
         out.push_str("fault,none\n");
     }
-    for region in &report.timeline.prof_regions {
+    for region in &report.prof_regions {
         out.push_str(&format!(
             "prof_region,{},{:.1},{:.4}\n",
             region.path,
@@ -75,7 +125,7 @@ fn render_attribution(out: &mut String, attr: &TransferAttribution) {
 pub fn render_slo(report: &WhyReport) -> String {
     let slo = &report.slo;
     let mut out = String::new();
-    out.push_str(&format!("slots,{}\n", report.slots));
+    out.push_str(&format!("slots,{}\n", report.records.len()));
     out.push_str(&format!("deadline_met,{}\n", slo.deadline_met));
     out.push_str(&format!("deadline_missed,{}\n", slo.deadline_missed));
     out.push_str(&format!("burn_rate,{:.4}\n", slo.burn_rate));
@@ -105,14 +155,14 @@ pub fn render_slo(report: &WhyReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Buckets, SloReport, Timeline, TransferAttribution, WhyReport};
+    use crate::{Buckets, SloReport, TransferAttribution, WhyReport};
+    use owan_scope::SlotRecord;
 
     fn report_with(transfers: Vec<TransferAttribution>) -> WhyReport {
         WhyReport {
             transfers,
             total_blackhole_gbits: 0.0,
             run_end_s: 600.0,
-            slots: 2,
             slo: SloReport {
                 deadline_met: 1,
                 deadline_missed: 0,
@@ -125,7 +175,8 @@ mod tests {
                 deficit_threshold_gbits: None,
                 tripped: None,
             },
-            timeline: Timeline::default(),
+            records: vec![SlotRecord::default(); 2],
+            prof_regions: Vec::new(),
         }
     }
 
@@ -186,5 +237,23 @@ mod tests {
         ] {
             assert!(text.contains(key), "missing {key} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn prof_regions_ranked_by_self_time() {
+        let clock = std::sync::Arc::new(owan_obs::ManualClock::new());
+        let prof = owan_prof::Profiler::with_clock(clock.clone());
+        {
+            let _outer = prof.region("slot");
+            {
+                let _inner = prof.region("anneal");
+                clock.advance_ns(3_000_000);
+            }
+            clock.advance_ns(1_000_000);
+        }
+        let regions = prof_regions(&prof.snapshot());
+        assert!(!regions.is_empty());
+        assert_eq!(regions[0].path, "slot;anneal");
+        assert!(regions[0].share > 0.5);
     }
 }

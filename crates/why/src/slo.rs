@@ -10,7 +10,8 @@
 //! threshold defaults to `None`: monitors always *measure*, they only
 //! *trip* when the run opts in.
 
-use crate::{SlotRecord, TransferInfo, WhyTelemetry, EPS};
+use crate::{TransferInfo, WhyTelemetry, EPS};
+use owan_scope::SlotRecord;
 use std::collections::VecDeque;
 
 /// Trip reason for the deadline-miss burn-rate monitor.
@@ -90,27 +91,27 @@ impl SloState {
     /// reason, if any.
     pub(crate) fn observe_slot(
         &mut self,
-        obs: &SlotRecord,
+        rec: &SlotRecord,
         transfers: &[TransferInfo],
         telem: &WhyTelemetry,
     ) -> Option<&'static str> {
-        let slot_end = obs.now_s + obs.slot_len_s;
+        let slot_end = rec.now_s + rec.slot_len_s;
         let mut met_now = 0u32;
         let mut missed_now = 0u32;
         // Completions first, so a transfer finishing in the same slot
         // its deadline falls in is judged by its completion instant.
-        for sample in &obs.samples {
-            let Some(done) = sample.completion_s else {
+        for row in &rec.transfers {
+            let Some(done) = row.completion_s else {
                 continue;
             };
-            let Some(flag) = self.decided.get_mut(sample.id) else {
+            let Some(flag) = self.decided.get_mut(row.id) else {
                 continue;
             };
             if *flag {
                 continue;
             }
             *flag = true;
-            if let Some(deadline) = transfers.get(sample.id).and_then(|t| t.deadline_s) {
+            if let Some(deadline) = transfers.get(row.id).and_then(|t| t.deadline_s) {
                 if done <= deadline + EPS {
                     met_now += 1;
                     telem.deadline_met.incr();
@@ -120,9 +121,9 @@ impl SloState {
                 }
             }
         }
-        for sample in &obs.samples {
-            if let Some(d) = self.delivered.get_mut(sample.id) {
-                *d += sample.delivered_gbits;
+        for row in &rec.transfers {
+            if let Some(d) = self.delivered.get_mut(row.id) {
+                *d += row.delivered_gbits;
             }
         }
         // Then expiries: any undecided deadline now in the past missed.
@@ -157,7 +158,7 @@ impl SloState {
         };
         telem.burn_gauge.set(self.burn_rate);
 
-        self.plan_ns.push_back(obs.plan_ns);
+        self.plan_ns.push_back(rec.plan_ns);
         while self.plan_ns.len() > self.config.plan_window_slots.max(1) {
             self.plan_ns.pop_front();
         }
@@ -262,7 +263,7 @@ pub struct SloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TransferSample;
+    use owan_scope::TransferRow;
 
     fn info(id: usize, volume: f64, arrival: f64, deadline: Option<f64>) -> TransferInfo {
         TransferInfo {
@@ -273,31 +274,28 @@ mod tests {
         }
     }
 
-    fn obs(slot: usize, slot_len: f64, plan_ns: u64, samples: &[TransferSample]) -> SlotRecord {
+    fn obs(slot: usize, slot_len: f64, plan_ns: u64, rows: &[TransferRow]) -> SlotRecord {
         SlotRecord {
             slot,
             now_s: slot as f64 * slot_len,
             slot_len_s: slot_len,
-            start_ns: slot as u64 * 1000,
-            end_ns: slot as u64 * 1000 + 500,
             plan_ns,
             transition_scale: 1.0,
             throughput_gbps: 1.0,
-            attack_active: false,
-            samples: samples.to_vec(),
-            events: Vec::new(),
+            transfers: rows.to_vec(),
+            ..SlotRecord::default()
         }
     }
 
-    fn done_sample(id: usize, at: f64) -> TransferSample {
-        TransferSample {
+    fn done_sample(id: usize, at: f64) -> TransferRow {
+        TransferRow {
             id,
-            full_rate_gbps: 1.0,
+            rate_gbps: 1.0,
             live_rate_gbps: 1.0,
             delivered_gbits: 10.0,
             remaining_gbits: 0.0,
             completion_s: Some(at),
-            queued: false,
+            active: true,
         }
     }
 
@@ -396,14 +394,14 @@ mod tests {
         let transfers = vec![info(0, 100.0, 0.0, Some(200.0))];
         let mut state = SloState::new(config, 1);
         let telem = WhyTelemetry::disabled();
-        let samples = [TransferSample {
+        let samples = [TransferRow {
             id: 0,
-            full_rate_gbps: 0.1,
+            rate_gbps: 0.1,
             live_rate_gbps: 0.1,
             delivered_gbits: 10.0,
             remaining_gbits: 90.0,
             completion_s: None,
-            queued: false,
+            active: true,
         }];
         let trip = state.observe_slot(&obs(0, 100.0, 10, &samples), &transfers, &telem);
         assert_eq!(trip, Some(TRIP_DEFICIT));

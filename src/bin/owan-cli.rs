@@ -33,12 +33,13 @@
 //! and victim-utilization timelines, time-to-restore against a fault-free
 //! baseline — for the annealed engine or any fixed-topology baseline.
 //!
-//! `explain` and `slo` attach the tier-4 why recorder: the run's obs,
-//! scope, profiler, and fault streams are joined into one per-transfer
-//! timeline, completion time decomposes into causal buckets that provably
-//! partition in-system wall time, and online SLO monitors (deadline-miss
-//! burn rate, p99 slot-planning latency, delivered-Gb deficit) freeze the
-//! flight recorder when a `--slo-*` threshold trips.
+//! `explain` and `slo` attach the tier-4 why recorder, which keeps the
+//! per-slot record the slot loop builds for the flight recorder (slot
+//! header, fault labels, one row per transfer): completion time
+//! decomposes into causal buckets that provably partition in-system wall
+//! time, and online SLO monitors (deadline-miss burn rate, p99
+//! slot-planning latency, delivered-Gb deficit) freeze the flight
+//! recorder when a `--slo-*` threshold trips.
 //!
 //! `verify` replays fuzzed or named-network scenarios through the real
 //! controller with every cross-layer invariant checked each slot. On
@@ -232,12 +233,13 @@ explain / slo options (take the run options except --obs-summary,
   --slo-deficit G     delivered-Gb deficit threshold vs pro-rata promise
 
 explain re-runs the configured scenario with the tier-4 why recorder
-joined onto the obs, scope, and profiler streams, then decomposes one
-transfer's in-system wall time into causal buckets (serving, queue wait,
-attack preemption, reconfiguration downtime, blackholed loss, rate
-starvation vs fair share, stalled) that sum exactly to the wall time;
-`bucket,*` rows carry seconds and share, `fault,*` rows the overlapping
-fault instants, `prof_region,*` rows the controller hot spots. Exits 2
+keeping every slot's record, then decomposes one transfer's in-system
+wall time into causal buckets (serving, queue wait, attack preemption,
+reconfiguration downtime, blackholed loss, rate starvation vs fair
+share, stalled) that sum exactly to the wall time; `bucket,*` rows
+carry seconds and share, `fault,*` rows the fault labels of the slots
+the transfer spent in the system, `prof_region,*` rows the controller
+hot spots. Exits 2
 if --id names no transfer, 1 if the partition check fails.
 
 slo runs the same scenario and prints the monitor report: deadline
@@ -370,6 +372,20 @@ fn write_obs(cmd: &str, recorder: &Recorder, path: &Option<String>) {
         "wrote {} telemetry lines to {path}",
         out.iter().filter(|&&b| b == b'\n').count()
     );
+}
+
+/// Reports the anomaly dump `--scope-dump` asked for (if set and the run
+/// froze one): where it went, or — exit 1 — why it could not be written.
+fn report_dump(cmd: &str, scope: &ScopeRecorder, path: Option<&str>) {
+    let Some(path) = path else { return };
+    if !scope.has_dumped() {
+        return;
+    }
+    if let Some(e) = scope.dump_error() {
+        eprintln!("owan-cli{cmd}: cannot write --scope-dump file '{path}': {e}");
+        std::process::exit(1);
+    }
+    eprintln!("flight dump written to {path}");
 }
 
 /// Writes the probes' Chrome trace to `path` (if set): the scope's
@@ -769,21 +785,23 @@ fn write_folded(cmd: &str, prof: &Profiler, path: &Option<String>) {
 struct WhyRun {
     report: WhyReport,
     probes: Probes,
-    /// The export flags the run options advertise: `--scope-trace`,
-    /// `--prof` and `--obs`.
+    /// The export flags the run options advertise: `--scope-dump`,
+    /// `--scope-trace`, `--prof` and `--obs`.
+    scope_dump: Option<String>,
     scope_trace: Option<String>,
     prof_path: Option<String>,
     obs_path: Option<String>,
 }
 
 /// Runs the configured scenario for `explain` / `slo` with the tier-4
-/// why recorder attached, joins the obs (and, on the sim path, profiler)
-/// snapshots in, and distills the report. `--chaos` swaps the fault-free
+/// why recorder attached (and, on the sim path, the profiler, whose
+/// hottest regions the report lists), and distills the report. `--chaos` swaps the fault-free
 /// workload for the seeded chaos scenario of `owan-cli chaos`. The caller
 /// reads its own flags first: this rejects the unread ones before the run.
 fn why_run(args: &Args, cmd: &str) -> WhyRun {
     let recorder = Recorder::enabled();
     let slo = slo_from_args(args);
+    let scope_dump = args.get("--scope-dump").map(str::to_string);
     let scope_trace = args.get("--scope-trace").map(str::to_string);
     let prof_path = args.get("--prof").map(str::to_string);
     let obs_path = args.get("--obs").map(str::to_string);
@@ -792,8 +810,7 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
     if args.flag("--chaos") {
         let mut scenario = ChaosScenario::from_args(args, cmd);
         scenario.slo = Some(slo);
-        let dump_path = args.get("--scope-dump").map(str::to_string);
-        let scope_on = args.flag("--scope") || dump_path.is_some() || scope_trace.is_some();
+        let scope_on = args.flag("--scope") || scope_dump.is_some() || scope_trace.is_some();
         args.reject_unread(cmd);
         let ChaosInputs {
             requests,
@@ -803,7 +820,7 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
         } = scenario.inputs();
         probes = Probes {
             scope: if scope_on {
-                scenario.scope(dump_path.as_ref())
+                scenario.scope(scope_dump.as_ref())
             } else {
                 ScopeRecorder::disabled()
             },
@@ -856,7 +873,6 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
     if probes.prof.is_enabled() {
         probes.why.attach_prof(&probes.prof.snapshot());
     }
-    probes.why.attach_obs(&probes.recorder.snapshot());
     let report = probes.why.report().unwrap_or_else(|| {
         eprintln!("owan-cli{cmd}: the run recorded no slots");
         std::process::exit(1);
@@ -864,6 +880,7 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
     WhyRun {
         report,
         probes,
+        scope_dump,
         scope_trace,
         prof_path,
         obs_path,
@@ -871,8 +888,9 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
 }
 
 /// Shared tail of `explain` / `slo`: honor the export flags the run
-/// options advertise (`--scope-trace`, `--prof`, `--obs`).
+/// options advertise (`--scope-dump`, `--scope-trace`, `--prof`, `--obs`).
 fn why_run_exports(cmd: &str, run: &WhyRun) {
+    report_dump(cmd, &run.probes.scope, run.scope_dump.as_deref());
     if run.probes.scope.is_enabled() {
         write_trace(cmd, &run.probes, &run.scope_trace);
     }
@@ -880,8 +898,8 @@ fn why_run_exports(cmd: &str, run: &WhyRun) {
     write_obs(cmd, &run.probes.recorder, &run.obs_path);
 }
 
-/// `owan-cli explain`: re-run the scenario with the why recorder joined
-/// onto every stream and print one transfer's causal decomposition —
+/// `owan-cli explain`: re-run the scenario with the why recorder attached
+/// and print one transfer's causal decomposition —
 /// the worst-slack transfer by default, `--id N` to pick. Exits 1 when
 /// the bucket partition check fails, 2 when `--id` names no transfer.
 fn explain_main(args: &Args) -> ! {
@@ -1363,11 +1381,7 @@ fn chaos_main(args: &Args) -> ! {
             "scope_dumped,{}",
             if scope.has_dumped() { "yes" } else { "no" }
         );
-        if scope.has_dumped() {
-            if let Some(path) = &scope_dump {
-                eprintln!("flight dump written to {path}");
-            }
-        }
+        report_dump(" chaos", scope, scope_dump.as_deref());
         write_trace(" chaos", &probes, &scope_trace);
     }
 
@@ -1694,11 +1708,7 @@ fn attack_main(args: &Args) -> ! {
             "scope_dumped,{}",
             if scope.has_dumped() { "yes" } else { "no" }
         );
-        if scope.has_dumped() {
-            if let Some(path) = &scope_dump {
-                eprintln!("flight dump written to {path}");
-            }
-        }
+        report_dump(" attack", scope, scope_dump.as_deref());
         write_trace(" attack", &probes, &scope_trace);
     }
 
@@ -1854,6 +1864,7 @@ fn main() {
     let obs_path = args.get("--obs").map(str::to_string);
     let obs_summary = args.flag("--obs-summary");
     let scope_trace = args.get("--scope-trace").map(str::to_string);
+    let scope_dump = args.get("--scope-dump").map(str::to_string);
     let serve_addr = args.get("--serve").map(str::to_string);
     let scope = scope_from_args(&args, &setup, "sim", false);
     let prof_path = args.get("--prof").map(str::to_string);
@@ -1942,6 +1953,7 @@ fn main() {
             "scope_dumped,{}",
             if scope.has_dumped() { "yes" } else { "no" }
         );
+        report_dump("", scope, scope_dump.as_deref());
         write_trace("", &probes, &scope_trace);
     }
     write_folded("", prof, &prof_path);

@@ -281,6 +281,46 @@ fn flight_dump_replays_through_verify_cli() {
     assert!(stdout.contains("OK"), "unexpected verify output: {stdout}");
 }
 
+/// A `--scope-dump` path the dump cannot be written to is an error: the
+/// command names the path and the OS error and exits 1, instead of
+/// claiming a dump it never wrote.
+#[test]
+fn unwritable_flight_dump_path_fails_the_command() {
+    let dir = std::env::temp_dir().join("owan_scope_cli_missing_dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dump_path = dir.join("x.dump");
+    let chaos = Command::new(env!("CARGO_BIN_EXE_owan-cli"))
+        .args([
+            "chaos",
+            "--net",
+            "internet2",
+            "--seed",
+            "42",
+            "--slots",
+            "16",
+            "--iters",
+            "20",
+            "--detect",
+            "400",
+            "--scope-dump",
+        ])
+        .arg(&dump_path)
+        .output()
+        .expect("chaos run failed to start");
+    let stderr = String::from_utf8_lossy(&chaos.stderr);
+    assert_eq!(chaos.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "cannot write --scope-dump file '{}'",
+            dump_path.display()
+        )),
+        "{stderr}"
+    );
+    assert!(stderr.contains("os error"), "{stderr}");
+    assert!(!stderr.contains("flight dump written"), "{stderr}");
+    assert!(!dump_path.exists());
+}
+
 /// Flight dumps checked in under `tests/data/`, written by an earlier
 /// build of `owan-cli chaos --scope-dump` (one blackhole anomaly, one SLO
 /// trip carrying `sigma` and `slo_*` keys), must still replay byte for
