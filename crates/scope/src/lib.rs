@@ -38,7 +38,7 @@ pub use flight::{FlightDump, FlightRing, FrameTransfer, SlotFrame, DUMP_HEADER};
 pub use prom::render_prometheus;
 pub use record::{SlotRecord, TransferRow};
 pub use serve::MetricsServer;
-pub use top::render_top;
+pub use top::{render_top, STAGES};
 pub use trace::{prof_trace_spans, write_chrome_trace, SpanRec};
 pub use transfers::{SlotTrace, TrackedTransfer, TransferState, TransferTracker};
 

@@ -6,14 +6,15 @@
 use owan_obs::{format_counter_rows, format_stage_table, Snapshot};
 use std::fmt::Write as _;
 
-/// Stages shown in the dashboard's timing table.
-const STAGES: [(&str, &str); 6] = [
+/// The controller's timed stages, `(label, stage name)`: the table
+/// `owan-cli --obs-summary` prints and the dashboard's timing table.
+pub const STAGES: [(&str, &str); 6] = [
     ("slot", "stage.slot"),
     ("anneal", "stage.anneal"),
-    ("circuits", "stage.circuits"),
-    ("rates", "stage.rates"),
-    ("update", "stage.update"),
-    ("chaos.op", "stage.chaos.op"),
+    ("anneal iteration", "stage.anneal.iter"),
+    ("circuit build", "stage.circuits"),
+    ("rate assignment", "stage.rates"),
+    ("update scheduling", "stage.update"),
 ];
 
 fn counter(snapshot: &Snapshot, name: &str) -> u64 {
@@ -71,50 +72,6 @@ pub fn render_top(snapshot: &Snapshot, elapsed_s: f64) -> String {
         );
     }
 
-    // Chaos counters share the standard table renderer so every counter
-    // table in the CLI lines up the same way.
-    let chaos_keys = [
-        ("chaos faults", "chaos.faults_detected"),
-        ("chaos retries", "chaos.op_retries"),
-        ("chaos aborts", "chaos.op_aborts"),
-        ("chaos crashes", "chaos.crashes"),
-        ("chaos fallbacks", "chaos.fallback_slots"),
-        ("chaos blackholed", "chaos.blackhole_paths"),
-    ];
-    if chaos_keys.iter().any(|(_, k)| counter(snapshot, k) > 0) {
-        let rows: Vec<(&str, u64)> = chaos_keys
-            .iter()
-            .map(|&(label, key)| (label, counter(snapshot, key)))
-            .collect();
-        out.push_str(&format_counter_rows(&rows));
-    }
-
-    // Adversarial-traffic counters (`owan-cli attack` runs): same table
-    // renderer, only shown when an attack actually injected something.
-    let attack_keys = [
-        ("attack waves", "chaos.attack.waves"),
-        ("attack slots", "chaos.attack.active_slots"),
-        ("attack injected Gb", "chaos.attack.injected_gbits"),
-        ("attack victim links", "chaos.attack.victim_links"),
-        ("attack restored slots", "chaos.attack.restored_slots"),
-    ];
-    if attack_keys.iter().any(|(_, k)| counter(snapshot, k) > 0) {
-        let rows: Vec<(&str, u64)> = attack_keys
-            .iter()
-            .map(|&(label, key)| (label, counter(snapshot, key)))
-            .collect();
-        out.push_str(&format_counter_rows(&rows));
-    }
-
-    let oracle_checked = counter(snapshot, "oracle.invariant_checked");
-    if oracle_checked > 0 {
-        let _ = writeln!(
-            out,
-            "oracle: {oracle_checked} invariants checked, {} violated",
-            counter(snapshot, "oracle.invariant_violated"),
-        );
-    }
-
     out.push('\n');
     // Only list stages that have run, so baselines without annealing get
     // a compact table.
@@ -151,33 +108,6 @@ mod tests {
         assert!(text.contains("at-risk 2"));
         assert!(text.contains("anneal: 100 iters, 101 evaluations"));
         assert!(text.contains("slot"));
-        assert!(!text.contains("chaos"), "no chaos section without counters");
-    }
-
-    #[test]
-    fn chaos_section_appears_with_counters() {
-        let rec = Recorder::enabled();
-        rec.counter("chaos.blackhole_paths").add(3);
-        let text = render_top(&rec.snapshot(), 0.0);
-        let row = text
-            .lines()
-            .find(|l| l.starts_with("chaos blackholed"))
-            .expect("chaos table row");
-        assert!(row.trim_end().ends_with('3'), "{row}");
-    }
-
-    #[test]
-    fn attack_section_appears_with_counters() {
-        let rec = Recorder::enabled();
-        rec.counter("chaos.attack.waves").add(2);
-        rec.counter("chaos.attack.injected_gbits").add(43_200_000);
-        let text = render_top(&rec.snapshot(), 0.0);
-        let row = text
-            .lines()
-            .find(|l| l.starts_with("attack waves"))
-            .expect("attack table row");
-        assert!(row.trim_end().ends_with('2'), "{row}");
-        assert!(text.contains("attack injected Gb"));
     }
 
     #[test]

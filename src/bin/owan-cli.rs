@@ -3,27 +3,30 @@
 //! or introspect a run with the flight recorder.
 //!
 //! ```text
-//! owan-cli [RUN OPTIONS]
-//! owan-cli transfers [RUN OPTIONS] [--trace ID]
-//! owan-cli top [RUN OPTIONS] [--interval SECS]
+//! owan-cli [RUN OPTIONS] [PROBE OPTIONS]
+//! owan-cli transfers [RUN OPTIONS] [PROBE OPTIONS] [--trace ID]
+//! owan-cli top [RUN OPTIONS] [PROBE OPTIONS] [--interval SECS]
 //! owan-cli verify [VERIFY OPTIONS]
-//! owan-cli chaos [CHAOS OPTIONS]
-//! owan-cli attack [ATTACK OPTIONS]
-//! owan-cli explain [RUN OPTIONS] [--chaos] [--id N]
-//! owan-cli slo [RUN OPTIONS] [--chaos] [--slo-burn F] [--slo-p99 MS]
+//! owan-cli chaos [CHAOS OPTIONS] [PROBE OPTIONS]
+//! owan-cli attack [ATTACK OPTIONS] [PROBE OPTIONS]
+//! owan-cli explain [RUN OPTIONS | --chaos CHAOS OPTIONS] [PROBE OPTIONS] [--id N]
+//! owan-cli slo [RUN OPTIONS | --chaos CHAOS OPTIONS] [PROBE OPTIONS]
 //! ```
 //!
 //! With `--sigma` the workload carries deadlines and the deadline metrics
-//! are reported; without it, completion-time metrics. `--obs` exports the
-//! run's telemetry as JSON Lines; `--obs-summary` prints a per-stage
-//! timing table. `--scope` attaches the flight recorder: per-transfer
-//! lifecycle tracking, the causal slot timeline (`--scope-trace` exports
-//! Chrome trace-event JSON for Perfetto), and anomaly-triggered flight
-//! dumps (`--scope-dump`). `--prof FILE` attaches the tier-3 region
-//! profiler and writes folded stacks for flamegraph tooling;
-//! `--prof-report` prints the region tree and the cache-miss attribution
-//! table instead. `--serve ADDR` exposes live Prometheus text
-//! (`/metrics`, `/healthz`) while the run executes. Every flag is off by
+//! are reported; without it, completion-time metrics. Every command but
+//! `verify` takes the same probe options, read once into [`ProbeFlags`]:
+//! `--obs` exports the run's telemetry as JSON Lines; `--obs-summary`
+//! prints a per-stage timing table. `--scope` attaches the flight
+//! recorder: per-transfer lifecycle tracking, the causal slot timeline
+//! (`--scope-trace` exports Chrome trace-event JSON for Perfetto), and
+//! anomaly-triggered flight dumps (`--scope-dump`). `--prof FILE`
+//! attaches the tier-3 region profiler and writes folded stacks for
+//! flamegraph tooling; `--prof-report` prints the region tree and the
+//! cache-miss attribution table instead. `--serve ADDR` exposes live
+//! Prometheus text (`/metrics`, `/healthz`) while the run executes.
+//! `--slo-*` thresholds attach the tier-4 why recorder's online monitors,
+//! which freeze the flight recorder when one trips. Every probe is off by
 //! default and a disabled recorder/scope/profiler changes no engine
 //! output. Every command exits 2 on a flag or argument it does not read,
 //! so a typo'd or retired flag is never silently ignored.
@@ -33,13 +36,12 @@
 //! and victim-utilization timelines, time-to-restore against a fault-free
 //! baseline — for the annealed engine or any fixed-topology baseline.
 //!
-//! `explain` and `slo` attach the tier-4 why recorder, which keeps the
-//! per-slot record the slot loop builds for the flight recorder (slot
-//! header, fault labels, one row per transfer): completion time
-//! decomposes into causal buckets that provably partition in-system wall
-//! time, and online SLO monitors (deadline-miss burn rate, p99
-//! slot-planning latency, delivered-Gb deficit) freeze the flight
-//! recorder when a `--slo-*` threshold trips.
+//! `explain` and `slo` attach the why recorder, which keeps the per-slot
+//! record the slot loop builds for the flight recorder (slot header,
+//! fault labels, one row per transfer): completion time decomposes into
+//! causal buckets that provably partition in-system wall time, and the
+//! SLO monitors (deadline-miss burn rate, p99 slot-planning latency,
+//! delivered-Gb deficit) report how the run stood against each threshold.
 //!
 //! `verify` replays fuzzed or named-network scenarios through the real
 //! controller with every cross-layer invariant checked each slot. On
@@ -55,7 +57,7 @@
 
 use owan::chaos::{
     restartable_owan, run_attack, run_chaos_probed, seeded_scenario, AttackOutcome, AttackTimeline,
-    ChaosConfig, ChaosResult, FaultEvent, OpFaultModel,
+    AuditHook, ChaosConfig, ChaosResult, FaultEvent, OpFaultModel,
 };
 use owan::core::{Profiler, SchedulingPolicy, TrafficEngineer, TransferRequest};
 use owan::obs::{format_counter_table, format_stage_table, Recorder};
@@ -63,7 +65,7 @@ use owan::oracle::{
     fuzz_attack, fuzz_chaos, fuzz_seeds, replay_scenario, ChaosReplayConfig, InvariantAudit,
     ReplayConfig, Reproducer, Scenario,
 };
-use owan::scope::{render_top, FlightDump, MetricsServer, ScopeConfig, ScopeRecorder};
+use owan::scope::{render_top, FlightDump, MetricsServer, ScopeConfig, ScopeRecorder, STAGES};
 use owan::sim::metrics::{self, SizeBin};
 use owan::sim::runner::{make_engine, EngineKind, RunnerConfig};
 use owan::sim::{simulate_probed, Probes, SimConfig, SimResult};
@@ -75,6 +77,7 @@ use owan::workload::attack::{
 use owan::workload::{generate, WorkloadConfig};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: owan-cli [OPTIONS]
@@ -99,11 +102,15 @@ run options:
   --iters N           annealing iterations per slot  [150]
   --chains N          parallel annealing chains per slot (owan)  [1]
   --max-requests N    truncate the workload to N transfers
+  -h, --help          show this help
+
+probe options (every command but verify takes them; all off by default):
   --obs FILE.jsonl    export run telemetry as JSON Lines to FILE
-  --obs-summary       print a per-stage timing table after the metrics
+  --obs-summary       print a per-stage timing table after the report
   --scope             attach the flight recorder / timeline collector
   --scope-slots N     flight-recorder ring depth, slots  [16]
-  --scope-dump FILE   write the anomaly-triggered flight dump here
+  --scope-dump FILE   write the anomaly-triggered flight dump here; a
+                      chaos dump replays through `verify --replay`
   --scope-trace FILE  export the causal slot timeline as Chrome trace JSON
                       (profiler regions merged in when --prof* is also set)
   --prof FILE         attach the region profiler; write folded stacks to
@@ -111,18 +118,23 @@ run options:
   --prof-report       attach the region profiler; print the region tree
                       and the cache-miss attribution table after the run
   --serve ADDR        serve live /metrics + /healthz on ADDR while running
-  -h, --help          show this help
+  --slo-burn F        attach the why recorder; freeze the flight recorder
+                      when the deadline-miss burn rate exceeds F
+  --slo-window N      burn-rate sliding window, slots  [8]
+  --slo-p99 MS        trip when p99 slot-planning latency exceeds MS
+                      (wall-clock: trips may differ between reruns)
+  --slo-deficit G     trip when delivered Gb falls G behind the pro-rata
+                      deadline promise
 
 transfers: run the workload with the flight recorder attached and print
 the per-transfer lifecycle table (state, slots served, delivered Gb by
 path, queue time, preemptions, deadline slack). `--trace ID` prints one
-transfer's slot-by-slot history instead. Takes the run options except
---obs, --obs-summary, --prof, --prof-report and --serve.
+transfer's slot-by-slot history instead.
 
-top: run the workload and print a live-refreshing dashboard (throughput,
-active/queued/at-risk transfers, per-stage timings, chaos and oracle
-counters) every `--interval` seconds [2] until the run finishes. Takes
-the run options except --obs, --obs-summary, --prof and --prof-report.
+top: run the workload with the telemetry recorder attached and print a
+live-refreshing dashboard (throughput, active/queued/at-risk transfers,
+annealing and rate counters, per-stage timings) every `--interval`
+seconds [2] until the run finishes.
 
 verify options (modes are mutually exclusive; default is --seeds):
   --seeds N           fuzz N consecutive seeds through the oracle  [200]
@@ -159,25 +171,13 @@ chaos options:
   --detect SECS       fault detection delay, seconds  [30]
   --timeout-prob P    per-attempt update-op timeout probability  [0.1]
   --fail-prob P       per-attempt update-op failure probability  [0.05]
-  --obs FILE.jsonl    export telemetry (chaos.* counters included) to FILE
-  --scope             attach the flight recorder to the faulted run
-  --scope-slots N     flight-recorder ring depth, slots  [16]
-  --scope-dump FILE   write the anomaly-triggered flight dump here; the
-                      file replays through `verify --replay`
-  --scope-trace FILE  export the faulted run's timeline as Chrome trace JSON
-  --slo-burn F        attach the why recorder; freeze the flight recorder
-                      when the deadline-miss burn rate exceeds F
-  --slo-window N      burn-rate sliding window, slots  [8]
-  --slo-p99 MS        trip when p99 slot-planning latency exceeds MS
-                      (wall-clock: trips may differ between reruns)
-  --slo-deficit G     trip when delivered Gb falls G behind the pro-rata
-                      deadline promise
 
 chaos runs a seeded scenario (fiber cut + amp degradation + op faults +
 controller crash + repairs) through the hardened controller twice — once
 fault-free, once with faults — checking every cross-layer invariant each
-slot, and reports the delivered-volume loss. Exits 0 when all invariants
-hold and the runs are deterministic, 1 otherwise, 2 on bad arguments.
+slot, and reports the delivered-volume loss. The probes attach to the
+faulted run. Exits 0 when all invariants hold and the runs are
+deterministic, 1 otherwise, 2 on bad arguments.
 
 attack options:
   --net NAME          evaluation network: internet2 | isp | interdc  [isp]
@@ -206,60 +206,90 @@ attack options:
   --timeout-prob P    per-attempt update-op timeout probability  [0.1]
   --fail-prob P       per-attempt update-op failure probability  [0.05]
   --timeline          print the per-slot recovery timeline rows
-  --obs FILE.jsonl    export telemetry (chaos.attack.* counters included)
-  --scope / --scope-slots / --scope-dump / --scope-trace   as in chaos
-  --slo-burn / --slo-window / --slo-p99 / --slo-deficit    as in chaos
-                      (monitors attach to the attacked run)
 
 attack derives an adversarial timeline from the seed, composes it (and,
 with --with-faults, the seeded fault scenario) into the background
 workload, and runs the hardened controller twice — attack-free and
-attacked — checking every cross-layer invariant each slot. It reports
-time-to-restore (slots until cumulative background delivery is back to
---restore of baseline and stays there), residual loss, and peak victim
-utilization. Exits 0 when all invariants hold and the runs are
-deterministic, 1 otherwise, 2 on bad arguments.
+attacked — checking every cross-layer invariant each slot. The probes
+attach to the attacked run. It reports time-to-restore (slots until
+cumulative background delivery is back to --restore of baseline and
+stays there), residual loss, and peak victim utilization. Exits 0 when
+all invariants hold and the runs are deterministic, 1 otherwise, 2 on
+bad arguments.
 
-explain / slo options (take the run options except --obs-summary,
---prof-report and --serve, plus):
+explain / slo options (plus the run options, or with --chaos the chaos
+options):
   --chaos             run the seeded chaos scenario instead of the
-                      fault-free workload; the chaos options replace the
-                      run options
+                      fault-free workload
   --id N              explain transfer N instead of the worst-slack one
-  --slo-burn F        deadline-miss burn-rate threshold (unset: measured,
-                      never tripped)
-  --slo-window N      burn-rate sliding window, slots  [8]
-  --slo-p99 MS        p99 slot-planning latency threshold, milliseconds
-  --slo-deficit G     delivered-Gb deficit threshold vs pro-rata promise
 
 explain re-runs the configured scenario with the tier-4 why recorder
-keeping every slot's record, then decomposes one transfer's in-system
-wall time into causal buckets (serving, queue wait, attack preemption,
-reconfiguration downtime, blackholed loss, rate starvation vs fair
-share, stalled) that sum exactly to the wall time; `bucket,*` rows
-carry seconds and share, `fault,*` rows the fault labels of the slots
-the transfer spent in the system, `prof_region,*` rows the controller
-hot spots. Exits 2
-if --id names no transfer, 1 if the partition check fails.
+keeping every slot's record (and, without --chaos, the region profiler
+attached), then decomposes one transfer's in-system wall time into
+causal buckets (serving, queue wait, attack preemption, reconfiguration
+downtime, blackholed loss, rate starvation vs fair share, stalled) that
+sum exactly to the wall time; `bucket,*` rows carry seconds and share,
+`fault,*` rows the fault labels of the slots the transfer spent in the
+system, `prof_region,*` rows the controller hot spots. Exits 2 if --id
+names no transfer, 1 if the partition check fails.
 
 slo runs the same scenario and prints the monitor report: deadline
 outcomes and burn rate over the sliding window, p99 slot-planning
 latency, delivered-Gb deficit, and which monitor (if any) tripped the
-flight-recorder freeze.";
+flight-recorder freeze. Unset --slo-* thresholds are measured, never
+tripped.";
+
+/// The subcommands: `argv[1]` names one, or the command is the plain run.
+const COMMANDS: [&str; 7] = [
+    "transfers",
+    "top",
+    "verify",
+    "chaos",
+    "attack",
+    "explain",
+    "slo",
+];
+
+/// Every `--engine` name and the engine it selects.
+const ENGINES: [(&str, EngineKind); 7] = [
+    ("owan", EngineKind::Owan),
+    ("maxflow", EngineKind::MaxFlow),
+    ("maxmin", EngineKind::MaxMinFract),
+    ("swan", EngineKind::Swan),
+    ("tempus", EngineKind::Tempus),
+    ("amoeba", EngineKind::Amoeba),
+    ("greedy", EngineKind::Greedy),
+];
+
+/// Prints `owan-cli{cmd}: {msg}` and exits with `code`: 2 on a bad
+/// argument, 1 on a failed run or export. `cmd` is the command's name
+/// with a leading space, empty for the plain run.
+fn fail(cmd: &str, code: i32, msg: impl Display) -> ! {
+    eprintln!("owan-cli{cmd}: {msg}");
+    std::process::exit(code);
+}
 
 /// Minimal flag parser: `--key value` pairs plus boolean switches. It
 /// remembers every key a command asks for, so the command can refuse the
 /// rest ([`Args::reject_unread`]).
 struct Args {
     argv: Vec<String>,
+    /// The command's name with a leading space, empty for the plain run;
+    /// every error message names it.
+    cmd: String,
     /// Keys read so far, each with whether it takes a value.
     read: RefCell<HashMap<String, bool>>,
 }
 
 impl Args {
     fn new(argv: Vec<String>) -> Self {
+        let cmd = match argv.get(1) {
+            Some(c) if COMMANDS.contains(&c.as_str()) => format!(" {c}"),
+            _ => String::new(),
+        };
         Args {
             argv,
+            cmd,
             read: RefCell::default(),
         }
     }
@@ -278,15 +308,18 @@ impl Args {
         self.argv.iter().any(|a| a == key)
     }
 
+    /// `--key FILE`, owned.
+    fn path(&self, key: &str) -> Option<String> {
+        self.get(key).map(str::to_string)
+    }
+
     /// Exits 2 naming the first word of the command line that no read
     /// asked for: a flag (a typo'd or retired one must not be ignored
     /// without a word) or a stray argument. Each command calls this once,
-    /// after its last read and before it runs. `cmd` is the command's name
-    /// with a leading space, empty for the plain run; a command's name
-    /// follows the program name in `argv`.
-    fn reject_unread(&self, cmd: &str) {
+    /// after its last read and before it runs.
+    fn reject_unread(&self) {
         let read = self.read.borrow();
-        let mut words = self.argv.iter().skip(1 + usize::from(!cmd.is_empty()));
+        let mut words = self.argv.iter().skip(1 + usize::from(!self.cmd.is_empty()));
         while let Some(word) = words.next() {
             match read.get(word.as_str()) {
                 // `get` takes the word after its key as the value.
@@ -300,23 +333,43 @@ impl Args {
                     } else {
                         "argument"
                     };
-                    eprintln!("owan-cli{cmd}: unknown {what} '{word}'");
-                    std::process::exit(2);
+                    fail(&self.cmd, 2, format!("unknown {what} '{word}'"));
                 }
             }
         }
     }
 
-    /// Parses `--key value`, returning `default` only when the flag is
-    /// absent. A present-but-malformed value is an error (naming the
-    /// flag), never a silent fallback to the default.
+    /// Parses `--key value` when the flag is present. A present but
+    /// malformed value exits 2 naming the flag, never a silent fallback.
+    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.get(key).map(|raw| {
+            raw.parse()
+                .unwrap_or_else(|_| fail(&self.cmd, 2, format!("invalid value '{raw}' for {key}")))
+        })
+    }
+
+    /// Parses `--key value`, `default` when the flag is absent.
     fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(raw) => raw.parse().unwrap_or_else(|_| {
-                eprintln!("owan-cli: invalid value '{raw}' for {key}");
-                std::process::exit(2);
-            }),
+        self.parse_opt(key).unwrap_or(default)
+    }
+
+    /// `--net`'s name (`default` when absent) and its network.
+    fn network(&self, default: &str) -> (String, Network) {
+        let name = self.get("--net").unwrap_or(default).to_string();
+        let network = build_network(&self.cmd, &name);
+        (name, network)
+    }
+
+    /// `--engine`'s name (`owan` when absent) and the engine it selects.
+    fn engine(&self) -> (String, EngineKind) {
+        let name = self.get("--engine").unwrap_or("owan");
+        match ENGINES.iter().find(|(n, _)| *n == name) {
+            Some(&(name, kind)) => (name.to_string(), kind),
+            None => fail(
+                &self.cmd,
+                2,
+                format!("unknown engine '{name}' for --engine"),
+            ),
         }
     }
 }
@@ -326,21 +379,8 @@ fn build_network(cmd: &str, name: &str) -> Network {
         "internet2" => internet2_testbed(),
         "isp" => isp_backbone(7),
         "interdc" => inter_dc(7),
-        other => {
-            eprintln!("owan-cli{cmd}: unknown network '{other}' for --net");
-            std::process::exit(2);
-        }
+        other => fail(cmd, 2, format!("unknown network '{other}' for --net")),
     }
-}
-
-/// Parses `--sigma`, naming the command on a malformed value.
-fn parse_sigma(args: &Args, cmd: &str) -> Option<f64> {
-    args.get("--sigma").map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("owan-cli{cmd}: invalid value '{raw}' for --sigma");
-            std::process::exit(2);
-        })
-    })
 }
 
 /// The §5.1 workload generator configuration for a named network: the
@@ -353,77 +393,287 @@ fn workload_config(net_name: &str, load: f64, seed: u64) -> WorkloadConfig {
     }
 }
 
-/// Writes the recorder snapshot as JSON Lines to `path` (if set).
-fn write_obs(cmd: &str, recorder: &Recorder, path: &Option<String>) {
-    let Some(path) = path else { return };
-    if !recorder.is_enabled() {
-        return;
-    }
-    let mut out: Vec<u8> = Vec::new();
-    recorder
-        .snapshot()
-        .write_jsonl(&mut out)
-        .expect("serializing to memory cannot fail");
-    if let Err(e) = std::fs::write(path, &out) {
-        eprintln!("owan-cli{cmd}: cannot write --obs file '{path}': {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "wrote {} telemetry lines to {path}",
-        out.iter().filter(|&&b| b == b'\n').count()
-    );
+/// Scope metadata: `(key, value)` pairs stamped into the flight recorder.
+type Meta<'a> = Vec<(&'a str, String)>;
+
+/// Formats each value of a metadata key list.
+fn meta(pairs: &[(&'static str, &dyn Display)]) -> Meta<'static> {
+    pairs.iter().map(|(k, v)| (*k, v.to_string())).collect()
 }
 
-/// Reports the anomaly dump `--scope-dump` asked for (if set and the run
-/// froze one): where it went, or — exit 1 — why it could not be written.
-fn report_dump(cmd: &str, scope: &ScopeRecorder, path: Option<&str>) {
-    let Some(path) = path else { return };
-    if !scope.has_dumped() {
-        return;
-    }
-    if let Some(e) = scope.dump_error() {
-        eprintln!("owan-cli{cmd}: cannot write --scope-dump file '{path}': {e}");
-        std::process::exit(1);
-    }
-    eprintln!("flight dump written to {path}");
+fn lines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
-/// Writes the probes' Chrome trace to `path` (if set): the scope's
-/// causal timeline, with an enabled profiler's retained spans merged into
-/// the same trace (category `prof`).
-fn write_trace(cmd: &str, probes: &Probes, path: &Option<String>) {
-    let Some(path) = path else { return };
-    let Probes {
-        recorder,
-        scope,
-        prof,
-        ..
-    } = probes;
-    let snapshot = recorder.is_enabled().then(|| recorder.snapshot());
-    let mut out: Vec<u8> = Vec::new();
-    let prof_spans = if prof.is_enabled() {
-        let snap = prof.snapshot();
-        let n = snap.spans.len();
-        scope
-            .export_chrome_trace_with_prof(snapshot.as_ref(), &snap, &mut out)
-            .expect("serializing to memory cannot fail");
-        n
-    } else {
-        scope
-            .export_chrome_trace(snapshot.as_ref(), &mut out)
-            .expect("serializing to memory cannot fail");
-        0
-    };
-    if let Err(e) = std::fs::write(path, &out) {
-        eprintln!("owan-cli{cmd}: cannot write --scope-trace file '{path}': {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {} spans to {path}", scope.span_count() + prof_spans);
+/// The probe options every scenario command takes, read once: which of
+/// the four tiers a run attaches, and what it exports. A command that
+/// needs a tier whatever the flags say sets its switch after reading.
+#[derive(Default)]
+struct ProbeFlags {
+    /// The command's name, for error messages.
+    cmd: String,
+    obs: Option<String>,
+    obs_summary: bool,
+    /// Flight recorder on: `--scope`, `--scope-dump` or `--scope-trace`.
+    scope: bool,
+    scope_slots: usize,
+    scope_dump: Option<String>,
+    scope_trace: Option<String>,
+    /// Region profiler on: `--prof` or `--prof-report`.
+    prof: bool,
+    prof_out: Option<String>,
+    prof_report: bool,
+    serve: Option<String>,
+    /// Why recorder on: a `--slo-*` threshold is set.
+    why: bool,
+    /// The SLO monitors; absent thresholds measure but never trip.
+    slo: SloConfig,
+    /// Telemetry recorder on whatever else is (`top` reads it live).
+    record: bool,
 }
 
-/// Everything the run-shaped commands (default run, `transfers`, `top`)
-/// share: network, engine kind, generated workload, runner config, and
-/// the workload knobs echoed into scope metadata.
+impl ProbeFlags {
+    fn read(args: &Args) -> Self {
+        let scope_dump = args.path("--scope-dump");
+        let scope_trace = args.path("--scope-trace");
+        let prof_out = args.path("--prof");
+        let prof_report = args.flag("--prof-report");
+        let mut slo = SloConfig::default();
+        slo.burn_window_slots = args.parse("--slo-window", slo.burn_window_slots);
+        slo.burn_threshold = args.parse_opt("--slo-burn");
+        slo.plan_p99_ms = args.parse_opt("--slo-p99");
+        slo.deficit_gbits = args.parse_opt("--slo-deficit");
+        ProbeFlags {
+            cmd: args.cmd.clone(),
+            obs: args.path("--obs"),
+            obs_summary: args.flag("--obs-summary"),
+            scope: args.flag("--scope") || scope_dump.is_some() || scope_trace.is_some(),
+            scope_slots: args.parse("--scope-slots", 16),
+            scope_dump,
+            scope_trace,
+            prof: prof_out.is_some() || prof_report,
+            prof_out,
+            prof_report,
+            serve: args.path("--serve"),
+            why: slo.burn_threshold.is_some()
+                || slo.plan_p99_ms.is_some()
+                || slo.deficit_gbits.is_some(),
+            slo,
+            record: false,
+        }
+    }
+
+    /// The telemetry recorder is on when an export reads it or another
+    /// tier reports through it.
+    fn recorder_on(&self) -> bool {
+        self.record
+            || self.obs.is_some()
+            || self.obs_summary
+            || self.prof_report
+            || self.serve.is_some()
+            || self.scope
+            || self.why
+    }
+
+    /// The run's probes, the flight recorder stamped with `meta` (the
+    /// keys that name the run), and, with `--serve`, the live endpoint on
+    /// its recorder, which serves until it is dropped.
+    fn probes(&self, meta: &[(&str, String)]) -> (Probes, Option<MetricsServer>) {
+        let probes = self.build(meta, false);
+        let server = self.serve.as_deref().map(|addr| {
+            let server = MetricsServer::spawn(addr, probes.recorder.clone()).unwrap_or_else(|e| {
+                fail(
+                    &self.cmd,
+                    2,
+                    format!("cannot bind --serve address '{addr}': {e}"),
+                )
+            });
+            eprintln!("serving /metrics on http://{}", server.addr());
+            server
+        });
+        (probes, server)
+    }
+
+    /// Probes for a rerun that must reproduce the run: the same flight
+    /// recorder, stamped the same, and the same monitors, with no
+    /// recorder, dump file or profiler.
+    fn rerun_probes(&self, meta: &[(&str, String)]) -> Probes {
+        self.build(meta, true)
+    }
+
+    fn build(&self, meta: &[(&str, String)], rerun: bool) -> Probes {
+        let recorder = if self.recorder_on() && !rerun {
+            Recorder::enabled()
+        } else {
+            Recorder::disabled()
+        };
+        let scope = if self.scope {
+            let scope = ScopeRecorder::enabled(ScopeConfig {
+                flight_slots: self.scope_slots,
+                dump_path: self
+                    .scope_dump
+                    .as_ref()
+                    .filter(|_| !rerun)
+                    .map(PathBuf::from),
+            });
+            scope.set_meta("scope_slots", self.scope_slots);
+            // `slo_window` marks a dump whose run had the monitors
+            // attached: replaying it rebuilds them.
+            if self.why {
+                let slo = &self.slo;
+                scope.set_meta("slo_window", slo.burn_window_slots);
+                let thresholds = [
+                    ("slo_burn", slo.burn_threshold),
+                    ("slo_p99_ms", slo.plan_p99_ms),
+                    ("slo_deficit", slo.deficit_gbits),
+                ];
+                for (key, value) in thresholds {
+                    if let Some(v) = value {
+                        scope.set_meta(key, v);
+                    }
+                }
+            }
+            for (key, value) in meta {
+                scope.set_meta(key, value);
+            }
+            scope
+        } else {
+            ScopeRecorder::disabled()
+        };
+        let why = if self.why {
+            WhyRecorder::enabled(
+                WhyConfig {
+                    slo: self.slo.clone(),
+                },
+                &recorder,
+            )
+        } else {
+            WhyRecorder::disabled()
+        };
+        let prof = if self.prof && !rerun {
+            Profiler::enabled()
+        } else {
+            Profiler::disabled()
+        };
+        Probes {
+            recorder,
+            scope,
+            prof,
+            why,
+        }
+    }
+
+    /// Writes `bytes` to `path`; exits 1 naming `flag` when it cannot.
+    fn write(&self, flag: &str, path: &str, bytes: &[u8]) {
+        if let Err(e) = std::fs::write(path, bytes) {
+            fail(
+                &self.cmd,
+                1,
+                format!("cannot write {flag} file '{path}': {e}"),
+            );
+        }
+    }
+
+    /// Every command's export tail, after its report: the flight dump
+    /// (where it went, or exit 1), the Chrome trace (the profiler's spans
+    /// merged in), folded stacks, the region tree, the JSONL, the
+    /// non-empty counter tables — the prof report's, then the command's
+    /// `tables` prefixes — and the stage table.
+    fn export(&self, probes: &Probes, tables: &[&str]) {
+        let Probes {
+            recorder,
+            scope,
+            prof,
+            ..
+        } = probes;
+        let snapshot = recorder.snapshot();
+        if let Some(path) = self.scope_dump.as_ref().filter(|_| scope.has_dumped()) {
+            if let Some(e) = scope.dump_error() {
+                fail(
+                    &self.cmd,
+                    1,
+                    format!("cannot write --scope-dump file '{path}': {e}"),
+                );
+            }
+            eprintln!("flight dump written to {path}");
+        }
+        if let Some(path) = &self.scope_trace {
+            let snapshot = recorder.is_enabled().then_some(&snapshot);
+            let mut out: Vec<u8> = Vec::new();
+            let prof_spans = if prof.is_enabled() {
+                let snap = prof.snapshot();
+                scope
+                    .export_chrome_trace_with_prof(snapshot, &snap, &mut out)
+                    .expect("serializing to memory cannot fail");
+                snap.spans.len()
+            } else {
+                scope
+                    .export_chrome_trace(snapshot, &mut out)
+                    .expect("serializing to memory cannot fail");
+                0
+            };
+            self.write("--scope-trace", path, &out);
+            eprintln!("wrote {} spans to {path}", scope.span_count() + prof_spans);
+        }
+        if let Some(path) = &self.prof_out {
+            let mut out: Vec<u8> = Vec::new();
+            prof.write_folded(&mut out)
+                .expect("serializing to memory cannot fail");
+            self.write("--prof", path, &out);
+            eprintln!("wrote folded stacks to {path} ({} lines)", lines(&out));
+        }
+        if self.prof_report {
+            print!("{}", prof.snapshot().format_tree());
+        }
+        if let Some(path) = &self.obs {
+            let mut out: Vec<u8> = Vec::new();
+            snapshot
+                .write_jsonl(&mut out)
+                .expect("serializing to memory cannot fail");
+            self.write("--obs", path, &out);
+            eprintln!("wrote {} telemetry lines to {path}", lines(&out));
+        }
+        // The prof report's tables: the annealer's evaluations by miss
+        // reason, and what the rate passes did.
+        let prof_tables: &[&str] = if self.prof_report {
+            &["anneal.cache_miss.", "rates."]
+        } else {
+            &[]
+        };
+        for prefix in prof_tables.iter().chain(tables) {
+            let table = format_counter_table(&snapshot, prefix);
+            if table.lines().count() > 1 {
+                print!("{table}");
+            }
+        }
+        if self.obs_summary {
+            print!("{}", format_stage_table(&snapshot, &STAGES));
+        }
+    }
+}
+
+/// The `scope_dumped` report row, when the flight recorder is on.
+fn print_scope_dumped(scope: &ScopeRecorder) {
+    if scope.is_enabled() {
+        let dumped = if scope.has_dumped() { "yes" } else { "no" };
+        println!("scope_dumped,{dumped}");
+    }
+}
+
+/// The `slo_tripped` report row, when the SLO monitors are on.
+fn print_slo_tripped(why: &WhyRecorder) {
+    if why.is_enabled() {
+        match why.tripped() {
+            Some((reason, slot)) => println!("slo_tripped,{reason},{slot}"),
+            None => println!("slo_tripped,none"),
+        }
+    }
+}
+
+/// Everything the run-shaped commands (default run, `transfers`, `top`,
+/// and `explain` / `slo` without `--chaos`) share: network, engine kind,
+/// generated workload, runner config, and the workload knobs echoed into
+/// scope metadata.
 struct RunSetup {
     net_name: String,
     network: Network,
@@ -438,78 +688,88 @@ struct RunSetup {
     iters: usize,
 }
 
-fn run_setup(args: &Args) -> RunSetup {
-    let net_name = args.get("--net").unwrap_or("internet2").to_string();
-    let network = build_network("", &net_name);
-
-    let engine_name = args.get("--engine").unwrap_or("owan").to_string();
-    let kind = match engine_name.as_str() {
-        "owan" => EngineKind::Owan,
-        "maxflow" => EngineKind::MaxFlow,
-        "maxmin" => EngineKind::MaxMinFract,
-        "swan" => EngineKind::Swan,
-        "tempus" => EngineKind::Tempus,
-        "amoeba" => EngineKind::Amoeba,
-        "greedy" => EngineKind::Greedy,
-        other => {
-            eprintln!("owan-cli: unknown engine '{other}' for --engine");
-            std::process::exit(2);
-        }
-    };
-
-    let load = args.parse("--load", 1.0f64);
-    let sigma = parse_sigma(args, "");
-    let slot = args.parse("--slot", 300.0f64);
-    let duration = args.parse("--duration", 7_200.0f64);
-    let seed = args.parse("--seed", 42u64);
-    let iters = args.parse("--iters", 150usize);
-    let chains = args.parse("--chains", 1usize);
-    let max_requests = args.parse("--max-requests", usize::MAX);
-
-    let mut wl = workload_config(&net_name, load, seed);
-    wl.duration_s = duration;
-    if net_name == "interdc" {
-        wl = wl.with_hotspots();
-    }
-    if let Some(s) = sigma {
-        wl = wl.with_deadlines(slot, s);
-    }
-    let mut requests = generate(&network, &wl);
-    requests.truncate(max_requests);
-
-    let cfg = RunnerConfig {
-        sim: SimConfig {
-            slot_len_s: slot,
-            max_slots: 5_000,
-            ..Default::default()
-        },
-        anneal_iterations: iters,
-        seed,
-        policy: if sigma.is_some() {
-            SchedulingPolicy::EarliestDeadlineFirst
-        } else {
-            SchedulingPolicy::ShortestJobFirst
-        },
-        anneal_chains: chains,
-        ..Default::default()
-    };
-
-    RunSetup {
-        net_name,
-        network,
-        engine_name,
-        kind,
-        requests,
-        cfg,
-        sigma,
-        load,
-        slot,
-        seed,
-        iters,
-    }
-}
-
 impl RunSetup {
+    /// Reads the run options and generates the workload.
+    fn read(args: &Args) -> Self {
+        let (net_name, network) = args.network("internet2");
+        let (engine_name, kind) = args.engine();
+        let load = args.parse("--load", 1.0f64);
+        let sigma = args.parse_opt("--sigma");
+        let slot = args.parse("--slot", 300.0f64);
+        let duration = args.parse("--duration", 7_200.0f64);
+        let seed = args.parse("--seed", 42u64);
+        let iters = args.parse("--iters", 150usize);
+        let chains = args.parse("--chains", 1usize);
+        let max_requests = args.parse("--max-requests", usize::MAX);
+
+        let mut wl = workload_config(&net_name, load, seed);
+        wl.duration_s = duration;
+        if net_name == "interdc" {
+            wl = wl.with_hotspots();
+        }
+        if let Some(s) = sigma {
+            wl = wl.with_deadlines(slot, s);
+        }
+        let mut requests = generate(&network, &wl);
+        requests.truncate(max_requests);
+
+        let cfg = RunnerConfig {
+            sim: SimConfig {
+                slot_len_s: slot,
+                max_slots: 5_000,
+                ..Default::default()
+            },
+            anneal_iterations: iters,
+            seed,
+            policy: if sigma.is_some() {
+                SchedulingPolicy::EarliestDeadlineFirst
+            } else {
+                SchedulingPolicy::ShortestJobFirst
+            },
+            anneal_chains: chains,
+            ..Default::default()
+        };
+
+        RunSetup {
+            net_name,
+            network,
+            engine_name,
+            kind,
+            requests,
+            cfg,
+            sigma,
+            load,
+            slot,
+            seed,
+            iters,
+        }
+    }
+
+    /// The scope metadata that names the run.
+    fn meta(&self) -> Meta<'static> {
+        meta(&[
+            ("mode", &"sim"),
+            ("net", &self.net_name),
+            ("engine", &self.engine_name),
+            ("seed", &self.seed),
+            ("load", &self.load),
+            ("slot_len_s", &self.slot),
+            ("iters", &self.iters),
+        ])
+    }
+
+    /// The `running ...` line every run-shaped command starts with.
+    fn describe(&self) -> String {
+        format!(
+            "{} on {}: {} transfers, load {}, slot {}s",
+            self.engine_name,
+            self.net_name,
+            self.requests.len(),
+            self.load,
+            self.slot
+        )
+    }
+
     /// Runs the configured engine over the workload through the idealized
     /// slot loop, reporting into `probes`.
     fn run(&self, probes: &Probes) -> SimResult {
@@ -526,8 +786,8 @@ impl RunSetup {
 
 /// The seeded chaos scenario that `chaos`, `explain --chaos` and
 /// `slo --chaos` run, and the one format a chaos flight dump names it in:
-/// [`ChaosScenario::stamp`] writes the options into the dump's metadata
-/// and [`ChaosScenario::from_meta`] reads them back for `verify --replay`.
+/// [`ChaosScenario::meta`] is what the dump's metadata carries and
+/// [`ChaosScenario::from_meta`] reads it back for `verify --replay`.
 struct ChaosScenario {
     net_name: String,
     network: Network,
@@ -540,10 +800,6 @@ struct ChaosScenario {
     detect: f64,
     timeout_prob: f64,
     fail_prob: f64,
-    /// Flight-recorder ring depth, slots.
-    scope_slots: usize,
-    /// The SLO monitors, when the why recorder is attached.
-    slo: Option<SloConfig>,
 }
 
 /// What a [`ChaosScenario`] runs on the network's plant.
@@ -555,118 +811,107 @@ struct ChaosInputs {
 }
 
 impl ChaosScenario {
-    /// Reads the chaos options; the caller sets [`ChaosScenario::slo`].
-    fn from_args(args: &Args, cmd: &str) -> Self {
-        let net_name = args.get("--net").unwrap_or("internet2").to_string();
+    /// Reads the chaos options.
+    fn read(args: &Args) -> Self {
+        let (net_name, network) = args.network("internet2");
         ChaosScenario {
-            network: build_network(cmd, &net_name),
+            network,
             net_name,
             seed: args.parse("--seed", 42u64),
             load: args.parse("--load", 1.0f64),
-            sigma: parse_sigma(args, cmd),
+            sigma: args.parse_opt("--sigma"),
             slot: args.parse("--slot", 300.0f64),
             slots: args.parse("--slots", 60usize),
             iters: args.parse("--iters", 60usize),
             detect: args.parse("--detect", 30.0f64),
             timeout_prob: args.parse("--timeout-prob", 0.1f64),
             fail_prob: args.parse("--fail-prob", 0.05f64),
-            scope_slots: args.parse("--scope-slots", 16usize),
-            slo: None,
         }
     }
 
     /// Rebuilds the scenario a chaos flight dump at `path` was recorded
-    /// under; a dump without `iters:` replays at `iters`. Exits 2 naming
-    /// the key when one is missing or malformed.
-    fn from_meta(dump: &FlightDump, path: &str, iters: usize) -> Self {
-        fn get<T: std::str::FromStr>(dump: &FlightDump, path: &str, key: &str) -> Option<T> {
+    /// under, and the flight recorder and monitors it ran with; a dump
+    /// without `iters:` replays at `iters`. Exits 2 naming the key when
+    /// one is missing or malformed.
+    fn from_meta(dump: &FlightDump, path: &str, iters: usize) -> (Self, ProbeFlags) {
+        const CMD: &str = " verify";
+        fn opt<T: std::str::FromStr>(dump: &FlightDump, path: &str, key: &str) -> Option<T> {
             let raw = dump.meta.get(key)?;
             Some(raw.parse().unwrap_or_else(|_| {
-                eprintln!("owan-cli verify: flight dump '{path}': bad `{key}: {raw}`");
-                std::process::exit(2);
+                fail(CMD, 2, format!("flight dump '{path}': bad `{key}: {raw}`"))
             }))
         }
         fn need<T: std::str::FromStr>(dump: &FlightDump, path: &str, key: &str) -> T {
-            get(dump, path, key).unwrap_or_else(|| {
-                eprintln!("owan-cli verify: flight dump '{path}' missing `{key}:` metadata");
-                std::process::exit(2);
+            opt(dump, path, key).unwrap_or_else(|| {
+                fail(
+                    CMD,
+                    2,
+                    format!("flight dump '{path}' missing `{key}:` metadata"),
+                )
             })
         }
         let mode: String = need(dump, path, "mode");
         if mode != "chaos" {
-            eprintln!(
-                "owan-cli verify: flight dump '{path}' has mode '{mode}'; only chaos dumps replay"
+            fail(
+                CMD,
+                2,
+                format!("flight dump '{path}' has mode '{mode}'; only chaos dumps replay"),
             );
-            std::process::exit(2);
         }
         let net_name: String = need(dump, path, "net");
-        // `slo_window` marks a dump whose run had the why recorder
-        // attached; rebuilding the same monitors lets an SLO-tripped
-        // freeze reproduce its anomaly (and so the dump) exactly.
-        let slo = get(dump, path, "slo_window").map(|burn_window_slots| SloConfig {
-            burn_window_slots,
-            burn_threshold: get(dump, path, "slo_burn"),
-            plan_p99_ms: get(dump, path, "slo_p99_ms"),
-            deficit_gbits: get(dump, path, "slo_deficit"),
+        // Rebuilding the monitors of a dump whose run had them attached
+        // lets an SLO-tripped freeze reproduce its anomaly (and so the
+        // dump) exactly.
+        let slo_window: Option<usize> = opt(dump, path, "slo_window");
+        let flags = ProbeFlags {
+            cmd: CMD.to_string(),
+            scope: true,
+            scope_slots: need(dump, path, "scope_slots"),
+            why: slo_window.is_some(),
+            slo: SloConfig {
+                burn_window_slots: slo_window.unwrap_or(SloConfig::default().burn_window_slots),
+                burn_threshold: opt(dump, path, "slo_burn"),
+                plan_p99_ms: opt(dump, path, "slo_p99_ms"),
+                deficit_gbits: opt(dump, path, "slo_deficit"),
+                ..Default::default()
+            },
             ..Default::default()
-        });
-        ChaosScenario {
-            network: build_network(" verify", &net_name),
+        };
+        let scenario = ChaosScenario {
+            network: build_network(CMD, &net_name),
             net_name,
             seed: need(dump, path, "seed"),
             load: need(dump, path, "load"),
-            sigma: get(dump, path, "sigma"),
+            sigma: opt(dump, path, "sigma"),
             slot: need(dump, path, "slot_len_s"),
             slots: need(dump, path, "slots"),
-            iters: get(dump, path, "iters").unwrap_or(iters),
+            iters: opt(dump, path, "iters").unwrap_or(iters),
             detect: need(dump, path, "detect_s"),
             timeout_prob: need(dump, path, "timeout_prob"),
             fail_prob: need(dump, path, "fail_prob"),
-            scope_slots: need(dump, path, "scope_slots"),
-            slo,
-        }
+        };
+        (scenario, flags)
     }
 
-    /// Writes the scenario into `scope`'s metadata under the keys
+    /// The scope metadata that names the scenario: the keys
     /// [`ChaosScenario::from_meta`] reads.
-    fn stamp(&self, scope: &ScopeRecorder) {
-        scope.set_meta("mode", "chaos");
-        scope.set_meta("net", &self.net_name);
-        scope.set_meta("seed", self.seed);
-        scope.set_meta("load", self.load);
+    fn meta(&self) -> Meta<'static> {
+        let mut pairs = meta(&[
+            ("mode", &"chaos"),
+            ("net", &self.net_name),
+            ("seed", &self.seed),
+            ("load", &self.load),
+            ("slot_len_s", &self.slot),
+            ("slots", &self.slots),
+            ("iters", &self.iters),
+            ("detect_s", &self.detect),
+            ("timeout_prob", &self.timeout_prob),
+            ("fail_prob", &self.fail_prob),
+        ]);
         if let Some(s) = self.sigma {
-            scope.set_meta("sigma", s);
+            pairs.push(("sigma", s.to_string()));
         }
-        scope.set_meta("slot_len_s", self.slot);
-        scope.set_meta("slots", self.slots);
-        scope.set_meta("iters", self.iters);
-        scope.set_meta("detect_s", self.detect);
-        scope.set_meta("timeout_prob", self.timeout_prob);
-        scope.set_meta("fail_prob", self.fail_prob);
-        scope.set_meta("scope_slots", self.scope_slots);
-        if let Some(slo) = &self.slo {
-            stamp_slo_meta(scope, slo);
-        }
-    }
-
-    /// A flight recorder for the scenario, stamped, dumping to
-    /// `dump_path` when set.
-    fn scope(&self, dump_path: Option<&String>) -> ScopeRecorder {
-        let scope = ScopeRecorder::enabled(ScopeConfig {
-            flight_slots: self.scope_slots,
-            dump_path: dump_path.map(PathBuf::from),
-        });
-        self.stamp(&scope);
-        scope
-    }
-
-    /// The why recorder the scenario's SLO monitors run in, hosted on
-    /// `recorder`; disabled when no monitor is attached.
-    fn why(&self, recorder: &Recorder) -> WhyRecorder {
-        match &self.slo {
-            Some(slo) => WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, recorder),
-            None => WhyRecorder::disabled(),
-        }
+        pairs
     }
 
     /// Generates the workload, the seeded fault timeline and op-fault
@@ -693,209 +938,73 @@ impl ChaosScenario {
             },
         }
     }
-}
 
-/// Builds the scope from `--scope*` flags and stamps run-reconstruction
-/// metadata. `force` enables the scope even without `--scope` (the
-/// `transfers` command needs it unconditionally).
-fn scope_from_args(args: &Args, setup: &RunSetup, mode: &str, force: bool) -> ScopeRecorder {
-    let dump_path = args.get("--scope-dump").map(str::to_string);
-    let enabled =
-        force || args.flag("--scope") || dump_path.is_some() || args.get("--scope-trace").is_some();
-    let flight_slots = args.parse("--scope-slots", 16usize);
-    if !enabled {
-        return ScopeRecorder::disabled();
-    }
-    let scope = ScopeRecorder::enabled(ScopeConfig {
-        flight_slots,
-        dump_path: dump_path.map(PathBuf::from),
-    });
-    scope.set_meta("mode", mode);
-    scope.set_meta("net", &setup.net_name);
-    scope.set_meta("engine", &setup.engine_name);
-    scope.set_meta("seed", setup.seed);
-    scope.set_meta("load", setup.load);
-    scope.set_meta("slot_len_s", setup.slot);
-    scope.set_meta("iters", setup.iters);
-    scope.set_meta("scope_slots", flight_slots);
-    scope
-}
-
-/// Builds the SLO monitor config from the `--slo-*` flags. Absent
-/// thresholds stay `None`: the monitor measures but never trips.
-fn slo_from_args(args: &Args) -> SloConfig {
-    let mut slo = SloConfig::default();
-    slo.burn_window_slots = args.parse("--slo-window", slo.burn_window_slots);
-    if args.get("--slo-burn").is_some() {
-        slo.burn_threshold = Some(args.parse("--slo-burn", 0.0f64));
-    }
-    if args.get("--slo-p99").is_some() {
-        slo.plan_p99_ms = Some(args.parse("--slo-p99", 0.0f64));
-    }
-    if args.get("--slo-deficit").is_some() {
-        slo.deficit_gbits = Some(args.parse("--slo-deficit", 0.0f64));
-    }
-    slo
-}
-
-/// True when any `--slo-*` threshold flag asks for the why recorder.
-fn slo_flags_on(args: &Args) -> bool {
-    args.get("--slo-burn").is_some()
-        || args.get("--slo-p99").is_some()
-        || args.get("--slo-deficit").is_some()
-}
-
-/// Stamps the SLO thresholds into scope metadata so a flight dump frozen
-/// by a tripped monitor carries everything `verify --replay` needs to
-/// rebuild the same why recorder. `slo_window` doubles as the marker
-/// that the why recorder was attached at all.
-fn stamp_slo_meta(scope: &ScopeRecorder, slo: &SloConfig) {
-    scope.set_meta("slo_window", slo.burn_window_slots);
-    if let Some(f) = slo.burn_threshold {
-        scope.set_meta("slo_burn", f);
-    }
-    if let Some(ms) = slo.plan_p99_ms {
-        scope.set_meta("slo_p99_ms", ms);
-    }
-    if let Some(g) = slo.deficit_gbits {
-        scope.set_meta("slo_deficit", g);
+    /// Runs the faulted scenario once into `probes`, `audit` checking
+    /// every planned slot.
+    fn run(
+        &self,
+        inputs: &ChaosInputs,
+        probes: &Probes,
+        audit: Option<&mut AuditHook>,
+    ) -> Result<ChaosResult, String> {
+        run_chaos_probed(
+            &self.network.plant,
+            &inputs.requests,
+            &mut restartable_owan(self.iters, self.seed),
+            &inputs.config,
+            &inputs.events,
+            &inputs.op_faults,
+            probes,
+            audit,
+        )
     }
 }
 
-/// Writes the profiler's folded stacks to `path` (if set and profiling).
-fn write_folded(cmd: &str, prof: &Profiler, path: &Option<String>) {
-    let Some(path) = path else { return };
-    if !prof.is_enabled() {
-        return;
-    }
-    let mut out: Vec<u8> = Vec::new();
-    prof.write_folded(&mut out)
-        .expect("serializing to memory cannot fail");
-    if let Err(e) = std::fs::write(path, &out) {
-        eprintln!("owan-cli{cmd}: cannot write --prof file '{path}': {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "wrote folded stacks to {path} ({} lines)",
-        out.iter().filter(|&&b| b == b'\n').count()
-    );
-}
-
-/// Everything `explain` and `slo` need back from a why-recorded run.
-struct WhyRun {
-    report: WhyReport,
-    probes: Probes,
-    /// The export flags the run options advertise: `--scope-dump`,
-    /// `--scope-trace`, `--prof` and `--obs`.
-    scope_dump: Option<String>,
-    scope_trace: Option<String>,
-    prof_path: Option<String>,
-    obs_path: Option<String>,
-}
-
-/// Runs the configured scenario for `explain` / `slo` with the tier-4
-/// why recorder attached (and, on the sim path, the profiler, whose
-/// hottest regions the report lists), and distills the report. `--chaos` swaps the fault-free
-/// workload for the seeded chaos scenario of `owan-cli chaos`. The caller
-/// reads its own flags first: this rejects the unread ones before the run.
-fn why_run(args: &Args, cmd: &str) -> WhyRun {
-    let recorder = Recorder::enabled();
-    let slo = slo_from_args(args);
-    let scope_dump = args.get("--scope-dump").map(str::to_string);
-    let scope_trace = args.get("--scope-trace").map(str::to_string);
-    let prof_path = args.get("--prof").map(str::to_string);
-    let obs_path = args.get("--obs").map(str::to_string);
-
-    let probes;
-    if args.flag("--chaos") {
-        let mut scenario = ChaosScenario::from_args(args, cmd);
-        scenario.slo = Some(slo);
-        let scope_on = args.flag("--scope") || scope_dump.is_some() || scope_trace.is_some();
-        args.reject_unread(cmd);
-        let ChaosInputs {
-            requests,
-            events,
-            op_faults,
-            config,
-        } = scenario.inputs();
-        probes = Probes {
-            scope: if scope_on {
-                scenario.scope(scope_dump.as_ref())
-            } else {
-                ScopeRecorder::disabled()
-            },
-            why: scenario.why(&recorder),
-            recorder,
-            ..Default::default()
-        };
+/// Runs the configured scenario for `explain` / `slo` with the why
+/// recorder attached (and, without `--chaos`, the profiler, whose hottest
+/// regions the report lists), and distills the report. `--chaos` swaps
+/// the fault-free workload for the seeded chaos scenario of `owan-cli
+/// chaos`. The caller reads its own flags first: this rejects the unread
+/// ones before the run.
+fn why_run(args: &Args) -> (ProbeFlags, Probes, WhyReport) {
+    let cmd = &args.cmd;
+    let mut flags = ProbeFlags::read(args);
+    flags.why = true;
+    let probes = if args.flag("--chaos") {
+        let scenario = ChaosScenario::read(args);
+        args.reject_unread();
+        let inputs = scenario.inputs();
+        let (probes, _server) = flags.probes(&scenario.meta());
         eprintln!(
             "owan-cli{cmd}: chaos {}, {} transfers, {} fault events, {} slots of {}s",
             scenario.net_name,
-            requests.len(),
-            events.len(),
+            inputs.requests.len(),
+            inputs.events.len(),
             scenario.slots,
             scenario.slot
         );
-        if let Err(e) = run_chaos_probed(
-            &scenario.network.plant,
-            &requests,
-            &mut restartable_owan(scenario.iters, scenario.seed),
-            &config,
-            &events,
-            &op_faults,
-            &probes,
-            None,
-        ) {
-            eprintln!("owan-cli{cmd}: FAIL: {e}");
-            std::process::exit(1);
+        if let Err(e) = scenario.run(&inputs, &probes, None) {
+            fail(cmd, 1, format!("FAIL: {e}"));
         }
+        probes
     } else {
-        let setup = run_setup(args);
-        let scope = scope_from_args(args, &setup, "sim", false);
-        args.reject_unread(cmd);
-        eprintln!(
-            "owan-cli{cmd}: {} on {}, {} transfers, load {}, slot {}s",
-            setup.engine_name,
-            setup.net_name,
-            setup.requests.len(),
-            setup.load,
-            setup.slot
-        );
-        probes = Probes {
-            why: WhyRecorder::enabled(WhyConfig { slo }, &recorder),
-            recorder,
-            scope,
-            prof: Profiler::enabled(),
-        };
+        let setup = RunSetup::read(args);
+        flags.prof = true;
+        args.reject_unread();
+        let (probes, _server) = flags.probes(&setup.meta());
+        eprintln!("owan-cli{cmd}: {}", setup.describe());
         setup.run(&probes);
-    }
+        probes
+    };
 
     if probes.prof.is_enabled() {
         probes.why.attach_prof(&probes.prof.snapshot());
     }
-    let report = probes.why.report().unwrap_or_else(|| {
-        eprintln!("owan-cli{cmd}: the run recorded no slots");
-        std::process::exit(1);
-    });
-    WhyRun {
-        report,
-        probes,
-        scope_dump,
-        scope_trace,
-        prof_path,
-        obs_path,
-    }
-}
-
-/// Shared tail of `explain` / `slo`: honor the export flags the run
-/// options advertise (`--scope-dump`, `--scope-trace`, `--prof`, `--obs`).
-fn why_run_exports(cmd: &str, run: &WhyRun) {
-    report_dump(cmd, &run.probes.scope, run.scope_dump.as_deref());
-    if run.probes.scope.is_enabled() {
-        write_trace(cmd, &run.probes, &run.scope_trace);
-    }
-    write_folded(cmd, &run.probes.prof, &run.prof_path);
-    write_obs(cmd, &run.probes.recorder, &run.obs_path);
+    let report = probes
+        .why
+        .report()
+        .unwrap_or_else(|| fail(cmd, 1, "the run recorded no slots"));
+    (flags, probes, report)
 }
 
 /// `owan-cli explain`: re-run the scenario with the why recorder attached
@@ -903,28 +1012,20 @@ fn why_run_exports(cmd: &str, run: &WhyRun) {
 /// the worst-slack transfer by default, `--id N` to pick. Exits 1 when
 /// the bucket partition check fails, 2 when `--id` names no transfer.
 fn explain_main(args: &Args) -> ! {
-    let id: Option<usize> = args.get("--id").map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("owan-cli explain: invalid value '{raw}' for --id");
-            std::process::exit(2);
-        })
-    });
-    let run = why_run(args, " explain");
+    let id: Option<usize> = args.parse_opt("--id");
+    let (flags, probes, report) = why_run(args);
     let text = match id {
-        Some(id) => render_explain(&run.report, id).unwrap_or_else(|| {
-            eprintln!("owan-cli explain: no transfer with id {id}");
-            std::process::exit(2);
-        }),
+        Some(id) => render_explain(&report, id)
+            .unwrap_or_else(|| fail(&args.cmd, 2, format!("no transfer with id {id}"))),
         None => {
-            let worst = run.report.worst_slack().unwrap_or_else(|| {
-                eprintln!("owan-cli explain: the run held no transfers");
-                std::process::exit(1);
-            });
-            render_explain(&run.report, worst.id).expect("worst-slack transfer renders")
+            let worst = report
+                .worst_slack()
+                .unwrap_or_else(|| fail(&args.cmd, 1, "the run held no transfers"));
+            render_explain(&report, worst.id).expect("worst-slack transfer renders")
         }
     };
     print!("{text}");
-    why_run_exports(" explain", &run);
+    flags.export(&probes, &[]);
     std::process::exit(if text.contains("partition,BROKEN") {
         1
     } else {
@@ -936,9 +1037,9 @@ fn explain_main(args: &Args) -> ! {
 /// and print the monitor report (burn rate, p99 planning latency,
 /// delivered-Gb deficit, and any tripped monitor).
 fn slo_main(args: &Args) -> ! {
-    let run = why_run(args, " slo");
-    print!("{}", render_slo(&run.report));
-    why_run_exports(" slo", &run);
+    let (flags, probes, report) = why_run(args);
+    print!("{}", render_slo(&report));
+    flags.export(&probes, &[]);
     std::process::exit(0);
 }
 
@@ -951,8 +1052,13 @@ fn verify_main(args: &Args) -> ! {
     let config = ReplayConfig {
         anneal_iterations: iters,
     };
-    let out_path = args.get("--out").map(str::to_string);
-    let obs_path = args.get("--obs").map(str::to_string);
+    let out_path = args.path("--out");
+    // The oracle's counters are verify's one probe.
+    let flags = ProbeFlags {
+        cmd: args.cmd.clone(),
+        obs: args.path("--obs"),
+        ..Default::default()
+    };
     let replay = args.get("--replay");
     let net_name = args.get("--net");
     let load = args.parse("--load", 1.0f64);
@@ -963,18 +1069,15 @@ fn verify_main(args: &Args) -> ! {
     let start = args.parse("--start", 0u64);
     let attack = args.flag("--attack");
     let chaos = args.flag("--chaos");
-    args.reject_unread(" verify");
-    let recorder = if obs_path.is_some() {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
+    args.reject_unread();
+    let (probes, _) = flags.probes(&[]);
+    let recorder = &probes.recorder;
+    let ok = |line: String| -> ! {
+        println!("{line}");
+        flags.export(&probes, &[]);
+        std::process::exit(0);
     };
-    let probes = Probes {
-        recorder: recorder.clone(),
-        ..Default::default()
-    };
-
-    let fail = |message: &str, repro: Option<&Reproducer>| -> ! {
+    let diverged = |message: &str, repro: Option<&Reproducer>| -> ! {
         eprintln!("owan-cli verify: FAIL: {message}");
         if let Some(r) = repro {
             let text = r.to_text();
@@ -989,22 +1092,23 @@ fn verify_main(args: &Args) -> ! {
                 None => print!("{text}"),
             }
         }
-        write_obs(" verify", &recorder, &obs_path);
+        flags.export(&probes, &[]);
         std::process::exit(1);
     };
 
     if let Some(path) = replay {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("owan-cli verify: cannot read --replay file '{path}': {e}");
-            std::process::exit(2);
+            fail(
+                &args.cmd,
+                2,
+                format!("cannot read --replay file '{path}': {e}"),
+            )
         });
         if FlightDump::is_dump(&text) {
-            replay_flight_dump(path, &text, iters, &recorder, &obs_path);
+            replay_flight_dump(path, &text, iters, flags.obs.clone());
         }
-        let repro = Reproducer::from_text(&text).unwrap_or_else(|e| {
-            eprintln!("owan-cli verify: malformed reproducer '{path}': {e}");
-            std::process::exit(2);
-        });
+        let repro = Reproducer::from_text(&text)
+            .unwrap_or_else(|e| fail(&args.cmd, 2, format!("malformed reproducer '{path}': {e}")));
         let scenario = repro.scenario();
         eprintln!(
             "replaying reproducer {path}: seed {}, {} requests, {} failures",
@@ -1013,20 +1117,16 @@ fn verify_main(args: &Args) -> ! {
             scenario.failures.len()
         );
         match replay_scenario(&scenario, &config, &probes) {
-            Ok(stats) => {
-                println!(
-                    "OK: seed {} replayed clean ({} slots, {} plans, {} transitions checked)",
-                    scenario.seed, stats.slots, stats.plans_checked, stats.updates_checked
-                );
-                write_obs(" verify", &recorder, &obs_path);
-                std::process::exit(0);
-            }
-            Err(f) => fail(&f.to_string(), Some(&repro)),
+            Ok(stats) => ok(format!(
+                "OK: seed {} replayed clean ({} slots, {} plans, {} transitions checked)",
+                scenario.seed, stats.slots, stats.plans_checked, stats.updates_checked
+            )),
+            Err(f) => diverged(&f.to_string(), Some(&repro)),
         }
     }
 
     if let Some(net_name) = net_name {
-        let network = build_network(" verify", net_name);
+        let network = build_network(&args.cmd, net_name);
         let requests = generate(&network, &workload_config(net_name, load, seed));
         eprintln!(
             "verifying {net_name}: {} transfers, {slots} slots of {slot_len}s, {iters} anneal iters",
@@ -1041,49 +1141,41 @@ fn verify_main(args: &Args) -> ! {
             max_slots: slots,
         };
         match replay_scenario(&scenario, &config, &probes) {
-            Ok(stats) => {
-                println!(
-                    "OK: {net_name} replayed clean ({} slots, {} plans, {} transitions checked, \
-                     {} transfers completed)",
-                    stats.slots, stats.plans_checked, stats.updates_checked, stats.completed
-                );
-                write_obs(" verify", &recorder, &obs_path);
-                std::process::exit(0);
-            }
+            Ok(stats) => ok(format!(
+                "OK: {net_name} replayed clean ({} slots, {} plans, {} transitions checked, \
+                 {} transfers completed)",
+                stats.slots, stats.plans_checked, stats.updates_checked, stats.completed
+            )),
             // Named-network workloads are not seed-regenerable through the
             // fuzz generator, so there is no reproducer — the seed and net
             // name on the command line already pin the case.
-            Err(f) => fail(&format!("{net_name}: {f}"), None),
+            Err(f) => diverged(&format!("{net_name}: {f}"), None),
         }
     }
 
+    let chaos_config = ChaosReplayConfig {
+        anneal_iterations: iters,
+        ..Default::default()
+    };
     if attack {
         eprintln!(
             "attack-fuzzing seeds {start}..{} with {iters} anneal iters",
             start + count
         );
-        let chaos_config = ChaosReplayConfig {
-            anneal_iterations: iters,
-            ..Default::default()
-        };
-        match fuzz_attack(start, count, &chaos_config, &recorder) {
-            Ok(stats) => {
-                println!(
-                    "OK: {} attack scenarios replayed clean ({} slots, {} plans, {} update \
-                     schedules checked, {} waves, {} recovered)",
-                    stats.scenarios,
-                    stats.slots,
-                    stats.plans_checked,
-                    stats.updates_checked,
-                    stats.waves,
-                    stats.recovered
-                );
-                write_obs(" verify", &recorder, &obs_path);
-                std::process::exit(0);
-            }
+        match fuzz_attack(start, count, &chaos_config, recorder) {
+            Ok(stats) => ok(format!(
+                "OK: {} attack scenarios replayed clean ({} slots, {} plans, {} update \
+                 schedules checked, {} waves, {} recovered)",
+                stats.scenarios,
+                stats.slots,
+                stats.plans_checked,
+                stats.updates_checked,
+                stats.waves,
+                stats.recovered
+            )),
             // Attack scenarios regenerate deterministically from the
             // seed, so the seed itself is the reproducer.
-            Err((seed, f)) => fail(&format!("attack seed {seed}: {f}"), None),
+            Err((seed, f)) => diverged(&format!("attack seed {seed}: {f}"), None),
         }
     }
     if chaos {
@@ -1091,45 +1183,33 @@ fn verify_main(args: &Args) -> ! {
             "chaos-fuzzing seeds {start}..{} with {iters} anneal iters",
             start + count
         );
-        let chaos_config = ChaosReplayConfig {
-            anneal_iterations: iters,
-            ..Default::default()
-        };
-        match fuzz_chaos(start, count, &chaos_config, &recorder) {
-            Ok(stats) => {
-                println!(
-                    "OK: {} chaos scenarios replayed clean ({} slots, {} plans, {} update \
-                     schedules checked, {} crash restarts)",
-                    stats.scenarios,
-                    stats.slots,
-                    stats.plans_checked,
-                    stats.updates_checked,
-                    stats.crashes
-                );
-                write_obs(" verify", &recorder, &obs_path);
-                std::process::exit(0);
-            }
+        match fuzz_chaos(start, count, &chaos_config, recorder) {
+            Ok(stats) => ok(format!(
+                "OK: {} chaos scenarios replayed clean ({} slots, {} plans, {} update \
+                 schedules checked, {} crash restarts)",
+                stats.scenarios,
+                stats.slots,
+                stats.plans_checked,
+                stats.updates_checked,
+                stats.crashes
+            )),
             // Chaos scenarios regenerate deterministically from the seed,
             // so the seed itself is the reproducer.
-            Err((seed, f)) => fail(&format!("chaos seed {seed}: {f}"), None),
+            Err((seed, f)) => diverged(&format!("chaos seed {seed}: {f}"), None),
         }
     }
     eprintln!(
         "fuzzing seeds {start}..{} with {iters} anneal iters",
         start + count
     );
-    match fuzz_seeds(start, count, &config, &recorder) {
-        Ok(stats) => {
-            println!(
-                "OK: {} seeds replayed clean ({} slots, {} plans, {} transitions checked)",
-                stats.seeds, stats.slots, stats.plans_checked, stats.updates_checked
-            );
-            write_obs(" verify", &recorder, &obs_path);
-            std::process::exit(0);
-        }
+    match fuzz_seeds(start, count, &config, recorder) {
+        Ok(stats) => ok(format!(
+            "OK: {} seeds replayed clean ({} slots, {} plans, {} transitions checked)",
+            stats.seeds, stats.slots, stats.plans_checked, stats.updates_checked
+        )),
         Err(repro) => {
             let msg = repro.message.clone();
-            fail(&format!("seed {}: {}", repro.seed, msg), Some(&repro))
+            diverged(&format!("seed {}: {}", repro.seed, msg), Some(&repro))
         }
     }
 }
@@ -1137,18 +1217,12 @@ fn verify_main(args: &Args) -> ! {
 /// `verify --replay` on a flight dump: the embedded metadata reconstructs
 /// the chaos scenario, the run re-executes under the full invariant
 /// audit, and the regenerated dump must match the input byte for byte.
-fn replay_flight_dump(
-    path: &str,
-    text: &str,
-    iters_flag: usize,
-    recorder: &Recorder,
-    obs_path: &Option<String>,
-) -> ! {
-    let dump = FlightDump::from_text(text).unwrap_or_else(|e| {
-        eprintln!("owan-cli verify: malformed flight dump '{path}': {e}");
-        std::process::exit(2);
-    });
-    let scenario = ChaosScenario::from_meta(&dump, path, iters_flag);
+fn replay_flight_dump(path: &str, text: &str, iters_flag: usize, obs: Option<String>) -> ! {
+    let cmd = " verify";
+    let dump = FlightDump::from_text(text)
+        .unwrap_or_else(|e| fail(cmd, 2, format!("malformed flight dump '{path}': {e}")));
+    let (scenario, mut flags) = ChaosScenario::from_meta(&dump, path, iters_flag);
+    flags.obs = obs;
     eprintln!(
         "replaying flight dump {path}: {} anomaly at slot {}, {} frames, net {}, seed {}",
         dump.reason,
@@ -1157,53 +1231,32 @@ fn replay_flight_dump(
         scenario.net_name,
         scenario.seed
     );
-    let ChaosInputs {
-        requests,
-        events,
-        op_faults,
-        config,
-    } = scenario.inputs();
-
-    let scope = ScopeRecorder::enabled(ScopeConfig {
-        flight_slots: scenario.scope_slots,
-        dump_path: None,
-    });
-    for (key, value) in &dump.meta {
-        scope.set_meta(key, value);
-    }
-    let probes = Probes {
-        recorder: recorder.clone(),
-        scope,
-        why: scenario.why(recorder),
-        ..Default::default()
-    };
+    let inputs = scenario.inputs();
+    let meta: Meta = dump
+        .meta
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.clone()))
+        .collect();
+    let (probes, _) = flags.probes(&meta);
     let mut audit = InvariantAudit::new(&probes);
-    if let Err(e) = run_chaos_probed(
-        &scenario.network.plant,
-        &requests,
-        &mut restartable_owan(scenario.iters, scenario.seed),
-        &config,
-        &events,
-        &op_faults,
-        &probes,
-        Some(&mut |a| audit.check(a)),
-    ) {
-        eprintln!("owan-cli verify: FAIL: flight-dump replay violated an invariant: {e}");
-        write_obs(" verify", recorder, obs_path);
-        std::process::exit(1);
+    let replayed = scenario.run(&inputs, &probes, Some(&mut |a| audit.check(a)));
+    flags.export(&probes, &[]);
+    if let Err(e) = replayed {
+        fail(
+            cmd,
+            1,
+            format!("FAIL: flight-dump replay violated an invariant: {e}"),
+        );
     }
-
-    let regenerated = probes.scope.dump_text();
-    write_obs(" verify", recorder, obs_path);
-    match regenerated {
-        None => {
-            eprintln!(
-                "owan-cli verify: FAIL: replay of '{path}' triggered no anomaly \
-                 (expected {} at slot {})",
+    match probes.scope.dump_text() {
+        None => fail(
+            cmd,
+            1,
+            format!(
+                "FAIL: replay of '{path}' triggered no anomaly (expected {} at slot {})",
                 dump.reason, dump.anomaly_slot
-            );
-            std::process::exit(1);
-        }
+            ),
+        ),
         Some(t) if t == text => {
             println!(
                 "OK: flight dump {path} replayed exactly ({} anomaly at slot {}, {} frames, \
@@ -1214,13 +1267,14 @@ fn replay_flight_dump(
             );
             std::process::exit(0);
         }
-        Some(_) => {
-            eprintln!(
-                "owan-cli verify: FAIL: replay of '{path}' regenerated a different dump \
+        Some(_) => fail(
+            cmd,
+            1,
+            format!(
+                "FAIL: replay of '{path}' regenerated a different dump \
                  (non-deterministic run or stale metadata)"
-            );
-            std::process::exit(1);
-        }
+            ),
+        ),
     }
 }
 
@@ -1229,26 +1283,11 @@ fn replay_flight_dump(
 /// hardened controller fault-free and faulted (auditing every slot), and
 /// reports the delivered-volume loss plus the fault/recovery counters.
 fn chaos_main(args: &Args) -> ! {
-    let mut scenario = ChaosScenario::from_args(args, " chaos");
-    let obs_path = args.get("--obs").map(str::to_string);
-    let scope_dump = args.get("--scope-dump").map(str::to_string);
-    let scope_trace = args.get("--scope-trace").map(str::to_string);
-    let scope_on = args.flag("--scope") || scope_dump.is_some() || scope_trace.is_some();
-    let slo = slo_from_args(args);
-    let why_enabled = slo_flags_on(args);
-    args.reject_unread(" chaos");
-    if why_enabled {
-        scenario.slo = Some(slo);
-    }
-    let ChaosInputs {
-        requests,
-        events,
-        op_faults,
-        config,
-    } = scenario.inputs();
-    let plant = &scenario.network.plant;
-    let mut make_engine = restartable_owan(scenario.iters, scenario.seed);
-
+    let scenario = ChaosScenario::read(args);
+    let flags = ProbeFlags::read(args);
+    args.reject_unread();
+    let inputs = scenario.inputs();
+    let (requests, events) = (&inputs.requests, &inputs.events);
     eprintln!(
         "chaos on {}: {} transfers, {} fault events, {} slots of {}s, \
          detect {}s, op faults t={} f={}",
@@ -1262,32 +1301,17 @@ fn chaos_main(args: &Args) -> ! {
         scenario.fail_prob
     );
 
-    let recorder = if obs_path.is_some() || scope_on || why_enabled {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
     // Dumps from both faulted runs must be byte-identical, so both scopes
     // carry the same reconstruction metadata; only the first writes a file.
-    let probes_on = |recorder: Recorder, dump_path: Option<&String>| Probes {
-        scope: if scope_on {
-            scenario.scope(dump_path)
-        } else {
-            ScopeRecorder::disabled()
-        },
-        why: scenario.why(&recorder),
-        recorder,
-        ..Default::default()
-    };
-    let probes = probes_on(recorder.clone(), scope_dump.as_ref());
-    let rerun_probes = probes_on(Recorder::disabled(), None);
+    let meta = scenario.meta();
+    let (probes, _server) = flags.probes(&meta);
+    let rerun_probes = flags.rerun_probes(&meta);
 
-    let mut violations = 0usize;
     let baseline = run_chaos_probed(
-        plant,
-        &requests,
-        &mut make_engine,
-        &config,
+        &scenario.network.plant,
+        requests,
+        &mut restartable_owan(scenario.iters, scenario.seed),
+        &inputs.config,
         &[],
         &OpFaultModel::none(),
         &Probes::default(),
@@ -1295,48 +1319,23 @@ fn chaos_main(args: &Args) -> ! {
     )
     .expect("fault-free baseline cannot fail an absent audit");
 
-    let mut run_with = |probes: &Probes| -> Result<ChaosResult, String> {
+    let run_with = |probes: &Probes| -> Result<ChaosResult, String> {
         let mut audit = InvariantAudit::new(probes);
-        run_chaos_probed(
-            plant,
-            &requests,
-            &mut make_engine,
-            &config,
-            &events,
-            &op_faults,
-            probes,
-            Some(&mut |a| audit.check(a)),
-        )
+        scenario.run(&inputs, probes, Some(&mut |a| audit.check(a)))
     };
-
-    let faulted = match run_with(&probes) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("owan-cli chaos: FAIL: {e}");
-            std::process::exit(1);
-        }
-    };
+    let faulted = run_with(&probes).unwrap_or_else(|e| fail(&args.cmd, 1, format!("FAIL: {e}")));
     // Same seed, same scenario: the rerun must reproduce the run exactly.
-    let rerun = match run_with(&rerun_probes) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("owan-cli chaos: FAIL on rerun: {e}");
-            std::process::exit(1);
-        }
-    };
-    let scope = &probes.scope;
-    let mut deterministic = faulted.delivered_series == rerun.delivered_series
+    let rerun = run_with(&rerun_probes)
+        .unwrap_or_else(|e| fail(&args.cmd, 1, format!("FAIL on rerun: {e}")));
+    let deterministic = faulted.delivered_series == rerun.delivered_series
         && faulted.stats == rerun.stats
-        && faulted.makespan_s == rerun.makespan_s;
-    if scope_on && scope.dump_text() != rerun_probes.scope.dump_text() {
-        deterministic = false;
-    }
+        && faulted.makespan_s == rerun.makespan_s
+        && probes.scope.dump_text() == rerun_probes.scope.dump_text();
     if !deterministic {
         eprintln!(
             "owan-cli chaos: FAIL: rerun with seed {} diverged",
             scenario.seed
         );
-        violations += 1;
     }
 
     let completed = |r: &ChaosResult| {
@@ -1369,33 +1368,11 @@ fn chaos_main(args: &Args) -> ! {
     println!("blackhole_paths,{}", faulted.stats.blackhole_paths);
     println!("blackhole_gbits,{:.0}", faulted.stats.blackhole_gbits);
     println!("transition_loss_gbits,{:.0}", faulted.transition_loss_gbits);
-    if why_enabled {
-        match probes.why.tripped() {
-            Some((reason, slot)) => println!("slo_tripped,{reason},{slot}"),
-            None => println!("slo_tripped,none"),
-        }
-    }
+    print_slo_tripped(&probes.why);
     println!("deterministic,{}", if deterministic { "yes" } else { "no" });
-    if scope_on {
-        println!(
-            "scope_dumped,{}",
-            if scope.has_dumped() { "yes" } else { "no" }
-        );
-        report_dump(" chaos", scope, scope_dump.as_deref());
-        write_trace(" chaos", &probes, &scope_trace);
-    }
-
-    write_obs(" chaos", &recorder, &obs_path);
-    if recorder.is_enabled() {
-        let snapshot = recorder.snapshot();
-        print!("{}", format_counter_table(&snapshot, "chaos."));
-        print!("{}", format_counter_table(&snapshot, "oracle."));
-        if why_enabled {
-            print!("{}", format_counter_table(&snapshot, "slo."));
-        }
-    }
-
-    std::process::exit(if violations == 0 { 0 } else { 1 });
+    print_scope_dumped(&probes.scope);
+    flags.export(&probes, &["chaos.", "oracle.", "slo."]);
+    std::process::exit(if deterministic { 0 } else { 1 });
 }
 
 /// `owan-cli attack`: adversarial traffic end to end. Derives a
@@ -1406,26 +1383,13 @@ fn chaos_main(args: &Args) -> ! {
 /// time-to-restore against the baseline, residual background loss, and
 /// peak victim-link utilization.
 fn attack_main(args: &Args) -> ! {
-    let net_name = args.get("--net").unwrap_or("isp").to_string();
-    let network = build_network(" attack", &net_name);
-    let engine_name = args.get("--engine").unwrap_or("owan").to_string();
-    let kind = match engine_name.as_str() {
-        "owan" => EngineKind::Owan,
-        "maxflow" => EngineKind::MaxFlow,
-        "maxmin" => EngineKind::MaxMinFract,
-        "swan" => EngineKind::Swan,
-        "tempus" => EngineKind::Tempus,
-        "amoeba" => EngineKind::Amoeba,
-        "greedy" => EngineKind::Greedy,
-        other => {
-            eprintln!("owan-cli attack: unknown engine '{other}' for --engine");
-            std::process::exit(2);
-        }
-    };
+    let cmd = &args.cmd;
+    let (net_name, network) = args.network("isp");
+    let (engine_name, kind) = args.engine();
     let attack_name = args.get("--attack").unwrap_or("coremelt").to_string();
     let seed = args.parse("--seed", 42u64);
     let load = args.parse("--load", 0.4f64);
-    let sigma = parse_sigma(args, " attack");
+    let sigma = args.parse_opt("--sigma");
     let slot = args.parse("--slot", 300.0f64);
     let slots = args.parse("--slots", 40usize);
     let iters = args.parse("--iters", 60usize);
@@ -1445,18 +1409,11 @@ fn attack_main(args: &Args) -> ! {
     let timeout_prob = args.parse("--timeout-prob", 0.1f64);
     let fail_prob = args.parse("--fail-prob", 0.05f64);
     let timeline_rows = args.flag("--timeline");
-    let obs_path = args.get("--obs").map(str::to_string);
-    let scope_dump = args.get("--scope-dump").map(str::to_string);
-    let scope_trace = args.get("--scope-trace").map(str::to_string);
-    let scope_on = args.flag("--scope") || scope_dump.is_some() || scope_trace.is_some();
-    let flight_slots = args.parse("--scope-slots", 16usize);
     let duration = args.parse("--duration", horizon.min(7_200.0));
-    let slo = slo_from_args(args);
-    let why_enabled = slo_flags_on(args);
-    args.reject_unread(" attack");
+    let flags = ProbeFlags::read(args);
+    args.reject_unread();
     if !(restore > 0.0 && restore <= 1.0) {
-        eprintln!("owan-cli attack: --restore must be in (0, 1]");
-        std::process::exit(2);
+        fail(cmd, 2, "--restore must be in (0, 1]");
     }
 
     let mut wl = workload_config(&net_name, load, seed);
@@ -1498,10 +1455,7 @@ fn attack_main(args: &Args) -> ! {
                 &flash_cfg(seed.wrapping_add(1), onset + 2.0 * slot),
             ),
         ]),
-        other => {
-            eprintln!("owan-cli attack: unknown attack '{other}' for --attack");
-            std::process::exit(2);
-        }
+        other => fail(cmd, 2, format!("unknown attack '{other}' for --attack")),
     };
     let attack_requests: usize = timeline.waves().iter().map(|w| w.requests.len()).sum();
 
@@ -1553,48 +1507,21 @@ fn attack_main(args: &Args) -> ! {
         events.len()
     );
 
-    let recorder = if obs_path.is_some() || scope_on || why_enabled {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    let make_scope = |dump_path: Option<&String>| -> ScopeRecorder {
-        if !scope_on {
-            return ScopeRecorder::disabled();
-        }
-        let scope = ScopeRecorder::enabled(ScopeConfig {
-            flight_slots,
-            dump_path: dump_path.map(PathBuf::from),
-        });
-        scope.set_meta("mode", "attack");
-        scope.set_meta("net", &net_name);
-        scope.set_meta("engine", &engine_name);
-        scope.set_meta("attack", &attack_name);
-        scope.set_meta("seed", seed);
-        scope.set_meta("load", load);
-        scope.set_meta("slot_len_s", slot);
-        scope.set_meta("slots", slots);
-        scope.set_meta("iters", iters);
-        scope.set_meta("onset_s", onset);
-        scope.set_meta("detect_s", detect);
-        scope.set_meta("scope_slots", flight_slots);
-        if why_enabled {
-            stamp_slo_meta(&scope, &slo);
-        }
-        scope
-    };
-    let probes_on = |recorder: Recorder, dump_path: Option<&String>| Probes {
-        scope: make_scope(dump_path),
-        why: if why_enabled {
-            WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, &recorder)
-        } else {
-            WhyRecorder::disabled()
-        },
-        recorder,
-        ..Default::default()
-    };
-    let probes = probes_on(recorder.clone(), scope_dump.as_ref());
-    let rerun_probes = probes_on(Recorder::disabled(), None);
+    let meta = meta(&[
+        ("mode", &"attack"),
+        ("net", &net_name),
+        ("engine", &engine_name),
+        ("attack", &attack_name),
+        ("seed", &seed),
+        ("load", &load),
+        ("slot_len_s", &slot),
+        ("slots", &slots),
+        ("iters", &iters),
+        ("onset_s", &onset),
+        ("detect_s", &detect),
+    ]);
+    let (probes, _server) = flags.probes(&meta);
+    let rerun_probes = flags.rerun_probes(&meta);
 
     let mut run_with = |probes: &Probes| -> Result<AttackOutcome, String> {
         let mut audit = InvariantAudit::new(probes);
@@ -1611,35 +1538,18 @@ fn attack_main(args: &Args) -> ! {
             Some(&mut |a| audit.check(a)),
         )
     };
-
-    let outcome = match run_with(&probes) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("owan-cli attack: FAIL: {e}");
-            std::process::exit(1);
-        }
-    };
+    let outcome = run_with(&probes).unwrap_or_else(|e| fail(cmd, 1, format!("FAIL: {e}")));
     // Same seed, same timeline: the rerun must reproduce the run exactly.
-    let rerun = match run_with(&rerun_probes) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("owan-cli attack: FAIL on rerun: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut deterministic = outcome.attacked.delivered_series == rerun.attacked.delivered_series
+    let rerun =
+        run_with(&rerun_probes).unwrap_or_else(|e| fail(cmd, 1, format!("FAIL on rerun: {e}")));
+    let deterministic = outcome.attacked.delivered_series == rerun.attacked.delivered_series
         && outcome.attacked.background_series == rerun.attacked.background_series
         && outcome.attacked.victim_util_series == rerun.attacked.victim_util_series
         && outcome.attacked.stats == rerun.attacked.stats
-        && outcome.metrics == rerun.metrics;
-    let scope = &probes.scope;
-    if scope_on && scope.dump_text() != rerun_probes.scope.dump_text() {
-        deterministic = false;
-    }
-    let mut violations = 0usize;
+        && outcome.metrics == rerun.metrics
+        && probes.scope.dump_text() == rerun_probes.scope.dump_text();
     if !deterministic {
         eprintln!("owan-cli attack: FAIL: rerun with seed {seed} diverged");
-        violations += 1;
     }
 
     println!("network,{net_name}");
@@ -1679,12 +1589,7 @@ fn attack_main(args: &Args) -> ! {
     println!("faults_detected,{}", outcome.attacked.stats.faults_detected);
     println!("crashes,{}", outcome.attacked.stats.crashes);
     println!("fallback_slots,{}", outcome.attacked.stats.fallback_slots);
-    if why_enabled {
-        match probes.why.tripped() {
-            Some((reason, slot)) => println!("slo_tripped,{reason},{slot}"),
-            None => println!("slo_tripped,none"),
-        }
-    }
+    print_slo_tripped(&probes.why);
     println!("deterministic,{}", if deterministic { "yes" } else { "no" });
     if timeline_rows {
         println!("timeline,slot,baseline_gbits,background_gbits,victim_util");
@@ -1703,66 +1608,29 @@ fn attack_main(args: &Args) -> ! {
             println!("timeline,{i},{base:.0},{bg:.0},{vu:.3}");
         }
     }
-    if scope_on {
-        println!(
-            "scope_dumped,{}",
-            if scope.has_dumped() { "yes" } else { "no" }
-        );
-        report_dump(" attack", scope, scope_dump.as_deref());
-        write_trace(" attack", &probes, &scope_trace);
-    }
-
-    write_obs(" attack", &recorder, &obs_path);
-    if recorder.is_enabled() {
-        let snapshot = recorder.snapshot();
-        print!("{}", format_counter_table(&snapshot, "chaos."));
-        print!("{}", format_counter_table(&snapshot, "oracle."));
-        if why_enabled {
-            print!("{}", format_counter_table(&snapshot, "slo."));
-        }
-    }
-
-    std::process::exit(if violations == 0 { 0 } else { 1 });
+    print_scope_dumped(&probes.scope);
+    flags.export(&probes, &["chaos.", "oracle.", "slo."]);
+    std::process::exit(if deterministic { 0 } else { 1 });
 }
 
 /// `owan-cli transfers`: run the workload with the flight recorder
 /// attached, then print the per-transfer lifecycle table (or, with
 /// `--trace ID`, one transfer's slot-by-slot history).
 fn transfers_main(args: &Args) -> ! {
-    let setup = run_setup(args);
-    let scope = scope_from_args(args, &setup, "sim", true);
-    let trace: Option<usize> = args.get("--trace").map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("owan-cli transfers: invalid value '{raw}' for --trace");
-            std::process::exit(2);
-        })
-    });
-    let scope_trace = args.get("--scope-trace").map(str::to_string);
-    args.reject_unread(" transfers");
-    let recorder = Recorder::enabled();
-    eprintln!(
-        "tracing {} on {}: {} transfers, load {}, slot {}s",
-        setup.engine_name,
-        setup.net_name,
-        setup.requests.len(),
-        setup.load,
-        setup.slot
-    );
-    let probes = Probes {
-        recorder,
-        scope,
-        ..Default::default()
-    };
+    let setup = RunSetup::read(args);
+    let mut flags = ProbeFlags::read(args);
+    flags.scope = true;
+    let trace: Option<usize> = args.parse_opt("--trace");
+    args.reject_unread();
+    let (probes, _server) = flags.probes(&setup.meta());
+    eprintln!("tracing {}", setup.describe());
     let result = setup.run(&probes);
     let scope = &probes.scope;
 
     if let Some(id) = trace {
         match scope.render_transfer_trace(id) {
             Some(trace) => print!("{trace}"),
-            None => {
-                eprintln!("owan-cli transfers: no transfer with id {id}");
-                std::process::exit(2);
-            }
+            None => fail(&args.cmd, 2, format!("no transfer with id {id}")),
         }
     } else {
         print!("{}", scope.render_transfers().unwrap_or_default());
@@ -1774,55 +1642,62 @@ fn transfers_main(args: &Args) -> ! {
             result.slots
         );
     }
-    write_trace(" transfers", &probes, &scope_trace);
+    flags.export(&probes, &[]);
     std::process::exit(0);
+}
+
+/// When `top`'s dashboard frames are due: one every `interval` seconds
+/// from the start. A poll that lands late draws one frame and skips the
+/// ones it missed.
+struct FrameClock {
+    interval: f64,
+    next: f64,
+}
+
+impl FrameClock {
+    fn new(interval: f64) -> Self {
+        FrameClock {
+            interval,
+            next: interval,
+        }
+    }
+
+    /// True when a frame is due `elapsed` seconds in; schedules the next.
+    fn due(&mut self, elapsed: f64) -> bool {
+        if elapsed < self.next {
+            return false;
+        }
+        while self.next <= elapsed {
+            self.next += self.interval;
+        }
+        true
+    }
 }
 
 /// `owan-cli top`: run the workload on a background thread and print a
 /// refreshing dashboard from the live recorder until it finishes.
 fn top_main(args: &Args) -> ! {
-    let setup = run_setup(args);
-    let scope = scope_from_args(args, &setup, "sim", false);
-    let recorder = Recorder::enabled();
+    let setup = RunSetup::read(args);
+    let mut flags = ProbeFlags::read(args);
+    flags.record = true;
     let interval = args.parse("--interval", 2.0f64).max(0.1);
-    let serve_addr = args.get("--serve");
-    args.reject_unread(" top");
-    let server = serve_addr.map(|addr| {
-        let server = MetricsServer::spawn(addr, recorder.clone()).unwrap_or_else(|e| {
-            eprintln!("owan-cli top: cannot bind --serve address '{addr}': {e}");
-            std::process::exit(2);
-        });
-        eprintln!("serving /metrics on http://{}", server.addr());
-        server
-    });
+    args.reject_unread();
+    let (probes, _server) = flags.probes(&setup.meta());
+    eprintln!("running {} (dashboard every {interval}s)", setup.describe());
 
-    eprintln!(
-        "running {} on {}: {} transfers, load {}, slot {}s (dashboard every {interval}s)",
-        setup.engine_name,
-        setup.net_name,
-        setup.requests.len(),
-        setup.load,
-        setup.slot
-    );
-
+    let recorder = probes.recorder.clone();
     let start = std::time::Instant::now();
-    let probes = Probes {
-        recorder: recorder.clone(),
-        scope,
-        ..Default::default()
-    };
-    let handle = std::thread::spawn(move || setup.run(&probes));
+    let handle = std::thread::spawn(move || (setup.run(&probes), probes));
+    let mut frames = FrameClock::new(interval);
     while !handle.is_finished() {
         std::thread::sleep(std::time::Duration::from_secs_f64(interval.min(0.25)));
-        if start.elapsed().as_secs_f64() >= interval {
-            print!(
-                "{}",
-                render_top(&recorder.snapshot(), start.elapsed().as_secs_f64())
-            );
+        let elapsed = start.elapsed().as_secs_f64();
+        if frames.due(elapsed) {
+            print!("{}", render_top(&recorder.snapshot(), elapsed));
             println!();
         }
     }
-    let result = handle.join().expect("sim thread panicked");
+    let (result, probes) = handle.join().expect("sim thread panicked");
     println!("=== final ===");
     print!(
         "{}",
@@ -1839,7 +1714,7 @@ fn top_main(args: &Args) -> ! {
         result.slots,
         result.makespan_s
     );
-    drop(server);
+    flags.export(&probes, &[]);
     std::process::exit(0);
 }
 
@@ -1849,73 +1724,23 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    match std::env::args().nth(1).as_deref() {
-        Some("verify") => verify_main(&args),
-        Some("chaos") => chaos_main(&args),
-        Some("attack") => attack_main(&args),
-        Some("explain") => explain_main(&args),
-        Some("slo") => slo_main(&args),
-        Some("transfers") => transfers_main(&args),
-        Some("top") => top_main(&args),
+    match args.cmd.trim_start() {
+        "verify" => verify_main(&args),
+        "chaos" => chaos_main(&args),
+        "attack" => attack_main(&args),
+        "explain" => explain_main(&args),
+        "slo" => slo_main(&args),
+        "transfers" => transfers_main(&args),
+        "top" => top_main(&args),
         _ => {}
     }
 
-    let setup = run_setup(&args);
-    let obs_path = args.get("--obs").map(str::to_string);
-    let obs_summary = args.flag("--obs-summary");
-    let scope_trace = args.get("--scope-trace").map(str::to_string);
-    let scope_dump = args.get("--scope-dump").map(str::to_string);
-    let serve_addr = args.get("--serve").map(str::to_string);
-    let scope = scope_from_args(&args, &setup, "sim", false);
-    let prof_path = args.get("--prof").map(str::to_string);
-    let prof_report = args.flag("--prof-report");
-    args.reject_unread("");
-    let prof = if prof_path.is_some() || prof_report {
-        Profiler::enabled()
-    } else {
-        Profiler::disabled()
-    };
-
-    let recorder = if obs_path.is_some()
-        || obs_summary
-        || prof_report
-        || scope.is_enabled()
-        || serve_addr.is_some()
-    {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    let server = serve_addr.map(|addr| {
-        let server = MetricsServer::spawn(&addr, recorder.clone()).unwrap_or_else(|e| {
-            eprintln!("owan-cli: cannot bind --serve address '{addr}': {e}");
-            std::process::exit(2);
-        });
-        eprintln!("serving /metrics on http://{}", server.addr());
-        server
-    });
-
-    eprintln!(
-        "running {} on {}: {} transfers, load {}, slot {}s",
-        setup.engine_name,
-        setup.net_name,
-        setup.requests.len(),
-        setup.load,
-        setup.slot
-    );
-    let probes = Probes {
-        recorder,
-        scope,
-        prof,
-        ..Default::default()
-    };
+    let setup = RunSetup::read(&args);
+    let flags = ProbeFlags::read(&args);
+    args.reject_unread();
+    let (probes, _server) = flags.probes(&setup.meta());
+    eprintln!("running {}", setup.describe());
     let result = setup.run(&probes);
-    let Probes {
-        recorder,
-        scope,
-        prof,
-        ..
-    } = &probes;
 
     println!("engine,{}", result.engine);
     println!("network,{}", setup.net_name);
@@ -1948,46 +1773,35 @@ fn main() {
         println!("{}_avg_s,{avg:.0}", bin.label().to_lowercase());
         println!("{}_p95_s,{p95:.0}", bin.label().to_lowercase());
     }
-    if scope.is_enabled() {
-        println!(
-            "scope_dumped,{}",
-            if scope.has_dumped() { "yes" } else { "no" }
-        );
-        report_dump("", scope, scope_dump.as_deref());
-        write_trace("", &probes, &scope_trace);
-    }
-    write_folded("", prof, &prof_path);
-    if prof_report {
-        print!("{}", prof.snapshot().format_tree());
-        let snapshot = recorder.snapshot();
-        let table = format_counter_table(&snapshot, "anneal.cache_miss.");
-        if table.lines().count() > 1 {
-            print!("{table}");
-        }
-        // What the rate passes did: passes run, paths examined,
-        // allocations made, starvation promotions.
-        let rates = format_counter_table(&snapshot, "rates.");
-        if rates.lines().count() > 1 {
-            print!("{rates}");
-        }
+    print_scope_dumped(&probes.scope);
+    flags.export(&probes, &[]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FrameClock;
+
+    /// Polled every 0.25 s for 5 s at a 1 s interval, the dashboard draws
+    /// at 1, 2, 3, 4 and 5 s — not on every poll once the first interval
+    /// has passed.
+    #[test]
+    fn top_draws_one_frame_per_interval() {
+        let mut clock = FrameClock::new(1.0);
+        let drawn: Vec<f64> = (1..=20)
+            .map(|i| f64::from(i) * 0.25)
+            .filter(|&t| clock.due(t))
+            .collect();
+        assert_eq!(drawn, [1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
-    write_obs("", recorder, &obs_path);
-    if recorder.is_enabled() && obs_summary {
-        print!(
-            "{}",
-            format_stage_table(
-                &recorder.snapshot(),
-                &[
-                    ("slot", "stage.slot"),
-                    ("anneal", "stage.anneal"),
-                    ("anneal iteration", "stage.anneal.iter"),
-                    ("circuit build", "stage.circuits"),
-                    ("rate assignment", "stage.rates"),
-                    ("update scheduling", "stage.update"),
-                ],
-            )
-        );
+    /// A poll that lands several intervals late draws one frame, and the
+    /// next is due at the next interval boundary.
+    #[test]
+    fn a_late_poll_skips_the_missed_frames() {
+        let mut clock = FrameClock::new(2.0);
+        assert!(!clock.due(1.9));
+        assert!(clock.due(7.5));
+        assert!(!clock.due(7.9));
+        assert!(clock.due(8.0));
     }
-    drop(server);
 }

@@ -1,8 +1,12 @@
 //! `owan-cli` end to end through the binary: what each command prints on
-//! a small seeded scenario is pinned byte for byte.
+//! a small seeded scenario is pinned byte for byte, every scenario
+//! command takes the same probe options, and the attack command
+//! reproduces the recovery matrix's fixed-topology cell.
 
 use std::path::PathBuf;
 use std::process::Command;
+
+use owan::scope::jsonv::{self, Json};
 
 fn owan_cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_owan-cli"))
@@ -128,3 +132,114 @@ const CLI_GOLDEN: [(&str, u64); 8] = [
     ("explain", 0xe650c7a4edc530ca),
     ("slo", 0xf89364fa8994726f),
 ];
+
+/// Every scenario command takes the same probe options: on a tiny
+/// internet2 scenario, each writes `--obs` JSON Lines whose every line
+/// parses and a `--scope-trace` Chrome trace that parses.
+#[test]
+fn every_scenario_command_takes_the_probe_options() {
+    let dir = temp_dir("owan_cli_probe_options");
+    let run = ["--iters", "5", "--max-requests", "2", "--duration", "600"];
+    let chaos = ["--iters", "5", "--slots", "2"];
+    let commands: [(&str, &[&str]); 7] = [
+        ("run", &run),
+        ("transfers", &[&["transfers"][..], &run].concat()),
+        ("top", &[&["top", "--interval", "100"][..], &run].concat()),
+        ("chaos", &[&["chaos"][..], &chaos].concat()),
+        (
+            "attack",
+            &[
+                &["attack", "--net", "internet2", "--max-requests", "2"][..],
+                &chaos,
+            ]
+            .concat(),
+        ),
+        ("explain", &[&["explain"][..], &run].concat()),
+        ("slo", &[&["slo"][..], &run].concat()),
+    ];
+    for (name, args) in commands {
+        let obs = dir.join(format!("{name}.jsonl"));
+        let trace = dir.join(format!("{name}.trace.json"));
+        let out = owan_cli()
+            .args(args)
+            .arg("--obs")
+            .arg(&obs)
+            .arg("--scope-trace")
+            .arg(&trace)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: {stderr}");
+
+        let jsonl = std::fs::read_to_string(&obs).unwrap();
+        assert!(jsonl.lines().count() > 0, "{name}: empty --obs export");
+        for line in jsonl.lines() {
+            jsonv::parse(line).unwrap_or_else(|e| panic!("{name}: {e}: {line}"));
+        }
+        let doc = jsonv::parse(&std::fs::read_to_string(&trace).unwrap())
+            .unwrap_or_else(|e| panic!("{name}: --scope-trace is not JSON: {e}"));
+        let events = doc.get("traceEvents").and_then(Json::as_arr);
+        assert!(
+            events.is_some_and(|e| !e.is_empty()),
+            "{name}: no trace events"
+        );
+    }
+}
+
+/// The comparison the attack suite exists for, at the quick recovery
+/// matrix's scale (40 background transfers over an 1 800 s window, 16
+/// slots, 60 iterations): the coremelt that the annealed controller
+/// routes around leaves the fixed-topology max-flow baseline with
+/// permanent residual loss. `owan-cli attack` prints the matrix's
+/// checked-in `coremelt_maxflow_*` cell.
+#[test]
+fn maxflow_does_not_recover_from_coremelt() {
+    let out = stdout_of(&[
+        "attack",
+        "--net",
+        "isp",
+        "--engine",
+        "maxflow",
+        "--attack",
+        "coremelt",
+        "--slots",
+        "16",
+        "--iters",
+        "60",
+        "--max-requests",
+        "40",
+        "--duration",
+        "1800",
+    ]);
+    let row = |key: &str| -> &str {
+        out.lines()
+            .find_map(|l| l.strip_prefix(key)?.strip_prefix(','))
+            .unwrap_or_else(|| panic!("no {key} row:\n{out}"))
+    };
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_attack_quick.json");
+    let matrix = jsonv::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let cell = |key: &str| {
+        matrix
+            .get(&format!("coremelt_maxflow_{key}"))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("no coremelt_maxflow_{key} in {path}"))
+    };
+    assert_eq!(row("time_to_restore_slots"), "never");
+    assert_eq!(
+        cell("time_to_restore_slots"),
+        -1.0,
+        "never serializes as -1"
+    );
+    assert_eq!(row("residual_loss_gbits"), "167837");
+    for key in [
+        "residual_loss_gbits",
+        "baseline_delivered_gbits",
+        "attacked_background_gbits",
+        "restored_slots",
+        "peak_victim_util",
+        "injected_gbits",
+    ] {
+        assert_eq!(row(key).parse::<f64>().unwrap(), cell(key), "{key}");
+    }
+    assert_eq!(row("deterministic"), "yes");
+}
