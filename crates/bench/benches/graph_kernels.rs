@@ -1,7 +1,7 @@
 //! Criterion benches for the graph substrate kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use owan_graph::{dijkstra, k_shortest_paths, matching, max_flow, FlowNetwork, Graph};
+use owan_graph::{dijkstra, k_shortest_paths, max_flow, FlowNetwork, Graph};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random mesh: `n` nodes on a ring plus chords.
@@ -48,18 +48,5 @@ fn bench_dinic(c: &mut Criterion) {
     });
 }
 
-fn bench_blossom(c: &mut Criterion) {
-    let g = mesh(60);
-    c.bench_function("blossom/60_nodes", |b| {
-        b.iter(|| matching::maximum_matching(black_box(&g)))
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_dijkstra,
-    bench_yen,
-    bench_dinic,
-    bench_blossom
-);
+criterion_group!(benches, bench_dijkstra, bench_yen, bench_dinic);
 criterion_main!(benches);

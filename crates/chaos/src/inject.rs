@@ -78,26 +78,6 @@ impl OpFaultModel {
     }
 }
 
-/// A complete chaos scenario: a timed fault/repair schedule plus an
-/// update-op fault model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosSpec {
-    /// Timed plant and controller faults (need not be sorted).
-    pub events: Vec<FaultEvent>,
-    /// Per-attempt update-op faults.
-    pub op_faults: OpFaultModel,
-}
-
-impl ChaosSpec {
-    /// A scenario with no faults at all (useful as a baseline run).
-    pub fn quiet() -> Self {
-        ChaosSpec {
-            events: Vec::new(),
-            op_faults: OpFaultModel::none(),
-        }
-    }
-}
-
 /// Builds a deterministic mixed scenario from `seed`: one fiber cut
 /// (repaired later), one amplifier degradation (also repaired), one
 /// controller crash, and — on plants with redundant ports — one site

@@ -40,7 +40,7 @@ pub use attack::{
     recovery_metrics, run_attack, AttackOutcome, AttackTimeline, ComposedScenario, RecoveryMetrics,
 };
 pub use fault::{plants_equal, FaultEvent, FaultKind, FaultState};
-pub use inject::{seeded_scenario, ChaosSpec, OpFaultModel};
+pub use inject::{seeded_scenario, OpFaultModel};
 pub use runner::{
     restartable_owan, run_chaos, run_chaos_probed, AuditHook, ChaosConfig, ChaosResult, ChaosStats,
     SlotAudit,

@@ -399,9 +399,17 @@ pub fn run_chaos_probed(
             slot_len_s: config.slot_len_s,
             now_s: now,
         };
+        // The slot record's stage shares, read off the engine's stage
+        // totals (the `simulate_probed` way) only when a record is kept
+        // and the totals are timed.
+        let stage_marks = (trace_on && recorder.is_enabled()).then(|| telem.stage_totals());
         let plan_start_ns = recorder.now_ns();
         let mut plan = eng.plan_slot(believed_plant, &input);
         let plan_ns = recorder.now_ns().saturating_sub(plan_start_ns);
+        let [anneal_ns, circuits_ns, rates_ns] = stage_marks.map_or([0; 3], |before| {
+            let after = telem.stage_totals();
+            std::array::from_fn(|i| after[i] - before[i])
+        });
         let fallback = match plan_is_feasible(&plan, theta) {
             Err(e) => Some(e.to_string()),
             Ok(()) if !plan.topology.ports_feasible(believed_plant) => {
@@ -588,9 +596,9 @@ pub fn run_chaos_probed(
                 end_ns: recorder.now_ns().max(slot_start_ns),
                 plan_start_ns,
                 plan_ns,
-                anneal_ns: 0,
-                circuits_ns: 0,
-                rates_ns: 0,
+                anneal_ns,
+                circuits_ns,
+                rates_ns,
                 update_ns,
                 update_ops: slot_ops,
                 throughput_gbps: achieved.throughput_gbps,

@@ -153,36 +153,31 @@ fn neighbor_into(s: &Topology, rng: &mut StdRng, out: &mut Topology) -> bool {
 }
 
 /// Runs simulated annealing (Algorithm 1) from `initial`, maximizing the
-/// energy of Algorithm 3 under `ctx`.
+/// energy of Algorithm 3 under `ctx`, against an ephemeral
+/// [`EnergyCache`] and with telemetry off.
 pub fn anneal(ctx: &EnergyContext<'_>, initial: &Topology, config: &AnnealConfig) -> AnnealResult {
-    anneal_observed(ctx, initial, config, &CoreTelemetry::disabled())
-}
-
-/// [`anneal`] with telemetry: counts iterations and accepted/rejected
-/// moves, times each iteration (= one temperature stage, since `T *= α`
-/// every iteration), and emits sampled energy-trajectory events. The
-/// search itself is bit-for-bit identical to the unobserved run — the
-/// recorder never touches the RNG or the accept decisions.
-///
-/// An ephemeral [`EnergyCache`] accelerates the run; pass a persistent
-/// cache to [`anneal_with_cache`] instead to reuse the plant-scoped layers
-/// across slots.
-pub fn anneal_observed(
-    ctx: &EnergyContext<'_>,
-    initial: &Topology,
-    config: &AnnealConfig,
-    telemetry: &CoreTelemetry,
-) -> AnnealResult {
     let mut cache = EnergyCache::new();
-    anneal_with_cache(ctx, initial, config, Some(&mut cache), telemetry)
+    anneal_with_cache(
+        ctx,
+        initial,
+        config,
+        Some(&mut cache),
+        &CoreTelemetry::disabled(),
+    )
 }
 
-/// [`anneal_observed`] against an explicit cache. `None` selects the naive
-/// reference backend, which scores every candidate with a full
-/// [`compute_energy`](crate::energy::compute_energy); the differential
-/// suites compare against it, and nothing else selects it. The search
-/// result is bit-identical across `cache` choices; only wall-clock and
-/// the work-performed counters differ.
+/// [`anneal`] against an explicit cache and with telemetry: counts
+/// iterations and accepted/rejected moves, times each iteration (= one
+/// temperature stage, since `T *= α` every iteration), and emits sampled
+/// energy-trajectory events. The recorder never touches the RNG or the
+/// accept decisions, so the search is bit-for-bit the unobserved one.
+///
+/// A persistent cache reuses the plant-scoped layers across slots. `None`
+/// selects the naive reference backend, which scores every candidate with
+/// a full [`compute_energy`](crate::energy::compute_energy); the
+/// differential suites compare against it, and nothing else selects it.
+/// The search result is bit-identical across `cache` choices; only
+/// wall-clock and the work-performed counters differ.
 pub fn anneal_with_cache(
     ctx: &EnergyContext<'_>,
     initial: &Topology,
@@ -335,22 +330,11 @@ pub fn chain_seed(seed: u64, i: usize) -> u64 {
 /// best result, with deterministic reduction: chains are compared in chain
 /// order and a later chain replaces the incumbent only on *strictly*
 /// greater energy, so ties always resolve to the lowest chain index —
-/// scheduling cannot influence the winner. Each chain gets its own
-/// ephemeral [`EnergyCache`]; caches are never shared between threads.
-pub fn anneal_parallel(
-    ctx: &EnergyContext<'_>,
-    initial: &Topology,
-    config: &AnnealConfig,
-    chains: usize,
-    telemetry: &CoreTelemetry,
-) -> AnnealResult {
-    let mut caches: Vec<EnergyCache> = (0..chains).map(|_| EnergyCache::new()).collect();
-    anneal_parallel_pooled(ctx, initial, config, chains, &mut caches, None, telemetry)
-}
-
-/// [`anneal_parallel`] against caller-owned caches, so the plant-scoped
-/// cache layers persist across slots: `caches` holds at least `chains`
-/// entries, and chain `i` uses `caches[i]`.
+/// scheduling cannot influence the winner.
+///
+/// The caches are the caller's, so the plant-scoped cache layers persist
+/// across slots: `caches` holds at least `chains` entries, chain `i` uses
+/// `caches[i]`, and no cache is shared between threads.
 ///
 /// Chain 0 is the sequential run: with `chains == 1` this executes inline
 /// (no thread spawn) and returns exactly what [`anneal_with_cache`] would.
@@ -635,7 +619,9 @@ mod tests {
             let recorder = owan_obs::Recorder::enabled();
             let telemetry = CoreTelemetry::new(&recorder);
             if cached {
-                anneal_parallel(&ctx, &ring, &cfg, chains, &telemetry);
+                let mut caches: Vec<EnergyCache> =
+                    (0..chains).map(|_| EnergyCache::new()).collect();
+                anneal_parallel_pooled(&ctx, &ring, &cfg, chains, &mut caches, None, &telemetry);
             } else {
                 anneal_with_cache(&ctx, &ring, &cfg, None, &telemetry);
             }

@@ -236,7 +236,7 @@ impl PlantCache {
     }
 
     /// The relay domain of pair `(u, v)` as a site row (see
-    /// [`row_sites`](crate::rows::row_sites)).
+    /// [`row_sites`]).
     pub fn domain(&self, u: SiteId, v: SiteId) -> &[u64] {
         let (a, b) = if u <= v { (u, v) } else { (v, u) };
         let w = self.reach.words();

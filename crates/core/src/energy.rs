@@ -81,22 +81,13 @@ impl<'a> EnergyContext<'a> {
 
 /// Computes the energy of `topology` (Algorithm 3).
 pub fn compute_energy(ctx: &EnergyContext<'_>, topology: &Topology) -> EnergyOutcome {
-    compute_energy_observed(ctx, topology, &CoreTelemetry::disabled())
+    let telemetry = CoreTelemetry::disabled();
+    compute_energy_with(ctx, topology, &ctx.rate_inputs(&telemetry), &telemetry)
 }
 
-/// [`compute_energy`] with telemetry: the circuit-construction and
-/// rate-assignment halves each run under their own span, so annealing
-/// wall time splits into its two dominant costs. The outcome is identical
-/// to the unobserved call.
-pub fn compute_energy_observed(
-    ctx: &EnergyContext<'_>,
-    topology: &Topology,
-    telemetry: &CoreTelemetry,
-) -> EnergyOutcome {
-    compute_energy_with(ctx, topology, &ctx.rate_inputs(telemetry), telemetry)
-}
-
-/// The naive evaluation over rate inputs built by the caller.
+/// The naive evaluation over rate inputs built by the caller. The
+/// circuit-construction and rate-assignment halves each run under their
+/// own span, so annealing wall time splits into its two dominant costs.
 pub(crate) fn compute_energy_with(
     ctx: &EnergyContext<'_>,
     topology: &Topology,
@@ -140,7 +131,7 @@ pub(crate) fn compute_energy_with(
 /// the cache's plant tables with relay candidates drawn lazily — and a
 /// rate pass that stops at the throughput; circuits and allocations are
 /// materialised by `finish` alone. Without a cache every score is a
-/// [`compute_energy_observed`] whose outcome is dropped, so callers toggle
+/// naive evaluation whose outcome is dropped, so callers toggle
 /// the fast path with an `Option` and nothing else.
 ///
 /// Both backends produce bit-identical scores and outcomes (debug builds

@@ -10,12 +10,12 @@
 //! 1. [`anneal`](anneal::anneal) — simulated annealing over topology
 //!    multigraphs (Algorithm 1), seeded from the current topology, with the
 //!    degree-preserving four-link neighbor move (Algorithm 2);
-//! 2. [`compute_energy`](energy::compute_energy) — the energy of a
+//! 2. [`compute_energy`] — the energy of a
 //!    candidate topology (Algorithm 3): provision optical circuits for
 //!    every link through the [`regen`]erator graph, then greedily assign
 //!    multi-path [`rates`] shortest-paths-first under SJF/EDF ordering;
-//! 3. [`OwanEngine`](engine::OwanEngine) — the per-slot driver implementing
-//!    the [`TrafficEngineer`](engine::TrafficEngineer) interface shared
+//! 3. [`OwanEngine`] — the per-slot driver implementing
+//!    the [`TrafficEngineer`] interface shared
 //!    with the baselines in `owan-te`.
 //!
 //! # Quick start
@@ -58,17 +58,14 @@ pub mod topology;
 pub mod types;
 
 pub use anneal::{
-    anneal, anneal_observed, anneal_parallel, anneal_parallel_pooled, anneal_with_cache,
-    chain_seed, AnnealConfig, AnnealResult,
+    anneal, anneal_parallel_pooled, anneal_with_cache, chain_seed, AnnealConfig, AnnealResult,
 };
 pub use cache::{plant_fingerprint, EnergyCache, EnergyCacheStats, MissReason, PlantCache};
 pub use circuits::{
     build_topology, build_topology_cached, build_topology_observed, BuiltTopology,
     CircuitBuildConfig, TopologyLedger, MAX_DELTA_UNITS,
 };
-pub use energy::{
-    compute_energy, compute_energy_observed, EnergyContext, EnergyEvaluator, EnergyOutcome,
-};
+pub use energy::{compute_energy, EnergyContext, EnergyEvaluator, EnergyOutcome};
 pub use engine::{
     default_topology, random_topology, repair_spare_ports, OwanConfig, OwanEngine, SlotInput,
     SlotPlan, TrafficEngineer,
@@ -76,9 +73,8 @@ pub use engine::{
 pub use groups::{effective_bottleneck_s, group_completion_s, sebf_order, TransferGroup};
 pub use pool::EvalPool;
 pub use rates::{
-    assign_rates, assign_rates_observed, assign_rates_ordered, assign_rates_ordered_observed,
-    assign_rates_reference, assign_rates_with, RateAssignConfig, RateInputs, RateOutcome,
-    RateScratch,
+    assign_rates, assign_rates_ordered, assign_rates_reference, assign_rates_with,
+    RateAssignConfig, RateInputs, RateOutcome, RateScratch,
 };
 pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch, RelaySearch};
 pub use telemetry::CoreTelemetry;

@@ -596,32 +596,10 @@ pub fn assign_rates(
     slot_len_s: f64,
     config: &RateAssignConfig,
 ) -> RateOutcome {
-    assign_rates_observed(
-        topology,
-        theta,
-        transfers,
-        policy,
-        slot_len_s,
-        config,
-        &CoreTelemetry::disabled(),
-    )
-}
-
-/// [`assign_rates`] with telemetry: counts candidate paths examined,
-/// allocations made, and transfers promoted by the starvation guard. The
-/// outcome is identical to the unobserved call.
-pub fn assign_rates_observed(
-    topology: &Topology,
-    theta: f64,
-    transfers: &[Transfer],
-    policy: SchedulingPolicy,
-    slot_len_s: f64,
-    config: &RateAssignConfig,
-    telemetry: &CoreTelemetry,
-) -> RateOutcome {
-    let inputs = RateInputs::new(transfers, policy, slot_len_s, config, telemetry);
+    let telemetry = CoreTelemetry::disabled();
+    let inputs = RateInputs::new(transfers, policy, slot_len_s, config, &telemetry);
     let mut scratch = RateScratch::default();
-    assign_rates_with(topology, theta, &inputs, config, &mut scratch, telemetry)
+    assign_rates_with(topology, theta, &inputs, config, &mut scratch, &telemetry)
 }
 
 /// Like [`assign_rates`] but with an explicit transfer order — used by the
@@ -635,32 +613,16 @@ pub fn assign_rates_ordered(
     slot_len_s: f64,
     config: &RateAssignConfig,
 ) -> RateOutcome {
-    assign_rates_ordered_observed(
-        topology,
-        theta,
-        transfers,
-        order,
-        slot_len_s,
-        config,
-        &CoreTelemetry::disabled(),
-    )
-}
-
-/// [`assign_rates_ordered`] with telemetry; see
-/// [`assign_rates_observed`].
-#[allow(clippy::too_many_arguments)]
-pub fn assign_rates_ordered_observed(
-    topology: &Topology,
-    theta: f64,
-    transfers: &[Transfer],
-    order: &[usize],
-    slot_len_s: f64,
-    config: &RateAssignConfig,
-    telemetry: &CoreTelemetry,
-) -> RateOutcome {
     let inputs = RateInputs::ordered(transfers, order, slot_len_s);
     let mut scratch = RateScratch::default();
-    assign_rates_with(topology, theta, &inputs, config, &mut scratch, telemetry)
+    assign_rates_with(
+        topology,
+        theta,
+        &inputs,
+        config,
+        &mut scratch,
+        &CoreTelemetry::disabled(),
+    )
 }
 
 /// Residual link capacities over an achieved topology — the reference

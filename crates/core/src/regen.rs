@@ -145,7 +145,7 @@ impl RegenGraph {
 /// with `fiber_dist[sites[i]][sites[j]]` — oriented by *node* order — and
 /// the distance matrix is only symmetric up to summation order, so both
 /// orientations are kept: `fwd` row `x` holds `y` when `fiber_dist[x][y]
-/// <= reach`, `rev` is its transpose, and [`Self::neighbors`] picks per
+/// <= reach`, `rev` is its transpose, and `neighbors` picks per
 /// neighbor the orientation the reference would have used.
 #[derive(Debug, Clone)]
 pub struct ReachRows {
@@ -365,7 +365,7 @@ impl RelayScratch {
 /// The node set is `src`, `dst` and every other site with a free
 /// regenerator; adjacency comes from the plant-scoped [`ReachRows`]; Yen's
 /// spur bans are site rows; every tie-break follows the reference's node
-/// order (see [`rank`]): Dijkstra settles by `(dist, node)` (see
+/// order (see `rank`): Dijkstra settles by `(dist, node)` (see
 /// `RelayScratch::shortest`), the candidate pool yields by `(cost, node
 /// sequence)`, a stitched path costs
 /// `root_costs[i] + spur cost`, and pool/found de-duplication compares

@@ -8,7 +8,7 @@
 //! live in registers and their word loops unroll, which a slice of
 //! run-time length does not allow. Every shipped plant fits one word.
 //!
-//! A plant may have up to [`MAX_SITES`] sites; [`row_words`] asserts it
+//! A plant may have up to [`MAX_SITES`] sites; `row_words` asserts it
 //! where a plant's rows are sized (`ReachRows::build`, hence
 //! `PlantCache::build`, and the rate pass's load).
 

@@ -198,11 +198,6 @@ where
     Some(Path::new(nodes, dist[dst]))
 }
 
-/// Convenience: shortest path between a pair of nodes.
-pub fn shortest_path_between(g: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
-    shortest_paths(g, src).full_path_to(dst)
-}
-
 /// All-pairs shortest distances, `O(V (V+E) log V)`. Returns a dense matrix
 /// with `f64::INFINITY` for unreachable pairs.
 pub fn all_pairs_distances(g: &Graph) -> Vec<Vec<f64>> {

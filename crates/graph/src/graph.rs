@@ -115,12 +115,6 @@ impl Graph {
         &self.edges[id]
     }
 
-    /// Mutable access to an edge's weight.
-    pub fn set_weight(&mut self, id: EdgeId, weight: f64) {
-        assert!(weight >= 0.0, "edge weight must be non-negative");
-        self.edges[id].weight = weight;
-    }
-
     /// All edge records.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
@@ -245,13 +239,5 @@ mod tests {
     fn negative_weight_panics() {
         let mut g = Graph::new(2);
         g.add_undirected_edge(0, 1, -1.0);
-    }
-
-    #[test]
-    fn set_weight_updates() {
-        let mut g = Graph::new(2);
-        let e = g.add_undirected_edge(0, 1, 1.0);
-        g.set_weight(e, 7.0);
-        assert_eq!(g.edge(e).weight, 7.0);
     }
 }

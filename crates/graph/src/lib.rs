@@ -5,14 +5,16 @@
 //! kernels. The paper's prototype used JGraphT plus a hand-written blossom
 //! implementation ("We have implemented the blossom algorithm for maximum
 //! matching in general graphs and used JGraphT library for other graph
-//! algorithms", §4.2); this crate provides the same toolbox from scratch:
+//! algorithms", §4.2). This crate provides, from scratch, the kernels the
+//! reproduction uses. It has no matching: the topology search
+//! (degree-preserving moves plus `repair_spare_ports` in `owan-core`) never
+//! pairs ports through one.
 //!
 //! * [`Graph`] — a compact weighted multigraph with stable edge ids,
 //! * [`dijkstra`] — single-source shortest paths (with path extraction),
 //! * [`yen`] — Yen's k-shortest loopless paths,
-//! * [`maxflow`] — Dinic's maximum-flow algorithm,
-//! * [`matching`] — maximum cardinality matching in general graphs
-//!   (Edmonds' blossom algorithm).
+//! * [`maxflow`] — Dinic's maximum-flow algorithm, the oracle the LP
+//!   solver's single-commodity programs are checked against.
 //!
 //! All algorithms are deterministic and allocation-conscious; none of them
 //! panic on disconnected inputs (they return empty/`None` results instead).
@@ -35,13 +37,11 @@
 
 pub mod dijkstra;
 pub mod graph;
-pub mod matching;
 pub mod maxflow;
 pub mod yen;
 
 pub use dijkstra::{shortest_paths, ShortestPaths};
 pub use graph::{EdgeId, Graph, NodeId};
-pub use matching::maximum_matching;
 pub use maxflow::{max_flow, FlowNetwork};
 pub use yen::k_shortest_paths;
 

@@ -1,11 +1,11 @@
 //! Property-based tests for the graph substrate.
 //!
 //! Random small graphs are cross-checked against brute-force oracles:
-//! Dijkstra against Bellman-Ford, blossom matching against exhaustive
-//! search, Dinic against the max-flow/min-cut duality, and Yen against its
-//! defining properties (looplessness, sortedness, distinctness).
+//! Dijkstra against Bellman-Ford, Dinic against the max-flow/min-cut
+//! duality, and Yen against its defining properties (looplessness,
+//! sortedness, distinctness).
 
-use owan_graph::{dijkstra, k_shortest_paths, matching, max_flow, FlowNetwork, Graph};
+use owan_graph::{dijkstra, k_shortest_paths, max_flow, FlowNetwork, Graph};
 use proptest::prelude::*;
 
 /// Strategy: a random undirected graph with up to `n` nodes and `m` edges.
@@ -87,38 +87,6 @@ fn brute_simple_path_costs(g: &Graph, src: usize, dst: usize) -> Vec<f64> {
     costs
 }
 
-/// Brute-force maximum matching size by recursion over edges.
-fn brute_matching(g: &Graph) -> usize {
-    let mut edges: Vec<(usize, usize)> = g
-        .edges()
-        .iter()
-        .filter(|e| e.u != e.v)
-        .map(|e| (e.u.min(e.v), e.u.max(e.v)))
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    fn rec(edges: &[(usize, usize)], used: &mut Vec<bool>) -> usize {
-        if edges.is_empty() {
-            return 0;
-        }
-        let (u, v) = edges[0];
-        let rest = &edges[1..];
-        let skip = rec(rest, used);
-        if !used[u] && !used[v] {
-            used[u] = true;
-            used[v] = true;
-            let take = 1 + rec(rest, used);
-            used[u] = false;
-            used[v] = false;
-            skip.max(take)
-        } else {
-            skip
-        }
-    }
-    let mut used = vec![false; g.node_count()];
-    rec(&edges, &mut used)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -150,13 +118,6 @@ proptest! {
                 prop_assert!((cost - p.cost()).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn blossom_matches_brute_force(g in random_graph(7, 12)) {
-        let (mate, k) = matching::maximum_matching(&g);
-        prop_assert!(matching::is_valid_matching(&g, &mate));
-        prop_assert_eq!(k, brute_matching(&g));
     }
 
     #[test]

@@ -54,15 +54,6 @@ impl ManualClock {
     pub fn advance_ns(&self, delta_ns: u64) {
         self.now_ns.fetch_add(delta_ns, Ordering::SeqCst);
     }
-
-    /// Sets the absolute time. Panics if this would move time backwards.
-    pub fn set_ns(&self, t_ns: u64) {
-        let prev = self.now_ns.swap(t_ns, Ordering::SeqCst);
-        assert!(
-            prev <= t_ns,
-            "ManualClock moved backwards: {prev} -> {t_ns}"
-        );
-    }
 }
 
 impl Clock for ManualClock {

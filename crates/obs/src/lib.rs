@@ -19,14 +19,12 @@ mod bundle;
 mod clock;
 mod event;
 pub mod json;
-mod jsonl;
 mod metrics;
 mod recorder;
 mod report;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use event::{Event, Value};
-pub use jsonl::JsonlWriter;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{Recorder, Snapshot, SpanGuard, Stage, DEFAULT_EVENT_CAPACITY};
 pub use report::{format_counter_rows, format_counter_table, format_stage_table};

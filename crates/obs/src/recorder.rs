@@ -194,12 +194,6 @@ impl Recorder {
             events_dropped: ring.dropped,
         }
     }
-
-    /// Writes the full snapshot as JSON Lines: one object per counter,
-    /// gauge, histogram, and event. No-op (Ok) when disabled.
-    pub fn export_jsonl<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        self.snapshot().write_jsonl(writer)
-    }
 }
 
 /// Pre-resolved handles for timing one named pipeline stage.
@@ -237,12 +231,6 @@ impl Stage {
             stage: self,
             start_ns: self.clock.as_ref().map(|clock| clock.now_ns()),
         }
-    }
-
-    /// Times `f`, recording its duration as one span.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _guard = self.enter();
-        f()
     }
 
     /// Records an externally measured duration as one span.
@@ -362,7 +350,7 @@ mod tests {
         counter.add(5);
         assert_eq!(counter.get(), 0);
         let stage = recorder.stage("s");
-        stage.time(|| ());
+        stage.enter().finish();
         assert_eq!(stage.total_ns(), 0);
         recorder.event("e", &[("k", Value::U64(1))]);
         let snap = recorder.snapshot();

@@ -49,11 +49,6 @@ impl Circuit {
     pub fn length_km(&self) -> f64 {
         self.segments.iter().map(|s| s.length_km).sum()
     }
-
-    /// Total number of fiber hops.
-    pub fn fiber_hops(&self) -> usize {
-        self.segments.iter().map(|s| s.fibers.len()).sum()
-    }
 }
 
 /// Why a circuit could not be provisioned.
@@ -378,12 +373,6 @@ impl OpticalState {
         self.occupancy.occupancy_words(fiber)
     }
 
-    /// Whether `channel` is in use on `fiber`.
-    pub fn channel_in_use(&self, fiber: FiberId, channel: u32) -> bool {
-        let (word, bit) = self.occupancy.word_bit(fiber, channel);
-        self.occupancy.channel_words[word] & bit != 0
-    }
-
     /// Number of channels in use on `fiber`.
     pub fn channels_used(&self, fiber: FiberId) -> u32 {
         self.occupancy_words(fiber)
@@ -413,13 +402,6 @@ impl OpticalState {
     /// Number of live circuits.
     pub fn circuit_count(&self) -> usize {
         self.circuits.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// Number of live circuits between `u` and `v` (either direction).
-    pub fn circuits_between(&self, u: SiteId, v: SiteId) -> usize {
-        self.circuits()
-            .filter(|(_, c)| (c.src == u && c.dst == v) || (c.src == v && c.dst == u))
-            .count()
     }
 
     /// Provisions a circuit along the given relay path
@@ -871,17 +853,6 @@ mod tests {
             s.provision(&p, &[0, 1, 0]).unwrap_err(),
             ProvisionError::InvalidRelayPath
         );
-    }
-
-    #[test]
-    fn circuits_between_counts_both_directions() {
-        let p = line_plant(1_000.0, 4);
-        let mut s = OpticalState::new(&p);
-        s.provision_direct(&p, 0, 1).unwrap();
-        s.provision_direct(&p, 1, 0).unwrap();
-        assert_eq!(s.circuits_between(0, 1), 2);
-        assert_eq!(s.circuits_between(1, 0), 2);
-        assert_eq!(s.circuits_between(0, 2), 0);
     }
 
     #[test]

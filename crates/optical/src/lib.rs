@@ -19,11 +19,12 @@
 //!   optional router + pre-deployed regenerators) and fibers,
 //! * [`OpticalState`] — the dynamic state: which wavelength channels are in
 //!   use on which fiber, how many regenerators remain free at each site, and
-//!   the set of provisioned [`Circuit`]s,
-//! * [`power`] — the optical power-budget model of the paper's testbed
-//!   ROADM (§4.1: MUX/splitter/WSS/DEMUX losses, EDFA gain),
-//! * [`roadm`] — per-device ROADM model used by the update scheduler to
-//!   derive reconfiguration timing.
+//!   the set of provisioned [`Circuit`]s.
+//!
+//! Circuit feasibility is the paper's: reach, regenerators and wavelengths.
+//! Like the paper's formulation, the crate assumes the optical power budget
+//! closes on every segment within reach, and it has no per-device ROADM
+//! model; `owan-update` times reconfiguration from its own parameters.
 //!
 //! # Example
 //!
@@ -50,12 +51,8 @@
 
 pub mod circuit;
 pub mod plant;
-pub mod power;
-pub mod roadm;
 
 pub use circuit::{
     Circuit, CircuitId, CircuitLedger, Occupancy, OpticalState, ProvisionError, Segment,
 };
 pub use plant::{Fiber, FiberId, FiberPlant, FiberRoute, OpticalParams, RouteTable, Site, SiteId};
-pub use power::{PowerBudget, SegmentPower};
-pub use roadm::{Roadm, RoadmConfig};

@@ -51,9 +51,9 @@ pub fn attack_timeline_for(scenario: &Scenario) -> AttackTimeline {
 pub struct AttackReplayStats {
     /// Slots the hardened controller planned in (attacked run).
     pub slots: usize,
-    /// Plans checked with [`check_plan`].
+    /// Plans checked with [`check_plan`](crate::check_plan).
     pub plans_checked: usize,
-    /// Update schedules checked with [`check_timeline`].
+    /// Update schedules checked with [`check_timeline`](crate::check_timeline).
     pub updates_checked: usize,
     /// Attack waves composed into the scenario.
     pub waves: usize,

@@ -5,8 +5,8 @@
 //! one-way failure injections, this module replays full chaos timelines
 //! — cuts that heal, sites that blink, amplifier degradation, injected
 //! update-op faults, controller crashes — through
-//! [`owan_chaos::run_chaos`], with [`check_plan`] asserting every slot's
-//! cross-layer invariants on the *believed* plant and [`check_timeline`]
+//! [`owan_chaos::run_chaos`], with [`check_plan`](crate::check_plan) asserting every slot's
+//! cross-layer invariants on the *believed* plant and [`check_timeline`](crate::check_timeline)
 //! asserting blackhole/loop/overload freedom of every executed update
 //! schedule. [`fuzz_chaos`] sweeps seed ranges.
 
@@ -49,9 +49,9 @@ impl Default for ChaosReplayConfig {
 pub struct ChaosReplayStats {
     /// Slots the hardened controller planned in.
     pub slots: usize,
-    /// Plans checked with [`check_plan`].
+    /// Plans checked with [`check_plan`](crate::check_plan).
     pub plans_checked: usize,
-    /// Update schedules checked with [`check_timeline`].
+    /// Update schedules checked with [`check_timeline`](crate::check_timeline).
     pub updates_checked: usize,
     /// Transfers that completed within the horizon.
     pub completed: usize,

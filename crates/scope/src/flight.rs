@@ -202,7 +202,7 @@ impl FlightDump {
         text.lines().next().map(str::trim) == Some(DUMP_HEADER)
     }
 
-    /// Parses and validates a dump produced by [`render_dump`].
+    /// Parses and validates a dump produced by `render_dump`.
     pub fn from_text(text: &str) -> Result<FlightDump, String> {
         let mut lines = text.lines();
         if lines.next().map(str::trim) != Some(DUMP_HEADER) {

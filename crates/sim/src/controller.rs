@@ -3,8 +3,8 @@
 //! [`sim::simulate`](crate::sim::simulate) evaluates scheduling quality
 //! under the paper's assumption that reconfiguration is much faster than a
 //! slot ("a few minutes vs. hundreds or thousands of milliseconds").
-//! [`Controller`] drops that idealization: between consecutive slots it
-//! derives the [`NetworkDelta`](owan_update::NetworkDelta), schedules it
+//! [`run_controller`] drops that idealization: between consecutive slots it
+//! derives the [`NetworkDelta`], schedules it
 //! with the consistent (or one-shot) planner, and charges the transition
 //! against the new slot — traffic ramps to the new allocation only as the
 //! update timeline actually carries it, so heavy optical churn costs real

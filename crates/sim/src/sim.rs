@@ -5,7 +5,7 @@
 //! thousands of milliseconds" (§3.1). Each slot the simulator:
 //!
 //! 1. admits transfers whose arrival time has passed,
-//! 2. asks the engine for a [`SlotPlan`](owan_core::SlotPlan),
+//! 2. asks the engine for a [`SlotPlan`],
 //! 3. verifies the plan is feasible (no link over capacity),
 //! 4. advances every transfer fluidly by its allocated rate, recording
 //!    mid-slot completion times and per-deadline byte counts,

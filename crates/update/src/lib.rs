@@ -35,8 +35,8 @@ pub mod timeline;
 pub use exec::{execute_plan, ExecReport, OpExecution, OpFault, OpStatus, RetryPolicy};
 pub use plan::{
     dependency_edges, dependency_graph_size, plan_consistent, plan_consistent_observed,
-    plan_one_shot, plan_one_shot_observed, CircuitDesc, NetworkDelta, OpKind, PathDesc,
-    ScheduledOp, UpdateParams, UpdatePlan,
+    plan_one_shot, CircuitDesc, NetworkDelta, OpKind, PathDesc, ScheduledOp, UpdateParams,
+    UpdatePlan,
 };
 pub use telemetry::UpdateTelemetry;
 pub use timeline::{throughput_timeline, transition_scale, TimelinePoint};

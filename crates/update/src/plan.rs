@@ -792,26 +792,6 @@ fn plan_consistent_inner(delta: &NetworkDelta, params: &UpdateParams) -> UpdateP
 /// are updated simultaneously in one shot to minimize update completion
 /// time", §5.4).
 pub fn plan_one_shot(delta: &NetworkDelta, params: &UpdateParams) -> UpdatePlan {
-    plan_one_shot_observed(delta, params, &UpdateTelemetry::disabled())
-}
-
-/// [`plan_one_shot`] with telemetry: timed as one `stage.update` span,
-/// counting circuit and path operations (one-shot has no dependency
-/// structure, so the graph counters stay untouched).
-pub fn plan_one_shot_observed(
-    delta: &NetworkDelta,
-    params: &UpdateParams,
-    telemetry: &UpdateTelemetry,
-) -> UpdatePlan {
-    let _span = telemetry.update.enter();
-    if telemetry.recorder.is_enabled() {
-        telemetry
-            .circuit_ops
-            .add((delta.removed_circuits.len() + delta.added_circuits.len()) as u64);
-        telemetry
-            .path_ops
-            .add((delta.removed_paths.len() + delta.added_paths.len()) as u64);
-    }
     let mut ops = Vec::with_capacity(delta.op_count());
     for i in 0..delta.removed_paths.len() {
         ops.push(ScheduledOp {

@@ -15,12 +15,11 @@ mod common;
 use common::{context, fixture, fixture_on, scarce_network};
 use owan::core::anneal::compute_neighbor;
 use owan::core::{
-    anneal_observed, anneal_parallel, anneal_parallel_pooled, anneal_with_cache,
-    assign_rates_reference, assign_rates_with, build_topology, build_topology_cached,
-    build_topology_observed, default_topology, repair_spare_ports, AnnealConfig,
-    CircuitBuildConfig, CoreTelemetry, EnergyCache, EnergyContext, OwanConfig, OwanEngine,
-    RateAssignConfig, RateInputs, RateOutcome, RateScratch, SchedulingPolicy, SlotInput, Topology,
-    TrafficEngineer, Transfer,
+    anneal_parallel_pooled, anneal_with_cache, assign_rates_reference, assign_rates_with,
+    build_topology, build_topology_cached, build_topology_observed, default_topology,
+    repair_spare_ports, AnnealConfig, CircuitBuildConfig, CoreTelemetry, EnergyCache,
+    EnergyContext, OwanConfig, OwanEngine, RateAssignConfig, RateInputs, RateOutcome, RateScratch,
+    SchedulingPolicy, SlotInput, Topology, TrafficEngineer, Transfer,
 };
 use owan::obs::Recorder;
 use owan::optical::{FiberPlant, OpticalParams};
@@ -134,7 +133,8 @@ fn neighbor_moves_keep_the_rng_to_move_mapping() {
     }
 }
 
-/// `anneal_parallel` with one chain is the sequential search, exactly.
+/// `anneal_parallel_pooled` with one chain is the sequential search,
+/// exactly.
 #[test]
 fn parallel_single_chain_equals_sequential() {
     for seed in [0u64, 7, 19] {
@@ -147,8 +147,10 @@ fn parallel_single_chain_equals_sequential() {
             ..Default::default()
         };
         let telemetry = CoreTelemetry::disabled();
-        let seq = anneal_observed(&ctx, &initial, &config, &telemetry);
-        let par = anneal_parallel(&ctx, &initial, &config, 1, &telemetry);
+        let mut seq_cache = EnergyCache::new();
+        let seq = anneal_with_cache(&ctx, &initial, &config, Some(&mut seq_cache), &telemetry);
+        let mut caches = vec![EnergyCache::new()];
+        let par = anneal_parallel_pooled(&ctx, &initial, &config, 1, &mut caches, None, &telemetry);
         assert_eq!(seq.topology, par.topology);
         assert_eq!(seq.energy_gbps().to_bits(), par.energy_gbps().to_bits());
     }
@@ -167,8 +169,11 @@ fn parallel_multi_chain_is_deterministic() {
         ..Default::default()
     };
     let telemetry = CoreTelemetry::disabled();
-    let a = anneal_parallel(&ctx, &initial, &config, 4, &telemetry);
-    let b = anneal_parallel(&ctx, &initial, &config, 4, &telemetry);
+    let run = || {
+        let mut caches: Vec<EnergyCache> = (0..4).map(|_| EnergyCache::new()).collect();
+        anneal_parallel_pooled(&ctx, &initial, &config, 4, &mut caches, None, &telemetry)
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.topology, b.topology);
     assert_eq!(a.energy_gbps().to_bits(), b.energy_gbps().to_bits());
 }

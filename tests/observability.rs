@@ -205,7 +205,7 @@ fn jsonl_export_is_line_structured() {
     recorder.histogram("h", &[1.0]).observe(0.5);
     recorder.event("e", &[("msg", "with \"quotes\" and\nnewline".into())]);
     let mut out: Vec<u8> = Vec::new();
-    recorder.export_jsonl(&mut out).unwrap();
+    recorder.snapshot().write_jsonl(&mut out).unwrap();
     let text = String::from_utf8(out).expect("utf-8");
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 4);

@@ -172,7 +172,7 @@ fn disabled_scope_is_zero_perturbation() {
     }
 }
 
-fn chaos_scope_run(seed: u64) -> (ScopeRecorder, Result<(), String>) {
+fn chaos_scope_run(seed: u64, recorder: Recorder) -> (ScopeRecorder, Result<(), String>) {
     let net = internet2_testbed();
     let requests = generate(&net, &WorkloadConfig::testbed(0.5, seed));
     let plant = net.plant;
@@ -195,6 +195,7 @@ fn chaos_scope_run(seed: u64) -> (ScopeRecorder, Result<(), String>) {
     scope.set_meta("net", "internet2");
     scope.set_meta("seed", seed);
     let probes = Probes {
+        recorder,
         scope,
         ..Default::default()
     };
@@ -216,9 +217,9 @@ fn chaos_scope_run(seed: u64) -> (ScopeRecorder, Result<(), String>) {
 /// two same-seed runs must produce byte-identical dump files.
 #[test]
 fn chaos_flight_dump_is_byte_deterministic() {
-    let (first, outcome) = chaos_scope_run(42);
+    let (first, outcome) = chaos_scope_run(42, Recorder::disabled());
     outcome.expect("chaos run failed");
-    let (second, _) = chaos_scope_run(42);
+    let (second, _) = chaos_scope_run(42, Recorder::disabled());
 
     let a = first
         .dump_text()
@@ -230,6 +231,57 @@ fn chaos_flight_dump_is_byte_deterministic() {
     assert_eq!(dump.reason, "blackhole.undetected_cut");
     assert!(!dump.frames.is_empty());
     assert_eq!(dump.meta["net"], "internet2");
+}
+
+/// A chaos run on a real clock draws each slot's anneal, circuits and
+/// rates spans from the engine's stage totals: some anneal span has a
+/// duration, and in every slot the circuits and rates spans fit inside
+/// the anneal span.
+#[test]
+fn chaos_trace_times_the_planning_stages() {
+    let (scope, outcome) = chaos_scope_run(42, Recorder::enabled());
+    outcome.expect("chaos run failed");
+    let mut raw: Vec<u8> = Vec::new();
+    scope.export_chrome_trace(None, &mut raw).unwrap();
+    let doc = jsonv::parse(&String::from_utf8(raw).unwrap()).expect("valid trace JSON");
+    let events = doc.get("traceEvents").unwrap().as_arr().unwrap().to_vec();
+
+    // Per slot: the anneal, circuits and rates durations, in µs.
+    let mut slots: Vec<[f64; 3]> = Vec::new();
+    let mut open: Vec<(String, f64)> = Vec::new();
+    for ev in &events {
+        let cat = ev.get("cat").unwrap().as_str().unwrap();
+        let ts = ev.get("ts").unwrap().as_f64().unwrap();
+        match ev.get("ph").unwrap().as_str().unwrap() {
+            "B" => {
+                if cat == "sim" {
+                    slots.push([0.0; 3]);
+                }
+                open.push((cat.to_string(), ts));
+            }
+            "E" => {
+                let (open_cat, start) = open.pop().expect("E without matching B");
+                let stage = ["anneal", "circuits", "rates"]
+                    .iter()
+                    .position(|&s| s == open_cat);
+                if let (Some(i), Some(slot)) = (stage, slots.last_mut()) {
+                    slot[i] += ts - start;
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(!slots.is_empty(), "the trace has no slot spans");
+    assert!(
+        slots.iter().any(|[anneal, _, _]| *anneal > 0.0),
+        "every anneal span is zero-length: {slots:?}"
+    );
+    for (slot, [anneal, circuits, rates]) in slots.iter().enumerate() {
+        assert!(
+            circuits + rates <= anneal + 1e-6,
+            "slot {slot}: circuits {circuits} + rates {rates} > anneal {anneal}"
+        );
+    }
 }
 
 /// End to end through the binary: `chaos --scope-dump` writes a dump that
