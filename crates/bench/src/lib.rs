@@ -2,9 +2,8 @@
 //! paper's evaluation (§5).
 //!
 //! Each `fig*` binary in `src/bin/` drives the pipelines in this library
-//! and prints the same rows/series the corresponding figure plots. The
-//! Criterion benches in `benches/` time the algorithm kernels and run
-//! small-scale versions of the same pipelines.
+//! and prints the same rows/series the corresponding figure plots.
+//! Kernel timings live in the `benchmark/` ledger, not here.
 //!
 //! Every pipeline takes a [`Scale`]: `Scale::full()` reproduces the
 //! paper's parameters (two-hour workloads, five-minute slots);

@@ -183,7 +183,7 @@ pub fn plant_fingerprint(plant: &FiberPlant) -> u64 {
 /// - the per-pair **relay domains**: for a pair `(u, v)`, the
 ///   regenerator-equipped sites `s ∉ {u, v}` that a reach-graph path from
 ///   `u` gets to, and that get to `v`, with every interior site equipped —
-///   exactly the criterion for `s` to appear on *some* relay path under
+///   exactly the condition for `s` to appear on *some* relay path under
 ///   *some* free-regenerator vector (`free ≤ total`, so reachability over
 ///   equipped sites over-covers every dynamic one). A site outside the
 ///   domain is never a node the pair's Dijkstra/Yen run can pop or relax

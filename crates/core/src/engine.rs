@@ -83,12 +83,6 @@ pub struct OwanConfig {
     /// ever adds candidate results). The best-of reduction is
     /// deterministic regardless of thread scheduling.
     pub chains: usize,
-    /// Worker budget of the chain evaluation pool: `None` sizes it to the
-    /// machine, `Some(1)` runs every chain inline on the caller thread
-    /// (zero spawn overhead — what a single-core host wants), `Some(w)`
-    /// caps helper threads at `w − 1`. Plans are identical for every
-    /// setting; only wall-clock changes.
-    pub eval_workers: Option<usize>,
 }
 
 impl Default for OwanConfig {
@@ -99,7 +93,6 @@ impl Default for OwanConfig {
             rate: RateAssignConfig::default(),
             policy: SchedulingPolicy::ShortestJobFirst,
             chains: 1,
-            eval_workers: None,
         }
     }
 }
@@ -195,7 +188,7 @@ impl TrafficEngineer for OwanEngine {
             &cfg,
             self.config.chains,
             &mut self.caches,
-            self.config.eval_workers,
+            None,
             &self.telemetry,
         );
         self.fiber_dist = Some((sig, fiber_dist));

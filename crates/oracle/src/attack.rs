@@ -1,22 +1,13 @@
-//! Attack replay: adversarial demand waves composed with chaos fault
-//! timelines, driven through the hardened controller with every attacked
-//! slot audited by both invariant checkers.
-//!
-//! This is the traffic-adversity twin of [`crate::chaos`]: where
-//! [`fuzz_chaos`](crate::chaos::fuzz_chaos) sweeps physical-fault
-//! timelines, [`fuzz_attack`] additionally injects a seeded coremelt
-//! and/or flash-crowd wave into every scenario, so the oracle exercises
+//! The attack kind's demand: a seeded coremelt and/or flash-crowd wave
+//! per fuzz scenario, so a [`ReplayKind::Attack`] replay exercises
 //! exactly the composition the `owan-cli attack` subcommand runs —
 //! detection-delayed believed plant, op faults, controller crashes, and
 //! hostile demand, all at once.
+//!
+//! [`ReplayKind::Attack`]: crate::ReplayKind::Attack
 
-use crate::audit::InvariantAudit;
-use crate::chaos::{chaos_events_for, chaos_inputs, ChaosReplayConfig};
 use crate::fuzz::Scenario;
-use crate::replay::ReplayFailure;
-use owan_chaos::{restartable_owan, run_attack, AttackTimeline};
-use owan_obs::Recorder;
-use owan_sim::Probes;
+use owan_chaos::AttackTimeline;
 use owan_workload::attack::{coremelt, flash_crowd, AttackWave, CoremeltConfig, FlashCrowdConfig};
 
 /// Derives a deterministic attack timeline for a fuzz scenario: a
@@ -46,108 +37,11 @@ pub fn attack_timeline_for(scenario: &Scenario) -> AttackTimeline {
     AttackTimeline::new(waves)
 }
 
-/// What a clean attack replay covered.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AttackReplayStats {
-    /// Slots the hardened controller planned in (attacked run).
-    pub slots: usize,
-    /// Plans checked with [`check_plan`](crate::check_plan).
-    pub plans_checked: usize,
-    /// Update schedules checked with [`check_timeline`](crate::check_timeline).
-    pub updates_checked: usize,
-    /// Attack waves composed into the scenario.
-    pub waves: usize,
-    /// Post-onset slots in the restored state.
-    pub restored_slots: u64,
-    /// True when background delivery recovered to the target fraction
-    /// and held to the end of the horizon.
-    pub recovered: bool,
-}
-
-/// Replays one fuzz scenario with its derived attack timeline composed
-/// into the fault timeline, auditing every attacked slot. Invariant checks
-/// count on the probes' recorder, attack counters land under
-/// `chaos.attack.*`, and the attacked run's timeline flows into the
-/// probes' scope.
-pub fn replay_attack_scenario(
-    scenario: &Scenario,
-    config: &ChaosReplayConfig,
-    probes: &Probes,
-) -> Result<AttackReplayStats, ReplayFailure> {
-    let timeline = attack_timeline_for(scenario);
-    let events = chaos_events_for(scenario);
-    let (chaos_config, op_faults) = chaos_inputs(scenario, config);
-    let mut audit = InvariantAudit::new(probes);
-    let outcome = run_attack(
-        &scenario.plant,
-        &scenario.requests,
-        &timeline,
-        &mut restartable_owan(config.anneal_iterations, scenario.seed),
-        &chaos_config,
-        0.9,
-        &events,
-        &op_faults,
-        probes,
-        Some(&mut |a| audit.check(a)),
-    );
-    let outcome = outcome.map_err(|e| audit.failure(e))?;
-    Ok(AttackReplayStats {
-        slots: outcome.attacked.slots,
-        plans_checked: audit.plans_checked,
-        updates_checked: audit.updates_checked,
-        waves: timeline.waves().len(),
-        restored_slots: outcome.metrics.restored_slots,
-        recovered: outcome.metrics.time_to_restore_slots.is_some(),
-    })
-}
-
-/// Aggregate coverage of a clean attack fuzz sweep.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AttackFuzzStats {
-    /// Scenarios replayed.
-    pub scenarios: usize,
-    /// Total slots planned across all attacked runs.
-    pub slots: usize,
-    /// Total plans checked.
-    pub plans_checked: usize,
-    /// Total update schedules checked.
-    pub updates_checked: usize,
-    /// Total attack waves composed.
-    pub waves: usize,
-    /// Scenarios whose background delivery recovered to the bar.
-    pub recovered: usize,
-}
-
-/// Sweeps `count` seeds starting at `start` through attack replay,
-/// counting every invariant check on `recorder`. On a violation, returns
-/// the failing seed with the failure.
-pub fn fuzz_attack(
-    start: u64,
-    count: u64,
-    config: &ChaosReplayConfig,
-    recorder: &Recorder,
-) -> Result<AttackFuzzStats, (u64, ReplayFailure)> {
-    let probes = Probes {
-        recorder: recorder.clone(),
-        ..Default::default()
-    };
-    let mut stats = AttackFuzzStats::default();
-    for seed in start..start + count {
-        let scenario = Scenario::generate(seed);
-        let s = replay_attack_scenario(&scenario, config, &probes).map_err(|f| (seed, f))?;
-        stats.scenarios += 1;
-        stats.slots += s.slots;
-        stats.plans_checked += s.plans_checked;
-        stats.updates_checked += s.updates_checked;
-        stats.waves += s.waves;
-        stats.recovered += s.recovered as usize;
-    }
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{replay, ReplayKind};
+    use owan_sim::Probes;
 
     #[test]
     fn attack_timeline_is_deterministic_per_scenario() {
@@ -159,8 +53,12 @@ mod tests {
     #[test]
     fn single_attack_replay_is_clean() {
         let s = Scenario::generate(4);
-        let stats = replay_attack_scenario(&s, &ChaosReplayConfig::default(), &Probes::default())
-            .unwrap_or_else(|f| panic!("seed 4 violated: {f}"));
+        let run = || {
+            replay(&s, ReplayKind::Attack, 40, &Probes::default())
+                .unwrap_or_else(|f| panic!("seed 4 violated: {f}"))
+        };
+        let stats = run();
+        assert_eq!(stats, run(), "attack replay is not deterministic");
         assert!(stats.plans_checked > 0);
         assert_eq!(stats.plans_checked, stats.slots);
         assert!(stats.waves > 0);

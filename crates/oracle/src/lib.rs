@@ -20,15 +20,16 @@
 //!    and [`check_timeline`] asserts per-step blackhole/loop/overload
 //!    freedom across an update schedule. Any failure names the violated
 //!    invariant.
-//! 3. **Differential replay** ([`fuzz`], [`replay`], [`chaos`],
-//!    [`attack`]). Seeded random scenarios (plants, request streams,
-//!    failure injections) are driven through the production loop,
-//!    `owan_chaos::run_chaos`, with every planned slot audited by one
-//!    [`InvariantAudit`]. Differential replay drives the production loop:
-//!    the plain replay is `run_chaos` at zero detection delay with no op
-//!    faults, the chaos replay adds repairs, a crash and op faults, the
-//!    attack replay adds adversarial demand. A divergence is shrunk to a
-//!    minimal [`Reproducer`] whose seed regenerates it exactly.
+//! 3. **Differential replay** ([`mod@replay`], with the [`chaos`] and
+//!    [`attack`] timelines). Seeded random scenarios (plants, request
+//!    streams, failure injections) are driven through the production
+//!    loop, `owan_chaos::run_chaos`, by one entry point: [`replay()`] runs a
+//!    scenario under a [`ReplayKind`] — plain (zero detection delay, no
+//!    op faults), chaos (repairs, a crash and op faults) or attack (chaos
+//!    plus adversarial demand) — and [`fuzz()`] sweeps seeds. Every
+//!    planned slot is audited by one [`InvariantAudit`]. A plain-kind
+//!    divergence is shrunk to a minimal [`Reproducer`] whose seed
+//!    regenerates it exactly.
 
 pub mod attack;
 pub mod audit;
@@ -39,14 +40,9 @@ pub mod invariants;
 pub mod lp;
 pub mod replay;
 
-pub use attack::{
-    attack_timeline_for, fuzz_attack, replay_attack_scenario, AttackFuzzStats, AttackReplayStats,
-};
+pub use attack::attack_timeline_for;
 pub use audit::InvariantAudit;
-pub use chaos::{
-    chaos_events_for, fuzz_chaos, replay_chaos_scenario, ChaosFuzzStats, ChaosReplayConfig,
-    ChaosReplayStats,
-};
+pub use chaos::chaos_events_for;
 pub use exact::{
     anneal_gap, best_topology_by_enumeration, EnumerationReport, ExactError, GapReport,
 };
@@ -56,6 +52,5 @@ pub use lp::{
     all_simple_paths, check_rates_lp_feasible, greedy_gap, lp_max_throughput, LpReference,
 };
 pub use replay::{
-    fuzz as fuzz_seeds, minimize, replay_scenario, FuzzStats, ReplayConfig, ReplayFailure,
-    ReplayStats, Reproducer,
+    fuzz, minimize, replay, FuzzStats, ReplayFailure, ReplayKind, ReplayStats, Reproducer,
 };

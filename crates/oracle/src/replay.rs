@@ -1,41 +1,82 @@
 //! Differential replay: drive the production control loop over fuzzed
 //! scenarios and check every invariant at every slot.
 //!
-//! [`replay_scenario`] runs one [`Scenario`] through
-//! `owan_chaos::run_chaos` — the workspace's one failure loop — with zero
-//! detection delay and no injected op faults: the plain §3.4 controller,
-//! removing each failed fiber or site from its plant view as it strikes
-//! and recomputing. Every planned slot is audited by an
-//! [`InvariantAudit`]: the engine's own plan must be feasible on the true
-//! plant (a slot the loop had to fall back on is a `PlanError`),
-//! [`check_plan`](crate::check_plan) holds on it, and
+//! [`replay`] runs one [`Scenario`] through `owan_chaos::run_chaos` — the
+//! workspace's one failure loop — under one of three [`ReplayKind`]s:
+//!
+//! - [`ReplayKind::Plain`]: the plain §3.4 controller. Each failure
+//!   strikes for good and is detected at once, no update op fails, and
+//!   the engine's own plan must be feasible on the true plant (a slot the
+//!   loop had to fall back on is a `PlanError`).
+//! - [`ReplayKind::Chaos`]: the hardened path. The failures heal, a
+//!   controller crash lands mid-run ([`chaos_events_for`]), faults are
+//!   detected [`DETECTION_DELAY_S`] late and update ops time out or fail
+//!   at the kind's rates.
+//! - [`ReplayKind::Attack`]: the chaos timeline at the default op-fault
+//!   rates plus adversarial demand waves ([`attack_timeline_for`]),
+//!   composed through `owan_chaos::run_attack`.
+//!
+//! Every planned slot is audited by an [`InvariantAudit`]:
+//! [`check_plan`](crate::check_plan) on the slot plan and
 //! [`check_timeline`](crate::check_timeline) on the executed update into
-//! it. [`fuzz`] sweeps seed ranges; on divergence the failing scenario is
-//! shrunk by [`minimize`] to a [`Reproducer`] — a seed plus the surviving
+//! it. [`fuzz`] sweeps seed ranges; a plain-kind divergence is shrunk by
+//! [`minimize`] to a [`Reproducer`] — a seed plus the surviving
 //! request/failure indices, which regenerate the minimal case exactly
-//! (generation is deterministic).
+//! (generation is deterministic). Chaos and attack scenarios regenerate
+//! from the seed alone.
 
+use crate::attack::attack_timeline_for;
 use crate::audit::InvariantAudit;
-use crate::chaos::fault_and_repair;
+use crate::chaos::{chaos_events_for, fault_and_repair};
 use crate::fuzz::Scenario;
-use owan_chaos::{restartable_owan, run_chaos_probed, ChaosConfig, FaultEvent, OpFaultModel};
+use owan_chaos::{
+    restartable_owan, run_attack, run_chaos_probed, ChaosConfig, FaultEvent, OpFaultModel,
+    SlotAudit,
+};
 use owan_obs::Recorder;
 use owan_sim::Probes;
 
-/// Replay tunables. The defaults keep debug-mode replay of one scenario
-/// in the low tens of milliseconds so hundreds of seeds fit in a test.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayConfig {
-    /// Annealing iterations per slot (the production default is 400;
-    /// replay shrinks it — the oracle checks hold for *any* iteration
-    /// count).
-    pub anneal_iterations: usize,
+/// Detection delay of the chaos and attack kinds, seconds.
+pub const DETECTION_DELAY_S: f64 = 45.0;
+
+/// Which timeline a replay drives through the failure loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ReplayKind {
+    /// One-way failures detected at once, no op faults, and a fallback
+    /// slot counts as a violation.
+    Plain,
+    /// Healing failures plus a crash, detected [`DETECTION_DELAY_S`]
+    /// late, with update ops failing at these per-attempt rates.
+    Chaos {
+        /// Probability an update op attempt times out.
+        timeout_prob: f64,
+        /// Probability an update op attempt fails fast.
+        fail_prob: f64,
+    },
+    /// The [`ReplayKind::CHAOS`] timeline with attack waves composed in.
+    Attack,
 }
 
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        ReplayConfig {
-            anneal_iterations: 40,
+impl ReplayKind {
+    /// The chaos kind at its default op-fault rates, which the attack
+    /// kind runs under too.
+    pub const CHAOS: ReplayKind = ReplayKind::Chaos {
+        timeout_prob: 0.1,
+        fail_prob: 0.05,
+    };
+
+    fn op_faults(self, seed: u64) -> OpFaultModel {
+        match self {
+            ReplayKind::Plain => OpFaultModel::none(),
+            ReplayKind::Chaos {
+                timeout_prob,
+                fail_prob,
+            } => OpFaultModel {
+                seed,
+                timeout_prob,
+                fail_prob,
+            },
+            ReplayKind::Attack => ReplayKind::CHAOS.op_faults(seed),
         }
     }
 }
@@ -56,9 +97,10 @@ impl std::fmt::Display for ReplayFailure {
 }
 
 /// What a clean replay covered.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Slots the controller planned in.
+    /// Slots the controller planned in (the attacked run's, for the
+    /// attack kind).
     pub slots: usize,
     /// Plans checked with [`check_plan`](crate::check_plan).
     pub plans_checked: usize,
@@ -66,38 +108,85 @@ pub struct ReplayStats {
     pub updates_checked: usize,
     /// Transfers that completed within the horizon.
     pub completed: usize,
+    /// Fault events whose detection delay elapsed during the run.
+    pub faults_detected: u64,
+    /// Controller crash restarts exercised.
+    pub crashes: u64,
+    /// Attack waves composed into the scenario.
+    pub waves: usize,
+    /// True when background delivery recovered to 90 % of the
+    /// attack-free run and held to the end of the horizon.
+    pub recovered: bool,
 }
 
-/// Replays one scenario, checking every invariant at every planned slot.
-/// The checks count on the probes' recorder, and a violation freezes the
-/// probes' scope (see [`InvariantAudit`]).
-pub fn replay_scenario(
+/// Replays one scenario under `kind`, annealing `iterations` per slot
+/// (the oracle checks hold for any count), checking every invariant at
+/// every planned slot. The checks count on the probes' recorder, the
+/// loop's timeline flows into the probes' scope, and a violation freezes
+/// a flight dump of the slots leading up to it (see [`InvariantAudit`]).
+pub fn replay(
     scenario: &Scenario,
-    config: &ReplayConfig,
+    kind: ReplayKind,
+    iterations: usize,
     probes: &Probes,
 ) -> Result<ReplayStats, ReplayFailure> {
-    let events: Vec<FaultEvent> = scenario
-        .failures
-        .iter()
-        .map(|f| FaultEvent::at(f.time_s, fault_and_repair(f.failure).0))
-        .collect();
-    let chaos_config = ChaosConfig {
+    let (events, detection_delay_s) = match kind {
+        ReplayKind::Plain => (
+            scenario
+                .failures
+                .iter()
+                .map(|f| FaultEvent::at(f.time_s, fault_and_repair(f.failure).0))
+                .collect(),
+            0.0,
+        ),
+        _ => (chaos_events_for(scenario), DETECTION_DELAY_S),
+    };
+    let config = ChaosConfig {
         slot_len_s: scenario.slot_len_s,
         max_slots: scenario.max_slots,
-        detection_delay_s: 0.0,
+        detection_delay_s,
         ..Default::default()
     };
+    let op_faults = kind.op_faults(scenario.seed);
+    let mut engine = restartable_owan(iterations, scenario.seed);
     let mut audit = InvariantAudit::new(probes);
-    let result = run_chaos_probed(
-        &scenario.plant,
-        &scenario.requests,
-        &mut restartable_owan(config.anneal_iterations, scenario.seed),
-        &chaos_config,
-        &events,
-        &OpFaultModel::none(),
-        probes,
-        Some(&mut |a| audit.check_engine_plan(a)),
-    );
+    let mut hook = |a: &SlotAudit| match kind {
+        ReplayKind::Plain => audit.check_engine_plan(a),
+        _ => audit.check(a),
+    };
+    let mut stats = ReplayStats::default();
+    let result = match kind {
+        ReplayKind::Attack => {
+            let timeline = attack_timeline_for(scenario);
+            run_attack(
+                &scenario.plant,
+                &scenario.requests,
+                &timeline,
+                &mut engine,
+                &config,
+                0.9,
+                &events,
+                &op_faults,
+                probes,
+                Some(&mut hook),
+            )
+            .map(|outcome| {
+                stats.waves = timeline.waves().len();
+                stats.recovered = outcome.metrics.time_to_restore_slots.is_some();
+                outcome.attacked
+            })
+        }
+        _ => run_chaos_probed(
+            &scenario.plant,
+            &scenario.requests,
+            &mut engine,
+            &config,
+            &events,
+            &op_faults,
+            probes,
+            Some(&mut hook),
+        ),
+    };
     let result = result.map_err(|e| audit.failure(e))?;
     Ok(ReplayStats {
         slots: result.slots,
@@ -108,6 +197,9 @@ pub fn replay_scenario(
             .iter()
             .filter(|c| c.completion_s.is_some())
             .count(),
+        faults_detected: result.stats.faults_detected,
+        crashes: result.stats.crashes,
+        ..stats
     })
 }
 
@@ -202,15 +294,20 @@ fn parse_indices(value: &str) -> Result<Vec<usize>, String> {
 /// keeping any removal that still reproduces *a* violation. The result is
 /// 1-minimal — removing any single surviving element makes the failure
 /// disappear.
-pub fn minimize(scenario: &Scenario, config: &ReplayConfig) -> Reproducer {
+pub fn minimize(scenario: &Scenario, iterations: usize) -> Reproducer {
     let mut request_idx: Vec<usize> = (0..scenario.requests.len()).collect();
     let mut failure_idx: Vec<usize> = (0..scenario.failures.len()).collect();
     let base = Scenario::generate(scenario.seed);
 
     let still_fails = |req: &[usize], fail: &[usize]| -> Option<String> {
-        replay_scenario(&base.subset(req, fail), config, &Probes::default())
-            .err()
-            .map(|f| f.message)
+        replay(
+            &base.subset(req, fail),
+            ReplayKind::Plain,
+            iterations,
+            &Probes::default(),
+        )
+        .err()
+        .map(|f| f.message)
     };
     let mut message = match still_fails(&request_idx, &failure_idx) {
         Some(m) => m,
@@ -267,43 +364,48 @@ pub fn minimize(scenario: &Scenario, config: &ReplayConfig) -> Reproducer {
 /// What a fuzz sweep covered.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FuzzStats {
-    /// Seeds replayed cleanly.
-    pub seeds: u64,
-    /// Total slots executed.
+    /// Scenarios replayed cleanly.
+    pub scenarios: u64,
+    /// Total slots planned.
     pub slots: usize,
     /// Total plans checked.
     pub plans_checked: usize,
-    /// Total transitions checked.
+    /// Total update schedules checked.
     pub updates_checked: usize,
+    /// Total crash restarts exercised.
+    pub crashes: u64,
+    /// Total attack waves composed.
+    pub waves: usize,
+    /// Scenarios whose background delivery recovered.
+    pub recovered: usize,
 }
 
-/// Replays `count` consecutive seeds starting at `start`, counting every
-/// invariant check on `recorder`. Returns stats on success, or the first
-/// failure minimized to a [`Reproducer`]. The minimizer runs unobserved —
-/// its replays probe candidate subsets rather than verify, so counting
-/// them would inflate the check totals.
+/// Replays `count` consecutive seeds starting at `start` under `kind`,
+/// counting every invariant check on `recorder`. Returns the summed
+/// coverage, or the first failing seed with its failure; for the plain
+/// kind, [`minimize`] shrinks that seed's scenario to a [`Reproducer`].
 pub fn fuzz(
     start: u64,
     count: u64,
-    config: &ReplayConfig,
+    kind: ReplayKind,
+    iterations: usize,
     recorder: &Recorder,
-) -> Result<FuzzStats, Reproducer> {
+) -> Result<FuzzStats, (u64, ReplayFailure)> {
     let probes = Probes {
         recorder: recorder.clone(),
         ..Default::default()
     };
     let mut stats = FuzzStats::default();
     for seed in start..start + count {
-        let scenario = Scenario::generate(seed);
-        match replay_scenario(&scenario, config, &probes) {
-            Ok(s) => {
-                stats.seeds += 1;
-                stats.slots += s.slots;
-                stats.plans_checked += s.plans_checked;
-                stats.updates_checked += s.updates_checked;
-            }
-            Err(_) => return Err(minimize(&scenario, config)),
-        }
+        let s =
+            replay(&Scenario::generate(seed), kind, iterations, &probes).map_err(|f| (seed, f))?;
+        stats.scenarios += 1;
+        stats.slots += s.slots;
+        stats.plans_checked += s.plans_checked;
+        stats.updates_checked += s.updates_checked;
+        stats.crashes += s.crashes;
+        stats.waves += s.waves;
+        stats.recovered += s.recovered as usize;
     }
     Ok(stats)
 }
@@ -315,7 +417,7 @@ mod tests {
     #[test]
     fn clean_seed_replays_ok() {
         let scenario = Scenario::generate(0);
-        let stats = replay_scenario(&scenario, &ReplayConfig::default(), &Probes::default())
+        let stats = replay(&scenario, ReplayKind::Plain, 40, &Probes::default())
             .unwrap_or_else(|f| panic!("seed 0 diverged: {f}"));
         assert!(stats.plans_checked > 0);
     }
@@ -341,7 +443,7 @@ mod tests {
     #[test]
     fn minimize_on_passing_scenario_is_graceful() {
         let scenario = Scenario::generate(0);
-        let r = minimize(&scenario, &ReplayConfig::default());
+        let r = minimize(&scenario, 40);
         assert_eq!(r.seed, 0);
         assert!(r.message.contains("not reproducible"));
     }

@@ -6,13 +6,12 @@
 //! `chaos-long` job sweeps a much larger range.
 
 use owan_obs::Recorder;
-use owan_oracle::{fuzz_chaos, replay_chaos_scenario, ChaosReplayConfig, Scenario};
+use owan_oracle::{fuzz, replay, ReplayKind, Scenario};
 use owan_sim::Probes;
 
 #[test]
 fn chaos_fuzz_sweep_is_clean() {
-    let config = ChaosReplayConfig::default();
-    match fuzz_chaos(0, 25, &config, &Recorder::disabled()) {
+    match fuzz(0, 25, ReplayKind::CHAOS, 40, &Recorder::disabled()) {
         Ok(stats) => {
             assert_eq!(stats.scenarios, 25);
             assert!(stats.plans_checked > 0);
@@ -29,31 +28,26 @@ fn chaos_fuzz_sweep_is_clean() {
     }
 }
 
+/// Replaying the same seed twice yields identical coverage.
 #[test]
 fn chaos_replay_is_deterministic() {
     let scenario = Scenario::generate(12);
-    let config = ChaosReplayConfig::default();
-    let a = replay_chaos_scenario(&scenario, &config, &Probes::default()).expect("clean");
-    let b = replay_chaos_scenario(&scenario, &config, &Probes::default()).expect("clean");
-    assert_eq!(a.slots, b.slots);
-    assert_eq!(a.plans_checked, b.plans_checked);
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(a.faults_detected, b.faults_detected);
-    assert_eq!(a.crashes, b.crashes);
+    let a = replay(&scenario, ReplayKind::CHAOS, 40, &Probes::default()).expect("clean");
+    let b = replay(&scenario, ReplayKind::CHAOS, 40, &Probes::default()).expect("clean");
+    assert_eq!(a, b);
 }
 
 #[test]
 fn heavier_op_faults_stay_invariant_clean() {
     // Crank injection rates well past the defaults: invariants must hold
     // regardless of how many ops retry or abort.
-    let config = ChaosReplayConfig {
+    let kind = ReplayKind::Chaos {
         timeout_prob: 0.35,
         fail_prob: 0.25,
-        ..Default::default()
     };
     for seed in [2u64, 5, 9, 14] {
         let scenario = Scenario::generate(seed);
-        if let Err(f) = replay_chaos_scenario(&scenario, &config, &Probes::default()) {
+        if let Err(f) = replay(&scenario, kind, 40, &Probes::default()) {
             panic!("seed {seed} violated under heavy op faults: {f}");
         }
     }

@@ -11,8 +11,7 @@ use owan_core::{
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
 use owan_oracle::invariants::{check_plan, Invariant};
-use owan_oracle::replay::{fuzz, replay_scenario, ReplayConfig};
-use owan_oracle::{InvariantAudit, Scenario};
+use owan_oracle::{fuzz, minimize, replay, InvariantAudit, ReplayKind, Scenario};
 use owan_sim::Probes;
 
 /// The headline acceptance test: 200 seeded scenarios — small random
@@ -23,12 +22,9 @@ use owan_sim::Probes;
 /// reproducer.
 #[test]
 fn two_hundred_seeded_streams_replay_clean() {
-    let config = ReplayConfig {
-        anneal_iterations: 30,
-    };
-    match fuzz(0, 200, &config, &Recorder::disabled()) {
+    match fuzz(0, 200, ReplayKind::Plain, 30, &Recorder::disabled()) {
         Ok(stats) => {
-            assert_eq!(stats.seeds, 200);
+            assert_eq!(stats.scenarios, 200);
             assert!(
                 stats.plans_checked >= 200,
                 "at least one checked plan per seed, got {}",
@@ -39,9 +35,9 @@ fn two_hundred_seeded_streams_replay_clean() {
                 "multi-slot scenarios must exercise the update checker"
             );
         }
-        Err(repro) => panic!(
+        Err((seed, _)) => panic!(
             "replay diverged; minimized reproducer:\n{}",
-            repro.to_text()
+            minimize(&Scenario::generate(seed), 30).to_text()
         ),
     }
 }
@@ -156,14 +152,22 @@ fn genuine_plan_passes_then_corruptions_are_named() {
 /// makes seed-based reproducers trustworthy.
 #[test]
 fn replay_is_deterministic() {
-    let config = ReplayConfig::default();
     for seed in [1, 17, 99] {
-        let a = replay_scenario(&Scenario::generate(seed), &config, &Probes::default()).unwrap();
-        let b = replay_scenario(&Scenario::generate(seed), &config, &Probes::default()).unwrap();
-        assert_eq!(a.slots, b.slots);
-        assert_eq!(a.plans_checked, b.plans_checked);
-        assert_eq!(a.updates_checked, b.updates_checked);
-        assert_eq!(a.completed, b.completed);
+        let a = replay(
+            &Scenario::generate(seed),
+            ReplayKind::Plain,
+            40,
+            &Probes::default(),
+        )
+        .unwrap();
+        let b = replay(
+            &Scenario::generate(seed),
+            ReplayKind::Plain,
+            40,
+            &Probes::default(),
+        )
+        .unwrap();
+        assert_eq!(a, b);
     }
 }
 

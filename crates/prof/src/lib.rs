@@ -14,7 +14,8 @@
 //! When enabled, opening a region takes one mutex acquisition on the
 //! shared call tree; regions are placed in per-run hot paths whose bodies
 //! are microseconds to milliseconds, so the lock is never the bottleneck
-//! (the quick bench records the measured overhead as `prof_overhead`).
+//! (the benchmark ledger's `prof.overhead_frac` row records the measured
+//! overhead).
 
 use std::cell::RefCell;
 use std::collections::HashMap;

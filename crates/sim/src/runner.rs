@@ -128,7 +128,7 @@ pub fn make_engine(
         EngineKind::Tempus => Box::new(TempusTe::new(topo, theta, k, TempusConfig::default())),
         EngineKind::Amoeba => Box::new(AmoebaTe::new(topo, theta, k, AmoebaConfig::default())),
         EngineKind::Greedy => Box::new(GreedyTe::new(config.policy)),
-        EngineKind::RateOnly => Box::new(RateOnlyTe::new(topo, theta, config.policy)),
+        EngineKind::RateOnly => Box::new(RateOnlyTe::new(topo, theta)),
         EngineKind::RoutingRate => Box::new(RoutingRateTe::new(topo, theta, config.policy)),
     }
 }

@@ -25,17 +25,14 @@ use owan_optical::FiberPlant;
 /// this is what a WAN without central TE gives bulk transfers.
 pub struct RateOnlyTe {
     ctx: FixedContext,
-    #[allow(dead_code)]
-    policy: SchedulingPolicy,
 }
 
 impl RateOnlyTe {
-    /// Creates the engine over a fixed topology. The policy is accepted
-    /// for interface symmetry but unused — fair sharing has no ordering.
-    pub fn new(topology: Topology, theta: f64, policy: SchedulingPolicy) -> Self {
+    /// Creates the engine over a fixed topology. It takes no scheduling
+    /// policy: fair sharing has no ordering.
+    pub fn new(topology: Topology, theta: f64) -> Self {
         RateOnlyTe {
             ctx: FixedContext::new(topology, theta, 1),
-            policy,
         }
     }
 }
@@ -230,7 +227,7 @@ mod tests {
 
     #[test]
     fn rate_only_single_path() {
-        let mut e = RateOnlyTe::new(square(), 10.0, SchedulingPolicy::ShortestJobFirst);
+        let mut e = RateOnlyTe::new(square(), 10.0);
         let ts = vec![transfer(0, 0, 3, 1e6)];
         let p = plant();
         let plan = e.plan_slot(
@@ -248,7 +245,7 @@ mod tests {
 
     #[test]
     fn routing_adds_multipath_gain() {
-        let mut rate_only = RateOnlyTe::new(square(), 10.0, SchedulingPolicy::ShortestJobFirst);
+        let mut rate_only = RateOnlyTe::new(square(), 10.0);
         let mut routing = RoutingRateTe::new(square(), 10.0, SchedulingPolicy::ShortestJobFirst);
         let ts = vec![transfer(0, 0, 3, 1e6)];
         let p = plant();
@@ -269,10 +266,7 @@ mod tests {
 
     #[test]
     fn names() {
-        assert_eq!(
-            RateOnlyTe::new(square(), 1.0, SchedulingPolicy::ShortestJobFirst).name(),
-            "rate"
-        );
+        assert_eq!(RateOnlyTe::new(square(), 1.0).name(), "rate");
         assert_eq!(
             RoutingRateTe::new(square(), 1.0, SchedulingPolicy::ShortestJobFirst).name(),
             "+rout."

@@ -125,7 +125,7 @@ proptest! {
             Box::new(SwanTe::new(topo.clone(), THETA, 3)),
             Box::new(TempusTe::new(topo.clone(), THETA, 3, TempusConfig::default())),
             Box::new(AmoebaTe::new(topo.clone(), THETA, 3, AmoebaConfig::default())),
-            Box::new(RateOnlyTe::new(topo.clone(), THETA, SchedulingPolicy::ShortestJobFirst)),
+            Box::new(RateOnlyTe::new(topo.clone(), THETA)),
             Box::new(RoutingRateTe::new(topo.clone(), THETA, SchedulingPolicy::ShortestJobFirst)),
         ];
         for e in engines.iter_mut() {

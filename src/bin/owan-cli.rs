@@ -61,10 +61,7 @@ use owan::chaos::{
 };
 use owan::core::{Profiler, SchedulingPolicy, TrafficEngineer, TransferRequest};
 use owan::obs::{format_counter_table, format_stage_table, Recorder};
-use owan::oracle::{
-    fuzz_attack, fuzz_chaos, fuzz_seeds, replay_scenario, ChaosReplayConfig, InvariantAudit,
-    ReplayConfig, Reproducer, Scenario,
-};
+use owan::oracle::{fuzz, minimize, replay, InvariantAudit, ReplayKind, Reproducer, Scenario};
 use owan::scope::{render_top, FlightDump, MetricsServer, ScopeConfig, ScopeRecorder, STAGES};
 use owan::sim::metrics::{self, SizeBin};
 use owan::sim::runner::{make_engine, EngineKind, RunnerConfig};
@@ -1049,9 +1046,6 @@ fn slo_main(args: &Args) -> ! {
 /// checkers the test suite uses.
 fn verify_main(args: &Args) -> ! {
     let iters = args.parse("--iters", 40usize);
-    let config = ReplayConfig {
-        anneal_iterations: iters,
-    };
     let out_path = args.path("--out");
     // The oracle's counters are verify's one probe.
     let flags = ProbeFlags {
@@ -1059,7 +1053,7 @@ fn verify_main(args: &Args) -> ! {
         obs: args.path("--obs"),
         ..Default::default()
     };
-    let replay = args.get("--replay");
+    let replay_path = args.get("--replay");
     let net_name = args.get("--net");
     let load = args.parse("--load", 1.0f64);
     let seed = args.parse("--seed", 42u64);
@@ -1096,7 +1090,7 @@ fn verify_main(args: &Args) -> ! {
         std::process::exit(1);
     };
 
-    if let Some(path) = replay {
+    if let Some(path) = replay_path {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             fail(
                 &args.cmd,
@@ -1116,7 +1110,7 @@ fn verify_main(args: &Args) -> ! {
             scenario.requests.len(),
             scenario.failures.len()
         );
-        match replay_scenario(&scenario, &config, &probes) {
+        match replay(&scenario, ReplayKind::Plain, iters, &probes) {
             Ok(stats) => ok(format!(
                 "OK: seed {} replayed clean ({} slots, {} plans, {} transitions checked)",
                 scenario.seed, stats.slots, stats.plans_checked, stats.updates_checked
@@ -1140,7 +1134,7 @@ fn verify_main(args: &Args) -> ! {
             slot_len_s: slot_len,
             max_slots: slots,
         };
-        match replay_scenario(&scenario, &config, &probes) {
+        match replay(&scenario, ReplayKind::Plain, iters, &probes) {
             Ok(stats) => ok(format!(
                 "OK: {net_name} replayed clean ({} slots, {} plans, {} transitions checked, \
                  {} transfers completed)",
@@ -1153,64 +1147,45 @@ fn verify_main(args: &Args) -> ! {
         }
     }
 
-    let chaos_config = ChaosReplayConfig {
-        anneal_iterations: iters,
-        ..Default::default()
+    // With both flags, --attack wins.
+    let (kind, fuzzing, seed_label) = if attack {
+        (ReplayKind::Attack, "attack-fuzzing", "attack seed")
+    } else if chaos {
+        (ReplayKind::CHAOS, "chaos-fuzzing", "chaos seed")
+    } else {
+        (ReplayKind::Plain, "fuzzing", "seed")
     };
-    if attack {
-        eprintln!(
-            "attack-fuzzing seeds {start}..{} with {iters} anneal iters",
-            start + count
-        );
-        match fuzz_attack(start, count, &chaos_config, recorder) {
-            Ok(stats) => ok(format!(
-                "OK: {} attack scenarios replayed clean ({} slots, {} plans, {} update \
-                 schedules checked, {} waves, {} recovered)",
-                stats.scenarios,
-                stats.slots,
-                stats.plans_checked,
-                stats.updates_checked,
-                stats.waves,
-                stats.recovered
-            )),
-            // Attack scenarios regenerate deterministically from the
-            // seed, so the seed itself is the reproducer.
-            Err((seed, f)) => diverged(&format!("attack seed {seed}: {f}"), None),
-        }
-    }
-    if chaos {
-        eprintln!(
-            "chaos-fuzzing seeds {start}..{} with {iters} anneal iters",
-            start + count
-        );
-        match fuzz_chaos(start, count, &chaos_config, recorder) {
-            Ok(stats) => ok(format!(
-                "OK: {} chaos scenarios replayed clean ({} slots, {} plans, {} update \
-                 schedules checked, {} crash restarts)",
-                stats.scenarios,
-                stats.slots,
-                stats.plans_checked,
-                stats.updates_checked,
-                stats.crashes
-            )),
-            // Chaos scenarios regenerate deterministically from the seed,
-            // so the seed itself is the reproducer.
-            Err((seed, f)) => diverged(&format!("chaos seed {seed}: {f}"), None),
-        }
-    }
     eprintln!(
-        "fuzzing seeds {start}..{} with {iters} anneal iters",
+        "{fuzzing} seeds {start}..{} with {iters} anneal iters",
         start + count
     );
-    match fuzz_seeds(start, count, &config, recorder) {
-        Ok(stats) => ok(format!(
+    match (fuzz(start, count, kind, iters, recorder), kind) {
+        (Ok(stats), ReplayKind::Plain) => ok(format!(
             "OK: {} seeds replayed clean ({} slots, {} plans, {} transitions checked)",
-            stats.seeds, stats.slots, stats.plans_checked, stats.updates_checked
+            stats.scenarios, stats.slots, stats.plans_checked, stats.updates_checked
         )),
-        Err(repro) => {
-            let msg = repro.message.clone();
-            diverged(&format!("seed {}: {}", repro.seed, msg), Some(&repro))
+        (Ok(stats), ReplayKind::Chaos { .. }) => ok(format!(
+            "OK: {} chaos scenarios replayed clean ({} slots, {} plans, {} update \
+             schedules checked, {} crash restarts)",
+            stats.scenarios, stats.slots, stats.plans_checked, stats.updates_checked, stats.crashes
+        )),
+        (Ok(stats), ReplayKind::Attack) => ok(format!(
+            "OK: {} attack scenarios replayed clean ({} slots, {} plans, {} update \
+             schedules checked, {} waves, {} recovered)",
+            stats.scenarios,
+            stats.slots,
+            stats.plans_checked,
+            stats.updates_checked,
+            stats.waves,
+            stats.recovered
+        )),
+        (Err((seed, _)), ReplayKind::Plain) => {
+            let repro = minimize(&Scenario::generate(seed), iters);
+            diverged(&format!("seed {seed}: {}", repro.message), Some(&repro))
         }
+        // Chaos and attack scenarios regenerate deterministically from
+        // the seed, so the seed itself is the reproducer.
+        (Err((seed, f)), _) => diverged(&format!("{seed_label} {seed}: {f}"), None),
     }
 }
 
