@@ -252,6 +252,10 @@ pub fn run_chaos(
 ///   blackhole-Gb figure bit for bit. A tripped SLO monitor freezes the
 ///   flight recorder through the scope's anomaly path, so `verify
 ///   --replay` reconstructs the dump unchanged.
+///
+/// Both get the slot's one [`SlotRecord`] through
+/// [`Probes::finish_slot`]; the scope's extra `update.execute` span
+/// follows it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_chaos_probed(
     plant: &FiberPlant,
@@ -270,17 +274,10 @@ pub fn run_chaos_probed(
         why,
     } = probes;
     let theta = plant.params().wavelength_capacity_gbps;
-    let scope_on = scope.is_enabled();
-    if scope_on {
-        scope.begin_run(requests);
-    }
-    let why_on = why.is_enabled();
-    if why_on {
-        why.begin_run(requests);
-    }
+    probes.begin_run(requests);
     // Slot-event labels and per-transfer delivery feed the slot record
     // that the scope reads and the why recorder keeps.
-    let trace_on = scope_on || why_on;
+    let trace_on = scope.is_enabled() || why.is_enabled();
     let telem = ChaosTelemetry::new(recorder);
     let params = UpdateParams {
         theta_gbps: theta,
@@ -399,17 +396,13 @@ pub fn run_chaos_probed(
             slot_len_s: config.slot_len_s,
             now_s: now,
         };
-        // The slot record's stage shares, read off the engine's stage
-        // totals (the `simulate_probed` way) only when a record is kept
-        // and the totals are timed.
-        let stage_marks = (trace_on && recorder.is_enabled()).then(|| telem.stage_totals());
+        // The slot record's stage shares, read only when a record is kept.
+        let stages_before = trace_on.then(|| telem.stages.totals());
         let plan_start_ns = recorder.now_ns();
         let mut plan = eng.plan_slot(believed_plant, &input);
         let plan_ns = recorder.now_ns().saturating_sub(plan_start_ns);
-        let [anneal_ns, circuits_ns, rates_ns] = stage_marks.map_or([0; 3], |before| {
-            let after = telem.stage_totals();
-            std::array::from_fn(|i| after[i] - before[i])
-        });
+        let [anneal_ns, circuits_ns, rates_ns] =
+            stages_before.map_or([0; 3], |before| telem.stages.since(before));
         let fallback = match plan_is_feasible(&plan, theta) {
             Err(e) => Some(e.to_string()),
             Ok(()) if !plan.topology.ports_feasible(believed_plant) => {
@@ -525,7 +518,7 @@ pub fn run_chaos_probed(
         // 7. Deliver on the achieved state, discounted by the transition
         // and any blackholes. A finished transfer can still be served here
         // (an aborted `RemovePath` keeps its path); see ROADMAP,
-        // re-baselining item, error (5).
+        // re-baselining item, error (4).
         let live_rate = |ai: usize, alloc: &Allocation| -> f64 {
             alloc
                 .paths
@@ -616,7 +609,15 @@ pub fn run_chaos_probed(
                 events: slot_events,
                 transfers: ledger.transfer_rows(&active, &achieved, delivered, live_rate),
             };
-            scope.record_slot(&rec, &achieved);
+            probes.finish_slot(
+                rec,
+                &achieved,
+                &[
+                    (used_fallback, "plan.infeasible"),
+                    (slot_aborts > 0, "update.retry_exhausted"),
+                    (dark_paths > 0, "blackhole.undetected_cut"),
+                ],
+            );
             scope.record_extra_span(
                 "chaos",
                 "update.execute",
@@ -624,18 +625,6 @@ pub fn run_chaos_probed(
                 update_start_ns.saturating_add(update_ns),
                 Vec::new(),
             );
-            if used_fallback {
-                scope.anomaly("plan.infeasible", slot);
-            }
-            if slot_aborts > 0 {
-                scope.anomaly("update.retry_exhausted", slot);
-            }
-            if dark_paths > 0 {
-                scope.anomaly("blackhole.undetected_cut", slot);
-            }
-            if let Some(reason) = why.observe_slot(rec) {
-                scope.anomaly(reason, slot);
-            }
         }
 
         achieved_prev = Some(achieved);

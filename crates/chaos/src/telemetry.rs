@@ -4,8 +4,8 @@
 //! JSONL export under the `chaos.` prefix. Generated by
 //! [`owan_obs::telemetry_bundle!`].
 
-use owan_core::telemetry::names as core_names;
 use owan_obs::telemetry_bundle;
+use owan_sim::StageSplit;
 
 telemetry_bundle! {
     /// Pre-resolved counter handles for the chaos runner. Cheap to clone;
@@ -28,24 +28,8 @@ telemetry_bundle! {
         pub fallback_slots: counter = "chaos.fallback_slots",
         /// Paths blackholed by a not-yet-detected cut mid-slot.
         pub blackhole_paths: counter = "chaos.blackhole_paths",
-        /// Read-only view of the engine's annealing span (shared by name).
-        pub anneal: stage = core_names::STAGE_ANNEAL,
-        /// Read-only view of the engine's circuit-construction span.
-        pub circuits: stage = core_names::STAGE_CIRCUITS,
-        /// Read-only view of the engine's rate-assignment span.
-        pub rates: stage = core_names::STAGE_RATES,
-    }
-}
-
-impl ChaosTelemetry {
-    /// The engine's anneal, circuits and rates totals right now, for
-    /// differencing across one `plan_slot`.
-    pub(crate) fn stage_totals(&self) -> [u64; 3] {
-        [
-            self.anneal.total_ns(),
-            self.circuits.total_ns(),
-            self.rates.total_ns(),
-        ]
+        /// The engine's stage split, for the slot record.
+        pub stages: bundle(StageSplit),
     }
 }
 

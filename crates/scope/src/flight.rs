@@ -1,18 +1,18 @@
 //! Bounded ring-buffer flight recorder with anomaly-triggered dumps.
 //!
-//! The scope keeps the last K slots of full-fidelity state as
-//! [`SlotFrame`]s. On the first anomaly (infeasible plan, blackhole
-//! loss, update-retry exhaustion, oracle invariant violation) the ring
-//! is serialized to a self-contained dump file that embeds the run's
-//! reconstruction metadata, so `owan-cli verify --replay` can re-run the
-//! exact scenario.
+//! The scope keeps the last K slots' [`SlotRecord`]s. On the first
+//! anomaly (infeasible plan, blackhole loss, update-retry exhaustion,
+//! oracle invariant violation) the ring is serialized to a self-contained
+//! dump file that embeds the run's reconstruction metadata, so
+//! `owan-cli verify --replay` can re-run the exact scenario.
 //!
-//! Dumps are *deterministic*: frames carry only simulation-time state
-//! (slot indices, sim seconds, Gb figures rendered with `{:?}`), the
-//! metadata map is sorted, and no wall-clock reading or filesystem path
-//! enters the bytes — two same-seed runs produce byte-identical dumps.
+//! Dumps are *deterministic*: a frame line carries only simulation-time
+//! state (slot indices, sim seconds, Gb figures rendered with `{:?}`),
+//! the metadata map is sorted, and no wall-clock reading or filesystem
+//! path enters the bytes — two same-seed runs produce byte-identical
+//! dumps.
 
-use crate::jsonv;
+use crate::{jsonv, SlotRecord};
 use owan_obs::json::{write_f64, write_str};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -20,110 +20,16 @@ use std::fmt::Write as _;
 /// First line of every dump file.
 pub const DUMP_HEADER: &str = "owan-scope flight dump v1";
 
-/// One transfer's state inside a frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameTransfer {
-    /// Transfer id.
-    pub id: usize,
-    /// Allocated rate this slot, Gbps.
-    pub rate_gbps: f64,
-    /// Delivered this slot, Gb.
-    pub delivered_gbits: f64,
-    /// Remaining after the slot, Gb.
-    pub remaining_gbits: f64,
-    /// Whether the transfer sat in the zero-rate queue.
-    pub queued: bool,
-}
-
-/// One slot of full-fidelity recorder state.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SlotFrame {
-    /// Slot index.
-    pub slot: usize,
-    /// Slot start, sim seconds.
-    pub now_s: f64,
-    /// Active transfers at slot start.
-    pub active: usize,
-    /// Zero-rate queue depth.
-    pub queue_depth: usize,
-    /// Deadline transfers that cannot finish in time at current rates.
-    pub at_risk: usize,
-    /// Allocated throughput, Gbps.
-    pub throughput_gbps: f64,
-    /// Links in the slot's topology.
-    pub plan_links: usize,
-    /// Allocations in the slot's plan.
-    pub plan_allocs: usize,
-    /// Update operations scheduled into the slot.
-    pub update_ops: usize,
-    /// Failures the controller believed in (detected), as stable strings.
-    pub believed_down: Vec<String>,
-    /// Failures actually present in the plant (detected or not).
-    pub actual_down: Vec<String>,
-    /// Per-transfer state.
-    pub transfers: Vec<FrameTransfer>,
-    /// Deterministic event strings for the slot (chaos ops, crashes …).
-    pub events: Vec<String>,
-}
-
-impl SlotFrame {
-    /// Serializes the frame as one JSON line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"slot\":{},\"now_s\":", self.slot);
-        write_f64(&mut out, self.now_s);
-        let _ = write!(
-            out,
-            ",\"active\":{},\"queue_depth\":{},\"at_risk\":{},\"throughput_gbps\":",
-            self.active, self.queue_depth, self.at_risk
-        );
-        write_f64(&mut out, self.throughput_gbps);
-        let _ = write!(
-            out,
-            ",\"plan_links\":{},\"plan_allocs\":{},\"update_ops\":{}",
-            self.plan_links, self.plan_allocs, self.update_ops
-        );
-        for (key, list) in [
-            ("believed_down", &self.believed_down),
-            ("actual_down", &self.actual_down),
-            ("events", &self.events),
-        ] {
-            let _ = write!(out, ",\"{key}\":[");
-            for (i, item) in list.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_str(&mut out, item);
-            }
-            out.push(']');
-        }
-        out.push_str(",\"transfers\":[");
-        for (i, t) in self.transfers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"id\":{},\"rate_gbps\":", t.id);
-            write_f64(&mut out, t.rate_gbps);
-            out.push_str(",\"delivered_gbits\":");
-            write_f64(&mut out, t.delivered_gbits);
-            out.push_str(",\"remaining_gbits\":");
-            write_f64(&mut out, t.remaining_gbits);
-            let _ = write!(out, ",\"queued\":{}}}", t.queued);
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// The bounded frame ring.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRing {
-    frames: VecDeque<SlotFrame>,
+/// The bounded ring: each slot's record with its plan's link and
+/// allocation counts, oldest first.
+#[derive(Debug, Default)]
+pub(crate) struct FlightRing {
+    frames: VecDeque<(SlotRecord, usize, usize)>,
     capacity: usize,
 }
 
 impl FlightRing {
-    /// A ring keeping the last `capacity` frames.
+    /// A ring keeping the last `capacity` slots.
     pub fn new(capacity: usize) -> Self {
         FlightRing {
             frames: VecDeque::with_capacity(capacity.min(1024)),
@@ -131,34 +37,72 @@ impl FlightRing {
         }
     }
 
-    /// Pushes a frame, evicting the oldest past capacity.
-    pub fn push(&mut self, frame: SlotFrame) {
+    /// Pushes a slot, evicting the oldest past capacity.
+    pub fn push(&mut self, rec: SlotRecord, plan_links: usize, plan_allocs: usize) {
         if self.frames.len() == self.capacity {
             self.frames.pop_front();
         }
-        self.frames.push_back(frame);
+        self.frames.push_back((rec, plan_links, plan_allocs));
     }
+}
 
-    /// Frames currently held, oldest first.
-    pub fn frames(&self) -> impl Iterator<Item = &SlotFrame> {
-        self.frames.iter()
+/// One slot as one JSON line: the header fields, the failure and event
+/// labels, then the active rows in ascending id.
+fn frame_json(rec: &SlotRecord, plan_links: usize, plan_allocs: usize) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{{\"slot\":{},\"now_s\":", rec.slot);
+    write_f64(&mut out, rec.now_s);
+    let _ = write!(
+        out,
+        ",\"active\":{},\"queue_depth\":{},\"at_risk\":{},\"throughput_gbps\":",
+        rec.active_transfers, rec.queue_depth, rec.at_risk
+    );
+    write_f64(&mut out, rec.throughput_gbps);
+    let _ = write!(
+        out,
+        ",\"plan_links\":{plan_links},\"plan_allocs\":{plan_allocs},\"update_ops\":{}",
+        rec.update_ops
+    );
+    for (key, list) in [
+        ("believed_down", &rec.believed_down),
+        ("actual_down", &rec.actual_down),
+        ("events", &rec.events),
+    ] {
+        let _ = write!(out, ",\"{key}\":[");
+        for (i, item) in list.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(&mut out, item);
+        }
+        out.push(']');
     }
-
-    /// Number of frames held.
-    pub fn len(&self) -> usize {
-        self.frames.len()
+    out.push_str(",\"transfers\":[");
+    for (i, t) in rec
+        .by_id()
+        .into_iter()
+        .map(|i| &rec.transfers[i])
+        .enumerate()
+    {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"id\":{},\"rate_gbps\":", t.id);
+        write_f64(&mut out, t.rate_gbps);
+        out.push_str(",\"delivered_gbits\":");
+        write_f64(&mut out, t.delivered_gbits);
+        out.push_str(",\"remaining_gbits\":");
+        write_f64(&mut out, t.remaining_gbits);
+        let _ = write!(out, ",\"queued\":{}}}", t.queued());
     }
-
-    /// True when no frame has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
+    out.push_str("]}");
+    out
 }
 
 /// Renders a dump: header, sorted `key: value` metadata, `frames: N`,
 /// then one frame JSON line each. `reason`/`slot` describe the anomaly
 /// that triggered it ("forced"/last slot for CI-forced dumps).
-pub fn render_dump(
+pub(crate) fn render_dump(
     reason: &str,
     slot: usize,
     meta: &BTreeMap<String, String>,
@@ -175,9 +119,9 @@ pub fn render_dump(
             let _ = writeln!(out, "{key}: {value}");
         }
     }
-    let _ = writeln!(out, "frames: {}", ring.len());
-    for frame in ring.frames() {
-        out.push_str(&frame.to_json());
+    let _ = writeln!(out, "frames: {}", ring.frames.len());
+    for (rec, links, allocs) in &ring.frames {
+        out.push_str(&frame_json(rec, *links, *allocs));
         out.push('\n');
     }
     out
@@ -259,47 +203,52 @@ impl FlightDump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TransferRow;
 
-    fn frame(slot: usize) -> SlotFrame {
-        SlotFrame {
+    fn record(slot: usize) -> SlotRecord {
+        SlotRecord {
             slot,
             now_s: slot as f64 * 300.0,
-            active: 3,
+            active_transfers: 3,
             queue_depth: 1,
-            at_risk: 0,
             throughput_gbps: 12.5,
-            plan_links: 8,
-            plan_allocs: 3,
             update_ops: 4,
             believed_down: vec!["fiber 2 (1-4)".into()],
             actual_down: vec!["fiber 2 (1-4)".into(), "fiber 7 (3-5)".into()],
-            transfers: vec![FrameTransfer {
+            events: vec![format!("op.retry slot={slot}")],
+            transfers: vec![TransferRow {
                 id: 0,
                 rate_gbps: 5.0,
+                live_rate_gbps: 5.0,
                 delivered_gbits: 1500.0,
                 remaining_gbits: 400.0,
-                queued: false,
+                completion_s: None,
+                active: true,
             }],
-            events: vec![format!("op.retry slot={slot}")],
+            ..SlotRecord::default()
         }
+    }
+
+    /// A ring of `capacity` fed the records of `slots`, each with an
+    /// 8-link, 3-allocation plan.
+    fn ring(capacity: usize, slots: std::ops::Range<usize>) -> FlightRing {
+        let mut ring = FlightRing::new(capacity);
+        for slot in slots {
+            ring.push(record(slot), 8, 3);
+        }
+        ring
     }
 
     #[test]
     fn ring_evicts_oldest() {
-        let mut ring = FlightRing::new(3);
-        for slot in 0..5 {
-            ring.push(frame(slot));
-        }
-        let slots: Vec<usize> = ring.frames().map(|f| f.slot).collect();
+        let ring = ring(3, 0..5);
+        let slots: Vec<usize> = ring.frames.iter().map(|f| f.0.slot).collect();
         assert_eq!(slots, vec![2, 3, 4]);
     }
 
     #[test]
     fn dump_round_trips() {
-        let mut ring = FlightRing::new(4);
-        for slot in 0..4 {
-            ring.push(frame(slot));
-        }
+        let ring = ring(4, 0..4);
         let mut meta = BTreeMap::new();
         meta.insert("net".to_string(), "isp".to_string());
         meta.insert("seed".to_string(), "42".to_string());
@@ -314,14 +263,14 @@ mod tests {
         let f0 = jsonv::parse(&dump.frames[0]).unwrap();
         assert_eq!(f0.get("slot").unwrap().as_f64(), Some(0.0));
         assert_eq!(f0.get("actual_down").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(f0.get("plan_links").unwrap().as_f64(), Some(8.0));
+        assert_eq!(f0.get("plan_allocs").unwrap().as_f64(), Some(3.0));
     }
 
     #[test]
     fn dump_bytes_are_deterministic() {
         let build = || {
-            let mut ring = FlightRing::new(2);
-            ring.push(frame(7));
-            ring.push(frame(8));
+            let ring = ring(2, 7..9);
             let mut meta = BTreeMap::new();
             meta.insert("seed".to_string(), "9".to_string());
             meta.insert("net".to_string(), "isp".to_string());
@@ -330,12 +279,45 @@ mod tests {
         assert_eq!(build(), build());
     }
 
+    /// Rows come in booking order and may include an allocation whose
+    /// transfer already finished (an aborted `RemovePath`). The frame
+    /// lists only the active rows, by ascending id, and marks a row
+    /// queued exactly when its rate is zero.
+    #[test]
+    fn frame_lists_active_rows_by_id() {
+        let row = |id, rate_gbps, active| TransferRow {
+            id,
+            rate_gbps,
+            live_rate_gbps: rate_gbps,
+            delivered_gbits: 10.0 * id as f64,
+            remaining_gbits: 1.5,
+            completion_s: None,
+            active,
+        };
+        let rec = SlotRecord {
+            slot: 3,
+            now_s: 900.0,
+            active_transfers: 2,
+            queue_depth: 1,
+            transfers: vec![row(4, 2.5, true), row(1, 3.0, false), row(2, 0.0, true)],
+            ..SlotRecord::default()
+        };
+        assert_eq!(
+            frame_json(&rec, 5, 2),
+            "{\"slot\":3,\"now_s\":900.0,\"active\":2,\"queue_depth\":1,\"at_risk\":0,\
+             \"throughput_gbps\":0.0,\"plan_links\":5,\"plan_allocs\":2,\"update_ops\":0,\
+             \"believed_down\":[],\"actual_down\":[],\"events\":[],\"transfers\":[\
+             {\"id\":2,\"rate_gbps\":0.0,\"delivered_gbits\":20.0,\"remaining_gbits\":1.5,\
+             \"queued\":true},\
+             {\"id\":4,\"rate_gbps\":2.5,\"delivered_gbits\":40.0,\"remaining_gbits\":1.5,\
+             \"queued\":false}]}"
+        );
+    }
+
     #[test]
     fn parser_rejects_corrupt_dumps() {
         assert!(FlightDump::from_text("nonsense").is_err());
-        let mut ring = FlightRing::new(1);
-        ring.push(frame(0));
-        let good = render_dump("x", 0, &BTreeMap::new(), &ring);
+        let good = render_dump("x", 0, &BTreeMap::new(), &ring(1, 0..1));
         let truncated_frame = good.replace("]}", "]");
         assert!(FlightDump::from_text(&truncated_frame).is_err());
         let wrong_count = good.replace("frames: 1", "frames: 2");

@@ -8,15 +8,17 @@
 //!
 //! * [`SlotRecord`] — the one record a slot loop builds per slot (slot
 //!   header plus one [`TransferRow`] per booked transfer); the scope
-//!   reads it, then the why tier keeps it;
+//!   reads it, then the why tier keeps it, and `owan-sim` returns it as
+//!   its per-slot telemetry;
 //! * [`TransferTracker`] — per-transfer lifecycle state machine with
 //!   per-slot rates, per-path delivered volume, queue positions,
 //!   preemptions and deadline slack (`owan-cli transfers [--trace ID]`);
 //! * [`SpanRec`] + [`write_chrome_trace`] — a causal timeline of every
 //!   slot's anneal/circuits/rates/update work, exportable as Chrome
 //!   trace-event JSON for Perfetto / `chrome://tracing`;
-//! * [`FlightRing`] — a bounded ring of full-fidelity [`SlotFrame`]s
-//!   dumped to a self-contained reproducer file on the first anomaly;
+//! * the flight ring — the last K slots' records, dumped to a
+//!   self-contained reproducer file ([`FlightDump`]) on the first
+//!   anomaly;
 //! * [`MetricsServer`] + [`render_top`] — live Prometheus exposition
 //!   and a terminal dashboard while a sim runs.
 //!
@@ -34,7 +36,7 @@ mod top;
 mod trace;
 mod transfers;
 
-pub use flight::{FlightDump, FlightRing, FrameTransfer, SlotFrame, DUMP_HEADER};
+pub use flight::{FlightDump, DUMP_HEADER};
 pub use prom::render_prometheus;
 pub use record::{SlotRecord, TransferRow};
 pub use serve::MetricsServer;
@@ -42,6 +44,7 @@ pub use top::{render_top, STAGES};
 pub use trace::{prof_trace_spans, write_chrome_trace, SpanRec};
 pub use transfers::{SlotTrace, TrackedTransfer, TransferState, TransferTracker};
 
+use flight::FlightRing;
 use owan_core::{SlotPlan, TransferRequest};
 use owan_obs::{Snapshot, Value};
 use std::collections::BTreeMap;
@@ -74,7 +77,6 @@ struct ScopeState {
     tracker: TransferTracker,
     spans: Vec<SpanRec>,
     ring: FlightRing,
-    next_span: u64,
     last_slot_span: Option<u64>,
     dumped: bool,
     dump_text: Option<String>,
@@ -135,61 +137,31 @@ impl ScopeRecorder {
 
     /// Registers the run's request list and clears prior run state.
     pub fn begin_run(&self, requests: &[TransferRequest]) {
-        let Some(mut state) = self.lock() else {
+        let Some(inner) = self.inner.as_ref() else {
             return;
         };
+        let mut state = inner.state.lock().expect("scope state poisoned");
         state.tracker.begin_run(requests);
         state.spans.clear();
-        state.next_span = 0;
         state.last_slot_span = None;
         state.dumped = false;
         state.dump_text = None;
         state.dump_error = None;
-        let capacity = self
-            .inner
-            .as_ref()
-            .map_or(16, |inner| inner.config.flight_slots);
-        state.ring = FlightRing::new(capacity);
+        state.ring = FlightRing::new(inner.config.flight_slots);
     }
 
-    /// Feeds one slot: updates the transfer tracker, pushes a flight
-    /// frame, and synthesizes the slot's span tree. `plan` is the plan
-    /// the slot ran on; the per-path shares come from its allocations.
+    /// Feeds one slot: updates the transfer tracker, keeps the record in
+    /// the flight ring, and synthesizes the slot's span tree. `plan` is
+    /// the plan the slot ran on; the per-path shares come from its
+    /// allocations.
     pub fn record_slot(&self, rec: &SlotRecord, plan: &SlotPlan) {
         let Some(mut state) = self.lock() else {
             return;
         };
-        let order = rec.by_id();
-        state.tracker.observe_slot(rec, &order, plan);
-        let frame = SlotFrame {
-            slot: rec.slot,
-            now_s: rec.now_s,
-            active: rec.active_transfers,
-            queue_depth: rec.queue_depth,
-            at_risk: rec.at_risk,
-            throughput_gbps: rec.throughput_gbps,
-            plan_links: plan.topology.links().len(),
-            plan_allocs: plan.allocations.len(),
-            update_ops: rec.update_ops,
-            believed_down: rec.believed_down.clone(),
-            actual_down: rec.actual_down.clone(),
-            transfers: order
-                .iter()
-                .map(|&i| {
-                    let row = &rec.transfers[i];
-                    FrameTransfer {
-                        id: row.id,
-                        rate_gbps: row.rate_gbps,
-                        delivered_gbits: row.delivered_gbits,
-                        remaining_gbits: row.remaining_gbits,
-                        queued: row.queued(),
-                    }
-                })
-                .collect(),
-            events: rec.events.clone(),
-        };
-        state.ring.push(frame);
-        synthesize_spans(&mut state, rec, plan);
+        state.tracker.observe_slot(rec, &rec.by_id(), plan);
+        let (links, allocs) = (plan.topology.links().len(), plan.allocations.len());
+        state.ring.push(rec.clone(), links, allocs);
+        synthesize_spans(&mut state, rec, links, allocs);
     }
 
     /// Adds an extra span (e.g. a chaos recovery window) as a child of
@@ -206,16 +178,11 @@ impl ScopeRecorder {
             return;
         };
         let parent = state.last_slot_span;
-        let (start_ns, end_ns) = match parent.and_then(|id| {
-            state
-                .spans
-                .iter()
-                .find(|s| s.id == id)
-                .map(|s| (s.start_ns, s.end_ns))
-        }) {
-            Some((lo, hi)) => {
-                let start = start_ns.clamp(lo, hi);
-                (start, end_ns.clamp(start, hi))
+        // Span ids are indices into `spans`.
+        let (start_ns, end_ns) = match parent.map(|id| &state.spans[id as usize]) {
+            Some(slot) => {
+                let start = start_ns.clamp(slot.start_ns, slot.end_ns);
+                (start, end_ns.clamp(start, slot.end_ns))
             }
             None => (start_ns, end_ns.max(start_ns)),
         };
@@ -349,8 +316,7 @@ fn push_span(
     end_ns: u64,
     args: Vec<(String, Value)>,
 ) -> u64 {
-    let id = state.next_span;
-    state.next_span += 1;
+    let id = state.spans.len() as u64;
     state.spans.push(SpanRec {
         id,
         parent,
@@ -375,7 +341,7 @@ fn push_span(
 ///     rates     [plan_start+circuits_ns, +rates_ns]               cat rates
 ///   update   [plan_start+plan_ns, +update_ns]                     cat update
 /// ```
-fn synthesize_spans(state: &mut ScopeState, rec: &SlotRecord, plan: &SlotPlan) {
+fn synthesize_spans(state: &mut ScopeState, rec: &SlotRecord, links: usize, allocs: usize) {
     let clamp = |lo: u64, hi: u64, start: u64, len: u64| {
         let s = start.clamp(lo, hi);
         (s, s.saturating_add(len).clamp(s, hi))
@@ -426,10 +392,7 @@ fn synthesize_spans(state: &mut ScopeState, rec: &SlotRecord, plan: &SlotPlan) {
         "circuits",
         circ_lo,
         circ_hi,
-        vec![(
-            "links".to_string(),
-            Value::from(plan.topology.links().len() as u64),
-        )],
+        vec![("links".to_string(), Value::from(links as u64))],
     );
     let (rates_lo, rates_hi) = clamp(anneal_lo, anneal_hi, circ_hi, rec.rates_ns);
     push_span(
@@ -439,10 +402,7 @@ fn synthesize_spans(state: &mut ScopeState, rec: &SlotRecord, plan: &SlotPlan) {
         "rates",
         rates_lo,
         rates_hi,
-        vec![(
-            "allocations".to_string(),
-            Value::from(plan.allocations.len() as u64),
-        )],
+        vec![("allocations".to_string(), Value::from(allocs as u64))],
     );
     let (upd_lo, upd_hi) = clamp(
         slot_lo,

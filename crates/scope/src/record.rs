@@ -1,5 +1,7 @@
 //! The per-slot record: everything a slot loop reports about one slot,
-//! built once and read by both the scope (this crate) and the why tier.
+//! built once and read by every probe: the obs gauges and `slot` event,
+//! `owan-sim`'s per-slot telemetry, the scope (this crate) and the why
+//! tier.
 //!
 //! The loop hands the scope `&SlotRecord` plus the slot's plan, then moves
 //! the record into the why recorder, which keeps it for attribution.
@@ -40,8 +42,9 @@ impl TransferRow {
 
 /// Everything the slot loop reports once per slot.
 ///
-/// Stage durations come from the obs telemetry's per-slot marks; the
-/// scope turns them into nested spans (anneal ⊃ circuits+rates, and
+/// Stage durations are differences of the obs recorder's stage totals
+/// across the slot (zero with the recorder off); the scope turns them
+/// into nested spans (anneal ⊃ circuits+rates, and
 /// update after planning, all inside the slot span).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SlotRecord {

@@ -2,9 +2,10 @@
 //! export.
 //!
 //! Spans are recorded *post hoc* as closed `[start_ns, end_ns]` intervals
-//! with an explicit parent — the sim already measures every stage's
-//! duration (see `SlotTelemetry`), so the scope layer lays those
-//! measurements out as a properly nested tree instead of re-timing them.
+//! with an explicit parent — the slot loop already measures every
+//! stage's duration (the `*_ns` fields of [`crate::SlotRecord`]), so the
+//! scope layer lays those measurements out as a properly nested tree
+//! instead of re-timing them.
 //! Export follows the Chrome trace-event JSON format (the array-of-events
 //! `traceEvents` form): nested `ph:"B"`/`ph:"E"` duration events emitted
 //! in depth-first order plus `ph:"i"` instants for the recorder's event

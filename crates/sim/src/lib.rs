@@ -69,5 +69,5 @@ pub use runner::{
 pub use sim::{
     plan_is_feasible, simulate, simulate_probed, PlanError, Probes, SimConfig, SimResult,
 };
-pub use telemetry::SlotTelemetry;
+pub use telemetry::StageSplit;
 pub use validate::{validate_simulator, ValidationReport};

@@ -18,7 +18,7 @@
 //! that comparison with an impaired-rate mode.
 
 use crate::ledger::{at_risk_count, CompletionRecord, SlotLedger};
-use crate::telemetry::{SimTelemetry, SlotTelemetry};
+use crate::telemetry::SimTelemetry;
 use owan_core::{Profiler, SlotInput, SlotPlan, TrafficEngineer, TransferRequest};
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
@@ -69,9 +69,9 @@ pub struct SimResult {
     pub throughput_series: Vec<(f64, f64)>,
     /// Slots simulated.
     pub slots: usize,
-    /// Per-slot controller telemetry, present when the run was made with
-    /// a recording [`Recorder`] (see [`simulate_probed`]).
-    pub telemetry: Option<Vec<SlotTelemetry>>,
+    /// Every slot's record, present when the run was made with a
+    /// recording [`Recorder`] (see [`simulate_probed`]).
+    pub telemetry: Option<Vec<SlotRecord>>,
     /// Set when the engine emitted an infeasible plan: the slot it happened
     /// in and the violated feasibility condition. The run stops at that
     /// slot; transfers still pending are reported unfinished.
@@ -178,12 +178,36 @@ pub fn plan_is_feasible(plan: &SlotPlan, theta: f64) -> Result<(), PlanError> {
 pub struct Probes {
     /// Counters, gauges and stage spans; attached to the engine.
     pub recorder: Recorder,
-    /// Transfer lifecycle, flight frames, the causal span timeline.
+    /// Transfer lifecycle, the flight ring, the causal span timeline.
     pub scope: ScopeRecorder,
     /// Region profiler; attached to the engine.
     pub prof: Profiler,
     /// Per-transfer attribution and online SLO monitors.
     pub why: WhyRecorder,
+}
+
+impl Probes {
+    /// Starts a run on the scope and the why recorder.
+    pub fn begin_run(&self, requests: &[TransferRequest]) {
+        self.scope.begin_run(requests);
+        self.why.begin_run(requests);
+    }
+
+    /// Hands a finished slot's record to the scope and the why recorder.
+    /// The scope reads `rec` with the slot's `plan`; then each of the
+    /// loop's own `anomalies` whose flag is set fires, in order; then the
+    /// why recorder keeps the record, and a tripped SLO monitor fires its
+    /// reason. The first anomaly of a run freezes the flight dump.
+    pub fn finish_slot(&self, rec: SlotRecord, plan: &SlotPlan, anomalies: &[(bool, &str)]) {
+        let slot = rec.slot;
+        self.scope.record_slot(&rec, plan);
+        for &(_, reason) in anomalies.iter().filter(|(fired, _)| *fired) {
+            self.scope.anomaly(reason, slot);
+        }
+        if let Some(reason) = self.why.observe_slot(rec) {
+            self.scope.anomaly(reason, slot);
+        }
+    }
 }
 
 /// Runs `engine` over `requests` on `plant` until every transfer completes
@@ -205,15 +229,19 @@ pub fn simulate(
 /// [`simulate`] reporting into `probes`: admission, feasibility gate,
 /// fluid delivery, deadline + starvation bookkeeping, per slot.
 ///
+/// With any of the recorder, the scope or the why recorder on, the loop
+/// builds one [`SlotRecord`] per slot and every enabled probe reads it:
 /// * An enabled recorder is attached to the engine (via
 ///   [`TrafficEngineer::set_recorder`]), each slot is timed as a
-///   `stage.slot` span, and the result carries one [`SlotTelemetry`] row
-///   per slot. The update-scheduling stage is measured by running the
-///   consistent planner between consecutive plans purely for telemetry —
-///   the idealized simulator still delivers the full allocation.
-/// * An enabled scope or why recorder gets one [`SlotRecord`] per slot:
-///   the scope reads it for per-transfer lifecycle rows, a flight frame
-///   and the causal span timeline, then the why recorder keeps it.
+///   `stage.slot` span, the record sets the slot gauges and the `slot`
+///   event, and the result carries every record in
+///   [`SimResult::telemetry`]. The update-scheduling stage is measured by
+///   running the consistent planner between consecutive plans purely for
+///   telemetry — the idealized simulator still delivers the full
+///   allocation.
+/// * [`Probes::finish_slot`] hands the record to the scope, which reads
+///   it for per-transfer lifecycle rows, the flight ring and the causal
+///   span timeline, then to the why recorder, which keeps it.
 /// * An enabled profiler is attached to the engine, and the loop wraps
 ///   each slot and its telemetry-only update pass in `slot` / `update`
 ///   regions.
@@ -236,24 +264,18 @@ pub fn simulate_probed(
         why,
     } = probes;
     assert!(config.rate_efficiency > 0.0 && config.rate_efficiency <= 1.0);
-    let scope_on = scope.is_enabled();
-    if scope_on {
-        scope.begin_run(requests);
-    }
-    let why_on = why.is_enabled();
-    if why_on {
-        why.begin_run(requests);
-    }
+    probes.begin_run(requests);
     let theta = plant.params().wavelength_capacity_gbps;
     engine.set_recorder(recorder.clone());
     engine.set_profiler(prof.clone());
     let telemetry = recorder.is_enabled().then(|| SimTelemetry::new(recorder));
+    let record_on = telemetry.is_some() || scope.is_enabled() || why.is_enabled();
     let update_params = UpdateParams {
         theta_gbps: theta,
         circuit_time_s: plant.params().circuit_reconfig_time_s,
         ..Default::default()
     };
-    let mut slot_rows: Vec<SlotTelemetry> = Vec::new();
+    let mut records: Vec<SlotRecord> = Vec::new();
     let mut prev_plan: Option<SlotPlan> = None;
     let mut ledger = SlotLedger::new(requests);
     let n = requests.len();
@@ -281,9 +303,10 @@ pub fn simulate_probed(
 
         let slot_region = prof.region("slot");
         let slot_start_ns = recorder.now_ns();
-        let slot_span = telemetry
-            .as_ref()
-            .map(|t| (t.slot_stage.enter(), t.stage_marks()));
+        let slot_span = telemetry.as_ref().map(|t| {
+            let marks = (t.stages.totals(), t.update.update.total_ns());
+            (t.slot_stage.enter(), marks)
+        });
         let plan_start_ns = recorder.now_ns();
         let plan = engine.plan_slot(
             plant,
@@ -325,7 +348,7 @@ pub fn simulate_probed(
 
         // Advance transfers.
         let mut got_rate = vec![false; n];
-        let mut per_delivered = (scope_on || why_on).then(|| vec![0.0f64; n]);
+        let mut per_delivered = record_on.then(|| vec![0.0f64; n]);
         for alloc in &plan.allocations {
             let (id, rate_alloc) = (alloc.transfer, alloc.total_rate());
             debug_assert!(
@@ -349,32 +372,18 @@ pub fn simulate_probed(
         ledger.settle_dust(now, config.slot_len_s);
         let queue_depth = ledger.count_starved(now, &got_rate);
 
-        let at_risk = if telemetry.is_some() || scope_on {
+        let at_risk = if telemetry.is_some() || scope.is_enabled() {
             at_risk_count(&active, &plan, now)
         } else {
             0
         };
-        let mut stage_ns = (0u64, 0u64, 0u64, 0u64);
-        if let (Some(t), Some((span, marks))) = (&telemetry, slot_span) {
-            span.finish();
-            stage_ns = t.stage_marks().since(&marks);
-            let row = SlotTelemetry {
-                slot,
-                start_s: now,
-                active_transfers: active.len(),
-                queue_depth,
-                at_risk,
-                plan_ns,
-                anneal_ns: stage_ns.0,
-                circuits_ns: stage_ns.1,
-                rates_ns: stage_ns.2,
-                update_ns: stage_ns.3,
-                update_ops,
-                throughput_gbps: plan.throughput_gbps,
-            };
-            t.publish_slot(&row);
-            slot_rows.push(row);
-        }
+        let ([anneal_ns, circuits_ns, rates_ns], update_ns) = match (&telemetry, slot_span) {
+            (Some(t), Some((span, (stages, update)))) => {
+                span.finish();
+                (t.stages.since(stages), t.update.update.total_ns() - update)
+            }
+            _ => ([0; 3], 0),
+        };
         if let Some(delivered) = &per_delivered {
             // The idealized simulator has no transitions, blackholes,
             // failures or attacks: live == allocated, scale == 1.
@@ -386,10 +395,10 @@ pub fn simulate_probed(
                 end_ns: recorder.now_ns().max(slot_start_ns),
                 plan_start_ns,
                 plan_ns,
-                anneal_ns: stage_ns.0,
-                circuits_ns: stage_ns.1,
-                rates_ns: stage_ns.2,
-                update_ns: stage_ns.3,
+                anneal_ns,
+                circuits_ns,
+                rates_ns,
+                update_ns,
                 update_ops,
                 throughput_gbps: plan.throughput_gbps,
                 active_transfers: active.len(),
@@ -402,10 +411,11 @@ pub fn simulate_probed(
                 events: Vec::new(),
                 transfers: ledger.transfer_rows(&active, &plan, delivered, |_, a| a.total_rate()),
             };
-            scope.record_slot(&rec, &plan);
-            if let Some(reason) = why.observe_slot(rec) {
-                scope.anomaly(reason, slot);
+            if let Some(t) = &telemetry {
+                t.publish_slot(&rec);
+                records.push(rec.clone());
             }
+            probes.finish_slot(rec, &plan, &[]);
         }
         if telemetry.is_some() {
             prev_plan = Some(plan);
@@ -420,7 +430,7 @@ pub fn simulate_probed(
         makespan_s,
         throughput_series,
         slots,
-        telemetry: telemetry.map(|_| slot_rows),
+        telemetry: telemetry.map(|_| records),
         plan_error,
     }
 }

@@ -6,27 +6,28 @@
 //!   `stage.slot` span around each slot, gauges for the latest
 //!   active-transfer count, queue depth, at-risk count and throughput,
 //!   and one `slot` event per slot;
-//! * a structured [`SlotTelemetry`] row per slot, returned inside the
-//!   result, splitting each slot's planning wall time into the annealing /
-//!   circuit-building / rate-assignment / update-scheduling stages.
+//! * one [`SlotRecord`] per slot, returned inside the result, whose
+//!   stage fields split the slot's planning wall time into the
+//!   annealing / circuit-building / rate-assignment / update-scheduling
+//!   stages.
 //!
 //! The per-stage splits work because recorder handles are shared by name:
-//! the sim resolves the same `stage.anneal` (etc.) counters the engine's
-//! core telemetry writes, and differences of `total_ns` across a slot give
-//! that slot's share. The handle bundle itself is generated by
-//! [`owan_obs::telemetry_bundle!`]; only the slot-row plumbing is
-//! hand-written.
+//! [`StageSplit`] resolves the same `stage.anneal` (etc.) counters the
+//! engine's core telemetry writes, and differences of `total_ns` across a
+//! slot give that slot's share. Both probed slot loops read the split
+//! through it. The handle bundles themselves are generated by
+//! [`owan_obs::telemetry_bundle!`].
 
 use owan_core::telemetry::names as core_names;
 use owan_obs::{telemetry_bundle, Value};
+use owan_scope::SlotRecord;
 use owan_update::UpdateTelemetry;
-use serde::{Deserialize, Serialize};
 
 /// Metric names emitted by the simulator/controller loop.
 pub mod names {
     /// Span around one whole controller slot (plan + update + delivery).
     pub const STAGE_SLOT: &str = "stage.slot";
-    /// Per-slot event carrying the [`super::SlotTelemetry`] fields.
+    /// Per-slot event carrying the [`super::SlotRecord`] header fields.
     pub const EVENT_SLOT: &str = "slot";
     /// Latest slot's admitted-and-unfinished transfer count.
     pub const GAUGE_ACTIVE: &str = "slot.active_transfers";
@@ -39,54 +40,47 @@ pub mod names {
     pub const GAUGE_AT_RISK: &str = "slot.at_risk";
 }
 
-/// One slot of the controller loop, captured when a recording
-/// [`Recorder`](owan_obs::Recorder) is attached (`None` in results
-/// otherwise).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SlotTelemetry {
-    /// Slot index.
-    pub slot: usize,
-    /// Slot start, absolute seconds.
-    pub start_s: f64,
-    /// Transfers admitted and unfinished at slot start.
-    pub active_transfers: usize,
-    /// Active transfers that received no allocation this slot (the
-    /// starvation guard's wait queue).
-    pub queue_depth: usize,
-    /// Deadline transfers that cannot finish by their deadline at the
-    /// rate this slot's plan allocates them.
-    pub at_risk: usize,
-    /// Wall time of the engine's `plan_slot` call.
-    pub plan_ns: u64,
-    /// Share of `plan_ns` inside the annealing loop.
-    pub anneal_ns: u64,
-    /// Share spent building optical circuits (inside annealing).
-    pub circuits_ns: u64,
-    /// Share spent assigning rates (inside annealing).
-    pub rates_ns: u64,
-    /// Wall time scheduling the slot-to-slot network update.
-    pub update_ns: u64,
-    /// Operations in the slot's update schedule.
-    pub update_ops: usize,
-    /// Allocated throughput, Gbps.
-    pub throughput_gbps: f64,
+telemetry_bundle! {
+    /// Read-only views of the engine's annealing, circuit-construction
+    /// and rate-assignment spans (shared by name with the engine's core
+    /// telemetry): the stage split of a slot record.
+    pub struct StageSplit {
+        /// The engine's annealing span.
+        pub anneal: stage = core_names::STAGE_ANNEAL,
+        /// The engine's circuit-construction span (inside annealing).
+        pub circuits: stage = core_names::STAGE_CIRCUITS,
+        /// The engine's rate-assignment span (inside annealing).
+        pub rates: stage = core_names::STAGE_RATES,
+    }
+}
+
+impl StageSplit {
+    /// The anneal, circuits and rates totals now, ns.
+    pub fn totals(&self) -> [u64; 3] {
+        [
+            self.anneal.total_ns(),
+            self.circuits.total_ns(),
+            self.rates.total_ns(),
+        ]
+    }
+
+    /// Time each stage gained since `before` (an earlier
+    /// [`Self::totals`]), ns.
+    pub fn since(&self, before: [u64; 3]) -> [u64; 3] {
+        let now = self.totals();
+        std::array::from_fn(|i| now[i] - before[i])
+    }
 }
 
 telemetry_bundle! {
-    /// Pre-resolved recorder handles for the simulation loop. The anneal /
-    /// circuits / rates stages are read-only views onto the counters the
-    /// engine's core telemetry writes (shared by name).
+    /// Pre-resolved recorder handles for the simulation loop.
     pub(crate) struct SimTelemetry {
         /// Span around one whole controller slot.
         pub slot_stage: stage = names::STAGE_SLOT,
         /// Nested update-planner bundle (shares the recorder).
         pub update: bundle(UpdateTelemetry),
-        /// Read-only view of the engine's annealing span.
-        pub anneal: stage = core_names::STAGE_ANNEAL,
-        /// Read-only view of the engine's circuit-construction span.
-        pub circuits: stage = core_names::STAGE_CIRCUITS,
-        /// Read-only view of the engine's rate-assignment span.
-        pub rates: stage = core_names::STAGE_RATES,
+        /// The engine's stage split.
+        pub stages: bundle(StageSplit),
         /// Latest active-transfer count.
         pub active_gauge: gauge = names::GAUGE_ACTIVE,
         /// Latest queue depth.
@@ -99,60 +93,28 @@ telemetry_bundle! {
 }
 
 impl SimTelemetry {
-    /// Stage totals right now, for before/after slot differencing.
-    pub fn stage_marks(&self) -> StageMarks {
-        StageMarks {
-            anneal_ns: self.anneal.total_ns(),
-            circuits_ns: self.circuits.total_ns(),
-            rates_ns: self.rates.total_ns(),
-            update_ns: self.update.update.total_ns(),
-        }
-    }
-
-    /// Publishes a finished slot: gauges, the `slot` event, and the
-    /// structured row (which the caller appends to the result).
-    pub fn publish_slot(&self, row: &SlotTelemetry) {
-        self.active_gauge.set(row.active_transfers as f64);
-        self.queue_gauge.set(row.queue_depth as f64);
-        self.throughput_gauge.set(row.throughput_gbps);
-        self.at_risk_gauge.set(row.at_risk as f64);
+    /// Publishes a finished slot: gauges and the `slot` event.
+    pub fn publish_slot(&self, rec: &SlotRecord) {
+        self.active_gauge.set(rec.active_transfers as f64);
+        self.queue_gauge.set(rec.queue_depth as f64);
+        self.throughput_gauge.set(rec.throughput_gbps);
+        self.at_risk_gauge.set(rec.at_risk as f64);
         self.recorder.event(
             names::EVENT_SLOT,
             &[
-                ("slot", Value::from(row.slot)),
-                ("start_s", Value::from(row.start_s)),
-                ("active_transfers", Value::from(row.active_transfers)),
-                ("queue_depth", Value::from(row.queue_depth)),
-                ("at_risk", Value::from(row.at_risk)),
-                ("plan_ns", Value::from(row.plan_ns)),
-                ("anneal_ns", Value::from(row.anneal_ns)),
-                ("circuits_ns", Value::from(row.circuits_ns)),
-                ("rates_ns", Value::from(row.rates_ns)),
-                ("update_ns", Value::from(row.update_ns)),
-                ("update_ops", Value::from(row.update_ops)),
-                ("throughput_gbps", Value::from(row.throughput_gbps)),
+                ("slot", Value::from(rec.slot)),
+                ("start_s", Value::from(rec.now_s)),
+                ("active_transfers", Value::from(rec.active_transfers)),
+                ("queue_depth", Value::from(rec.queue_depth)),
+                ("at_risk", Value::from(rec.at_risk)),
+                ("plan_ns", Value::from(rec.plan_ns)),
+                ("anneal_ns", Value::from(rec.anneal_ns)),
+                ("circuits_ns", Value::from(rec.circuits_ns)),
+                ("rates_ns", Value::from(rec.rates_ns)),
+                ("update_ns", Value::from(rec.update_ns)),
+                ("update_ops", Value::from(rec.update_ops)),
+                ("throughput_gbps", Value::from(rec.throughput_gbps)),
             ],
         );
-    }
-}
-
-/// Snapshot of the core/update stage totals at one instant.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StageMarks {
-    pub anneal_ns: u64,
-    pub circuits_ns: u64,
-    pub rates_ns: u64,
-    pub update_ns: u64,
-}
-
-impl StageMarks {
-    /// Elapsed stage time since `earlier`, as the four per-slot fields.
-    pub fn since(&self, earlier: &StageMarks) -> (u64, u64, u64, u64) {
-        (
-            self.anneal_ns - earlier.anneal_ns,
-            self.circuits_ns - earlier.circuits_ns,
-            self.rates_ns - earlier.rates_ns,
-            self.update_ns - earlier.update_ns,
-        )
     }
 }

@@ -11,6 +11,7 @@ use owan::obs::{ManualClock, Recorder};
 use owan::sim::runner::{make_engine, run_engine, EngineKind, RunnerConfig};
 use owan::sim::{simulate_probed, Probes, SimConfig};
 use owan::topo::internet2_testbed;
+use owan::why::{WhyConfig, WhyRecorder};
 use owan::workload::{generate, WorkloadConfig};
 
 fn small_workload() -> (owan::topo::Network, Vec<owan::core::TransferRequest>) {
@@ -116,14 +117,20 @@ fn recording_does_not_change_simulation_results() {
     assert_eq!(observed.slots, plain.slots);
     assert!(plain.telemetry.is_none());
 
-    // The observed run carries one row per planned slot, with the stage
-    // splits nested inside the measured planning time.
+    // The observed run carries one slot record per planned slot, with the
+    // stage splits nested inside the measured planning time and one row
+    // per active transfer.
     let rows = observed.telemetry.as_ref().expect("telemetry rows");
     assert_eq!(rows.len(), observed.throughput_series.len());
-    for row in rows {
+    for (slot, row) in rows.iter().enumerate() {
+        assert_eq!(row.slot, slot);
         assert!(row.anneal_ns <= row.plan_ns, "{row:?}");
         assert!(row.circuits_ns + row.rates_ns <= row.anneal_ns, "{row:?}");
-        assert!((row.throughput_gbps - observed.throughput_series[row.slot].1).abs() < 1e-12);
+        assert_eq!(
+            (row.now_s, row.throughput_gbps),
+            observed.throughput_series[row.slot]
+        );
+        assert_eq!(row.by_id().len(), row.active_transfers, "{row:?}");
     }
     // And the recorder saw the whole pipeline.
     let snap = recorder.snapshot();
@@ -144,6 +151,25 @@ fn recording_does_not_change_simulation_results() {
         );
     }
     assert!(snap.counters["anneal.iterations"] > 0);
+}
+
+/// One run with the recorder and the why recorder on: the result's
+/// per-slot telemetry and the why report's records are the same records.
+#[test]
+fn telemetry_and_why_records_are_one_shape() {
+    let (net, requests) = small_workload();
+    let cfg = fast_runner();
+    let recorder = Recorder::with_clock(Arc::new(ManualClock::new()));
+    let probes = Probes {
+        why: WhyRecorder::enabled(WhyConfig::default(), &recorder),
+        recorder,
+        ..Default::default()
+    };
+    let mut engine = make_engine(EngineKind::Owan, &net, &cfg);
+    let result = simulate_probed(&net.plant, &requests, engine.as_mut(), &cfg.sim, &probes);
+    let telemetry = result.telemetry.expect("the recorder is on");
+    assert!(!telemetry.is_empty());
+    assert_eq!(telemetry, probes.why.report().expect("why is on").records);
 }
 
 /// Span nesting under a [`ManualClock`]: a parent span's duration covers
