@@ -1,16 +1,18 @@
-//! The fault model: timed events that hit the plant or the controller,
-//! and the fold that turns a history of events into the set of failures
-//! currently active.
+//! The fault model (§3.4): timed events that hit the plant or the
+//! controller, the fold that turns a history of events into the set of
+//! failures currently active, and the degraded plant that set leaves.
 //!
-//! Events extend the one-way [`Failure`] set of `owan-sim` with repairs
-//! (`FiberRepaired`, `SiteUp`, `AmpRepaired`) and a control-plane fault
-//! (`ControllerCrash`) that never touches the plant at all. The
-//! controller does not see events directly: it sees the *believed* plant,
-//! derived from events whose detection delay has elapsed.
+//! "Link and switch failures are detected and sent to the controller. The
+//! controller removes these links and switches from the physical network,
+//! and recomputes the network state with the updated physical network."
+//! Every fault that touches the plant has a repair ([`FaultKind::repair`]);
+//! a controller crash never touches the plant at all. The controller does
+//! not see events directly: it sees the *believed* plant, derived from
+//! events whose detection delay has elapsed.
 
 use owan_optical::{FiberId, FiberPlant, SiteId};
-use owan_sim::{degrade_plant_mapped, Failure};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// One kind of fault (or repair) in a chaos timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,6 +48,38 @@ impl FaultKind {
     /// a controller crash).
     pub fn touches_plant(&self) -> bool {
         !matches!(self, FaultKind::ControllerCrash)
+    }
+
+    /// The event that heals this fault, or `None` for a repair or a
+    /// controller crash.
+    pub fn repair(&self) -> Option<FaultKind> {
+        match *self {
+            FaultKind::FiberCut(f) => Some(FaultKind::FiberRepaired(f)),
+            FaultKind::SiteDown(s) => Some(FaultKind::SiteUp(s)),
+            FaultKind::AmpDegraded { fiber, .. } => Some(FaultKind::AmpRepaired(fiber)),
+            FaultKind::FiberRepaired(_)
+            | FaultKind::SiteUp(_)
+            | FaultKind::AmpRepaired(_)
+            | FaultKind::ControllerCrash => None,
+        }
+    }
+}
+
+/// The event's stable label in flight-dump frames and why reports
+/// (`fault fiber_cut 3`, `repair site 1`, ...).
+impl fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FaultKind::FiberCut(id) => write!(f, "fault fiber_cut {id}"),
+            FaultKind::FiberRepaired(id) => write!(f, "repair fiber {id}"),
+            FaultKind::SiteDown(s) => write!(f, "fault site_down {s}"),
+            FaultKind::SiteUp(s) => write!(f, "repair site {s}"),
+            FaultKind::AmpDegraded { fiber, usable } => {
+                write!(f, "fault amp_degraded {fiber} usable={usable}")
+            }
+            FaultKind::AmpRepaired(id) => write!(f, "repair amp {id}"),
+            FaultKind::ControllerCrash => f.write_str("fault controller_crash"),
+        }
     }
 }
 
@@ -103,25 +137,50 @@ impl FaultState {
         self.cut_fibers.is_empty() && self.down_sites.is_empty() && self.amp_caps.is_empty()
     }
 
-    /// The active failures as the `owan-sim` failure set, in a
-    /// deterministic order (cuts, then site downs, then amp caps, each
-    /// ascending by id).
-    pub fn active_failures(&self) -> Vec<Failure> {
-        let mut out = Vec::new();
-        out.extend(self.cut_fibers.iter().map(|&f| Failure::FiberCut(f)));
-        out.extend(self.down_sites.iter().map(|&s| Failure::SiteDown(s)));
-        out.extend(
-            self.amp_caps
-                .iter()
-                .map(|(&fiber, &usable)| Failure::AmpDegraded { fiber, usable }),
-        );
-        out
+    /// Stable labels of the active failures in flight-dump frames: cuts,
+    /// then site downs, then amp caps, each ascending by id
+    /// (`fiber_cut 3`, `site_down 1`, `amp_degraded 0 usable=4`).
+    pub fn labels(&self) -> Vec<String> {
+        let cuts = self.cut_fibers.iter().map(|f| format!("fiber_cut {f}"));
+        let downs = self.down_sites.iter().map(|s| format!("site_down {s}"));
+        let amps = self
+            .amp_caps
+            .iter()
+            .map(|(f, u)| format!("amp_degraded {f} usable={u}"));
+        cuts.chain(downs).chain(amps).collect()
     }
 
     /// The plant as this state leaves it, plus the original→degraded
-    /// fiber id map (cut fibers map to `None`).
+    /// fiber id map. A down site keeps its name but loses its ports and
+    /// regenerators; a fiber survives unless it is cut or touches a down
+    /// site (survivors keep their order, so ids compact and cut fibers
+    /// map to `None`); a surviving fiber's wavelength cap is the minimum
+    /// of its amp cap and any cap `base` already has, so degrading a
+    /// degraded plant never restores capacity.
     pub fn degraded_view(&self, base: &FiberPlant) -> (FiberPlant, Vec<Option<FiberId>>) {
-        degrade_plant_mapped(base, &self.active_failures())
+        let down = |s: SiteId| self.down_sites.contains(&s);
+        let mut out = FiberPlant::new(base.params().clone());
+        for s in 0..base.site_count() {
+            let site = base.site(s);
+            if down(s) {
+                out.add_site(&site.name, 0, 0);
+            } else {
+                out.add_site(&site.name, site.router_ports, site.regenerators);
+            }
+        }
+        let mut map = vec![None; base.fiber_count()];
+        for (id, fiber) in base.fibers().iter().enumerate() {
+            if !self.cut_fibers.contains(&id) && !down(fiber.a) && !down(fiber.b) {
+                let new_id = out.add_fiber(fiber.a, fiber.b, fiber.length_km);
+                let amp_cap = self.amp_caps.get(&id).copied();
+                out.set_fiber_wavelength_cap(
+                    new_id,
+                    amp_cap.into_iter().chain(fiber.lambda_cap).min(),
+                );
+                map[id] = Some(new_id);
+            }
+        }
+        (out, map)
     }
 }
 
@@ -221,13 +280,131 @@ mod tests {
             usable: 6,
         });
         assert!(!changed);
+        assert_eq!(st.labels(), vec!["amp_degraded 0 usable=4"]);
+    }
+
+    #[test]
+    fn degrade_removes_fibers_and_ports() {
+        let p = plant();
+        let mut st = FaultState::default();
+        st.apply(&FaultKind::FiberCut(0));
+        st.apply(&FaultKind::SiteDown(3));
+        let (d, _) = st.degraded_view(&p);
+        assert_eq!(d.site_count(), 4);
+        assert_eq!(d.router_ports(3), 0);
+        assert_eq!(d.site(3).regenerators, 0);
+        // Fiber 0 cut, plus both fibers touching site 3 gone: 4 - 3 = 1.
+        assert_eq!(d.fiber_count(), 1);
+    }
+
+    #[test]
+    fn degrade_caps_wavelengths() {
+        let p = plant();
+        let mut st = FaultState::default();
+        st.apply(&FaultKind::AmpDegraded {
+            fiber: 1,
+            usable: 3,
+        });
+        let (d, _) = st.degraded_view(&p);
+        assert_eq!(d.fiber_count(), 4, "degraded fiber survives");
+        assert_eq!(d.usable_wavelengths(1), 3);
+        assert_eq!(d.usable_wavelengths(0), p.usable_wavelengths(0));
+        // A cap already on the base plant is never raised.
+        st.apply(&FaultKind::AmpRepaired(1));
+        st.apply(&FaultKind::AmpDegraded {
+            fiber: 1,
+            usable: 5,
+        });
+        assert_eq!(st.degraded_view(&d).0.usable_wavelengths(1), 3);
+    }
+
+    #[test]
+    fn degrade_mapping_tracks_removals() {
+        let p = plant();
+        let mut st = FaultState::default();
+        st.apply(&FaultKind::FiberCut(1));
+        let (d, map) = st.degraded_view(&p);
+        assert_eq!(map, vec![Some(0), None, Some(1), Some(2)]);
+        for (orig, new) in map.iter().enumerate() {
+            if let Some(n) = new {
+                assert_eq!(d.fiber(*n).a, p.fiber(orig).a);
+                assert_eq!(d.fiber(*n).b, p.fiber(orig).b);
+            }
+        }
+    }
+
+    #[test]
+    fn labels_are_pinned_and_ordered() {
+        let events = [
+            FaultKind::AmpDegraded {
+                fiber: 2,
+                usable: 1,
+            },
+            FaultKind::SiteDown(3),
+            FaultKind::FiberCut(5),
+            FaultKind::SiteDown(0),
+            FaultKind::FiberCut(1),
+        ];
+        let mut st = FaultState::default();
+        for e in &events {
+            st.apply(e);
+        }
         assert_eq!(
-            st.active_failures(),
-            vec![Failure::AmpDegraded {
-                fiber: 0,
-                usable: 4
-            }]
+            st.labels(),
+            vec![
+                "fiber_cut 1",
+                "fiber_cut 5",
+                "site_down 0",
+                "site_down 3",
+                "amp_degraded 2 usable=1",
+            ]
         );
+        let kinds = [
+            FaultKind::FiberCut(4),
+            FaultKind::FiberRepaired(4),
+            FaultKind::SiteDown(2),
+            FaultKind::SiteUp(2),
+            FaultKind::AmpDegraded {
+                fiber: 0,
+                usable: 3,
+            },
+            FaultKind::AmpRepaired(0),
+            FaultKind::ControllerCrash,
+        ];
+        let labels: Vec<String> = kinds.iter().map(FaultKind::to_string).collect();
+        assert_eq!(
+            labels,
+            vec![
+                "fault fiber_cut 4",
+                "repair fiber 4",
+                "fault site_down 2",
+                "repair site 2",
+                "fault amp_degraded 0 usable=3",
+                "repair amp 0",
+                "fault controller_crash",
+            ]
+        );
+    }
+
+    #[test]
+    fn repair_heals_every_plant_fault() {
+        let faults = [
+            FaultKind::FiberCut(2),
+            FaultKind::SiteDown(1),
+            FaultKind::AmpDegraded {
+                fiber: 3,
+                usable: 2,
+            },
+        ];
+        for fault in faults {
+            let mut st = FaultState::default();
+            assert!(st.apply(&fault));
+            let repair = fault.repair().expect("a plant fault heals");
+            assert_eq!(repair.repair(), None, "a repair heals nothing");
+            assert!(st.apply(&repair));
+            assert!(st.is_clear(), "{fault} then {repair}");
+        }
+        assert_eq!(FaultKind::ControllerCrash.repair(), None);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! hash rather than a stateful RNG so the decision for `(slot, op,
 //! attempt)` never depends on how many other ops were probed; and
 //! [`seeded_scenario`] builds a full chaos timeline (cut + degradation +
-//! crash + repair) from a seed, which the oracle fuzzer and the CLI both
-//! replay.
+//! crash + repair) from a seed, which `owan-cli`'s seeded fault runs
+//! (`chaos`, `attack`, `explain --chaos`, `slo --chaos` and `verify
+//! --replay` of a chaos flight dump) replay. The oracle fuzzer derives
+//! its timelines from its own scenarios instead.
 
 use crate::fault::{FaultEvent, FaultKind};
 use owan_optical::FiberPlant;

@@ -5,10 +5,13 @@
 //! reconfiguration delays, and restarts statelessly after a crash. This
 //! crate makes those claims testable. It supplies:
 //!
-//! * a **fault model** ([`FaultKind`], [`FaultEvent`], [`FaultState`])
-//!   covering fiber cuts *and repairs*, site loss and recovery, partial
-//!   amplifier degradation (shrinking a fiber's usable wavelengths), and
-//!   controller crashes;
+//! * the workspace's one **fault model** ([`FaultKind`], [`FaultEvent`],
+//!   [`FaultState`]) covering fiber cuts *and repairs*, site loss and
+//!   recovery, partial amplifier degradation (shrinking a fiber's usable
+//!   wavelengths), and controller crashes: what each fault heals with
+//!   ([`FaultKind::repair`]), the degraded plant and fiber-id map the
+//!   active set leaves ([`FaultState::degraded_view`]), and the labels
+//!   flight dumps and why reports print;
 //! * **seeded injection** ([`OpFaultModel`], [`seeded_scenario`]):
 //!   deterministic per-attempt faults on update operations and full
 //!   scenario timelines reproducible from a seed;

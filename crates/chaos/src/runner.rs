@@ -35,7 +35,7 @@ use owan_core::{
 use owan_obs::Recorder;
 use owan_optical::{FiberId, FiberPlant, SiteId};
 use owan_scope::SlotRecord;
-use owan_sim::{at_risk_count, plan_is_feasible, CompletionRecord, Failure, Probes, SlotLedger};
+use owan_sim::{at_risk_count, plan_is_feasible, CompletionRecord, Probes, SlotLedger};
 use owan_update::{
     execute_plan, plan_consistent, transition_scale, NetworkDelta, OpKind, RetryPolicy,
     UpdateParams, UpdatePlan,
@@ -313,7 +313,7 @@ pub fn run_chaos_probed(
     let mut actual_applied = 0usize;
     let mut detected = 0usize;
     let mut next_crash = 0usize;
-    let mut believed: Option<(FiberPlant, Vec<Option<FiberId>>)> = None;
+    let mut believed = state.degraded_view(plant);
     let mut engine: Option<Box<dyn TrafficEngineer>> = None;
 
     // The data-plane state the network is actually in: survives crashes
@@ -334,7 +334,7 @@ pub fn run_chaos_probed(
         let mut slot_events: Vec<String> = Vec::new();
 
         // 1. Detection: fold in events whose delay has elapsed.
-        let mut changed = believed.is_none();
+        let mut changed = false;
         while detected < plant_events.len()
             && plant_events[detected].time_s + config.detection_delay_s <= now + EPS
         {
@@ -344,9 +344,9 @@ pub fn run_chaos_probed(
             detected += 1;
         }
         if changed {
-            believed = Some(state.degraded_view(plant));
+            believed = state.degraded_view(plant);
         }
-        let (believed_plant, fiber_map) = believed.as_ref().expect("believed plant set");
+        let (believed_plant, fiber_map) = &believed;
 
         // 2. Crash restarts: any crash at or before this boundary kills
         // the running engine; a fresh instance takes over.
@@ -356,7 +356,7 @@ pub fn run_chaos_probed(
                 telem.crashes.incr();
                 stats.crashes += 1;
                 if trace_on {
-                    slot_events.push(fault_label(&FaultKind::ControllerCrash));
+                    slot_events.push(FaultKind::ControllerCrash.to_string());
                 }
             }
             next_crash += 1;
@@ -569,7 +569,7 @@ pub fn run_chaos_probed(
                 && plant_events[actual_applied].time_s < now + config.slot_len_s - EPS
             {
                 actual_state.apply(&plant_events[actual_applied].kind);
-                slot_events.push(fault_label(&plant_events[actual_applied].kind));
+                slot_events.push(plant_events[actual_applied].kind.to_string());
                 actual_applied += 1;
             }
             // Post-delivery, against a horizon from the slot start:
@@ -600,12 +600,8 @@ pub fn run_chaos_probed(
                 at_risk,
                 transition_scale: scale,
                 attack_active: active.iter().any(|t| is_attack(t.id)),
-                believed_down: state.active_failures().iter().map(failure_label).collect(),
-                actual_down: actual_state
-                    .active_failures()
-                    .iter()
-                    .map(failure_label)
-                    .collect(),
+                believed_down: state.labels(),
+                actual_down: actual_state.labels(),
                 events: slot_events,
                 transfers: ledger.transfer_rows(&active, &achieved, delivered, live_rate),
             };
@@ -679,32 +675,6 @@ fn victim_utilization(plan: &SlotPlan, victims: &[(SiteId, SiteId)], theta: f64)
         }
     }
     peak
-}
-
-/// Stable label for an active failure in flight-dump frames.
-fn failure_label(f: &Failure) -> String {
-    match f {
-        Failure::FiberCut(id) => format!("fiber_cut {id}"),
-        Failure::SiteDown(s) => format!("site_down {s}"),
-        Failure::AmpDegraded { fiber, usable } => {
-            format!("amp_degraded {fiber} usable={usable}")
-        }
-    }
-}
-
-/// Stable label for a timeline event in flight-dump frames.
-fn fault_label(k: &FaultKind) -> String {
-    match k {
-        FaultKind::FiberCut(id) => format!("fault fiber_cut {id}"),
-        FaultKind::FiberRepaired(id) => format!("repair fiber {id}"),
-        FaultKind::SiteDown(s) => format!("fault site_down {s}"),
-        FaultKind::SiteUp(s) => format!("repair site {s}"),
-        FaultKind::AmpDegraded { fiber, usable } => {
-            format!("fault amp_degraded {fiber} usable={usable}")
-        }
-        FaultKind::AmpRepaired(id) => format!("repair amp {id}"),
-        FaultKind::ControllerCrash => "fault controller_crash".to_string(),
-    }
 }
 
 /// Graceful degradation (§3.4): the previous topology filtered to links

@@ -1,26 +1,12 @@
-//! The chaos kind's timeline: every fuzzed failure heals and a
-//! controller crash lands mid-run, so a [`ReplayKind::Chaos`] replay
-//! drives cuts that heal, sites that blink, amplifier degradation and
-//! crash restarts through the hardened controller path.
+//! The chaos kind's timeline: every fuzzed failure (a fiber cut or a
+//! site down) heals and a controller crash lands mid-run, so a
+//! [`ReplayKind::Chaos`] replay drives cuts that heal, sites that blink
+//! and crash restarts through the hardened controller path.
 //!
 //! [`ReplayKind::Chaos`]: crate::ReplayKind::Chaos
 
 use crate::fuzz::Scenario;
 use owan_chaos::{FaultEvent, FaultKind};
-use owan_sim::Failure;
-
-/// The fault event a scenario failure strikes as, and the event that
-/// heals it.
-pub(crate) fn fault_and_repair(failure: Failure) -> (FaultKind, FaultKind) {
-    match failure {
-        Failure::FiberCut(id) => (FaultKind::FiberCut(id), FaultKind::FiberRepaired(id)),
-        Failure::SiteDown(s) => (FaultKind::SiteDown(s), FaultKind::SiteUp(s)),
-        Failure::AmpDegraded { fiber, usable } => (
-            FaultKind::AmpDegraded { fiber, usable },
-            FaultKind::AmpRepaired(fiber),
-        ),
-    }
-}
 
 /// Derives a full chaos timeline from a fuzz scenario: every generated
 /// failure becomes a fault event, heals a quarter-horizon later, and one
@@ -29,10 +15,9 @@ pub fn chaos_events_for(scenario: &Scenario) -> Vec<FaultEvent> {
     let horizon = scenario.slot_len_s * scenario.max_slots as f64;
     let mut events: Vec<FaultEvent> = Vec::new();
     for f in &scenario.failures {
-        let (fault, repair) = fault_and_repair(f.failure);
-        events.push(FaultEvent::at(f.time_s, fault));
+        events.push(*f);
         let heal = f.time_s + 0.25 * horizon;
-        if heal < horizon {
+        if let Some(repair) = f.kind.repair().filter(|_| heal < horizon) {
             events.push(FaultEvent::at(heal, repair));
         }
     }

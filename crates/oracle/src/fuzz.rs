@@ -6,9 +6,9 @@
 //! never needs to serialize the scenario itself — the seed plus the set of
 //! retained request/failure indices regenerate it exactly.
 
+use owan_chaos::{FaultEvent, FaultKind};
 use owan_core::TransferRequest;
 use owan_optical::{FiberPlant, OpticalParams};
-use owan_sim::{Failure, FailureEvent};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -21,8 +21,8 @@ pub struct Scenario {
     pub plant: FiberPlant,
     /// Transfer requests, sorted by arrival time.
     pub requests: Vec<TransferRequest>,
-    /// Failure injections, sorted by time.
-    pub failures: Vec<FailureEvent>,
+    /// Failure injections (fiber cuts and site downs), sorted by time.
+    pub failures: Vec<FaultEvent>,
     /// Reconfiguration slot length, seconds.
     pub slot_len_s: f64,
     /// Replay horizon, slots.
@@ -100,21 +100,21 @@ impl Scenario {
         requests.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
 
         let n_failures = (rng.next_u64() % 3) as usize; // 0..=2
-        let mut failures: Vec<FailureEvent> = (0..n_failures)
+        let mut failures: Vec<FaultEvent> = (0..n_failures)
             .map(|_| {
                 let time_s = slot_len_s + rng.random::<f64>() * (horizon_s - slot_len_s);
                 // Bias toward fiber cuts; never take down more than one
                 // site so the plant stays nontrivial.
-                let failure = if rng.random::<f64>() < 0.7 {
-                    Failure::FiberCut(rng.random_range(0..plant.fiber_count()))
+                let kind = if rng.random::<f64>() < 0.7 {
+                    FaultKind::FiberCut(rng.random_range(0..plant.fiber_count()))
                 } else {
-                    Failure::SiteDown(rng.random_range(0..n))
+                    FaultKind::SiteDown(rng.random_range(0..n))
                 };
-                FailureEvent { time_s, failure }
+                FaultEvent { time_s, kind }
             })
             .collect();
         failures.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
-        failures.dedup_by(|a, b| a.failure == b.failure);
+        failures.dedup_by(|a, b| a.kind == b.kind);
 
         Scenario {
             seed,

@@ -27,11 +27,10 @@
 
 use crate::attack::attack_timeline_for;
 use crate::audit::InvariantAudit;
-use crate::chaos::{chaos_events_for, fault_and_repair};
+use crate::chaos::chaos_events_for;
 use crate::fuzz::Scenario;
 use owan_chaos::{
-    restartable_owan, run_attack, run_chaos_probed, ChaosConfig, FaultEvent, OpFaultModel,
-    SlotAudit,
+    restartable_owan, run_attack, run_chaos_probed, ChaosConfig, OpFaultModel, SlotAudit,
 };
 use owan_obs::Recorder;
 use owan_sim::Probes;
@@ -131,14 +130,7 @@ pub fn replay(
     probes: &Probes,
 ) -> Result<ReplayStats, ReplayFailure> {
     let (events, detection_delay_s) = match kind {
-        ReplayKind::Plain => (
-            scenario
-                .failures
-                .iter()
-                .map(|f| FaultEvent::at(f.time_s, fault_and_repair(f.failure).0))
-                .collect(),
-            0.0,
-        ),
+        ReplayKind::Plain => (scenario.failures.clone(), 0.0),
         _ => (chaos_events_for(scenario), DETECTION_DELAY_S),
     };
     let config = ChaosConfig {

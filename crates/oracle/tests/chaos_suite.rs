@@ -1,6 +1,6 @@
-//! Chaos fuzz sweep: seeded scenarios with cuts, repairs, degradation,
-//! op faults and crashes, replayed through the hardened controller with
-//! every invariant checked every slot.
+//! Chaos fuzz sweep: seeded scenarios with fiber cuts and site downs that
+//! heal, op faults and crashes, replayed through the hardened controller
+//! with every invariant checked every slot.
 //!
 //! Seed count balances coverage against debug-mode runtime; the CI
 //! `chaos-long` job sweeps a much larger range.

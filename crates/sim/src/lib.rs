@@ -6,8 +6,6 @@
 //!   delivery through,
 //! * [`metrics`] — completion time / deadline / makespan metrics,
 //! * [`runner`] — engine construction and parallel comparison sweeps,
-//! * [`failures`] — the §3.4 failure model and the degraded plant it
-//!   yields (`owan-chaos` runs the failure experiments on it),
 //! * [`validate`] — the simulator-vs-testbed validation (§5.1).
 //!
 //! # Slot loops and their run context
@@ -51,7 +49,6 @@
 //! ```
 
 pub mod controller;
-pub mod failures;
 pub mod ledger;
 pub mod metrics;
 pub mod runner;
@@ -60,7 +57,6 @@ pub mod telemetry;
 pub mod validate;
 
 pub use controller::{run_controller, ControllerConfig, ControllerResult, UpdateDiscipline};
-pub use failures::{degrade_plant, degrade_plant_mapped, Failure, FailureEvent};
 pub use ledger::{at_risk_count, CompletionRecord, SlotLedger};
 pub use runner::{
     make_engine, run_comparison, run_engine, run_engine_explained, run_engine_observed,
