@@ -699,14 +699,15 @@ fn fallback_plan(
     };
     let Some(prev) = prev else { return empty };
 
-    let fd = believed.fiber_distance_matrix();
+    let pc = cache.precompute(believed);
+    let fd = pc.fiber_dist();
     let mut desired = Topology::empty(n);
     for (u, v, m) in prev.topology.links() {
         if believed.router_ports(u) > 0 && believed.router_ports(v) > 0 && fd[u][v].is_finite() {
             desired.add_links(u, v, m);
         }
     }
-    let topo = realise(believed, &desired, &fd, circuit_cfg, cache).achieved;
+    let topo = realise(believed, &desired, circuit_cfg, cache).achieved;
 
     let transfers = ledger.transfers();
     let mut allocations: Vec<Allocation> = Vec::new();
@@ -885,21 +886,20 @@ fn achieved_state(
 /// Re-realises `desired` on the believed plant through the run's one
 /// [`EnergyCache`]: the same [`BuiltTopology`] as the naive
 /// `build_topology`, without a regenerator graph and a Yen run per circuit.
-/// The cache keeps its plant precompute until `begin_run` sees another
-/// fingerprint, and the believed plant moves at every detection and
-/// repair, so every build announces its plant first.
+/// The cache keeps its plant precompute, distance matrix included, until
+/// the plant's precompute key moves, and the believed plant moves at every
+/// detection and repair, so every build announces its plant first.
 fn realise(
     believed: &FiberPlant,
     desired: &Topology,
-    fiber_dist: &[Vec<f64>],
     circuit_cfg: &CircuitBuildConfig,
     cache: &mut EnergyCache,
 ) -> BuiltTopology {
-    cache.begin_run(believed);
+    let pc = cache.precompute(believed);
     build_topology_cached(
         believed,
         desired,
-        fiber_dist,
+        pc.fiber_dist(),
         circuit_cfg,
         cache,
         &CoreTelemetry::disabled(),
@@ -1030,8 +1030,7 @@ fn blackhole_fractions(
     if dark.is_empty() {
         return HashMap::new();
     }
-    let fd = believed.fiber_distance_matrix();
-    let built = realise(believed, &achieved.topology, &fd, circuit_cfg, cache);
+    let built = realise(believed, &achieved.topology, circuit_cfg, cache);
     dark.live_fractions(&built, achieved, now, slot_end)
 }
 

@@ -21,7 +21,7 @@
 //! energy, as the rule accepts any move that is no worse, without being
 //! evaluated.
 
-use crate::cache::{plant_fingerprint, EnergyCache, PlantCache};
+use crate::cache::{precompute_key, EnergyCache, PlantCache};
 use crate::energy::{EnergyContext, EnergyEvaluator, EnergyOutcome};
 use crate::pool::EvalPool;
 use crate::rates::RateInputs;
@@ -352,10 +352,10 @@ pub fn chain_seed(seed: u64, i: usize) -> u64 {
 /// identical for every worker count; only wall-clock changes.
 ///
 /// Before any chain runs, the per-plant precompute (relay domains, reach
-/// rows and route table, see [`PlantCache`]) is resolved **once** —
-/// recycled from whichever cache already holds it for this plant, built
-/// fresh otherwise — and offered to every chain's cache, so N chains never
-/// redo the all-pairs work N times.
+/// rows, route table and distance matrix, see [`PlantCache`]) is
+/// resolved **once** — recycled from whichever cache already holds it for
+/// this plant's key, built fresh otherwise — and offered to every chain's
+/// cache, so N chains never redo the all-pairs work N times.
 #[allow(clippy::too_many_arguments)]
 pub fn anneal_parallel_pooled(
     ctx: &EnergyContext<'_>,
@@ -373,10 +373,10 @@ pub fn anneal_parallel_pooled(
 
     // Hoist the per-plant precompute out of the chains: one Floyd–Warshall
     // pass shared by every chain (and, via the caches, by later slots).
-    let sig = plant_fingerprint(ctx.plant);
+    let key = precompute_key(ctx.plant);
     let shared = caches
         .iter()
-        .find_map(|c| c.plant_cache_for(sig))
+        .find_map(|c| c.plant_cache_for(key))
         .unwrap_or_else(|| Arc::new(PlantCache::build(ctx.plant, ctx.fiber_dist)));
     for c in caches.iter_mut() {
         c.install_plant_cache(Arc::clone(&shared));

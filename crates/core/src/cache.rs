@@ -15,9 +15,11 @@
 //!    ([`RelaySearch`](crate::regen::RelaySearch)) runs on, the route table
 //!    provisioning and the probe rows read fibers from, and the per-pair
 //!    relay domains the delta rebuild's dirty-set screen compares
-//!    free-regenerator vectors on. Relay candidates themselves are *not*
-//!    cached: a search draws them one at a time, and nearly every attempt
-//!    lights the first.
+//!    free-regenerator vectors on; and the one copy of the fiber distance
+//!    matrix the reach rows were built from, which the engine's port
+//!    repair and the chaos runner read too. Relay candidates themselves
+//!    are *not* cached: a search draws them one at a time, and nearly
+//!    every attempt lights the first.
 //! 2. **Two [`TopologyLedger`]s** — `accepted`, the build of the walk's
 //!    current state, and `scored`, the build of the neighbor being
 //!    evaluated, rebuilt incrementally from `accepted`; accepting a move
@@ -31,12 +33,15 @@
 //! dropping full outcomes for the few evaluations in a hundred that
 //! repeat.
 //!
-//! Invalidation: the [`PlantCache`] is valid as long as the plant content
-//! is unchanged; [`EnergyCache::begin_run`] fingerprints the plant (sites,
-//! ports, regenerators, fibers, lengths, usable wavelengths) and drops it
-//! when the fingerprint moves — e.g. when a chaos fault degrades an
-//! amplifier and shrinks a fiber's usable band. The ledgers are buffers: a
-//! run's first evaluation rebuilds `accepted` in full.
+//! Invalidation: the [`PlantCache`] is valid as long as what it reads is
+//! unchanged; [`EnergyCache::begin_run`] takes the plant's
+//! [`precompute_key`] (site count, regenerators, fiber endpoints and
+//! lengths, optical reach) and drops the precompute when the key moves — a
+//! fiber cut, a site down, the repair of either. An amplifier degradation
+//! only shrinks a fiber's usable band, which no table reads (provisioning
+//! reads the band off the plant at every build), so it keeps the
+//! precompute. The ledgers are buffers: a run's first evaluation rebuilds
+//! `accepted` in full.
 
 use crate::circuits::{DeltaScratch, TopologyLedger};
 use crate::rates::RateScratch;
@@ -115,7 +120,8 @@ pub struct EnergyCacheStats {
     /// Full circuit rebuilds (initial evaluations, fallbacks, and a
     /// winner that is not the accepted state).
     pub full_builds: u64,
-    /// Plant-fingerprint flushes of the plant-scoped precompute.
+    /// Flushes of the plant-scoped precompute: runs whose plant's
+    /// [`precompute_key`] differed from the previous run's.
     pub flushes: u64,
     /// Always zero: see the note in [`MissReason`].
     #[doc(hidden)]
@@ -141,12 +147,15 @@ impl EnergyCacheStats {
     }
 }
 
-/// Content fingerprint of a plant: everything circuit construction can
-/// observe — parameters, per-site ports/regenerators, per-fiber endpoints,
-/// lengths, and usable wavelengths (which folds in degradation caps). Site
-/// names are excluded: they cannot influence any build decision. FNV-1a
-/// over the canonical field order.
-pub fn plant_fingerprint(plant: &FiberPlant) -> u64 {
+/// Key of the plant-scoped precompute: exactly the plant content a
+/// [`PlantCache`] and its fiber distance matrix read — the site count and
+/// per-site regenerators (relay domains), fiber endpoints and lengths
+/// (distances and routes) and the optical reach (reach rows). Two plants
+/// with one key share one precompute. Router ports, site names, the
+/// wavelength count and capacity and per-fiber wavelength caps (amplifier
+/// degradation) are left out: no table reads them. FNV-1a over the
+/// canonical field order.
+pub fn precompute_key(plant: &FiberPlant) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
@@ -156,21 +165,16 @@ pub fn plant_fingerprint(plant: &FiberPlant) -> u64 {
             h = h.wrapping_mul(FNV_PRIME);
         }
     };
-    let params = plant.params();
-    mix(params.wavelength_capacity_gbps.to_bits());
-    mix(params.wavelengths_per_fiber as u64);
-    mix(params.optical_reach_km.to_bits());
+    mix(plant.params().optical_reach_km.to_bits());
     mix(plant.site_count() as u64);
     for s in plant.sites() {
-        mix(s.router_ports as u64);
         mix(s.regenerators as u64);
     }
     mix(plant.fiber_count() as u64);
-    for (f, fiber) in plant.fibers().iter().enumerate() {
+    for fiber in plant.fibers() {
         mix(fiber.a as u64);
         mix(fiber.b as u64);
         mix(fiber.length_km.to_bits());
-        mix(plant.usable_wavelengths(f) as u64);
     }
     h
 }
@@ -193,19 +197,23 @@ pub fn plant_fingerprint(plant: &FiberPlant) -> u64 {
 ///   rebuild's dirty-set screen rests on;
 /// - the **route table** ([`RouteTable`]): the shortest fiber route of
 ///   every ordered site pair, which the ledger builds hand to provisioning
-///   (no Dijkstra per segment) and read probe and dirty fibers from.
+///   (no Dijkstra per segment) and read probe and dirty fibers from;
+/// - the **fiber distance matrix** the reach rows were built from, which
+///   the engine reads too (port repair).
 ///
-/// Invalidation piggybacks on the plant fingerprint: a degradation that
-/// moves the fingerprint (e.g. an amp fault shrinking a fiber's usable
-/// band) drops the `Arc` and the next run rebuilds.
+/// Invalidation follows the [`precompute_key`]: a plant change that moves
+/// it (a cut, a site down, a repair of either) drops the `Arc` and the
+/// next run rebuilds; one that does not (an amplifier degradation) keeps
+/// it.
 #[derive(Debug)]
 pub struct PlantCache {
-    sig: u64,
+    key: u64,
     n: usize,
     /// Relay domain per unordered pair as a site row, row `min * n + max`.
     domains: Vec<u64>,
     reach: ReachRows,
     routes: RouteTable,
+    fiber_dist: Vec<Vec<f64>>,
 }
 
 impl PlantCache {
@@ -213,6 +221,8 @@ impl PlantCache {
     /// regenerator-equipped pivots (a boolean Floyd–Warshall on site rows,
     /// `O(V^2)` row unions) with the per-pair domains read off it, word by
     /// word; and one fiber-graph Dijkstra per site for the route table.
+    /// `fiber_dist` must be `plant.fiber_distance_matrix()`; the
+    /// precompute keeps a copy.
     ///
     /// # Panics
     ///
@@ -222,17 +232,23 @@ impl PlantCache {
         let reach = ReachRows::build(plant, fiber_dist);
         let domains = by_row_words!(reach.words(), |W| relay_domains::<W>(plant, &reach));
         PlantCache {
-            sig: plant_fingerprint(plant),
+            key: precompute_key(plant),
             n: plant.site_count(),
             domains,
             reach,
             routes: RouteTable::build(plant),
+            fiber_dist: fiber_dist.to_vec(),
         }
     }
 
-    /// Fingerprint of the plant this precompute was built from.
-    pub fn fingerprint(&self) -> u64 {
-        self.sig
+    /// [`precompute_key`] of the plant this precompute was built from.
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
+    /// The plant's all-pairs shortest fiber distance matrix.
+    pub fn fiber_dist(&self) -> &[Vec<f64>] {
+        &self.fiber_dist
     }
 
     /// The relay domain of pair `(u, v)` as a site row (see
@@ -310,8 +326,8 @@ fn relay_domains<const W: usize>(plant: &FiberPlant, reach: &ReachRows) -> Vec<u
 /// cache, which keeps chains bit-for-bit independent of scheduling.
 #[derive(Debug, Clone, Default)]
 pub struct EnergyCache {
-    /// Fingerprint of the plant the current run evaluates.
-    plant_sig: Option<u64>,
+    /// [`precompute_key`] of the plant the current run evaluates.
+    plant_key: Option<u64>,
     /// The build of the annealing walk's current state: what a neighbor's
     /// build resumes from.
     pub(crate) accepted: TopologyLedger,
@@ -323,12 +339,13 @@ pub struct EnergyCache {
     pub(crate) delta_scratch: DeltaScratch,
     /// Buffers of the rate pass.
     pub(crate) rate_scratch: RateScratch,
-    /// Plant-scoped precompute (relay domains, reach rows, route table),
-    /// `Arc`-shared across chains when a parallel run installs one.
+    /// Plant-scoped precompute (relay domains, reach rows, route table,
+    /// distance matrix), `Arc`-shared across chains when a parallel run
+    /// installs one.
     plant: Option<Arc<PlantCache>>,
     /// A shared precompute offered by the enclosing parallel run via
-    /// [`Self::install_plant_cache`]; adopted on first use when its
-    /// fingerprint matches, so sibling chains never rebuild it.
+    /// [`Self::install_plant_cache`]; adopted on first use when its key
+    /// matches, so sibling chains never rebuild it.
     shared_plant: Option<Arc<PlantCache>>,
     /// Work counters.
     pub stats: EnergyCacheStats,
@@ -341,37 +358,48 @@ impl EnergyCache {
     }
 
     /// Prepares the cache for one evaluation run (one annealing call):
-    /// drops the plant-scoped precompute if the plant content changed
-    /// since it was built. `fiber_dist` passed to the other methods must
-    /// always be `plant.fiber_distance_matrix()`.
+    /// drops the plant-scoped precompute if the plant's
+    /// [`precompute_key`] moved since it was built. `fiber_dist` passed to
+    /// the other methods must always be `plant.fiber_distance_matrix()`.
     pub fn begin_run(&mut self, plant: &FiberPlant) {
-        let sig = plant_fingerprint(plant);
-        if self.plant_sig == Some(sig) {
+        let key = precompute_key(plant);
+        if self.plant_key == Some(key) {
             return;
         }
-        if self.plant_sig.is_some() {
+        if self.plant_key.is_some() {
             self.stats.flushes += 1;
         }
-        self.plant_sig = Some(sig);
+        self.plant_key = Some(key);
         self.plant = None;
     }
 
     /// Offers a shared [`PlantCache`] built by the enclosing run. The
-    /// cache adopts it (instead of building its own) as long as its
-    /// fingerprint matches the plant of the current run.
+    /// cache adopts it (instead of building its own) as long as its key
+    /// matches the plant of the current run.
     pub fn install_plant_cache(&mut self, pc: Arc<PlantCache>) {
         self.shared_plant = Some(pc);
     }
 
     /// The plant-scoped precompute currently adopted or offered, if its
-    /// fingerprint is `sig` — lets a parallel run recycle one chain's
-    /// precompute for its siblings across slots.
-    pub fn plant_cache_for(&self, sig: u64) -> Option<Arc<PlantCache>> {
+    /// key is `key` — lets a parallel run recycle one chain's precompute
+    /// for its siblings across slots.
+    pub fn plant_cache_for(&self, key: u64) -> Option<Arc<PlantCache>> {
         self.plant
             .iter()
             .chain(self.shared_plant.iter())
-            .find(|p| p.sig == sig)
+            .find(|p| p.key == key)
             .cloned()
+    }
+
+    /// Begins a run on `plant` (see [`Self::begin_run`]) and returns its
+    /// precompute: the one held, the shared one, or one built with a fresh
+    /// distance matrix. The engine and the chaos runner read the plant's
+    /// distance matrix from here instead of computing their own.
+    pub fn precompute(&mut self, plant: &FiberPlant) -> Arc<PlantCache> {
+        self.begin_run(plant);
+        self.adopt_or_build(plant, || {
+            PlantCache::build(plant, &plant.fiber_distance_matrix())
+        })
     }
 
     /// The plant-scoped precompute, adopting the shared one or building a
@@ -381,16 +409,24 @@ impl EnergyCache {
         plant: &FiberPlant,
         fiber_dist: &[Vec<f64>],
     ) -> Arc<PlantCache> {
+        self.adopt_or_build(plant, || PlantCache::build(plant, fiber_dist))
+    }
+
+    fn adopt_or_build(
+        &mut self,
+        plant: &FiberPlant,
+        build: impl FnOnce() -> PlantCache,
+    ) -> Arc<PlantCache> {
         if let Some(pc) = &self.plant {
             return Arc::clone(pc);
         }
-        let sig = self.plant_sig.unwrap_or_else(|| plant_fingerprint(plant));
+        let key = self.plant_key.unwrap_or_else(|| precompute_key(plant));
         let pc = self
             .shared_plant
             .as_ref()
-            .filter(|p| p.sig == sig)
+            .filter(|p| p.key == key)
             .cloned()
-            .unwrap_or_else(|| Arc::new(PlantCache::build(plant, fiber_dist)));
+            .unwrap_or_else(|| Arc::new(build()));
         self.plant = Some(Arc::clone(&pc));
         pc
     }
@@ -400,6 +436,8 @@ impl EnergyCache {
 mod tests {
     use super::*;
     use owan_optical::OpticalParams;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn plant() -> FiberPlant {
         let mut p = FiberPlant::new(OpticalParams {
@@ -415,17 +453,144 @@ mod tests {
         p
     }
 
-    #[test]
-    fn fingerprint_tracks_plant_content() {
-        let p = plant();
-        let base = plant_fingerprint(&p);
-        assert_eq!(base, plant_fingerprint(&p), "deterministic");
+    /// A plant spelled out field by field, so that a test can change one
+    /// field at a time.
+    #[derive(Clone)]
+    struct Spec {
+        params: OpticalParams,
+        /// `(name, router ports, regenerators)`.
+        sites: Vec<(String, u32, u32)>,
+        /// `(a, b, length km, wavelength cap)`.
+        fibers: Vec<(usize, usize, f64, Option<u32>)>,
+    }
 
-        let mut degraded = p.clone();
-        degraded.set_fiber_wavelength_cap(0, Some(3));
-        assert_ne!(base, plant_fingerprint(&degraded), "amp degradation");
-        degraded.set_fiber_wavelength_cap(0, None);
-        assert_eq!(base, plant_fingerprint(&degraded), "repair restores");
+    impl Spec {
+        /// 4–11 sites, some without regenerators or ports, and random
+        /// fibers (parallel ones and isolated sites included).
+        fn random(rng: &mut StdRng) -> Spec {
+            let n = rng.random_range(4..12usize);
+            let sites = (0..n)
+                .map(|i| {
+                    let ports = rng.random_range(0..4u32);
+                    (format!("S{i}"), ports, rng.random_range(0..3u32))
+                })
+                .collect();
+            let mut fibers = Vec::new();
+            for _ in 0..rng.random_range(1..2 * n) {
+                let a = rng.random_range(0..n);
+                let b = (a + rng.random_range(1..n)) % n;
+                fibers.push((a, b, rng.random_range(100.0..900.0), None));
+            }
+            Spec {
+                params: OpticalParams {
+                    optical_reach_km: rng.random_range(600.0..1500.0),
+                    ..Default::default()
+                },
+                sites,
+                fibers,
+            }
+        }
+
+        fn plant(&self) -> FiberPlant {
+            let mut p = FiberPlant::new(self.params.clone());
+            for (name, ports, regens) in &self.sites {
+                p.add_site(name, *ports, *regens);
+            }
+            for &(a, b, km, cap) in &self.fibers {
+                let f = p.add_fiber(a, b, km);
+                p.set_fiber_wavelength_cap(f, cap);
+            }
+            p
+        }
+
+        fn key(&self) -> u64 {
+            precompute_key(&self.plant())
+        }
+    }
+
+    fn built(p: &FiberPlant) -> PlantCache {
+        PlantCache::build(p, &p.fiber_distance_matrix())
+    }
+
+    /// Every table of two precomputes, bit for bit.
+    fn assert_same_precompute(a: &PlantCache, b: &PlantCache, tag: &str) {
+        assert_eq!(a.key(), b.key(), "{tag}: key");
+        assert_eq!(a.reach, b.reach, "{tag}: reach rows");
+        assert_eq!(a.domains, b.domains, "{tag}: relay domains");
+        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            m.iter()
+                .map(|row| row.iter().map(|d| d.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(
+            bits(a.fiber_dist()),
+            bits(b.fiber_dist()),
+            "{tag}: distances"
+        );
+        for u in 0..a.n {
+            for v in 0..a.n {
+                let route = |pc: &PlantCache| {
+                    pc.routes()
+                        .route(u, v)
+                        .map(|r| (r.fibers.to_vec(), r.sites.to_vec(), r.length_km.to_bits()))
+                };
+                assert_eq!(route(a), route(b), "{tag}: route {u}->{v}");
+            }
+        }
+    }
+
+    #[test]
+    fn precompute_key_tracks_what_the_precompute_reads() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
+        for case in 0..40 {
+            let spec = Spec::random(&mut rng);
+            let base = spec.key();
+            assert_eq!(base, spec.key(), "case {case}: deterministic");
+
+            // Amplifier degradation and the wavelength count: the same
+            // precompute, table for table.
+            let mut capped = spec.clone();
+            for fiber in capped.fibers.iter_mut() {
+                if rng.random_range(0..2u32) == 0 {
+                    fiber.3 = Some(rng.random_range(1..80u32));
+                }
+            }
+            capped.params.wavelengths_per_fiber = 40;
+            let tag = format!("case {case}");
+            assert_same_precompute(&built(&spec.plant()), &built(&capped.plant()), &tag);
+
+            let mut renamed = spec.clone();
+            renamed.sites[0].0 = "ELSEWHERE".into();
+            let mut ported = spec.clone();
+            ported.sites[1].1 += 3;
+            for (what, other) in [("cap", &capped), ("name", &renamed), ("ports", &ported)] {
+                assert_eq!(other.key(), base, "case {case}: {what} moved the key");
+            }
+
+            let mut cut = spec.clone();
+            cut.fibers.remove(rng.random_range(0..spec.fibers.len()));
+            // Site down: no ports, no regenerators, its fibers gone.
+            let mut down = spec.clone();
+            let s = spec.fibers[0].0;
+            down.sites[s].1 = 0;
+            down.sites[s].2 = 0;
+            down.fibers.retain(|&(a, b, _, _)| a != s && b != s);
+            let mut regens = spec.clone();
+            regens.sites[2].2 += 1;
+            let mut longer = spec.clone();
+            longer.fibers[0].2 *= 1.5;
+            let mut reach = spec.clone();
+            reach.params.optical_reach_km += 1.0;
+            for (what, other) in [
+                ("cut", &cut),
+                ("site down", &down),
+                ("regenerators", &regens),
+                ("length", &longer),
+                ("reach", &reach),
+            ] {
+                assert_ne!(other.key(), base, "case {case}: {what} left the key");
+            }
+        }
     }
 
     #[test]
@@ -487,28 +652,46 @@ mod tests {
 
     #[test]
     fn begin_run_flushes_on_degradation_only() {
+        // A degradation the precompute reads (a cut) flushes it; an
+        // amplifier degradation, which it does not read, keeps it.
         let mut p = plant();
         let mut cache = EnergyCache::new();
-        cache.begin_run(&p);
-        let first = cache.plant_precompute(&p, &p.fiber_distance_matrix());
+        let first = cache.precompute(&p);
+        let bits =
+            |m: &[Vec<f64>]| -> Vec<u64> { m.iter().flatten().map(|d| d.to_bits()).collect() };
+        assert_eq!(bits(first.fiber_dist()), bits(&p.fiber_distance_matrix()));
 
-        cache.begin_run(&p);
+        let again = cache.precompute(&p);
         assert_eq!(cache.stats.flushes, 0, "same plant keeps the precompute");
-        let again = cache.plant_precompute(&p, &p.fiber_distance_matrix());
         assert!(Arc::ptr_eq(&first, &again));
 
         p.set_fiber_wavelength_cap(2, Some(1));
-        cache.begin_run(&p);
-        assert_eq!(cache.stats.flushes, 1, "degradation flushes");
-        let rebuilt = cache.plant_precompute(&p, &p.fiber_distance_matrix());
+        let capped = cache.precompute(&p);
+        assert_eq!(cache.stats.flushes, 0, "amp degradation keeps it");
+        assert!(Arc::ptr_eq(&first, &capped));
+
+        let mut cut = FiberPlant::new(p.params().clone());
+        for s in p.sites() {
+            cut.add_site(&s.name, s.router_ports, s.regenerators);
+        }
+        for f in &p.fibers()[1..] {
+            cut.add_fiber(f.a, f.b, f.length_km);
+        }
+        let rebuilt = cache.precompute(&cut);
+        assert_eq!(cache.stats.flushes, 1, "a cut flushes");
         assert!(!Arc::ptr_eq(&first, &rebuilt), "precompute was rebuilt");
+        assert_eq!(
+            bits(rebuilt.fiber_dist()),
+            bits(&cut.fiber_distance_matrix())
+        );
     }
 
     #[test]
-    fn route_table_follows_the_plant_fingerprint() {
+    fn route_table_follows_the_precompute_key() {
         // Parallel fibers 0-1 and a fiberless site: the table the cache
         // hands to provisioning must equal the plant's own routes pair
-        // for pair, and be rebuilt when the fingerprint moves.
+        // for pair, survive an amplifier degradation and its repair, and
+        // be rebuilt when a cut moves the key.
         let mut p = plant();
         p.add_fiber(0, 1, 250.0);
         p.add_site("LONE", 4, 0);
@@ -519,7 +702,7 @@ mod tests {
                     let got = pc
                         .routes()
                         .route(a, b)
-                        .map(|r| (r.fibers.clone(), r.sites.clone(), r.length_km));
+                        .map(|r| (r.fibers.to_vec(), r.sites.to_vec(), r.length_km));
                     assert_eq!(got, want, "{a}->{b}");
                 }
             }
@@ -528,36 +711,32 @@ mod tests {
         cache.begin_run(&p);
         let first = cache.plant_precompute(&p, &p.fiber_distance_matrix());
         same_routes(&first, &p);
-        assert_eq!(first.routes().route(0, 1).unwrap().fibers, vec![4]);
+        assert_eq!(first.routes().route(0, 1).unwrap().fibers, [4]);
         assert!(first.routes().route(0, 4).is_none());
 
         cache.begin_run(&p);
         let again = cache.plant_precompute(&p, &p.fiber_distance_matrix());
         assert!(Arc::ptr_eq(&first, &again), "same plant keeps the table");
 
-        // Amp degradation moves the fingerprint: flushed and rebuilt.
-        p.set_fiber_wavelength_cap(4, Some(1));
-        cache.begin_run(&p);
-        let degraded = cache.plant_precompute(&p, &p.fiber_distance_matrix());
-        assert!(!Arc::ptr_eq(&first, &degraded));
-        same_routes(&degraded, &p);
-
-        // Repair restores the fingerprint; the precompute is rebuilt for
-        // it (the flush dropped the old one) with the original routes.
-        p.set_fiber_wavelength_cap(4, None);
-        cache.begin_run(&p);
-        let repaired = cache.plant_precompute(&p, &p.fiber_distance_matrix());
-        assert_eq!(repaired.fingerprint(), first.fingerprint());
-        assert!(!Arc::ptr_eq(&degraded, &repaired));
-        same_routes(&repaired, &p);
+        // Amp degradation and its repair leave the key alone: kept.
+        for cap in [Some(1), None] {
+            p.set_fiber_wavelength_cap(4, cap);
+            cache.begin_run(&p);
+            let kept = cache.plant_precompute(&p, &p.fiber_distance_matrix());
+            assert!(Arc::ptr_eq(&first, &kept), "cap {cap:?}");
+            same_routes(&kept, &p);
+        }
+        assert_eq!(cache.stats.flushes, 0);
 
         // A cut (the plant loses the short parallel fiber) changes routes,
         // and the table with them.
         let mut cut = plant();
         cut.add_site("LONE", 4, 0);
         cache.begin_run(&cut);
+        assert_eq!(cache.stats.flushes, 1, "a cut flushes");
         let after_cut = cache.plant_precompute(&cut, &cut.fiber_distance_matrix());
+        assert_ne!(after_cut.key(), first.key());
         same_routes(&after_cut, &cut);
-        assert_eq!(after_cut.routes().route(0, 1).unwrap().fibers, vec![0]);
+        assert_eq!(after_cut.routes().route(0, 1).unwrap().fibers, [0]);
     }
 }

@@ -173,7 +173,7 @@ pub(crate) struct DeltaScratch {
 fn mark_route_fibers(pc: &PlantCache, relay: &[SiteId], row: &mut [u64]) {
     for w in relay.windows(2) {
         if let Some(route) = pc.routes().route(w[0], w[1]) {
-            for &f in &route.fibers {
+            for &f in route.fibers {
                 set_bit(row, f);
             }
         }

@@ -146,7 +146,7 @@ pub struct EnergyEvaluator<'a, 'c> {
 
 impl<'a, 'c> EnergyEvaluator<'a, 'c> {
     /// Creates an evaluator; a `Some` cache is prepared with
-    /// [`EnergyCache::begin_run`] (plant-fingerprint invalidation happens
+    /// [`EnergyCache::begin_run`] (precompute-key invalidation happens
     /// here). `rate_inputs` are [`EnergyContext::rate_inputs`] of `ctx`,
     /// built once per annealing run and shared by its chains.
     pub fn new(

@@ -8,7 +8,7 @@
 //! baselines keep a fixed topology and only recompute routing/rates.
 
 use crate::anneal::{anneal_parallel_pooled, AnnealConfig};
-use crate::cache::{plant_fingerprint, EnergyCache};
+use crate::cache::EnergyCache;
 use crate::circuits::CircuitBuildConfig;
 use crate::rates::RateAssignConfig;
 use crate::telemetry::CoreTelemetry;
@@ -106,13 +106,9 @@ pub struct OwanEngine {
     telemetry: CoreTelemetry,
     prof: Profiler,
     /// One persistent [`EnergyCache`] per annealing chain; the plant-scoped
-    /// layers survive across slots (and are fingerprint-flushed on plant
-    /// changes).
+    /// precompute, fiber distance matrix included, survives across slots
+    /// until a plant change moves its key.
     caches: Vec<EnergyCache>,
-    /// The all-pairs fiber distance matrix (one Dijkstra per site) of the
-    /// plant with this fingerprint: recomputed when a fault, a repair or a
-    /// restart moves the fingerprint, not every slot.
-    fiber_dist: Option<(u64, Vec<Vec<f64>>)>,
 }
 
 impl OwanEngine {
@@ -127,7 +123,6 @@ impl OwanEngine {
             telemetry: CoreTelemetry::disabled(),
             prof: Profiler::disabled(),
             caches: (0..config.chains).map(|_| EnergyCache::new()).collect(),
-            fiber_dist: None,
         }
     }
 
@@ -150,22 +145,19 @@ impl TrafficEngineer for OwanEngine {
 
     fn plan_slot(&mut self, plant: &FiberPlant, input: &SlotInput<'_>) -> SlotPlan {
         let _region = self.prof.region("plan_slot");
-        let sig = plant_fingerprint(plant);
-        let fiber_dist = match self.fiber_dist.take() {
-            Some((at, matrix)) if at == sig => matrix,
-            _ => plant.fiber_distance_matrix(),
-        };
+        let pc = self.caches[0].precompute(plant);
+        let fiber_dist = pc.fiber_dist();
         // Re-spend any ports freed by past circuit-construction failures:
         // the achieved topology may have fewer links than desired (Alg 3
         // lines 13-14), and the degree-preserving neighbor move can never
         // add them back on its own.
         {
             let _region = self.prof.region("repair");
-            repair_spare_ports(plant, &mut self.current, input.transfers, &fiber_dist);
+            repair_spare_ports(plant, &mut self.current, input.transfers, fiber_dist);
         }
         let ctx = crate::energy::EnergyContext {
             plant,
-            fiber_dist: &fiber_dist,
+            fiber_dist,
             transfers: input.transfers,
             policy: self.config.policy,
             slot_len_s: input.slot_len_s,
@@ -191,7 +183,6 @@ impl TrafficEngineer for OwanEngine {
             None,
             &self.telemetry,
         );
-        self.fiber_dist = Some((sig, fiber_dist));
         self.current = result.outcome.built.achieved.clone();
 
         SlotPlan {

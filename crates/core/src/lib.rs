@@ -60,7 +60,7 @@ pub mod types;
 pub use anneal::{
     anneal, anneal_parallel_pooled, anneal_with_cache, chain_seed, AnnealConfig, AnnealResult,
 };
-pub use cache::{plant_fingerprint, EnergyCache, EnergyCacheStats, MissReason, PlantCache};
+pub use cache::{precompute_key, EnergyCache, EnergyCacheStats, MissReason, PlantCache};
 pub use circuits::{
     build_topology, build_topology_cached, build_topology_observed, BuiltTopology,
     CircuitBuildConfig, TopologyLedger, MAX_DELTA_UNITS,

@@ -147,7 +147,7 @@ impl RegenGraph {
 /// orientations are kept: `fwd` row `x` holds `y` when `fiber_dist[x][y]
 /// <= reach`, `rev` is its transpose, and `neighbors` picks per
 /// neighbor the orientation the reference would have used.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReachRows {
     n: usize,
     /// `u64` words per row.

@@ -36,6 +36,14 @@ impl ShortestPaths {
         self.source
     }
 
+    /// The node before `n` on the shortest-path tree (`None` for the
+    /// source and for unreachable nodes): the step [`Self::path_to`]
+    /// walks back along.
+    #[inline]
+    pub fn predecessor(&self, n: NodeId) -> Option<NodeId> {
+        self.pred[n].map(|(prev, _)| prev)
+    }
+
     /// Reconstructs the node sequence of the shortest path to `dst`, or
     /// `None` if `dst` is unreachable.
     pub fn path_to(&self, dst: NodeId) -> Option<Vec<NodeId>> {

@@ -209,7 +209,7 @@ impl Occupancy {
         &self,
         reach_km: f64,
         (from, to): (SiteId, SiteId),
-        route: Option<&FiberRoute>,
+        route: Option<FiberRoute<'_>>,
         tentative: &mut Tentative,
     ) -> Result<u32, ProvisionError> {
         let route = route.ok_or(ProvisionError::Disconnected { from, to })?;
@@ -222,9 +222,9 @@ impl Occupancy {
             });
         }
         let channel = self
-            .first_fit_channel(tentative, &route.fibers)
+            .first_fit_channel(tentative, route.fibers)
             .ok_or(ProvisionError::NoWavelength { from, to })?;
-        for &fid in &route.fibers {
+        for &fid in route.fibers {
             let (word, bit) = self.word_bit(fid, channel);
             match tentative.iter_mut().find(|(w, _)| *w == word) {
                 Some(entry) => entry.1 |= bit,
@@ -288,7 +288,7 @@ impl Occupancy {
         debug_assert_eq!(relay_sites.len(), channels.len() + 1);
         for (w, &channel) in relay_sites.windows(2).zip(channels) {
             let route = routes.route(w[0], w[1]).expect("a lit segment has a route");
-            self.mark(&route.fibers, channel);
+            self.mark(route.fibers, channel);
         }
         self.consume_regens(&relay_sites[1..relay_sites.len() - 1]);
     }
@@ -422,15 +422,16 @@ impl OpticalState {
         let mut tentative = Tentative::new();
         let mut segments = Vec::with_capacity(relay_sites.len() - 1);
         for w in relay_sites.windows(2) {
-            let route = plant.shortest_route(w[0], w[1]);
-            let channel =
-                self.occupancy
-                    .plan_segment(reach, (w[0], w[1]), route.as_ref(), &mut tentative)?;
-            let FiberRoute {
+            let route = plant.shortest_fiber_route(w[0], w[1]);
+            let view = route.as_ref().map(|(fibers, sites, length_km)| FiberRoute {
                 fibers,
                 sites,
-                length_km,
-            } = route.expect("a planned segment has a route");
+                length_km: *length_km,
+            });
+            let channel = self
+                .occupancy
+                .plan_segment(reach, (w[0], w[1]), view, &mut tentative)?;
+            let (fibers, sites, length_km) = route.expect("a planned segment has a route");
             segments.push(Segment {
                 fibers,
                 sites,
@@ -692,8 +693,8 @@ impl CircuitLedger {
             .map(|(w, &channel)| {
                 let route = routes.route(w[0], w[1]).expect("a lit segment has a route");
                 Segment {
-                    fibers: route.fibers.clone(),
-                    sites: route.sites.clone(),
+                    fibers: route.fibers.to_vec(),
+                    sites: route.sites.to_vec(),
                     channel,
                     length_km: route.length_km,
                 }

@@ -1,6 +1,6 @@
 //! The static physical infrastructure: sites and fibers.
 
-use owan_graph::{dijkstra, Graph, ShortestPaths};
+use owan_graph::{dijkstra, Graph};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a site (dense index).
@@ -228,53 +228,37 @@ impl FiberPlant {
     }
 
     /// Shortest fiber route between two sites: `(fiber ids, site sequence,
-    /// total length)`, or `None` if disconnected.
+    /// total length)`, or `None` if disconnected. One Dijkstra a call, and
+    /// between consecutive sites the lightest fiber, the first in adjacency
+    /// order on a tie: the reference a [`RouteTable`] equals pair by pair.
     pub fn shortest_fiber_route(
         &self,
         src: SiteId,
         dst: SiteId,
     ) -> Option<(Vec<FiberId>, Vec<SiteId>, f64)> {
-        self.shortest_route(src, dst)
-            .map(|r| (r.fibers, r.sites, r.length_km))
-    }
-
-    /// [`Self::shortest_fiber_route`] as a [`FiberRoute`] record.
-    pub(crate) fn shortest_route(&self, src: SiteId, dst: SiteId) -> Option<FiberRoute> {
         if src == dst {
-            return Some(FiberRoute::trivial(src));
+            return Some((Vec::new(), vec![src], 0.0));
         }
-        self.route_on(&dijkstra::shortest_paths(&self.graph, src), dst)
-    }
-
-    /// Reads the route to `dst` off a shortest-path tree of the fiber
-    /// graph: one tree serves every destination, which is what lets
-    /// [`RouteTable::build`] run one Dijkstra per source instead of one
-    /// per ordered pair.
-    fn route_on(&self, sp: &ShortestPaths, dst: SiteId) -> Option<FiberRoute> {
+        let sp = dijkstra::shortest_paths(&self.graph, src);
         let sites = sp.path_to(dst)?;
-        let mut fibers = Vec::with_capacity(sites.len() - 1);
-        for w in sites.windows(2) {
-            // Lightest fiber between the consecutive sites (ids == edge ids).
-            let fid = self
-                .graph
-                .neighbors(w[0])
-                .filter(|&(_, n)| n == w[1])
-                .min_by(|a, b| {
-                    self.graph
-                        .edge(a.0)
-                        .weight
-                        .total_cmp(&self.graph.edge(b.0).weight)
-                })
-                .map(|(e, _)| e)
-                .expect("consecutive path nodes are adjacent");
-            fibers.push(fid);
-        }
-        let length_km = sp.distance(dst).expect("path exists");
-        Some(FiberRoute {
-            fibers,
-            sites,
-            length_km,
-        })
+        let fibers = sites
+            .windows(2)
+            .map(|w| {
+                // Ids == edge ids.
+                self.graph
+                    .neighbors(w[0])
+                    .filter(|&(_, n)| n == w[1])
+                    .min_by(|a, b| {
+                        self.graph
+                            .edge(a.0)
+                            .weight
+                            .total_cmp(&self.graph.edge(b.0).weight)
+                    })
+                    .map(|(e, _)| e)
+                    .expect("consecutive path nodes are adjacent")
+            })
+            .collect();
+        Some((fibers, sites, sp.distance(dst).expect("path exists")))
     }
 
     /// Shortest fiber distance between two sites in km (`f64::INFINITY` if
@@ -306,60 +290,108 @@ impl FiberPlant {
     }
 }
 
-/// One shortest fiber route: what [`FiberPlant::shortest_fiber_route`]
-/// returns, as a record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FiberRoute {
+/// One shortest fiber route, borrowed from the [`RouteTable`] that holds
+/// it: what [`FiberPlant::shortest_fiber_route`] returns, as a view.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FiberRoute<'a> {
     /// Fiber ids traversed, in order.
-    pub fibers: Vec<FiberId>,
+    pub fibers: &'a [FiberId],
     /// Site sequence (one longer than `fibers`).
-    pub sites: Vec<SiteId>,
+    pub sites: &'a [SiteId],
     /// Total physical length, km.
     pub length_km: f64,
 }
 
-impl FiberRoute {
-    /// The empty route from a site to itself.
-    fn trivial(s: SiteId) -> Self {
-        FiberRoute {
-            fibers: Vec::new(),
-            sites: vec![s],
-            length_km: 0.0,
-        }
-    }
+/// Where one pair's route lies in a [`RouteTable`]'s arenas.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// Offset of the first site; the route has `hops + 1` sites.
+    site: u32,
+    /// Offset of the first fiber; the route has `hops` fibers.
+    fiber: u32,
+    hops: u32,
+    length_km: f64,
 }
 
 /// The shortest fiber route of every ordered site pair of one plant,
-/// bit-equal to [`FiberPlant::shortest_fiber_route`] pair by pair (both
-/// read the same shortest-path trees). Routes depend on fiber endpoints
-/// and lengths only, so a table stays valid until the plant's fibers
-/// change; callers that provision many circuits against one plant build it
-/// once and hand it to [`CircuitLedger::light`](crate::CircuitLedger::light),
-/// which then runs no Dijkstra per segment.
+/// bit-equal to [`FiberPlant::shortest_fiber_route`] pair by pair: the
+/// same shortest-path trees, the same fiber rule. Routes depend on fiber
+/// endpoints and lengths only, so a table stays valid until the plant's
+/// fibers change; callers that provision many circuits against one plant
+/// build it once and hand it to
+/// [`CircuitLedger::light`](crate::CircuitLedger::light), which then runs
+/// no Dijkstra per segment.
+///
+/// Every route is held in two flat arenas, sites and fibers, and
+/// [`Self::route`] hands out a borrowed [`FiberRoute`].
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     n: usize,
     /// Route per ordered pair, indexed `src * n + dst`; `None` when the
     /// pair is disconnected.
-    routes: Vec<Option<FiberRoute>>,
+    spans: Vec<Option<Span>>,
+    sites: Vec<SiteId>,
+    fibers: Vec<FiberId>,
 }
 
 impl RouteTable {
-    /// Builds the table: one Dijkstra per source site.
+    /// Builds the table: one Dijkstra per source site, every route read
+    /// back along its destination's predecessors into the site arena, and
+    /// each hop's fiber taken from a lightest-fiber table filled once with
+    /// [`FiberPlant::shortest_fiber_route`]'s rule — not from the tree's
+    /// predecessor edge, which can be another of two parallel fibers whose
+    /// lengths differ by less than the distance's rounding.
     pub fn build(plant: &FiberPlant) -> Self {
         let n = plant.site_count();
-        let mut routes = Vec::with_capacity(n * n);
-        for src in 0..n {
-            let sp = dijkstra::shortest_paths(&plant.graph, src);
-            for dst in 0..n {
-                routes.push(if src == dst {
-                    Some(FiberRoute::trivial(src))
-                } else {
-                    plant.route_on(&sp, dst)
-                });
+        let graph = &plant.graph;
+        let mut lightest = vec![FiberId::MAX; n * n];
+        for u in 0..n {
+            for (e, v) in graph.neighbors(u) {
+                let best = &mut lightest[u * n + v];
+                if *best == FiberId::MAX
+                    || graph
+                        .edge(e)
+                        .weight
+                        .total_cmp(&graph.edge(*best).weight)
+                        .is_lt()
+                {
+                    *best = e;
+                }
             }
         }
-        RouteTable { n, routes }
+        let mut spans = Vec::with_capacity(n * n);
+        let mut sites = Vec::with_capacity(n * n);
+        let mut fibers = Vec::with_capacity(n * n);
+        for src in 0..n {
+            let sp = dijkstra::shortest_paths(graph, src);
+            for dst in 0..n {
+                let Some(length_km) = sp.distance(dst) else {
+                    spans.push(None);
+                    continue;
+                };
+                let (site, fiber) = (sites.len(), fibers.len());
+                sites.push(dst);
+                let mut at = dst;
+                while let Some(prev) = sp.predecessor(at) {
+                    sites.push(prev);
+                    at = prev;
+                }
+                sites[site..].reverse();
+                fibers.extend(sites[site..].windows(2).map(|w| lightest[w[0] * n + w[1]]));
+                spans.push(Some(Span {
+                    site: site as u32,
+                    fiber: fiber as u32,
+                    hops: (fibers.len() - fiber) as u32,
+                    length_km,
+                }));
+            }
+        }
+        RouteTable {
+            n,
+            spans,
+            sites,
+            fibers,
+        }
     }
 
     /// Number of sites of the plant the table was built for.
@@ -369,8 +401,15 @@ impl RouteTable {
 
     /// The shortest fiber route from `src` to `dst`, or `None` if the two
     /// are disconnected.
-    pub fn route(&self, src: SiteId, dst: SiteId) -> Option<&FiberRoute> {
-        self.routes[src * self.n + dst].as_ref()
+    #[inline]
+    pub fn route(&self, src: SiteId, dst: SiteId) -> Option<FiberRoute<'_>> {
+        let s = self.spans[src * self.n + dst]?;
+        let (site, fiber, hops) = (s.site as usize, s.fiber as usize, s.hops as usize);
+        Some(FiberRoute {
+            fibers: &self.fibers[fiber..fiber + hops],
+            sites: &self.sites[site..site + hops + 1],
+            length_km: s.length_km,
+        })
     }
 }
 
@@ -499,7 +538,7 @@ mod tests {
                 let want = p.shortest_fiber_route(src, dst);
                 let got = table
                     .route(src, dst)
-                    .map(|r| (r.fibers.clone(), r.sites.clone(), r.length_km));
+                    .map(|r| (r.fibers.to_vec(), r.sites.to_vec(), r.length_km));
                 assert_eq!(got.is_some(), want.is_some(), "{src}->{dst}");
                 if let (Some(g), Some(w)) = (got, want) {
                     assert_eq!((&g.0, &g.1), (&w.0, &w.1), "{src}->{dst}");
@@ -513,6 +552,24 @@ mod tests {
             vec![2],
             "lighter parallel"
         );
+    }
+
+    #[test]
+    fn route_table_takes_the_lightest_of_parallel_fibers_that_tie_in_distance() {
+        // 1e16 km out, 0.6 and 0.5 km both round to the same distance, so
+        // the tree's predecessor edge into C is the first relaxed (0.6);
+        // the route must still take the lighter fiber, as the reference does.
+        let mut p = FiberPlant::new(OpticalParams::default());
+        let a = p.add_site("A", 2, 0);
+        let b = p.add_site("B", 2, 0);
+        let c = p.add_site("C", 2, 0);
+        p.add_fiber(a, b, 1e16);
+        p.add_fiber(b, c, 0.6);
+        let light = p.add_fiber(b, c, 0.5);
+        assert_eq!(1e16 + 0.6, 1e16 + 0.5);
+        let (fibers, _, _) = p.shortest_fiber_route(a, c).unwrap();
+        assert_eq!(fibers, vec![0, light]);
+        assert_eq!(RouteTable::build(&p).route(a, c).unwrap().fibers, fibers);
     }
 
     #[test]

@@ -13,13 +13,14 @@
 mod common;
 
 use common::{context, fixture, fixture_on, scarce_network};
+use owan::chaos::{FaultKind, FaultState};
 use owan::core::anneal::compute_neighbor;
 use owan::core::{
     anneal_parallel_pooled, anneal_with_cache, assign_rates_reference, assign_rates_with,
     build_topology, build_topology_cached, build_topology_observed, default_topology,
-    repair_spare_ports, AnnealConfig, CircuitBuildConfig, CoreTelemetry, EnergyCache,
-    EnergyContext, OwanConfig, OwanEngine, RateAssignConfig, RateInputs, RateOutcome, RateScratch,
-    SchedulingPolicy, SlotInput, Topology, TrafficEngineer, Transfer,
+    precompute_key, repair_spare_ports, AnnealConfig, CircuitBuildConfig, CoreTelemetry,
+    EnergyCache, EnergyContext, OwanConfig, OwanEngine, RateAssignConfig, RateInputs, RateOutcome,
+    RateScratch, SchedulingPolicy, SlotInput, Topology, TrafficEngineer, Transfer,
 };
 use owan::obs::Recorder;
 use owan::optical::{FiberPlant, OpticalParams};
@@ -28,6 +29,7 @@ use owan::topo::Network;
 use owan_bench::{net_by_name, workload_for, Scale};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// The cached fast path must be bit-identical to the naive reference on
 /// every benchmark network, across 20 seeds each (seeds vary both the
@@ -278,12 +280,13 @@ fn oracle_gap_is_unchanged_by_the_cache() {
 }
 
 /// Plant invalidation: degrading an amplifier between slots (the chaos
-/// fault model shrinks a fiber's usable band) must flush the plant-scoped
-/// cache layers — and each slot's plan must still be the naive reference's
+/// fault model shrinks a fiber's usable band) changes nothing the
+/// plant-scoped precompute reads, so the engine keeps it; cutting a fiber
+/// then flushes it. Each slot's plan must still be the naive reference's
 /// on that slot's inputs: the engine's repaired start topology, the plant
 /// as it stands, and the engine's per-slot seed.
 #[test]
-fn plant_degradation_flushes_and_stays_equivalent() {
+fn amp_degradation_keeps_the_precompute_and_a_cut_flushes_it() {
     // The ISP, not Internet2: there a 25-iteration walk ends on the same
     // plan whatever the seed, and a wrong per-slot seed would pass.
     let (net, transfers, initial) = fixture("isp", 5);
@@ -332,20 +335,38 @@ fn plant_degradation_flushes_and_stays_equivalent() {
             "slot {slot}: throughput diverged from the naive reference"
         );
     };
+    let precompute = |engine: &OwanEngine, plant: &FiberPlant| {
+        engine.energy_caches()[0]
+            .plant_cache_for(precompute_key(plant))
+            .expect("the engine holds the precompute of the plant it planned on")
+    };
+    let flushes = |engine: &OwanEngine| engine.energy_caches()[0].stats.flushes;
 
     let mut plant = net.plant.clone();
     plan_both(&mut engine, &plant, 0);
-    assert_eq!(engine.energy_caches()[0].stats.flushes, 0);
+    let intact = precompute(&engine, &plant);
+    assert_eq!(flushes(&engine), 0);
 
-    // Degrade one fiber's amplifier: usable wavelengths shrink, the plant
-    // fingerprint moves, and the stale plant tables must go.
+    // Degrade one fiber's amplifier: usable wavelengths shrink, which no
+    // plant table reads — the precompute stays.
     let cap = plant.usable_wavelengths(0).saturating_sub(2).max(1);
     plant.set_fiber_wavelength_cap(0, Some(cap));
     plan_both(&mut engine, &plant, 1);
-    assert!(
-        engine.energy_caches()[0].stats.flushes >= 1,
-        "degradation did not flush the plant-scoped cache layers"
+    assert!(Arc::ptr_eq(&intact, &precompute(&engine, &plant)));
+    assert_eq!(
+        flushes(&engine),
+        0,
+        "amp degradation flushed the precompute"
     );
+
+    // Cut a fiber of the degraded plant: distances and routes move, and
+    // the stale tables must go.
+    let mut state = FaultState::default();
+    state.apply(&FaultKind::FiberCut(1));
+    let (cut, _) = state.degraded_view(&plant);
+    plan_both(&mut engine, &cut, 2);
+    assert!(!Arc::ptr_eq(&intact, &precompute(&engine, &cut)));
+    assert_eq!(flushes(&engine), 1, "a cut did not flush the precompute");
 }
 
 /// The rate kernel against the pass it replaced, on every achieved

@@ -1,4 +1,5 @@
-//! The circuit ledger against the naive build, evaluation by evaluation.
+//! The circuit ledger against the naive build, evaluation by evaluation,
+//! and the route table it reads segments from against per-pair routing.
 //!
 //! An annealing evaluation builds a flat `TopologyLedger` — incrementally
 //! from the accepted state's — and keeps a score; `Circuit`s and
@@ -13,6 +14,7 @@
 mod common;
 
 use common::{context, fixture_on, scarce_network};
+use owan::chaos::{FaultKind, FaultState};
 use owan::core::anneal::compute_neighbor;
 use owan::core::{
     compute_energy, CoreTelemetry, EnergyCache, EnergyEvaluator, Topology, Transfer,
@@ -174,5 +176,52 @@ fn ledger_equals_the_naive_build_on_the_benchmark_networks() {
 fn ledger_equals_the_naive_build_on_scarce_plants() {
     for family in ["isp", "interdc", "stressed"] {
         walk_family(|seed| scarce_network(family, seed));
+    }
+}
+
+/// The route table the ledger reads segments from against the per-pair
+/// reference, `FiberPlant::shortest_fiber_route`: pair for pair, lengths
+/// bit-equal, on the benchmark plants and on a fiber-cut and a site-down
+/// view of each — both renumber the surviving fibers, and the site-down
+/// view leaves a site with no fiber at all.
+#[test]
+fn route_table_equals_pointwise_routes_on_real_plants() {
+    for name in ["internet2", "isp", "interdc"] {
+        let base = net_by_name(name).plant;
+        let (m, n) = (base.fiber_count(), base.site_count());
+        let mut cut = FaultState::default();
+        cut.apply(&FaultKind::FiberCut(m / 3));
+        cut.apply(&FaultKind::FiberCut(2 * m / 3));
+        let mut down = FaultState::default();
+        down.apply(&FaultKind::SiteDown(n / 2));
+        let views = [
+            ("intact", base.clone()),
+            ("fiber cut", cut.degraded_view(&base).0),
+            ("site down", down.degraded_view(&base).0),
+        ];
+        for (view, plant) in &views {
+            let table = RouteTable::build(plant);
+            assert_eq!(table.site_count(), n);
+            let mut disconnected = 0;
+            for src in 0..n {
+                for dst in 0..n {
+                    let tag = format!("{name} {view}: {src}->{dst}");
+                    let want = plant.shortest_fiber_route(src, dst);
+                    let got = table.route(src, dst);
+                    assert_eq!(got.is_some(), want.is_some(), "{tag}");
+                    let (Some(got), Some((fibers, sites, length_km))) = (got, want) else {
+                        disconnected += 1;
+                        continue;
+                    };
+                    assert_eq!(got.fibers, fibers, "{tag}");
+                    assert_eq!(got.sites, sites, "{tag}");
+                    assert_eq!(got.length_km.to_bits(), length_km.to_bits(), "{tag}");
+                }
+            }
+            if *view == "site down" {
+                assert!(disconnected > 0, "{name}: the down site has no route");
+            }
+        }
+        assert!(views[1].1.fiber_count() < m && views[2].1.fiber_count() < m);
     }
 }
