@@ -13,19 +13,20 @@
 //! 1. **[`PlantCache`]** — everything about circuit construction that
 //!    depends on the plant alone: the reach rows the resumable relay search
 //!    ([`RelaySearch`](crate::regen::RelaySearch)) runs on, the route table
-//!    provisioning and the probe rows read fibers from, and the per-pair
-//!    relay domains the delta rebuild's dirty-set screen compares
-//!    free-regenerator vectors on; and the one copy of the fiber distance
-//!    matrix the reach rows were built from, which the engine's port
-//!    repair and the chaos runner read too. Relay candidates themselves
-//!    are *not* cached: a search draws them one at a time, and nearly
-//!    every attempt lights the first.
+//!    provisioning and the wavelength bound read segments from, the
+//!    per-pair segment checks (route present and within reach) a
+//!    channel-free build needs besides the bound, and the per-pair relay
+//!    domains the delta build's regenerator screen tests for diverged
+//!    sites; and the one copy of the fiber distance matrix the reach rows
+//!    were built from, which the engine's port repair and the chaos runner
+//!    read too. Relay candidates themselves are *not* cached: a search
+//!    draws them one at a time, and nearly every attempt lights the first.
 //! 2. **Two [`TopologyLedger`]s** — `accepted`, the build of the walk's
 //!    current state, and `scored`, the build of the neighbor being
-//!    evaluated, rebuilt incrementally from `accepted`; accepting a move
-//!    swaps them.
+//!    evaluated, built channel-free and incrementally from `accepted`;
+//!    accepting a move swaps them.
 //! 3. **Scratch buffers** of the kernels an evaluation runs: the relay
-//!    search's, the delta rebuild's and the rate pass's.
+//!    search's, the delta build's and the rate pass's.
 //!
 //! There is no memo of evaluated topologies: a walk that returns to a
 //! state re-scores it — a deterministic function of the same inputs, so
@@ -39,9 +40,9 @@
 //! lengths, optical reach) and drops the precompute when the key moves — a
 //! fiber cut, a site down, the repair of either. An amplifier degradation
 //! only shrinks a fiber's usable band, which no table reads (provisioning
-//! reads the band off the plant at every build), so it keeps the
-//! precompute. The ledgers are buffers: a run's first evaluation rebuilds
-//! `accepted` in full.
+//! and the wavelength bound read the band off the plant at every build),
+//! so it keeps the precompute. The ledgers are buffers: a run's first
+//! evaluation rebuilds `accepted` in full.
 
 use crate::circuits::{DeltaScratch, TopologyLedger};
 use crate::rates::RateScratch;
@@ -105,21 +106,29 @@ pub struct EnergyCacheStats {
     /// Evaluations scored on the fast path (each ran Algorithm 3; the
     /// name is the one the outcome memo's miss count had).
     pub outcome_misses: u64,
-    /// Incremental (delta) circuit rebuilds performed.
+    /// Circuit builds that resumed from the accepted one (see
+    /// [`TopologyLedger`]).
     pub delta_builds: u64,
-    /// Delta rebuilds refused outright (the desired topologies differ by
-    /// more than the neighbor-move bound; a full rebuild follows).
+    /// Delta builds refused outright (the desired topologies differ by
+    /// more than the neighbor-move bound; a full build follows).
     pub delta_fallbacks: u64,
-    /// Pairs whose previous circuits were reused verbatim by delta
-    /// rebuilds: cleared by the dirty-set screen, no relay search, no
-    /// provisioning.
+    /// Pairs of unchanged multiplicity cleared by the delta build's
+    /// regenerator screen: within reach of each other (`[u, v]` is the
+    /// first relay path under any vector), or with no site of their relay
+    /// domain diverged from the accepted build's replay, so their accepted
+    /// relay paths were taken without a relay search.
     pub delta_pairs_reused: u64,
-    /// Pairs re-provisioned inside delta rebuilds (multiplicity changed,
-    /// or the screen found a regenerator or occupancy divergence).
+    /// Every other pair delta builds provisioned: multiplicity changed, a
+    /// relay domain site diverged, or the accepted build's attempts for
+    /// the pair did not all light their first draw.
     pub delta_pairs_rebuilt: u64,
-    /// Full circuit rebuilds (initial evaluations, fallbacks, and a
+    /// Full circuit builds (initial evaluations, refused deltas, and a
     /// winner that is not the accepted state).
     pub full_builds: u64,
+    /// Builds with an attempt made exactly, channel by channel: a segment
+    /// of its first relay path failed the wavelength bound or
+    /// provisioning's route check.
+    pub exact_fallbacks: u64,
     /// Flushes of the plant-scoped precompute: runs whose plant's
     /// [`precompute_key`] differed from the previous run's.
     pub flushes: u64,
@@ -143,6 +152,7 @@ impl EnergyCacheStats {
         self.delta_pairs_reused += other.delta_pairs_reused;
         self.delta_pairs_rebuilt += other.delta_pairs_rebuilt;
         self.full_builds += other.full_builds;
+        self.exact_fallbacks += other.exact_fallbacks;
         self.flushes += other.flushes;
     }
 }
@@ -194,10 +204,13 @@ pub fn precompute_key(plant: &FiberPlant) -> u64 {
 ///   through on a returned path, so its free count cannot influence the
 ///   output: two vectors with equal domain projections yield
 ///   bit-identical draws from a relay search — the theorem the delta
-///   rebuild's dirty-set screen rests on;
+///   build's regenerator screen rests on;
 /// - the **route table** ([`RouteTable`]): the shortest fiber route of
 ///   every ordered site pair, which the ledger builds hand to provisioning
-///   (no Dijkstra per segment) and read probe and dirty fibers from;
+///   (no Dijkstra per segment) and read the wavelength bound's fibers
+///   from;
+/// - the **segment checks**: per ordered site pair, whether provisioning
+///   accepts its route (present, within reach);
 /// - the **fiber distance matrix** the reach rows were built from, which
 ///   the engine reads too (port repair).
 ///
@@ -213,6 +226,9 @@ pub struct PlantCache {
     domains: Vec<u64>,
     reach: ReachRows,
     routes: RouteTable,
+    /// Site row per source site: the destinations whose route-table route
+    /// exists and lies within reach.
+    segments: Vec<u64>,
     fiber_dist: Vec<Vec<f64>>,
 }
 
@@ -231,12 +247,24 @@ impl PlantCache {
     pub fn build(plant: &FiberPlant, fiber_dist: &[Vec<f64>]) -> Self {
         let reach = ReachRows::build(plant, fiber_dist);
         let domains = by_row_words!(reach.words(), |W| relay_domains::<W>(plant, &reach));
+        let routes = RouteTable::build(plant);
+        let (n, w) = (plant.site_count(), reach.words());
+        let reach_km = plant.params().optical_reach_km;
+        let mut segments = vec![0u64; n * w];
+        for a in 0..n {
+            for b in 0..n {
+                if routes.route(a, b).is_some_and(|r| r.length_km <= reach_km) {
+                    set_bit(&mut segments[a * w..], b);
+                }
+            }
+        }
         PlantCache {
             key: precompute_key(plant),
-            n: plant.site_count(),
+            n,
             domains,
             reach,
-            routes: RouteTable::build(plant),
+            routes,
+            segments,
             fiber_dist: fiber_dist.to_vec(),
         }
     }
@@ -257,6 +285,14 @@ impl PlantCache {
         let (a, b) = if u <= v { (u, v) } else { (v, u) };
         let w = self.reach.words();
         &self.domains[(a * self.n + b) * w..][..w]
+    }
+
+    /// True when provisioning accepts a segment `a → b` on route grounds:
+    /// the route table has a route and it lies within reach. The relay
+    /// search's reach edges test the distance matrix instead, which agrees
+    /// with the route lengths only up to summation order.
+    pub(crate) fn segment_ok(&self, a: SiteId, b: SiteId) -> bool {
+        has_bit(&self.segments[a * self.reach.words()..], b)
     }
 
     /// The plant's reach adjacency.
@@ -335,13 +371,13 @@ pub struct EnergyCache {
     pub(crate) scored: TopologyLedger,
     /// Buffers and between-draw state of the relay search.
     pub(crate) relay_scratch: RelayScratch,
-    /// Buffers of the delta rebuild.
+    /// Buffers of the delta build.
     pub(crate) delta_scratch: DeltaScratch,
     /// Buffers of the rate pass.
     pub(crate) rate_scratch: RateScratch,
     /// Plant-scoped precompute (relay domains, reach rows, route table,
-    /// distance matrix), `Arc`-shared across chains when a parallel run
-    /// installs one.
+    /// segment checks, distance matrix), `Arc`-shared across chains when a
+    /// parallel run installs one.
     plant: Option<Arc<PlantCache>>,
     /// A shared precompute offered by the enclosing parallel run via
     /// [`Self::install_plant_cache`]; adopted on first use when its key
@@ -517,6 +553,7 @@ mod tests {
         assert_eq!(a.key(), b.key(), "{tag}: key");
         assert_eq!(a.reach, b.reach, "{tag}: reach rows");
         assert_eq!(a.domains, b.domains, "{tag}: relay domains");
+        assert_eq!(a.segments, b.segments, "{tag}: segment checks");
         let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
             m.iter()
                 .map(|row| row.iter().map(|d| d.to_bits()).collect())

@@ -10,22 +10,22 @@
 //! possible optical circuits to satisfy all the desired capacity, we have
 //! to decrease the link capacity" (lines 13–14).
 //!
-//! Two builders make the same decisions in the same order.
+//! Two builders reach the same circuits.
 //! [`build_topology_observed`] is the reference: a [`RegenGraph`] and a
 //! Yen run per circuit, an [`OpticalState`] provisioned segment by segment.
 //! The annealing evaluation builds a [`TopologyLedger`] instead — the same
 //! build held as flat arrays in reused buffers, in full or incrementally
-//! from the previous one — and turns it into a [`BuiltTopology`]
-//! ([`TopologyLedger::materialise`]) only for the run's winner.
+//! from the previous one, and without choosing a channel as long as the
+//! wavelength bound proves first fit cannot run out of one — and turns it
+//! into a [`BuiltTopology`] ([`TopologyLedger::materialise`]), channels
+//! assigned by first fit, only for the run's winner.
 
 use crate::cache::{EnergyCache, PlantCache};
 use crate::regen::{RegenGraph, RelayScratch, RelaySearch};
-use crate::rows::{row_sites, set_bit};
+use crate::rows::{clear_bit, set_bit, MAX_ROW_WORDS};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
-use owan_optical::{
-    CircuitId, CircuitLedger, FiberPlant, Occupancy, OpticalState, RouteTable, SiteId,
-};
+use owan_optical::{CircuitId, CircuitLedger, FiberPlant, OpticalState, RouteTable, SiteId};
 
 /// Result of realizing a desired topology in the optical layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,7 +135,7 @@ pub fn build_topology_observed(
     }
 }
 
-/// Maximum link-unit distance the delta rebuild accepts (Algorithm 2's
+/// Maximum link-unit distance the delta build accepts (Algorithm 2's
 /// neighbor move changes at most four).
 pub const MAX_DELTA_UNITS: u32 = 4;
 
@@ -156,53 +156,65 @@ struct PairRec {
     v: SiteId,
     first: usize,
     count: usize,
+    /// Every attempt of the pair lit the first relay path drawn, or drew
+    /// none.
+    first_draws: bool,
 }
 
-/// Buffers of the delta rebuild, cleared per build: the **replay** — the
-/// occupancy of the previous build installed verbatim, pair by pair, in
-/// step with the build under construction — and the **dirty fibers**, a
-/// bitset row.
+/// Buffers of the delta build, refilled per build: the **replay** — the
+/// free-regenerator vector of the accepted build, consumed pair by pair in
+/// step with the build under construction — and the **diverged** sites, a
+/// site row of those whose free count differs between the two.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeltaScratch {
-    replay: Occupancy,
-    dirty: Vec<u64>,
+    replay: Vec<u32>,
+    diverged: [u64; MAX_ROW_WORDS],
 }
 
-/// Sets the bit of every fiber on the routes between consecutive sites of
-/// `relay` in the fiber bitset `row`.
-fn mark_route_fibers(pc: &PlantCache, relay: &[SiteId], row: &mut [u64]) {
-    for w in relay.windows(2) {
-        if let Some(route) = pc.routes().route(w[0], w[1]) {
-            for &f in route.fibers {
-                set_bit(row, f);
+impl DeltaScratch {
+    /// Re-marks `sites` as diverged or not against the live vector.
+    fn sync(&mut self, live: &[u32], sites: &[SiteId]) {
+        for &s in sites {
+            if live[s] == self.replay[s] {
+                clear_bit(&mut self.diverged, s);
+            } else {
+                set_bit(&mut self.diverged, s);
             }
         }
     }
 }
 
-/// True when `a` and `b` hold equal occupancy words on every fiber in both
-/// of the fiber bitsets `probe` and `dirty`.
-fn equal_on(a: &Occupancy, b: &Occupancy, probe: &[u64], dirty: &[u64]) -> bool {
-    for (j, (&probed, &dirty)) in probe.iter().zip(dirty).enumerate() {
-        let mut bits = probed & dirty;
-        while bits != 0 {
-            let f = j * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if a.occupancy_words(f) != b.occupancy_words(f) {
-                return false;
-            }
-        }
-    }
-    true
+/// The interior sites of a relay path: where it consumes regenerators.
+fn interior(relay: &[SiteId]) -> &[SiteId] {
+    &relay[1..relay.len() - 1]
 }
 
-/// One build of a desired topology, held flat: the circuits lit, in
-/// provisioning order, as a [`CircuitLedger`] (occupancy words, free
-/// regenerators, relay path and channels per circuit); per desired pair in
-/// canonical order (`u < v`, lexicographic) which circuits are its, and
-/// its **probe row** — the route fibers of every relay candidate the
-/// pair's provisioning attempts tried, exactly the fibers whose channel
-/// occupancy those attempts read or wrote; and the achieved topology.
+/// One build of a desired topology, held flat: the circuits in
+/// provisioning order as relay paths; per desired pair in canonical order
+/// (`u < v`, lexicographic) which circuits are its; the free-regenerator
+/// vector and the segments recorded across each fiber; and the achieved
+/// topology.
+///
+/// An attempt is made **channel-free** whenever it can be: it records the
+/// first relay path under the build's free-regenerator vector and counts
+/// its segments, no channel chosen. That is exact by the **wavelength
+/// bound**: a segment over route `R` planned while `used(f)` segments
+/// cross each fiber `f` (the circuit's own earlier segments included)
+/// finds a free channel by first fit whichever channels they hold, when
+/// `Σ_{f∈R} used(f) < min_{f∈R} usable(f)` — each of them holds one
+/// channel on each fiber it crosses. If every segment passes the bound and
+/// provisioning accepts its route (the [`PlantCache`]'s segment checks), the
+/// exact build lights the first relay path; those depend on the
+/// free-regenerator vector alone, so by induction over the attempts the
+/// exact build's circuits, and hence its achieved topology and score, are
+/// the recorded ones.
+///
+/// An attempt the bound cannot vouch for is made **exactly**: the circuits
+/// recorded before it are lit by first fit — the exact build's channels —
+/// and the attempt draws relay candidates and lights them channel by
+/// channel until one lights or `relay_candidates` were tried. The counts
+/// take its circuit like any other, and later attempts go channel-free
+/// again where the bound holds: it holds whichever channels are taken.
 ///
 /// Every buffer is reused from build to build, so once a ledger has held a
 /// build on a plant, building into it allocates nothing. It is what an
@@ -210,12 +222,23 @@ fn equal_on(a: &Occupancy, b: &Occupancy, probe: &[u64], dirty: &[u64]) -> bool 
 /// [`BuiltTopology`] the naive builder would have returned.
 #[derive(Debug, Clone, Default)]
 pub struct TopologyLedger {
-    lit: CircuitLedger,
+    /// Relay paths of the circuits, back to back.
+    relays: Vec<SiteId>,
+    /// End of circuit `i`'s relay path in `relays`.
+    ends: Vec<usize>,
     pairs: Vec<PairRec>,
-    /// Probe rows, `fiber_words` words per pair of `pairs`.
-    probes: Vec<u64>,
-    fiber_words: usize,
+    /// Free regenerators per site under the circuits recorded.
+    regens: Vec<u32>,
+    /// Segments recorded across each fiber.
+    used: Vec<u32>,
     achieved: Topology,
+    /// The first `lit.len()` circuits lit by first fit, caught up before
+    /// every exact attempt. Its occupancy also holds the usable channels of
+    /// each fiber, read from the plant of the build (the plant-scoped
+    /// precompute does not key amplifier caps).
+    lit: CircuitLedger,
+    /// Some attempt of the build was made exactly.
+    exact: bool,
 }
 
 impl TopologyLedger {
@@ -224,60 +247,174 @@ impl TopologyLedger {
         &self.achieved
     }
 
+    /// Number of circuits.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Relay path `[src, relay…, dst]` of circuit `i`.
+    fn relay(&self, i: usize) -> &[SiteId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.relays[start..self.ends[i]]
+    }
+
     /// An empty build of `desired` over `plant`, every buffer sized for
-    /// the most the build can hold: a circuit and a pair per desired link.
+    /// the most the build can hold: a circuit and a pair per desired link;
+    /// beyond two endpoints a circuit's relay path holds only sites whose
+    /// regenerators it consumes.
     fn begin(&mut self, plant: &FiberPlant, desired: &Topology) {
         let links = desired.total_links() as usize;
         self.lit.reset(plant, links);
-        self.fiber_words = plant.fiber_count().div_ceil(64);
+        self.regens.clear();
+        self.regens
+            .extend_from_slice(self.lit.occupancy().free_regen_vec());
+        let regens: usize = self.regens.iter().map(|&r| r as usize).sum();
+        self.relays.clear();
+        self.relays.reserve(2 * links + regens);
+        self.ends.clear();
+        self.ends.reserve(links);
         self.pairs.clear();
         self.pairs.reserve(links);
-        self.probes.clear();
-        self.probes.reserve(links * self.fiber_words);
+        self.used.clear();
+        self.used.resize(plant.fiber_count(), 0);
         self.achieved.reset(desired.site_count());
+        self.exact = false;
     }
 
-    /// Probe row of pair record `k`.
-    fn probe(&self, k: usize) -> &[u64] {
-        &self.probes[k * self.fiber_words..(k + 1) * self.fiber_words]
+    /// Adds one to the segment count of every fiber crossed by the first
+    /// `segments` segments of `relay`, or takes one away.
+    fn count(&mut self, pc: &PlantCache, relay: &[SiteId], segments: usize, add: bool) {
+        for w in relay.windows(2).take(segments) {
+            for &f in pc.routes().route(w[0], w[1]).expect("counted").fibers {
+                if add {
+                    self.used[f] += 1;
+                } else {
+                    self.used[f] -= 1;
+                }
+            }
+        }
     }
 
-    /// One provisioning attempt for the pair being built, `(u, v)`
-    /// (Algorithm 3 lines 7–12): draws relay candidates from a
-    /// [`RelaySearch`] under the build's free-regenerator vector, cheapest
-    /// first, and tries to light each — the next one is searched for only
-    /// when the previous could not be lit — until one succeeds or
-    /// `relay_candidates` were tried. The route fibers of every candidate
-    /// tried go into the pair's probe row (the last of `probes`).
-    fn light_circuit(
+    /// Appends a circuit along `relay` whose segments are counted.
+    fn record(&mut self, relay: &[SiteId]) {
+        for &s in interior(relay) {
+            debug_assert!(self.regens[s] > 0, "no regenerator at {s}");
+            self.regens[s] -= 1;
+        }
+        self.relays.extend_from_slice(relay);
+        self.ends.push(self.relays.len());
+    }
+
+    /// Counts the circuit recorded last as provisioned.
+    fn built(&self, telemetry: &CoreTelemetry) {
+        telemetry.circuits_built.incr();
+        let relayed = interior(self.relay(self.len() - 1)).len();
+        telemetry.regens_consumed.add(relayed as u64);
+    }
+
+    /// Records a circuit along `relay` channel-free when every segment
+    /// passes provisioning's route check and the wavelength bound; returns
+    /// `false`, nothing recorded, otherwise. The caller guarantees a free
+    /// regenerator at every interior site.
+    fn light_free(&mut self, pc: &PlantCache, relay: &[SiteId]) -> bool {
+        for (j, w) in relay.windows(2).enumerate() {
+            let fits = pc.segment_ok(w[0], w[1]) && {
+                let fibers = pc.routes().route(w[0], w[1]).expect("checked").fibers;
+                let occupancy = self.lit.occupancy();
+                let (used, usable) = fibers.iter().fold((0, u32::MAX), |(n, least), &f| {
+                    (n + self.used[f], least.min(occupancy.usable(f)))
+                });
+                used < usable
+            };
+            if !fits {
+                self.count(pc, relay, j, false);
+                return false;
+            }
+            self.count(pc, &relay[j..], 1, true);
+        }
+        self.record(relay);
+        true
+    }
+
+    /// One provisioning attempt for `(u, v)` (Algorithm 3 lines 7–12).
+    /// Its first relay path is `vouched` when the caller knows it (a
+    /// delta's copy), `[u, v]` when the two are within reach, else the
+    /// first draw of a relay search under the build's vector; it is
+    /// recorded channel-free if it can be, else the attempt is made exactly
+    /// ([`Self::light_exact`]). Returns whether a circuit was lit, and
+    /// whether the attempt lit its first draw or drew none.
+    fn attempt(
+        &mut self,
+        env: &BuildEnv<'_>,
+        scratch: &mut RelayScratch,
+        (u, v): (SiteId, SiteId),
+        vouched: Option<&[SiteId]>,
+    ) -> (bool, bool) {
+        let pc = env.pc;
+        if vouched.is_none() {
+            env.telemetry.shortest_path_calls.incr();
+        }
+        let recorded = if let Some(relay) = vouched {
+            self.light_free(pc, relay)
+        } else if pc.reach().within(u, v) {
+            self.light_free(pc, &[u, v])
+        } else {
+            let mut search = RelaySearch::start(pc.reach(), &self.regens, u, v, scratch);
+            let Some((relay, _)) = search.next_path() else {
+                return (false, true);
+            };
+            self.light_free(pc, relay)
+        };
+        if !recorded {
+            return self.light_exact(env, scratch, u, v);
+        }
+        if vouched.is_none() {
+            self.built(env.telemetry);
+        }
+        (true, true)
+    }
+
+    /// An attempt made exactly: lights the circuits recorded since the
+    /// last one into `lit` by first fit, then draws relay candidates from a
+    /// [`RelaySearch`] under the build's vector, cheapest first, and tries
+    /// to light each — the next one is searched for only when the previous
+    /// could not be lit — until one succeeds or `relay_candidates` were
+    /// tried (Algorithm 3 lines 7–12, as [`build_topology_observed`] makes
+    /// them). Returns as [`Self::attempt`] does.
+    fn light_exact(
         &mut self,
         env: &BuildEnv<'_>,
         scratch: &mut RelayScratch,
         u: SiteId,
         v: SiteId,
-    ) -> bool {
-        let telemetry = env.telemetry;
-        let regens = self.lit.occupancy().free_regen_vec();
-        // The vector moves when a circuit is lit; the reference check
-        // below needs the one the search started from.
-        let regens_at_start = cfg!(debug_assertions).then(|| regens.to_vec());
-        telemetry.shortest_path_calls.incr();
-        let mut search = RelaySearch::start(env.pc.reach(), regens, u, v, scratch);
-        let row = self.probes.len() - self.fiber_words;
-        let mut lit = false;
-        for _ in 0..env.config.relay_candidates {
+    ) -> (bool, bool) {
+        let pc = env.pc;
+        self.exact = true;
+        for i in self.lit.len()..self.len() {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            self.lit
+                .light(env.plant, pc.routes(), &self.relays[start..self.ends[i]])
+                .expect("the bound vouched for a recorded circuit");
+        }
+        // The reference check below needs the vector the search started
+        // from.
+        let regens_at_start = cfg!(debug_assertions).then(|| self.regens.clone());
+        let mut search = RelaySearch::start(pc.reach(), &self.regens, u, v, scratch);
+        let mut outcome = (false, true);
+        for draw in 0..env.config.relay_candidates {
             let Some((relay, _)) = search.next_path() else {
                 break;
             };
-            mark_route_fibers(env.pc, relay, &mut self.probes[row..]);
-            match self.lit.light(env.plant, env.pc.routes(), relay) {
+            outcome.1 = false;
+            match self.lit.light(env.plant, pc.routes(), relay) {
                 Ok(()) => {
-                    telemetry.circuits_built.incr();
-                    telemetry.regens_consumed.add(relay.len() as u64 - 2);
-                    lit = true;
+                    self.count(pc, relay, relay.len() - 1, true);
+                    self.record(relay);
+                    self.built(env.telemetry);
+                    outcome = (true, draw == 0);
                     break;
                 }
-                Err(_) => telemetry.wavelength_failures.incr(),
+                Err(_) => env.telemetry.wavelength_failures.incr(),
             }
         }
         debug_assert!(
@@ -288,95 +425,76 @@ impl TopologyLedger {
             ),
             "relay search must equal RegenGraph + Yen for ({u}, {v})"
         );
-        lit
+        outcome
     }
 
-    /// Provisions up to `m` circuits for `(u, v)`, stopping at the first
-    /// attempt that lights nothing (Algorithm 3 lines 13–14: the link's
-    /// capacity is reduced), and records the pair — with its probe row
-    /// even when nothing was built: the failed attempt still tried
-    /// candidates, and a later delta's screen vouches for exactly that
-    /// attempt. Returns the circuits lit.
-    fn provision_pair(
-        &mut self,
-        env: &BuildEnv<'_>,
-        scratch: &mut RelayScratch,
-        u: SiteId,
-        v: SiteId,
-        m: u32,
-    ) -> std::ops::Range<usize> {
-        let first = self.lit.len();
-        self.probes.resize(self.probes.len() + self.fiber_words, 0);
-        for _ in 0..m {
-            if !self.light_circuit(env, scratch, u, v) {
-                break;
-            }
-        }
-        self.push_pair(u, v, first);
-        first..self.lit.len()
-    }
-
-    /// Records `(u, v)` as the owner of the circuits lit since `first`.
-    fn push_pair(&mut self, u: SiteId, v: SiteId, first: usize) {
-        let count = self.lit.len() - first;
+    /// Records `(u, v)` as the owner of the circuits recorded since
+    /// `first`.
+    fn push_pair(&mut self, u: SiteId, v: SiteId, first: usize, first_draws: bool) {
+        let count = self.len() - first;
         if count > 0 {
             self.achieved.add_links(u, v, count as u32);
         }
-        self.pairs.push(PairRec { u, v, first, count });
+        self.pairs.push(PairRec {
+            u,
+            v,
+            first,
+            count,
+            first_draws,
+        });
     }
 
     /// [`build_topology_observed`] into the ledger: identical construction
     /// order and identical decisions, but relay candidates are drawn
-    /// lazily from a [`RelaySearch`] over the plant-scoped tables (no
-    /// graph built, no path searched that is not tried) and segments are
-    /// routed from the plant's route table.
+    /// lazily from a [`RelaySearch`] over the plant-scoped tables (no graph
+    /// built, no path searched that is not tried), segments are routed
+    /// from the plant's route table, and channels are chosen only where
+    /// the wavelength bound cannot vouch for an attempt. Each pair gets up
+    /// to `m` circuits, stopping at the first attempt that lights nothing
+    /// (Algorithm 3 lines 13–14: the link's capacity is reduced).
     fn full(&mut self, env: &BuildEnv<'_>, scratch: &mut RelayScratch, desired: &Topology) {
         let n = desired.site_count();
         self.begin(env.plant, desired);
         for u in 0..n {
             for (v, &m) in desired.row(u).iter().enumerate().skip(u + 1) {
                 if m > 0 {
-                    self.provision_pair(env, scratch, u, v, m);
+                    let first = self.len();
+                    let mut first_draws = true;
+                    for _ in 0..m {
+                        let (lit, first_draw) = self.attempt(env, scratch, (u, v), None);
+                        first_draws &= first_draw;
+                        if !lit {
+                            break;
+                        }
+                    }
+                    self.push_pair(u, v, first, first_draws);
                 }
             }
         }
     }
 
-    /// Incremental rebuild: provisions `desired` by resuming from `prev`,
-    /// the build of `prev_desired`, instead of rebuilding every link.
+    /// [`Self::full`]'s build of `desired`, resumed from `prev`, the build
+    /// of `prev_desired`, instead of searching for every circuit. Returns
+    /// how many pairs the screen cleared at unchanged multiplicity and how
+    /// many others were provisioned.
     ///
-    /// The builder walks every active pair in canonical order, maintaining
-    /// the build under construction plus the **replay** of the previous
-    /// build (see [`DeltaScratch`]). It tracks the **dirty fibers**: a
-    /// superset of where the live build's channel occupancy has diverged
-    /// from the replay's (contributed only by pairs whose circuits
-    /// actually changed). A pair of unchanged multiplicity passes the
-    /// **dirty-set screen** — would a fresh build, given the state built so
-    /// far, reproduce the previous circuits? — when
-    ///
-    /// 1. the free-regenerator vectors of the two states agree on the
-    ///    pair's relay domain (see [`PlantCache`]) — they then agree there
-    ///    at every attempt (both sides decrement by the same circuits), so
-    ///    every attempt's relay search draws exactly the candidates the
-    ///    previous build's drew; and
-    /// 2. channel occupancy is equal between the two states on every fiber
-    ///    of the pair's recorded probe row — the fibers of the candidates
-    ///    the previous build tried, which by (1) are the ones a fresh build
-    ///    would try — so every first-fit channel choice and every
-    ///    wavelength failure is reproduced exactly, the trailing failed
-    ///    attempt of a partially satisfied pair included. Only probe fibers
-    ///    that are dirty need comparing; clean ones are equal by
-    ///    construction.
-    ///
-    /// When the screen passes, the previous circuits are copied verbatim:
-    /// no relay search, no provisioning. When it fails — or the pair's
-    /// multiplicity changed — only *that pair* is re-provisioned, exactly
-    /// as [`Self::full`] would, and it spreads dirt only if its circuits
-    /// come out different. There is no all-or-nothing contention fallback:
-    /// divergence degrades reuse pair by pair.
-    ///
-    /// The result is the ledger [`Self::full`] would have built. Returns
-    /// how many pairs were reused and how many re-provisioned.
+    /// The builder walks every active pair in canonical order, keeping the
+    /// **replay** of `prev`'s free-regenerator vector in step (see
+    /// [`DeltaScratch`]) and the site row of where it has **diverged** from
+    /// the live one. The **screen** clears a pair within reach — `[u, v]`
+    /// is its first relay path under any vector — and a pair no site of
+    /// whose relay domain (see [`PlantCache`]) has diverged, one AND per
+    /// word: the two vectors then agree on the domain at every attempt the
+    /// two builds share (both sides consume the same circuits), so those
+    /// attempts draw the first paths `prev`'s drew. If `prev` lit those
+    /// (every attempt of the pair lit its first draw), the first `min(count,
+    /// m)` attempts take `prev`'s relay paths, no search run; when `prev`'s
+    /// next attempt found no path, neither does this one's; only attempts
+    /// beyond `prev`'s multiplicity search. A pair the screen does not clear
+    /// is searched anew, and so is the rest of a pair once an attempt lit a
+    /// path other than its first draw. Either way each attempt is
+    /// channel-free only where the wavelength bound vouches for it against
+    /// the live segment counts.
     fn delta(
         &mut self,
         env: &BuildEnv<'_>,
@@ -388,19 +506,10 @@ impl TopologyLedger {
     ) -> (u64, u64) {
         let n = desired.site_count();
         assert_eq!(n, prev_desired.site_count());
-        let (pc, routes) = (env.pc, env.pc.routes());
+        let pc = env.pc;
         self.begin(env.plant, desired);
-        ds.replay.reset(env.plant);
-        // Dirty fibers: a conservative superset of where the live build
-        // has diverged from the replay so far. A rebuilt pair whose new
-        // circuits differ from its previous ones contributes the fibers of
-        // *both* generations; everything else (reused pairs, and rebuilds
-        // that reproduced their circuits verbatim) contributes nothing,
-        // because identical circuits installed on both sides leave
-        // occupancy words and free-regenerator counts equal.
-        ds.dirty.clear();
-        ds.dirty.resize(self.fiber_words, 0);
-        let mut any_dirty = false;
+        ds.replay.clone_from(&self.regens);
+        ds.diverged = [0; MAX_ROW_WORDS];
         // `prev.pairs` holds exactly the pairs `prev_desired` links, in the
         // order this walk visits them.
         let mut next_prev = 0;
@@ -413,97 +522,78 @@ impl TopologyLedger {
                 if m_prev == 0 && m_new == 0 {
                     continue;
                 }
-                let recorded = (m_prev > 0).then(|| {
-                    let k = next_prev;
+                let rec = (m_prev > 0).then(|| {
+                    let rec = prev.pairs[next_prev];
                     next_prev += 1;
-                    let rec = prev.pairs[k];
                     assert_eq!(
                         (rec.u, rec.v),
                         (u, v),
                         "`prev` is the build of `prev_desired`"
                     );
-                    (k, rec)
+                    rec
                 });
-                let prev_circuits = recorded.map_or(0..0, |(_, r)| r.first..r.first + r.count);
-
-                // The dirty-set screen (unchanged pairs only).
-                let screened = recorded.filter(|&(k, _)| {
-                    let live = self.lit.occupancy();
-                    m_prev == m_new
-                        && (!any_dirty || {
-                            let (lv, rv) = (live.free_regen_vec(), ds.replay.free_regen_vec());
-                            row_sites(pc.domain(u, v)).all(|s| lv[s] == rv[s])
-                        })
-                        && equal_on(live, &ds.replay, prev.probe(k), &ds.dirty)
-                });
-
-                if let Some((k, _)) = screened {
-                    reused += 1;
-                    let first = self.lit.len();
-                    for i in prev_circuits {
-                        ds.replay
-                            .install(routes, prev.lit.relay(i), prev.lit.channels(i));
-                        self.lit.copy_circuit(routes, &prev.lit, i);
+                let prev_circuits = rec.map_or(0..0, |r| r.first..r.first + r.count);
+                let clean = rec.is_none_or(|r| r.first_draws)
+                    && (pc.reach().within(u, v)
+                        || pc
+                            .domain(u, v)
+                            .iter()
+                            .zip(&ds.diverged)
+                            .all(|(d, x)| d & x == 0));
+                let first = self.len();
+                let mut first_draws = true;
+                for made in 0..m_new as usize {
+                    let vouched = if !(clean && first_draws) {
+                        None
+                    } else if made < prev_circuits.len() {
+                        Some(prev.relay(prev_circuits.start + made))
+                    } else if prev_circuits.len() < m_prev as usize {
+                        // `prev`'s next attempt found no path.
+                        break;
+                    } else {
+                        None
+                    };
+                    let (lit, first_draw) = self.attempt(env, scratch, (u, v), vouched);
+                    first_draws &= first_draw;
+                    if !lit {
+                        break;
                     }
-                    self.probes.extend_from_slice(prev.probe(k));
-                    self.push_pair(u, v, first);
-                    continue;
                 }
-
-                // Keep the replay in step regardless of how this pair is
-                // built.
                 for i in prev_circuits.clone() {
-                    ds.replay
-                        .install(routes, prev.lit.relay(i), prev.lit.channels(i));
+                    for &s in interior(prev.relay(i)) {
+                        ds.replay[s] -= 1;
+                    }
                 }
-
-                if m_new == 0 {
-                    // The previous circuits vanish from the live build:
-                    // their channels and regenerators now differ from the
-                    // replay.
-                    for i in prev_circuits {
-                        mark_route_fibers(pc, prev.lit.relay(i), &mut ds.dirty);
-                        any_dirty = true;
-                    }
-                    continue;
+                for i in prev_circuits {
+                    ds.sync(&self.regens, interior(prev.relay(i)));
                 }
-                // Re-provision this pair exactly as a full build would.
-                rebuilt += 1;
-                let new_circuits = self.provision_pair(env, scratch, u, v, m_new);
-
-                // A rebuild that reproduced the previous circuits verbatim
-                // leaves live and replay identical on every fiber and site
-                // it touched — no dirt, so the screen stays sharp for the
-                // pairs after it.
-                let identical = new_circuits.len() == prev_circuits.len()
-                    && new_circuits
-                        .clone()
-                        .zip(prev_circuits.clone())
-                        .all(|(i, j)| {
-                            self.lit.relay(i) == prev.lit.relay(j)
-                                && self.lit.channels(i) == prev.lit.channels(j)
-                        });
-                if !identical {
-                    for j in prev_circuits {
-                        mark_route_fibers(pc, prev.lit.relay(j), &mut ds.dirty);
+                for i in first..self.len() {
+                    ds.sync(&self.regens, interior(self.relay(i)));
+                }
+                if m_new > 0 {
+                    if clean && m_new == m_prev {
+                        reused += 1;
+                    } else {
+                        rebuilt += 1;
                     }
-                    for i in new_circuits {
-                        mark_route_fibers(pc, self.lit.relay(i), &mut ds.dirty);
-                    }
-                    any_dirty = true;
+                    self.push_pair(u, v, first, first_draws);
                 }
             }
         }
         (reused, rebuilt)
     }
 
-    /// The build as a [`BuiltTopology`]: the circuits installed in ledger
-    /// order into a fresh [`OpticalState`], so ids, storage order and
-    /// occupancy are those of [`build_topology_observed`] on the same
-    /// desired topology. `routes` must be the route table of `plant`, the
-    /// plant the ledger was built on. The only place the fast path
-    /// constructs [`Circuit`](owan_optical::Circuit)s.
+    /// The build as a [`BuiltTopology`]: the relay paths lit in ledger
+    /// order by first fit into a fresh [`OpticalState`], so ids, storage
+    /// order, channels and occupancy are those of
+    /// [`build_topology_observed`] on the same desired topology — the
+    /// exact build lights exactly these paths, in this order, and its
+    /// failed attempts change nothing. `routes` must be the route table of
+    /// `plant`, the plant the ledger was built on. The only place the fast
+    /// path constructs [`Circuit`](owan_optical::Circuit)s.
     pub fn materialise(&self, plant: &FiberPlant, routes: &RouteTable) -> BuiltTopology {
+        let mut lit = CircuitLedger::default();
+        lit.reset(plant, self.len());
         let mut optical = OpticalState::new(plant);
         let circuits = self
             .pairs
@@ -511,7 +601,11 @@ impl TopologyLedger {
             .filter(|p| p.count > 0)
             .map(|p| {
                 let ids = (p.first..p.first + p.count)
-                    .map(|i| optical.install(self.lit.circuit(routes, i)))
+                    .map(|i| {
+                        lit.light(plant, routes, self.relay(i))
+                            .expect("a recorded relay path lights");
+                        optical.install(lit.circuit(routes, i))
+                    })
                     .collect();
                 ((p.u, p.v), ids)
             })
@@ -524,11 +618,12 @@ impl TopologyLedger {
     }
 }
 
-/// Builds `desired` into `cache.scored`: incrementally from
-/// `cache.accepted` when `basis` — the desired topology `accepted` is the
-/// build of — is at most [`MAX_DELTA_UNITS`] link units away (beyond the
-/// neighbor-move bound resuming saves little), in full otherwise. Debug
-/// builds assert the ledger against the naive build on every call.
+/// Builds `desired` into `cache.scored` (see [`TopologyLedger`]):
+/// resuming from `cache.accepted` when `basis` — the desired topology
+/// `accepted` is the build of — is at most [`MAX_DELTA_UNITS`] link units
+/// away (beyond the neighbor-move bound resuming saves little), in full
+/// otherwise. Debug builds assert the ledger against the naive build on
+/// every call.
 pub(crate) fn build_ledger(
     plant: &FiberPlant,
     desired: &Topology,
@@ -568,6 +663,9 @@ pub(crate) fn build_ledger(
             cache.stats.full_builds += 1;
             cache.scored.full(&env, &mut cache.relay_scratch, desired);
         }
+    }
+    if cache.scored.exact {
+        cache.stats.exact_fallbacks += 1;
     }
     debug_assert_eq!(
         cache.scored.materialise(plant, pc.routes()),

@@ -9,7 +9,10 @@
 //! [`compute_energy`] returns everything that produced — circuits and
 //! allocations — as an [`EnergyOutcome`]. Algorithm 1 reads one number of
 //! it per neighbor, so the annealer's [`EnergyEvaluator`] *scores*
-//! candidates and produces the outcome once, for the winner.
+//! candidates and produces the outcome once, for the winner. A score
+//! needs the achieved topology only, not which wavelength each circuit
+//! took, so it is computed from relay paths alone whenever that provably
+//! gives the same topology (see [`TopologyLedger`]).
 
 use crate::cache::EnergyCache;
 use crate::circuits::{
@@ -128,10 +131,12 @@ pub(crate) fn compute_energy_with(
 /// With a cache attached, a score is a [`TopologyLedger`] build in the
 /// cache's buffers — incremental from the accepted state's when the
 /// candidate is a neighbor move away, in full otherwise, either way over
-/// the cache's plant tables with relay candidates drawn lazily — and a
-/// rate pass that stops at the throughput; circuits and allocations are
-/// materialised by `finish` alone. Without a cache every score is a
-/// naive evaluation whose outcome is dropped, so callers toggle
+/// the cache's plant tables with relay candidates drawn lazily, and
+/// channel-free while the wavelength bound vouches that first fit would
+/// light every first relay path — and a rate pass over the achieved
+/// topology that stops at the throughput. Channels, circuits and
+/// allocations are materialised by `finish` alone. Without a cache every
+/// score is a naive evaluation whose outcome is dropped, so callers toggle
 /// the fast path with an `Option` and nothing else.
 ///
 /// Both backends produce bit-identical scores and outcomes (debug builds

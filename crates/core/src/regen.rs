@@ -190,6 +190,13 @@ impl ReachRows {
         row(&self.fwd, x)
     }
 
+    /// True when `fiber_dist[x][y]` is within reach: then `[x, y]` is the
+    /// first relay path of `(x, y)` under every free-regenerator vector
+    /// (see `RelaySearch::first`).
+    pub(crate) fn within(&self, x: SiteId, y: SiteId) -> bool {
+        has_bit(&self.fwd[x * self.words..], y)
+    }
+
     /// The sites adjacent to `x` in the regenerator graph of `(src, dst)`
     /// (before restricting to its node set). Node order is `src, dst, then
     /// sites ascending`; the edge between two nodes is tested from the

@@ -129,8 +129,7 @@ type Tentative = Vec<(usize, u64)>;
 /// What provisioning reads and writes of an optical state: per-fiber
 /// channel occupancy and per-site free regenerators, without the circuits.
 /// [`OpticalState`] is an `Occupancy` plus circuit storage; a
-/// [`CircuitLedger`] is one plus flat circuit records; the incremental
-/// rebuild replays a previous build's consumption into a bare one.
+/// [`CircuitLedger`] is one plus flat circuit records.
 ///
 /// Occupancy is bitset-packed: fiber `f`'s channels live in the
 /// `words_per_fiber` u64 words starting at `f * words_per_fiber`, bit
@@ -191,10 +190,14 @@ impl Occupancy {
         &self.regens_free
     }
 
-    /// Packed occupancy words of `fiber`. First-fit wavelength selection
-    /// reads exactly these bits, so two occupancies with equal words on
-    /// every fiber a provisioning attempt can touch make identical channel
-    /// choices — occupancy-probe skip tests compare these slices.
+    /// Usable channels of `fiber`: [`FiberPlant::usable_wavelengths`] of
+    /// the plant the occupancy was reset to.
+    pub fn usable(&self, fiber: FiberId) -> u32 {
+        self.channels[fiber]
+    }
+
+    /// Packed occupancy words of `fiber`: the bits first-fit wavelength
+    /// selection reads.
     pub fn occupancy_words(&self, fiber: FiberId) -> &[u64] {
         let start = fiber * self.words_per_fiber;
         &self.channel_words[start..start + self.words_per_fiber]
@@ -278,19 +281,6 @@ impl Occupancy {
             debug_assert!(self.regens_free[s] > 0, "install: no regenerator at {s}");
             self.regens_free[s] -= 1;
         }
-    }
-
-    /// Replays a known-good circuit's resource consumption — its relay
-    /// path and the channel of each segment, routed over `routes` as when
-    /// it was lit — without re-running route or wavelength selection. The
-    /// caller guarantees the circuit fits (debug-checked).
-    pub fn install(&mut self, routes: &RouteTable, relay_sites: &[SiteId], channels: &[u32]) {
-        debug_assert_eq!(relay_sites.len(), channels.len() + 1);
-        for (w, &channel) in relay_sites.windows(2).zip(channels) {
-            let route = routes.route(w[0], w[1]).expect("a lit segment has a route");
-            self.mark(route.fibers, channel);
-        }
-        self.consume_regens(&relay_sites[1..relay_sites.len() - 1]);
     }
 
     /// Lowest channel index free on every fiber of `fibers`, given the
@@ -563,8 +553,8 @@ struct Lit {
 /// provisioning order, its relay path and the channel of each segment as
 /// slices of two arenas. A circuit's segments are the [`RouteTable`]
 /// routes between consecutive relay sites, so relay path and channels say
-/// everything a [`Circuit`] does, and lighting, copying and comparing
-/// circuits allocate nothing once the arenas have grown.
+/// everything a [`Circuit`] does, and lighting circuits allocates nothing
+/// once the arenas have grown.
 ///
 /// [`Self::light`] is the routed provisioner: the checks and state changes
 /// of [`OpticalState::provision`], in its order, with each segment's route
@@ -668,20 +658,6 @@ impl CircuitLedger {
             Err(_) => self.channel_arena.truncate(channels),
         }
         planned
-    }
-
-    /// Lights circuit `i` of `other` verbatim: the caller guarantees it
-    /// fits (debug-checked), as [`OpticalState::install`]'s does.
-    pub fn copy_circuit(&mut self, routes: &RouteTable, other: &CircuitLedger, i: usize) {
-        let (relay_sites, channels) = (other.relay(i), other.channels(i));
-        self.occupancy.install(routes, relay_sites, channels);
-        self.lit.push(Lit {
-            relay: self.relay_arena.len(),
-            sites: relay_sites.len(),
-            channels: self.channel_arena.len(),
-        });
-        self.relay_arena.extend_from_slice(relay_sites);
-        self.channel_arena.extend_from_slice(channels);
     }
 
     /// Circuit `i` as a [`Circuit`], its segments cloned out of `routes`.
@@ -929,13 +905,10 @@ mod tests {
         }
         assert_eq!(ledger.len(), state.circuit_count());
         let mut installed = OpticalState::new(p);
-        let mut replayed = Occupancy::new(p);
         for i in 0..ledger.len() {
             installed.install(ledger.circuit(&routes, i));
-            replayed.install(&routes, ledger.relay(i), ledger.channels(i));
         }
         assert_eq!(installed, state);
-        assert_eq!(&replayed, ledger.occupancy());
         state.check_invariants(p).unwrap();
         ledger.len()
     }

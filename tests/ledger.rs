@@ -2,7 +2,8 @@
 //! and the route table it reads segments from against per-pair routing.
 //!
 //! An annealing evaluation builds a flat `TopologyLedger` — incrementally
-//! from the accepted state's — and keeps a score; `Circuit`s and
+//! from the accepted state's, choosing channels only for attempts the
+//! wavelength bound cannot vouch for — and keeps a score; `Circuit`s and
 //! `Allocation`s exist only for the winner. Debug builds assert every
 //! ledger against the naive build inside `owan-core`; this suite makes the
 //! same comparison with plain `assert_eq!`, so it holds in release builds
@@ -20,7 +21,7 @@ use owan::core::{
     compute_energy, CoreTelemetry, EnergyCache, EnergyEvaluator, Topology, Transfer,
     MAX_DELTA_UNITS,
 };
-use owan::optical::RouteTable;
+use owan::optical::{FiberPlant, OpticalParams, RouteTable};
 use owan::topo::Network;
 use owan_bench::net_by_name;
 use rand::rngs::StdRng;
@@ -36,6 +37,11 @@ struct Census {
     rejected_twice_in_a_row: usize,
     returns: usize,
     far: usize,
+    /// Builds that stayed channel-free.
+    channel_free: u64,
+    /// Builds with an attempt made exactly: a segment the wavelength bound
+    /// or the route check could not vouch for.
+    exact: u64,
 }
 
 /// `steps` neighbor moves applied in sequence.
@@ -143,9 +149,13 @@ fn walk(net: &Network, transfers: &[Transfer], initial: &Topology, seed: u64, ce
         "{} seed {seed}",
         net.name
     );
+    let builds = cache.stats.delta_builds + cache.stats.full_builds;
+    census.channel_free += builds - cache.stats.exact_fallbacks;
+    census.exact += cache.stats.exact_fallbacks;
 }
 
-fn walk_family(nets: impl Fn(u64) -> Network) {
+/// Walks `SEEDS` networks of one family; returns what the walks met.
+fn walk_family(nets: impl Fn(u64) -> Network) -> Census {
     let mut census = Census::default();
     let mut name = String::new();
     for seed in 0..SEEDS {
@@ -163,19 +173,89 @@ fn walk_family(nets: impl Fn(u64) -> Network) {
         census.far > 0,
         "{name}: no candidate beyond the delta bound"
     );
+    census
 }
 
+/// The shipped plants never come near the wavelength bound: every
+/// attempt is made channel-free.
 #[test]
 fn ledger_equals_the_naive_build_on_the_benchmark_networks() {
     for name in ["internet2", "isp", "interdc"] {
-        walk_family(|_| net_by_name(name));
+        let census = walk_family(|_| net_by_name(name));
+        assert_eq!(census.exact, 0, "{name}: an attempt was made exactly");
     }
 }
 
 #[test]
 fn ledger_equals_the_naive_build_on_scarce_plants() {
     for family in ["isp", "interdc", "stressed"] {
-        walk_family(|seed| scarce_network(family, seed));
+        let census = walk_family(|seed| scarce_network(family, seed));
+        assert!(census.exact > 0, "{family}: no attempt was made exactly");
+    }
+}
+
+/// The ISP with a few amplifiers degraded to 4 usable channels (which
+/// fibers varies with the seed): some builds cross a capped fiber often
+/// enough to make an attempt exactly, others stay channel-free.
+#[test]
+fn ledger_equals_the_naive_build_on_amplifier_degraded_plants() {
+    let census = walk_family(|seed| {
+        let net = net_by_name("isp");
+        let m = net.plant.fiber_count() as u64;
+        let mut faults = FaultState::default();
+        for k in 0..3 {
+            let fiber = ((seed * 7 + k * 11) % m) as usize;
+            faults.apply(&FaultKind::AmpDegraded { fiber, usable: 4 });
+        }
+        let (plant, _) = faults.degraded_view(&net.plant);
+        Network { plant, ..net }
+    });
+    assert!(census.exact > 0, "no build made an attempt exactly");
+    assert!(census.channel_free > 0, "no build stayed channel-free");
+}
+
+/// The wavelength bound at its edge, on a line of three sites whose two
+/// fibers carry 5 and 4 usable channels. The link `(0, 2)` crosses both;
+/// its second circuit is planned while `(0, 1)`'s circuits and its own
+/// first hold channels: `direct + 2` segments' worth against the narrower
+/// band, 4. One `(0, 1)` circuit leaves the sum at 3 and the build
+/// channel-free; two bring it to 4 and the attempt is made exactly —
+/// first fit still finds channel 3 free, as the naive build shows.
+#[test]
+fn the_wavelength_bound_vouches_below_the_narrowest_band_only() {
+    let mut plant = FiberPlant::new(OpticalParams {
+        wavelengths_per_fiber: 5,
+        optical_reach_km: 1_000.0,
+        ..Default::default()
+    });
+    for i in 0..3 {
+        plant.add_site(&format!("L{i}"), 8, 0);
+    }
+    plant.add_fiber(0, 1, 400.0);
+    let narrow = plant.add_fiber(1, 2, 400.0);
+    plant.set_fiber_wavelength_cap(narrow, Some(4));
+    let net = Network {
+        name: "line".into(),
+        plant,
+        static_topology: Topology::empty(3),
+    };
+    let fiber_dist = net.plant.fiber_distance_matrix();
+    let ctx = context(&net, &fiber_dist, &[]);
+    let routes = RouteTable::build(&net.plant);
+    let telemetry = CoreTelemetry::disabled();
+    let rate_inputs = ctx.rate_inputs(&telemetry);
+    for (direct, exact) in [(1, 0), (2, 1)] {
+        let mut desired = Topology::empty(3);
+        desired.add_links(0, 1, direct);
+        desired.add_links(0, 2, 2);
+        let mut cache = EnergyCache::new();
+        let mut eval = EnergyEvaluator::new(&ctx, Some(&mut cache), &rate_inputs, &telemetry);
+        eval.score(&desired, None);
+        let built = eval.scored().unwrap().materialise(&net.plant, &routes);
+        assert_eq!(built, compute_energy(&ctx, &desired).built, "{direct}");
+        assert_eq!(built.achieved, desired, "{direct}: every circuit lit");
+        assert_eq!(cache.stats.full_builds, 1);
+        assert_eq!(cache.stats.exact_fallbacks, exact, "{direct}");
     }
 }
 
