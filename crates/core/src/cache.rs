@@ -17,8 +17,9 @@
 //!    per-pair segment checks (route present and within reach) a
 //!    channel-free build needs besides the bound, and the per-pair relay
 //!    domains the delta build's regenerator screen tests for diverged
-//!    sites; and the one copy of the fiber distance matrix the reach rows
-//!    were built from, which the engine's port repair and the chaos runner
+//!    sites; and the fiber distance matrix, read off the route table's
+//!    shortest-path trees (no second Dijkstra pass), which the reach rows
+//!    are built from and the engine's port repair and the chaos runner
 //!    read too. Relay candidates themselves are *not* cached: a search
 //!    draws them one at a time, and nearly every attempt lights the first.
 //! 2. **Two [`TopologyLedger`]s** — `accepted`, the build of the walk's
@@ -211,8 +212,9 @@ pub fn precompute_key(plant: &FiberPlant) -> u64 {
 ///   from;
 /// - the **segment checks**: per ordered site pair, whether provisioning
 ///   accepts its route (present, within reach);
-/// - the **fiber distance matrix** the reach rows were built from, which
-///   the engine reads too (port repair).
+/// - the **fiber distance matrix**: the route table's trees' distances,
+///   which the reach rows are built from and the engine reads too (port
+///   repair).
 ///
 /// Invalidation follows the [`precompute_key`]: a plant change that moves
 /// it (a cut, a site down, a repair of either) drops the `Arc` and the
@@ -233,21 +235,24 @@ pub struct PlantCache {
 }
 
 impl PlantCache {
-    /// Builds the precompute: the reach rows; their closure over
-    /// regenerator-equipped pivots (a boolean Floyd–Warshall on site rows,
-    /// `O(V^2)` row unions) with the per-pair domains read off it, word by
-    /// word; and one fiber-graph Dijkstra per site for the route table.
-    /// `fiber_dist` must be `plant.fiber_distance_matrix()`; the
-    /// precompute keeps a copy.
+    /// Builds the precompute from `plant` alone, the one construction
+    /// path: one fiber-graph Dijkstra per site for the route table, whose
+    /// trees' distances are the fiber distance matrix
+    /// ([`RouteTable::distance_matrix`], bit-equal to
+    /// `plant.fiber_distance_matrix()`); the reach rows from that matrix;
+    /// their closure over regenerator-equipped pivots (a boolean
+    /// Floyd–Warshall on site rows, `O(V^2)` row unions) with the per-pair
+    /// domains read off it, word by word; and the segment checks.
     ///
     /// # Panics
     ///
     /// If the plant has more than [`MAX_SITES`](crate::rows::MAX_SITES)
     /// sites.
-    pub fn build(plant: &FiberPlant, fiber_dist: &[Vec<f64>]) -> Self {
-        let reach = ReachRows::build(plant, fiber_dist);
-        let domains = by_row_words!(reach.words(), |W| relay_domains::<W>(plant, &reach));
+    pub fn new(plant: &FiberPlant) -> Self {
         let routes = RouteTable::build(plant);
+        let fiber_dist = routes.distance_matrix();
+        let reach = ReachRows::build(plant, &fiber_dist);
+        let domains = by_row_words!(reach.words(), |W| relay_domains::<W>(plant, &reach));
         let (n, w) = (plant.site_count(), reach.words());
         let reach_km = plant.params().optical_reach_km;
         let mut segments = vec![0u64; n * w];
@@ -265,8 +270,28 @@ impl PlantCache {
             reach,
             routes,
             segments,
-            fiber_dist: fiber_dist.to_vec(),
+            fiber_dist,
         }
+    }
+
+    /// [`Self::new`], for a caller that holds the plant's distance matrix
+    /// already: `fiber_dist` must be `plant.fiber_distance_matrix()`, and
+    /// debug builds assert the precompute's own matrix equals it bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`].
+    pub fn build(plant: &FiberPlant, fiber_dist: &[Vec<f64>]) -> Self {
+        let pc = Self::new(plant);
+        let bits =
+            |m: &[Vec<f64>]| -> Vec<u64> { m.iter().flatten().map(|d| d.to_bits()).collect() };
+        debug_assert_eq!(
+            bits(&pc.fiber_dist),
+            bits(fiber_dist),
+            "fiber_dist is not the plant's distance matrix"
+        );
+        pc
     }
 
     /// [`precompute_key`] of the plant this precompute was built from.
@@ -428,14 +453,13 @@ impl EnergyCache {
     }
 
     /// Begins a run on `plant` (see [`Self::begin_run`]) and returns its
-    /// precompute: the one held, the shared one, or one built with a fresh
-    /// distance matrix. The engine and the chaos runner read the plant's
-    /// distance matrix from here instead of computing their own.
+    /// precompute: the one held, the shared one, or a fresh one whose
+    /// route table's trees give the distance matrix ([`PlantCache::new`]).
+    /// The engine and the chaos runner read the plant's distance matrix
+    /// from here instead of computing their own.
     pub fn precompute(&mut self, plant: &FiberPlant) -> Arc<PlantCache> {
         self.begin_run(plant);
-        self.adopt_or_build(plant, || {
-            PlantCache::build(plant, &plant.fiber_distance_matrix())
-        })
+        self.adopt_or_build(plant, || PlantCache::new(plant))
     }
 
     /// The plant-scoped precompute, adopting the shared one or building a
@@ -721,6 +745,44 @@ mod tests {
             bits(rebuilt.fiber_dist()),
             bits(&cut.fiber_distance_matrix())
         );
+    }
+
+    #[test]
+    fn one_pass_matrix_is_all_pairs_dijkstra_on_the_networks_and_their_fault_views() {
+        let bits =
+            |m: &[Vec<f64>]| -> Vec<u64> { m.iter().flatten().map(|d| d.to_bits()).collect() };
+        let assert_one_pass = |p: &FiberPlant, tag: &str| {
+            let pc = PlantCache::new(p);
+            let want = owan_graph::dijkstra::all_pairs_distances(p.fiber_graph());
+            assert_eq!(bits(pc.fiber_dist()), bits(&want), "{tag}");
+            assert_same_precompute(&pc, &PlantCache::build(p, &want), tag);
+        };
+        for (name, p) in [
+            ("internet2 testbed", owan_topo::internet2_testbed().plant),
+            ("internet2 wan", owan_topo::internet2_wan().plant),
+            ("isp_backbone(7)", owan_topo::isp_backbone(7).plant),
+            ("inter_dc(7)", owan_topo::inter_dc(7).plant),
+        ] {
+            assert_one_pass(&p, name);
+            // Every single-fiber cut, and every fiber amplifier-degraded.
+            for cut in 0..p.fiber_count() {
+                let mut view = FiberPlant::new(p.params().clone());
+                for s in p.sites() {
+                    view.add_site(&s.name, s.router_ports, s.regenerators);
+                }
+                for (f, fiber) in p.fibers().iter().enumerate() {
+                    if f != cut {
+                        view.add_fiber(fiber.a, fiber.b, fiber.length_km);
+                    }
+                }
+                assert_one_pass(&view, &format!("{name}, fiber {cut} cut"));
+            }
+            let mut degraded = p.clone();
+            for f in 0..p.fiber_count() {
+                degraded.set_fiber_wavelength_cap(f, Some(1 + f as u32 % 7));
+            }
+            assert_one_pass(&degraded, &format!("{name}, amplifiers degraded"));
+        }
     }
 
     #[test]

@@ -72,8 +72,9 @@ pub(crate) fn row_mut<const W: usize>(rows: &mut [u64], i: usize) -> &mut [u64; 
     rows[i * W..].first_chunk_mut().expect("row in range")
 }
 
+/// Adds site `s` to a row.
 #[inline]
-pub(crate) fn set_bit(set: &mut [u64], s: SiteId) {
+pub fn set_bit(set: &mut [u64], s: SiteId) {
     set[s / 64] |= 1 << (s % 64);
 }
 
@@ -82,8 +83,9 @@ pub(crate) fn clear_bit(set: &mut [u64], s: SiteId) {
     set[s / 64] &= !(1 << (s % 64));
 }
 
+/// True when site `s` is in a row.
 #[inline]
-pub(crate) fn has_bit(set: &[u64], s: SiteId) -> bool {
+pub fn has_bit(set: &[u64], s: SiteId) -> bool {
     set[s / 64] & (1 << (s % 64)) != 0
 }
 

@@ -399,6 +399,22 @@ impl RouteTable {
         self.n
     }
 
+    /// The all-pairs shortest fiber distance matrix, read off the routes:
+    /// each route's length is its Dijkstra tree's `dist` entry, and
+    /// [`FiberPlant::fiber_distance_matrix`] runs the same per-source
+    /// Dijkstras, so the two are bit-equal (`f64::INFINITY` for a
+    /// disconnected pair, `0.0` on the diagonal).
+    pub fn distance_matrix(&self) -> Vec<Vec<f64>> {
+        (0..self.n)
+            .map(|src| {
+                self.spans[src * self.n..][..self.n]
+                    .iter()
+                    .map(|s| s.map_or(f64::INFINITY, |s| s.length_km))
+                    .collect()
+            })
+            .collect()
+    }
+
     /// The shortest fiber route from `src` to `dst`, or `None` if the two
     /// are disconnected.
     #[inline]
@@ -551,6 +567,27 @@ mod tests {
             table.route(0, 1).unwrap().fibers,
             vec![2],
             "lighter parallel"
+        );
+    }
+
+    #[test]
+    fn route_table_distances_are_the_matrix_bit_for_bit() {
+        // Parallel fibers, a detour, a disconnected site, and lengths
+        // whose sums round.
+        let mut p = line_plant();
+        let d = p.add_site("D", 2, 0);
+        p.add_site("E", 2, 0);
+        p.add_fiber(0, 1, 40.1);
+        p.add_fiber(0, d, 150.3);
+        p.add_fiber(d, 2, 90.7);
+        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            m.iter()
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(
+            bits(&RouteTable::build(&p).distance_matrix()),
+            bits(&p.fiber_distance_matrix())
         );
     }
 

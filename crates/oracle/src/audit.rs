@@ -7,7 +7,7 @@
 //! commands and flight-dump replay install: [`check_plan`] on the slot
 //! plan, [`check_timeline`] on the schedule, each check counted.
 
-use crate::invariants::{check_plan, check_timeline};
+use crate::invariants::{check_plan, check_timeline, timeline_exempt};
 use crate::replay::ReplayFailure;
 use owan_chaos::SlotAudit;
 use owan_obs::Counter;
@@ -15,17 +15,24 @@ use owan_scope::ScopeRecorder;
 use owan_sim::Probes;
 
 /// Audits slots of a chaos run. Every check counts on the probes'
-/// recorder (`oracle.invariant_checked` / `oracle.invariant_violated`),
-/// and a violation raises the `oracle.invariant_violated` anomaly on the
-/// probes' scope, freezing a flight dump of the slots leading up to it.
+/// recorder (`oracle.invariant_checked` / `oracle.invariant_violated`,
+/// and `oracle.timeline_exempt` for a schedule [`check_timeline`]
+/// exempts), and a violation raises the `oracle.invariant_violated`
+/// anomaly on the probes' scope, freezing a flight dump of the slots
+/// leading up to it.
 pub struct InvariantAudit {
     checked: Counter,
     violated: Counter,
+    exempt: Counter,
     scope: ScopeRecorder,
     /// Slot plans that passed [`check_plan`].
     pub plans_checked: usize,
-    /// Executed update schedules that passed [`check_timeline`].
+    /// Executed update schedules that passed [`check_timeline`], exempt
+    /// ones not counted.
     pub updates_checked: usize,
+    /// Executed update schedules [`check_timeline`] exempts (see
+    /// [`timeline_exempt`]).
+    pub updates_exempt: usize,
     /// The first violation and the slot it surfaced in.
     failure: Option<ReplayFailure>,
 }
@@ -36,9 +43,11 @@ impl InvariantAudit {
         InvariantAudit {
             checked: probes.recorder.counter("oracle.invariant_checked"),
             violated: probes.recorder.counter("oracle.invariant_violated"),
+            exempt: probes.recorder.counter("oracle.timeline_exempt"),
             scope: probes.scope.clone(),
             plans_checked: 0,
             updates_checked: 0,
+            updates_exempt: 0,
             failure: None,
         }
     }
@@ -52,6 +61,11 @@ impl InvariantAudit {
         }
         self.plans_checked += 1;
         if let (Some(delta), Some(update)) = (a.delta, a.update) {
+            if timeline_exempt(update) {
+                self.exempt.add(1);
+                self.updates_exempt += 1;
+                return Ok(());
+            }
             self.checked.add(1);
             if let Err(v) = check_timeline(delta, update, &a.params) {
                 return self.violation(a.slot, format!("update: {v}"));

@@ -296,6 +296,14 @@ fn check_path_shape(path: &[usize], t: &Transfer, n: usize) -> Result<(), Violat
     Ok(())
 }
 
+/// True when [`check_timeline`] exempts `plan`: it forces an operation
+/// that is not a `RemovePath`.
+pub fn timeline_exempt(plan: &UpdatePlan) -> bool {
+    plan.ops
+        .iter()
+        .any(|o| o.forced && !matches!(o.kind, OpKind::RemovePath(_)))
+}
+
 /// Checks blackhole/overload/loop freedom across every instant of a
 /// consistent update schedule.
 ///
@@ -306,16 +314,19 @@ fn check_path_shape(path: &[usize], t: &Transfer, n: usize) -> Result<(), Violat
 /// of every interval between consecutive operation boundaries, which
 /// covers every distinct resource state the update passes through.
 ///
-/// A plan containing `forced` operations deliberately abandoned
-/// consistency to escape a dependency deadlock (the paper's rate-limiting
-/// escape hatch), so its transient states are exempt: the check returns
-/// `Ok` immediately.
+/// A plan that forces an operation other than a path removal
+/// deliberately abandoned consistency to escape a dependency deadlock, so
+/// its transient states are exempt ([`timeline_exempt`]): the check
+/// returns `Ok` immediately. A forced removal only takes traffic off its
+/// links early (the paper's rate-limiting escape hatch), which can neither
+/// overload nor blackhole anything, so a plan that forces nothing else is
+/// checked in full.
 pub fn check_timeline(
     delta: &NetworkDelta,
     plan: &UpdatePlan,
     params: &UpdateParams,
 ) -> Result<(), Violation> {
-    if plan.ops.iter().any(|o| o.forced) {
+    if timeline_exempt(plan) {
         return Ok(());
     }
 
@@ -580,5 +591,67 @@ mod tests {
         let _ = ts;
         let v = check_plan(&thin, &[], 10.0, &plan).unwrap_err();
         assert_eq!(v.invariant, Invariant::RouteCircuitAgreement);
+    }
+
+    /// Transfers 0 and 1 swap links at full load: each new path waits on
+    /// the other's removal, and neither removal may start before its own
+    /// install (make-before-break), a deadlock the scheduler breaks by
+    /// forcing a removal. Transfer 2 rides a circuit the update lights.
+    fn deadlocked_delta() -> NetworkDelta {
+        let alloc = |transfer: usize, path: &[usize], rate: f64| Allocation {
+            transfer,
+            paths: vec![(path.to_vec(), rate)],
+        };
+        let mut old_t = Topology::empty(4);
+        old_t.add_links(0, 1, 1);
+        old_t.add_links(0, 2, 1);
+        old_t.add_links(2, 1, 1);
+        let mut new_t = old_t.clone();
+        new_t.add_links(1, 3, 1);
+        let old_a = [alloc(0, &[0, 1], 100.0), alloc(1, &[0, 2, 1], 100.0)];
+        let new_a = [
+            alloc(0, &[0, 2, 1], 100.0),
+            alloc(1, &[0, 1], 100.0),
+            alloc(2, &[1, 3], 50.0),
+        ];
+        NetworkDelta::from_plans(&old_t, &old_a, &new_t, &new_a, 4)
+    }
+
+    #[test]
+    fn a_plan_that_forces_only_removals_is_checked() {
+        let delta = deadlocked_delta();
+        let params = UpdateParams::default();
+        let plan = owan_update::plan_consistent(&delta, &params);
+        let forced: Vec<OpKind> = plan
+            .ops
+            .iter()
+            .filter(|o| o.forced)
+            .map(|o| o.kind)
+            .collect();
+        assert!(
+            !forced.is_empty() && forced.iter().all(|k| matches!(k, OpKind::RemovePath(_))),
+            "a deadlock broken by removals alone: {:?}",
+            plan.ops
+        );
+        assert!(!timeline_exempt(&plan), "a forced removal is checked");
+        check_timeline(&delta, &plan, &params).unwrap();
+
+        // The same plan with transfer 2's install moved to the start, so
+        // that it ends before its circuit lights: the check must see it.
+        let new_path = delta
+            .added_paths
+            .iter()
+            .position(|p| p.transfer == 2)
+            .expect("transfer 2 is installed");
+        let mut early = plan.clone();
+        let add = early
+            .ops
+            .iter_mut()
+            .find(|o| o.kind == OpKind::AddPath(new_path))
+            .expect("the install is scheduled");
+        (add.start_s, add.end_s) = (0.0, params.path_time_s);
+        assert!(params.path_time_s < params.circuit_time_s);
+        let v = check_timeline(&delta, &early, &params).unwrap_err();
+        assert_eq!(v.invariant, Invariant::UpdateBlackhole, "{v}");
     }
 }

@@ -47,7 +47,7 @@ pub use exact::{
     anneal_gap, best_topology_by_enumeration, EnumerationReport, ExactError, GapReport,
 };
 pub use fuzz::Scenario;
-pub use invariants::{check_plan, check_timeline, Invariant, Violation};
+pub use invariants::{check_plan, check_timeline, timeline_exempt, Invariant, Violation};
 pub use lp::{
     all_simple_paths, check_rates_lp_feasible, greedy_gap, lp_max_throughput, LpReference,
 };

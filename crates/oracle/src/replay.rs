@@ -105,6 +105,8 @@ pub struct ReplayStats {
     pub plans_checked: usize,
     /// Executed updates checked with [`check_timeline`](crate::check_timeline).
     pub updates_checked: usize,
+    /// Executed updates it exempts (see [`timeline_exempt`](crate::timeline_exempt)).
+    pub updates_exempt: usize,
     /// Transfers that completed within the horizon.
     pub completed: usize,
     /// Fault events whose detection delay elapsed during the run.
@@ -184,6 +186,7 @@ pub fn replay(
         slots: result.slots,
         plans_checked: audit.plans_checked,
         updates_checked: audit.updates_checked,
+        updates_exempt: audit.updates_exempt,
         completed: result
             .completions
             .iter()
@@ -364,6 +367,8 @@ pub struct FuzzStats {
     pub plans_checked: usize,
     /// Total update schedules checked.
     pub updates_checked: usize,
+    /// Total update schedules exempt from the check.
+    pub updates_exempt: usize,
     /// Total crash restarts exercised.
     pub crashes: u64,
     /// Total attack waves composed.
@@ -395,6 +400,7 @@ pub fn fuzz(
         stats.slots += s.slots;
         stats.plans_checked += s.plans_checked;
         stats.updates_checked += s.updates_checked;
+        stats.updates_exempt += s.updates_exempt;
         stats.crashes += s.crashes;
         stats.waves += s.waves;
         stats.recovered += s.recovered as usize;

@@ -4,10 +4,11 @@
 //! a fixed network-layer topology" (§1). [`FixedContext`] captures that
 //! fixed topology once: link indexing, aggregated capacities, and a
 //! k-shortest-paths tunnel cache per site pair — the standard tunnel-based
-//! TE setup.
+//! TE setup. The tunnels come from Yen's algorithm by hop count, its spur
+//! searches breadth-first over bitset adjacency rows (the `hops` module).
 
+use crate::hops::HopYen;
 use owan_core::{Allocation, Recorder, Topology, Transfer};
-use owan_graph::{k_shortest_paths, Graph};
 use owan_optical::SiteId;
 use owan_solver::{McfProblem, McfSolution};
 use std::collections::HashMap;
@@ -115,6 +116,8 @@ pub struct FixedContext {
     path_cache: HashMap<(SiteId, SiteId), Tunnels>,
     /// Tunnels per pair.
     k: usize,
+    /// The tunnel kernel over `links`.
+    yen: HopYen,
 }
 
 impl FixedContext {
@@ -128,6 +131,7 @@ impl FixedContext {
             link_index.insert((u, v), i);
             link_index.insert((v, u), i);
         }
+        let yen = HopYen::new(topology.site_count(), links.iter().copied());
         FixedContext {
             topology,
             theta,
@@ -135,6 +139,7 @@ impl FixedContext {
             link_index,
             path_cache: HashMap::new(),
             k,
+            yen,
         }
     }
 
@@ -165,7 +170,8 @@ impl FixedContext {
     /// derived the first time the pair is asked for.
     pub fn tunnels(&mut self, src: SiteId, dst: SiteId) -> &Tunnels {
         if !self.path_cache.contains_key(&(src, dst)) {
-            let sites = self.compute_paths(src, dst);
+            // Tunnels minimize hop count over the distinct links.
+            let sites = self.yen.tunnels(src, dst, self.k);
             let links: Vec<Vec<usize>> = sites.iter().map(|p| self.path_links(p)).collect();
             debug_assert!(
                 links
@@ -176,22 +182,6 @@ impl FixedContext {
             self.path_cache.insert((src, dst), Tunnels { sites, links });
         }
         &self.path_cache[&(src, dst)]
-    }
-
-    fn compute_paths(&self, src: SiteId, dst: SiteId) -> Vec<Vec<SiteId>> {
-        if src == dst {
-            return Vec::new();
-        }
-        // Unit-weight simple graph over distinct links: tunnels minimize
-        // hop count.
-        let mut g = Graph::new(self.topology.site_count());
-        for &(u, v) in &self.links {
-            g.add_undirected_edge(u, v, 1.0);
-        }
-        k_shortest_paths(&g, src, dst, self.k)
-            .into_iter()
-            .map(|p| p.nodes)
-            .collect()
     }
 
     /// Converts a site path to its link-index list.

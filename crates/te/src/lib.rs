@@ -20,6 +20,7 @@ pub mod amoeba;
 pub mod baselines;
 pub mod fixed;
 pub mod greedy;
+mod hops;
 pub mod tempus;
 
 pub use ablation::{RateOnlyTe, RoutingRateTe};

@@ -36,11 +36,16 @@ pub fn isp_backbone(seed: u64) -> Network {
             )
         })
         .collect();
-    let dist = |a: usize, b: usize| -> f64 {
-        let (ax, ay) = coords[a];
-        let (bx, by) = coords[b];
-        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt().max(50.0)
-    };
+    // Every pair's Euclidean distance, tabulated once: Prim and the chord
+    // sort compare distances O(n^3) and O(n^2 log n) times.
+    let table: Vec<f64> = (0..n * n)
+        .map(|i| {
+            let (ax, ay) = coords[i / n];
+            let (bx, by) = coords[i % n];
+            ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt().max(50.0)
+        })
+        .collect();
+    let dist = |a: usize, b: usize| -> f64 { table[a * n + b] };
 
     // Minimum spanning tree for connectivity: fibers follow geography, as
     // in a real backbone (long-haul spans stay within amplifier/ROADM
@@ -188,6 +193,44 @@ mod tests {
         let max = degrees.iter().max().unwrap();
         assert!(max > min, "an irregular mesh has degree variance");
         assert!(*min >= 2, "the tour guarantees degree >= 2");
+    }
+
+    /// FNV-1a over the static link list, every fiber's endpoints and
+    /// length bits, and every site's ports and regenerators.
+    fn digest(net: &Network) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (u, v, m) in net.static_topology.links() {
+            mix(u as u64);
+            mix(v as u64);
+            mix(u64::from(m));
+        }
+        for f in net.plant.fibers() {
+            mix(f.a as u64);
+            mix(f.b as u64);
+            mix(f.length_km.to_bits());
+        }
+        for s in net.plant.sites() {
+            mix(u64::from(s.router_ports));
+            mix(u64::from(s.regenerators));
+        }
+        h
+    }
+
+    /// The paper's seed-7 backbone, bit for bit: links, fiber lengths and
+    /// regenerators as generated before the distances were tabulated.
+    #[test]
+    fn seed_7_backbone_is_pinned() {
+        assert_eq!(
+            digest(&isp_backbone(7)),
+            938_730_704_012_097_498,
+            "isp_backbone(7) drifted"
+        );
     }
 
     #[test]

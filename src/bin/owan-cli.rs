@@ -1112,8 +1112,13 @@ fn verify_main(args: &Args) -> ! {
         );
         match replay(&scenario, ReplayKind::Plain, iters, &probes) {
             Ok(stats) => ok(format!(
-                "OK: seed {} replayed clean ({} slots, {} plans, {} transitions checked)",
-                scenario.seed, stats.slots, stats.plans_checked, stats.updates_checked
+                "OK: seed {} replayed clean ({} slots, {} plans, {} transitions checked, \
+                 {} exempt)",
+                scenario.seed,
+                stats.slots,
+                stats.plans_checked,
+                stats.updates_checked,
+                stats.updates_exempt
             )),
             Err(f) => diverged(&f.to_string(), Some(&repro)),
         }
@@ -1137,8 +1142,12 @@ fn verify_main(args: &Args) -> ! {
         match replay(&scenario, ReplayKind::Plain, iters, &probes) {
             Ok(stats) => ok(format!(
                 "OK: {net_name} replayed clean ({} slots, {} plans, {} transitions checked, \
-                 {} transfers completed)",
-                stats.slots, stats.plans_checked, stats.updates_checked, stats.completed
+                 {} exempt, {} transfers completed)",
+                stats.slots,
+                stats.plans_checked,
+                stats.updates_checked,
+                stats.updates_exempt,
+                stats.completed
             )),
             // Named-network workloads are not seed-regenerable through the
             // fuzz generator, so there is no reproducer — the seed and net
@@ -1161,21 +1170,32 @@ fn verify_main(args: &Args) -> ! {
     );
     match (fuzz(start, count, kind, iters, recorder), kind) {
         (Ok(stats), ReplayKind::Plain) => ok(format!(
-            "OK: {} seeds replayed clean ({} slots, {} plans, {} transitions checked)",
-            stats.scenarios, stats.slots, stats.plans_checked, stats.updates_checked
-        )),
-        (Ok(stats), ReplayKind::Chaos { .. }) => ok(format!(
-            "OK: {} chaos scenarios replayed clean ({} slots, {} plans, {} update \
-             schedules checked, {} crash restarts)",
-            stats.scenarios, stats.slots, stats.plans_checked, stats.updates_checked, stats.crashes
-        )),
-        (Ok(stats), ReplayKind::Attack) => ok(format!(
-            "OK: {} attack scenarios replayed clean ({} slots, {} plans, {} update \
-             schedules checked, {} waves, {} recovered)",
+            "OK: {} seeds replayed clean ({} slots, {} plans, {} transitions checked, \
+             {} exempt)",
             stats.scenarios,
             stats.slots,
             stats.plans_checked,
             stats.updates_checked,
+            stats.updates_exempt
+        )),
+        (Ok(stats), ReplayKind::Chaos { .. }) => ok(format!(
+            "OK: {} chaos scenarios replayed clean ({} slots, {} plans, {} update \
+             schedules checked, {} exempt, {} crash restarts)",
+            stats.scenarios,
+            stats.slots,
+            stats.plans_checked,
+            stats.updates_checked,
+            stats.updates_exempt,
+            stats.crashes
+        )),
+        (Ok(stats), ReplayKind::Attack) => ok(format!(
+            "OK: {} attack scenarios replayed clean ({} slots, {} plans, {} update \
+             schedules checked, {} exempt, {} waves, {} recovered)",
+            stats.scenarios,
+            stats.slots,
+            stats.plans_checked,
+            stats.updates_checked,
+            stats.updates_exempt,
             stats.waves,
             stats.recovered
         )),

@@ -126,7 +126,7 @@ const CLI_GOLDEN: [(&str, u64); 8] = [
     ("run", 0x1e43c0b5441ba3f0),
     ("transfers", 0x11c594aa0738c2af),
     ("transfers_trace", 0x7cec90ea6e9ed8fc),
-    ("chaos", 0x33bd6fa4eb901ef0),
+    ("chaos", 0xc70cbde42d1f63f9),
     ("chaos_dump", 0x9d04044739e50258),
     ("attack", 0xc3299cbe5a17c39d),
     ("explain", 0xe650c7a4edc530ca),
