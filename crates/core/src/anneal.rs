@@ -22,9 +22,10 @@
 //! evaluated.
 
 use crate::cache::{precompute_key, EnergyCache, PlantCache};
+use crate::circuits::Moved;
 use crate::energy::{EnergyContext, EnergyEvaluator, EnergyOutcome};
 use crate::pool::EvalPool;
-use crate::rates::RateInputs;
+use crate::rates::{topology_links, RateInputs};
 use crate::telemetry::{names, CoreTelemetry};
 use crate::topology::Topology;
 use owan_obs::Value;
@@ -86,70 +87,138 @@ impl AnnealResult {
 /// `(v,q)`. Returns `None` if no valid move exists (e.g. fewer than two
 /// links, or every sampled move would create a self-link).
 pub fn compute_neighbor(s: &Topology, rng: &mut StdRng) -> Option<Topology> {
-    let mut t = Topology::empty(0);
-    neighbor_into(s, rng, &mut t).then_some(t)
+    let mv = LinkUnits::of(s).draw(rng)?;
+    let mut t = s.clone();
+    mv.apply(&mut t);
+    Some(t)
 }
 
-/// [`compute_neighbor`] into a topology the caller owns: `out` is
-/// overwritten with the neighbor when one exists (the return value says
-/// so) and left as it was otherwise. Allocates nothing once `out` has held
-/// a topology of this size.
-fn neighbor_into(s: &Topology, rng: &mut StdRng, out: &mut Topology) -> bool {
-    let n = s.site_count();
-    // Links `(u, v, m)` with `u < v`, in canonical order, read off the
-    // rows without listing them.
-    let links = || {
-        (0..n).flat_map(move |u| {
-            let above = s.row(u).iter().enumerate().skip(u + 1);
-            above.filter_map(move |(v, &m)| (m > 0).then_some((u, v, m as usize)))
-        })
-    };
-    let total = s.total_links() as usize;
-    if total < 2 {
-        return false;
+/// One draw of Algorithm 2: a unit leaves `(u, v)` and one leaves `(p, q)`;
+/// one joins `(u, p)` and one `(v, q)`. `[u, v, p, q]`, oriented as drawn.
+#[derive(Debug, Clone, Copy)]
+struct Move([SiteId; 4]);
+
+impl Move {
+    fn apply(self, t: &mut Topology) {
+        let [u, v, p, q] = self.0;
+        t.remove_links(u, v, 1);
+        t.remove_links(p, q, 1);
+        t.add_links(u, p, 1);
+        t.add_links(v, q, 1);
     }
-    // Sampling is uniform over link *units* (a link of multiplicity m is m
-    // units), but without materializing the unit expansion: draw an index
-    // into the virtual expanded list and walk the cumulative multiplicities
-    // to the owning link — the index→pair map is exactly the expanded
-    // list's, so the RNG-to-move mapping is that of sampling the list.
-    let unit_at = |idx: usize| -> (SiteId, SiteId) {
-        let mut rem = idx;
-        for (u, v, m) in links() {
-            if rem < m {
-                return (u, v);
+
+    fn undo(self, t: &mut Topology) {
+        let [u, v, p, q] = self.0;
+        t.remove_links(u, p, 1);
+        t.remove_links(v, q, 1);
+        t.add_links(u, v, 1);
+        t.add_links(p, q, 1);
+    }
+}
+
+/// The link units of a topology, as Algorithm 2 draws them: its links in
+/// canonical order (`u < v`, lexicographic) with their cumulative
+/// multiplicities. A unit index maps to the link whose cumulative count
+/// first exceeds it — the map of sampling the expanded unit list — found
+/// by binary search, and an accepted move updates the list by merging in
+/// the pairs it changed, so neither walks the matrix.
+#[derive(Debug, Clone, Default)]
+struct LinkUnits {
+    links: Vec<(SiteId, SiteId)>,
+    /// `ends[k]`: the units of links `0..=k`.
+    ends: Vec<usize>,
+    /// The next list, built by [`Self::apply`] and swapped in.
+    spare: (Vec<(SiteId, SiteId)>, Vec<usize>),
+}
+
+impl LinkUnits {
+    fn of(s: &Topology) -> Self {
+        let mut units = LinkUnits::default();
+        let mut total = 0;
+        for (u, v, m) in topology_links(s) {
+            total += m as usize;
+            units.links.push((u, v));
+            units.ends.push(total);
+        }
+        units
+    }
+
+    fn total(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// The link owning unit `idx`.
+    fn unit(&self, idx: usize) -> (SiteId, SiteId) {
+        self.links[self.ends.partition_point(|&end| end <= idx)]
+    }
+
+    /// Algorithm 2's draw: two distinct units, each oriented at random,
+    /// retried (64 times at most) while a new link would be a self-link.
+    fn draw(&self, rng: &mut StdRng) -> Option<Move> {
+        let total = self.total();
+        if total < 2 {
+            return None;
+        }
+        for _attempt in 0..64 {
+            let i = rng.random_range(0..total);
+            let j = rng.random_range(0..total);
+            if i == j {
+                continue;
             }
-            rem -= m;
+            let (mut u, mut v) = self.unit(i);
+            let (mut p, mut q) = self.unit(j);
+            // Random orientation of each undirected link.
+            if rng.random::<bool>() {
+                std::mem::swap(&mut u, &mut v);
+            }
+            if rng.random::<bool>() {
+                std::mem::swap(&mut p, &mut q);
+            }
+            // New links (u,p) and (v,q) must not be self-links.
+            if u == p || v == q {
+                continue;
+            }
+            return Some(Move([u, v, p, q]));
         }
-        unreachable!("index {idx} beyond {total} link units");
-    };
-    for _attempt in 0..64 {
-        let i = rng.random_range(0..total);
-        let j = rng.random_range(0..total);
-        if i == j {
-            continue;
-        }
-        let (mut u, mut v) = unit_at(i);
-        let (mut p, mut q) = unit_at(j);
-        // Random orientation of each undirected link.
-        if rng.random::<bool>() {
-            std::mem::swap(&mut u, &mut v);
-        }
-        if rng.random::<bool>() {
-            std::mem::swap(&mut p, &mut q);
-        }
-        // New links (u,p) and (v,q) must not be self-links.
-        if u == p || v == q {
-            continue;
-        }
-        out.clone_from(s);
-        out.remove_links(u, v, 1);
-        out.remove_links(p, q, 1);
-        out.add_links(u, p, 1);
-        out.add_links(v, q, 1);
-        return true;
+        None
     }
-    false
+
+    /// The list after an accepted move that changed `moved`'s pairs.
+    fn apply(&mut self, moved: &Moved) {
+        let (links, ends) = &mut self.spare;
+        links.clear();
+        ends.clear();
+        let (mut total, mut prev_end) = (0, 0);
+        let mut changes = moved.pairs().iter().peekable();
+        let mut push = |pair: (SiteId, SiteId), m: usize| {
+            if m > 0 {
+                total += m;
+                links.push(pair);
+                ends.push(total);
+            }
+        };
+        for (&pair, &end) in self.links.iter().zip(&self.ends) {
+            let mut m = (end - prev_end) as i64;
+            prev_end = end;
+            while let Some(&&(a, b, d)) = changes.peek() {
+                if (a, b) > pair {
+                    break;
+                }
+                changes.next();
+                if (a, b) == pair {
+                    m += i64::from(d);
+                } else {
+                    push((a, b), d as usize);
+                }
+            }
+            push(pair, m as usize);
+        }
+        for &(a, b, d) in changes {
+            push((a, b), d as usize);
+        }
+        std::mem::swap(&mut self.links, &mut self.spare.0);
+        std::mem::swap(&mut self.ends, &mut self.spare.1);
+    }
 }
 
 /// Runs simulated annealing (Algorithm 1) from `initial`, maximizing the
@@ -209,20 +278,23 @@ fn anneal_chain(
     let mut eval = EnergyEvaluator::new(ctx, cache, rate_inputs, telemetry);
 
     let mut current = initial.clone();
-    let mut current_e = eval.score(&current, None);
+    let mut current_e = eval.score_initial(&current);
     eval.accept();
     let initial_energy_gbps = current_e;
-    // The neighbor under evaluation; swapped with `current` on accept.
-    let mut neighbor = Topology::empty(0);
+    let mut units = LinkUnits::of(&current);
+    // The neighbor under evaluation: `current` with the move drawn
+    // applied, and undone again unless it is accepted.
+    let mut neighbor = current.clone();
 
-    // Best-so-far snapshot, held lazily: `None` means the best state *is*
-    // the current state, so improvement streaks cost no clones at all; a
-    // snapshot (one clone) happens only when the walk accepts a move away
-    // from the best state. Correct because an improving neighbor
-    // (`neighbor_e > best_e`) always satisfies `neighbor_e >= current_e`
-    // (the invariant `best_e >= current_e` holds throughout) and is
-    // therefore always accepted.
-    let mut best: Option<Topology> = None;
+    // Best-so-far snapshot, held lazily: `best_held == false` means the
+    // best state *is* the current state, so improvement streaks cost no
+    // copies at all; a snapshot (of the topology and of its build) happens
+    // only when the walk accepts a move away from the best state. Correct
+    // because an improving neighbor (`neighbor_e > best_e`) always
+    // satisfies `neighbor_e >= current_e` (the invariant `best_e >=
+    // current_e` holds throughout) and is therefore always accepted.
+    let mut best = Topology::empty(0);
+    let mut best_held = false;
     let mut best_e = current_e;
 
     // Initial temperature = current throughput (Alg 1 line 4); keep it
@@ -233,18 +305,20 @@ fn anneal_chain(
 
     while temperature > config.epsilon && iterations < config.max_iterations {
         let iter_span = telemetry.anneal_iter.enter();
-        if !neighbor_into(&current, &mut rng, &mut neighbor) {
+        let Some(mv) = units.draw(&mut rng) else {
             iter_span.cancel();
             break;
-        }
+        };
+        let moved = Moved::of_move(mv.0);
         // Algorithm 2 gives back `current` itself when the two units it
         // picks share the pivot site; that energy is known.
-        let identity = neighbor == current;
+        let identity = moved.is_empty();
         let neighbor_e = if identity {
             telemetry.anneal_identity_moves.incr();
             current_e
         } else {
-            eval.score(&neighbor, Some(&current))
+            mv.apply(&mut neighbor);
+            eval.score_move(&neighbor, &moved)
         };
 
         let improved = neighbor_e > best_e;
@@ -268,17 +342,30 @@ fn anneal_chain(
                 if improved {
                     // The new current state becomes the best; drop any
                     // older snapshot.
-                    best = None;
-                } else if best.is_none() {
+                    best_held = false;
+                } else if !best_held {
                     // Walking away from the best state: snapshot it first.
-                    best = Some(current.clone());
+                    best.clone_from(&current);
+                    eval.keep_best();
+                    best_held = true;
                 }
-                std::mem::swap(&mut current, &mut neighbor);
+                mv.apply(&mut current);
+                units.apply(&moved);
+                debug_assert!(
+                    {
+                        let fresh = LinkUnits::of(&current);
+                        (fresh.links == units.links) && (fresh.ends == units.ends)
+                    },
+                    "the merged link list is the accepted topology's"
+                );
                 eval.accept();
                 current_e = neighbor_e;
             }
         } else {
             telemetry.anneal_rejected.incr();
+            if !identity {
+                mv.undo(&mut neighbor);
+            }
         }
 
         if telemetry.recorder.is_enabled() && iterations % sample_every == 0 {
@@ -302,8 +389,8 @@ fn anneal_chain(
 
     // Circuits and allocations are produced here, once, for the winner:
     // the evaluations above kept only their scores.
-    let best_is_accepted = best.is_none();
-    let topology = best.unwrap_or(current);
+    let best_is_accepted = !best_held;
+    let topology = if best_held { best } else { current };
     let outcome = eval.finish(&topology, best_is_accepted);
     debug_assert_eq!(
         outcome.energy_gbps().to_bits(),

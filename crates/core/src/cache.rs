@@ -22,10 +22,14 @@
 //!    are built from and the engine's port repair and the chaos runner
 //!    read too. Relay candidates themselves are *not* cached: a search
 //!    draws them one at a time, and nearly every attempt lights the first.
-//! 2. **Two [`TopologyLedger`]s** — `accepted`, the build of the walk's
-//!    current state, and `scored`, the build of the neighbor being
-//!    evaluated, built channel-free and incrementally from `accepted`;
-//!    accepting a move swaps them.
+//! 2. **Three [`TopologyLedger`]s** — `accepted`, the build of the walk's
+//!    current state, `scored`, the build of the neighbor being evaluated,
+//!    built channel-free and incrementally from `accepted` (accepting a
+//!    move swaps them), and `best`, a copy of the best state's build taken
+//!    when the walk leaves it, which the run's winner is materialised
+//!    from. After a run `accepted` holds the winner's build, and the next
+//!    run on the same plant precompute resumes its first evaluation from
+//!    it.
 //! 3. **Scratch buffers** of the kernels an evaluation runs: the relay
 //!    search's, the delta build's and the rate pass's.
 //!
@@ -42,8 +46,9 @@
 //! fiber cut, a site down, the repair of either. An amplifier degradation
 //! only shrinks a fiber's usable band, which no table reads (provisioning
 //! and the wavelength bound read the band off the plant at every build),
-//! so it keeps the precompute. The ledgers are buffers: a run's first
-//! evaluation rebuilds `accepted` in full.
+//! so it keeps the precompute. A flush also drops the winner's build the
+//! next run would have resumed from: its first evaluation then builds in
+//! full.
 
 use crate::circuits::{DeltaScratch, TopologyLedger};
 use crate::rates::RateScratch;
@@ -133,6 +138,16 @@ pub struct EnergyCacheStats {
     /// Flushes of the plant-scoped precompute: runs whose plant's
     /// [`precompute_key`] differed from the previous run's.
     pub flushes: u64,
+    /// Attempts of delta builds that took the accepted build's relay path
+    /// on the relay-path certificate, no search run.
+    pub relay_certified: u64,
+    /// Pairs delta builds stopped on the certificate where the accepted
+    /// build's next attempt drew no relay path, no search run.
+    pub relay_certified_dry: u64,
+    /// Certified draws and stops checked against the search they skipped
+    /// (every one in debug builds, and with
+    /// [`EnergyCache::audit_certificates`] set).
+    pub certificates_audited: u64,
     /// Always zero: see the note in [`MissReason`].
     #[doc(hidden)]
     pub outcome_hits: u64,
@@ -155,6 +170,9 @@ impl EnergyCacheStats {
         self.full_builds += other.full_builds;
         self.exact_fallbacks += other.exact_fallbacks;
         self.flushes += other.flushes;
+        self.relay_certified += other.relay_certified;
+        self.relay_certified_dry += other.relay_certified_dry;
+        self.certificates_audited += other.certificates_audited;
     }
 }
 
@@ -394,6 +412,15 @@ pub struct EnergyCache {
     pub(crate) accepted: TopologyLedger,
     /// The build of the topology evaluated last.
     pub(crate) scored: TopologyLedger,
+    /// A copy of the build of the run's best state, taken when the walk
+    /// accepts a move away from it (see `EnergyEvaluator::keep_best`).
+    pub(crate) best: TopologyLedger,
+    /// `best` holds a copy taken in the current run.
+    pub(crate) best_held: bool,
+    /// `accepted` holds the build of an earlier run's winner on the plant
+    /// with this [`precompute_key`] and with this many relay candidates:
+    /// a run's first evaluation may resume from it.
+    pub(crate) resume: Option<(u64, usize)>,
     /// Buffers and between-draw state of the relay search.
     pub(crate) relay_scratch: RelayScratch,
     /// Buffers of the delta build.
@@ -410,6 +437,11 @@ pub struct EnergyCache {
     shared_plant: Option<Arc<PlantCache>>,
     /// Work counters.
     pub stats: EnergyCacheStats,
+    /// Check every certified relay draw and certified stop of a delta
+    /// build against the search it skipped, panicking on a difference
+    /// (debug builds always do): for the differential tests.
+    #[doc(hidden)]
+    pub audit_certificates: bool,
 }
 
 impl EnergyCache {
@@ -432,6 +464,12 @@ impl EnergyCache {
         }
         self.plant_key = Some(key);
         self.plant = None;
+        self.resume = None;
+    }
+
+    /// [`precompute_key`] of the plant of the current run.
+    pub(crate) fn plant_key(&self) -> Option<u64> {
+        self.plant_key
     }
 
     /// Offers a shared [`PlantCache`] built by the enclosing run. The

@@ -19,10 +19,25 @@
 //! wavelength bound proves first fit cannot run out of one — and turns it
 //! into a [`BuiltTopology`] ([`TopologyLedger::materialise`]), channels
 //! assigned by first fit, only for the run's winner.
+//!
+//! An incremental build costs what the move changed. It walks the
+//! previous build's pairs merged with the at most four pairs a neighbor
+//! move changes, and it copies a previous relay path instead of searching
+//! whenever the **relay-path certificate** proves the path is still the
+//! attempt's first draw: no site on the path changed its free-regenerator
+//! count, and every site of the pair's relay domain that did either lost
+//! regenerators or cannot carry a path as cheap as the copied one (its own
+//! weight plus a floor weight per missing reach edge to an endpoint
+//! already exceeds the path's cost). The proof is in DESIGN.md, "Delta
+//! builds: the relay-path certificate"; debug builds, and any build with
+//! [`EnergyCache::audit_certificates`] set, run the skipped search and
+//! assert it agrees. Relay weights (`1/free`) live in the ledger and are
+//! updated as circuits consume regenerators, so a search starts without
+//! copying the vector or dividing.
 
 use crate::cache::{EnergyCache, PlantCache};
-use crate::regen::{RegenGraph, RelayScratch, RelaySearch};
-use crate::rows::{clear_bit, set_bit, MAX_ROW_WORDS};
+use crate::regen::{RegenGraph, RelayScratch, RelaySearch, RelayWeights};
+use crate::rows::{clear_bit, has_bit, set_bit, MAX_ROW_WORDS};
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
 use owan_optical::{CircuitId, CircuitLedger, FiberPlant, OpticalState, RouteTable, SiteId};
@@ -146,6 +161,25 @@ struct BuildEnv<'a> {
     config: &'a CircuitBuildConfig,
     pc: &'a PlantCache,
     telemetry: &'a CoreTelemetry,
+    /// Run the search behind every certified draw and no-path break, and
+    /// assert it agrees (always on in debug builds).
+    audit: bool,
+}
+
+/// What a delta build did beyond its circuits.
+#[derive(Debug, Clone, Copy, Default)]
+struct DeltaCensus {
+    /// Pairs of unchanged multiplicity whose every attempt was certified.
+    reused: u64,
+    /// The other pairs provisioned.
+    rebuilt: u64,
+    /// Attempts that took the accepted build's relay path, certified.
+    certified: u64,
+    /// Pairs that stopped, certified, where the accepted build's next
+    /// attempt drew no relay path.
+    dry: u64,
+    /// Certified draws and breaks checked against the search they skipped.
+    audited: u64,
 }
 
 /// One desired pair of a [`TopologyLedger`]: its circuits are
@@ -154,11 +188,105 @@ struct BuildEnv<'a> {
 struct PairRec {
     u: SiteId,
     v: SiteId,
+    /// The desired multiplicity.
+    m: u32,
     first: usize,
     count: usize,
-    /// Every attempt of the pair lit the first relay path drawn, or drew
-    /// none.
-    first_draws: bool,
+    /// The pair's first `lead` attempts each lit the first relay path they
+    /// drew.
+    lead: usize,
+    /// The attempt after the pair's last circuit drew no relay path (only
+    /// when `count < m`).
+    dry: bool,
+}
+
+/// The pairs whose desired multiplicity a candidate changes against the
+/// build it resumes from: canonical (`u < v`), ascending, each with its
+/// change — at most [`MAX_DELTA_UNITS`] link units in all.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Moved {
+    pairs: [(SiteId, SiteId, i32); MAX_DELTA_UNITS as usize],
+    len: usize,
+}
+
+impl Moved {
+    /// Algorithm 2's move of one unit from `(u, v)` and one from `(p, q)`
+    /// to `(u, p)` and `(v, q)`, netted pair by pair. Empty when the move
+    /// gives back the topology it started from.
+    pub(crate) fn of_move([u, v, p, q]: [SiteId; 4]) -> Self {
+        let mut moved = Moved::default();
+        for (a, b, d) in [(u, v, -1), (p, q, -1), (u, p, 1), (v, q, 1)] {
+            moved.add(a.min(b), a.max(b), d);
+        }
+        moved.pairs[..moved.len].sort_unstable();
+        moved
+    }
+
+    /// The pairs `desired` changes against `prev`'s desired topology, or
+    /// `None` beyond [`MAX_DELTA_UNITS`]: one walk of `desired`'s upper
+    /// triangle beside `prev`'s pair list.
+    fn between(desired: &Topology, prev: &TopologyLedger) -> Option<Self> {
+        let n = desired.site_count();
+        if prev.achieved.site_count() != n {
+            return None;
+        }
+        let mut moved = Moved::default();
+        let mut units = 0;
+        let mut recs = prev.pairs.iter().peekable();
+        for u in 0..n {
+            for (v, &m) in desired.row(u).iter().enumerate().skip(u + 1) {
+                let m_prev = recs.next_if(|r| (r.u, r.v) == (u, v)).map_or(0, |r| r.m);
+                if m != m_prev {
+                    units += m.abs_diff(m_prev);
+                    if units > MAX_DELTA_UNITS {
+                        return None;
+                    }
+                    moved.add(u, v, m as i32 - m_prev as i32);
+                }
+            }
+        }
+        Some(moved)
+    }
+
+    fn add(&mut self, u: SiteId, v: SiteId, d: i32) {
+        match self.pairs[..self.len]
+            .iter()
+            .position(|&(a, b, _)| (a, b) == (u, v))
+        {
+            Some(i) => {
+                self.pairs[i].2 += d;
+                if self.pairs[i].2 == 0 {
+                    self.pairs.copy_within(i + 1..self.len, i);
+                    self.len -= 1;
+                }
+            }
+            None => {
+                self.pairs[self.len] = (u, v, d);
+                self.len += 1;
+            }
+        }
+    }
+
+    /// No pair changes.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The changed pairs, ascending.
+    pub(crate) fn pairs(&self) -> &[(SiteId, SiteId, i32)] {
+        &self.pairs[..self.len]
+    }
+}
+
+/// Where a ledger build starts from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Basis {
+    /// Nothing to resume from: a full build.
+    Fresh,
+    /// The accepted build is too far away to resume from: a full build.
+    Far,
+    /// The accepted build, which the candidate changes by these pairs.
+    Near(Moved),
 }
 
 /// Buffers of the delta build, refilled per build: the **replay** — the
@@ -182,6 +310,24 @@ impl DeltaScratch {
             }
         }
     }
+
+    /// The diverged sites of `domain`, ascending.
+    fn diverged_in<'s>(&'s self, domain: &'s [u64]) -> impl Iterator<Item = SiteId> + 's {
+        domain
+            .iter()
+            .zip(&self.diverged)
+            .enumerate()
+            .flat_map(|(i, (&d, &x))| {
+                let mut bits = d & x;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let s = i * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        s
+                    })
+                })
+            })
+    }
 }
 
 /// The interior sites of a relay path: where it consumes regenerators.
@@ -191,9 +337,9 @@ fn interior(relay: &[SiteId]) -> &[SiteId] {
 
 /// One build of a desired topology, held flat: the circuits in
 /// provisioning order as relay paths; per desired pair in canonical order
-/// (`u < v`, lexicographic) which circuits are its; the free-regenerator
-/// vector and the segments recorded across each fiber; and the achieved
-/// topology.
+/// (`u < v`, lexicographic) its multiplicity and which circuits are its;
+/// the free-regenerator vector with its relay weights, and the segments
+/// recorded across each fiber; and the achieved topology.
 ///
 /// An attempt is made **channel-free** whenever it can be: it records the
 /// first relay path under the build's free-regenerator vector and counts
@@ -220,15 +366,22 @@ fn interior(relay: &[SiteId]) -> &[SiteId] {
 /// build on a plant, building into it allocates nothing. It is what an
 /// annealing evaluation produces; [`Self::materialise`] turns it into the
 /// [`BuiltTopology`] the naive builder would have returned.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct TopologyLedger {
     /// Relay paths of the circuits, back to back.
     relays: Vec<SiteId>,
     /// End of circuit `i`'s relay path in `relays`.
     ends: Vec<usize>,
     pairs: Vec<PairRec>,
+    /// Links of the desired topology (with multiplicity).
+    desired_links: u32,
     /// Free regenerators per site under the circuits recorded.
     regens: Vec<u32>,
+    /// The relay weights of `regens`, kept in step by [`Self::record`].
+    weights: RelayWeights,
+    /// `1/max` of the vector at the start of the build: no relay weighs
+    /// less during the build.
+    floor: f64,
     /// Segments recorded across each fiber.
     used: Vec<u32>,
     achieved: Topology,
@@ -241,10 +394,51 @@ pub struct TopologyLedger {
     exact: bool,
 }
 
+impl Clone for TopologyLedger {
+    fn clone(&self) -> Self {
+        let mut ledger = TopologyLedger::default();
+        ledger.clone_from(self);
+        ledger
+    }
+
+    /// Copies the build — its circuits, pairs and achieved topology: what
+    /// [`Self::materialise`] and a delta build resuming from it read —
+    /// into this ledger's buffers. The working state (vector, weights,
+    /// segment counts, channels) is refilled by the next build into either
+    /// ledger and is not copied.
+    fn clone_from(&mut self, source: &Self) {
+        self.relays.clone_from(&source.relays);
+        self.ends.clone_from(&source.ends);
+        self.pairs.clone_from(&source.pairs);
+        self.desired_links = source.desired_links;
+        self.achieved.clone_from(&source.achieved);
+        self.exact = source.exact;
+    }
+}
+
 impl TopologyLedger {
     /// The topology the build achieved.
     pub fn achieved(&self) -> &Topology {
         &self.achieved
+    }
+
+    /// The achieved links `(u, v, multiplicity)`, `u < v`, in canonical
+    /// order: the pairs that lit a circuit.
+    pub(crate) fn achieved_links(&self) -> impl Iterator<Item = (SiteId, SiteId, u32)> + '_ {
+        self.pairs
+            .iter()
+            .filter(|p| p.count > 0)
+            .map(|p| (p.u, p.v, p.count as u32))
+    }
+
+    /// True when this is a build of `desired`.
+    pub(crate) fn is_build_of(&self, desired: &Topology) -> bool {
+        self.achieved.site_count() == desired.site_count()
+            && self.desired_links == desired.total_links()
+            && self
+                .pairs
+                .iter()
+                .all(|p| desired.multiplicity(p.u, p.v) == p.m)
     }
 
     /// Number of circuits.
@@ -258,26 +452,37 @@ impl TopologyLedger {
         &self.relays[start..self.ends[i]]
     }
 
-    /// An empty build of `desired` over `plant`, every buffer sized for
-    /// the most the build can hold: a circuit and a pair per desired link;
-    /// beyond two endpoints a circuit's relay path holds only sites whose
-    /// regenerators it consumes.
-    fn begin(&mut self, plant: &FiberPlant, desired: &Topology) {
-        let links = desired.total_links() as usize;
+    /// An empty build of a desired topology of `links` links over the `n`
+    /// sites of `plant`, every buffer sized for the most the build can
+    /// hold: a circuit and a pair per desired link; beyond two endpoints a
+    /// circuit's relay path holds only sites whose regenerators it
+    /// consumes. The achieved topology is emptied pair by pair, not cell
+    /// by cell.
+    fn begin(&mut self, plant: &FiberPlant, n: usize, links: u32) {
+        let links = links as usize;
         self.lit.reset(plant, links);
         self.regens.clear();
         self.regens
             .extend_from_slice(self.lit.occupancy().free_regen_vec());
+        self.weights.fill(&self.regens);
+        self.floor = 1.0 / self.regens.iter().copied().max().unwrap_or(0) as f64;
         let regens: usize = self.regens.iter().map(|&r| r as usize).sum();
         self.relays.clear();
         self.relays.reserve(2 * links + regens);
         self.ends.clear();
         self.ends.reserve(links);
+        if self.achieved.site_count() == n {
+            for p in self.pairs.iter().filter(|p| p.count > 0) {
+                self.achieved.remove_links(p.u, p.v, p.count as u32);
+            }
+        } else {
+            self.achieved.reset(n);
+        }
         self.pairs.clear();
         self.pairs.reserve(links);
+        self.desired_links = links as u32;
         self.used.clear();
         self.used.resize(plant.fiber_count(), 0);
-        self.achieved.reset(desired.site_count());
         self.exact = false;
     }
 
@@ -300,6 +505,7 @@ impl TopologyLedger {
         for &s in interior(relay) {
             debug_assert!(self.regens[s] > 0, "no regenerator at {s}");
             self.regens[s] -= 1;
+            self.weights.set(s, self.regens[s]);
         }
         self.relays.extend_from_slice(relay);
         self.ends.push(self.relays.len());
@@ -318,19 +524,23 @@ impl TopologyLedger {
     /// regenerator at every interior site.
     fn light_free(&mut self, pc: &PlantCache, relay: &[SiteId]) -> bool {
         for (j, w) in relay.windows(2).enumerate() {
-            let fits = pc.segment_ok(w[0], w[1]) && {
-                let fibers = pc.routes().route(w[0], w[1]).expect("checked").fibers;
+            let route = pc
+                .segment_ok(w[0], w[1])
+                .then(|| pc.routes().route(w[0], w[1]).expect("checked").fibers);
+            let fits = route.filter(|fibers| {
                 let occupancy = self.lit.occupancy();
                 let (used, usable) = fibers.iter().fold((0, u32::MAX), |(n, least), &f| {
                     (n + self.used[f], least.min(occupancy.usable(f)))
                 });
                 used < usable
-            };
-            if !fits {
+            });
+            let Some(fibers) = fits else {
                 self.count(pc, relay, j, false);
                 return false;
+            };
+            for &f in fibers {
+                self.used[f] += 1;
             }
-            self.count(pc, &relay[j..], 1, true);
         }
         self.record(relay);
         true
@@ -338,11 +548,11 @@ impl TopologyLedger {
 
     /// One provisioning attempt for `(u, v)` (Algorithm 3 lines 7–12).
     /// Its first relay path is `vouched` when the caller knows it (a
-    /// delta's copy), `[u, v]` when the two are within reach, else the
-    /// first draw of a relay search under the build's vector; it is
-    /// recorded channel-free if it can be, else the attempt is made exactly
-    /// ([`Self::light_exact`]). Returns whether a circuit was lit, and
-    /// whether the attempt lit its first draw or drew none.
+    /// delta's certified copy), `[u, v]` when the two are within reach,
+    /// else the first draw of a relay search under the build's vector; it
+    /// is recorded channel-free if it can be, else the attempt is made
+    /// exactly ([`Self::light_exact`]). Returns whether a circuit was lit,
+    /// and whether the attempt lit its first draw or drew none.
     fn attempt(
         &mut self,
         env: &BuildEnv<'_>,
@@ -359,11 +569,11 @@ impl TopologyLedger {
         } else if pc.reach().within(u, v) {
             self.light_free(pc, &[u, v])
         } else {
-            let mut search = RelaySearch::start(pc.reach(), &self.regens, u, v, scratch);
-            let Some((relay, _)) = search.next_path() else {
+            let mut search = RelaySearch::start(pc.reach(), &self.weights, u, v, scratch);
+            if search.next_path().is_none() {
                 return (false, true);
-            };
-            self.light_free(pc, relay)
+            }
+            self.light_free(pc, scratch.drawn_path(0))
         };
         if !recorded {
             return self.light_exact(env, scratch, u, v);
@@ -396,41 +606,45 @@ impl TopologyLedger {
                 .light(env.plant, pc.routes(), &self.relays[start..self.ends[i]])
                 .expect("the bound vouched for a recorded circuit");
         }
-        // The reference check below needs the vector the search started
-        // from.
-        let regens_at_start = cfg!(debug_assertions).then(|| self.regens.clone());
-        let mut search = RelaySearch::start(pc.reach(), &self.regens, u, v, scratch);
-        let mut outcome = (false, true);
+        let mut search = RelaySearch::start(pc.reach(), &self.weights, u, v, scratch);
+        let (mut drew, mut lit) = (false, None);
         for draw in 0..env.config.relay_candidates {
             let Some((relay, _)) = search.next_path() else {
                 break;
             };
-            outcome.1 = false;
+            drew = true;
             match self.lit.light(env.plant, pc.routes(), relay) {
                 Ok(()) => {
-                    self.count(pc, relay, relay.len() - 1, true);
-                    self.record(relay);
-                    self.built(env.telemetry);
-                    outcome = (true, draw == 0);
+                    lit = Some(draw);
                     break;
                 }
                 Err(_) => env.telemetry.wavelength_failures.incr(),
             }
         }
         debug_assert!(
-            search.matches_reference(
-                env.plant,
-                regens_at_start.as_deref().unwrap_or_default(),
-                env.fiber_dist
-            ),
+            search.matches_reference(env.plant, &self.regens, env.fiber_dist),
             "relay search must equal RegenGraph + Yen for ({u}, {v})"
         );
-        outcome
+        let Some(draw) = lit else {
+            return (false, !drew);
+        };
+        let relay = scratch.drawn_path(draw);
+        self.count(pc, relay, relay.len() - 1, true);
+        self.record(relay);
+        self.built(env.telemetry);
+        (true, draw == 0)
     }
 
-    /// Records `(u, v)` as the owner of the circuits recorded since
-    /// `first`.
-    fn push_pair(&mut self, u: SiteId, v: SiteId, first: usize, first_draws: bool) {
+    /// Records `(u, v)`, desired `m` times, as the owner of the circuits
+    /// recorded since `first`.
+    fn push_pair(
+        &mut self,
+        (u, v): (SiteId, SiteId),
+        m: u32,
+        first: usize,
+        lead: usize,
+        dry: bool,
+    ) {
         let count = self.len() - first;
         if count > 0 {
             self.achieved.add_links(u, v, count as u32);
@@ -438,10 +652,36 @@ impl TopologyLedger {
         self.pairs.push(PairRec {
             u,
             v,
+            m,
             first,
             count,
-            first_draws,
+            lead,
+            dry,
         });
+    }
+
+    /// Up to `m` attempts for `(u, v)`, stopping at the first that lights
+    /// nothing (Algorithm 3 lines 13–14: the link's capacity is reduced).
+    fn provision(
+        &mut self,
+        env: &BuildEnv<'_>,
+        scratch: &mut RelayScratch,
+        (u, v): (SiteId, SiteId),
+        m: u32,
+    ) {
+        let first = self.len();
+        let (mut lead, mut dry) = (0, false);
+        for k in 0..m as usize {
+            let (lit, first_draw) = self.attempt(env, scratch, (u, v), None);
+            if !lit {
+                dry = first_draw;
+                break;
+            }
+            if first_draw && lead == k {
+                lead += 1;
+            }
+        }
+        self.push_pair((u, v), m, first, lead, dry);
     }
 
     /// [`build_topology_observed`] into the ledger: identical construction
@@ -449,50 +689,108 @@ impl TopologyLedger {
     /// lazily from a [`RelaySearch`] over the plant-scoped tables (no graph
     /// built, no path searched that is not tried), segments are routed
     /// from the plant's route table, and channels are chosen only where
-    /// the wavelength bound cannot vouch for an attempt. Each pair gets up
-    /// to `m` circuits, stopping at the first attempt that lights nothing
-    /// (Algorithm 3 lines 13–14: the link's capacity is reduced).
+    /// the wavelength bound cannot vouch for an attempt.
     fn full(&mut self, env: &BuildEnv<'_>, scratch: &mut RelayScratch, desired: &Topology) {
         let n = desired.site_count();
-        self.begin(env.plant, desired);
+        self.begin(env.plant, n, desired.total_links());
         for u in 0..n {
             for (v, &m) in desired.row(u).iter().enumerate().skip(u + 1) {
                 if m > 0 {
-                    let first = self.len();
-                    let mut first_draws = true;
-                    for _ in 0..m {
-                        let (lit, first_draw) = self.attempt(env, scratch, (u, v), None);
-                        first_draws &= first_draw;
-                        if !lit {
-                            break;
-                        }
-                    }
-                    self.push_pair(u, v, first, first_draws);
+                    self.provision(env, scratch, (u, v), m);
                 }
             }
         }
     }
 
-    /// [`Self::full`]'s build of `desired`, resumed from `prev`, the build
-    /// of `prev_desired`, instead of searching for every circuit. Returns
-    /// how many pairs the screen cleared at unchanged multiplicity and how
-    /// many others were provisioned.
+    /// True when the **relay-path certificate** holds for `relay`, the
+    /// path `prev` lit on its first draw at this attempt of `(u, v)`, while
+    /// every earlier attempt of the pair in this build took `prev`'s: then
+    /// `relay` is this attempt's first draw too, and no search need run.
+    /// The live vector and the replay have then consumed the same
+    /// circuits of the pair, so the sites where they differ are the
+    /// diverged ones of the pair's start. The certificate: `[u, v]` is
+    /// within reach; or no interior site of `relay` diverged and every
+    /// diverged site `d` of the pair's relay domain lost regenerators
+    /// (live below replay) or has `least(d) > cost(relay)` — `cost` the
+    /// search's own left-to-right sum of the live weights, `least(d)` the
+    /// live weight of `d` plus the weight floor once for each endpoint `d`
+    /// is not within reach of (a path through `d` then relays through
+    /// another site on that side too). Proof in DESIGN.md.
+    fn certified(
+        &self,
+        pc: &PlantCache,
+        ds: &DeltaScratch,
+        (u, v): (SiteId, SiteId),
+        relay: &[SiteId],
+    ) -> bool {
+        let reach = pc.reach();
+        if reach.within(u, v) {
+            return true;
+        }
+        let inner = interior(relay);
+        if inner.iter().any(|&s| has_bit(&ds.diverged, s)) {
+            return false;
+        }
+        let cost = inner.iter().fold(0.0, |c, &s| c + self.weights.weight(s));
+        ds.diverged_in(pc.domain(u, v)).all(|d| {
+            self.regens[d] < ds.replay[d] || {
+                let mut least = self.weights.weight(d);
+                if !reach.within(u, d) {
+                    least += self.floor;
+                }
+                if !reach.within(v, d) {
+                    least += self.floor;
+                }
+                least > cost
+            }
+        })
+    }
+
+    /// True when no diverged site of `(u, v)`'s relay domain gained
+    /// regenerators: where `prev` drew no relay path, this build draws
+    /// none either (weights only rose, members only left).
+    fn none_gained(&self, pc: &PlantCache, ds: &DeltaScratch, (u, v): (SiteId, SiteId)) -> bool {
+        ds.diverged_in(pc.domain(u, v))
+            .all(|d| self.regens[d] < ds.replay[d])
+    }
+
+    /// Runs the search a certificate skipped and asserts it draws `relay`
+    /// first, at the cost the certificate computed — or, for a certified
+    /// break (`relay` is `None`), nothing at all.
+    fn audit(
+        &self,
+        pc: &PlantCache,
+        scratch: &mut RelayScratch,
+        (u, v): (SiteId, SiteId),
+        relay: Option<&[SiteId]>,
+    ) {
+        let mut search = RelaySearch::start(pc.reach(), &self.weights, u, v, scratch);
+        let drawn = search.next_path().map(|(p, c)| (p.to_vec(), c.to_bits()));
+        let want = relay.map(|r| {
+            let cost = interior(r)
+                .iter()
+                .fold(0.0, |c, &s| c + self.weights.weight(s));
+            (r.to_vec(), cost.to_bits())
+        });
+        assert_eq!(drawn, want, "certified first draw of ({u}, {v})");
+    }
+
+    /// [`Self::full`]'s build of `desired`, resumed from `prev` instead of
+    /// searching for every circuit, where `desired` changes `prev`'s
+    /// desired topology by the pairs `moved`. Returns what it did besides
+    /// the circuits.
     ///
-    /// The builder walks every active pair in canonical order, keeping the
+    /// The builder walks `prev`'s pairs merged with the moved ones in
+    /// canonical order — the pairs either build links — keeping the
     /// **replay** of `prev`'s free-regenerator vector in step (see
     /// [`DeltaScratch`]) and the site row of where it has **diverged** from
-    /// the live one. The **screen** clears a pair within reach — `[u, v]`
-    /// is its first relay path under any vector — and a pair no site of
-    /// whose relay domain (see [`PlantCache`]) has diverged, one AND per
-    /// word: the two vectors then agree on the domain at every attempt the
-    /// two builds share (both sides consume the same circuits), so those
-    /// attempts draw the first paths `prev`'s drew. If `prev` lit those
-    /// (every attempt of the pair lit its first draw), the first `min(count,
-    /// m)` attempts take `prev`'s relay paths, no search run; when `prev`'s
-    /// next attempt found no path, neither does this one's; only attempts
-    /// beyond `prev`'s multiplicity search. A pair the screen does not clear
-    /// is searched anew, and so is the rest of a pair once an attempt lit a
-    /// path other than its first draw. Either way each attempt is
+    /// the live one. An attempt of a pair takes `prev`'s relay path for it,
+    /// no search run, while `prev`'s attempts up to it lit their first
+    /// draws, this build's attempts of the pair so far took `prev`'s paths,
+    /// and the relay-path certificate ([`Self::certified`]) holds; when
+    /// `prev`'s next attempt drew no path and no diverged domain site
+    /// gained regenerators, the pair stops there, no search run either.
+    /// Every other attempt searches anew. Either way each attempt is
     /// channel-free only where the wavelength bound vouches for it against
     /// the live segment counts.
     fn delta(
@@ -501,86 +799,100 @@ impl TopologyLedger {
         scratch: &mut RelayScratch,
         ds: &mut DeltaScratch,
         desired: &Topology,
-        prev_desired: &Topology,
+        moved: &Moved,
         prev: &TopologyLedger,
-    ) -> (u64, u64) {
-        let n = desired.site_count();
-        assert_eq!(n, prev_desired.site_count());
+    ) -> DeltaCensus {
         let pc = env.pc;
-        self.begin(env.plant, desired);
+        let links = moved
+            .pairs()
+            .iter()
+            .fold(i64::from(prev.desired_links), |l, &(_, _, d)| {
+                l + i64::from(d)
+            });
+        self.begin(env.plant, desired.site_count(), links as u32);
         ds.replay.clone_from(&self.regens);
         ds.diverged = [0; MAX_ROW_WORDS];
-        // `prev.pairs` holds exactly the pairs `prev_desired` links, in the
-        // order this walk visits them.
-        let mut next_prev = 0;
-        let (mut reused, mut rebuilt) = (0, 0);
-
-        for u in 0..n {
-            for v in u + 1..n {
-                let m_prev = prev_desired.multiplicity(u, v);
-                let m_new = desired.multiplicity(u, v);
-                if m_prev == 0 && m_new == 0 {
-                    continue;
-                }
-                let rec = (m_prev > 0).then(|| {
-                    let rec = prev.pairs[next_prev];
-                    next_prev += 1;
-                    assert_eq!(
-                        (rec.u, rec.v),
-                        (u, v),
-                        "`prev` is the build of `prev_desired`"
-                    );
-                    rec
-                });
-                let prev_circuits = rec.map_or(0..0, |r| r.first..r.first + r.count);
-                let clean = rec.is_none_or(|r| r.first_draws)
-                    && (pc.reach().within(u, v)
-                        || pc
-                            .domain(u, v)
-                            .iter()
-                            .zip(&ds.diverged)
-                            .all(|(d, x)| d & x == 0));
-                let first = self.len();
-                let mut first_draws = true;
-                for made in 0..m_new as usize {
-                    let vouched = if !(clean && first_draws) {
-                        None
-                    } else if made < prev_circuits.len() {
-                        Some(prev.relay(prev_circuits.start + made))
-                    } else if prev_circuits.len() < m_prev as usize {
-                        // `prev`'s next attempt found no path.
-                        break;
-                    } else {
-                        None
-                    };
-                    let (lit, first_draw) = self.attempt(env, scratch, (u, v), vouched);
-                    first_draws &= first_draw;
-                    if !lit {
+        let mut census = DeltaCensus::default();
+        let (mut recs, mut moves) = (
+            prev.pairs.iter().peekable(),
+            moved.pairs().iter().peekable(),
+        );
+        loop {
+            let (u, v) = match (recs.peek(), moves.peek()) {
+                (None, None) => break,
+                (Some(r), None) => (r.u, r.v),
+                (None, Some(&&(a, b, _))) => (a, b),
+                (Some(r), Some(&&(a, b, _))) => (r.u, r.v).min((a, b)),
+            };
+            let rec = recs.next_if(|r| (r.u, r.v) == (u, v)).copied();
+            let m_prev = rec.map_or(0, |r| r.m);
+            let m = moves
+                .next_if(|&&(a, b, _)| (a, b) == (u, v))
+                .map_or(m_prev, |&(_, _, d)| (m_prev as i32 + d) as u32);
+            debug_assert_eq!(m, desired.multiplicity(u, v), "`moved` nets ({u}, {v})");
+            let first = self.len();
+            let (mut lead, mut dry) = (0, false);
+            // Every attempt so far took `prev`'s relay path, certified.
+            let mut following = rec.is_some();
+            for k in 0..m as usize {
+                let mut vouched = None;
+                if let Some(r) = rec.filter(|_| following) {
+                    if k < r.lead {
+                        let relay = prev.relay(r.first + k);
+                        if self.certified(pc, ds, (u, v), relay) {
+                            vouched = Some(relay);
+                        }
+                    } else if k == r.count && r.dry && self.none_gained(pc, ds, (u, v)) {
+                        if env.audit {
+                            self.audit(pc, scratch, (u, v), None);
+                            census.audited += 1;
+                        }
+                        env.telemetry.relay_certified.incr();
+                        census.dry += 1;
+                        dry = true;
                         break;
                     }
                 }
-                for i in prev_circuits.clone() {
-                    for &s in interior(prev.relay(i)) {
-                        ds.replay[s] -= 1;
+                if let Some(relay) = vouched {
+                    if env.audit {
+                        self.audit(pc, scratch, (u, v), Some(relay));
+                        census.audited += 1;
                     }
+                    env.telemetry.relay_certified.incr();
+                    census.certified += 1;
                 }
-                for i in prev_circuits {
-                    ds.sync(&self.regens, interior(prev.relay(i)));
+                let (lit, first_draw) = self.attempt(env, scratch, (u, v), vouched);
+                following &= vouched.is_some() && lit && first_draw;
+                if !lit {
+                    dry = first_draw;
+                    break;
                 }
-                for i in first..self.len() {
-                    ds.sync(&self.regens, interior(self.relay(i)));
-                }
-                if m_new > 0 {
-                    if clean && m_new == m_prev {
-                        reused += 1;
-                    } else {
-                        rebuilt += 1;
-                    }
-                    self.push_pair(u, v, first, first_draws);
+                if first_draw && lead == k {
+                    lead += 1;
                 }
             }
+            let prev_circuits = rec.map_or(0..0, |r| r.first..r.first + r.count);
+            for i in prev_circuits.clone() {
+                for &s in interior(prev.relay(i)) {
+                    ds.replay[s] -= 1;
+                }
+            }
+            for i in prev_circuits {
+                ds.sync(&self.regens, interior(prev.relay(i)));
+            }
+            for i in first..self.len() {
+                ds.sync(&self.regens, interior(self.relay(i)));
+            }
+            if m > 0 {
+                if following && m == m_prev {
+                    census.reused += 1;
+                } else {
+                    census.rebuilt += 1;
+                }
+                self.push_pair((u, v), m, first, lead, dry);
+            }
         }
-        (reused, rebuilt)
+        census
     }
 
     /// The build as a [`BuiltTopology`]: the relay paths lit in ledger
@@ -619,15 +931,14 @@ impl TopologyLedger {
 }
 
 /// Builds `desired` into `cache.scored` (see [`TopologyLedger`]):
-/// resuming from `cache.accepted` when `basis` — the desired topology
-/// `accepted` is the build of — is at most [`MAX_DELTA_UNITS`] link units
-/// away (beyond the neighbor-move bound resuming saves little), in full
-/// otherwise. Debug builds assert the ledger against the naive build on
-/// every call.
+/// resuming from `cache.accepted` when `basis` says how `desired` changes
+/// its desired topology (beyond the neighbor-move bound resuming saves
+/// little), in full otherwise. Debug builds assert the ledger against the
+/// naive build on every call.
 pub(crate) fn build_ledger(
     plant: &FiberPlant,
     desired: &Topology,
-    basis: Option<&Topology>,
+    basis: Basis,
     fiber_dist: &[Vec<f64>],
     config: &CircuitBuildConfig,
     cache: &mut EnergyCache,
@@ -640,26 +951,30 @@ pub(crate) fn build_ledger(
         config,
         pc: &pc,
         telemetry,
+        audit: cfg!(debug_assertions) || cache.audit_certificates,
     };
-    let near = basis.filter(|prev| desired.link_distance(prev) <= MAX_DELTA_UNITS);
-    if basis.is_some() && near.is_none() {
-        cache.stats.delta_fallbacks += 1;
-    }
-    match near {
-        Some(prev_desired) => {
-            let (reused, rebuilt) = cache.scored.delta(
+    match basis {
+        Basis::Near(moved) => {
+            let census = cache.scored.delta(
                 &env,
                 &mut cache.relay_scratch,
                 &mut cache.delta_scratch,
                 desired,
-                prev_desired,
+                &moved,
                 &cache.accepted,
             );
-            cache.stats.delta_builds += 1;
-            cache.stats.delta_pairs_reused += reused;
-            cache.stats.delta_pairs_rebuilt += rebuilt;
+            let stats = &mut cache.stats;
+            stats.delta_builds += 1;
+            stats.delta_pairs_reused += census.reused;
+            stats.delta_pairs_rebuilt += census.rebuilt;
+            stats.relay_certified += census.certified;
+            stats.relay_certified_dry += census.dry;
+            stats.certificates_audited += census.audited;
         }
-        None => {
+        Basis::Fresh | Basis::Far => {
+            if matches!(basis, Basis::Far) {
+                cache.stats.delta_fallbacks += 1;
+            }
             cache.stats.full_builds += 1;
             cache.scored.full(&env, &mut cache.relay_scratch, desired);
         }
@@ -680,6 +995,16 @@ pub(crate) fn build_ledger(
     );
 }
 
+/// How `desired` stands to the build `cache.accepted` holds: [`Basis::Near`]
+/// with the pairs it changes, [`Basis::Far`] beyond the neighbor-move
+/// bound. One walk of `desired`'s upper triangle.
+pub(crate) fn basis_of(desired: &Topology, cache: &EnergyCache) -> Basis {
+    match Moved::between(desired, &cache.accepted) {
+        Some(moved) => Basis::Near(moved),
+        None => Basis::Far,
+    }
+}
+
 /// [`build_topology_observed`] on the fast path: a full ledger build in
 /// the cache's buffers (see [`TopologyLedger`]), materialised.
 pub fn build_topology_cached(
@@ -690,7 +1015,15 @@ pub fn build_topology_cached(
     cache: &mut EnergyCache,
     telemetry: &CoreTelemetry,
 ) -> BuiltTopology {
-    build_ledger(plant, desired, None, fiber_dist, config, cache, telemetry);
+    build_ledger(
+        plant,
+        desired,
+        Basis::Fresh,
+        fiber_dist,
+        config,
+        cache,
+        telemetry,
+    );
     let pc = cache.plant_precompute(plant, fiber_dist);
     cache.scored.materialise(plant, pc.routes())
 }

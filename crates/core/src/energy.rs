@@ -16,7 +16,8 @@
 
 use crate::cache::EnergyCache;
 use crate::circuits::{
-    build_ledger, build_topology_observed, BuiltTopology, CircuitBuildConfig, TopologyLedger,
+    basis_of, build_ledger, build_topology_observed, Basis, BuiltTopology, CircuitBuildConfig,
+    Moved, TopologyLedger,
 };
 use crate::rates::{
     assign_rates_with, rate_pass, RateAssignConfig, RateInputs, RateOutcome, RateScratch,
@@ -130,14 +131,16 @@ pub(crate) fn compute_energy_with(
 ///
 /// With a cache attached, a score is a [`TopologyLedger`] build in the
 /// cache's buffers — incremental from the accepted state's when the
-/// candidate is a neighbor move away, in full otherwise, either way over
+/// candidate is a neighbor move away, copying every relay path the
+/// relay-path certificate vouches for, in full otherwise, either way over
 /// the cache's plant tables with relay candidates drawn lazily, and
 /// channel-free while the wavelength bound vouches that first fit would
-/// light every first relay path — and a rate pass over the achieved
-/// topology that stops at the throughput. Channels, circuits and
-/// allocations are materialised by `finish` alone. Without a cache every
-/// score is a naive evaluation whose outcome is dropped, so callers toggle
-/// the fast path with an `Option` and nothing else.
+/// light every first relay path — and a rate pass over the achieved links
+/// that stops at the throughput. Channels, circuits and allocations are
+/// materialised by `finish` alone, from a build the run already made.
+/// Without a cache every score is a naive evaluation whose outcome is
+/// dropped, so callers toggle the fast path with an `Option` and nothing
+/// else.
 ///
 /// Both backends produce bit-identical scores and outcomes (debug builds
 /// assert every ledger against the naive build); only the work-performed
@@ -163,6 +166,7 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
         let mut cache = cache;
         if let Some(c) = cache.as_deref_mut() {
             c.begin_run(ctx.plant);
+            c.best_held = false;
         }
         EnergyEvaluator {
             ctx,
@@ -179,6 +183,45 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
     /// not a neighbor of the accepted one, and before anything was
     /// accepted.
     pub fn score(&mut self, desired: &Topology, basis: Option<&Topology>) -> f64 {
+        let basis = match (self.cache.as_deref(), basis) {
+            (Some(cache), Some(accepted)) => {
+                debug_assert!(
+                    cache.accepted.is_build_of(accepted),
+                    "`basis` is the topology accepted last"
+                );
+                basis_of(desired, cache)
+            }
+            _ => Basis::Fresh,
+        };
+        self.score_from(desired, basis)
+    }
+
+    /// The energy of `desired`, a neighbor of the accepted topology that
+    /// changes it by `moved` (Algorithm 2's move): the annealer's score,
+    /// which reads the change off the move instead of comparing the two
+    /// topologies.
+    pub(crate) fn score_move(&mut self, desired: &Topology, moved: &Moved) -> f64 {
+        self.score_from(desired, Basis::Near(*moved))
+    }
+
+    /// The energy of a run's initial state: resumed from the build of the
+    /// previous run's winner when the cache holds one for this plant
+    /// precompute and it is a neighbor move away, in full otherwise.
+    pub(crate) fn score_initial(&mut self, desired: &Topology) -> f64 {
+        let candidates = self.ctx.circuit_config.relay_candidates;
+        let basis = match self.cache.as_deref() {
+            Some(cache)
+                if cache.resume.is_some()
+                    && cache.resume == cache.plant_key().map(|key| (key, candidates)) =>
+            {
+                basis_of(desired, cache)
+            }
+            _ => Basis::Fresh,
+        };
+        self.score_from(desired, basis)
+    }
+
+    fn score_from(&mut self, desired: &Topology, basis: Basis) -> f64 {
         let ctx = self.ctx;
         let _region = ctx.prof.region("eval");
         self.telemetry.anneal_cache_miss.incr();
@@ -204,8 +247,10 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
         }
         let _span = self.telemetry.rates.enter();
         let _region = ctx.prof.region("rates");
+        let scored = &cache.scored;
         rate_pass(
-            cache.scored.achieved(),
+            scored.achieved(),
+            scored.achieved_links(),
             ctx.plant.params().wavelength_capacity_gbps,
             self.rate_inputs,
             &ctx.rate_config,
@@ -222,6 +267,16 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
         }
     }
 
+    /// Keeps a copy of the accepted build as the run's best: the annealer
+    /// calls this when it accepts a move away from its best state, so
+    /// [`Self::finish`] materialises the winner without building it again.
+    pub(crate) fn keep_best(&mut self) {
+        if let Some(cache) = self.cache.as_deref_mut() {
+            cache.best.clone_from(&cache.accepted);
+            cache.best_held = true;
+        }
+    }
+
     /// The build of the topology scored last (`None` on the naive path).
     pub fn scored(&self) -> Option<&TopologyLedger> {
         self.cache.as_deref().map(|cache| &cache.scored)
@@ -229,8 +284,11 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
 
     /// Ends the run with the full outcome of its winner, `best` — equal to
     /// [`compute_energy`] of it. When `best_is_accepted` the accepted
-    /// build is materialised as it stands; otherwise `best` is built once
-    /// more, in full. One rate pass then produces the allocations.
+    /// build is materialised as it stands; otherwise the copy the run kept
+    /// of its best state's build, when it is a build of `best`, and a
+    /// build of `best` made in full when not. That build stays the
+    /// accepted one, for the next run on this plant to resume from. One
+    /// rate pass then produces the allocations.
     pub fn finish(self, best: &Topology, best_is_accepted: bool) -> EnergyOutcome {
         let ctx = self.ctx;
         let Some(cache) = self.cache else {
@@ -240,17 +298,24 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
             let _span = self.telemetry.circuits.enter();
             let _region = ctx.prof.region("circuits");
             if !best_is_accepted {
-                build_ledger(
-                    ctx.plant,
-                    best,
-                    None,
-                    ctx.fiber_dist,
-                    &ctx.circuit_config,
-                    cache,
-                    self.telemetry,
-                );
-                std::mem::swap(&mut cache.accepted, &mut cache.scored);
+                if cache.best_held && cache.best.is_build_of(best) {
+                    std::mem::swap(&mut cache.accepted, &mut cache.best);
+                } else {
+                    build_ledger(
+                        ctx.plant,
+                        best,
+                        Basis::Fresh,
+                        ctx.fiber_dist,
+                        &ctx.circuit_config,
+                        cache,
+                        self.telemetry,
+                    );
+                    std::mem::swap(&mut cache.accepted, &mut cache.scored);
+                }
             }
+            cache.resume = cache
+                .plant_key()
+                .map(|key| (key, ctx.circuit_config.relay_candidates));
             let pc = cache.plant_precompute(ctx.plant, ctx.fiber_dist);
             cache.accepted.materialise(ctx.plant, pc.routes())
         };

@@ -76,7 +76,7 @@ pub use rates::{
     assign_rates, assign_rates_ordered, assign_rates_reference, assign_rates_with,
     RateAssignConfig, RateInputs, RateOutcome, RateScratch,
 };
-pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch, RelaySearch};
+pub use regen::{relay_k_shortest, ReachRows, RegenGraph, RelayScratch, RelaySearch, RelayWeights};
 pub use telemetry::CoreTelemetry;
 // Re-exported so `owan-te`'s engines can override
 // `TrafficEngineer::set_recorder` without depending on `owan-obs` directly.

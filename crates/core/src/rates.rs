@@ -78,6 +78,11 @@ pub struct RateInputs<'a> {
     transfers: &'a [Transfer],
     order: Cow<'a, [usize]>,
     demand: Vec<f64>,
+    /// The transfers a pass starts with, in policy order: those with
+    /// demand, between two sites.
+    active: Vec<usize>,
+    /// The highest site an active transfer names.
+    max_site: Option<SiteId>,
 }
 
 impl<'a> RateInputs<'a> {
@@ -109,13 +114,25 @@ impl<'a> RateInputs<'a> {
     ) -> Self {
         let order = order.into();
         debug_assert_eq!(order.len(), transfers.len());
+        let demand: Vec<f64> = transfers
+            .iter()
+            .map(|t| t.demand_rate_gbps(slot_len_s))
+            .collect();
+        let active: Vec<usize> = order
+            .iter()
+            .copied()
+            .filter(|&i| demand[i] > EPS && transfers[i].src != transfers[i].dst)
+            .collect();
+        let max_site = active
+            .iter()
+            .map(|&i| transfers[i].src.max(transfers[i].dst))
+            .max();
         RateInputs {
             transfers,
             order,
-            demand: transfers
-                .iter()
-                .map(|t| t.demand_rate_gbps(slot_len_s))
-                .collect(),
+            demand,
+            active,
+            max_site,
         }
     }
 }
@@ -145,6 +162,9 @@ pub struct RateScratch {
     hops: usize,
     /// Residual capacities, `n × n` row-major.
     cap: Vec<f64>,
+    /// Site rows of the `cap` cells the last load set: the only cells a
+    /// pass can have made nonzero, cleared by the next load.
+    loaded: Vec<u64>,
     support: Vec<u64>,
     /// Per destination, `max_path_hops + 1` cumulative masks: mask `d`
     /// holds the sites within `d` hops of it when the BFS ran.
@@ -174,36 +194,48 @@ pub struct RateScratch {
 }
 
 impl RateScratch {
-    /// Loads the residual of `topology` and the pass's starting state, and
-    /// sizes the path buffers for the most a pass can put in them.
+    /// Loads the residual of a topology over `n` sites given by its links
+    /// `(u, v, multiplicity)`, `u < v`, and the pass's starting state, and
+    /// sizes the path buffers for the most a pass can put in them. Only
+    /// the cells the previous load set are cleared, not the whole matrix.
     ///
     /// # Panics
     ///
     /// If the topology has more than [`MAX_SITES`](crate::rows::MAX_SITES)
     /// sites.
+    #[allow(clippy::too_many_arguments)]
     fn load(
         &mut self,
-        topology: &Topology,
+        n: usize,
+        links: impl Iterator<Item = (SiteId, SiteId, u32)>,
         theta: f64,
         inputs: &RateInputs<'_>,
         hops: usize,
         limit: usize,
     ) {
-        let n = topology.site_count();
         let w = row_words(n);
+        if self.n == n && self.cap.len() == n * n {
+            for u in 0..n {
+                for v in row_sites(&self.loaded[u * self.words..][..self.words]) {
+                    self.cap[u * n + v] = 0.0;
+                }
+            }
+        } else {
+            self.cap.clear();
+            self.cap.resize(n * n, 0.0);
+        }
         (self.n, self.words, self.hops) = (n, w, hops);
-        self.cap.clear();
-        self.cap.resize(n * n, 0.0);
+        self.loaded.clear();
+        self.loaded.resize(n * w, 0);
         self.support.clear();
         self.support.resize(n * w, 0);
-        for u in 0..n {
-            for (v, &m) in topology.row(u).iter().enumerate() {
-                if m > 0 {
-                    let c = m as f64 * theta;
-                    self.cap[u * n + v] = c;
-                    if c > EPS {
-                        set_bit(&mut self.support[u * w..], v);
-                    }
+        for (u, v, m) in links {
+            let c = m as f64 * theta;
+            for (a, b) in [(u, v), (v, u)] {
+                self.cap[a * n + b] = c;
+                set_bit(&mut self.loaded[a * w..], b);
+                if c > EPS {
+                    set_bit(&mut self.support[a * w..], b);
                 }
             }
         }
@@ -223,20 +255,20 @@ impl RateScratch {
         self.wake.resize(transfers.len(), 0);
         self.slot.clear();
         self.slot.resize(transfers.len(), 0);
-        self.active.clear();
-        for &i in inputs.order.iter() {
-            let t = &transfers[i];
-            if self.demand[i] > EPS && t.src != t.dst {
-                assert!(
-                    t.src < n && t.dst < n,
-                    "transfer {} runs between sites {} and {} of a {n}-site topology",
-                    t.id,
-                    t.src,
-                    t.dst
-                );
-                self.active.push(i);
-            }
+        if inputs.max_site.is_some_and(|s| s >= n) {
+            let t = inputs
+                .active
+                .iter()
+                .map(|&i| &transfers[i])
+                .find(|t| t.src.max(t.dst) >= n)
+                .expect("the highest site is some transfer's");
+            panic!(
+                "transfer {} runs between sites {} and {} of a {n}-site topology",
+                t.id, t.src, t.dst
+            );
         }
+        self.active.clear();
+        self.active.extend_from_slice(&inputs.active);
         // A search finds at most `limit` paths. A grab either meets its
         // transfer's demand or takes all a link had left, so there are at
         // most as many as transfers and links together.
@@ -459,7 +491,10 @@ impl RateScratch {
 }
 
 /// The rate pass: assigns multi-path routes and rates to the transfers of
-/// `inputs` on `topology`, whose circuits carry `theta` Gbps each, and
+/// `inputs` on `topology`, whose links are `links` (in canonical order, as
+/// [`topology_links`] lists them) and whose circuits carry `theta` Gbps
+/// each — an annealing evaluation hands the ledger's achieved pairs
+/// instead of walking the matrix — and
 /// returns the total allocated rate — the energy of Algorithm 3, all an
 /// annealing evaluation reads. The grabs stay in `scratch`;
 /// [`assign_rates_with`] turns them into [`Allocation`]s.
@@ -475,8 +510,10 @@ impl RateScratch {
 /// transfer's own grabs of the round, then grabbed in that order.
 /// Bit-identical to [`assign_rates_reference`]; debug builds assert it on
 /// every pass.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn rate_pass(
     topology: &Topology,
+    links: impl Iterator<Item = (SiteId, SiteId, u32)>,
     theta: f64,
     inputs: &RateInputs<'_>,
     config: &RateAssignConfig,
@@ -486,7 +523,8 @@ pub(crate) fn rate_pass(
     telemetry.rates_full_evals.incr();
     let s = scratch;
     s.load(
-        topology,
+        topology.site_count(),
+        links,
         theta,
         inputs,
         config.max_path_hops,
@@ -565,6 +603,17 @@ fn rounds<const W: usize>(
     (throughput, examined, bfs)
 }
 
+/// The links `(u, v, multiplicity)` of `topology`, `u < v`, in canonical
+/// order, read off its rows.
+pub(crate) fn topology_links(
+    topology: &Topology,
+) -> impl Iterator<Item = (SiteId, SiteId, u32)> + '_ {
+    (0..topology.site_count()).flat_map(move |u| {
+        let above = topology.row(u).iter().enumerate().skip(u + 1);
+        above.filter_map(move |(v, &m)| (m > 0).then_some((u, v, m)))
+    })
+}
+
 /// The rate pass plus the allocations it made: the pass every caller that
 /// wants a plan, not only a score, runs. `scratch` holds the pass's
 /// buffers; once sized for a plant and a transfer set, only the output is
@@ -577,7 +626,15 @@ pub fn assign_rates_with(
     scratch: &mut RateScratch,
     telemetry: &CoreTelemetry,
 ) -> RateOutcome {
-    let throughput_gbps = rate_pass(topology, theta, inputs, config, scratch, telemetry);
+    let throughput_gbps = rate_pass(
+        topology,
+        topology_links(topology),
+        theta,
+        inputs,
+        config,
+        scratch,
+        telemetry,
+    );
     RateOutcome {
         allocations: scratch.allocations(inputs.transfers),
         throughput_gbps,

@@ -18,11 +18,11 @@
 //! for bit, over plant-scoped site rows ([`ReachRows`]) with no graph
 //! built and no allocation, and resumable — it hands out one path per call,
 //! because Algorithm 3 needs the next relay path only when the previous one
-//! could not be lit.
+//! could not be lit. It reads the node weights from [`RelayWeights`], which
+//! the circuit ledger keeps in step with its free-regenerator vector, so a
+//! search neither copies the vector nor divides.
 
-use crate::rows::{
-    by_row_words, clear_bit, has_bit, row, row_mut, row_words, set_bit, MAX_ROW_WORDS,
-};
+use crate::rows::{by_row_words, clear_bit, has_bit, row, row_words, set_bit, MAX_ROW_WORDS};
 use owan_graph::{dijkstra, k_shortest_paths, Graph};
 use owan_optical::{FiberPlant, OpticalState, SiteId};
 
@@ -226,6 +226,63 @@ impl ReachRows {
     }
 }
 
+/// The relay weights of one free-regenerator vector: `1/free` at every
+/// site with a free regenerator (the reference's node weight, computed the
+/// same way) and the site row of those sites. The endpoints of a search
+/// weigh 0 whatever their entry says: the search never reads `src`'s and
+/// reads `dst`'s as 0. The circuit ledger keeps one in step with its
+/// vector (updating it per site a circuit relays through), so searches
+/// read weights instead of recomputing them.
+#[derive(Debug, Clone, Default)]
+pub struct RelayWeights {
+    weight: Vec<f64>,
+    member: [u64; MAX_ROW_WORDS],
+}
+
+impl RelayWeights {
+    /// The weights of `free`, a free-regenerator vector.
+    ///
+    /// # Panics
+    ///
+    /// If `free` has more than [`MAX_SITES`](crate::rows::MAX_SITES)
+    /// entries.
+    pub fn from_free(free: &[u32]) -> Self {
+        let mut w = RelayWeights::default();
+        w.fill(free);
+        w
+    }
+
+    /// Refills from `free`; no allocation once the weights have held as
+    /// many sites.
+    pub(crate) fn fill(&mut self, free: &[u32]) {
+        self.weight.clear();
+        self.weight.resize(free.len(), 0.0);
+        self.member = [0; MAX_ROW_WORDS];
+        for (s, &f) in free.iter().enumerate() {
+            self.set(s, f);
+        }
+    }
+
+    /// Site `s` now has `free` free regenerators.
+    #[inline]
+    pub(crate) fn set(&mut self, s: SiteId, free: u32) {
+        if free > 0 {
+            self.weight[s] = 1.0 / free as f64;
+            set_bit(&mut self.member, s);
+        } else {
+            self.weight[s] = 0.0;
+            clear_bit(&mut self.member, s);
+        }
+    }
+
+    /// The weight of site `s` as a relay: `1/free`, or 0 without a free
+    /// regenerator.
+    #[inline]
+    pub(crate) fn weight(&self, s: SiteId) -> f64 {
+        self.weight[s]
+    }
+}
+
 /// One path held in [`RelayScratch`]'s arena.
 #[derive(Debug, Clone, Copy)]
 struct PathRec {
@@ -238,15 +295,8 @@ struct PathRec {
 /// search on a plant, searching allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RelayScratch {
-    /// The free-regenerator vector the search started from.
-    regens: Vec<u32>,
-    /// Relay weight per site (`0` at the endpoints, `1/free` elsewhere).
-    weight: Vec<f64>,
     dist: Vec<f64>,
     pred: Vec<SiteId>,
-    /// The search's node set: a site row in the first
-    /// `ReachRows::words` words.
-    member: [u64; MAX_ROW_WORDS],
     /// Site sequences of every found and pooled path, back to back.
     arena: Vec<SiteId>,
     found: Vec<PathRec>,
@@ -273,6 +323,11 @@ impl RelayScratch {
         &self.arena[r.start..r.start + r.len]
     }
 
+    /// The `i`-th path drawn by the search run last in this scratch.
+    pub(crate) fn drawn_path(&self, i: usize) -> &[SiteId] {
+        self.path(self.found[i])
+    }
+
     /// Dense Dijkstra from `from` to `dst` over the member sites, skipping
     /// `banned_nodes` as heads and `banned_heads` as heads of edges out of
     /// `from`; stops when `dst` is settled. Relaxations update on strict
@@ -292,15 +347,17 @@ impl RelayScratch {
     /// the first strict minimum, and one comparison against `dst`. (The
     /// `dst` tie only settles `dst` early: once least, its distance cannot
     /// improve, every weight being `>= 0`.)
+    #[allow(clippy::too_many_arguments)]
     fn shortest<const W: usize>(
         &mut self,
         reach: &ReachRows,
+        weights: &RelayWeights,
+        member: &[u64; W],
         from: SiteId,
         (src, dst): (SiteId, SiteId),
         banned_nodes: &[u64; W],
         banned_heads: &[u64; W],
     ) -> Option<f64> {
-        let member = *row::<W>(&self.member, 0);
         let mut done = [0u64; W];
         let mut frontier = [0u64; W];
         self.dist.fill(f64::INFINITY);
@@ -331,15 +388,28 @@ impl RelayScratch {
                 break;
             }
             let near = reach.neighbors::<W>(u, src, dst);
-            for i in 0..W {
-                let mut bits = near[i] & member[i] & !done[i] & !banned_nodes[i];
-                if u == from {
-                    bits &= !banned_heads[i];
+            let mut heads: [u64; W] =
+                std::array::from_fn(|i| near[i] & member[i] & !done[i] & !banned_nodes[i]);
+            if u == from {
+                for (h, b) in heads.iter_mut().zip(banned_heads) {
+                    *h &= !b;
                 }
+            }
+            // `dst` weighs 0: `d + 0.0` is `d`.
+            if has_bit(&heads, dst) {
+                clear_bit(&mut heads, dst);
+                if d < self.dist[dst] {
+                    self.dist[dst] = d;
+                    self.pred[dst] = u;
+                    set_bit(&mut frontier, dst);
+                }
+            }
+            for (i, &word) in heads.iter().enumerate() {
+                let mut bits = word;
                 while bits != 0 {
                     let v = i * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let nd = d + self.weight[v];
+                    let nd = d + weights.weight(v);
                     if nd < self.dist[v] {
                         self.dist[v] = nd;
                         self.pred[v] = u;
@@ -378,73 +448,52 @@ impl RelayScratch {
 /// `root_costs[i] + spur cost`, and pool/found de-duplication compares
 /// nodes *and* cost bits as `owan_graph::Path` does.
 ///
-/// All state between draws (found paths, candidate pool, weights) lives in
-/// the [`RelayScratch`]; the vector is copied once, by [`Self::start`], so
-/// the caller is free to provision against the state it came from between
-/// draws. Starting a new search resets the scratch, whatever the previous
-/// one left behind.
+/// All state between draws (found paths, candidate pool) lives in the
+/// [`RelayScratch`]; the weights are borrowed from the caller's
+/// [`RelayWeights`], which must stay those of the vector the search
+/// started under for as long as it draws. Starting a new search resets the
+/// scratch, whatever the previous one left behind.
 #[derive(Debug)]
 pub struct RelaySearch<'a> {
     reach: &'a ReachRows,
+    weights: &'a RelayWeights,
     sc: &'a mut RelayScratch,
     src: SiteId,
     dst: SiteId,
+    /// The search's node set: the sites with a free regenerator, plus
+    /// `src` and `dst`.
+    member: [u64; MAX_ROW_WORDS],
     /// No further path exists (or `src == dst`: no relay path at all).
     exhausted: bool,
-    /// Membership and relay weights are filled in (see [`Self::prepare`]).
-    prepared: bool,
 }
 
 impl<'a> RelaySearch<'a> {
-    /// Sets up the search: a copy of `regens_free`, nothing searched yet.
+    /// Sets up the search under the vector `weights` were filled from,
+    /// nothing searched yet.
     pub fn start(
         reach: &'a ReachRows,
-        regens_free: &[u32],
+        weights: &'a RelayWeights,
         src: SiteId,
         dst: SiteId,
         scratch: &'a mut RelayScratch,
     ) -> Self {
         let sc = scratch;
-        sc.regens.clear();
-        sc.regens
-            .extend_from_slice(&regens_free[..regens_free.len().min(reach.n)]);
         sc.arena.clear();
         sc.found.clear();
         sc.pool.clear();
+        sc.dist.resize(reach.n, f64::INFINITY);
+        sc.pred.resize(reach.n, 0);
+        let mut member = weights.member;
+        set_bit(&mut member, src);
+        set_bit(&mut member, dst);
         RelaySearch {
             reach,
+            weights,
             sc,
             src,
             dst,
+            member,
             exhausted: src == dst,
-            prepared: false,
-        }
-    }
-
-    /// Fills membership and relay weights from the vector the search
-    /// started from, and sizes the Dijkstra buffers: what a Dijkstra or a
-    /// spur round reads, and a within-reach first draw does not. Runs once
-    /// per search, before the first of them.
-    fn prepare<const W: usize>(&mut self) {
-        if self.prepared {
-            return;
-        }
-        self.prepared = true;
-        let (n, src, dst) = (self.reach.n, self.src, self.dst);
-        let sc = &mut *self.sc;
-        sc.weight.clear();
-        sc.weight.resize(n, 0.0);
-        sc.dist.resize(n, f64::INFINITY);
-        sc.pred.resize(n, 0);
-        let member = row_mut::<W>(&mut sc.member, 0);
-        *member = [0; W];
-        for (s, &free) in sc.regens.iter().enumerate() {
-            if s == src || s == dst {
-                set_bit(member, s);
-            } else if free > 0 {
-                set_bit(member, s);
-                sc.weight[s] = 1.0 / free as f64;
-            }
         }
     }
 
@@ -516,10 +565,16 @@ impl<'a> RelaySearch<'a> {
                 cost: 0.0,
             });
         }
-        self.prepare::<W>();
-        let cost = self
-            .sc
-            .shortest::<W>(self.reach, src, (src, dst), &[0; W], &[0; W])?;
+        let member = row::<W>(&self.member, 0);
+        let cost = self.sc.shortest::<W>(
+            self.reach,
+            self.weights,
+            member,
+            src,
+            (src, dst),
+            &[0; W],
+            &[0; W],
+        )?;
         Some(PathRec {
             start: 0,
             len: self.sc.arena.len(),
@@ -530,14 +585,15 @@ impl<'a> RelaySearch<'a> {
     /// One Yen round: spur from every node of `last` (the path found
     /// before) except `dst` into the pool, then take the pool's cheapest.
     fn spur_round<const W: usize>(&mut self, last: PathRec) -> Option<PathRec> {
-        self.prepare::<W>();
-        let (reach, src, dst) = (self.reach, self.src, self.dst);
+        let (reach, weights, src, dst) = (self.reach, self.weights, self.src, self.dst);
+        let member = row::<W>(&self.member, 0);
         let sc = &mut *self.sc;
-        // Prefix costs of the last path's roots, summed left to right.
+        // Prefix costs of the last path's roots up to its last relay,
+        // summed left to right.
         sc.root_costs.clear();
         sc.root_costs.push(0.0);
-        for i in 1..last.len {
-            let hop = sc.weight[sc.arena[last.start + i]];
+        for i in 1..last.len - 1 {
+            let hop = weights.weight(sc.arena[last.start + i]);
             sc.root_costs.push(sc.root_costs[i - 1] + hop);
         }
         // The root `last[..i]` is banned node by node as `i` grows.
@@ -560,7 +616,16 @@ impl<'a> RelaySearch<'a> {
             // appended behind it by `shortest`.
             let start = sc.arena.len();
             sc.arena.extend_from_within(last.start..last.start + i);
-            match sc.shortest(reach, spur_node, (src, dst), &banned_nodes, &banned_heads) {
+            let spur = sc.shortest(
+                reach,
+                weights,
+                member,
+                spur_node,
+                (src, dst),
+                &banned_nodes,
+                &banned_heads,
+            );
+            match spur {
                 Some(spur_cost) => {
                     let total = PathRec {
                         start,
@@ -597,8 +662,9 @@ impl<'a> RelaySearch<'a> {
 }
 
 /// Up to `k` relay paths from `src` to `dst` in increasing weight order
-/// under the free-regenerator vector `regens_free`, each with its cost: a
-/// [`RelaySearch`] started, drawn `k` times and collected.
+/// under the free-regenerator vector `regens_free`, each with its cost: its
+/// [`RelayWeights`] filled, a [`RelaySearch`] started, drawn `k` times and
+/// collected.
 pub fn relay_k_shortest(
     reach: &ReachRows,
     regens_free: &[u32],
@@ -607,7 +673,8 @@ pub fn relay_k_shortest(
     k: usize,
     scratch: &mut RelayScratch,
 ) -> Vec<(Vec<SiteId>, f64)> {
-    let mut search = RelaySearch::start(reach, regens_free, src, dst, scratch);
+    let weights = RelayWeights::from_free(&regens_free[..regens_free.len().min(reach.n)]);
+    let mut search = RelaySearch::start(reach, &weights, src, dst, scratch);
     for _ in 0..k {
         if search.next_path().is_none() {
             break;

@@ -95,6 +95,10 @@ telemetry_bundle! {
         /// naive path, `RelaySearch` starts on the fast path — one per
         /// provisioning attempt either way.
         pub shortest_path_calls: counter = "circuits.shortest_path_calls",
+        /// Relay searches a delta build skipped on the relay-path
+        /// certificate: attempts that took the accepted build's first draw,
+        /// and pairs stopped where the accepted build drew no path.
+        pub relay_certified: counter = "circuits.relay_certified",
         /// Candidate paths examined by rate assignment.
         pub paths_examined: counter = "rates.paths_examined",
         /// Hop-level BFS runs of rate assignment (rounds 3 and later, at

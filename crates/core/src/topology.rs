@@ -14,11 +14,27 @@ use serde::{Deserialize, Serialize};
 ///
 /// The matrix is a normal form (symmetric, dense, no ordering freedom), so
 /// equality and `Hash` are those of the multigraph.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Topology {
     n: usize,
     /// Row-major full symmetric matrix of multiplicities; diagonal unused.
     links: Vec<u32>,
+}
+
+impl Clone for Topology {
+    fn clone(&self) -> Self {
+        Topology {
+            n: self.n,
+            links: self.links.clone(),
+        }
+    }
+
+    /// Copies into the matrix already held: no allocation once it has
+    /// held `source`'s site count.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.links.clone_from(&source.links);
+    }
 }
 
 impl Topology {

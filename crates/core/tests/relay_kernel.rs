@@ -6,7 +6,9 @@
 //! whether asked for `k` at once or drawn one at a time.
 
 use owan_core::rows::row_sites;
-use owan_core::{relay_k_shortest, PlantCache, ReachRows, RegenGraph, RelayScratch, RelaySearch};
+use owan_core::{
+    relay_k_shortest, PlantCache, ReachRows, RegenGraph, RelayScratch, RelaySearch, RelayWeights,
+};
 use owan_optical::{FiberPlant, OpticalParams};
 use proptest::prelude::*;
 
@@ -96,7 +98,8 @@ impl Fixture {
         dst: usize,
         cap: usize,
     ) -> Vec<(Vec<usize>, u64)> {
-        let mut search = RelaySearch::start(&self.reach, free, src, dst, &mut self.scratch);
+        let weights = RelayWeights::from_free(free);
+        let mut search = RelaySearch::start(&self.reach, &weights, src, dst, &mut self.scratch);
         let mut out = Vec::new();
         while out.len() < cap {
             let Some((path, cost)) = search.next_path() else {
@@ -301,8 +304,8 @@ proptest! {
                     continue;
                 }
                 let longest = reference(&plant, &fiber_dist, &free, src, dst, MAX_K + 4);
-                let mut search =
-                    RelaySearch::start(&reach, &free, src, dst, &mut scratch);
+                let weights = RelayWeights::from_free(&free);
+                let mut search = RelaySearch::start(&reach, &weights, src, dst, &mut scratch);
                 for j in 1..=MAX_K {
                     let drew = search.next_path().map(|(p, c)| (p.to_vec(), c.to_bits()));
                     prop_assert_eq!(drew.as_ref(), longest.get(j - 1), "{}->{} draw {}", src, dst, j);

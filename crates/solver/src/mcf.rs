@@ -466,4 +466,106 @@ mod tests {
             );
         }
     }
+
+    /// Gap (c) of the oracle's coverage: Bland's rule, the simplex's
+    /// anti-cycling fallback, never runs on the benchmark's programs. Here
+    /// it runs from the first pivot on the max-throughput MCF the oracle's
+    /// exact rate reference solves, on instances built to be degenerate —
+    /// tied path costs, zero-capacity links, one with every capacity zero
+    /// — and must reach the hand-checked optimum, as the production rule
+    /// does. (Every unit-test solve is also replayed with the all-columns
+    /// pivot, Bland's rule included.)
+    #[test]
+    fn bland_fallback_reaches_the_exact_mcf_optimum_on_degenerate_instances() {
+        use crate::simplex::tests::with_bland;
+        // (name, link capacities, commodities (demand, paths), optimum)
+        type Case = (&'static str, Vec<f64>, Vec<(f64, Vec<Vec<usize>>)>, f64);
+        let cases: Vec<Case> = vec![
+            // Triangle a-b (10), b-c (10), a-c (0): a->c is served only
+            // around, sharing a-b with a->b; every split of a-b is optimal.
+            (
+                "triangle, a zero-capacity link",
+                vec![10.0, 10.0, 0.0],
+                vec![(20.0, vec![vec![2], vec![0, 1]]), (5.0, vec![vec![0]])],
+                10.0,
+            ),
+            // A unit ring of four links; each of two opposite pairs has
+            // two two-hop paths of equal length: total flow is half the
+            // ring's capacity, reached by many tied vertices.
+            (
+                "unit ring, tied two-hop paths",
+                vec![1.0; 4],
+                vec![
+                    (2.0, vec![vec![0, 1], vec![3, 2]]),
+                    (2.0, vec![vec![1, 2], vec![0, 3]]),
+                ],
+                2.0,
+            ),
+            // The ring with one-hop neighbours too: the one-hop demands
+            // fill every link, so the two-hop commodities get nothing.
+            (
+                "unit ring, one-hop demands first",
+                vec![1.0; 4],
+                vec![
+                    (2.0, vec![vec![0, 1], vec![3, 2]]),
+                    (1.0, vec![vec![0]]),
+                    (1.0, vec![vec![1]]),
+                    (1.0, vec![vec![2]]),
+                    (1.0, vec![vec![3]]),
+                ],
+                4.0,
+            ),
+            // Every capacity zero: the all-degenerate program.
+            (
+                "all capacities zero",
+                vec![0.0; 3],
+                vec![
+                    (3.0, vec![vec![0], vec![1, 2]]),
+                    (3.0, vec![vec![1], vec![0, 2]]),
+                ],
+                0.0,
+            ),
+            // Two parallel links of equal capacity and three commodities
+            // over both: demand exceeds capacity, every path ties.
+            (
+                "parallel links, oversubscribed",
+                vec![5.0, 5.0],
+                vec![
+                    (4.0, vec![vec![0], vec![1]]),
+                    (4.0, vec![vec![0], vec![1]]),
+                    (4.0, vec![vec![1], vec![0]]),
+                ],
+                10.0,
+            ),
+        ];
+        let mut bland_pivots = 0;
+        for (name, capacities, commodities, optimum) in cases {
+            let mut problem = McfProblem::new(capacities);
+            for (demand, paths) in commodities {
+                problem.add_commodity(demand, paths);
+            }
+            let (production, _) = with_bland(false, || problem.max_throughput());
+            let (bland, pivots) = with_bland(true, || problem.max_throughput());
+            bland_pivots += pivots;
+            for (rule, sol) in [("production", &production), ("Bland", &bland)] {
+                assert!(
+                    (sol.total_throughput - optimum).abs() < 1e-9,
+                    "{name}, {rule}: {} vs {optimum}",
+                    sol.total_throughput
+                );
+                let loads = sol.link_loads(&problem);
+                for (l, load) in loads.iter().enumerate() {
+                    assert!(
+                        *load <= problem.link_capacity[l] + 1e-9,
+                        "{name}, {rule}: link {l}"
+                    );
+                }
+                for f in 0..problem.commodity_count() {
+                    let rate = sol.commodity_rate(f);
+                    assert!(rate >= -1e-12 && rate <= problem.demand(f) + 1e-9);
+                }
+            }
+        }
+        assert!(bland_pivots > 0, "Bland's rule never pivoted");
+    }
 }

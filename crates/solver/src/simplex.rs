@@ -365,6 +365,9 @@ impl Tableau {
 
         loop {
             let use_bland = self.iterations > bland_after;
+            // Unit-test builds can take Bland's rule from the first pivot.
+            #[cfg(test)]
+            let use_bland = use_bland || tests::bland_from_start();
             // Entering column.
             let mut enter: Option<usize> = None;
             let mut best = EPS;
@@ -406,6 +409,10 @@ impl Tableau {
             };
 
             self.pivot(row, col);
+            #[cfg(test)]
+            if use_bland {
+                tests::count_bland_pivot();
+            }
             // Update reduced costs incrementally: after the pivot the row is
             // normalized; r <- r - r[col] * row, over the row's nonzeros.
             let rc = reduced[col];
@@ -544,6 +551,29 @@ pub(crate) mod tests {
     thread_local! {
         /// Programs this test thread has solved both ways.
         static COMPARED: Cell<usize> = const { Cell::new(0) };
+        /// Take Bland's rule from the first pivot on this thread.
+        static BLAND_FROM_START: Cell<bool> = const { Cell::new(false) };
+        /// Pivots this thread took under Bland's rule.
+        static BLAND_PIVOTS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn bland_from_start() -> bool {
+        BLAND_FROM_START.get()
+    }
+
+    pub(super) fn count_bland_pivot() {
+        BLAND_PIVOTS.set(BLAND_PIVOTS.get() + 1);
+    }
+
+    /// `f` run with Bland's rule from the first pivot (`bland` true) or
+    /// with the production rule, and the pivots it took under Bland's
+    /// rule.
+    pub(crate) fn with_bland<T>(bland: bool, f: impl FnOnce() -> T) -> (T, usize) {
+        let (was, before) = (BLAND_FROM_START.get(), BLAND_PIVOTS.get());
+        BLAND_FROM_START.set(bland);
+        let out = f();
+        BLAND_FROM_START.set(was);
+        (out, BLAND_PIVOTS.get() - before)
     }
 
     /// How many programs this thread has put through
@@ -846,5 +876,41 @@ pub(crate) mod tests {
         lp.add_le(&[(0, 1.0), (y, 1.0)], 3.0);
         let s = lp.solve().expect_optimal("addvar");
         assert!((s.objective - 6.0).abs() < 1e-7, "all budget to y");
+    }
+
+    /// The Klee–Minty cube of dimension 12: Dantzig's largest-coefficient
+    /// rule walks all `2^12 - 1` vertices, past the fallback threshold
+    /// (`20 (m + n) + 200` = 920 pivots here), so the production rule
+    /// switches to Bland's mid-run — which still ends on the optimum,
+    /// `x_12 = 5^12`.
+    #[test]
+    fn klee_minty_reaches_the_bland_fallback() {
+        const D: usize = 12;
+        let mut lp = LinearProgram::maximize(D);
+        for j in 0..D {
+            lp.set_objective(j, f64::powi(2.0, (D - 1 - j) as i32));
+        }
+        for i in 0..D {
+            let mut row: Vec<(usize, f64)> = (0..i)
+                .map(|j| (j, f64::powi(2.0, (i - j + 1) as i32)))
+                .collect();
+            row.push((i, 1.0));
+            lp.add_le(&row, f64::powi(5.0, i as i32 + 1));
+        }
+        let (outcome, bland) = with_bland(false, || lp.solve());
+        let sol = outcome.expect_optimal("Klee-Minty is bounded");
+        let optimum = f64::powi(5.0, D as i32);
+        assert!(
+            bland > 0,
+            "the fallback never engaged ({} pivots)",
+            sol.iterations
+        );
+        assert!(sol.iterations > 20 * (D + 2 * D) + 200);
+        assert!(
+            (sol.objective - optimum).abs() <= 1e-9 * optimum,
+            "{} vs {optimum}",
+            sol.objective
+        );
+        assert!((sol.x[D - 1] - optimum).abs() <= 1e-9 * optimum);
     }
 }

@@ -1,4 +1,4 @@
-//! Synthetic ~40-site ISP backbone.
+//! Synthetic ~40-site ISP backbone, and the same generator at other sizes.
 //!
 //! The paper's ISP topology is proprietary; §5.1 describes it as "about 40
 //! sites … connected into an irregular mesh". This generator reproduces
@@ -24,8 +24,22 @@ const TARGET_AVG_DEGREE: f64 = 3.2;
 /// Generates the ISP backbone. The same seed always yields the same
 /// network; the paper's experiments use seed 7.
 pub fn isp_backbone(seed: u64) -> Network {
+    isp_backbone_sized(seed, ISP_SITES)
+}
+
+/// [`isp_backbone`] with `n` sites instead of [`ISP_SITES`]: the same
+/// generator — sites over the same plane, the spanning tree, chords to
+/// the same average degree, no stubs, the top degree quartile
+/// regenerator-rich — for scaling experiments.
+/// `isp_backbone_sized(seed, ISP_SITES)` is `isp_backbone(seed)` bit for
+/// bit.
+///
+/// # Panics
+///
+/// If `n < 3`.
+pub fn isp_backbone_sized(seed: u64, n: usize) -> Network {
+    assert!(n >= 3, "an ISP backbone of {n} sites");
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = ISP_SITES;
 
     // Continental-scale site coordinates (km).
     let coords: Vec<(f64, f64)> = (0..n)
@@ -223,7 +237,8 @@ mod tests {
     }
 
     /// The paper's seed-7 backbone, bit for bit: links, fiber lengths and
-    /// regenerators as generated before the distances were tabulated.
+    /// regenerators as generated before the distances were tabulated, and
+    /// as the sized generator makes it at 40 sites.
     #[test]
     fn seed_7_backbone_is_pinned() {
         assert_eq!(
@@ -231,6 +246,28 @@ mod tests {
             938_730_704_012_097_498,
             "isp_backbone(7) drifted"
         );
+        assert_eq!(
+            digest(&isp_backbone_sized(7, ISP_SITES)),
+            938_730_704_012_097_498,
+            "isp_backbone_sized(7, 40) is not isp_backbone(7)"
+        );
+    }
+
+    #[test]
+    fn sized_backbones_scale_the_same_mesh() {
+        for n in [12, 100, 200] {
+            let net = isp_backbone_sized(7, n);
+            assert_eq!(net.plant.site_count(), n);
+            net.validate().unwrap();
+            let avg_degree = 2.0 * net.static_topology.total_links() as f64 / n as f64;
+            assert!(avg_degree > 2.5 && avg_degree < 4.5, "{n}: {avg_degree}");
+            assert!((0..n).all(|s| net.static_topology.degree(s) >= 2), "{n}");
+            assert_eq!(
+                digest(&net),
+                digest(&isp_backbone_sized(7, n)),
+                "{n}: deterministic"
+            );
+        }
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl Network {
 
 pub use interdc::inter_dc;
 pub use internet2::{internet2_testbed, internet2_wan};
-pub use isp::isp_backbone;
+pub use isp::{isp_backbone, isp_backbone_sized};
 
 #[cfg(test)]
 mod tests {

@@ -59,6 +59,7 @@ use owan::chaos::{
     restartable_owan, run_attack, run_chaos_probed, seeded_scenario, AttackOutcome, AttackTimeline,
     AuditHook, ChaosConfig, ChaosResult, FaultEvent, OpFaultModel,
 };
+use owan::core::rows::MAX_SITES;
 use owan::core::{Profiler, SchedulingPolicy, TrafficEngineer, TransferRequest};
 use owan::obs::{format_counter_table, format_stage_table, Recorder};
 use owan::oracle::{fuzz, minimize, replay, InvariantAudit, ReplayKind, Reproducer, Scenario};
@@ -66,7 +67,7 @@ use owan::scope::{render_top, FlightDump, MetricsServer, ScopeConfig, ScopeRecor
 use owan::sim::metrics::{self, SizeBin};
 use owan::sim::runner::{make_engine, EngineKind, RunnerConfig};
 use owan::sim::{simulate_probed, Probes, SimConfig, SimResult};
-use owan::topo::{inter_dc, internet2_testbed, isp_backbone, Network};
+use owan::topo::{inter_dc, internet2_testbed, isp_backbone, isp_backbone_sized, Network};
 use owan::why::{render_explain, render_slo, SloConfig, WhyConfig, WhyRecorder, WhyReport};
 use owan::workload::attack::{
     coremelt, drift, flash_crowd, CoremeltConfig, DriftConfig, FlashCrowdConfig,
@@ -90,6 +91,7 @@ Every command exits 2 on a flag it does not take.
 
 run options:
   --net NAME          evaluation network: internet2 | isp | interdc  [internet2]
+  --sites N           with --net isp: the backbone generator at N sites  [40]
   --engine NAME       owan | maxflow | maxmin | swan | tempus | amoeba | greedy  [owan]
   --load L            workload load factor lambda  [1.0]
   --sigma S           deadline tightness; enables deadline workload and metrics
@@ -139,6 +141,7 @@ verify options (modes are mutually exclusive; default is --seeds):
   --replay FILE       re-run a reproducer file written by a failed verify,
                       or a flight dump written by chaos --scope-dump
   --net NAME          replay a generated workload on a named network instead
+  --sites N           with --net isp: the backbone generator at N sites  [40]
   --slots N           replay horizon in slots (with --net)  [60]
   --slot SECS         slot length, seconds (with --net)  [300]
   --iters N           annealing iterations per slot  [40]
@@ -158,6 +161,7 @@ verify exits 0 when every invariant holds on every slot, 1 on divergence
 
 chaos options:
   --net NAME          evaluation network: internet2 | isp | interdc  [internet2]
+  --sites N           with --net isp: the backbone generator at N sites  [40]
   --seed N            scenario + workload + annealing seed  [42]
   --load L            workload load factor lambda  [1.0]
   --sigma S           deadline tightness; enables the deadline workload
@@ -357,6 +361,16 @@ impl Args {
         (name, network)
     }
 
+    /// [`Self::network`], with `--sites N` sizing the ISP backbone.
+    fn sized_network(&self, default: &str) -> (String, Network) {
+        let name = self.get("--net").unwrap_or(default).to_string();
+        let network = match self.parse_opt::<usize>("--sites") {
+            None => build_network(&self.cmd, &name),
+            Some(n) => sized_isp(&self.cmd, &name, n),
+        };
+        (name, network)
+    }
+
     /// `--engine`'s name (`owan` when absent) and the engine it selects.
     fn engine(&self) -> (String, EngineKind) {
         let name = self.get("--engine").unwrap_or("owan");
@@ -378,6 +392,26 @@ fn build_network(cmd: &str, name: &str) -> Network {
         "interdc" => inter_dc(7),
         other => fail(cmd, 2, format!("unknown network '{other}' for --net")),
     }
+}
+
+/// The ISP backbone of `--sites N` sites; exits 2 for another network or
+/// a site count the planner does not take.
+fn sized_isp(cmd: &str, name: &str, n: usize) -> Network {
+    if name != "isp" {
+        fail(
+            cmd,
+            2,
+            format!("--sites applies to --net isp, not '{name}'"),
+        );
+    }
+    if !(3..=MAX_SITES).contains(&n) {
+        fail(
+            cmd,
+            2,
+            format!("invalid value '{n}' for --sites (3 to {MAX_SITES})"),
+        );
+    }
+    isp_backbone_sized(7, n)
 }
 
 /// The §5.1 workload generator configuration for a named network: the
@@ -631,9 +665,10 @@ impl ProbeFlags {
             eprintln!("wrote {} telemetry lines to {path}", lines(&out));
         }
         // The prof report's tables: the annealer's evaluations by miss
-        // reason, and what the rate passes did.
+        // reason, the relay searches the certificate skipped, and what the
+        // rate passes did.
         let prof_tables: &[&str] = if self.prof_report {
-            &["anneal.cache_miss.", "rates."]
+            &["anneal.cache_miss.", "circuits.relay_certified", "rates."]
         } else {
             &[]
         };
@@ -688,7 +723,7 @@ struct RunSetup {
 impl RunSetup {
     /// Reads the run options and generates the workload.
     fn read(args: &Args) -> Self {
-        let (net_name, network) = args.network("internet2");
+        let (net_name, network) = args.sized_network("internet2");
         let (engine_name, kind) = args.engine();
         let load = args.parse("--load", 1.0f64);
         let sigma = args.parse_opt("--sigma");
@@ -1055,6 +1090,7 @@ fn verify_main(args: &Args) -> ! {
     };
     let replay_path = args.get("--replay");
     let net_name = args.get("--net");
+    let sites = args.parse_opt::<usize>("--sites");
     let load = args.parse("--load", 1.0f64);
     let seed = args.parse("--seed", 42u64);
     let slots = args.parse("--slots", 60usize);
@@ -1125,7 +1161,10 @@ fn verify_main(args: &Args) -> ! {
     }
 
     if let Some(net_name) = net_name {
-        let network = build_network(&args.cmd, net_name);
+        let network = match sites {
+            None => build_network(&args.cmd, net_name),
+            Some(n) => sized_isp(&args.cmd, net_name, n),
+        };
         let requests = generate(&network, &workload_config(net_name, load, seed));
         eprintln!(
             "verifying {net_name}: {} transfers, {slots} slots of {slot_len}s, {iters} anneal iters",

@@ -62,7 +62,7 @@ fn isp_sjf() -> Scenario {
         iterations: 30,
         pinned: 0x097d_3c69_7cb9_4f45,
         work: Work {
-            shortest_path_calls: 3_185,
+            shortest_path_calls: 1_786,
             hop_levels: 9_278,
             paths_examined: 5_068,
             cache_miss: 163,
@@ -84,7 +84,7 @@ fn interdc_edf_hotspots() -> Scenario {
         iterations: 60,
         pinned: 0xcc89_f051_6597_25fb,
         work: Work {
-            shortest_path_calls: 2_700,
+            shortest_path_calls: 1_340,
             hop_levels: 7_107,
             paths_examined: 8_853,
             cache_miss: 259,

@@ -323,7 +323,7 @@ fn scope_and_why_streams_are_pinned() {
 const SIM_GOLDEN: [(&str, u64); 7] = [
     ("flight_dump", 0x17383d6a7a6482d2),
     ("chrome_trace", 0xac493bb0dfc4f614),
-    ("obs_jsonl", 0x38caf8e50dca098f),
+    ("obs_jsonl", 0x830b83e4a55a3522),
     ("explain", 0xed39a6e1d2e00c83),
     ("slo", 0x5301e5f40f55999),
     ("tracker", 0xec3bdd9ba98fc7a2),
@@ -333,7 +333,7 @@ const SIM_GOLDEN: [(&str, u64); 7] = [
 const CHAOS_GOLDEN: [(&str, u64); 7] = [
     ("flight_dump", 0x5a6bd5b6e0cdfecf),
     ("chrome_trace", 0x17d0fedbf4387555),
-    ("obs_jsonl", 0xca21961a7f19b2d),
+    ("obs_jsonl", 0x53174fcd00691fef),
     ("explain", 0xd9eed273dc1a6628),
     ("slo", 0x8c6c151b046419c4),
     ("tracker", 0xb245b2775f1189cc),
