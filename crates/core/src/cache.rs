@@ -417,10 +417,10 @@ pub struct EnergyCache {
     pub(crate) best: TopologyLedger,
     /// `best` holds a copy taken in the current run.
     pub(crate) best_held: bool,
-    /// `accepted` holds the build of an earlier run's winner on the plant
-    /// with this [`precompute_key`] and with this many relay candidates:
-    /// a run's first evaluation may resume from it.
-    pub(crate) resume: Option<(u64, usize)>,
+    /// `accepted` holds a build made under the current plant's
+    /// [`precompute_key`] (a run's winner, left there by `finish`): a run's
+    /// first evaluation may resume from it. A key change clears it.
+    pub(crate) resume: bool,
     /// Buffers and between-draw state of the relay search.
     pub(crate) relay_scratch: RelayScratch,
     /// Buffers of the delta build.
@@ -464,12 +464,7 @@ impl EnergyCache {
         }
         self.plant_key = Some(key);
         self.plant = None;
-        self.resume = None;
-    }
-
-    /// [`precompute_key`] of the plant of the current run.
-    pub(crate) fn plant_key(&self) -> Option<u64> {
-        self.plant_key
+        self.resume = false;
     }
 
     /// Offers a shared [`PlantCache`] built by the enclosing run. The

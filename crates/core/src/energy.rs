@@ -208,14 +208,8 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
     /// previous run's winner when the cache holds one for this plant
     /// precompute and it is a neighbor move away, in full otherwise.
     pub(crate) fn score_initial(&mut self, desired: &Topology) -> f64 {
-        let candidates = self.ctx.circuit_config.relay_candidates;
         let basis = match self.cache.as_deref() {
-            Some(cache)
-                if cache.resume.is_some()
-                    && cache.resume == cache.plant_key().map(|key| (key, candidates)) =>
-            {
-                basis_of(desired, cache)
-            }
+            Some(cache) if cache.resume => basis_of(desired, cache),
             _ => Basis::Fresh,
         };
         self.score_from(desired, basis)
@@ -313,9 +307,7 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
                     std::mem::swap(&mut cache.accepted, &mut cache.scored);
                 }
             }
-            cache.resume = cache
-                .plant_key()
-                .map(|key| (key, ctx.circuit_config.relay_candidates));
+            cache.resume = true;
             let pc = cache.plant_precompute(ctx.plant, ctx.fiber_dist);
             cache.accepted.materialise(ctx.plant, pc.routes())
         };
