@@ -25,7 +25,7 @@ use crate::cache::{precompute_key, EnergyCache, PlantCache};
 use crate::circuits::Moved;
 use crate::energy::{EnergyContext, EnergyEvaluator, EnergyOutcome};
 use crate::pool::EvalPool;
-use crate::rates::{topology_links, RateInputs};
+use crate::rates::RateInputs;
 use crate::telemetry::{names, CoreTelemetry};
 use crate::topology::Topology;
 use owan_obs::Value;
@@ -135,7 +135,7 @@ impl LinkUnits {
     fn of(s: &Topology) -> Self {
         let mut units = LinkUnits::default();
         let mut total = 0;
-        for (u, v, m) in topology_links(s) {
+        for (u, v, m) in s.iter_links() {
             total += m as usize;
             units.links.push((u, v));
             units.ends.push(total);

@@ -415,8 +415,6 @@ pub struct EnergyCache {
     /// A copy of the build of the run's best state, taken when the walk
     /// accepts a move away from it (see `EnergyEvaluator::keep_best`).
     pub(crate) best: TopologyLedger,
-    /// `best` holds a copy taken in the current run.
-    pub(crate) best_held: bool,
     /// `accepted` holds a build made under the current plant's
     /// [`precompute_key`] (a run's winner, left there by `finish`): a run's
     /// first evaluation may resume from it. A key change clears it.

@@ -166,7 +166,6 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
         let mut cache = cache;
         if let Some(c) = cache.as_deref_mut() {
             c.begin_run(ctx.plant);
-            c.best_held = false;
         }
         EnergyEvaluator {
             ctx,
@@ -267,7 +266,6 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
     pub(crate) fn keep_best(&mut self) {
         if let Some(cache) = self.cache.as_deref_mut() {
             cache.best.clone_from(&cache.accepted);
-            cache.best_held = true;
         }
     }
 
@@ -278,9 +276,10 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
 
     /// Ends the run with the full outcome of its winner, `best` — equal to
     /// [`compute_energy`] of it. When `best_is_accepted` the accepted
-    /// build is materialised as it stands; otherwise the copy the run kept
-    /// of its best state's build, when it is a build of `best`, and a
-    /// build of `best` made in full when not. That build stays the
+    /// build is materialised as it stands; otherwise the copy
+    /// [`Self::keep_best`] took of its best state's build (the annealer
+    /// passes `false` only after taking one), when it is a build of
+    /// `best`, and a build of `best` made in full when not. That build stays the
     /// accepted one, for the next run on this plant to resume from. One
     /// rate pass then produces the allocations.
     pub fn finish(self, best: &Topology, best_is_accepted: bool) -> EnergyOutcome {
@@ -292,7 +291,7 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
             let _span = self.telemetry.circuits.enter();
             let _region = ctx.prof.region("circuits");
             if !best_is_accepted {
-                if cache.best_held && cache.best.is_build_of(best) {
+                if cache.best.is_build_of(best) {
                     std::mem::swap(&mut cache.accepted, &mut cache.best);
                 } else {
                     build_ledger(

@@ -492,7 +492,7 @@ impl RateScratch {
 
 /// The rate pass: assigns multi-path routes and rates to the transfers of
 /// `inputs` on `topology`, whose links are `links` (in canonical order, as
-/// [`topology_links`] lists them) and whose circuits carry `theta` Gbps
+/// [`Topology::iter_links`] lists them) and whose circuits carry `theta` Gbps
 /// each — an annealing evaluation hands the ledger's achieved pairs
 /// instead of walking the matrix — and
 /// returns the total allocated rate — the energy of Algorithm 3, all an
@@ -603,17 +603,6 @@ fn rounds<const W: usize>(
     (throughput, examined, bfs)
 }
 
-/// The links `(u, v, multiplicity)` of `topology`, `u < v`, in canonical
-/// order, read off its rows.
-pub(crate) fn topology_links(
-    topology: &Topology,
-) -> impl Iterator<Item = (SiteId, SiteId, u32)> + '_ {
-    (0..topology.site_count()).flat_map(move |u| {
-        let above = topology.row(u).iter().enumerate().skip(u + 1);
-        above.filter_map(move |(v, &m)| (m > 0).then_some((u, v, m)))
-    })
-}
-
 /// The rate pass plus the allocations it made: the pass every caller that
 /// wants a plan, not only a score, runs. `scratch` holds the pass's
 /// buffers; once sized for a plant and a transfer set, only the output is
@@ -628,7 +617,7 @@ pub fn assign_rates_with(
 ) -> RateOutcome {
     let throughput_gbps = rate_pass(
         topology,
-        topology_links(topology),
+        topology.iter_links(),
         theta,
         inputs,
         config,

@@ -101,18 +101,20 @@ impl Topology {
     }
 
     /// All `(u, v, multiplicity)` with `u < v` and multiplicity > 0, in
-    /// deterministic order.
+    /// canonical order: by `u`, then `v`. The circuit builder, the rate
+    /// pass and the annealer's neighbour draw all rely on this order.
+    pub fn iter_links(&self) -> impl Iterator<Item = (SiteId, SiteId, u32)> + '_ {
+        (0..self.n).flat_map(move |u| {
+            let above = self.links[u * self.n..(u + 1) * self.n].iter().enumerate();
+            above
+                .skip(u + 1)
+                .filter_map(move |(v, &m)| (m > 0).then_some((u, v, m)))
+        })
+    }
+
+    /// [`Self::iter_links`], collected.
     pub fn links(&self) -> Vec<(SiteId, SiteId, u32)> {
-        let mut out = Vec::new();
-        for u in 0..self.n {
-            for v in u + 1..self.n {
-                let m = self.links[u * self.n + v];
-                if m > 0 {
-                    out.push((u, v, m));
-                }
-            }
-        }
-        out
+        self.iter_links().collect()
     }
 
     /// Total number of links (with multiplicity).

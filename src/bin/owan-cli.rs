@@ -67,6 +67,7 @@ use owan::scope::{render_top, FlightDump, MetricsServer, ScopeConfig, ScopeRecor
 use owan::sim::metrics::{self, SizeBin};
 use owan::sim::runner::{make_engine, EngineKind, RunnerConfig};
 use owan::sim::{simulate_probed, Probes, SimConfig, SimResult};
+use owan::topo::isp::ISP_SITES;
 use owan::topo::{inter_dc, internet2_testbed, isp_backbone, isp_backbone_sized, Network};
 use owan::why::{render_explain, render_slo, SloConfig, WhyConfig, WhyRecorder, WhyReport};
 use owan::workload::attack::{
@@ -182,6 +183,7 @@ deterministic, 1 otherwise, 2 on bad arguments.
 
 attack options:
   --net NAME          evaluation network: internet2 | isp | interdc  [isp]
+  --sites N           with --net isp: the backbone generator at N sites  [40]
   --engine NAME       owan | maxflow | maxmin | swan | tempus | amoeba | greedy  [owan]
   --attack NAME       coremelt | flashcrowd | drift | mix  [coremelt]
   --seed N            workload + attack + annealing seed  [42]
@@ -354,15 +356,9 @@ impl Args {
         self.parse_opt(key).unwrap_or(default)
     }
 
-    /// `--net`'s name (`default` when absent) and its network.
+    /// `--net`'s name (`default` when absent) and its network, with
+    /// `--sites N` sizing the ISP backbone.
     fn network(&self, default: &str) -> (String, Network) {
-        let name = self.get("--net").unwrap_or(default).to_string();
-        let network = build_network(&self.cmd, &name);
-        (name, network)
-    }
-
-    /// [`Self::network`], with `--sites N` sizing the ISP backbone.
-    fn sized_network(&self, default: &str) -> (String, Network) {
         let name = self.get("--net").unwrap_or(default).to_string();
         let network = match self.parse_opt::<usize>("--sites") {
             None => build_network(&self.cmd, &name),
@@ -723,7 +719,7 @@ struct RunSetup {
 impl RunSetup {
     /// Reads the run options and generates the workload.
     fn read(args: &Args) -> Self {
-        let (net_name, network) = args.sized_network("internet2");
+        let (net_name, network) = args.network("internet2");
         let (engine_name, kind) = args.engine();
         let load = args.parse("--load", 1.0f64);
         let sigma = args.parse_opt("--sigma");
@@ -909,8 +905,12 @@ impl ChaosScenario {
             },
             ..Default::default()
         };
+        let network = match opt(dump, path, "sites") {
+            None => build_network(CMD, &net_name),
+            Some(n) => sized_isp(CMD, &net_name, n),
+        };
         let scenario = ChaosScenario {
-            network: build_network(CMD, &net_name),
+            network,
             net_name,
             seed: need(dump, path, "seed"),
             load: need(dump, path, "load"),
@@ -942,6 +942,11 @@ impl ChaosScenario {
         ]);
         if let Some(s) = self.sigma {
             pairs.push(("sigma", s.to_string()));
+        }
+        // A `--sites`-sized backbone; the default plant names no count.
+        let sites = self.network.plant.sites().len();
+        if self.net_name == "isp" && sites != ISP_SITES {
+            pairs.push(("sites", sites.to_string()));
         }
         pairs
     }
@@ -1089,8 +1094,8 @@ fn verify_main(args: &Args) -> ! {
         ..Default::default()
     };
     let replay_path = args.get("--replay");
-    let net_name = args.get("--net");
-    let sites = args.parse_opt::<usize>("--sites");
+    // `--sites` is read only with `--net`, so elsewhere it exits 2.
+    let named = args.get("--net").map(|_| args.network(""));
     let load = args.parse("--load", 1.0f64);
     let seed = args.parse("--seed", 42u64);
     let slots = args.parse("--slots", 60usize);
@@ -1160,12 +1165,8 @@ fn verify_main(args: &Args) -> ! {
         }
     }
 
-    if let Some(net_name) = net_name {
-        let network = match sites {
-            None => build_network(&args.cmd, net_name),
-            Some(n) => sized_isp(&args.cmd, net_name, n),
-        };
-        let requests = generate(&network, &workload_config(net_name, load, seed));
+    if let Some((net_name, network)) = named {
+        let requests = generate(&network, &workload_config(&net_name, load, seed));
         eprintln!(
             "verifying {net_name}: {} transfers, {slots} slots of {slot_len}s, {iters} anneal iters",
             requests.len()

@@ -186,6 +186,56 @@ fn every_scenario_command_takes_the_probe_options() {
     }
 }
 
+/// `--sites` is read wherever `--net` is: a sized chaos run writes a
+/// flight dump that names its site count and replays clean, `verify
+/// --net isp` and `attack` take it, and a command line that reads no
+/// network (`verify --seeds`) or names another network exits 2.
+#[test]
+fn sites_sizes_every_command_that_takes_net() {
+    let dir = temp_dir("owan_cli_sites");
+    let dump = dir.join("sized.dump");
+    let dump_arg = dump.to_str().unwrap();
+    stdout_of(&[
+        "chaos",
+        "--net",
+        "isp",
+        "--sites",
+        "12",
+        "--load",
+        "0.3",
+        "--slots",
+        "3",
+        "--iters",
+        "5",
+        "--scope-dump",
+        dump_arg,
+    ]);
+    let text = std::fs::read_to_string(&dump).unwrap();
+    assert!(text.lines().any(|l| l == "sites: 12"), "{text}");
+    let replayed = stdout_of(&["verify", "--replay", dump_arg]);
+    assert!(replayed.starts_with("OK"), "{replayed}");
+    let verified = stdout_of(&[
+        "verify", "--net", "isp", "--sites", "12", "--slots", "3", "--iters", "5",
+    ]);
+    assert!(verified.starts_with("OK: isp replayed clean"), "{verified}");
+
+    let refused = |args: &[&str], want: &str| {
+        let out = owan_cli().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    };
+    refused(
+        &["verify", "--seeds", "1", "--sites", "12"],
+        "unknown flag '--sites'",
+    );
+    refused(
+        &["chaos", "--net", "internet2", "--sites", "12"],
+        "--sites applies to --net isp",
+    );
+    refused(&["attack", "--sites", "2"], "invalid value '2' for --sites");
+}
+
 /// The comparison the attack suite exists for, at the quick recovery
 /// matrix's scale (40 background transfers over an 1 800 s window, 16
 /// slots, 60 iterations): the coremelt that the annealed controller
